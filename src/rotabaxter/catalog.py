@@ -124,11 +124,6 @@ def two_level_rep() -> GradedRepresentation:
     return GradedRepresentation(space, (rho_x1, rho_x2, rho_y))
 
 
-def mixed_space() -> GradedVectorSpace:
-    """Three generators spread over degrees -1, 0, 1, for randomized suites."""
-    return graded_space(["u", "v", "w"], [-1, 0, 1])
-
-
 def mixed_sgla() -> SGLA:
     """A graded-symmetric bracket on generators of mixed degrees.
 

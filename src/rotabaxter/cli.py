@@ -20,6 +20,7 @@ import click
 from . import serialize as ser
 from .deformation import AltMap, courant_bracket, deformation_check, mc_residual, random_altmap
 from .errors import (
+    BoundError,
     NotMaurerCartanError,
     SchemaError,
     SearchSpaceError,
@@ -50,6 +51,7 @@ from .reports import Report, named_residual
 from .serialize import Workspace
 
 _ERRORS = (
+    BoundError,
     SchemaError,
     UnresolvedReferenceError,
     ShapeMismatchError,
@@ -69,9 +71,9 @@ class Config:
 
 
 @click.group()
-@click.option("--p-max", default=4, show_default=True,
+@click.option("--p-max", default=4, show_default=True, type=click.IntRange(min=0),
               help="Weight bound for truncated homotopy checks.")
-@click.option("--arity-max", default=6, show_default=True,
+@click.option("--arity-max", default=6, show_default=True, type=click.IntRange(min=0),
               help="Arity cap for bracket computations.")
 @click.option("--json-report", type=click.Path(dir_okay=False), default=None,
               help="Write the machine-readable report(s) to this file ('-' for stdout).")
@@ -605,14 +607,14 @@ def induce_prelie_inf_cmd(cfg, sgla_, grep_, hop, force, out):
 
 @main.command("check-prelie-inf")
 @click.option("--pinf", required=True)
-@click.option("--n-max", default=4, show_default=True)
+@click.option("--n-max", default=4, show_default=True, type=click.IntRange(min=1))
 @click.pass_obj
 @command
 def check_prelie_inf_cmd(cfg, pinf, n_max):
     """Verify the coherence identities of a homotopy pre-Lie structure."""
     ws = Workspace()
     p = ser.prelie_inf_from_obj(_resolve(ws, pinf, "prelie_infinity"))
-    _finish(cfg, [check_prelie_infinity(p, n_max, rng=random.Random(cfg.seed))])
+    _finish(cfg, [check_prelie_infinity(p, n_max)])
 
 
 @main.command("check-psi-hom")

@@ -2,15 +2,17 @@
 
 Everything is concentrated in degree -1, where the graded-symmetric word on
 distinct letters is alternating and every Koszul sign reduces to a
-permutation parity; the graded checks then agree verdict for verdict with
-their ungraded counterparts.
+permutation parity.  The ungraded maps already are the graded ones on
+degree -1 spaces named by position, so each embedding only relabels the
+spaces; the graded checks then agree verdict for verdict with their
+ungraded counterparts.
 """
 
 from __future__ import annotations
 
 from .deformation import AltMap
 from .errors import ShapeMismatchError
-from .graded import GradedVectorSpace, SGLA, from_lie, from_representation
+from .graded import GradedVectorSpace, SGLA, concentrated, from_lie, from_representation
 from .homotopy import (
     GradedHookedMap,
     GradedHookFamily,
@@ -19,7 +21,7 @@ from .homotopy import (
     HomotopyOperator,
     PreLieInfinity,
 )
-from .prelie import HookedMap, PreLieProduct
+from .prelie import HookedMap, PreLieProduct, hook_of_product
 
 
 def sym_map_from_alt(f: AltMap, space: GradedVectorSpace,
@@ -27,7 +29,7 @@ def sym_map_from_alt(f: AltMap, space: GradedVectorSpace,
     """An alternating k-ary map as a weight-k, degree-(k-1) symmetric map."""
     if f.dim_dom != space.dim or f.dim_cod != target.dim:
         raise ShapeMismatchError("map does not match the graded spaces")
-    return GradedSymMap(space, target, f.arity, f.arity - 1, dict(f.entries))
+    return GradedSymMap(space, target, f.weight, f.degree, f.entries)
 
 
 def family_from_alt(f: AltMap, space: GradedVectorSpace,
@@ -38,7 +40,7 @@ def family_from_alt(f: AltMap, space: GradedVectorSpace,
 
 def alt_from_sym(comp: GradedSymMap) -> AltMap:
     """Inverse of :func:`sym_map_from_alt` on degree -1 concentrated spaces."""
-    return AltMap(comp.weight, comp.space.dim, comp.target.dim, dict(comp.entries))
+    return AltMap(comp.weight, comp.space.dim, comp.target.dim, comp.entries)
 
 
 def homotopy_operator_from_linear(t, alg_graded: SGLA, space: GradedVectorSpace,
@@ -46,14 +48,8 @@ def homotopy_operator_from_linear(t, alg_graded: SGLA, space: GradedVectorSpace,
     """A linear operator V -> g as a weight-1 homotopy operator."""
     if t.rows != alg_graded.dim or t.cols != space.dim:
         raise ShapeMismatchError("operator does not match the graded spaces")
-    entries = {}
-    for j in range(t.cols):
-        col = t.column(j)
-        if any(col):
-            entries[(j,)] = col
-    comp = GradedSymMap(space, alg_graded.space, 1, 0, entries)
-    comps = {1: comp} if entries else {}
-    return HomotopyOperator(space, alg_graded.space, comps, truncation=truncation)
+    comp = GradedSymMap(space, alg_graded.space, 1, 0, AltMap.from_operator(t).entries)
+    return HomotopyOperator(space, alg_graded.space, {1: comp}, truncation=truncation)
 
 
 def embed_pair(alg, rep):
@@ -65,7 +61,7 @@ def hook_from_hooked(h: HookedMap, space: GradedVectorSpace) -> GradedHookedMap:
     """An ungraded hooked map of arity k as a degree-k graded hooked map."""
     if h.dim != space.dim:
         raise ShapeMismatchError("hooked map does not match the graded space")
-    return GradedHookedMap(space, h.arity, h.arity, dict(h.entries))
+    return GradedHookedMap(space, h.weight, h.degree, h.entries)
 
 
 def hook_family_from_hooked(h: HookedMap, space: GradedVectorSpace) -> GradedHookFamily:
@@ -76,13 +72,5 @@ def hook_family_from_hooked(h: HookedMap, space: GradedVectorSpace) -> GradedHoo
 def prelie_infinity_from_product(p: PreLieProduct) -> PreLieInfinity:
     """An ungraded pre-Lie product as the single binary operation of a
     homotopy structure on the degree -1 concentrated space."""
-    space = GradedVectorSpace(p.basis, (-1,) * p.dim)
-    entries = {}
-    for i in range(p.dim):
-        for j in range(p.dim):
-            val = p.mu[i][j]
-            if any(val):
-                entries[((i,), j)] = val
-    op2 = GradedHookedMap(space, 1, 1, entries)
-    ops = {2: op2} if entries else {}
-    return PreLieInfinity(space, 2, ops)
+    space = concentrated(p.basis, -1)
+    return PreLieInfinity(space, 2, {2: GradedHookedMap(space, 1, 1, hook_of_product(p).entries)})

@@ -9,6 +9,11 @@ class TruncationExceededError(ValueError):
     """A computation was requested beyond the configured arity/weight bound."""
 
 
+class BoundError(ValueError):
+    """A truncation bound leaves nothing to check (a negative weight bound,
+    or a coherence order below 1), so a PASS would be vacuous."""
+
+
 class SearchSpaceError(ValueError):
     """A brute-force search grid is larger than the configured cap."""
 

@@ -1,5 +1,6 @@
-"""Z-graded vector spaces, suspension, symmetric graded Lie algebras with a
-degree-1 bracket, their differentials, and degree-1 representations.
+"""Z-graded vector spaces, suspension, the sparse multilinear maps and
+families on them, symmetric graded Lie algebras with a degree-1 bracket,
+their differentials, and degree-1 representations.
 
 Reduction convention: an ungraded Lie algebra embeds with every basis element
 in degree -1, and an ungraded module likewise; the degree-1 graded-symmetric
@@ -9,8 +10,10 @@ bracket and the degree-1 action then reproduce the ungraded axioms, since
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .combinatorics import parity_sign
 from .errors import ShapeMismatchError
@@ -39,9 +42,6 @@ class GradedVectorSpace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def degree(self, i: int) -> int:
-        return self.degrees[i]
-
     def index(self, name: str) -> int:
         return self.basis.index(name)
 
@@ -59,11 +59,240 @@ def concentrated(names, degree: int = -1) -> GradedVectorSpace:
     return GradedVectorSpace(names, (degree,) * len(names))
 
 
+@cache
+def ungraded_space(dim: int) -> GradedVectorSpace:
+    """The space an ungraded map of the given dimension lives on: every
+    basis vector in degree -1, named by position only."""
+    return concentrated((f"e{i + 1}" for i in range(dim)), -1)
+
+
 def suspend(space: GradedVectorSpace, shift: int) -> GradedVectorSpace:
     """Shift all degrees by +1 (suspension) or -1 (desuspension)."""
     if shift not in (1, -1):
         raise ValueError("shift must be +1 or -1")
     return GradedVectorSpace(space.basis, tuple(d + shift for d in space.degrees))
+
+
+class SparseMap:
+    """Weight-w graded map from S^w(V) into a graded target, or from
+    S^w(V) (x) V when the class has a free last slot.
+
+    This class alone knows the storage format and the sign convention.
+    Values are stored on canonical words (weakly increasing, no odd-degree
+    index repeated), keyed by the word or by (word, last), and each is
+    homogeneous of degree (word degree) + (degree of last) + degree.  A word
+    in another order evaluates to the Koszul-signed stored value.  On a space
+    concentrated in degree -1 the canonical words are the strictly increasing
+    ones and the Koszul sign is the permutation parity: the ungraded
+    alternating maps are exactly these maps.
+    """
+
+    __slots__ = ("space", "target", "weight", "degree", "entries")
+    free = False
+
+    def __init__(self, space: GradedVectorSpace, target: GradedVectorSpace,
+                 weight: int, degree: int, entries=None):
+        self.space = space
+        self.target = target
+        self.weight = int(weight)
+        self.degree = int(degree)
+        deg = space.degrees
+        # a target in a single degree (every ungraded one) skips the per-value test
+        uniform = target.degrees[0] if len(set(target.degrees)) == 1 else None
+        clean = {}
+        for key, val in (entries or {}).items():
+            if self.free:
+                word, last = key
+                if not 0 <= last < space.dim:
+                    raise ShapeMismatchError(f"free argument {last} out of range")
+                word = tuple(word)
+                key = (word, last)
+                want = self.degree + deg[last]
+            else:
+                word = key = tuple(key)
+                want = self.degree
+            if len(word) != self.weight:
+                raise ShapeMismatchError(f"word {word} does not have weight {self.weight}")
+            if list(word) != sorted(word):
+                raise ShapeMismatchError(f"word {word} is not weakly increasing")
+            if word and (word[0] < 0 or word[-1] >= space.dim):
+                raise ShapeMismatchError(f"word {word} out of range")
+            if len(set(word)) < len(word) and any(
+                    a == b and deg[a] % 2 for a, b in zip(word, word[1:])):
+                raise ShapeMismatchError(f"word {word} repeats an odd-degree index")
+            val = tuple(map(fr, val))
+            if len(val) != target.dim:
+                raise ShapeMismatchError("value length does not match the target dimension")
+            want += sum(map(deg.__getitem__, word))
+            if want != uniform and any(
+                    x and target.degrees[k] != want for k, x in enumerate(val)):
+                raise ShapeMismatchError(f"value at {key} is not homogeneous of degree {want}")
+            if any(val):
+                clean[key] = val
+        self.entries = clean
+
+    @classmethod
+    def zero(cls, *shape):
+        """The zero map; ``shape`` is the constructor's arguments before ``entries``."""
+        return cls(*shape)
+
+    @classmethod
+    def _on(cls, space, target, weight, degree, entries):
+        """A map on entries already known to be valid; zero values are dropped."""
+        new = object.__new__(cls)
+        new.space, new.target, new.weight, new.degree = space, target, weight, degree
+        new.entries = {k: v for k, v in entries.items() if any(v)}
+        return new
+
+    def _like(self, entries):
+        return type(self)._on(self.space, self.target, self.weight, self.degree, entries)
+
+    def eval(self, args, last=None) -> Vector:
+        """Value on arbitrary arguments (and the free last one, if any).
+
+        Sorting the arguments into a canonical word costs a factor -1 for
+        each pair of odd-degree letters that changes order; a repeated
+        odd-degree letter makes the value zero.
+        """
+        n = len(args)
+        if n != self.weight or self.free == (last is None):
+            raise ShapeMismatchError(f"expected {self.weight} arguments"
+                                     f"{' and a last one' if self.free else ''}")
+        negate = False
+        if n > 1:
+            deg = self.space.degrees
+            odd = [a for a in args if deg[a] % 2]
+            if len(set(odd)) < len(odd):
+                return (ZERO,) * self.target.dim
+            for i, a in enumerate(odd):
+                for b in odd[i + 1:]:
+                    if a > b:
+                        negate = not negate
+            word = tuple(sorted(args))
+        else:
+            word = tuple(args)
+        val = self.entries.get((word, last) if self.free else word)
+        if val is None:
+            return (ZERO,) * self.target.dim
+        return tuple(-x for x in val) if negate else val
+
+    def _expand(self, coeffs, term_at) -> Vector:
+        out = [ZERO] * self.target.dim
+        for j, coeff in enumerate(coeffs):
+            if coeff:
+                for k, x in enumerate(term_at(j)):
+                    if x:
+                        out[k] += coeff * x
+        return tuple(out)
+
+    def eval_insert(self, first: Vector, rest, last=None) -> Vector:
+        """Evaluate with a vector of V in the first slot, expanded linearly."""
+        rest = tuple(rest)
+        return self._expand(first, lambda j: self.eval((j,) + rest, last))
+
+    def eval_last_insert(self, args, last_vec: Vector) -> Vector:
+        """Evaluate with a vector of V in the free last slot, expanded linearly."""
+        args = tuple(args)
+        return self._expand(last_vec, lambda j: self.eval(args, j))
+
+    def is_zero(self) -> bool:
+        return not self.entries
+
+    def scale(self, c):
+        c = fr(c)
+        return self._like({k: tuple(c * x for x in v) for k, v in self.entries.items()})
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def _shape(self):
+        return self.space, self.target, self.weight, self.degree, self.free
+
+    def _binary(self, other, op):
+        if self._shape() != other._shape():
+            raise ShapeMismatchError("maps live on different spaces, weights or degrees")
+        keys = set(self.entries) | set(other.entries)
+        zero = (ZERO,) * self.target.dim
+        return self._like(
+            {k: op(self.entries.get(k, zero), other.entries.get(k, zero)) for k in keys})
+
+    def __add__(self, other):
+        return self._binary(other, vec_add)
+
+    def __sub__(self, other):
+        return self._binary(other, vec_sub)
+
+    def __eq__(self, other):
+        return (isinstance(other, SparseMap) and self._shape() == other._shape()
+                and self.entries == other.entries)
+
+    def __repr__(self):
+        return (f"{type(self).__name__}(weight={self.weight}, degree={self.degree}, "
+                f"entries={len(self.entries)})")
+
+
+class SparseFamily:
+    """A degree-n family of maps, one ``member`` map per weight."""
+
+    __slots__ = ("space", "target", "degree", "components")
+    member = SparseMap
+
+    def __init__(self, space, target, degree, components=None):
+        self.space = space
+        self.target = target
+        self.degree = int(degree)
+        comps = {}
+        for w, comp in (components or {}).items():
+            if comp.is_zero():
+                continue
+            if (comp.space, comp.target, comp.degree, comp.weight) != (
+                    space, target, self.degree, w):
+                raise ShapeMismatchError("component space, degree or weight mismatch")
+            comps[int(w)] = comp
+        self.components = comps
+
+    def _like(self, components):
+        new = copy.copy(self)
+        new.components = {w: c for w, c in components.items() if not c.is_zero()}
+        return new
+
+    def component(self, w: int):
+        got = self.components.get(w)
+        if got is None:
+            return self.member._on(self.space, self.target, w, self.degree, {})
+        return got
+
+    def weights(self):
+        return sorted(self.components)
+
+    @property
+    def max_weight(self) -> int:
+        return max(self.components, default=-1)
+
+    def is_zero(self) -> bool:
+        return not self.components
+
+    def scale(self, c):
+        return self._like({w: comp.scale(c) for w, comp in self.components.items()})
+
+    def _shape(self):
+        return self.space, self.target, self.degree, self.member.free
+
+    def __add__(self, other):
+        if self._shape() != other._shape():
+            raise ShapeMismatchError("families live on different spaces or degrees")
+        weights = set(self.components) | set(other.components)
+        return self._like({w: self.component(w) + other.component(w) for w in weights})
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def __eq__(self, other):
+        return (isinstance(other, SparseFamily) and self._shape() == other._shape()
+                and self.components == other.components)
+
+    def __repr__(self):
+        return f"{type(self).__name__}(degree={self.degree}, weights={self.weights()})"
 
 
 @dataclass(frozen=True)

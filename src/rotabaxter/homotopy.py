@@ -26,17 +26,31 @@ from fractions import Fraction
 
 from .combinatorics import koszul_sign, parity_sign, unshuffles
 from .errors import (
+    BoundError,
     NotMaurerCartanError,
     SearchSpaceError,
     ShapeMismatchError,
     TruncationExceededError,
 )
-from .graded import GradedRepresentation, GradedVectorSpace, SGLA, adjoint_graded
+from .graded import (
+    SGLA,
+    GradedRepresentation,
+    GradedVectorSpace,
+    SparseFamily,
+    SparseMap,
+    adjoint_graded,
+)
 from .linalg import Vector, ZERO, fr, vec_add, vec_is_zero, vec_scale, vec_sub
 from .prelie import COMPOSE_NORMALIZATION
 from .reports import Report, named_residual
 
 DEFAULT_P_MAX = 4
+
+
+def _require_bound(value: int, least: int, name: str) -> None:
+    """Reject a bound below the first weight or order a check must cover."""
+    if value < least:
+        raise BoundError(f"{name} must be at least {least}, got {value}")
 
 
 def word_degree(space: GradedVectorSpace, word) -> int:
@@ -52,23 +66,7 @@ def canonical_words(space: GradedVectorSpace, weight: int):
         yield word
 
 
-def _sort_with_sign(space: GradedVectorSpace, args):
-    """Sort arguments into a canonical word, tracking the Koszul sign.
-
-    Returns (word, sign), or None when a repeated odd-degree index makes the
-    symmetric word vanish.  The stable sort keeps equal indices in place, so
-    the sign is well defined on the support.
-    """
-    order = sorted(range(len(args)), key=lambda t: args[t])
-    word = tuple(args[t] for t in order)
-    for a, b in zip(word, word[1:]):
-        if a == b and space.degrees[a] % 2:
-            return None
-    degs = tuple(space.degrees[i] for i in args)
-    return word, koszul_sign(tuple(order), degs)
-
-
-class GradedSymMap:
+class GradedSymMap(SparseMap):
     """Weight-w graded-symmetric map from S^w(V) into a graded target.
 
     Stored on canonical words; every stored value must be homogeneous of
@@ -76,165 +74,16 @@ class GradedSymMap:
     tuple is the Koszul-signed symmetric extension.
     """
 
-    __slots__ = ("space", "target", "weight", "degree", "entries")
-
-    def __init__(self, space: GradedVectorSpace, target: GradedVectorSpace,
-                 weight: int, degree: int, entries=None):
-        self.space = space
-        self.target = target
-        self.weight = int(weight)
-        self.degree = int(degree)
-        clean = {}
-        for key, val in (entries or {}).items():
-            key = tuple(key)
-            if len(key) != self.weight:
-                raise ShapeMismatchError(f"word {key} does not have weight {self.weight}")
-            if any(not 0 <= i < space.dim for i in key):
-                raise ShapeMismatchError(f"word {key} out of range")
-            if any(a > b for a, b in zip(key, key[1:])):
-                raise ShapeMismatchError(f"word {key} is not weakly increasing")
-            if any(a == b and space.degrees[a] % 2 for a, b in zip(key, key[1:])):
-                raise ShapeMismatchError(f"word {key} repeats an odd-degree index")
-            val = tuple(fr(x) for x in val)
-            if len(val) != target.dim:
-                raise ShapeMismatchError("value length does not match the target dimension")
-            want = word_degree(space, key) + self.degree
-            for k, x in enumerate(val):
-                if x and target.degrees[k] != want:
-                    raise ShapeMismatchError(
-                        f"value at word {key} is not homogeneous of degree {want}"
-                    )
-            if any(val):
-                clean[key] = val
-        self.entries = clean
-
-    @classmethod
-    def zero(cls, space, target, weight, degree):
-        return cls(space, target, weight, degree, {})
-
-    def eval(self, args) -> Vector:
-        if len(args) != self.weight:
-            raise ShapeMismatchError(f"expected {self.weight} arguments, got {len(args)}")
-        sorted_ = _sort_with_sign(self.space, tuple(args))
-        if sorted_ is None:
-            return (ZERO,) * self.target.dim
-        word, eps = sorted_
-        val = self.entries.get(word)
-        if val is None:
-            return (ZERO,) * self.target.dim
-        return vec_scale(eps, val)
-
-    def eval_insert(self, first: Vector, rest) -> Vector:
-        out = [ZERO] * self.target.dim
-        for j, coeff in enumerate(first):
-            if not coeff:
-                continue
-            term = self.eval((j,) + tuple(rest))
-            for k in range(self.target.dim):
-                if term[k]:
-                    out[k] += coeff * term[k]
-        return tuple(out)
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def scale(self, c) -> "GradedSymMap":
-        c = fr(c)
-        return GradedSymMap(self.space, self.target, self.weight, self.degree,
-                            {k: vec_scale(c, v) for k, v in self.entries.items()})
-
-    def _binary(self, other, op):
-        if (self.space, self.target, self.weight, self.degree) != \
-                (other.space, other.target, other.weight, other.degree):
-            raise ShapeMismatchError("maps live on different spaces or degrees")
-        keys = set(self.entries) | set(other.entries)
-        zero = (ZERO,) * self.target.dim
-        return GradedSymMap(
-            self.space, self.target, self.weight, self.degree,
-            {k: op(self.entries.get(k, zero), other.entries.get(k, zero)) for k in keys},
-        )
-
-    def __add__(self, other):
-        return self._binary(other, vec_add)
-
-    def __sub__(self, other):
-        return self._binary(other, vec_sub)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GradedSymMap)
-            and (self.space, self.target, self.weight, self.degree)
-            == (other.space, other.target, other.weight, other.degree)
-            and self.entries == other.entries
-        )
-
-    def __repr__(self):
-        return (f"GradedSymMap(weight={self.weight}, degree={self.degree}, "
-                f"entries={len(self.entries)})")
+    __slots__ = ()
+    # bound in this class's own dict, where the benchmark's tracer looks for it
+    eval = SparseMap.eval
 
 
-class GradedSymFamily:
+class GradedSymFamily(SparseFamily):
     """A degree-n element of Hom(S(V), g): one GradedSymMap per weight."""
 
-    __slots__ = ("space", "target", "degree", "components")
-
-    def __init__(self, space, target, degree, components=None):
-        self.space = space
-        self.target = target
-        self.degree = int(degree)
-        comps = {}
-        for w, comp in (components or {}).items():
-            if comp.is_zero():
-                continue
-            if comp.space != space or comp.target != target:
-                raise ShapeMismatchError("component lives on a different space")
-            if comp.degree != self.degree or comp.weight != w:
-                raise ShapeMismatchError("component degree or weight mismatch")
-            comps[int(w)] = comp
-        self.components = comps
-
-    def component(self, w: int) -> GradedSymMap:
-        got = self.components.get(w)
-        if got is None:
-            return GradedSymMap.zero(self.space, self.target, w, self.degree)
-        return got
-
-    def weights(self):
-        return sorted(self.components)
-
-    @property
-    def max_weight(self) -> int:
-        return max(self.components, default=-1)
-
-    def is_zero(self) -> bool:
-        return not self.components
-
-    def scale(self, c) -> "GradedSymFamily":
-        return GradedSymFamily(self.space, self.target, self.degree,
-                               {w: comp.scale(c) for w, comp in self.components.items()})
-
-    def __add__(self, other):
-        if (self.space, self.target, self.degree) != (other.space, other.target, other.degree):
-            raise ShapeMismatchError("families live on different spaces or degrees")
-        weights = set(self.components) | set(other.components)
-        return GradedSymFamily(
-            self.space, self.target, self.degree,
-            {w: self.component(w) + other.component(w) for w in weights},
-        )
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GradedSymFamily)
-            and (self.space, self.target, self.degree)
-            == (other.space, other.target, other.degree)
-            and self.components == other.components
-        )
-
-    def __repr__(self):
-        return f"GradedSymFamily(degree={self.degree}, weights={self.weights()})"
+    __slots__ = ()
+    member = GradedSymMap
 
 
 class HomotopyOperator(GradedSymFamily):
@@ -257,14 +106,10 @@ class HomotopyOperator(GradedSymFamily):
     def omega(self) -> Vector:
         return self.component(0).eval(())
 
-    def __add__(self, other):
-        fam = GradedSymFamily.__add__(self, other)
-        trunc = max(self.truncation, getattr(other, "truncation", other.max_weight))
-        return HomotopyOperator(fam.space, fam.target, fam.components, trunc)
-
-    def scale(self, c) -> "HomotopyOperator":
-        fam = GradedSymFamily.scale(self, c)
-        return HomotopyOperator(fam.space, fam.target, fam.components, self.truncation)
+    def _like(self, components):
+        fam = super()._like(components)
+        fam.truncation = max(self.truncation, fam.max_weight)
+        return fam
 
 
 def bracket_on_word(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
@@ -345,6 +190,7 @@ def bracket_on_word(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
 def graded_bracket(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
                    rep: GradedRepresentation, p_max: int = DEFAULT_P_MAX) -> GradedSymFamily:
     """Degree-1 graded bracket on Hom(S(V), g), computed up to weight p_max."""
+    _require_bound(p_max, 0, "p_max")
     if f.space != rep.space or g.space != rep.space:
         raise ShapeMismatchError("families do not live on the module of the action")
     if f.target != alg.space or g.target != alg.space:
@@ -434,6 +280,7 @@ def homotopy_oop_residual(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentati
     map is zero.  Implemented directly from the identities, independently of
     :func:`graded_bracket`.
     """
+    _require_bound(p_max, 0, "p_max")
     if t.degree != 0:
         raise ShapeMismatchError("homotopy operators are degree-0 families")
     out = {}
@@ -450,6 +297,7 @@ def homotopy_oop_residual(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentati
 def is_homotopy_oop(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
                     p_max: int = DEFAULT_P_MAX) -> bool:
     """Early-exit version of the residual check."""
+    _require_bound(p_max, 0, "p_max")
     if t.degree != 0:
         raise ShapeMismatchError("homotopy operators are degree-0 families")
     for p in range(p_max + 1):
@@ -519,171 +367,27 @@ def expand_low_identities(t: HomotopyOperator, alg: SGLA, rep: GradedRepresentat
     return r0, r1, r2
 
 
-class GradedHookedMap:
+class GradedHookedMap(SparseMap):
     """Weight-w graded map from S^w(V) (x) V to V: graded symmetric in the
     first w slots, free in the final slot.  The degree is the total map
     degree, so values are homogeneous of degree
     (word degree) + (degree of the free argument) + degree."""
 
-    __slots__ = ("space", "weight", "degree", "entries")
+    __slots__ = ()
+    free = True
 
     def __init__(self, space: GradedVectorSpace, weight: int, degree: int, entries=None):
-        self.space = space
-        self.weight = int(weight)
-        self.degree = int(degree)
-        clean = {}
-        for (key, last), val in (entries or {}).items():
-            key = tuple(key)
-            if len(key) != self.weight:
-                raise ShapeMismatchError(f"word {key} does not have weight {self.weight}")
-            if any(a > b for a, b in zip(key, key[1:])):
-                raise ShapeMismatchError(f"word {key} is not weakly increasing")
-            if any(a == b and space.degrees[a] % 2 for a, b in zip(key, key[1:])):
-                raise ShapeMismatchError(f"word {key} repeats an odd-degree index")
-            if any(not 0 <= i < space.dim for i in key) or not 0 <= last < space.dim:
-                raise ShapeMismatchError("index out of range")
-            val = tuple(fr(x) for x in val)
-            if len(val) != space.dim:
-                raise ShapeMismatchError("value length does not match the space dimension")
-            want = word_degree(space, key) + space.degrees[last] + self.degree
-            for k, x in enumerate(val):
-                if x and space.degrees[k] != want:
-                    raise ShapeMismatchError(
-                        f"value at {(key, last)} is not homogeneous of degree {want}"
-                    )
-            if any(val):
-                clean[(key, last)] = val
-        self.entries = clean
-
-    @classmethod
-    def zero(cls, space, weight, degree):
-        return cls(space, weight, degree, {})
-
-    def eval(self, args, last) -> Vector:
-        if len(args) != self.weight:
-            raise ShapeMismatchError(f"expected {self.weight} symmetric arguments")
-        sorted_ = _sort_with_sign(self.space, tuple(args))
-        if sorted_ is None:
-            return (ZERO,) * self.space.dim
-        word, eps = sorted_
-        val = self.entries.get((word, last))
-        if val is None:
-            return (ZERO,) * self.space.dim
-        return vec_scale(eps, val)
-
-    def eval_insert(self, first: Vector, rest, last) -> Vector:
-        out = [ZERO] * self.space.dim
-        for j, coeff in enumerate(first):
-            if not coeff:
-                continue
-            term = self.eval((j,) + tuple(rest), last)
-            for k in range(self.space.dim):
-                if term[k]:
-                    out[k] += coeff * term[k]
-        return tuple(out)
-
-    def eval_last_insert(self, args, last_vec: Vector) -> Vector:
-        out = [ZERO] * self.space.dim
-        for j, coeff in enumerate(last_vec):
-            if not coeff:
-                continue
-            term = self.eval(tuple(args), j)
-            for k in range(self.space.dim):
-                if term[k]:
-                    out[k] += coeff * term[k]
-        return tuple(out)
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def scale(self, c) -> "GradedHookedMap":
-        c = fr(c)
-        return GradedHookedMap(self.space, self.weight, self.degree,
-                               {k: vec_scale(c, v) for k, v in self.entries.items()})
-
-    def _binary(self, other, op):
-        if (self.space, self.weight, self.degree) != (other.space, other.weight, other.degree):
-            raise ShapeMismatchError("hooked maps live on different spaces or degrees")
-        keys = set(self.entries) | set(other.entries)
-        zero = (ZERO,) * self.space.dim
-        return GradedHookedMap(
-            self.space, self.weight, self.degree,
-            {k: op(self.entries.get(k, zero), other.entries.get(k, zero)) for k in keys},
-        )
-
-    def __add__(self, other):
-        return self._binary(other, vec_add)
-
-    def __sub__(self, other):
-        return self._binary(other, vec_sub)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GradedHookedMap)
-            and (self.space, self.weight, self.degree)
-            == (other.space, other.weight, other.degree)
-            and self.entries == other.entries
-        )
-
-    def __repr__(self):
-        return (f"GradedHookedMap(weight={self.weight}, degree={self.degree}, "
-                f"entries={len(self.entries)})")
+        super().__init__(space, space, weight, degree, entries)
 
 
-class GradedHookFamily:
+class GradedHookFamily(SparseFamily):
     """A degree-n family of graded hooked maps, one per weight."""
 
-    __slots__ = ("space", "degree", "components")
+    __slots__ = ()
+    member = GradedHookedMap
 
     def __init__(self, space, degree, components=None):
-        self.space = space
-        self.degree = int(degree)
-        comps = {}
-        for w, comp in (components or {}).items():
-            if comp.is_zero():
-                continue
-            if comp.space != space or comp.degree != self.degree or comp.weight != w:
-                raise ShapeMismatchError("component space, weight or degree mismatch")
-            comps[int(w)] = comp
-        self.components = comps
-
-    def component(self, w: int) -> GradedHookedMap:
-        got = self.components.get(w)
-        if got is None:
-            return GradedHookedMap.zero(self.space, w, self.degree)
-        return got
-
-    def weights(self):
-        return sorted(self.components)
-
-    def is_zero(self) -> bool:
-        return not self.components
-
-    def scale(self, c) -> "GradedHookFamily":
-        return GradedHookFamily(self.space, self.degree,
-                                {w: comp.scale(c) for w, comp in self.components.items()})
-
-    def __add__(self, other):
-        if (self.space, self.degree) != (other.space, other.degree):
-            raise ShapeMismatchError("families live on different spaces or degrees")
-        weights = set(self.components) | set(other.components)
-        return GradedHookFamily(
-            self.space, self.degree,
-            {w: self.component(w) + other.component(w) for w in weights},
-        )
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GradedHookFamily)
-            and (self.space, self.degree) == (other.space, other.degree)
-            and self.components == other.components
-        )
-
-    def __repr__(self):
-        return f"GradedHookFamily(degree={self.degree}, weights={self.weights()})"
+        super().__init__(space, space, degree, components)
 
 
 def psi(f: GradedSymFamily, rep: GradedRepresentation) -> GradedHookFamily:
@@ -752,6 +456,7 @@ def hook_compose_on_word(a: GradedHookFamily, b: GradedHookFamily, word, last) -
 
 def hook_compose(a: GradedHookFamily, b: GradedHookFamily,
                  p_max: int = DEFAULT_P_MAX) -> GradedHookFamily:
+    _require_bound(p_max, 0, "p_max")
     if a.space != b.space:
         raise ShapeMismatchError("families live on different spaces")
     degree = a.degree + b.degree
@@ -783,45 +488,28 @@ def check_psi_homomorphism(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
     return lhs == rhs
 
 
-class PreLieInfinity:
+class PreLieInfinity(GradedHookFamily):
     """Family of degree-1 operations m_k on a graded space, each graded
-    symmetric in its first k-1 arguments (stored as a hooked map of weight
-    k-1 with a free last slot)."""
+    symmetric in its first k-1 arguments: m_k is the weight-(k-1) hooked map
+    of a degree-1 hooked family, for 1 <= k <= truncation."""
 
-    __slots__ = ("space", "truncation", "ops")
+    __slots__ = ("truncation",)
 
     def __init__(self, space: GradedVectorSpace, truncation: int, ops=None):
-        self.space = space
         self.truncation = int(truncation)
-        clean = {}
-        for k, op in (ops or {}).items():
-            k = int(k)
-            if k < 1 or k > self.truncation:
+        ops = {int(k): op for k, op in (ops or {}).items()}
+        for k in ops:
+            if not 1 <= k <= self.truncation:
                 raise ShapeMismatchError(f"operation index {k} outside 1..{self.truncation}")
-            if op.is_zero():
-                continue
-            if op.space != space or op.weight != k - 1 or op.degree != 1:
-                raise ShapeMismatchError(
-                    f"operation m_{k} must be a degree-1 hooked map of weight {k - 1}"
-                )
-            clean[k] = op
-        self.ops = clean
+        super().__init__(space, 1, {k - 1: op for k, op in ops.items()})
+
+    @property
+    def ops(self) -> dict:
+        """The nonzero operations m_k, keyed by their arity k."""
+        return {w + 1: op for w, op in self.components.items()}
 
     def op(self, k: int) -> GradedHookedMap:
-        got = self.ops.get(k)
-        if got is None:
-            return GradedHookedMap.zero(self.space, k - 1, 1)
-        return got
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PreLieInfinity)
-            and self.space == other.space
-            and self.ops == other.ops
-        )
-
-    def __repr__(self):
-        return f"PreLieInfinity(truncation={self.truncation}, nonzero={sorted(self.ops)})"
+        return self.component(k - 1)
 
 
 def prelie_infinity_residual(p: PreLieInfinity, word, last) -> Vector:
@@ -874,28 +562,12 @@ def prelie_infinity_residual(p: PreLieInfinity, word, last) -> Vector:
 def check_prelie_infinity(p: PreLieInfinity, n_max: int = DEFAULT_P_MAX,
                           rng=None) -> Report:
     """Verify the coherence identities for 1 <= n <= n_max on all argument
-    tuples, plus spot checks of graded symmetry in the first k-1 slots."""
-    import random as _random
-
-    rng = rng or _random.Random(0)
+    tuples.  Graded symmetry in the first k-1 slots holds by construction:
+    operations are stored on canonical words and evaluated with the Koszul
+    sign.  ``rng`` is accepted and ignored, so the verdict depends on no
+    random draw."""
+    _require_bound(n_max, 1, "n_max")
     space = p.space
-    for k, op in sorted(p.ops.items()):
-        if k < 2:
-            continue
-        for _ in range(6):
-            args = tuple(rng.randrange(space.dim) for _ in range(k - 1))
-            last = rng.randrange(space.dim)
-            perm = list(range(k - 1))
-            rng.shuffle(perm)
-            shuffled = tuple(args[t] for t in perm)
-            degs = tuple(space.degrees[i] for i in args)
-            eps = koszul_sign(tuple(perm), degs)
-            lhs = op.eval(shuffled, last)
-            rhs = vec_scale(eps, op.eval(args, last))
-            if lhs != rhs:
-                return Report("check-prelie-inf", False, order=n_max,
-                              witness={"part": "symmetry", "operation": k,
-                                       "at": [i + 1 for i in args] + [last + 1]})
     for n in range(1, n_max + 1):
         for word in itertools.product(range(space.dim), repeat=n - 1):
             for last in range(space.dim):
@@ -914,6 +586,7 @@ def induce_prelie_infinity(t: HomotopyOperator, alg: SGLA, rep: GradedRepresenta
                            p_max: int = DEFAULT_P_MAX, force: bool = False) -> PreLieInfinity:
     """Operations m_k(v_1..v_k) = rho(T_{k-1}(v_1..v_{k-1})) v_k of a verified
     homotopy O-operator; a pre-Lie homotopy structure on V."""
+    _require_bound(p_max, 0, "p_max")
     if not force and not is_homotopy_oop(t, alg, rep, p_max):
         raise NotMaurerCartanError(
             "operator fails the homotopy O-operator identities; pass force=True to build anyway"
@@ -932,6 +605,7 @@ def search_homotopy_operators(alg: SGLA, rep: GradedRepresentation, grid,
     (word, target) slots of T_0..T_max_weight and keeps the assignments whose
     residuals vanish to order p_max.
     """
+    _require_bound(p_max, 0, "p_max")
     grid = tuple(fr(x) for x in grid)
     if not grid:
         raise ValueError("search grid must be nonempty")
@@ -975,15 +649,11 @@ def random_sym_family(rng, space: GradedVectorSpace, target: GradedVectorSpace,
         for word in canonical_words(space, w):
             want = word_degree(space, word) + degree
             vec = [ZERO] * target.dim
-            hit = False
             for k in range(target.dim):
                 if target.degrees[k] == want and rng.random() < density:
                     vec[k] = rng.choice(pool)
-                    hit = True
-            if hit and any(vec):
-                entries[word] = tuple(vec)
-        if entries:
-            comps[w] = GradedSymMap(space, target, w, degree, entries)
+            entries[word] = tuple(vec)
+        comps[w] = GradedSymMap(space, target, w, degree, entries)
     return GradedSymFamily(space, target, degree, comps)
 
 

@@ -111,22 +111,6 @@ class Representation:
                         out[r][s] += xa * m[r][s]
         return tuple(tuple(row) for row in out)
 
-    def act(self, x: Vector, v: Vector) -> Vector:
-        out = [ZERO] * self.space_dim
-        for a, xa in enumerate(x):
-            if not xa:
-                continue
-            m = self.matrices[a]
-            for r in range(self.space_dim):
-                acc = ZERO
-                row = m[r]
-                for s in range(self.space_dim):
-                    if row[s] and v[s]:
-                        acc += row[s] * v[s]
-                if acc:
-                    out[r] += xa * acc
-        return tuple(out)
-
     def act_basis(self, x: Vector, j: int) -> Vector:
         """rho(x) applied to the j-th basis vector of V."""
         out = [ZERO] * self.space_dim

@@ -15,14 +15,6 @@ def fr(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def vector(entries) -> Vector:
-    return tuple(fr(x) for x in entries)
-
-
-def vec_zero(n: int) -> Vector:
-    return (ZERO,) * n
-
-
 def basis_vector(n: int, i: int) -> Vector:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
@@ -51,24 +43,8 @@ def matrix(rows) -> Matrix:
     return m
 
 
-def mat_zero(nrows: int, ncols: int) -> Matrix:
-    return ((ZERO,) * ncols,) * nrows
-
-
-def mat_identity(n: int) -> Matrix:
-    return tuple(basis_vector(n, i) for i in range(n))
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(vec_add(x, y) for x, y in zip(a, b, strict=True))
-
-
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return tuple(vec_sub(x, y) for x, y in zip(a, b, strict=True))
-
-
-def mat_scale(c, a: Matrix) -> Matrix:
-    return tuple(vec_scale(c, row) for row in a)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -81,10 +57,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
     return tuple(sum((row[j] * v[j] for j in range(len(v))), ZERO) for row in a)
-
-
-def mat_col(a: Matrix, j: int) -> Vector:
-    return tuple(row[j] for row in a)
 
 
 def mat_commutator(a: Matrix, b: Matrix) -> Matrix:

@@ -16,7 +16,8 @@ from fractions import Fraction
 from .combinatorics import parity_sign, sign, unshuffles
 from .deformation import DEFAULT_ARITY_MAX, AltMap
 from .errors import NotMaurerCartanError, ShapeMismatchError, TruncationExceededError
-from .linalg import Vector, ZERO, fr, vec_add, vec_is_zero, vec_scale, vec_sub
+from .graded import SparseMap, ungraded_space
+from .linalg import Vector, ZERO, fr, vec_is_zero, vec_scale, vec_sub
 from .reports import Report, named_residual
 
 # Global normalization of the compose operation.  The sign is fixed by
@@ -118,116 +119,34 @@ def commutator_algebra(p: PreLieProduct):
     return LieAlgebra(p.basis, c)
 
 
-class HookedMap:
+class HookedMap(SparseMap):
     """Element of Hom(wedge^k V (x) V, V): alternating in the first k slots,
-    with a free final slot.  Keys are (increasing k-tuple, final index)."""
+    with a free final slot.  Keys are (increasing k-tuple, final index).
 
-    __slots__ = ("arity", "dim", "entries")
+    The graded hooked map of weight and degree k on V concentrated in
+    degree -1 (see :class:`~rotabaxter.graded.SparseMap`).
+    """
+
+    __slots__ = ()
+    free = True
 
     def __init__(self, arity, dim, entries=None):
-        self.arity = int(arity)
-        self.dim = int(dim)
-        clean = {}
-        for (key, last), val in (entries or {}).items():
-            key = tuple(key)
-            if len(key) != self.arity:
-                raise ShapeMismatchError(f"key {key} does not have arity {self.arity}")
-            if any(a >= b for a, b in zip(key, key[1:])):
-                raise ShapeMismatchError(f"key {key} is not strictly increasing")
-            if any(not 0 <= i < self.dim for i in key) or not 0 <= last < self.dim:
-                raise ShapeMismatchError("index out of range")
-            val = tuple(fr(x) for x in val)
-            if len(val) != self.dim:
-                raise ShapeMismatchError("value length does not match the space dimension")
-            if any(val):
-                clean[(key, last)] = val
-        self.entries = clean
+        space = ungraded_space(int(dim))
+        super().__init__(space, space, arity, arity, entries)
 
-    @classmethod
-    def zero(cls, arity, dim):
-        return cls(arity, dim, {})
+    @property
+    def arity(self) -> int:
+        return self.weight
 
-    def eval(self, args, last) -> Vector:
-        if len(args) != self.arity:
-            raise ShapeMismatchError(f"expected {self.arity} alternating arguments")
-        if len(set(args)) != len(args):
-            return (ZERO,) * self.dim
-        order = sorted(range(len(args)), key=lambda t: args[t])
-        word = tuple(args[t] for t in order)
-        val = self.entries.get((word, last))
-        if val is None:
-            return (ZERO,) * self.dim
-        return vec_scale(sign(tuple(order)), val)
-
-    def eval_insert(self, first: Vector, rest, last) -> Vector:
-        out = [ZERO] * self.dim
-        for j, coeff in enumerate(first):
-            if not coeff:
-                continue
-            term = self.eval((j,) + tuple(rest), last)
-            for k in range(self.dim):
-                if term[k]:
-                    out[k] += coeff * term[k]
-        return tuple(out)
-
-    def eval_last_insert(self, args, last_vec: Vector) -> Vector:
-        out = [ZERO] * self.dim
-        for j, coeff in enumerate(last_vec):
-            if not coeff:
-                continue
-            term = self.eval(tuple(args), j)
-            for k in range(self.dim):
-                if term[k]:
-                    out[k] += coeff * term[k]
-        return tuple(out)
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def scale(self, c) -> "HookedMap":
-        c = fr(c)
-        return HookedMap(self.arity, self.dim,
-                         {k: vec_scale(c, v) for k, v in self.entries.items()})
-
-    def _binary(self, other, op) -> "HookedMap":
-        if (self.arity, self.dim) != (other.arity, other.dim):
-            raise ShapeMismatchError("hooked maps live on different spaces")
-        keys = set(self.entries) | set(other.entries)
-        zero = (ZERO,) * self.dim
-        return HookedMap(
-            self.arity, self.dim,
-            {k: op(self.entries.get(k, zero), other.entries.get(k, zero)) for k in keys},
-        )
-
-    def __add__(self, other):
-        return self._binary(other, vec_add)
-
-    def __sub__(self, other):
-        return self._binary(other, vec_sub)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HookedMap)
-            and (self.arity, self.dim) == (other.arity, other.dim)
-            and self.entries == other.entries
-        )
-
-    def __repr__(self):
-        return f"HookedMap(arity={self.arity}, entries={len(self.entries)})"
+    @property
+    def dim(self) -> int:
+        return self.space.dim
 
 
 def hook_of_product(p: PreLieProduct) -> HookedMap:
     """A bilinear product viewed as a 1-ary hooked map."""
-    entries = {}
-    for i in range(p.dim):
-        for j in range(p.dim):
-            val = p.mu[i][j]
-            if any(val):
-                entries[((i,), j)] = val
-    return HookedMap(1, p.dim, entries)
+    pairs = itertools.product(range(p.dim), repeat=2)
+    return HookedMap(1, p.dim, {((i,), j): p.mu[i][j] for i, j in pairs})
 
 
 def product_of_hook(h: HookedMap, basis) -> PreLieProduct:
@@ -370,6 +289,5 @@ def random_hooked(rng, arity, dim, pool=None, density=0.7) -> HookedMap:
                 rng.choice(pool) if rng.random() < density else ZERO
                 for _ in range(dim)
             )
-            if any(vec):
-                entries[(word, w)] = vec
+            entries[(word, w)] = vec
     return HookedMap(arity, dim, entries)

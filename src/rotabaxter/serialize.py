@@ -47,12 +47,25 @@ KINDS = (
 )
 
 
+# Python's default limit on int <-> decimal string conversion.  Fraction
+# expands an exponent into an integer, at a cost that grows faster than the
+# exponent, so longer scalar text or a larger exponent is refused unparsed.
+MAX_SCALAR_DIGITS = 4300
+
+
 def parse_scalar(x) -> Fraction:
     if isinstance(x, bool):
         raise SchemaError(f"not a scalar: {x!r}")
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        _, _, exponent = x.lower().partition("e")
+        try:
+            exponent = abs(int(exponent)) if exponent else 0
+        except ValueError:
+            exponent = 0  # malformed: Fraction rejects the text below
+        if exponent > MAX_SCALAR_DIGITS or sum(c.isdigit() for c in x) > MAX_SCALAR_DIGITS:
+            raise SchemaError(f"scalar exceeds {MAX_SCALAR_DIGITS} digits or exponent")
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
@@ -82,6 +95,32 @@ def parse_value(obj, names) -> tuple[Fraction, ...]:
 
 def value_obj(vec, names) -> dict:
     return {name: scalar_str(x) for name, x in zip(names, vec) if x}
+
+
+def _one_based(a) -> int:
+    return int(a) - 1
+
+
+def _entries_from_obj(items, index, names, free=False) -> dict:
+    """Map entries from their file form; ``index`` reads one argument."""
+    entries = {}
+    for item in items:
+        word = tuple(index(a) for a in item["args"])
+        key = (word, index(item["last"])) if free else word
+        entries[key] = parse_value(item["value"], names)
+    return entries
+
+
+def _entries_obj(m, label, names) -> list[dict]:
+    """The file form of a map's entries in key order; ``label`` writes one argument."""
+    out = []
+    for key in sorted(m.entries):
+        word, last = key if m.free else (key, None)
+        item = {"args": [label(i) for i in word], "value": value_obj(m.entries[key], names)}
+        if m.free:
+            item["last"] = label(last)
+        out.append(item)
+    return out
 
 
 def parse_matrix(rows, nrows, ncols) -> Matrix:
@@ -167,21 +206,12 @@ def altmap_from_obj(obj, dim_dom, cod_names) -> AltMap:
     arity = obj.get("arity")
     if not isinstance(arity, int) or arity < 0:
         raise SchemaError("altmap needs a non-negative integer arity")
-    entries = {}
-    for item in obj.get("entries", ()):
-        args = tuple(int(a) - 1 for a in item["args"])
-        entries[args] = parse_value(item["value"], cod_names)
+    entries = _entries_from_obj(obj.get("entries", ()), _one_based, cod_names)
     return AltMap(arity, dim_dom, len(cod_names), entries)
 
 
 def altmap_to_obj(f: AltMap, cod_names) -> dict:
-    entries = []
-    for key in sorted(f.entries):
-        entries.append({
-            "args": [i + 1 for i in key],
-            "value": value_obj(f.entries[key], cod_names),
-        })
-    return {"arity": f.arity, "entries": entries}
+    return {"arity": f.arity, "entries": _entries_obj(f, lambda i: i + 1, cod_names)}
 
 
 def prelie_from_obj(obj) -> PreLieProduct:
@@ -215,23 +245,13 @@ def hooked_from_obj(obj) -> tuple[HookedMap, tuple[str, ...]]:
     arity = obj.get("arity")
     if not isinstance(arity, int) or arity < 0:
         raise SchemaError("hooked_map needs a non-negative integer arity")
-    entries = {}
-    for item in obj.get("entries", ()):
-        args = tuple(int(a) - 1 for a in item["args"])
-        last = int(item["last"]) - 1
-        entries[(args, last)] = parse_value(item["value"], names)
+    entries = _entries_from_obj(obj.get("entries", ()), _one_based, names, free=True)
     return HookedMap(arity, len(names), entries), names
 
 
 def hooked_to_obj(h: HookedMap, names) -> dict:
-    entries = []
-    for (key, last) in sorted(h.entries):
-        entries.append({
-            "args": [i + 1 for i in key],
-            "last": last + 1,
-            "value": value_obj(h.entries[(key, last)], names),
-        })
-    return {"basis": list(names), "arity": h.arity, "entries": entries}
+    return {"basis": list(names), "arity": h.arity,
+            "entries": _entries_obj(h, lambda i: i + 1, names)}
 
 
 # -- graded entities ----------------------------------------------------------
@@ -315,9 +335,7 @@ def _component_from_obj(item, space: GradedVectorSpace, target: GradedVectorSpac
         if "value" in item:
             entries[()] = parse_value(item["value"], target.basis)
     else:
-        for ent in item.get("entries", ()):
-            word = tuple(space.index(n) for n in ent["args"])
-            entries[word] = parse_value(ent["value"], target.basis)
+        entries = _entries_from_obj(item.get("entries", ()), space.index, target.basis)
     return GradedSymMap(space, target, weight, degree, entries)
 
 
@@ -325,13 +343,8 @@ def _component_to_obj(comp: GradedSymMap) -> dict:
     if comp.weight == 0:
         val = comp.entries.get((), ())
         return {"weight": 0, "value": value_obj(val, comp.target.basis)}
-    entries = []
-    for word in sorted(comp.entries):
-        entries.append({
-            "args": [comp.space.basis[i] for i in word],
-            "value": value_obj(comp.entries[word], comp.target.basis),
-        })
-    return {"weight": comp.weight, "entries": entries}
+    return {"weight": comp.weight,
+            "entries": _entries_obj(comp, comp.space.basis.__getitem__, comp.target.basis)}
 
 
 def hop_from_obj(obj, space: GradedVectorSpace, target: GradedVectorSpace) -> HomotopyOperator:
@@ -378,27 +391,17 @@ def prelie_inf_from_obj(obj) -> PreLieInfinity:
         k = item.get("arity")
         if not isinstance(k, int) or k < 1:
             raise SchemaError("operation needs a positive integer arity")
-        entries = {}
-        for ent in item.get("entries", ()):
-            word = tuple(space.index(n) for n in ent["args"])
-            last = space.index(ent["last"])
-            entries[(word, last)] = parse_value(ent["value"], space.basis)
+        entries = _entries_from_obj(item.get("entries", ()), space.index, space.basis,
+                                    free=True)
         ops[k] = GradedHookedMap(space, k - 1, 1, entries)
     return PreLieInfinity(space, truncation, ops)
 
 
 def prelie_inf_to_obj(p: PreLieInfinity) -> dict:
     operations = []
-    for k in sorted(p.ops):
-        op = p.ops[k]
-        entries = []
-        for (word, last) in sorted(op.entries):
-            entries.append({
-                "args": [p.space.basis[i] for i in word],
-                "last": p.space.basis[last],
-                "value": value_obj(op.entries[(word, last)], p.space.basis),
-            })
-        operations.append({"arity": k, "entries": entries})
+    for k, op in sorted(p.ops.items()):
+        operations.append({"arity": k,
+                           "entries": _entries_obj(op, p.space.basis.__getitem__, p.space.basis)})
     return {"space": gvs_to_obj(p.space), "truncation": p.truncation,
             "operations": operations}
 
@@ -427,6 +430,8 @@ class Workspace:
                 obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+        except ValueError as exc:  # an integer literal beyond the int-string limit
+            raise SchemaError(f"{path}: {exc}") from None
         if not isinstance(obj, dict):
             raise SchemaError(f"{path}: top level must be a JSON object")
         for key, val in obj.items():

@@ -191,6 +191,47 @@ def test_graded_pipeline(runner, tmp_path):
     assert runner.invoke(main, ["check-prelie-inf", "--pinf", pinf]).exit_code == 0
 
 
+def test_bounds_below_the_first_weight_are_usage_errors(runner, tmp_path):
+    alg = write(tmp_path, "L.json", AFFINE)
+    op = write(tmp_path, "P.json", RBO)
+    sgla_path = str(tmp_path / "g.json")
+    runner.invoke(main, ["from-lie", "--algebra", alg, "--out", sgla_path])
+    hop = write(tmp_path, "hop.json", {
+        "homotopy_operator": {
+            "truncation": 1,
+            "components": [
+                {"weight": 1, "entries": [
+                    {"args": ["e1"], "value": {"e1": "1"}},
+                    {"args": ["e2"], "value": {"e2": "1"}},
+                ]}
+            ],
+        }
+    })
+    pinf = str(tmp_path / "pinf.json")
+    runner.invoke(main, ["induce-prelie-inf", "--sgla", sgla_path, "--grep", "adjoint",
+                         "--hop", hop, "--force", "--out", pinf])
+    hoop = ["check-hoop", "--sgla", sgla_path, "--grep", "adjoint", "--hop", hop]
+    assert runner.invoke(main, ["--p-max", "0"] + hoop).exit_code == 0
+    assert runner.invoke(main, ["--p-max", "4"] + hoop).exit_code == 1
+    for args in (["--p-max", "-1"] + hoop,
+                 ["--arity-max", "-1", "mc-check", "--algebra", alg, "--rep", "adjoint",
+                  "--op", op],
+                 ["check-prelie-inf", "--pinf", pinf, "--n-max", "0"]):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, (args, res.output)
+
+
+def test_oversized_scalar_exits_1(runner, tmp_path):
+    big = write(tmp_path, "L.json", {
+        "lie_algebra": {
+            "basis": ["e1", "e2"],
+            "brackets": [{"left": "e1", "right": "e2", "value": {"e2": "1e200000"}}],
+        }
+    })
+    res = runner.invoke(main, ["check-lie", "--algebra", big])
+    assert res.exit_code == 1 and "4300" in res.output
+
+
 def test_failing_homotopy_operator_reports_witness(runner, tmp_path):
     alg = write(tmp_path, "L.json", AFFINE)
     sgla_path = str(tmp_path / "g.json")

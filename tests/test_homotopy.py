@@ -24,12 +24,13 @@ from rotabaxter.embed import (
     prelie_infinity_from_product,
 )
 from rotabaxter.errors import (
+    BoundError,
     NotMaurerCartanError,
     SearchSpaceError,
     ShapeMismatchError,
     TruncationExceededError,
 )
-from rotabaxter.graded import from_lie, from_representation, graded_space
+from rotabaxter.graded import concentrated, from_lie, from_representation, graded_space
 from rotabaxter.homotopy import (
     GradedHookedMap,
     GradedHookFamily,
@@ -57,9 +58,17 @@ from rotabaxter.homotopy import (
     residual_on_word,
     search_homotopy_operators,
     shifted_bracket,
+    word_degree,
 )
 from rotabaxter.lie import adjoint, is_rota_baxter, oop_defect, operator
-from rotabaxter.prelie import check_prelie, induce_prelie, mn_bracket, phi, random_hooked
+from rotabaxter.prelie import (
+    HookedMap,
+    check_prelie,
+    induce_prelie,
+    mn_bracket,
+    phi,
+    random_hooked,
+)
 
 
 def test_eval_sym_signs():
@@ -81,6 +90,95 @@ def test_sym_map_validation():
         GradedSymMap(space, target, 2, 0, {(1, 0): (Fraction(1),)})  # not sorted
     with pytest.raises(ShapeMismatchError):
         GradedSymMap(space, target, 1, 0, {(0,): (Fraction(1),)})    # degree 1 != 2
+
+
+MIXED = graded_space(["a", "b", "c"], [-1, 0, 1])
+FLAT = concentrated(["e1", "e2", "e3"], -1)
+ONE, NIL = Fraction(1), Fraction(0)
+# The four spellings of the one map container, as (constructor on entries,
+# space, target, degree, free last argument or None).  A weight-2 value on
+# the word (0, 1) is homogeneous in the target slot given by good_value.
+MAP_SPELLINGS = {
+    "AltMap": (lambda w, e: AltMap(w, 3, 3, e), FLAT, FLAT, lambda w: w - 1, None),
+    "HookedMap": (lambda w, e: HookedMap(w, 3, e), FLAT, FLAT, lambda w: w, 2),
+    "GradedSymMap": (lambda w, e: GradedSymMap(MIXED, MIXED, w, 1, e),
+                     MIXED, MIXED, lambda w: 1, None),
+    "GradedHookedMap": (lambda w, e: GradedHookedMap(MIXED, w, 1, e),
+                        MIXED, MIXED, lambda w: 1, 1),
+}
+
+
+@pytest.mark.parametrize("spelling", sorted(MAP_SPELLINGS))
+def test_map_spellings_share_validation_and_koszul_eval(spelling):
+    build, space, target, degree, last = MAP_SPELLINGS[spelling]
+
+    def key(word, at=last):
+        return word if at is None else (word, at)
+
+    def homogeneous(word, at=last):
+        want = word_degree(space, word) + degree(len(word))
+        want += 0 if at is None else space.degrees[at]
+        return tuple(Fraction(len(word) + k + 1) if target.degrees[k] == want else NIL
+                     for k in range(target.dim))
+
+    good = homogeneous((0, 1))
+    assert not build(2, {key((0, 1)): good}).is_zero()
+    malformed = [
+        {key((0, 1, 2)): good},          # wrong key length
+        {key((0, 3)): good},             # index out of range
+        {key((1, 0)): good},             # not in canonical order
+        {key((0, 0)): good},             # repeated odd-degree index
+        {key((0, 1)): good + (ONE,)},    # wrong value length
+    ]
+    if len(set(target.degrees)) > 1:
+        malformed.append({key((0, 1)): tuple(ONE - x for x in good)})  # inhomogeneous
+    for entries in malformed:
+        with pytest.raises(ShapeMismatchError):
+            build(2, entries)
+
+    # eval on shuffled arguments is the Koszul sign times the stored value
+    lasts = [None] if last is None else range(space.dim)
+    entries = {key(word, at): homogeneous(word, at)
+               for word in canonical_words(space, 3) for at in lasts}
+    f = build(3, entries)
+    with pytest.raises(ShapeMismatchError):  # a last argument exactly when there is a free slot
+        f.eval((0, 1, 2), *((0,) if last is None else ()))
+    for args in itertools.product(range(space.dim), repeat=3):
+        order = sorted(range(3), key=args.__getitem__)
+        word = tuple(args[t] for t in order)
+        eps = koszul_sign(tuple(order), [space.degrees[i] for i in args])
+        for at in lasts:
+            stored = entries.get(key(word, at), (NIL,) * target.dim)
+            extra = () if at is None else (at,)
+            assert f.eval(args, *extra) == tuple(eps * x for x in stored)
+
+
+def _failing_mixed_operator():
+    """A random homotopy operator on mixed/adjoint that fails at weight <= 4."""
+    name, alg, rep = graded_instances()[1]
+    t = random_homotopy_operator(random.Random(5), rep.space, alg.space, 2)
+    assert name == "mixed/adjoint" and not is_homotopy_oop(t, alg, rep, 4)
+    return t, alg, rep
+
+
+@pytest.mark.parametrize("call", [
+    lambda t, a, r: is_homotopy_oop(t, a, r, -1),
+    lambda t, a, r: mc_check_homotopy(t, a, r, -1),
+    lambda t, a, r: homotopy_oop_residual(t, a, r, -1),
+    lambda t, a, r: is_homotopy_rbo(t, a, -1),
+    lambda t, a, r: graded_bracket(t, t, a, r, -1),
+    lambda t, a, r: check_psi_homomorphism(t, t, a, r, -1),
+    lambda t, a, r: hook_bracket(psi(t, r), psi(t, r), -1),
+    lambda t, a, r: induce_prelie_infinity(t, a, r, -1, force=True),
+    lambda t, a, r: search_homotopy_operators(a, r, (0,), max_weight=0, p_max=-1),
+    lambda t, a, r: check_prelie_infinity(induce_prelie_infinity(t, a, r, force=True), 0),
+], ids=["is_homotopy_oop", "mc_check_homotopy", "homotopy_oop_residual", "is_homotopy_rbo",
+        "graded_bracket", "check_psi_homomorphism", "hook_bracket", "induce_prelie_infinity",
+        "search_homotopy_operators", "check_prelie_infinity"])
+def test_bound_below_first_weight_is_rejected(call):
+    t, alg, rep = _failing_mixed_operator()
+    with pytest.raises(BoundError):
+        call(t, alg, rep)
 
 
 def test_homotopy_operator_truncation():

@@ -33,6 +33,21 @@ def test_scalar_round_trip():
         ser.parse_scalar(True)
 
 
+def test_oversized_scalar_text_is_rejected(tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"operator": {"rows": [["1e200000", "0"], ["0", "0"]]}}))
+    payload = Workspace().load_file(str(path)).find("operator")
+    with pytest.raises(SchemaError):
+        ser.operator_from_obj(payload, 2, 2)
+    for text in ("9" * 4301, "1/" + "7" * 4300, "1e-4301", "1.5E+4301"):
+        with pytest.raises(SchemaError):
+            ser.parse_scalar(text)
+    assert ser.parse_scalar("1e-4300") == Fraction(1, 10 ** 4300)
+    path.write_text('{"operator": {"rows": [[' + "9" * 4301 + ', 0], [0, 0]]}}')
+    with pytest.raises(SchemaError):
+        Workspace().load_file(str(path))
+
+
 def test_lie_round_trip():
     alg = affine_line()
     obj = ser.lie_to_obj(alg)
