@@ -22,6 +22,7 @@ from .deformation import AltMap, courant_bracket, deformation_check, mc_residual
 from .errors import (
     BoundError,
     NotMaurerCartanError,
+    OversizedScalarError,
     SchemaError,
     SearchSpaceError,
     ShapeMismatchError,
@@ -58,6 +59,7 @@ _ERRORS = (
     TruncationExceededError,
     SearchSpaceError,
     NotMaurerCartanError,
+    OversizedScalarError,
 )
 
 
@@ -645,3 +647,7 @@ def check_psi_hom_cmd(cfg, sgla_, grep_, left, right, draws):
     g = _sym_family(ws, right, grep.space, galg.space)
     ok = check_psi_homomorphism(f, g, galg, grep, cfg.p_max)
     _finish(cfg, [Report("check-psi-hom", ok, order=cfg.p_max)])
+
+
+if __name__ == "__main__":
+    main()

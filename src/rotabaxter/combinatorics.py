@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import lru_cache
 
 from .errors import ShapeMismatchError
 
@@ -101,6 +102,21 @@ def unshuffles(shape) -> list[tuple[int, ...]]:
 
     place(tuple(range(n)), tuple(shape), ())
     return out
+
+
+@lru_cache(maxsize=1024)
+def signed_unshuffles(shape: tuple[int, ...], parities: tuple[int, ...] | None = None):
+    """The unshuffles of ``shape``, each paired with its sign, as a tuple.
+
+    With ``parities`` None the sign is the permutation parity :func:`sign`
+    (the ungraded calculus); otherwise ``parities[i]`` is the degree parity
+    of the letter at position i and the sign is :func:`koszul_sign`.  Both
+    depend only on the shape and the parity pattern, so the per-word kernels
+    share one table per key instead of recomputing signs per word and term.
+    """
+    if parities is None:
+        return tuple((s, sign(s)) for s in unshuffles(shape))
+    return tuple((s, koszul_sign(s, parities)) for s in unshuffles(shape))
 
 
 def multinomial(shape) -> int:

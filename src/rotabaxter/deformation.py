@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .combinatorics import parity_sign, sign, unshuffles
+from .combinatorics import parity_sign, signed_unshuffles
 from .errors import NotMaurerCartanError, ShapeMismatchError, TruncationExceededError
 from .graded import SparseMap, ungraded_space
 from .linalg import ZERO, vec_is_zero
@@ -101,39 +101,42 @@ def courant_bracket(f: AltMap, g: AltMap, alg, rep, arity_max: int = DEFAULT_ARI
             f"bracket of arities {n} and {m} exceeds the arity cap {arity_max}"
         )
     mn = parity_sign(m * n)
+    g_into_f = signed_unshuffles((m, 1, n - 1)) if n >= 1 else ()
+    f_into_g = signed_unshuffles((n, 1, m - 1)) if m >= 1 else ()
+    values = signed_unshuffles((n, m))
     entries = {}
     for word in itertools.combinations(range(f.dim_dom), total_arity):
         val = [ZERO] * f.dim_cod
-        if n >= 1:
-            for s in unshuffles((m, 1, n - 1)):
-                sg = sign(s)
-                gval = g.eval(tuple(word[s[t]] for t in range(m)))
-                if vec_is_zero(gval):
-                    continue
-                inserted = rep.act_basis(gval, word[s[m]])
-                if vec_is_zero(inserted):
-                    continue
-                term = f.eval_insert(inserted, tuple(word[s[t]] for t in range(m + 1, total_arity)))
-                for k in range(f.dim_cod):
-                    val[k] -= sg * term[k]
-        if m >= 1:
-            for s in unshuffles((n, 1, m - 1)):
-                sg = mn * sign(s)
-                fval = f.eval(tuple(word[s[t]] for t in range(n)))
-                if vec_is_zero(fval):
-                    continue
-                inserted = rep.act_basis(fval, word[s[n]])
-                if vec_is_zero(inserted):
-                    continue
-                term = g.eval_insert(inserted, tuple(word[s[t]] for t in range(n + 1, total_arity)))
-                for k in range(f.dim_cod):
-                    val[k] += sg * term[k]
-        for s in unshuffles((n, m)):
-            sg = mn * sign(s)
-            x = f.eval(tuple(word[s[t]] for t in range(n)))
+        for s, sg in g_into_f:
+            u = tuple(word[i] for i in s)
+            gval = g.eval(u[:m])
+            if vec_is_zero(gval):
+                continue
+            inserted = rep.act_basis(gval, u[m])
+            if vec_is_zero(inserted):
+                continue
+            term = f.eval_insert(inserted, u[m + 1:])
+            for k in range(f.dim_cod):
+                val[k] -= sg * term[k]
+        for s, sg in f_into_g:
+            sg *= mn
+            u = tuple(word[i] for i in s)
+            fval = f.eval(u[:n])
+            if vec_is_zero(fval):
+                continue
+            inserted = rep.act_basis(fval, u[n])
+            if vec_is_zero(inserted):
+                continue
+            term = g.eval_insert(inserted, u[n + 1:])
+            for k in range(f.dim_cod):
+                val[k] += sg * term[k]
+        for s, sg in values:
+            sg *= mn
+            u = tuple(word[i] for i in s)
+            x = f.eval(u[:n])
             if vec_is_zero(x):
                 continue
-            y = g.eval(tuple(word[s[t]] for t in range(n, total_arity)))
+            y = g.eval(u[n:])
             if vec_is_zero(y):
                 continue
             br = alg.bracket(x, y)

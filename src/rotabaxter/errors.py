@@ -22,6 +22,10 @@ class NotMaurerCartanError(ValueError):
     """An operator failed the verification its caller requires."""
 
 
+class OversizedScalarError(ValueError):
+    """A scalar of a result has too many digits to be written as text."""
+
+
 class SchemaError(ValueError):
     """An input file does not match the expected JSON layout."""
 

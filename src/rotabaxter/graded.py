@@ -30,7 +30,7 @@ from .linalg import (
     vec_is_zero,
     vec_sub,
 )
-from .reports import Report, named_residual
+from .reports import Report, named_residual, scalar_text
 
 
 @dataclass(frozen=True)
@@ -377,7 +377,7 @@ def check_sgla(g: SGLA) -> Report:
             for k in range(n):
                 if g.b[i][j][k] and deg[k] != deg[i] + deg[j] + 1:
                     degree_w = {"at": [i + 1, j + 1, k + 1],
-                                "residual": str(g.b[i][j][k])}
+                                "residual": scalar_text(g.b[i][j][k])}
                     break
             if degree_w:
                 break
@@ -391,7 +391,7 @@ def check_sgla(g: SGLA) -> Report:
                 for k in range(n):
                     if g.b[i][j][k] != s * g.b[j][i][k]:
                         sym_w = {"at": [i + 1, j + 1, k + 1],
-                                 "residual": str(g.b[i][j][k] - s * g.b[j][i][k])}
+                                 "residual": scalar_text(g.b[i][j][k] - s * g.b[j][i][k])}
                         break
                 if sym_w:
                     break
@@ -570,7 +570,7 @@ def check_graded_rep(g: SGLA, rep: GradedRepresentation) -> Report:
             if any(any(row) for row in res):
                 return Report("check-graded-rep", False,
                               witness={"at": [i + 1, j + 1],
-                                       "residual": [[str(x) for x in row] for row in res],
+                                       "residual": [[scalar_text(x) for x in row] for row in res],
                                        "part": "homomorphism"},
                               details={"degree_ok": True, "homomorphism_ok": False})
     return Report("check-graded-rep", True,

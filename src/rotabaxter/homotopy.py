@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .combinatorics import koszul_sign, parity_sign, unshuffles
+from .combinatorics import parity_sign, signed_unshuffles
 from .errors import (
     BoundError,
     NotMaurerCartanError,
@@ -121,8 +121,8 @@ def bracket_on_word(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
     values with the per-term factor -(-1)^(n(sum of f-block degrees)+m+1),
     where m, n are the degrees of f and g.
     """
-    space = f.space
-    degs = tuple(space.degrees[i] for i in word)
+    degs = tuple(f.space.degrees[i] for i in word)
+    par = tuple(d % 2 for d in degs)
     p = len(word)
     m, n = f.degree, g.degree
     dim_g = alg.dim
@@ -133,15 +133,15 @@ def bracket_on_word(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
         fk = f.component(p - l)
         if gl.is_zero() or fk.is_zero():
             continue
-        for s in unshuffles((l, 1, p - l - 1)):
-            eps = koszul_sign(s, degs)
-            gval = gl.eval(tuple(word[s[t]] for t in range(l)))
+        for s, eps in signed_unshuffles((l, 1, p - l - 1), par):
+            u = tuple(word[i] for i in s)
+            gval = gl.eval(u[:l])
             if vec_is_zero(gval):
                 continue
-            inserted = rep.act_basis(gval, word[s[l]])
+            inserted = rep.act_basis(gval, u[l])
             if vec_is_zero(inserted):
                 continue
-            term = fk.eval_insert(inserted, tuple(word[s[t]] for t in range(l + 1, p)))
+            term = fk.eval_insert(inserted, u[l + 1:])
             for k in range(dim_g):
                 if term[k]:
                     out[k] -= eps * term[k]
@@ -152,15 +152,15 @@ def bracket_on_word(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
         gl = g.component(p - a)
         if fa.is_zero() or gl.is_zero():
             continue
-        for s in unshuffles((a, 1, p - a - 1)):
-            eps = koszul_sign(s, degs)
-            fval = fa.eval(tuple(word[s[t]] for t in range(a)))
+        for s, eps in signed_unshuffles((a, 1, p - a - 1), par):
+            u = tuple(word[i] for i in s)
+            fval = fa.eval(u[:a])
             if vec_is_zero(fval):
                 continue
-            inserted = rep.act_basis(fval, word[s[a]])
+            inserted = rep.act_basis(fval, u[a])
             if vec_is_zero(inserted):
                 continue
-            term = gl.eval_insert(inserted, tuple(word[s[t]] for t in range(a + 1, p)))
+            term = gl.eval_insert(inserted, u[a + 1:])
             for k in range(dim_g):
                 if term[k]:
                     out[k] += s2 * eps * term[k]
@@ -170,12 +170,12 @@ def bracket_on_word(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
         gb = g.component(p - a)
         if fa.is_zero() or gb.is_zero():
             continue
-        for s in unshuffles((a, p - a)):
-            eps = koszul_sign(s, degs)
-            x = fa.eval(tuple(word[s[t]] for t in range(a)))
+        for s, eps in signed_unshuffles((a, p - a), par):
+            u = tuple(word[i] for i in s)
+            x = fa.eval(u[:a])
             if vec_is_zero(x):
                 continue
-            y = gb.eval(tuple(word[s[t]] for t in range(a, p)))
+            y = gb.eval(u[a:])
             if vec_is_zero(y):
                 continue
             d1 = sum(degs[s[t]] for t in range(a))
@@ -228,8 +228,7 @@ def residual_on_word(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
                      word) -> Vector:
     """Generalized Rota-Baxter residual on an explicit word, bracket side
     minus operator side; at weight 0 this is [Omega, Omega]/2."""
-    space = t.space
-    degs = tuple(space.degrees[i] for i in word)
+    par = tuple(t.space.degrees[i] % 2 for i in word)
     p = len(word)
     dim_g = alg.dim
     lhs = [ZERO] * dim_g
@@ -238,15 +237,15 @@ def residual_on_word(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
         tk = t.component(p - l)
         if tl.is_zero() or tk.is_zero():
             continue
-        for s in unshuffles((l, 1, p - l - 1)):
-            eps = koszul_sign(s, degs)
-            tval = tl.eval(tuple(word[s[i]] for i in range(l)))
+        for s, eps in signed_unshuffles((l, 1, p - l - 1), par):
+            u = tuple(word[i] for i in s)
+            tval = tl.eval(u[:l])
             if vec_is_zero(tval):
                 continue
-            inserted = rep.act_basis(tval, word[s[l]])
+            inserted = rep.act_basis(tval, u[l])
             if vec_is_zero(inserted):
                 continue
-            term = tk.eval_insert(inserted, tuple(word[s[i]] for i in range(l + 1, p)))
+            term = tk.eval_insert(inserted, u[l + 1:])
             for k in range(dim_g):
                 if term[k]:
                     lhs[k] += eps * term[k]
@@ -256,12 +255,12 @@ def residual_on_word(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
         tb = t.component(p - a)
         if ta.is_zero() or tb.is_zero():
             continue
-        for s in unshuffles((a, p - a)):
-            eps = koszul_sign(s, degs)
-            x = ta.eval(tuple(word[s[i]] for i in range(a)))
+        for s, eps in signed_unshuffles((a, p - a), par):
+            u = tuple(word[i] for i in s)
+            x = ta.eval(u[:a])
             if vec_is_zero(x):
                 continue
-            y = tb.eval(tuple(word[s[i]] for i in range(a, p)))
+            y = tb.eval(u[a:])
             if vec_is_zero(y):
                 continue
             br = alg.bracket(x, y)
@@ -294,17 +293,20 @@ def homotopy_oop_residual(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentati
     return out
 
 
+def _residual_vanishes(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
+                       weights) -> bool:
+    """Whether the residual is zero on every canonical word of the given weights."""
+    return all(vec_is_zero(residual_on_word(t, alg, rep, word))
+               for p in weights for word in canonical_words(rep.space, p))
+
+
 def is_homotopy_oop(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
                     p_max: int = DEFAULT_P_MAX) -> bool:
     """Early-exit version of the residual check."""
     _require_bound(p_max, 0, "p_max")
     if t.degree != 0:
         raise ShapeMismatchError("homotopy operators are degree-0 families")
-    for p in range(p_max + 1):
-        for word in canonical_words(rep.space, p):
-            if not vec_is_zero(residual_on_word(t, alg, rep, word)):
-                return False
-    return True
+    return _residual_vanishes(t, alg, rep, range(p_max + 1))
 
 
 def mc_check_homotopy(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
@@ -418,6 +420,7 @@ def hook_compose_on_word(a: GradedHookFamily, b: GradedHookFamily, word, last) -
     """
     space = a.space
     degs = tuple(space.degrees[i] for i in word)
+    par = tuple(d % 2 for d in degs)
     p = len(word)
     nbar = b.degree
     out = [ZERO] * space.dim
@@ -426,12 +429,12 @@ def hook_compose_on_word(a: GradedHookFamily, b: GradedHookFamily, word, last) -
         aa = a.component(p - wb)
         if bb.is_zero() or aa.is_zero():
             continue
-        for s in unshuffles((wb, 1, p - wb - 1)):
-            eps = koszul_sign(s, degs)
-            inner = bb.eval(tuple(word[s[t]] for t in range(wb)), word[s[wb]])
+        for s, eps in signed_unshuffles((wb, 1, p - wb - 1), par):
+            u = tuple(word[i] for i in s)
+            inner = bb.eval(u[:wb], u[wb])
             if vec_is_zero(inner):
                 continue
-            term = aa.eval_insert(inner, tuple(word[s[t]] for t in range(wb + 1, p)), last)
+            term = aa.eval_insert(inner, u[wb + 1:], last)
             for k in range(space.dim):
                 if term[k]:
                     out[k] += eps * term[k]
@@ -440,14 +443,14 @@ def hook_compose_on_word(a: GradedHookFamily, b: GradedHookFamily, word, last) -
         bb = b.component(p - wa)
         if aa.is_zero() or bb.is_zero():
             continue
-        for s in unshuffles((wa, p - wa)):
-            eps = koszul_sign(s, degs)
-            inner = bb.eval(tuple(word[s[t]] for t in range(wa, p)), last)
+        for s, eps in signed_unshuffles((wa, p - wa), par):
+            u = tuple(word[i] for i in s)
+            inner = bb.eval(u[wa:], last)
             if vec_is_zero(inner):
                 continue
             d1 = sum(degs[s[t]] for t in range(wa))
             factor = parity_sign(nbar * d1) * eps
-            term = aa.eval_last_insert(tuple(word[s[t]] for t in range(wa)), inner)
+            term = aa.eval_last_insert(u[:wa], inner)
             for k in range(space.dim):
                 if term[k]:
                     out[k] += factor * term[k]
@@ -522,6 +525,7 @@ def prelie_infinity_residual(p: PreLieInfinity, word, last) -> Vector:
     """
     space = p.space
     degs = tuple(space.degrees[i] for i in word)
+    par = tuple(d % 2 for d in degs)
     n = len(word) + 1
     out = [ZERO] * space.dim
     for i in range(1, n):
@@ -530,12 +534,12 @@ def prelie_infinity_residual(p: PreLieInfinity, word, last) -> Vector:
         mj = p.op(j)
         if mi.is_zero() or mj.is_zero():
             continue
-        for s in unshuffles((i - 1, 1, j - 2)):
-            eps = koszul_sign(s, degs)
-            inner = mi.eval(tuple(word[s[t]] for t in range(i - 1)), word[s[i - 1]])
+        for s, eps in signed_unshuffles((i - 1, 1, j - 2), par):
+            u = tuple(word[t] for t in s)
+            inner = mi.eval(u[:i - 1], u[i - 1])
             if vec_is_zero(inner):
                 continue
-            term = mj.eval_insert(inner, tuple(word[s[t]] for t in range(i, n - 1)), last)
+            term = mj.eval_insert(inner, u[i:], last)
             for k in range(space.dim):
                 if term[k]:
                     out[k] += eps * term[k]
@@ -545,13 +549,13 @@ def prelie_infinity_residual(p: PreLieInfinity, word, last) -> Vector:
         mj = p.op(j)
         if mi.is_zero() or mj.is_zero():
             continue
-        for s in unshuffles((j - 1, i - 1)):
-            eps = koszul_sign(s, degs)
-            inner = mi.eval(tuple(word[s[t]] for t in range(j - 1, n - 1)), last)
+        for s, eps in signed_unshuffles((j - 1, i - 1), par):
+            u = tuple(word[t] for t in s)
+            inner = mi.eval(u[j - 1:], last)
             if vec_is_zero(inner):
                 continue
             alpha = sum(degs[s[t]] for t in range(j - 1))
-            term = mj.eval_last_insert(tuple(word[s[t]] for t in range(j - 1)), inner)
+            term = mj.eval_last_insert(u[:j - 1], inner)
             factor = parity_sign(alpha) * eps
             for k in range(space.dim):
                 if term[k]:
@@ -601,9 +605,18 @@ def search_homotopy_operators(alg: SGLA, rep: GradedRepresentation, grid,
                               cap: int = 200_000) -> list[HomotopyOperator]:
     """Exhaustive grid search for homotopy O-operators of bounded weight.
 
-    Enumerates every assignment of grid values to the degree-admissible
-    (word, target) slots of T_0..T_max_weight and keeps the assignments whose
-    residuals vanish to order p_max.
+    Decides every assignment of grid values to the degree-admissible
+    (word, target) slots of T_0..T_max_weight and returns those whose
+    residuals vanish to order p_max, in the order of ``itertools.product``
+    over the slots.
+
+    The weight-p residual reads only T_0..T_p, so the search runs depth
+    first, one weight of slots at a time.  Once the slots of weight w are
+    fixed, the residuals of every weight below the next weight that has
+    slots (up to p_max after the last one) no longer depend on what is
+    still free; a nonzero residual there rules out every completion of the
+    prefix, and the assignments it skips are exactly ones the exhaustive
+    search would reject.
     """
     _require_bound(p_max, 0, "p_max")
     grid = tuple(fr(x) for x in grid)
@@ -620,21 +633,39 @@ def search_homotopy_operators(alg: SGLA, rep: GradedRepresentation, grid,
     total = len(grid) ** len(slots)
     if total > cap:
         raise SearchSpaceError(f"{total} candidates exceed the cap of {cap}")
+    # one level per weight with slots: the weight, its slots, and the
+    # residual weights decided once they are fixed
+    slotted = sorted({w for w, _, _ in slots})
+    levels = []
+    decided = 0  # the first residual weight no level decides
+    for i, w in enumerate(slotted):
+        upto = min(slotted[i + 1] - 1 if i + 1 < len(slotted) else p_max, p_max)
+        levels.append((w, [(word, k) for v, word, k in slots if v == w],
+                       range(decided, upto + 1)))
+        decided = upto + 1
     found = []
-    for assignment in itertools.product(grid, repeat=len(slots)):
-        entries: dict[int, dict] = {}
-        for (w, word, k), val in zip(slots, assignment):
-            if val:
-                vec = entries.setdefault(w, {}).setdefault(word, [ZERO] * target.dim)
-                vec[k] = val
-        comps = {
-            w: GradedSymMap(space, target, w, 0,
-                            {word: tuple(vec) for word, vec in words.items()})
-            for w, words in entries.items()
-        }
-        cand = HomotopyOperator(space, target, comps, truncation=max_weight)
-        if is_homotopy_oop(cand, alg, rep, p_max):
-            found.append(cand)
+
+    def extend(level: int, cand: HomotopyOperator) -> None:
+        if level == len(levels):
+            # only without any slot does a weight remain undecided here
+            if _residual_vanishes(cand, alg, rep, range(decided, p_max + 1)):
+                found.append(cand)
+            return
+        w, wslots, weights = levels[level]
+        for values in itertools.product(grid, repeat=len(wslots)):
+            vecs: dict = {}
+            for (word, k), val in zip(wslots, values):
+                if val:
+                    vecs.setdefault(word, [ZERO] * target.dim)[k] = val
+            fixed = dict(cand.components)
+            if vecs:
+                fixed[w] = GradedSymMap(space, target, w, 0,
+                                        {word: tuple(vec) for word, vec in vecs.items()})
+            nxt = HomotopyOperator(space, target, fixed, truncation=max_weight)
+            if _residual_vanishes(nxt, alg, rep, weights):
+                extend(level + 1, nxt)
+
+    extend(0, HomotopyOperator(space, target, {}, truncation=max_weight))
     return found
 
 

@@ -6,7 +6,6 @@ identities in exact rational arithmetic.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,7 +26,7 @@ from .linalg import (
     vec_is_zero,
     vec_sub,
 )
-from .reports import Report, named_residual
+from .reports import Report, named_residual, scalar_text
 
 
 @dataclass(frozen=True)
@@ -188,7 +187,7 @@ def check_lie(alg: LieAlgebra) -> Report:
                 if alg.c[i][j][k] != -alg.c[j][i][k]:
                     antisym = {
                         "at": [i + 1, j + 1, k + 1],
-                        "residual": str(alg.c[i][j][k] + alg.c[j][i][k]),
+                        "residual": scalar_text(alg.c[i][j][k] + alg.c[j][i][k]),
                     }
                     break
             if antisym:
@@ -244,7 +243,7 @@ def check_representation(alg: LieAlgebra, rep: Representation) -> Report:
             if not mat_is_zero(res):
                 witness = {
                     "at": [i + 1, j + 1],
-                    "residual": [[str(x) for x in row] for row in res],
+                    "residual": [[scalar_text(x) for x in row] for row in res],
                 }
                 break
         if witness:
@@ -336,6 +335,10 @@ def search_rbo(alg: LieAlgebra, grid, cap: int = 2_000_000, processes: int | Non
     if total > cap:
         raise SearchSpaceError(f"{total} candidates exceed the cap of {cap}")
     if processes and processes > 1 and len(grid) > 1:
+        # imported here: the process pool pulls in multiprocessing, pickle,
+        # socket and logging, which a sequential search never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         chunks = [grid[i::processes] for i in range(processes)]
         chunks = [ch for ch in chunks if ch]
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:

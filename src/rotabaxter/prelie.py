@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinatorics import parity_sign, sign, unshuffles
+from .combinatorics import parity_sign, signed_unshuffles
 from .deformation import DEFAULT_ARITY_MAX, AltMap
 from .errors import NotMaurerCartanError, ShapeMismatchError, TruncationExceededError
 from .graded import SparseMap, ungraded_space
@@ -179,27 +179,27 @@ def circ(alpha: HookedMap, beta: HookedMap, arity_max: int = DEFAULT_ARITY_MAX) 
         )
     ab = parity_sign(a * b)
     dim = alpha.dim
+    into_slot = signed_unshuffles((b, 1, a - 1)) if a >= 1 else ()
+    into_last = signed_unshuffles((a, b))
     entries = {}
     for word in itertools.combinations(range(dim), total):
         for w in range(dim):
             val = [ZERO] * dim
-            if a >= 1:
-                for s in unshuffles((b, 1, a - 1)):
-                    sg = sign(s)
-                    inner = beta.eval(tuple(word[s[t]] for t in range(b)), word[s[b]])
-                    if vec_is_zero(inner):
-                        continue
-                    term = alpha.eval_insert(
-                        inner, tuple(word[s[t]] for t in range(b + 1, total)), w
-                    )
-                    for k in range(dim):
-                        val[k] += sg * term[k]
-            for s in unshuffles((a, b)):
-                sg = ab * sign(s)
-                inner = beta.eval(tuple(word[s[t]] for t in range(a, total)), w)
+            for s, sg in into_slot:
+                u = tuple(word[i] for i in s)
+                inner = beta.eval(u[:b], u[b])
                 if vec_is_zero(inner):
                     continue
-                term = alpha.eval_last_insert(tuple(word[s[t]] for t in range(a)), inner)
+                term = alpha.eval_insert(inner, u[b + 1:], w)
+                for k in range(dim):
+                    val[k] += sg * term[k]
+            for s, sg in into_last:
+                sg *= ab
+                u = tuple(word[i] for i in s)
+                inner = beta.eval(u[a:], w)
+                if vec_is_zero(inner):
+                    continue
+                term = alpha.eval_last_insert(u[:a], inner)
                 for k in range(dim):
                     val[k] += sg * term[k]
             if any(val):

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
+
+from .errors import OversizedScalarError
 
 
 @dataclass
@@ -33,5 +36,19 @@ class Report:
         }
 
 
+def scalar_text(x) -> str:
+    """The text of an exact scalar in a report or an output file.
+
+    Python refuses to turn an integer longer than its digit limit
+    (``sys.get_int_max_str_digits()``) into text; that refusal becomes a
+    typed error instead of a traceback.
+    """
+    try:
+        return str(x)
+    except ValueError:
+        raise OversizedScalarError(
+            f"a scalar of the result exceeds {sys.get_int_max_str_digits()} digits") from None
+
+
 def named_residual(vec, names) -> dict:
-    return {name: str(x) for name, x in zip(names, vec) if x}
+    return {name: scalar_text(x) for name, x in zip(names, vec) if x}

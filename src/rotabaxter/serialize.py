@@ -29,6 +29,7 @@ from .homotopy import (
 from .lie import LieAlgebra, LinearOperator, Representation, lie_algebra
 from .linalg import Matrix, ZERO, matrix
 from .prelie import HookedMap, PreLieProduct, prelie_product
+from .reports import scalar_text as scalar_str
 
 KINDS = (
     "lie_algebra",
@@ -71,10 +72,6 @@ def parse_scalar(x) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"bad scalar {x!r}: {exc}") from None
     raise SchemaError(f"not a scalar: {x!r}")
-
-
-def scalar_str(x: Fraction) -> str:
-    return str(x)
 
 
 def _index(names, name) -> int:

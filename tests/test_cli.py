@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -230,6 +234,55 @@ def test_oversized_scalar_exits_1(runner, tmp_path):
     })
     res = runner.invoke(main, ["check-lie", "--algebra", big])
     assert res.exit_code == 1 and "4300" in res.output
+
+
+def test_oversized_antisymmetry_residual_exits_1(runner, tmp_path):
+    # "1e4300" is within the parser's cap; the witness 2e4300 has 4301 digits
+    big = write(tmp_path, "L.json", {
+        "lie_algebra": {
+            "basis": ["e1", "e2"],
+            "brackets": [{"left": "e1", "right": "e2", "value": {"e1": "1e4300"}},
+                         {"left": "e2", "right": "e1", "value": {"e1": "1e4300"}}],
+        }
+    })
+    res = runner.invoke(main, ["--json-report", "-", "check-lie", "--algebra", big])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert "exceeds 4300 digits" in res.output and "FAIL" not in res.output
+
+
+def test_oversized_jacobi_residual_exits_1(runner, tmp_path):
+    # in-cap structure constants whose Jacobi residual is their product
+    big = write(tmp_path, "L.json", {
+        "lie_algebra": {
+            "basis": ["e1", "e2", "e3"],
+            "brackets": [{"left": "e1", "right": "e2", "value": {"e3": "1e3000"}},
+                         {"left": "e1", "right": "e3", "value": {"e1": "1e3000"}}],
+        }
+    })
+    res = runner.invoke(main, ["check-lie", "--algebra", big])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert "exceeds 4300 digits" in res.output
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _python(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=60)
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    bad = write(tmp_path, "bad.json", BROKEN_LIE)
+    res = _python("-m", "rotabaxter.cli", "check-lie", "--algebra", bad)
+    assert res.returncode == 1 and "check-lie: FAIL" in res.stdout
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    res = _python("-c", "import sys, rotabaxter.cli; print('multiprocessing' in sys.modules)")
+    assert res.returncode == 0 and res.stdout.strip() == "False"
 
 
 def test_failing_homotopy_operator_reports_witness(runner, tmp_path):

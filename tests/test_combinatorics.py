@@ -13,6 +13,7 @@ from rotabaxter.combinatorics import (
     multinomial,
     parity_sign,
     sign,
+    signed_unshuffles,
     unshuffles,
 )
 from rotabaxter.errors import ShapeMismatchError
@@ -154,3 +155,20 @@ def test_misc_helpers():
     assert compose(p, inverse(p)) == identity(3)
     assert parity_sign(-1) == -1
     assert parity_sign(-2) == 1
+
+
+def test_signed_unshuffles_table_matches_the_sign_functions():
+    # every shape of one to three blocks on at most five letters
+    shapes = [shape for parts in (1, 2, 3) for shape in itertools.product(range(6), repeat=parts)
+              if sum(shape) <= 5]
+    for shape in shapes:
+        perms = unshuffles(shape)
+        assert signed_unshuffles(shape) == tuple((s, sign(s)) for s in perms)
+        for parities in itertools.product((0, 1), repeat=sum(shape)):
+            assert signed_unshuffles(shape, parities) == \
+                tuple((s, koszul_sign(s, parities)) for s in perms)
+    # a degree and its parity give the same Koszul sign
+    degs = (-1, 2, 3, 0)
+    for s, eps in signed_unshuffles((1, 1, 2), tuple(d % 2 for d in degs)):
+        assert eps == koszul_sign(s, degs)
+    assert signed_unshuffles.cache_info().maxsize is not None

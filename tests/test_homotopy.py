@@ -30,7 +30,16 @@ from rotabaxter.errors import (
     ShapeMismatchError,
     TruncationExceededError,
 )
-from rotabaxter.graded import concentrated, from_lie, from_representation, graded_space
+from rotabaxter.graded import (
+    GradedRepresentation,
+    check_graded_rep,
+    check_sgla,
+    concentrated,
+    from_lie,
+    from_representation,
+    graded_space,
+    sgla,
+)
 from rotabaxter.homotopy import (
     GradedHookedMap,
     GradedHookFamily,
@@ -403,6 +412,67 @@ def test_grid_search_two_level():
         assert t.omega()[0] == 0
     with pytest.raises(SearchSpaceError):
         search_homotopy_operators(alg, rep, (-1, 0, 1), max_weight=2, cap=10)
+
+
+def brute_force_search(alg, rep, grid, max_weight, p_max):
+    """Oracle: every slot assignment in product order, kept when it passes
+    the full early-exit check."""
+    space, target = rep.space, alg.space
+    slots = [(w, word, k) for w in range(max_weight + 1)
+             for word in canonical_words(space, w)
+             for k in range(target.dim) if target.degrees[k] == word_degree(space, word)]
+    found = []
+    for assignment in itertools.product([Fraction(x) for x in grid], repeat=len(slots)):
+        entries = {}
+        for (w, word, k), val in zip(slots, assignment):
+            if val:
+                entries.setdefault(w, {}).setdefault(word, [0] * target.dim)[k] = val
+        comps = {w: GradedSymMap(space, target, w, 0, words) for w, words in entries.items()}
+        cand = HomotopyOperator(space, target, comps, truncation=max_weight)
+        if is_homotopy_oop(cand, alg, rep, p_max):
+            found.append(cand)
+    return found
+
+
+def gapped_instance():
+    """V = (v in degree 1, u in degree 2), g = (x in degree 0, y in degree 3),
+    zero bracket, rho(x) v = u: weight 0 has one slot, weight 1 none,
+    weight 2 one (the word (v, u) into y), weight 3 none."""
+    space_v = graded_space(["v", "u"], [1, 2])
+    space_g = graded_space(["x", "y"], [0, 3])
+    alg = sgla(space_g, {})
+    zero = ((0, 0), (0, 0))
+    rep = GradedRepresentation(space_v, (((0, 0), (1, 0)), zero))
+    return alg, rep
+
+
+@pytest.mark.parametrize("grid", [(0, 1), (Fraction(1, 2), 0, -1)])
+def test_pruned_search_matches_brute_force(grid):
+    cases = [(alg, rep) for _, alg, rep in graded_instances()]
+    for alg, rep in cases:
+        for max_weight in range(3):
+            slots = sum(1 for w in range(max_weight + 1) for word in canonical_words(rep.space, w)
+                        for d in alg.space.degrees if d == word_degree(rep.space, word))
+            if len(grid) ** slots > 256:
+                continue
+            for p_max in range(5):
+                got = search_homotopy_operators(alg, rep, grid, max_weight, p_max)
+                want = brute_force_search(alg, rep, grid, max_weight, p_max)
+                assert got == want, (max_weight, p_max)
+                assert all(t.truncation == max_weight for t in got)
+    # a weight without slots between two with slots, and no slot at all
+    alg, rep = gapped_instance()
+    assert check_sgla(alg).ok and check_graded_rep(alg, rep).ok
+    for max_weight in range(4):
+        for p_max in range(5):
+            got = search_homotopy_operators(alg, rep, grid, max_weight, p_max)
+            assert got == brute_force_search(alg, rep, grid, max_weight, p_max)
+    # no slot at all: the only candidate is the zero operator
+    lone = sgla(graded_space(["z"], [5]), {})
+    lone_rep = GradedRepresentation(rep.space, (((0, 0), (0, 0)),))
+    want = [HomotopyOperator(rep.space, lone.space, {}, truncation=0)]
+    assert search_homotopy_operators(lone, lone_rep, grid, 0, 2) == want
+    assert brute_force_search(lone, lone_rep, grid, 0, 2) == want
 
 
 def test_grid_search_operators_induce_prelie_infinity():
