@@ -21,7 +21,7 @@ from fractions import Fraction
 from .combinatorics import parity_sign, signed_unshuffles
 from .errors import NotMaurerCartanError, ShapeMismatchError, TruncationExceededError
 from .graded import SparseMap, ungraded_space
-from .linalg import ZERO, vec_is_zero
+from .linalg import ZERO, cleared_pair, divided, vec_is_zero
 
 DEFAULT_ARITY_MAX = 6
 
@@ -91,7 +91,9 @@ def courant_bracket(f: AltMap, g: AltMap, alg, rep, arity_max: int = DEFAULT_ARI
         + (-1)^(mn) sum over (n,1,m-1)-unshuffles of (-1)^s g(rho(f(...)) u_s(n+1), ...)
         - (-1)^(mn) sum over (n,m)-unshuffles of (-1)^s [f(...), g(...)]
 
-    Unshuffle shapes with a negative part contribute an empty sum.
+    Unshuffle shapes with a negative part contribute an empty sum.  Every
+    term is bilinear in (f, g) and linear in the structure, so the sums run on
+    the int images of f, g and (alg, rep) and each value is divided once.
     """
     _check_spaces(f, g, alg, rep)
     n, m = f.arity, g.arity
@@ -100,13 +102,17 @@ def courant_bracket(f: AltMap, g: AltMap, alg, rep, arity_max: int = DEFAULT_ARI
         raise TruncationExceededError(
             f"bracket of arities {n} and {m} exceeds the arity cap {arity_max}"
         )
+    df, f = f.cleared()
+    dg, g = g.cleared()
+    ds, alg, rep = cleared_pair(alg, rep)
+    den = df * dg * ds
     mn = parity_sign(m * n)
     g_into_f = signed_unshuffles((m, 1, n - 1)) if n >= 1 else ()
     f_into_g = signed_unshuffles((n, 1, m - 1)) if m >= 1 else ()
     values = signed_unshuffles((n, m))
     entries = {}
     for word in itertools.combinations(range(f.dim_dom), total_arity):
-        val = [ZERO] * f.dim_cod
+        val = [0] * f.dim_cod
         for s, sg in g_into_f:
             u = tuple(word[i] for i in s)
             gval = g.eval(u[:m])
@@ -143,8 +149,8 @@ def courant_bracket(f: AltMap, g: AltMap, alg, rep, arity_max: int = DEFAULT_ARI
             for k in range(f.dim_cod):
                 val[k] -= sg * br[k]
         if any(val):
-            entries[word] = tuple(val)
-    return AltMap(total_arity, f.dim_dom, f.dim_cod, entries)
+            entries[word] = divided(val, den)
+    return AltMap._on(f.space, f.target, total_arity, total_arity - 1, entries)
 
 
 def mc_residual(t: AltMap, alg, rep, arity_max: int = DEFAULT_ARITY_MAX) -> AltMap:

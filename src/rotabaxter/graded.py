@@ -18,10 +18,13 @@ from functools import cache
 from .combinatorics import parity_sign
 from .errors import ShapeMismatchError
 from .linalg import (
+    Clearable,
     Matrix,
     Vector,
     ZERO,
+    as_integers,
     basis_vector,
+    common_denominator,
     fr,
     mat_mul,
     mat_sub,
@@ -177,7 +180,7 @@ class SparseMap:
         return tuple(-x for x in val) if negate else val
 
     def _expand(self, coeffs, term_at) -> Vector:
-        out = [ZERO] * self.target.dim
+        out = [0] * self.target.dim
         for j, coeff in enumerate(coeffs):
             if coeff:
                 for k, x in enumerate(term_at(j)):
@@ -197,6 +200,17 @@ class SparseMap:
 
     def is_zero(self) -> bool:
         return not self.entries
+
+    def integral(self, den: int):
+        """The map times den, with int values; den must clear every value."""
+        return self._like({k: as_integers(v, den) for k, v in self.entries.items()})
+
+    def cleared(self):
+        """(den, the map times den with int values), den the least common
+        denominator.  A kernel run on the int map computes den times the
+        result, since every kernel is linear in each map."""
+        den = common_denominator(x for v in self.entries.values() for x in v)
+        return den, self.integral(den)
 
     def scale(self, c):
         c = fr(c)
@@ -272,6 +286,13 @@ class SparseFamily:
     def is_zero(self) -> bool:
         return not self.components
 
+    def cleared(self):
+        """(den, the family times den with int values), den the least common
+        denominator of all its components."""
+        den = common_denominator(x for c in self.components.values()
+                                 for v in c.entries.values() for x in v)
+        return den, self._like({w: c.integral(den) for w, c in self.components.items()})
+
     def scale(self, c):
         return self._like({w: comp.scale(c) for w, comp in self.components.items()})
 
@@ -296,7 +317,7 @@ class SparseFamily:
 
 
 @dataclass(frozen=True)
-class SGLA:
+class SGLA(Clearable):
     """Graded space with a degree-1 graded-symmetric bracket.
 
     ``b[i][j][k]`` is the coefficient of e_k in [e_i, e_j]; validity (degree
@@ -306,6 +327,7 @@ class SGLA:
 
     space: GradedVectorSpace
     b: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    _constants = "b"
 
     @property
     def dim(self) -> int:
@@ -315,7 +337,7 @@ class SGLA:
         return self.b[i][j]
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
-        out = [ZERO] * self.dim
+        out = [0] * self.dim
         for i, xi in enumerate(x):
             if not xi:
                 continue
@@ -489,7 +511,7 @@ def check_sdgla(g: SGLA, d: Matrix) -> Report:
 
 
 @dataclass(frozen=True)
-class GradedRepresentation:
+class GradedRepresentation(Clearable):
     """Degree-1 action of an SGLA on a graded space V.
 
     ``matrices[i]`` is rho(e_i), a matrix on V raising degrees by deg(e_i)+1.
@@ -497,6 +519,7 @@ class GradedRepresentation:
 
     space: GradedVectorSpace
     matrices: tuple[Matrix, ...]
+    _constants = "matrices"
 
     @property
     def space_dim(self) -> int:
@@ -516,7 +539,7 @@ class GradedRepresentation:
         return tuple(tuple(row) for row in out)
 
     def act_basis(self, x: Vector, j: int) -> Vector:
-        out = [ZERO] * self.space.dim
+        out = [0] * self.space.dim
         for a, xa in enumerate(x):
             if not xa:
                 continue

@@ -40,11 +40,26 @@ from .graded import (
     SparseMap,
     adjoint_graded,
 )
-from .linalg import Vector, ZERO, fr, vec_add, vec_is_zero, vec_scale, vec_sub
+from .linalg import (
+    Vector,
+    ZERO,
+    cleared_pair,
+    divided,
+    fr,
+    vec_add,
+    vec_is_zero,
+    vec_scale,
+    vec_sub,
+)
 from .prelie import COMPOSE_NORMALIZATION
 from .reports import Report, named_residual
 
 DEFAULT_P_MAX = 4
+# Work check_prelie_infinity may take on: order n visits dim^n argument
+# tuples of n arguments each, and a tuple costs about n steps, so the work is
+# counted as the sum of n * dim^n.  The cap allows n_max 13 on a
+# 2-dimensional space and 631 on a 1-dimensional one, about a second each.
+PRELIE_INFINITY_CAP = 200_000
 
 
 def _require_bound(value: int, least: int, name: str) -> None:
@@ -126,7 +141,7 @@ def bracket_on_word(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
     p = len(word)
     m, n = f.degree, g.degree
     dim_g = alg.dim
-    out = [ZERO] * dim_g
+    out = [0] * dim_g
     # g inserted into an argument slot of f
     for l in range(p):
         gl = g.component(l)
@@ -189,20 +204,29 @@ def bracket_on_word(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
 
 def graded_bracket(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
                    rep: GradedRepresentation, p_max: int = DEFAULT_P_MAX) -> GradedSymFamily:
-    """Degree-1 graded bracket on Hom(S(V), g), computed up to weight p_max."""
+    """Degree-1 graded bracket on Hom(S(V), g), computed up to weight p_max.
+
+    Runs :func:`bracket_on_word` on the int images of f, g and (alg, rep)
+    and divides each value once.  The result is validated like any input:
+    an unchecked structure that is not homogeneous can make it inhomogeneous.
+    """
     _require_bound(p_max, 0, "p_max")
     if f.space != rep.space or g.space != rep.space:
         raise ShapeMismatchError("families do not live on the module of the action")
     if f.target != alg.space or g.target != alg.space:
         raise ShapeMismatchError("families do not take values in the algebra")
     degree = f.degree + g.degree + 1
+    df, f = f.cleared()
+    dg, g = g.cleared()
+    ds, alg, rep = cleared_pair(alg, rep)
+    den = df * dg * ds
     comps = {}
     for p in range(p_max + 1):
         entries = {}
         for word in canonical_words(rep.space, p):
             val = bracket_on_word(f, g, alg, rep, word)
             if not vec_is_zero(val):
-                entries[word] = val
+                entries[word] = divided(val, den)
         if entries:
             comps[p] = GradedSymMap(rep.space, alg.space, p, degree, entries)
     return GradedSymFamily(rep.space, alg.space, degree, comps)
@@ -231,7 +255,7 @@ def residual_on_word(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
     par = tuple(t.space.degrees[i] % 2 for i in word)
     p = len(word)
     dim_g = alg.dim
-    lhs = [ZERO] * dim_g
+    lhs = [0] * dim_g
     for l in range(p):
         tl = t.component(l)
         tk = t.component(p - l)
@@ -249,7 +273,7 @@ def residual_on_word(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
             for k in range(dim_g):
                 if term[k]:
                     lhs[k] += eps * term[k]
-    rhs = [ZERO] * dim_g
+    rhs = [0] * dim_g
     for a in range(p + 1):
         ta = t.component(a)
         tb = t.component(p - a)
@@ -267,8 +291,8 @@ def residual_on_word(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
             for k in range(dim_g):
                 if br[k]:
                     rhs[k] += eps * br[k]
-    half = Fraction(1, 2)
-    return tuple(half * r - l for r, l in zip(rhs, lhs))
+    # rhs/2 - lhs, halved once, so int inputs stay int until the division
+    return divided([r - 2 * l for r, l in zip(rhs, lhs)], 2)
 
 
 def homotopy_oop_residual(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
@@ -277,25 +301,33 @@ def homotopy_oop_residual(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentati
 
     T is a homotopy O-operator to order p_max exactly when every returned
     map is zero.  Implemented directly from the identities, independently of
-    :func:`graded_bracket`.
+    :func:`graded_bracket`.  Like it, runs on the int images of the inputs
+    (the residual is quadratic in T and linear in the structure) and divides
+    each value once.
     """
     _require_bound(p_max, 0, "p_max")
     if t.degree != 0:
         raise ShapeMismatchError("homotopy operators are degree-0 families")
+    dt, t = t.cleared()
+    ds, alg, rep = cleared_pair(alg, rep)
+    den = dt * dt * ds
     out = {}
     for p in range(p_max + 1):
         entries = {}
         for word in canonical_words(rep.space, p):
             val = residual_on_word(t, alg, rep, word)
             if not vec_is_zero(val):
-                entries[word] = val
+                entries[word] = divided(val, den)
         out[p] = GradedSymMap(rep.space, alg.space, p, 1, entries)
     return out
 
 
 def _residual_vanishes(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
                        weights) -> bool:
-    """Whether the residual is zero on every canonical word of the given weights."""
+    """Whether the residual is zero on every canonical word of the given
+    weights; a zero test, so the int images of the inputs decide it."""
+    _, t = t.cleared()
+    _, alg, rep = cleared_pair(alg, rep)
     return all(vec_is_zero(residual_on_word(t, alg, rep, word))
                for p in weights for word in canonical_words(rep.space, p))
 
@@ -423,7 +455,7 @@ def hook_compose_on_word(a: GradedHookFamily, b: GradedHookFamily, word, last) -
     par = tuple(d % 2 for d in degs)
     p = len(word)
     nbar = b.degree
-    out = [ZERO] * space.dim
+    out = [0] * space.dim
     for wb in range(p):
         bb = b.component(wb)
         aa = a.component(p - wb)
@@ -454,15 +486,20 @@ def hook_compose_on_word(a: GradedHookFamily, b: GradedHookFamily, word, last) -
             for k in range(space.dim):
                 if term[k]:
                     out[k] += factor * term[k]
-    return vec_scale(COMPOSE_NORMALIZATION, tuple(out))
+    return tuple(COMPOSE_NORMALIZATION * x for x in out)
 
 
 def hook_compose(a: GradedHookFamily, b: GradedHookFamily,
                  p_max: int = DEFAULT_P_MAX) -> GradedHookFamily:
+    """The compose a o b up to weight p_max: :func:`hook_compose_on_word`
+    on the int images of the two families, each value divided once."""
     _require_bound(p_max, 0, "p_max")
     if a.space != b.space:
         raise ShapeMismatchError("families live on different spaces")
     degree = a.degree + b.degree
+    da, a = a.cleared()
+    db, b = b.cleared()
+    den = da * db
     comps = {}
     for p in range(p_max + 1):
         entries = {}
@@ -470,9 +507,10 @@ def hook_compose(a: GradedHookFamily, b: GradedHookFamily,
             for last in range(a.space.dim):
                 val = hook_compose_on_word(a, b, word, last)
                 if not vec_is_zero(val):
-                    entries[(word, last)] = val
+                    entries[(word, last)] = divided(val, den)
         if entries:
-            comps[p] = GradedHookedMap(a.space, p, degree, entries)
+            # the compose of homogeneous hooked maps is homogeneous
+            comps[p] = GradedHookedMap._on(a.space, a.space, p, degree, entries)
     return GradedHookFamily(a.space, degree, comps)
 
 
@@ -527,7 +565,7 @@ def prelie_infinity_residual(p: PreLieInfinity, word, last) -> Vector:
     degs = tuple(space.degrees[i] for i in word)
     par = tuple(d % 2 for d in degs)
     n = len(word) + 1
-    out = [ZERO] * space.dim
+    out = [0] * space.dim
     for i in range(1, n):
         j = n + 1 - i  # j >= 2 here, so m_j has at least one symmetric slot
         mi = p.op(i)
@@ -569,9 +607,25 @@ def check_prelie_infinity(p: PreLieInfinity, n_max: int = DEFAULT_P_MAX,
     tuples.  Graded symmetry in the first k-1 slots holds by construction:
     operations are stored on canonical words and evaluated with the Koszul
     sign.  ``rng`` is accepted and ignored, so the verdict depends on no
-    random draw."""
+    random draw.
+
+    The work, dim^n argument tuples of n arguments at each order n, is
+    counted first; beyond PRELIE_INFINITY_CAP arguments the check raises
+    SearchSpaceError, and an empty space, with no tuples at any order,
+    passes at once.  The residual is quadratic in the operations, so it runs
+    on their int images and only a witness is divided back.
+    """
     _require_bound(n_max, 1, "n_max")
     space = p.space
+    if not space.dim:
+        return Report("check-prelie-inf", True, order=n_max)
+    total = 0  # counted only until the cap is passed, so a huge n_max costs nothing
+    for n in range(1, n_max + 1):
+        total += n * space.dim ** n
+        if total > PRELIE_INFINITY_CAP:
+            raise SearchSpaceError(f"order {n_max} needs at least {total} arguments, "
+                                   f"above the cap of {PRELIE_INFINITY_CAP}")
+    den, p = p.cleared()
     for n in range(1, n_max + 1):
         for word in itertools.product(range(space.dim), repeat=n - 1):
             for last in range(space.dim):
@@ -581,7 +635,8 @@ def check_prelie_infinity(p: PreLieInfinity, n_max: int = DEFAULT_P_MAX,
                         "check-prelie-inf", False, order=n_max,
                         witness={"part": "coherence", "n": n,
                                  "at": [i + 1 for i in word] + [last + 1],
-                                 "residual": named_residual(res, space.basis)},
+                                 "residual": named_residual(divided(res, den * den),
+                                                            space.basis)},
                     )
     return Report("check-prelie-inf", True, order=n_max)
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 from .deformation import AltMap
 from .errors import SearchSpaceError, ShapeMismatchError
 from .linalg import (
+    Clearable,
     Matrix,
     Vector,
     ZERO,
@@ -30,7 +31,7 @@ from .reports import Report, named_residual, scalar_text
 
 
 @dataclass(frozen=True)
-class LieAlgebra:
+class LieAlgebra(Clearable):
     """Lie algebra given by structure constants on a named basis.
 
     ``c[i][j][k]`` is the coefficient of e_k in [e_i, e_j].  Constructors do
@@ -40,6 +41,7 @@ class LieAlgebra:
 
     basis: tuple[str, ...]
     c: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    _constants = "c"
 
     @property
     def dim(self) -> int:
@@ -49,7 +51,7 @@ class LieAlgebra:
         return self.c[i][j]
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
-        out = [ZERO] * self.dim
+        out = [0] * self.dim
         for i, xi in enumerate(x):
             if not xi:
                 continue
@@ -85,7 +87,7 @@ def lie_algebra(basis, brackets) -> LieAlgebra:
 
 
 @dataclass(frozen=True)
-class Representation:
+class Representation(Clearable):
     """Representation of a Lie algebra on a named vector space V.
 
     ``matrices[i]`` is rho(e_i), rows indexed by the codomain basis of V.
@@ -93,6 +95,7 @@ class Representation:
 
     basis: tuple[str, ...]
     matrices: tuple[Matrix, ...]
+    _constants = "matrices"
 
     @property
     def space_dim(self) -> int:
@@ -112,7 +115,7 @@ class Representation:
 
     def act_basis(self, x: Vector, j: int) -> Vector:
         """rho(x) applied to the j-th basis vector of V."""
-        out = [ZERO] * self.space_dim
+        out = [0] * self.space_dim
         for a, xa in enumerate(x):
             if not xa:
                 continue

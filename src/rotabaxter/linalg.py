@@ -1,8 +1,12 @@
-"""Dense exact linear algebra over Fraction, just enough for desk-scale checks."""
+"""Dense exact linear algebra over Fraction, just enough for desk-scale checks,
+and the denominator clearing that lets the per-word kernels run on int."""
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from fractions import Fraction
+from functools import cached_property
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -65,3 +69,75 @@ def mat_commutator(a: Matrix, b: Matrix) -> Matrix:
 
 def mat_is_zero(a: Matrix) -> bool:
     return all(not any(row) for row in a)
+
+
+# -- cleared denominators -----------------------------------------------------
+#
+# Every residual and bracket the kernels sum is multilinear in its inputs, so
+# multiplying each input by a common denominator of its values scales the
+# output by the product of those denominators.  A kernel run on the int
+# images therefore computes den * (the exact result): zero tests are unchanged
+# and each nonzero coordinate is recovered by one division.
+
+
+def common_denominator(values) -> int:
+    """The least common denominator of exact scalars (1 for none)."""
+    return math.lcm(*{x.denominator for x in values})
+
+
+def as_integers(nested, den: int):
+    """den * a vector, or a nested tuple of them, as plain ints; den must be
+    a multiple of every denominator."""
+    return tuple(as_integers(x, den) if isinstance(x, tuple)
+                 else x.numerator * (den // x.denominator) for x in nested)
+
+
+def divided(v, den: int) -> Vector:
+    """v / den with Fraction coordinates, dividing only the nonzero ones."""
+    return tuple(Fraction(x, den) if x else ZERO for x in v)
+
+
+def _flatten(nested):
+    for item in nested:
+        if isinstance(item, tuple):
+            yield from _flatten(item)
+        else:
+            yield item
+
+
+class Clearable:
+    """Mixin for a frozen dataclass whose constants form the nested tuple in
+    the field named by ``_constants`` (structure constants or matrices).
+
+    ``cleared()`` is (den, the same structure with den * constants as ints),
+    den their least common denominator; it is computed once per object.
+    """
+
+    _constants = ""
+
+    def integral(self, den: int):
+        """The structure with den * constants as ints; den clears them all."""
+        consts = getattr(self, self._constants)
+        return dataclasses.replace(self, **{self._constants: as_integers(consts, den)})
+
+    @cached_property
+    def _cleared(self):
+        den = common_denominator(_flatten(getattr(self, self._constants)))
+        return den, self.integral(den)
+
+    def cleared(self):
+        return self._cleared
+
+
+def cleared_pair(alg, act):
+    """(den, alg, act) with the constants of both as ints over one common den.
+
+    Insertion terms (through the action) and bracket terms (through the
+    algebra) then carry the same factor and can be summed in one accumulator.
+    """
+    da, ia = alg.cleared()
+    dr, ir = act.cleared()
+    if da == dr:
+        return da, ia, ir
+    den = math.lcm(da, dr)
+    return den, alg.integral(den), act.integral(den)

@@ -17,7 +17,7 @@ from .combinatorics import parity_sign, signed_unshuffles
 from .deformation import DEFAULT_ARITY_MAX, AltMap
 from .errors import NotMaurerCartanError, ShapeMismatchError, TruncationExceededError
 from .graded import SparseMap, ungraded_space
-from .linalg import Vector, ZERO, fr, vec_is_zero, vec_scale, vec_sub
+from .linalg import Vector, ZERO, divided, fr, vec_is_zero, vec_sub
 from .reports import Report, named_residual
 
 # Global normalization of the compose operation.  The sign is fixed by
@@ -168,6 +168,8 @@ def circ(alpha: HookedMap, beta: HookedMap, arity_max: int = DEFAULT_ARITY_MAX) 
     absorbing the singleton into its free slot) or into the free slot of
     alpha (over (n,m)-unshuffles, with the factor (-1)^(mn)); the final
     argument never permutes.  See COMPOSE_NORMALIZATION for the global sign.
+    Both summands are bilinear in (alpha, beta), so they run on the int
+    images of the two maps and each value is divided once.
     """
     if alpha.dim != beta.dim:
         raise ShapeMismatchError("hooked maps live on different spaces")
@@ -179,18 +181,25 @@ def circ(alpha: HookedMap, beta: HookedMap, arity_max: int = DEFAULT_ARITY_MAX) 
         )
     ab = parity_sign(a * b)
     dim = alpha.dim
+    da, alpha = alpha.cleared()
+    db, beta = beta.cleared()
+    den = da * db
     into_slot = signed_unshuffles((b, 1, a - 1)) if a >= 1 else ()
     into_last = signed_unshuffles((a, b))
     entries = {}
     for word in itertools.combinations(range(dim), total):
+        # beta's value in an alternating slot does not depend on the free
+        # argument w, so it is evaluated once per word
+        slot_terms = []
+        for s, sg in into_slot:
+            u = tuple(word[i] for i in s)
+            inner = beta.eval(u[:b], u[b])
+            if not vec_is_zero(inner):
+                slot_terms.append((sg, inner, u[b + 1:]))
         for w in range(dim):
-            val = [ZERO] * dim
-            for s, sg in into_slot:
-                u = tuple(word[i] for i in s)
-                inner = beta.eval(u[:b], u[b])
-                if vec_is_zero(inner):
-                    continue
-                term = alpha.eval_insert(inner, u[b + 1:], w)
+            val = [0] * dim
+            for sg, inner, rest in slot_terms:
+                term = alpha.eval_insert(inner, rest, w)
                 for k in range(dim):
                     val[k] += sg * term[k]
             for s, sg in into_last:
@@ -203,8 +212,8 @@ def circ(alpha: HookedMap, beta: HookedMap, arity_max: int = DEFAULT_ARITY_MAX) 
                 for k in range(dim):
                     val[k] += sg * term[k]
             if any(val):
-                entries[(word, w)] = vec_scale(COMPOSE_NORMALIZATION, tuple(val))
-    return HookedMap(total, dim, entries)
+                entries[(word, w)] = divided([COMPOSE_NORMALIZATION * x for x in val], den)
+    return HookedMap._on(alpha.space, alpha.space, total, total, entries)
 
 
 def mn_bracket(alpha: HookedMap, beta: HookedMap,

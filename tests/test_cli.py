@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -264,7 +265,37 @@ def test_oversized_jacobi_residual_exits_1(runner, tmp_path):
     assert "exceeds 4300 digits" in res.output
 
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+def test_prelie_infinity_order_is_capped(runner, tmp_path):
+    # pre-Lie-infinity structures on the 2-dimensional affine module: order n
+    # adds 2^n argument tuples, so --n-max 40 is refused before any work
+    alg = write(tmp_path, "L.json", AFFINE)
+    sgla_path = str(tmp_path / "g.json")
+    runner.invoke(main, ["from-lie", "--algebra", alg, "--out", sgla_path])
+    outputs = {
+        "fractional": (
+            [{"args": ["e1"], "value": {"e1": "1/2"}}, {"args": ["e2"], "value": {"e2": "-1/3"}}],
+            "check-prelie-inf: FAIL (order=4)\n  witness: {\"at\": [1, 2, 1], \"n\": 3, "
+            "\"part\": \"coherence\", \"residual\": {\"e2\": \"-1/9\"}}\n"),
+        "rbo": ([{"args": ["e2"], "value": {"e1": "1/2"}}], "check-prelie-inf: PASS (order=4)\n"),
+    }
+    for name, (entries, want) in outputs.items():
+        hop = write(tmp_path, f"hop_{name}.json", {"homotopy_operator": {
+            "truncation": 1, "components": [{"weight": 1, "entries": entries}]}})
+        pinf = str(tmp_path / f"pinf_{name}.json")
+        res = runner.invoke(main, ["induce-prelie-inf", "--sgla", sgla_path, "--grep", "adjoint",
+                                   "--hop", hop, "--force", "--out", pinf])
+        assert res.exit_code == 0
+        res = runner.invoke(main, ["check-prelie-inf", "--pinf", pinf, "--n-max", "4"])
+        assert res.output == want and res.exit_code == (0 if "PASS" in want else 1)
+        for n_max in ("40", "1000000000"):
+            start = time.perf_counter()
+            res = runner.invoke(main, ["check-prelie-inf", "--pinf", pinf, "--n-max", n_max])
+            assert time.perf_counter() - start < 1
+            assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+            assert "arguments, above the cap of 200000" in res.output
+
+
+SRC =str(Path(__file__).resolve().parents[1] / "src")
 
 
 def _python(*args):

@@ -190,6 +190,18 @@ def test_bound_below_first_weight_is_rejected(call):
         call(t, alg, rep)
 
 
+def test_prelie_infinity_work_is_counted_before_enumerating():
+    # an empty space has no argument tuples at any order; a 1-dimensional
+    # one has one per order, whose cost still grows with the order, so a
+    # huge n_max passes the first and is refused on the second, both at once
+    empty = PreLieInfinity(graded_space([], []), 2)
+    assert check_prelie_infinity(empty, 10 ** 9).ok
+    line = PreLieInfinity(graded_space(["a"], [0]), 2)
+    assert check_prelie_infinity(line, 20).ok
+    with pytest.raises(SearchSpaceError):
+        check_prelie_infinity(line, 10 ** 9)
+
+
 def test_homotopy_operator_truncation():
     space = graded_space(["a"], [0])
     target = graded_space(["x"], [0])

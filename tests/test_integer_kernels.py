@@ -1,0 +1,268 @@
+"""The whole checks clear denominators and run their per-word kernels on int.
+
+Structures and maps here carry non-unit denominators (1/2, -1/3, 5/12 and
+primes above 10^6), in the algebra and in the action separately, so the
+common-denominator bookkeeping is exercised.  Each whole check is compared
+with its per-word function run directly on the Fraction inputs, and the
+independent oracles are compared with each other.
+"""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from rotabaxter.catalog import graded_instances, search_rbo, sl2
+from rotabaxter.deformation import (
+    AltMap,
+    courant_bracket,
+    deformation_check,
+    mc_residual,
+    random_altmap,
+)
+from rotabaxter.embed import (
+    embed_pair,
+    family_from_alt,
+    homotopy_operator_from_linear,
+    hook_family_from_hooked,
+)
+from rotabaxter.graded import GradedRepresentation, SGLA, check_graded_rep, check_sgla
+from rotabaxter.homotopy import (
+    HomotopyOperator,
+    bracket_on_word,
+    canonical_words,
+    check_prelie_infinity,
+    expand_low_identities,
+    graded_bracket,
+    homotopy_oop_residual,
+    hook_compose,
+    hook_compose_on_word,
+    induce_prelie_infinity,
+    is_homotopy_oop,
+    mc_check_homotopy,
+    prelie_infinity_residual,
+    psi,
+    random_homotopy_operator,
+    random_sym_family,
+    residual_on_word,
+)
+from rotabaxter.linalg import cleared_pair
+from rotabaxter.lie import (
+    LieAlgebra,
+    LinearOperator,
+    Representation,
+    adjoint,
+    check_lie,
+    check_representation,
+    is_rota_baxter,
+)
+from rotabaxter.prelie import circ, random_hooked
+from rotabaxter.reports import named_residual
+
+BIG = 1_000_003
+BIGGER = 1_000_033
+SCALES = (Fraction(1, 2), Fraction(-1, 3), Fraction(5, 12), Fraction(BIG),
+          Fraction(1, BIG), Fraction(-7, BIGGER), Fraction(1))
+POOL = (Fraction(1, 2), Fraction(-1, 3), Fraction(5, 12), Fraction(1, BIG),
+        Fraction(2, BIGGER), Fraction(-3), Fraction(1))
+
+scales = st.lists(st.sampled_from(SCALES), min_size=3, max_size=3)
+rngs = st.randoms(use_true_random=False)
+
+
+def rescaled_constants(c, a):
+    """Structure constants in the basis a_i e_i: c'_ij^k = a_i a_j c_ij^k / a_k."""
+    n = len(a)
+    return tuple(tuple(tuple(c[i][j][k] * a[i] * a[j] / a[k] for k in range(n))
+                       for j in range(n)) for i in range(n))
+
+
+def rescaled_action(mats, a, d):
+    """Action matrices for the algebra basis a_i e_i and the module basis d_r v_r."""
+    n = len(d)
+    return tuple(tuple(tuple(m[r][s] * a[i] * d[s] / d[r] for s in range(n))
+                       for r in range(n)) for i, m in enumerate(mats))
+
+
+def rescaled_operator(matrix, a):
+    """An operator on g in the basis a_i e_i: P'_kj = P_kj a_j / a_k."""
+    n = len(a)
+    return tuple(tuple(matrix[k][j] * a[j] / a[k] for j in range(n)) for k in range(n))
+
+
+NATURAL_SL2 = (((0, 1), (0, 0)), ((0, 0), (1, 0)), ((1, 0), (0, -1)))
+SL2_RBOS = [op.matrix for op in search_rbo(sl2(), (0, 1))]
+
+
+def sl2_pair(a, d):
+    """sl2 in a rescaled basis with its natural module in another one; the
+    algebra and the action have different denominators."""
+    base = sl2()
+    alg = LieAlgebra(base.basis, rescaled_constants(base.c, a))
+    mats = tuple(tuple(tuple(Fraction(x) for x in row) for row in m) for m in NATURAL_SL2)
+    rep = Representation(("v1", "v2"), rescaled_action(mats, a, d[:2]))
+    return alg, rep
+
+
+def graded_pair(name, a, d):
+    alg, rep = {n: (g, r) for n, g, r in graded_instances()}[name]
+    galg = SGLA(alg.space, rescaled_constants(alg.b, a))
+    grep = GradedRepresentation(rep.space, rescaled_action(rep.matrices, a, d[:rep.space.dim]))
+    return galg, grep
+
+
+def scaled(nested, k):
+    return tuple(scaled(x, k) if isinstance(x, tuple) else k * x for x in nested)
+
+
+def all_fractions(m):
+    return all(type(x) is Fraction for v in m.entries.values() for x in v)
+
+
+def family_entries(fam):
+    return {(w, k): v for w, comp in fam.components.items() for k, v in comp.entries.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(scales, scales, rngs)
+def test_courant_bracket_matches_the_graded_word_kernel(a, d, rng):
+    alg, rep = sl2_pair(a, d)
+    assert check_lie(alg).ok and check_representation(alg, rep).ok
+    for module in (rep, adjoint(alg)):
+        galg, grep = embed_pair(alg, module)
+        n = rng.randrange(module.space_dim)
+        m = rng.randrange(module.space_dim - n + 1)
+        f = random_altmap(rng, n, module.space_dim, alg.dim, pool=POOL)
+        g = random_altmap(rng, m, module.space_dim, alg.dim, pool=POOL)
+        got = courant_bracket(f, g, alg, module)
+        assert all_fractions(got)
+        fam_f = family_from_alt(f, grep.space, galg.space)
+        fam_g = family_from_alt(g, grep.space, galg.space)
+        for word in itertools.combinations(range(module.space_dim), n + m):
+            assert got.eval(word) == bracket_on_word(fam_f, fam_g, galg, grep, word)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2), st.integers(0, 2), rngs)
+def test_circ_matches_the_hooked_word_kernel(n, m, rng):
+    a = random_hooked(rng, n, 3, pool=POOL)
+    b = random_hooked(rng, m, 3, pool=POOL)
+    got = circ(a, b)
+    assert all_fractions(got)
+    space = got.space
+    fa, fb = hook_family_from_hooked(a, space), hook_family_from_hooked(b, space)
+    for word in itertools.combinations(range(3), n + m):
+        for last in range(3):
+            assert got.eval(word, last) == hook_compose_on_word(fa, fb, word, last)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(("two-level", "mixed/adjoint", "three-level/adjoint")),
+       scales, scales, st.integers(-1, 1), st.integers(-1, 1), rngs)
+def test_graded_checks_match_their_word_kernels(name, a, d, df, dg, rng):
+    alg, rep = graded_pair(name, a, d)
+    assert check_sgla(alg).ok and check_graded_rep(alg, rep).ok
+    p_max = 3
+    f = random_sym_family(rng, rep.space, alg.space, df, 2, pool=POOL)
+    g = random_sym_family(rng, rep.space, alg.space, dg, 2, pool=POOL)
+    br = graded_bracket(f, g, alg, rep, p_max)
+    want = {}
+    for p in range(p_max + 1):
+        for word in canonical_words(rep.space, p):
+            val = bracket_on_word(f, g, alg, rep, word)
+            if any(val):
+                want[(p, word)] = val
+    assert family_entries(br) == want
+    assert all(all_fractions(c) for c in br.components.values())
+
+    t = random_homotopy_operator(rng, rep.space, alg.space, 2, pool=POOL)
+    res = homotopy_oop_residual(t, alg, rep, p_max)
+    for p in range(p_max + 1):
+        assert all_fractions(res[p])
+        for word in canonical_words(rep.space, p):
+            assert res[p].eval(word) == residual_on_word(t, alg, rep, word)
+    assert is_homotopy_oop(t, alg, rep, p_max) == all(r.is_zero() for r in res.values())
+    assert mc_check_homotopy(t, alg, rep, p_max) == is_homotopy_oop(t, alg, rep, p_max)
+    for r, low in zip(res.values(), expand_low_identities(t, alg, rep)):
+        assert r == low
+
+    ha, hb = psi(f, rep), psi(g, rep)
+    comp = hook_compose(ha, hb, p_max)
+    want = {}
+    for p in range(p_max + 1):
+        for word in canonical_words(rep.space, p):
+            for last in range(rep.space.dim):
+                val = hook_compose_on_word(ha, hb, word, last)
+                if any(val):
+                    want[(p, (word, last))] = val
+    assert family_entries(comp) == want
+    assert all(all_fractions(c) for c in comp.components.values())
+
+    pinf = induce_prelie_infinity(t, alg, rep, p_max, force=True)
+    report = check_prelie_infinity(pinf, 3)
+    witness = None
+    for n in range(1, 4):
+        for word in itertools.product(range(rep.space.dim), repeat=n - 1):
+            for last in range(rep.space.dim):
+                val = prelie_infinity_residual(pinf, word, last)
+                if witness is None and any(val):
+                    witness = {"part": "coherence", "n": n,
+                               "at": [i + 1 for i in word] + [last + 1],
+                               "residual": named_residual(val, rep.space.basis)}
+    assert report.ok == (witness is None)
+    assert report.witness == witness
+
+
+@settings(max_examples=60, deadline=None)
+@given(scales, st.sampled_from(SCALES), st.integers(0, len(SL2_RBOS) - 1),
+       st.integers(0, len(SL2_RBOS) - 1), st.booleans(), rngs)
+def test_deformation_and_homotopy_oracles_agree(a, lam, i, j, random_delta, rng):
+    alg, _ = sl2_pair(a, a)
+    rep = adjoint(alg)
+    # a multiple of a Rota-Baxter operator in a rescaled basis is again one
+    ops = [tuple(tuple(lam * x for x in row) for row in rescaled_operator(m, a))
+           for m in (SL2_RBOS[i], SL2_RBOS[j])]
+    t = AltMap.from_operator(LinearOperator(ops[0], "g", "g"))
+    if random_delta:
+        tp = random_altmap(rng, 1, 3, 3, pool=POOL)
+    else:
+        tp = AltMap.from_operator(LinearOperator(ops[1], "g", "g")) - t
+    total = (t + tp).to_operator()
+    expected = is_rota_baxter(alg, LinearOperator(total.matrix, "g", "g"))
+    assert deformation_check(t, tp, alg, rep) == expected
+    assert mc_residual(t + tp, alg, rep).is_zero() == expected
+    assert all_fractions(mc_residual(t + tp, alg, rep))
+
+    galg, grep = embed_pair(alg, rep)
+    hop = homotopy_operator_from_linear(LinearOperator(total.matrix, "g", "g"), galg,
+                                        grep.space)
+    assert mc_check_homotopy(hop, galg, grep, 3) == expected
+    assert is_homotopy_oop(hop, galg, grep, 3) == expected
+
+
+@pytest.mark.parametrize("values, den", [
+    ((Fraction(1, 2), Fraction(-1, 3), Fraction(5, 12)), 12),
+    ((Fraction(1, BIG), Fraction(BIG), Fraction(-2, BIGGER)), BIG * BIGGER),
+    ((Fraction(1), Fraction(-2), Fraction(0)), 1),
+])
+def test_cleared_maps_are_integer_multiples(values, den):
+    f = AltMap(1, 3, 3, {(0,): values, (2,): tuple(reversed(values))})
+    assert f.cleared()[0] == den
+    fi = f.cleared()[1]
+    assert all(type(x) is int for v in fi.entries.values() for x in v)
+    assert fi == f.scale(den)
+    fam = HomotopyOperator(f.space, f.target, {}, truncation=2)
+    assert fam.cleared() == (1, fam)
+
+
+def test_algebra_and_action_share_one_denominator():
+    a = (Fraction(1, 2), Fraction(1), Fraction(1))
+    d = (Fraction(1), Fraction(1, 3))
+    alg, rep = sl2_pair(a, d + (Fraction(1),))
+    assert (alg.cleared()[0], rep.cleared()[0]) == (2, 6)
+    assert alg.cleared() is alg.cleared()  # computed once per structure
+    den, ia, ir = cleared_pair(alg, rep)
+    assert den == 6
+    assert all(type(x) is int for plane in ia.c for row in plane for x in row)
+    assert ia.c == scaled(alg.c, 6) and ir.matrices == scaled(rep.matrices, 6)
