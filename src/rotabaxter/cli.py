@@ -18,7 +18,14 @@ from dataclasses import dataclass
 import click
 
 from . import serialize as ser
-from .deformation import AltMap, courant_bracket, deformation_check, mc_residual, random_altmap
+from .deformation import (
+    AltMap,
+    _mc_vanishes,
+    courant_bracket,
+    deformation_check,
+    mc_residual,
+    random_altmap,
+)
 from .errors import (
     BoundError,
     NotMaurerCartanError,
@@ -37,13 +44,13 @@ from .graded import (
     from_lie,
 )
 from .homotopy import (
+    _mc_witness,
     check_prelie_infinity,
     check_psi_homomorphism,
     graded_bracket,
     homotopy_oop_residual,
     induce_prelie_infinity,
     is_homotopy_rbo,
-    mc_check_homotopy,
     random_sym_family,
 )
 from .lie import adjoint, check_lie, check_representation, is_rota_baxter, oop_defect, search_rbo
@@ -220,6 +227,11 @@ def _altmap_report(name, f: AltMap, cod_names, order=None) -> Report:
                            "residual": ser.value_obj(f.entries[key], cod_names)})
 
 
+def _weight_witness(weight, word, value, space, target) -> dict:
+    return {"weight": weight, "at": [space.basis[i] for i in word],
+            "residual": named_residual(value, target.basis)}
+
+
 def _residual_report(name, residuals, space, target, order) -> Report:
     for p in sorted(residuals):
         comp = residuals[p]
@@ -227,9 +239,7 @@ def _residual_report(name, residuals, space, target, order) -> Report:
             continue
         word = sorted(comp.entries)[0]
         return Report(name, False, order=order,
-                      witness={"weight": p,
-                               "at": [space.basis[i] for i in word],
-                               "residual": named_residual(comp.entries[word], target.basis)})
+                      witness=_weight_witness(p, word, comp.entries[word], space, target))
     return Report(name, True, order=order)
 
 
@@ -350,7 +360,7 @@ def deform_cmd(cfg, algebra, rep_, base, delta):
     rep = _rep(ws, rep_, alg)
     t = _operator_or_altmap(ws, base, alg, rep)
     tp = _operator_or_altmap(ws, delta, alg, rep)
-    if not mc_residual(t, alg, rep, cfg.arity_max).is_zero():
+    if not _mc_vanishes(t, alg, rep, cfg.arity_max):
         raise click.ClickException("the base operator is not an O-operator")
     ok = deformation_check(t, tp, alg, rep, cfg.arity_max)
     _finish(cfg, [Report("deform", ok)])
@@ -586,8 +596,10 @@ def mc_check_homotopy_cmd(cfg, sgla_, grep_, hop):
     ws = Workspace()
     galg, grep = _graded_context(ws, sgla_, grep_)
     t = _hop(ws, hop, grep.space, galg.space)
-    ok = mc_check_homotopy(t, galg, grep, cfg.p_max)
-    _finish(cfg, [Report("mc-check-homotopy", ok, order=cfg.p_max)])
+    found = _mc_witness(t, galg, grep, cfg.p_max)
+    witness = None if found is None else _weight_witness(*found, grep.space, galg.space)
+    _finish(cfg, [Report("mc-check-homotopy", found is None, order=cfg.p_max,
+                         witness=witness)])
 
 
 @main.command("induce-prelie-inf")

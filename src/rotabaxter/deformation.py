@@ -20,8 +20,8 @@ from fractions import Fraction
 
 from .combinatorics import parity_sign, signed_unshuffles
 from .errors import NotMaurerCartanError, ShapeMismatchError, TruncationExceededError
-from .graded import SparseMap, ungraded_space
-from .linalg import ZERO, cleared_pair, divided, vec_is_zero
+from .graded import SparseMap, _nonzero_values, ungraded_space
+from .linalg import Vector, ZERO, cleared_pair, common_denominator, divided, vec_is_zero
 
 DEFAULT_ARITY_MAX = 6
 
@@ -82,6 +82,78 @@ def _check_spaces(f: AltMap, g: AltMap, alg, rep):
         raise ShapeMismatchError("maps do not match the algebra and module dimensions")
 
 
+def courant_on_word(f: AltMap, g: AltMap, alg, rep, word) -> Vector:
+    """The bracket [[f, g]] of :func:`courant_bracket` on an explicit word of
+    arity(f) + arity(g) arguments: its three sums over unshuffles."""
+    n, m = f.arity, g.arity
+    mn = parity_sign(m * n)
+    val = [0] * f.dim_cod
+    for s, sg in signed_unshuffles((m, 1, n - 1)) if n >= 1 else ():
+        u = tuple(word[i] for i in s)
+        gval = g.eval(u[:m])
+        if vec_is_zero(gval):
+            continue
+        inserted = rep.act_basis(gval, u[m])
+        if vec_is_zero(inserted):
+            continue
+        term = f.eval_insert(inserted, u[m + 1:])
+        for k in range(f.dim_cod):
+            val[k] -= sg * term[k]
+    for s, sg in signed_unshuffles((n, 1, m - 1)) if m >= 1 else ():
+        sg *= mn
+        u = tuple(word[i] for i in s)
+        fval = f.eval(u[:n])
+        if vec_is_zero(fval):
+            continue
+        inserted = rep.act_basis(fval, u[n])
+        if vec_is_zero(inserted):
+            continue
+        term = g.eval_insert(inserted, u[n + 1:])
+        for k in range(f.dim_cod):
+            val[k] += sg * term[k]
+    for s, sg in signed_unshuffles((n, m)):
+        sg *= mn
+        u = tuple(word[i] for i in s)
+        x = f.eval(u[:n])
+        if vec_is_zero(x):
+            continue
+        y = g.eval(u[n:])
+        if vec_is_zero(y):
+            continue
+        br = alg.bracket(x, y)
+        for k in range(f.dim_cod):
+            val[k] -= sg * br[k]
+    return tuple(val)
+
+
+def _check_arity(n: int, m: int, arity_max: int) -> None:
+    if n + m > arity_max:
+        raise TruncationExceededError(
+            f"bracket of arities {n} and {m} exceeds the arity cap {arity_max}"
+        )
+
+
+def _courant_values(f: AltMap, g: AltMap, alg, rep, arity_max: int):
+    """(den, the nonzero values of den * [[f, g]]), the values computed
+    lazily by :func:`courant_on_word` on the int images of the inputs."""
+    _check_spaces(f, g, alg, rep)
+    _check_arity(f.arity, g.arity, arity_max)
+    same = g is f
+    df, f = f.cleared()
+    dg, g = (df, f) if same else g.cleared()
+    ds, alg, rep = cleared_pair(alg, rep)
+    return df * dg * ds, _nonzero_values(
+        f.space, (f.arity + g.arity,), lambda word: courant_on_word(f, g, alg, rep, word))
+
+
+def _courant_map(f: AltMap, g: AltMap, alg, rep, arity_max: int, divisor: int = 1) -> AltMap:
+    """[[f, g]] / divisor, each value divided once."""
+    den, values = _courant_values(f, g, alg, rep, arity_max)
+    total_arity = f.arity + g.arity
+    entries = {word: divided(val, divisor * den) for _, word, val in values}
+    return AltMap._on(f.space, f.target, total_arity, total_arity - 1, entries)
+
+
 def courant_bracket(f: AltMap, g: AltMap, alg, rep, arity_max: int = DEFAULT_ARITY_MAX) -> AltMap:
     """Graded Lie bracket on C(V, g) attached to (g, [.,.], rho).
 
@@ -95,69 +167,25 @@ def courant_bracket(f: AltMap, g: AltMap, alg, rep, arity_max: int = DEFAULT_ARI
     term is bilinear in (f, g) and linear in the structure, so the sums run on
     the int images of f, g and (alg, rep) and each value is divided once.
     """
-    _check_spaces(f, g, alg, rep)
-    n, m = f.arity, g.arity
-    total_arity = n + m
-    if total_arity > arity_max:
-        raise TruncationExceededError(
-            f"bracket of arities {n} and {m} exceeds the arity cap {arity_max}"
-        )
-    df, f = f.cleared()
-    dg, g = g.cleared()
-    ds, alg, rep = cleared_pair(alg, rep)
-    den = df * dg * ds
-    mn = parity_sign(m * n)
-    g_into_f = signed_unshuffles((m, 1, n - 1)) if n >= 1 else ()
-    f_into_g = signed_unshuffles((n, 1, m - 1)) if m >= 1 else ()
-    values = signed_unshuffles((n, m))
-    entries = {}
-    for word in itertools.combinations(range(f.dim_dom), total_arity):
-        val = [0] * f.dim_cod
-        for s, sg in g_into_f:
-            u = tuple(word[i] for i in s)
-            gval = g.eval(u[:m])
-            if vec_is_zero(gval):
-                continue
-            inserted = rep.act_basis(gval, u[m])
-            if vec_is_zero(inserted):
-                continue
-            term = f.eval_insert(inserted, u[m + 1:])
-            for k in range(f.dim_cod):
-                val[k] -= sg * term[k]
-        for s, sg in f_into_g:
-            sg *= mn
-            u = tuple(word[i] for i in s)
-            fval = f.eval(u[:n])
-            if vec_is_zero(fval):
-                continue
-            inserted = rep.act_basis(fval, u[n])
-            if vec_is_zero(inserted):
-                continue
-            term = g.eval_insert(inserted, u[n + 1:])
-            for k in range(f.dim_cod):
-                val[k] += sg * term[k]
-        for s, sg in values:
-            sg *= mn
-            u = tuple(word[i] for i in s)
-            x = f.eval(u[:n])
-            if vec_is_zero(x):
-                continue
-            y = g.eval(u[n:])
-            if vec_is_zero(y):
-                continue
-            br = alg.bracket(x, y)
-            for k in range(f.dim_cod):
-                val[k] -= sg * br[k]
-        if any(val):
-            entries[word] = divided(val, den)
-    return AltMap._on(f.space, f.target, total_arity, total_arity - 1, entries)
+    return _courant_map(f, g, alg, rep, arity_max)
+
+
+def _require_one_ary(t: AltMap) -> None:
+    if t.arity != 1:
+        raise ShapeMismatchError("Maurer-Cartan candidates are 1-ary maps")
 
 
 def mc_residual(t: AltMap, alg, rep, arity_max: int = DEFAULT_ARITY_MAX) -> AltMap:
     """Half the self-bracket of a 1-ary map; zero exactly for O-operators."""
-    if t.arity != 1:
-        raise ShapeMismatchError("Maurer-Cartan candidates are 1-ary maps")
-    return courant_bracket(t, t, alg, rep, arity_max).scale(Fraction(1, 2))
+    _require_one_ary(t)
+    return _courant_map(t, t, alg, rep, arity_max, divisor=2)
+
+
+def _mc_vanishes(t: AltMap, alg, rep, arity_max: int = DEFAULT_ARITY_MAX) -> bool:
+    """Whether :func:`mc_residual` is zero, stopping at the first nonzero word."""
+    _require_one_ary(t)
+    _, values = _courant_values(t, t, alg, rep, arity_max)
+    return next(values, None) is None
 
 
 def d_T(t: AltMap, f: AltMap, alg, rep, force: bool = False,
@@ -167,7 +195,7 @@ def d_T(t: AltMap, f: AltMap, alg, rep, force: bool = False,
     Squares to zero when t is an O-operator; pass ``force=True`` to evaluate
     the bracket for exploratory t without that guarantee.
     """
-    if not force and not mc_residual(t, alg, rep, arity_max).is_zero():
+    if not force and not _mc_vanishes(t, alg, rep, arity_max):
         raise NotMaurerCartanError(
             "base map is not an O-operator; pass force=True to differentiate anyway"
         )
@@ -177,12 +205,26 @@ def d_T(t: AltMap, f: AltMap, alg, rep, force: bool = False,
 def deformation_check(t: AltMap, tp: AltMap, alg, rep,
                       arity_max: int = DEFAULT_ARITY_MAX) -> bool:
     """Whether t + tp is again an O-operator, tested via the Maurer-Cartan
-    equation d_t(tp) + 1/2 [[tp, tp]] = 0 of the twisted complex."""
+    equation d_t(tp) + 1/2 [[tp, tp]] = 0 of the twisted complex.
+
+    With t and tp cleared over one common denominator, the equation is
+    2 [[t, tp]] + [[tp, tp]] = 0 on ints; the test stops at the first word
+    where it fails.
+    """
     if t.arity != 1 or tp.arity != 1:
         raise ShapeMismatchError("deformations are 1-ary maps")
-    lin = courant_bracket(t, tp, alg, rep, arity_max)
-    quad = courant_bracket(tp, tp, alg, rep, arity_max).scale(Fraction(1, 2))
-    return (lin + quad).is_zero()
+    _check_spaces(t, tp, alg, rep)
+    _check_arity(1, 1, arity_max)
+    den = common_denominator(x for f in (t, tp) for v in f.entries.values() for x in v)
+    it, itp = t.integral(den), tp.integral(den)
+    _, alg, rep = cleared_pair(alg, rep)
+
+    def twisted(word):
+        lin = courant_on_word(it, itp, alg, rep, word)
+        quad = courant_on_word(itp, itp, alg, rep, word)
+        return tuple(2 * a + b for a, b in zip(lin, quad))
+
+    return next(_nonzero_values(t.space, (2,), twisted), None) is None
 
 
 def random_altmap(rng, arity, dim_dom, dim_cod, pool=None, density=0.8) -> AltMap:

@@ -11,9 +11,10 @@ bracket and the degree-1 action then reproduce the ungraded axioms, since
 from __future__ import annotations
 
 import copy
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 
 from .combinatorics import parity_sign
 from .errors import ShapeMismatchError
@@ -67,6 +68,37 @@ def ungraded_space(dim: int) -> GradedVectorSpace:
     """The space an ungraded map of the given dimension lives on: every
     basis vector in degree -1, named by position only."""
     return concentrated((f"e{i + 1}" for i in range(dim)), -1)
+
+
+def canonical_words(space: GradedVectorSpace, weight: int):
+    """Weakly increasing index words with no odd-degree index repeated."""
+    for word in itertools.combinations_with_replacement(range(space.dim), weight):
+        if any(a == b and space.degrees[a] % 2
+               for a, b in zip(word, word[1:])):
+            continue
+        yield word
+
+
+def _nonzero_values(space: GradedVectorSpace, weights, on_word, free: bool = False):
+    """(weight, key, value) for every canonical key of the given weights at
+    which ``on_word`` is nonzero, weight by weight and in sorted key order.
+
+    The key is the word, or (word, last) with every last argument when
+    ``free`` is set; ``on_word`` takes the word (and the last argument).  A
+    whole map collects what this yields; a zero test stops at the first
+    value, so a PASS still evaluates every key.
+    """
+    for p in weights:
+        for word in canonical_words(space, p):
+            if free:
+                for last in range(space.dim):
+                    val = on_word(word, last)
+                    if any(val):
+                        yield p, (word, last), val
+            else:
+                val = on_word(word)
+                if any(val):
+                    yield p, word, val
 
 
 def suspend(space: GradedVectorSpace, shift: int) -> GradedVectorSpace:
@@ -245,6 +277,12 @@ class SparseMap:
                 f"entries={len(self.entries)})")
 
 
+@lru_cache(maxsize=256)
+def _empty_member(cls, space, target, weight, degree):
+    """One shared zero map per shape; maps are never mutated in place."""
+    return cls._on(space, target, weight, degree, {})
+
+
 class SparseFamily:
     """A degree-n family of maps, one ``member`` map per weight."""
 
@@ -273,7 +311,7 @@ class SparseFamily:
     def component(self, w: int):
         got = self.components.get(w)
         if got is None:
-            return self.member._on(self.space, self.target, w, self.degree, {})
+            return _empty_member(self.member, self.space, self.target, w, self.degree)
         return got
 
     def weights(self):

@@ -38,7 +38,9 @@ from .graded import (
     GradedVectorSpace,
     SparseFamily,
     SparseMap,
+    _nonzero_values,
     adjoint_graded,
+    canonical_words,
 )
 from .linalg import (
     Vector,
@@ -70,15 +72,6 @@ def _require_bound(value: int, least: int, name: str) -> None:
 
 def word_degree(space: GradedVectorSpace, word) -> int:
     return sum(space.degrees[i] for i in word)
-
-
-def canonical_words(space: GradedVectorSpace, weight: int):
-    """Weakly increasing index words with no odd-degree index repeated."""
-    for word in itertools.combinations_with_replacement(range(space.dim), weight):
-        if any(a == b and space.degrees[a] % 2
-               for a, b in zip(word, word[1:])):
-            continue
-        yield word
 
 
 class GradedSymMap(SparseMap):
@@ -202,6 +195,31 @@ def bracket_on_word(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
     return tuple(out)
 
 
+def _by_weight(values, den: int) -> dict:
+    """{weight: {key: value / den}} from what _nonzero_values yields."""
+    out: dict = {}
+    for p, key, val in values:
+        out.setdefault(p, {})[key] = divided(val, den)
+    return out
+
+
+def _bracket_values(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
+                    rep: GradedRepresentation, p_max: int):
+    """(den, the nonzero values of den * [[f, g]] up to weight p_max), the
+    values computed lazily by :func:`bracket_on_word` on the int images."""
+    _require_bound(p_max, 0, "p_max")
+    if f.space != rep.space or g.space != rep.space:
+        raise ShapeMismatchError("families do not live on the module of the action")
+    if f.target != alg.space or g.target != alg.space:
+        raise ShapeMismatchError("families do not take values in the algebra")
+    same = g is f
+    df, f = f.cleared()
+    dg, g = (df, f) if same else g.cleared()
+    ds, alg, rep = cleared_pair(alg, rep)
+    return df * dg * ds, _nonzero_values(
+        rep.space, range(p_max + 1), lambda word: bracket_on_word(f, g, alg, rep, word))
+
+
 def graded_bracket(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
                    rep: GradedRepresentation, p_max: int = DEFAULT_P_MAX) -> GradedSymFamily:
     """Degree-1 graded bracket on Hom(S(V), g), computed up to weight p_max.
@@ -210,25 +228,10 @@ def graded_bracket(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
     and divides each value once.  The result is validated like any input:
     an unchecked structure that is not homogeneous can make it inhomogeneous.
     """
-    _require_bound(p_max, 0, "p_max")
-    if f.space != rep.space or g.space != rep.space:
-        raise ShapeMismatchError("families do not live on the module of the action")
-    if f.target != alg.space or g.target != alg.space:
-        raise ShapeMismatchError("families do not take values in the algebra")
     degree = f.degree + g.degree + 1
-    df, f = f.cleared()
-    dg, g = g.cleared()
-    ds, alg, rep = cleared_pair(alg, rep)
-    den = df * dg * ds
-    comps = {}
-    for p in range(p_max + 1):
-        entries = {}
-        for word in canonical_words(rep.space, p):
-            val = bracket_on_word(f, g, alg, rep, word)
-            if not vec_is_zero(val):
-                entries[word] = divided(val, den)
-        if entries:
-            comps[p] = GradedSymMap(rep.space, alg.space, p, degree, entries)
+    den, values = _bracket_values(f, g, alg, rep, p_max)
+    comps = {p: GradedSymMap(rep.space, alg.space, p, degree, entries)
+             for p, entries in _by_weight(values, den).items()}
     return GradedSymFamily(rep.space, alg.space, degree, comps)
 
 
@@ -310,16 +313,11 @@ def homotopy_oop_residual(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentati
         raise ShapeMismatchError("homotopy operators are degree-0 families")
     dt, t = t.cleared()
     ds, alg, rep = cleared_pair(alg, rep)
-    den = dt * dt * ds
-    out = {}
-    for p in range(p_max + 1):
-        entries = {}
-        for word in canonical_words(rep.space, p):
-            val = residual_on_word(t, alg, rep, word)
-            if not vec_is_zero(val):
-                entries[word] = divided(val, den)
-        out[p] = GradedSymMap(rep.space, alg.space, p, 1, entries)
-    return out
+    by_weight = _by_weight(_nonzero_values(
+        rep.space, range(p_max + 1), lambda word: residual_on_word(t, alg, rep, word)),
+        dt * dt * ds)
+    return {p: GradedSymMap(rep.space, alg.space, p, 1, by_weight.get(p, {}))
+            for p in range(p_max + 1)}
 
 
 def _residual_vanishes(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
@@ -328,8 +326,9 @@ def _residual_vanishes(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
     weights; a zero test, so the int images of the inputs decide it."""
     _, t = t.cleared()
     _, alg, rep = cleared_pair(alg, rep)
-    return all(vec_is_zero(residual_on_word(t, alg, rep, word))
-               for p in weights for word in canonical_words(rep.space, p))
+    nonzero = _nonzero_values(rep.space, weights,
+                              lambda word: residual_on_word(t, alg, rep, word))
+    return next(nonzero, None) is None
 
 
 def is_homotopy_oop(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
@@ -341,14 +340,32 @@ def is_homotopy_oop(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
     return _residual_vanishes(t, alg, rep, range(p_max + 1))
 
 
+def _mc_witness(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
+                p_max: int = DEFAULT_P_MAX):
+    """(weight, word, value) of half the self-bracket of T at the first
+    canonical word where it is nonzero, or None when it vanishes up to
+    weight p_max.
+
+    Raises what :func:`graded_bracket` raises, and validates the value it
+    returns as the bracket's map would; values past it are not computed.
+    """
+    den, values = _bracket_values(t, t, alg, rep, p_max)
+    for p, word, val in values:
+        half = divided(val, 2 * den)
+        # an inhomogeneous structure can make an inhomogeneous value
+        GradedSymMap(rep.space, alg.space, p, 2 * t.degree + 1, {word: half})
+        return p, word, half
+    return None
+
+
 def mc_check_homotopy(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
                       p_max: int = DEFAULT_P_MAX) -> bool:
     """Whether half the self-bracket of T vanishes up to weight p_max.
 
     Must agree with ``homotopy_oop_residual == 0`` on every instance; the
-    two sides are computed independently.
+    two sides are computed independently.  Stops at the first nonzero word.
     """
-    return graded_bracket(t, t, alg, rep, p_max).is_zero()
+    return _mc_witness(t, alg, rep, p_max) is None
 
 
 def is_homotopy_rbo(t: GradedSymFamily, alg: SGLA, p_max: int = DEFAULT_P_MAX) -> bool:
@@ -499,18 +516,12 @@ def hook_compose(a: GradedHookFamily, b: GradedHookFamily,
     degree = a.degree + b.degree
     da, a = a.cleared()
     db, b = b.cleared()
-    den = da * db
-    comps = {}
-    for p in range(p_max + 1):
-        entries = {}
-        for word in canonical_words(a.space, p):
-            for last in range(a.space.dim):
-                val = hook_compose_on_word(a, b, word, last)
-                if not vec_is_zero(val):
-                    entries[(word, last)] = divided(val, den)
-        if entries:
-            # the compose of homogeneous hooked maps is homogeneous
-            comps[p] = GradedHookedMap._on(a.space, a.space, p, degree, entries)
+    values = _nonzero_values(a.space, range(p_max + 1),
+                             lambda word, last: hook_compose_on_word(a, b, word, last),
+                             free=True)
+    # the compose of homogeneous hooked maps is homogeneous
+    comps = {p: GradedHookedMap._on(a.space, a.space, p, degree, entries)
+             for p, entries in _by_weight(values, da * db).items()}
     return GradedHookFamily(a.space, degree, comps)
 
 
@@ -609,6 +620,12 @@ def check_prelie_infinity(p: PreLieInfinity, n_max: int = DEFAULT_P_MAX,
     sign.  ``rng`` is accepted and ignored, so the verdict depends on no
     random draw.
 
+    The residual inherits that symmetry in its first n-1 arguments, so it is
+    evaluated on canonical words only: a permuted word gives the
+    Koszul-signed value, and a word repeating an odd-degree letter gives
+    zero.  The first nonzero (word, last) in the order of all tuples
+    therefore has a canonical word, and it is the witness reported.
+
     The work, dim^n argument tuples of n arguments at each order n, is
     counted first; beyond PRELIE_INFINITY_CAP arguments the check raises
     SearchSpaceError, and an empty space, with no tuples at any order,
@@ -626,18 +643,16 @@ def check_prelie_infinity(p: PreLieInfinity, n_max: int = DEFAULT_P_MAX,
             raise SearchSpaceError(f"order {n_max} needs at least {total} arguments, "
                                    f"above the cap of {PRELIE_INFINITY_CAP}")
     den, p = p.cleared()
-    for n in range(1, n_max + 1):
-        for word in itertools.product(range(space.dim), repeat=n - 1):
-            for last in range(space.dim):
-                res = prelie_infinity_residual(p, word, last)
-                if not vec_is_zero(res):
-                    return Report(
-                        "check-prelie-inf", False, order=n_max,
-                        witness={"part": "coherence", "n": n,
-                                 "at": [i + 1 for i in word] + [last + 1],
-                                 "residual": named_residual(divided(res, den * den),
-                                                            space.basis)},
-                    )
+    nonzero = _nonzero_values(space, range(n_max),
+                              lambda word, last: prelie_infinity_residual(p, word, last),
+                              free=True)
+    for weight, (word, last), res in nonzero:
+        return Report(
+            "check-prelie-inf", False, order=n_max,
+            witness={"part": "coherence", "n": weight + 1,
+                     "at": [i + 1 for i in word] + [last + 1],
+                     "residual": named_residual(divided(res, den * den), space.basis)},
+        )
     return Report("check-prelie-inf", True, order=n_max)
 
 

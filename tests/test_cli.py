@@ -8,7 +8,12 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from rotabaxter.catalog import affine_line
 from rotabaxter.cli import main
+from rotabaxter.graded import adjoint_graded, from_lie
+from rotabaxter.homotopy import residual_on_word
+from rotabaxter.reports import named_residual
+from rotabaxter.serialize import hop_from_obj
 
 AFFINE = {
     "lie_algebra": {
@@ -335,6 +340,35 @@ def test_failing_homotopy_operator_reports_witness(runner, tmp_path):
                                "--hop", bad])
     assert res.exit_code == 1
     assert "witness" in res.output
+
+
+def test_mc_check_homotopy_failure_reports_a_replayable_witness(runner, tmp_path):
+    alg = write(tmp_path, "L.json", AFFINE)
+    sgla_path = str(tmp_path / "g.json")
+    runner.invoke(main, ["from-lie", "--algebra", alg, "--out", sgla_path])
+    bad = write(tmp_path, "bad.json", {"homotopy_operator": {"truncation": 1, "components": [
+        {"weight": 1, "entries": [{"args": ["e1"], "value": {"e1": "1/2"}},
+                                  {"args": ["e2"], "value": {"e2": "-1/3"}}]}]}})
+    args = ["--sgla", sgla_path, "--grep", "adjoint", "--hop", bad]
+    res = runner.invoke(main, ["--json-report", "-", "mc-check-homotopy"] + args)
+    assert res.exit_code == 1
+    report = json.loads(res.output[res.output.index("\n{"):])
+    assert report["pass"] is False and report["order"] == 4
+    witness = report["witness"]
+    assert set(witness) == {"weight", "at", "residual"}
+    assert res.output.startswith("mc-check-homotopy: FAIL (order=4)\n  witness: {")
+    # the residual of the generalized identities at the stated word replays it
+    galg = from_lie(affine_line())
+    grep = adjoint_graded(galg)
+    t = hop_from_obj(json.loads(Path(bad).read_text())["homotopy_operator"],
+                     grep.space, galg.space)
+    word = tuple(grep.space.index(name) for name in witness["at"])
+    assert len(word) == witness["weight"]
+    replay = residual_on_word(t, galg, grep, word)
+    assert witness["residual"] == named_residual(replay, galg.space.basis) != {}
+    # the same word and value as the residual check's own witness
+    res = runner.invoke(main, ["--json-report", "-", "check-hoop"] + args)
+    assert json.loads(res.output[res.output.index("\n{"):])["witness"] == witness
 
 
 def test_check_sdgla_command(runner, tmp_path):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from rotabaxter import homotopy
 from rotabaxter.catalog import (
     affine_line,
     graded_instances,
@@ -210,6 +211,109 @@ def test_homotopy_operator_truncation():
     t = HomotopyOperator(space, target, {1: comp1, 3: comp3}, truncation=2)
     assert t.component(3).is_zero()
     assert not t.component(1).is_zero()
+
+
+def test_absent_weights_share_one_zero_member():
+    t, alg, rep = _failing_mixed_operator()
+    empty = t.component(7)
+    assert empty.is_zero() and (empty.weight, empty.degree) == (7, 0)
+    assert type(empty) is GradedSymMap and (empty.space, empty.target) == (rep.space, alg.space)
+    assert t.component(7) is empty
+    assert t.scale(2).component(7) is empty
+    hooked = psi(t, rep).component(7)
+    assert type(hooked) is GradedHookedMap and hooked.degree == 1
+    assert hooked is not empty and psi(t, rep).component(7) is hooked
+
+
+def _koszul_sorted(space, word):
+    """(sign, sorted word) with the sign of the odd-odd inversions, or None
+    for a word repeating an odd-degree letter."""
+    odd = [a for a in word if space.degrees[a] % 2]
+    if len(set(odd)) < len(odd):
+        return None
+    inversions = sum(1 for i, a in enumerate(odd) for b in odd[i + 1:] if a > b)
+    return parity_sign(inversions), tuple(sorted(word))
+
+
+def _random_hooked_family(rng, space, max_weight, density=0.6):
+    """A random degree-1 hooked family; its operations are not coherent."""
+    pool = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-1, 3))
+    ops = {}
+    for w in range(max_weight + 1):
+        entries = {}
+        for word in canonical_words(space, w):
+            for last in range(space.dim):
+                want = word_degree(space, word) + space.degrees[last] + 1
+                entries[(word, last)] = tuple(
+                    rng.choice(pool) if d == want and rng.random() < density else Fraction(0)
+                    for d in space.degrees)
+        ops[w + 1] = GradedHookedMap(space, w, 1, entries)
+    return PreLieInfinity(space, max_weight + 1, ops)
+
+
+def test_prelie_infinity_residual_is_koszul_symmetric():
+    # so check_prelie_infinity need only evaluate canonical words
+    checked = nonzero = 0
+    for _, _, rep in graded_instances():
+        space = rep.space
+        for seed in range(6):
+            p = _random_hooked_family(random.Random(seed), space, 3)
+            for n in range(1, 5):
+                for word in itertools.product(range(space.dim), repeat=n - 1):
+                    for last in range(space.dim):
+                        got = prelie_infinity_residual(p, word, last)
+                        canon = _koszul_sorted(space, word)
+                        if canon is None:
+                            assert not any(got)
+                        else:
+                            sgn, sorted_word = canon
+                            want = prelie_infinity_residual(p, sorted_word, last)
+                            assert got == tuple(sgn * x for x in want)
+                        checked += 1
+                        nonzero += any(got)
+    assert checked == 1620 and nonzero > 100
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    kernel = getattr(homotopy, name)
+    monkeypatch.setattr(homotopy, name, lambda *args: calls.append(args) or kernel(*args))
+    return calls
+
+
+def test_check_prelie_infinity_visits_canonical_words_only(monkeypatch):
+    _, alg, rep = graded_instances()[2]
+    t = HomotopyOperator(rep.space, alg.space, {}, truncation=2)  # zero, so coherent
+    pinf = induce_prelie_infinity(t, alg, rep, 4)
+    calls = _count_calls(monkeypatch, "prelie_infinity_residual")
+    assert check_prelie_infinity(pinf, 4).ok
+    words = sum(1 for w in range(4) for _ in canonical_words(rep.space, w))
+    assert len(calls) == words * rep.space.dim == 36  # of 120 argument tuples
+
+
+def test_mc_check_homotopy_stops_at_the_first_nonzero_word(monkeypatch):
+    t, alg, rep = _failing_mixed_operator()
+    weight, word, _ = homotopy._mc_witness(t, alg, rep, 4)
+    calls = _count_calls(monkeypatch, "bracket_on_word")
+    assert not mc_check_homotopy(t, alg, rep, 4)
+    before = sum(1 for w in range(weight) for _ in canonical_words(rep.space, w))
+    at = list(canonical_words(rep.space, weight)).index(word)
+    assert len(calls) == before + at + 1
+    calls.clear()
+    assert is_homotopy_oop(t, alg, rep, 4) is False and not calls
+
+
+def test_mc_check_homotopy_rejects_an_inhomogeneous_structure():
+    # [x1, x1] = x2 has degree 0, not 0 + 0 + 1: with Omega = x1 the
+    # weight-0 value of the bracket is inhomogeneous
+    space = graded_space(["x1", "x2"], [0, 0])
+    alg = sgla(space, {(0, 0): {1: 1}})
+    rep = GradedRepresentation(space, (((0, 0), (0, 0)),) * 2)
+    omega = GradedSymMap(space, space, 0, 0, {(): (Fraction(1), Fraction(0))})
+    t = HomotopyOperator(space, space, {0: omega}, truncation=0)
+    for check in (mc_check_homotopy, lambda *args: graded_bracket(args[0], *args)):
+        with pytest.raises(ShapeMismatchError):
+            check(t, alg, rep, 2)
 
 
 def _instances():

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from rotabaxter.catalog import graded_instances, search_rbo, sl2
 from rotabaxter.deformation import (
     AltMap,
+    _mc_vanishes,
     courant_bracket,
     deformation_check,
     mc_residual,
@@ -32,6 +33,7 @@ from rotabaxter.homotopy import (
     HomotopyOperator,
     bracket_on_word,
     canonical_words,
+    _mc_witness,
     check_prelie_infinity,
     expand_low_identities,
     graded_bracket,
@@ -47,7 +49,7 @@ from rotabaxter.homotopy import (
     random_sym_family,
     residual_on_word,
 )
-from rotabaxter.linalg import cleared_pair
+from rotabaxter.linalg import cleared_pair, vec_scale
 from rotabaxter.lie import (
     LieAlgebra,
     LinearOperator,
@@ -239,6 +241,69 @@ def test_deformation_and_homotopy_oracles_agree(a, lam, i, j, random_delta, rng)
                                         grep.space)
     assert mc_check_homotopy(hop, galg, grep, 3) == expected
     assert is_homotopy_oop(hop, galg, grep, 3) == expected
+
+
+def assert_exit_is_first_word_of_the_full_bracket(t, alg, rep, p_max):
+    full = graded_bracket(t, t, alg, rep, p_max)
+    found = _mc_witness(t, alg, rep, p_max)
+    assert mc_check_homotopy(t, alg, rep, p_max) == full.is_zero() == (found is None)
+    if found is None:
+        return True
+    weight, word, value = found
+    first = full.weights()[0]
+    assert (weight, word) == (first, sorted(full.component(first).entries)[0])
+    assert value == vec_scale(Fraction(1, 2), full.component(weight).eval(word))
+    assert value == residual_on_word(t, alg, rep, word)  # the witness replays
+    return False
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(("two-level", "mixed/adjoint", "three-level/adjoint")),
+       scales, scales, st.integers(0, 2), st.sampled_from((0.2, 0.7)), rngs)
+def test_mc_check_homotopy_exits_at_the_first_word_of_the_full_bracket(
+        name, a, d, max_weight, density, rng):
+    alg, rep = graded_pair(name, a, d)
+    t = random_homotopy_operator(rng, rep.space, alg.space, max_weight, pool=POOL,
+                                 density=density)
+    assert_exit_is_first_word_of_the_full_bracket(t, alg, rep, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scales, st.sampled_from(SCALES), st.integers(0, len(SL2_RBOS) - 1), st.booleans(),
+       rngs)
+def test_mc_check_homotopy_exit_on_embedded_catalog_operators(a, lam, i, perturb, rng):
+    alg, _ = sl2_pair(a, a)
+    galg, grep = embed_pair(alg, adjoint(alg))
+    matrix = [[lam * x for x in row] for row in rescaled_operator(SL2_RBOS[i], a)]
+    if perturb:
+        matrix[rng.randrange(3)][rng.randrange(3)] += rng.choice(POOL)
+    hop = homotopy_operator_from_linear(LinearOperator(matrix, "g", "g"), galg, grep.space)
+    passed = assert_exit_is_first_word_of_the_full_bracket(hop, galg, grep, 3)
+    assert passed == is_rota_baxter(alg, LinearOperator(matrix, "g", "g"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(scales, st.sampled_from(SCALES), st.integers(0, len(SL2_RBOS) - 1),
+       st.integers(0, len(SL2_RBOS) - 1), st.sampled_from(("rbo", "delta", "random")), rngs)
+def test_deformation_check_matches_the_full_maps(a, lam, i, j, kind, rng):
+    alg, _ = sl2_pair(a, a)
+    rep = adjoint(alg)
+    ops = [tuple(tuple(lam * x for x in row) for row in rescaled_operator(m, a))
+           for m in (SL2_RBOS[i], SL2_RBOS[j])]
+    t = AltMap.from_operator(LinearOperator(ops[0], "g", "g"))
+    if kind == "random":  # a base that need not be an O-operator
+        t = random_altmap(rng, 1, 3, 3, pool=POOL)
+    if kind == "rbo":
+        tp = AltMap.from_operator(LinearOperator(ops[1], "g", "g")) - t
+    else:
+        tp = random_altmap(rng, 1, 3, 3, pool=POOL)
+    lin = courant_bracket(t, tp, alg, rep)
+    quad = courant_bracket(tp, tp, alg, rep).scale(Fraction(1, 2))
+    assert deformation_check(t, tp, alg, rep) == (lin + quad).is_zero()
+    half = courant_bracket(t, t, alg, rep).scale(Fraction(1, 2))
+    assert mc_residual(t, alg, rep) == half
+    assert all_fractions(mc_residual(t, alg, rep))
+    assert _mc_vanishes(t, alg, rep) == half.is_zero()
 
 
 @pytest.mark.parametrize("values, den", [
