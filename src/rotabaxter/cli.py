@@ -133,8 +133,9 @@ def _split_ref(ref: str):
     return None, ref
 
 
-def _resolve(ws: Workspace, ref: str, kind: str):
-    """Resolve FILE, FILE:KEY, or a bare KEY from previously loaded files.
+def _scope(ws: Workspace, ref: str):
+    """The workspace a FILE, FILE:KEY or bare KEY reads from, and the key it
+    names (None for a whole FILE).
 
     Each file is read into its own scope so that two files may both use the
     plain kind name for their single entity; the shared workspace keeps the
@@ -142,13 +143,18 @@ def _resolve(ws: Workspace, ref: str, kind: str):
     """
     path, key = _split_ref(ref)
     if path is None:
-        if ref in ws.raw:
-            return ws.find(kind, ref)
-        raise UnresolvedReferenceError(f"{ref!r} is neither a file nor a loaded entity")
+        if ref not in ws.raw:
+            raise UnresolvedReferenceError(f"{ref!r} is neither a file nor a loaded entity")
+        return ws, ref
     local = Workspace().load_file(path)
     for name, item in local.raw.items():
         ws.raw.setdefault(name, item)
-    return local.find(kind, key)
+    return local, key
+
+
+def _resolve(ws: Workspace, ref: str, kind: str):
+    scope, key = _scope(ws, ref)
+    return scope.find(kind, key)
 
 
 def _lie(ws, ref):
@@ -167,32 +173,23 @@ def _op(ws, ref, nrows=None, ncols=None):
 
 def _operator_or_altmap(ws, ref, alg, rep) -> AltMap:
     """Accept either an operator matrix or a 1-ary altmap where a map V -> g
-    is expected, returning the altmap view."""
-    path, key = _split_ref(ref)
-    scope = Workspace().load_file(path) if path is not None else ws
-    if path is not None:
-        for name, item in scope.raw.items():
-            ws.raw.setdefault(name, item)
-    probe = key if path is not None else ref
-    if probe is not None and probe in scope.raw:
-        kind = scope.raw[probe][0]
-    else:
+    is expected, returning the altmap view.  A named entity has its own
+    kind; a whole FILE is an altmap when it holds one and no operator."""
+    scope, key = _scope(ws, ref)
+    if key is None:
         kinds = {k for (k, _) in scope.raw.values()}
-        kind = "altmap" if "altmap" in kinds and "operator" not in kinds else "operator"
-        probe = None
-    if kind == "altmap":
-        return ser.altmap_from_obj(scope.find("altmap", probe), rep.space_dim, alg.basis)
-    op = ser.operator_from_obj(scope.find("operator", probe), alg.dim, rep.space_dim)
+        is_altmap = "altmap" in kinds and "operator" not in kinds
+    else:
+        is_altmap = key in scope.raw and scope.raw[key][0] == "altmap"
+    if is_altmap:
+        return ser.altmap_from_obj(scope.find("altmap", key), rep.space_dim, alg.basis)
+    op = ser.operator_from_obj(scope.find("operator", key), alg.dim, rep.space_dim)
     return AltMap.from_operator(op)
 
 
 def _sgla(ws, ref):
-    path, key = _split_ref(ref)
-    scope = Workspace().load_file(path) if path is not None else ws
-    if path is not None:
-        for name, item in scope.raw.items():
-            ws.raw.setdefault(name, item)
-    payload = scope.find("sgla", key if path is not None else ref)
+    scope, key = _scope(ws, ref)
+    payload = scope.find("sgla", key)
     try:
         default_space = ser.gvs_from_obj(scope.find("graded_space"))
     except UnresolvedReferenceError:
@@ -499,8 +496,7 @@ def check_sdgla_cmd(cfg, sgla_, differential):
     """Verify a square-zero degree-1 differential compatible with the bracket."""
     ws = Workspace()
     galg = _sgla(ws, sgla_)
-    payload = _resolve(ws, differential, "differential")
-    d = ser.parse_matrix(payload.get("rows"), galg.dim, galg.dim)
+    d = ser.differential_from_obj(_resolve(ws, differential, "differential"), galg.dim)
     _finish(cfg, [check_sdgla(galg, d)])
 
 

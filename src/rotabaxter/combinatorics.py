@@ -14,24 +14,9 @@ from functools import lru_cache
 from .errors import ShapeMismatchError
 
 
-def identity(n: int) -> tuple[int, ...]:
-    return tuple(range(n))
-
-
-def is_permutation(p) -> bool:
-    return sorted(p) == list(range(len(p)))
-
-
 def compose(p, q) -> tuple[int, ...]:
     """The permutation acting as q followed by p."""
     return tuple(p[q[i]] for i in range(len(q)))
-
-
-def inverse(p) -> tuple[int, ...]:
-    inv = [0] * len(p)
-    for i, pi in enumerate(p):
-        inv[pi] = i
-    return tuple(inv)
 
 
 def parity_sign(exponent: int) -> int:

@@ -16,13 +16,18 @@ from .linalg import (
     Matrix,
     Vector,
     ZERO,
+    act_basis,
+    adjoint_matrices,
     basis_vector,
+    bilinear,
     fr,
     mat_commutator,
     mat_is_zero,
     mat_sub,
     mat_vec,
     matrix,
+    rho,
+    table_from_pairs,
     vec_add,
     vec_is_zero,
     vec_sub,
@@ -50,40 +55,19 @@ class LieAlgebra(Clearable):
     def bracket_basis(self, i: int, j: int) -> Vector:
         return self.c[i][j]
 
-    def bracket(self, x: Vector, y: Vector) -> Vector:
-        out = [0] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                coef = xi * yj
-                row = self.c[i][j]
-                for k in range(self.dim):
-                    if row[k]:
-                        out[k] += coef * row[k]
-        return tuple(out)
+    bracket = bilinear
 
 
 def lie_algebra(basis, brackets) -> LieAlgebra:
     """Build a LieAlgebra from sparse data ``{(i, j): {k: coeff}}``.
 
     For every listed pair (i, j) whose mirror (j, i) is not listed, the
-    antisymmetric completion is filled in; explicitly listed mirrors are
-    taken verbatim so broken inputs remain expressible.
+    antisymmetric completion is filled in (:func:`linalg.table_from_pairs`,
+    every degree -1); explicitly listed mirrors are taken verbatim so broken
+    inputs remain expressible.
     """
     basis = tuple(basis)
-    n = len(basis)
-    c = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for (i, j), val in brackets.items():
-        for k, coeff in val.items():
-            c[i][j][k] = fr(coeff)
-    for (i, j) in list(brackets.keys()):
-        if (j, i) not in brackets:
-            for k in range(n):
-                c[j][i][k] = -c[i][j][k]
-    return LieAlgebra(basis, tuple(tuple(tuple(row) for row in plane) for plane in c))
+    return LieAlgebra(basis, table_from_pairs(len(basis), brackets, (-1,) * len(basis)))
 
 
 @dataclass(frozen=True)
@@ -101,29 +85,8 @@ class Representation(Clearable):
     def space_dim(self) -> int:
         return len(self.basis)
 
-    def rho(self, x: Vector) -> Matrix:
-        out = [[ZERO] * self.space_dim for _ in range(self.space_dim)]
-        for a, xa in enumerate(x):
-            if not xa:
-                continue
-            m = self.matrices[a]
-            for r in range(self.space_dim):
-                for s in range(self.space_dim):
-                    if m[r][s]:
-                        out[r][s] += xa * m[r][s]
-        return tuple(tuple(row) for row in out)
-
-    def act_basis(self, x: Vector, j: int) -> Vector:
-        """rho(x) applied to the j-th basis vector of V."""
-        out = [0] * self.space_dim
-        for a, xa in enumerate(x):
-            if not xa:
-                continue
-            m = self.matrices[a]
-            for r in range(self.space_dim):
-                if m[r][j]:
-                    out[r] += xa * m[r][j]
-        return tuple(out)
+    rho = rho
+    act_basis = act_basis
 
 
 @dataclass(frozen=True)
@@ -256,15 +219,7 @@ def check_representation(alg: LieAlgebra, rep: Representation) -> Report:
 
 def adjoint(alg: LieAlgebra) -> Representation:
     """Adjoint representation: rho(e_i) has (k, j) entry c[i][j][k]."""
-    mats = []
-    for i in range(alg.dim):
-        mats.append(
-            tuple(
-                tuple(alg.c[i][j][k] for j in range(alg.dim))
-                for k in range(alg.dim)
-            )
-        )
-    return Representation(alg.basis, tuple(mats))
+    return Representation(alg.basis, adjoint_matrices(alg.c))
 
 
 def oop_defect(alg: LieAlgebra, rep: Representation, t: LinearOperator) -> AltMap:

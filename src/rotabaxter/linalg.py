@@ -1,5 +1,6 @@
 """Dense exact linear algebra over Fraction, just enough for desk-scale checks,
-and the denominator clearing that lets the per-word kernels run on int."""
+the structure tables and action matrices of every algebra and module, and the
+denominator clearing that lets the per-word kernels run on int."""
 
 from __future__ import annotations
 
@@ -7,6 +8,8 @@ import dataclasses
 import math
 from fractions import Fraction
 from functools import cached_property
+
+from .combinatorics import parity_sign
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -141,3 +144,75 @@ def cleared_pair(alg, act):
         return da, ia, ir
     den = math.lcm(da, dr)
     return den, alg.integral(den), act.integral(den)
+
+
+# -- structure tables and action matrices ---------------------------------------
+#
+# A Lie bracket, an SGLA bracket and a pre-Lie product are one table t[i][j][k]
+# (the coefficient of e_k in e_i . e_j), a module one matrix per algebra basis
+# element.  The classes bind the kernels below as methods, so they cost no
+# extra call level.
+
+
+def table_from_pairs(n: int, pairs, degrees=None):
+    """Dense constants from sparse data ``{(i, j): {k: coeff}}``.
+
+    With ``degrees`` (a Lie algebra is every degree -1), a listed (i, j)
+    whose mirror is unlisted gets t[j][i] = (-1)^(deg_i deg_j) t[i][j]; a
+    listed mirror is taken verbatim, so broken inputs stay expressible.
+    Without (a pre-Lie product), nothing is completed.
+    """
+    t = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    for (i, j), val in pairs.items():
+        for k, coeff in val.items():
+            t[i][j][k] = fr(coeff)
+    if degrees is not None:
+        for (i, j) in pairs:
+            if (j, i) not in pairs:
+                s = parity_sign(degrees[i] * degrees[j])
+                t[j][i] = [s * x for x in t[i][j]]
+    return tuple(tuple(tuple(row) for row in plane) for plane in t)
+
+
+def bilinear(self, x: Vector, y: Vector) -> Vector:
+    """x . y through the table in the field named by ``self._constants``."""
+    t = getattr(self, self._constants)
+    n = len(t)
+    out = [0] * n
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        ti = t[i]
+        for j, yj in enumerate(y):
+            if not yj:
+                continue
+            coef = xi * yj
+            row = ti[j]
+            for k in range(n):
+                if row[k]:
+                    out[k] += coef * row[k]
+    return tuple(out)
+
+
+def adjoint_matrices(t) -> tuple[Matrix, ...]:
+    """ad(e_i) for each i: the matrix with (k, j) entry t[i][j][k]."""
+    return tuple(tuple(zip(*plane)) for plane in t)
+
+
+def act_basis(self, x: Vector, j: int) -> Vector:
+    """rho(x) applied to the j-th basis vector of the module ``self``."""
+    d = self.space_dim
+    out = [0] * d
+    for a, xa in enumerate(x):
+        if not xa:
+            continue
+        m = self.matrices[a]
+        for r in range(d):
+            if m[r][j]:
+                out[r] += xa * m[r][j]
+    return tuple(out)
+
+
+def rho(self, x: Vector) -> Matrix:
+    """The matrix of rho(x); column j is :func:`act_basis` of x on e_j."""
+    return tuple(zip(*(act_basis(self, x, j) for j in range(self.space_dim))))

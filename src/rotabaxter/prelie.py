@@ -17,7 +17,16 @@ from .combinatorics import parity_sign, signed_unshuffles
 from .deformation import DEFAULT_ARITY_MAX, AltMap
 from .errors import NotMaurerCartanError, ShapeMismatchError, TruncationExceededError
 from .graded import SparseMap, ungraded_space
-from .linalg import Vector, ZERO, divided, fr, vec_is_zero, vec_sub
+from .linalg import (
+    Clearable,
+    Vector,
+    ZERO,
+    bilinear,
+    divided,
+    table_from_pairs,
+    vec_is_zero,
+    vec_sub,
+)
 from .reports import Report, named_residual
 
 # Global normalization of the compose operation.  The sign is fixed by
@@ -29,7 +38,7 @@ COMPOSE_NORMALIZATION = -1
 
 
 @dataclass(frozen=True)
-class PreLieProduct:
+class PreLieProduct(Clearable):
     """Bilinear product on a named space, stored as structure constants.
 
     ``mu[i][j][k]`` is the coefficient of e_k in e_i * e_j.  Constructors do
@@ -38,6 +47,7 @@ class PreLieProduct:
 
     basis: tuple[str, ...]
     mu: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    _constants = "mu"
 
     @property
     def dim(self) -> int:
@@ -46,31 +56,14 @@ class PreLieProduct:
     def product_basis(self, i: int, j: int) -> Vector:
         return self.mu[i][j]
 
-    def product(self, x: Vector, y: Vector) -> Vector:
-        out = [ZERO] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                coef = xi * yj
-                row = self.mu[i][j]
-                for k in range(self.dim):
-                    if row[k]:
-                        out[k] += coef * row[k]
-        return tuple(out)
+    product = bilinear
 
 
 def prelie_product(basis, products) -> PreLieProduct:
-    """Build a PreLieProduct from sparse data ``{(i, j): {k: coeff}}``."""
+    """Build a PreLieProduct from sparse data ``{(i, j): {k: coeff}}``; a
+    product has no symmetry, so nothing is completed."""
     basis = tuple(basis)
-    n = len(basis)
-    mu = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for (i, j), val in products.items():
-        for k, coeff in val.items():
-            mu[i][j][k] = fr(coeff)
-    return PreLieProduct(basis, tuple(tuple(tuple(r) for r in p) for p in mu))
+    return PreLieProduct(basis, table_from_pairs(len(basis), products))
 
 
 def check_prelie(p: PreLieProduct) -> Report:

@@ -27,6 +27,7 @@ from .homotopy import (
     PreLieInfinity,
 )
 from .lie import LieAlgebra, LinearOperator, Representation, lie_algebra
+from .combinatorics import parity_sign
 from .linalg import Matrix, ZERO, matrix
 from .prelie import HookedMap, PreLieProduct, prelie_product
 from .reports import scalar_text as scalar_str
@@ -74,6 +75,41 @@ def parse_scalar(x) -> Fraction:
     raise SchemaError(f"not a scalar: {x!r}")
 
 
+_REQUIRED = object()
+
+
+def _field(obj, key, default=_REQUIRED, kind=None):
+    """obj[key] of a JSON object, of Python type ``kind`` when given, or
+    ``default`` when the key is absent."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"expected a JSON object with {key!r}, got {type(obj).__name__}")
+    if key not in obj:
+        if default is _REQUIRED:
+            raise SchemaError(f"missing field {key!r}")
+        return default
+    if kind is not None and not isinstance(obj[key], kind):
+        raise SchemaError(f"field {key!r} must be a JSON {'object' if kind is dict else 'list'}")
+    return obj[key]
+
+
+def _int(x, message, low=None) -> int:
+    """An integer (not a boolean) of at least ``low``, else SchemaError(message)."""
+    if isinstance(x, bool) or not isinstance(x, int) or (low is not None and x < low):
+        raise SchemaError(message)
+    return x
+
+
+def _names(names, kind, what="basis") -> tuple[str, ...]:
+    """A nonempty basis of distinct string names."""
+    if not isinstance(names, list) or not names:
+        raise SchemaError(f"{kind} needs a nonempty {what}")
+    if not all(isinstance(n, str) for n in names):
+        raise SchemaError(f"{kind} basis names must be strings")
+    if len(set(names)) < len(names):
+        raise SchemaError(f"{kind} basis repeats a name")
+    return tuple(names)
+
+
 def _index(names, name) -> int:
     try:
         return names.index(name)
@@ -95,16 +131,16 @@ def value_obj(vec, names) -> dict:
 
 
 def _one_based(a) -> int:
-    return int(a) - 1
+    return _int(a, f"argument {a!r} is not a 1-based integer index") - 1
 
 
 def _entries_from_obj(items, index, names, free=False) -> dict:
     """Map entries from their file form; ``index`` reads one argument."""
     entries = {}
     for item in items:
-        word = tuple(index(a) for a in item["args"])
-        key = (word, index(item["last"])) if free else word
-        entries[key] = parse_value(item["value"], names)
+        word = tuple(index(a) for a in _field(item, "args", kind=list))
+        key = (word, index(_field(item, "last"))) if free else word
+        entries[key] = parse_value(_field(item, "value"), names)
     return entries
 
 
@@ -132,62 +168,86 @@ def matrix_obj(m) -> list[list[str]]:
     return [[scalar_str(x) for x in row] for row in m]
 
 
+# -- structure tables and actions ---------------------------------------------
+#
+# A bracket or product table is a list of {"left", "right", "value"} items,
+# an action one matrix per algebra basis name (a zero one omitted).
+
+
+def _pairs_from_obj(items, names) -> dict:
+    """Sparse table data ``{(i, j): {k: coeff}}``; the builders complete it."""
+    pairs = {}
+    for item in items:
+        i = _index(names, _field(item, "left"))
+        j = _index(names, _field(item, "right"))
+        pairs[(i, j)] = dict(enumerate(parse_value(_field(item, "value"), names)))
+    return pairs
+
+
+def _table_obj(t, names, degrees=None) -> list[dict]:
+    """The exact file form of a table, in row-major order.
+
+    With ``degrees``, a pair the reader's completion restores is written
+    from its upper side when nonzero; a pair that breaks (graded)
+    antisymmetry is written on both sides, a zero side as ``{}``, and read
+    back verbatim.  Any other pair is written when nonzero.
+    """
+    out = []
+    for i, plane in enumerate(t):
+        for j, val in enumerate(plane):
+            if degrees is None or i == j:
+                keep = any(val)
+            else:
+                s = parity_sign(degrees[i] * degrees[j])
+                keep = (i < j and any(val)) or any(x != s * y for x, y in zip(val, t[j][i]))
+            if keep:
+                out.append({"left": names[i], "right": names[j], "value": value_obj(val, names)})
+    return out
+
+
+def _action_from_obj(obj, g_names, d) -> tuple[Matrix, ...]:
+    action = _field(obj, "action", {}, dict)
+    for g_name in action:
+        _index(g_names, g_name)
+    zero = matrix([[0] * d] * d)
+    return tuple(parse_matrix(action[g_name], d, d) if g_name in action else zero
+                 for g_name in g_names)
+
+
+def _action_obj(matrices, g_names) -> dict:
+    return {g_name: matrix_obj(m) for g_name, m in zip(g_names, matrices)
+            if any(any(row) for row in m)}
+
+
 # -- ungraded entities --------------------------------------------------------
 
 def lie_from_obj(obj) -> LieAlgebra:
-    names = tuple(obj.get("basis", ()))
-    if not names:
-        raise SchemaError("lie_algebra needs a nonempty basis")
-    brackets = {}
-    for item in obj.get("brackets", ()):
-        i = _index(names, item["left"])
-        j = _index(names, item["right"])
-        brackets[(i, j)] = {
-            _index(names, k): parse_scalar(v) for k, v in item["value"].items()
-        }
-    return lie_algebra(names, brackets)
+    names = _names(_field(obj, "basis", None), "lie_algebra")
+    return lie_algebra(names, _pairs_from_obj(_field(obj, "brackets", [], list), names))
 
 
 def lie_to_obj(alg: LieAlgebra) -> dict:
-    brackets = []
-    for i in range(alg.dim):
-        for j in range(i + 1, alg.dim):
-            val = value_obj(alg.c[i][j], alg.basis)
-            if val:
-                brackets.append({"left": alg.basis[i], "right": alg.basis[j], "value": val})
-    return {"basis": list(alg.basis), "brackets": brackets}
+    return {"basis": list(alg.basis),
+            "brackets": _table_obj(alg.c, alg.basis, (-1,) * alg.dim)}
 
 
 def rep_from_obj(obj, alg: LieAlgebra) -> Representation:
-    names = tuple(obj.get("basis", ()))
-    if not names:
-        raise SchemaError("representation needs a nonempty module basis")
-    action = obj.get("action", {})
-    mats = []
-    for g_name in alg.basis:
-        if g_name in action:
-            mats.append(parse_matrix(action[g_name], len(names), len(names)))
-        else:
-            mats.append(matrix([[0] * len(names)] * len(names)))
-    return Representation(names, tuple(mats))
+    names = _names(_field(obj, "basis", None), "representation", "module basis")
+    return Representation(names, _action_from_obj(obj, alg.basis, len(names)))
 
 
 def rep_to_obj(rep: Representation, alg: LieAlgebra) -> dict:
-    action = {}
-    for g_name, m in zip(alg.basis, rep.matrices):
-        if any(any(row) for row in m):
-            action[g_name] = matrix_obj(m)
-    return {"basis": list(rep.basis), "action": action}
+    return {"basis": list(rep.basis), "action": _action_obj(rep.matrices, alg.basis)}
 
 
 def operator_from_obj(obj, nrows=None, ncols=None) -> LinearOperator:
-    rows = obj.get("rows")
-    if rows is None:
+    rows = _field(obj, "rows", None)
+    if not isinstance(rows, list):
         raise SchemaError("operator needs a 'rows' matrix")
     if nrows is None:
         nrows = len(rows)
     if ncols is None:
-        ncols = len(rows[0]) if rows else 0
+        ncols = len(rows[0]) if rows and isinstance(rows[0], list) else 0
     return LinearOperator(
         parse_matrix(rows, nrows, ncols),
         obj.get("domain", "V"),
@@ -199,11 +259,13 @@ def operator_to_obj(op: LinearOperator) -> dict:
     return {"rows": matrix_obj(op.matrix), "domain": op.domain, "codomain": op.codomain}
 
 
+def differential_from_obj(obj, n) -> Matrix:
+    return parse_matrix(_field(obj, "rows", None), n, n)
+
+
 def altmap_from_obj(obj, dim_dom, cod_names) -> AltMap:
-    arity = obj.get("arity")
-    if not isinstance(arity, int) or arity < 0:
-        raise SchemaError("altmap needs a non-negative integer arity")
-    entries = _entries_from_obj(obj.get("entries", ()), _one_based, cod_names)
+    arity = _int(_field(obj, "arity", None), "altmap needs a non-negative integer arity", 0)
+    entries = _entries_from_obj(_field(obj, "entries", [], list), _one_based, cod_names)
     return AltMap(arity, dim_dom, len(cod_names), entries)
 
 
@@ -212,37 +274,18 @@ def altmap_to_obj(f: AltMap, cod_names) -> dict:
 
 
 def prelie_from_obj(obj) -> PreLieProduct:
-    names = tuple(obj.get("basis", ()))
-    if not names:
-        raise SchemaError("prelie needs a nonempty basis")
-    products = {}
-    for item in obj.get("products", ()):
-        i = _index(names, item["left"])
-        j = _index(names, item["right"])
-        products[(i, j)] = {
-            _index(names, k): parse_scalar(v) for k, v in item["value"].items()
-        }
-    return prelie_product(names, products)
+    names = _names(_field(obj, "basis", None), "prelie")
+    return prelie_product(names, _pairs_from_obj(_field(obj, "products", [], list), names))
 
 
 def prelie_to_obj(p: PreLieProduct) -> dict:
-    products = []
-    for i in range(p.dim):
-        for j in range(p.dim):
-            val = value_obj(p.mu[i][j], p.basis)
-            if val:
-                products.append({"left": p.basis[i], "right": p.basis[j], "value": val})
-    return {"basis": list(p.basis), "products": products}
+    return {"basis": list(p.basis), "products": _table_obj(p.mu, p.basis)}
 
 
 def hooked_from_obj(obj) -> tuple[HookedMap, tuple[str, ...]]:
-    names = tuple(obj.get("basis", ()))
-    if not names:
-        raise SchemaError("hooked_map needs a nonempty basis")
-    arity = obj.get("arity")
-    if not isinstance(arity, int) or arity < 0:
-        raise SchemaError("hooked_map needs a non-negative integer arity")
-    entries = _entries_from_obj(obj.get("entries", ()), _one_based, names, free=True)
+    names = _names(_field(obj, "basis", None), "hooked_map")
+    arity = _int(_field(obj, "arity", None), "hooked_map needs a non-negative integer arity", 0)
+    entries = _entries_from_obj(_field(obj, "entries", [], list), _one_based, names, free=True)
     return HookedMap(arity, len(names), entries), names
 
 
@@ -254,13 +297,11 @@ def hooked_to_obj(h: HookedMap, names) -> dict:
 # -- graded entities ----------------------------------------------------------
 
 def gvs_from_obj(obj) -> GradedVectorSpace:
-    basis = obj.get("basis")
-    if not basis:
+    basis = _field(obj, "basis", None)
+    if not isinstance(basis, list) or not basis:
         raise SchemaError("graded_space needs a nonempty basis")
-    names, degrees = [], []
-    for item in basis:
-        names.append(item["name"])
-        degrees.append(int(item["degree"]))
+    names = _names([_field(item, "name") for item in basis], "graded_space")
+    degrees = [_int(_field(item, "degree"), "a degree must be an integer") for item in basis]
     return graded_space(names, degrees)
 
 
@@ -270,69 +311,47 @@ def gvs_to_obj(space: GradedVectorSpace) -> dict:
 
 
 def sgla_from_obj(obj, default_space: GradedVectorSpace | None = None) -> SGLA:
-    if "space" in obj:
-        space = gvs_from_obj(obj["space"])
+    space = _field(obj, "space", None)
+    if space is not None:
+        space = gvs_from_obj(space)
     elif default_space is not None:
         space = default_space
     else:
         raise SchemaError("sgla needs an embedded 'space' or a graded_space in the file")
-    names = space.basis
-    brackets = {}
-    for item in obj.get("brackets", ()):
-        i = _index(names, item["left"])
-        j = _index(names, item["right"])
-        brackets[(i, j)] = {
-            _index(names, k): parse_scalar(v) for k, v in item["value"].items()
-        }
-    return sgla(space, brackets)
+    return sgla(space, _pairs_from_obj(_field(obj, "brackets", [], list), space.basis))
 
 
 def sgla_to_obj(g: SGLA) -> dict:
-    brackets = []
-    seen = set()
-    for i in range(g.dim):
-        for j in range(g.dim):
-            if (j, i) in seen:
-                continue
-            val = value_obj(g.b[i][j], g.space.basis)
-            if val:
-                brackets.append({"left": g.space.basis[i],
-                                 "right": g.space.basis[j], "value": val})
-                seen.add((i, j))
-    return {"space": gvs_to_obj(g.space), "brackets": brackets}
+    return {"space": gvs_to_obj(g.space),
+            "brackets": _table_obj(g.b, g.space.basis, g.space.degrees)}
 
 
 def grep_from_obj(obj, alg: SGLA) -> GradedRepresentation:
-    space = gvs_from_obj(obj["space"]) if "space" in obj else alg.space
-    action = obj.get("action", {})
-    mats = []
-    for g_name in alg.space.basis:
-        if g_name in action:
-            mats.append(parse_matrix(action[g_name], space.dim, space.dim))
-        else:
-            mats.append(matrix([[0] * space.dim] * space.dim))
-    return GradedRepresentation(space, tuple(mats))
+    space = _field(obj, "space", None)
+    space = alg.space if space is None else gvs_from_obj(space)
+    return GradedRepresentation(space, _action_from_obj(obj, alg.space.basis, space.dim))
 
 
 def grep_to_obj(rep: GradedRepresentation, alg: SGLA) -> dict:
-    action = {}
-    for g_name, m in zip(alg.space.basis, rep.matrices):
-        if any(any(row) for row in m):
-            action[g_name] = matrix_obj(m)
-    return {"space": gvs_to_obj(rep.space), "action": action}
+    return {"space": gvs_to_obj(rep.space), "action": _action_obj(rep.matrices, alg.space.basis)}
+
+
+def _space_index(space: GradedVectorSpace):
+    return lambda name: _index(space.basis, name)
 
 
 def _component_from_obj(item, space: GradedVectorSpace, target: GradedVectorSpace,
                         degree: int) -> GradedSymMap:
-    weight = item.get("weight")
-    if not isinstance(weight, int) or weight < 0:
-        raise SchemaError("component needs a non-negative integer weight")
+    weight = _int(_field(item, "weight", None),
+                  "component needs a non-negative integer weight", 0)
     entries = {}
     if weight == 0:
-        if "value" in item:
-            entries[()] = parse_value(item["value"], target.basis)
+        value = _field(item, "value", None)
+        if value is not None:
+            entries[()] = parse_value(value, target.basis)
     else:
-        entries = _entries_from_obj(item.get("entries", ()), space.index, target.basis)
+        entries = _entries_from_obj(_field(item, "entries", [], list), _space_index(space),
+                                    target.basis)
     return GradedSymMap(space, target, weight, degree, entries)
 
 
@@ -344,12 +363,19 @@ def _component_to_obj(comp: GradedSymMap) -> dict:
             "entries": _entries_obj(comp, comp.space.basis.__getitem__, comp.target.basis)}
 
 
-def hop_from_obj(obj, space: GradedVectorSpace, target: GradedVectorSpace) -> HomotopyOperator:
-    truncation = obj.get("truncation")
+def _components_from_obj(obj, space, target, degree) -> dict:
     comps = {}
-    for item in obj.get("components", ()):
-        comp = _component_from_obj(item, space, target, 0)
+    for item in _field(obj, "components", [], list):
+        comp = _component_from_obj(item, space, target, degree)
         comps[comp.weight] = comp
+    return comps
+
+
+def hop_from_obj(obj, space: GradedVectorSpace, target: GradedVectorSpace) -> HomotopyOperator:
+    truncation = _field(obj, "truncation", None)
+    if truncation is not None:
+        _int(truncation, "homotopy_operator truncation must be a non-negative integer", 0)
+    comps = _components_from_obj(obj, space, target, 0)
     return HomotopyOperator(space, target, comps, truncation)
 
 
@@ -361,13 +387,8 @@ def hop_to_obj(t: HomotopyOperator) -> dict:
 
 
 def sym_family_from_obj(obj, space: GradedVectorSpace, target: GradedVectorSpace) -> GradedSymFamily:
-    degree = obj.get("degree")
-    if not isinstance(degree, int):
-        raise SchemaError("sym_family needs an integer degree")
-    comps = {}
-    for item in obj.get("components", ()):
-        comp = _component_from_obj(item, space, target, degree)
-        comps[comp.weight] = comp
+    degree = _int(_field(obj, "degree", None), "sym_family needs an integer degree")
+    comps = _components_from_obj(obj, space, target, degree)
     return GradedSymFamily(space, target, degree, comps)
 
 
@@ -379,17 +400,14 @@ def sym_family_to_obj(f: GradedSymFamily) -> dict:
 
 
 def prelie_inf_from_obj(obj) -> PreLieInfinity:
-    space = gvs_from_obj(obj["space"])
-    truncation = obj.get("truncation")
-    if not isinstance(truncation, int) or truncation < 1:
-        raise SchemaError("prelie_infinity needs a positive integer truncation")
+    space = gvs_from_obj(_field(obj, "space"))
+    truncation = _int(_field(obj, "truncation", None),
+                      "prelie_infinity needs a positive integer truncation", 1)
     ops = {}
-    for item in obj.get("operations", ()):
-        k = item.get("arity")
-        if not isinstance(k, int) or k < 1:
-            raise SchemaError("operation needs a positive integer arity")
-        entries = _entries_from_obj(item.get("entries", ()), space.index, space.basis,
-                                    free=True)
+    for item in _field(obj, "operations", [], list):
+        k = _int(_field(item, "arity", None), "operation needs a positive integer arity", 1)
+        entries = _entries_from_obj(_field(item, "entries", [], list), _space_index(space),
+                                    space.basis, free=True)
         ops[k] = GradedHookedMap(space, k - 1, 1, entries)
     return PreLieInfinity(space, truncation, ops)
 
@@ -429,6 +447,10 @@ class Workspace:
             raise SchemaError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
         except ValueError as exc:  # an integer literal beyond the int-string limit
             raise SchemaError(f"{path}: {exc}") from None
+        except OSError as exc:  # a directory, or a file that cannot be read
+            raise SchemaError(f"{path}: {exc.strerror}") from None
+        except RecursionError:
+            raise SchemaError(f"{path}: JSON nested too deeply") from None
         if not isinstance(obj, dict):
             raise SchemaError(f"{path}: top level must be a JSON object")
         for key, val in obj.items():

@@ -128,7 +128,7 @@ def test_induce_then_check_prelie_pipeline(runner, tmp_path):
     res = runner.invoke(main, ["induce-prelie", "--algebra", alg, "--rep", "adjoint",
                                "--op", op, "--out", prod])
     assert res.exit_code == 0
-    payload = json.loads(open(prod).read())
+    payload = json.loads(Path(prod).read_text())
     assert payload["prelie"]["products"] == [
         {"left": "e2", "right": "e2", "value": {"e2": "1"}}
     ]
@@ -469,3 +469,75 @@ def test_bundle_addressing(runner, tmp_path):
     res = runner.invoke(main, ["check-rbo", "--algebra", bundle,
                                "--op", f"{bundle}:I"])
     assert res.exit_code == 1
+
+
+def test_from_lie_keeps_a_broken_algebra_broken(runner, tmp_path):
+    # [e1, e2] = e2 and [e2, e1] = e2 fail antisymmetry; the embedding must too
+    alg = write(tmp_path, "L.json", {"lie_algebra": {
+        "basis": ["e1", "e2"],
+        "brackets": [{"left": "e1", "right": "e2", "value": {"e2": "1"}},
+                     {"left": "e2", "right": "e1", "value": {"e2": "1"}}]}})
+    assert runner.invoke(main, ["check-lie", "--algebra", alg]).exit_code == 1
+    sgla_path = str(tmp_path / "s.json")
+    assert runner.invoke(main, ["from-lie", "--algebra", alg, "--out", sgla_path]).exit_code == 0
+    res = runner.invoke(main, ["check-sgla", "--sgla", sgla_path])
+    assert res.exit_code == 1 and "FAIL" in res.output
+
+
+@pytest.mark.parametrize("option", ["--op", "--left", "--base", "--map"])
+def test_a_misspelled_map_reference_is_an_error(runner, tmp_path, option):
+    bundle = write(tmp_path, "bundle.json", {**AFFINE, **RBO})
+    common = ["--algebra", bundle, "--rep", "adjoint"]
+    command = {"--op": ["mc-check", *common],
+               "--left": ["bracket", *common, "--right", bundle],
+               "--base": ["deform", *common, "--delta", bundle],
+               "--map": ["phi", *common]}[option]
+    # the bundle's own operator resolves; a key it lacks must not fall back to it
+    assert runner.invoke(main, [*command, option, bundle]).exit_code == 0
+    for ref, message in ((f"{bundle}:nokey", "no entity named 'nokey'"),
+                         ("no_such_thing", "'no_such_thing' is neither a file")):
+        res = runner.invoke(main, [*command, option, ref])
+        assert res.exit_code == 1 and message in res.output, (ref, res.output)
+
+
+AFFINE_SGLA = {"sgla": {"space": {"basis": [{"name": "e1", "degree": -1},
+                                            {"name": "e2", "degree": -1}]},
+                        "brackets": [{"left": "e1", "right": "e2", "value": {"e2": "1"}}]}}
+
+# case: (the option slot the file goes to, its content; None for a directory)
+MALFORMED = {
+    "item without right": ("lie", {"lie_algebra": {
+        "basis": ["e1", "e2"], "brackets": [{"left": "e1", "value": {"e2": "1"}}]}}),
+    "payload that is a list": ("lie", {"lie_algebra": []}),
+    "value that is a list": ("lie", {"lie_algebra": {
+        "basis": ["e1", "e2"], "brackets": [{"left": "e1", "right": "e2", "value": ["e2"]}]}}),
+    "repeated basis name": ("lie", {"lie_algebra": {"basis": ["e1", "e1"], "brackets": []}}),
+    "degree that is text": ("sgla", {"sgla": {
+        "space": {"basis": [{"name": "x", "degree": "a"}]}, "brackets": []}}),
+    "altmap args that are text": ("map", {"altmap": {
+        "arity": 1, "entries": [{"args": ["x"], "value": {"e1": "1"}}]}}),
+    "entry without args": ("map", {"altmap": {"arity": 1, "entries": [{"value": {"e1": "1"}}]}}),
+    "truncation that is text": ("hop", {"homotopy_operator": {
+        "truncation": "z", "components": []}}),
+    "component that is a number": ("hop", {"homotopy_operator": {"components": [5]}}),
+    "action that is a list": ("rep", {"representation": {"basis": ["v"], "action": [["1"]]}}),
+    "directory": ("lie", None),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_input_is_a_schema_error(runner, tmp_path, case):
+    slot, obj = MALFORMED[case]
+    bad = str(tmp_path) if obj is None else write(tmp_path, "bad.json", obj)
+    alg = write(tmp_path, "L.json", AFFINE)
+    sgla_path = write(tmp_path, "g.json", AFFINE_SGLA)
+    args = {"lie": ["check-lie", "--algebra", bad],
+            "rep": ["check-rep", "--algebra", alg, "--rep", bad],
+            "map": ["mc-check", "--algebra", alg, "--rep", "adjoint", "--op", bad],
+            "sgla": ["check-sgla", "--sgla", bad],
+            "hop": ["check-hoop", "--sgla", sgla_path, "--grep", "adjoint",
+                    "--hop", bad]}[slot]
+    res = runner.invoke(main, args)
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert res.exit_code == 1
+    assert res.output.startswith("Error: ") and "Traceback" not in res.output

@@ -6,9 +6,6 @@ from hypothesis import given, strategies as st
 
 from rotabaxter.combinatorics import (
     compose,
-    identity,
-    inverse,
-    is_permutation,
     koszul_sign,
     multinomial,
     parity_sign,
@@ -148,11 +145,6 @@ def test_koszul_length_mismatch():
 
 
 def test_misc_helpers():
-    assert identity(3) == (0, 1, 2)
-    assert is_permutation((2, 0, 1))
-    assert not is_permutation((0, 0, 1))
-    p = (2, 0, 1)
-    assert compose(p, inverse(p)) == identity(3)
     assert parity_sign(-1) == -1
     assert parity_sign(-2) == 1
 

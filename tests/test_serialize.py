@@ -1,9 +1,11 @@
+import copy
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from rotabaxter import serialize as ser
+from rotabaxter import errors, serialize as ser
 from rotabaxter.catalog import (
     affine_line,
     natural_rep_affine,
@@ -14,9 +16,9 @@ from rotabaxter.catalog import (
 from rotabaxter.deformation import AltMap
 from rotabaxter.embed import homotopy_operator_from_linear
 from rotabaxter.errors import SchemaError, UnresolvedReferenceError
-from rotabaxter.graded import adjoint_graded, from_lie
+from rotabaxter.graded import adjoint_graded, check_sgla, from_lie, graded_space, sgla
 from rotabaxter.homotopy import GradedSymMap, induce_prelie_infinity
-from rotabaxter.lie import adjoint, operator
+from rotabaxter.lie import adjoint, lie_algebra, operator
 from rotabaxter.prelie import HookedMap, prelie_product
 from rotabaxter.serialize import Workspace
 
@@ -220,3 +222,167 @@ def test_workspace_parse_error_has_location(tmp_path):
     with pytest.raises(SchemaError) as err:
         Workspace().load_file(str(path))
     assert "line" in str(err.value) and "column" in str(err.value)
+
+
+# -- exact table writer ---------------------------------------------------------
+
+COEFFS = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2)])
+
+
+@st.composite
+def sparse_pairs(draw, n):
+    """Sparse {(i, j): {k: coeff}} data; with explicit mirrors drawn, a pair
+    and its mirror are usually inconsistent, otherwise only i <= j is listed
+    and the completion fills the rest."""
+    mirrors = draw(st.booleans())
+    cells = [(i, j) for i in range(n) for j in range(n) if mirrors or i <= j]
+    keys = draw(st.lists(st.sampled_from(cells), unique=True, max_size=len(cells)))
+    return {key: draw(st.dictionaries(st.integers(0, n - 1), COEFFS, max_size=n))
+            for key in keys}
+
+
+def through_json(obj):
+    return json.loads(json.dumps(obj))
+
+
+@given(st.data(), st.integers(1, 3))
+def test_tables_round_trip_exactly(data, n):
+    names = [f"e{i + 1}" for i in range(n)]
+    degrees = data.draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n))
+    pairs = data.draw(sparse_pairs(n))
+    for x, to_obj, from_obj in (
+            (lie_algebra(names, pairs), ser.lie_to_obj, ser.lie_from_obj),
+            (sgla(graded_space(names, degrees), pairs), ser.sgla_to_obj, ser.sgla_from_obj),
+            (prelie_product(names, pairs), ser.prelie_to_obj, ser.prelie_from_obj)):
+        obj = through_json(to_obj(x))
+        again = from_obj(obj)
+        assert again == x
+        assert to_obj(again) == obj
+
+
+def test_table_writer_keeps_both_sides_of_a_broken_pair():
+    # [e1, e2] = e2 and [e2, e1] = e2: both are written, and a zero side as {}
+    alg = lie_algebra(["e1", "e2"], {(0, 1): {1: 1}, (1, 0): {1: 1}})
+    assert [(b["left"], b["right"], b["value"]) for b in ser.lie_to_obj(alg)["brackets"]] == [
+        ("e1", "e2", {"e2": "1"}), ("e2", "e1", {"e2": "1"})]
+    half = lie_algebra(["e1", "e2"], {(0, 1): {1: 1}, (1, 0): {}})
+    assert ser.lie_to_obj(half)["brackets"][1] == {"left": "e2", "right": "e1", "value": {}}
+    assert ser.lie_from_obj(ser.lie_to_obj(half)) == half
+    g = from_lie(alg)
+    assert ser.sgla_from_obj(ser.sgla_to_obj(g)) == g
+    assert not check_sgla(ser.sgla_from_obj(ser.sgla_to_obj(g))).ok
+
+
+# -- malformed input --------------------------------------------------------------
+
+ERRORS = tuple(cls for cls in vars(errors).values()
+               if isinstance(cls, type) and issubclass(cls, Exception))
+
+
+def _fixtures():
+    """(kind, valid payload, reader) for every entity kind."""
+    affine = affine_line()
+    g2, r2 = two_level_sgla(), two_level_rep()
+    sp = {"basis": [{"name": "x", "degree": 0}, {"name": "y", "degree": 1}]}
+    gaff = from_lie(affine)
+    hooked = [{"args": [1], "last": 2, "value": {"v1": "1"}}]
+    return [
+        ("lie_algebra", {"basis": ["e1", "e2"],
+                         "brackets": [{"left": "e1", "right": "e2", "value": {"e2": "1"}}]},
+         ser.lie_from_obj),
+        ("representation", {"basis": ["v1", "v2"],
+                            "action": {"e1": [["1", "0"], ["0", "0"]]}},
+         lambda o: ser.rep_from_obj(o, affine)),
+        ("operator", {"rows": [["0", "1"], ["0", "0"]], "domain": "g", "codomain": "g"},
+         lambda o: (ser.operator_from_obj(o), ser.operator_from_obj(o, 2, 2))),
+        ("altmap", {"arity": 1, "entries": [{"args": [2], "value": {"e1": "1/2"}}]},
+         lambda o: ser.altmap_from_obj(o, 2, affine.basis)),
+        ("prelie", {"basis": ["v1", "v2"],
+                    "products": [{"left": "v2", "right": "v2", "value": {"v2": "1"}}]},
+         ser.prelie_from_obj),
+        ("hooked_map", {"basis": ["v1", "v2"], "arity": 1, "entries": hooked},
+         ser.hooked_from_obj),
+        ("graded_space", sp, ser.gvs_from_obj),
+        ("sgla", {"space": sp, "brackets": [{"left": "x", "right": "x", "value": {"y": "1"}}]},
+         ser.sgla_from_obj),
+        ("graded_rep", ser.grep_to_obj(r2, g2), lambda o: ser.grep_from_obj(o, g2)),
+        ("differential", {"rows": [["0", "0"], ["1", "0"]]},
+         lambda o: ser.differential_from_obj(o, 2)),
+        ("homotopy_operator", {"truncation": 1, "components": [
+            {"weight": 0, "value": {}},
+            {"weight": 1, "entries": [{"args": ["e2"], "value": {"e1": "1"}}]}]},
+         lambda o: ser.hop_from_obj(o, gaff.space, gaff.space)),
+        ("prelie_infinity", {"space": sp, "truncation": 1,
+                             "operations": [{"arity": 1, "entries": [
+                                 {"args": [], "last": "x", "value": {"y": "1"}}]}]},
+         ser.prelie_inf_from_obj),
+        ("sym_family", {"degree": 0, "components": [
+            {"weight": 1, "entries": [{"args": ["e2"], "value": {"e1": "1"}}]}]},
+         lambda o: ser.sym_family_from_obj(o, gaff.space, gaff.space)),
+    ]
+
+
+FIXTURES = _fixtures()
+OTHER_JSON = [None, True, 0, -1, 2, 1.5, "x", "", [], {}, ["x"], [[]], {"x": 1}, {"e1": "1"}]
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        for key, val in node.items():
+            yield from _paths(val, prefix + (key,))
+    elif isinstance(node, list):
+        for i, val in enumerate(node):
+            yield from _paths(val, prefix + (i,))
+
+
+def _mutated(node, path, value, drop):
+    node = copy.deepcopy(node)
+    if not path:
+        return value
+    *head, last = path
+    parent = node
+    for step in head:
+        parent = parent[step]
+    if drop:
+        del parent[last]
+    else:
+        parent[last] = value
+    return node
+
+
+def test_every_kind_has_a_fuzz_fixture_that_reads():
+    assert sorted(kind for kind, _, _ in FIXTURES) == sorted(ser.KINDS)
+    for _, payload, reader in FIXTURES:
+        reader(through_json(payload))
+
+
+@given(st.data())
+def test_a_mutated_field_raises_only_package_errors(data):
+    kind, payload, reader = data.draw(st.sampled_from(FIXTURES), label="fixture")
+    payload = through_json(payload)
+    path = data.draw(st.sampled_from(list(_paths(payload))), label="path")
+    drop = bool(path) and data.draw(st.booleans(), label="drop")
+    value = None if drop else data.draw(st.sampled_from(OTHER_JSON), label="value")
+    try:
+        reader(_mutated(payload, path, value, drop))
+    except ERRORS:
+        pass
+
+
+def test_a_repeated_basis_name_is_a_schema_error():
+    with pytest.raises(SchemaError, match="repeats"):
+        ser.lie_from_obj({"basis": ["e1", "e1"], "brackets": []})
+    with pytest.raises(SchemaError, match="repeats"):
+        ser.gvs_from_obj({"basis": [{"name": "x", "degree": 0}, {"name": "x", "degree": 1}]})
+    with pytest.raises(SchemaError):
+        ser.rep_from_obj({"basis": ["v"], "action": {"e3": [["1"]]}}, affine_line())
+
+
+def test_unreadable_paths_are_schema_errors(tmp_path):
+    with pytest.raises(SchemaError):
+        Workspace().load_file(str(tmp_path))
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"lie_algebra": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    with pytest.raises(SchemaError):
+        Workspace().load_file(str(deep))
