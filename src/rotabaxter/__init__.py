@@ -41,6 +41,7 @@ from .homotopy import (
     is_homotopy_rbo,
     mc_check_homotopy,
     psi,
+    psi_homomorphism_defect,
 )
 from .lie import (
     LieAlgebra,
@@ -65,6 +66,7 @@ from .prelie import (
     induce_prelie,
     mn_bracket,
     phi,
+    phi_homomorphism_defect,
     prelie_product,
 )
 from .reports import Report

@@ -45,8 +45,8 @@ from .graded import (
 )
 from .homotopy import (
     _mc_witness,
+    _psi_witness,
     check_prelie_infinity,
-    check_psi_homomorphism,
     graded_bracket,
     homotopy_oop_residual,
     induce_prelie_infinity,
@@ -54,7 +54,14 @@ from .homotopy import (
     random_sym_family,
 )
 from .lie import adjoint, check_lie, check_representation, is_rota_baxter, oop_defect, search_rbo
-from .prelie import check_phi_homomorphism, check_prelie, induce_prelie, mn_bracket, phi
+from .prelie import (
+    check_phi_homomorphism,
+    check_prelie,
+    induce_prelie,
+    mn_bracket,
+    phi,
+    phi_homomorphism_defect,
+)
 from .reports import Report, named_residual
 from .serialize import Workspace
 
@@ -227,6 +234,20 @@ def _altmap_report(name, f: AltMap, cod_names, order=None) -> Report:
 def _weight_witness(weight, word, value, space, target) -> dict:
     return {"weight": weight, "at": [space.basis[i] for i in word],
             "residual": named_residual(value, target.basis)}
+
+
+def _hook_witness(weight, word, last, value, space) -> dict:
+    """A check-psi-hom witness: a hooked value at (word; last), named."""
+    return {"weight": weight, "at": [space.basis[i] for i in word],
+            "last": space.basis[last], "residual": named_residual(value, space.basis)}
+
+
+def _phi_witness(f, g, alg, rep, arity_max) -> dict:
+    """A check-phi-hom witness: the first key of phi([[f, g]]) - [phi(f), phi(g)]."""
+    defect = phi_homomorphism_defect(f, g, alg, rep, arity_max)
+    word, last = min(defect.entries)
+    return {"arity": len(word), "at": [i + 1 for i in word], "last": last + 1,
+            "residual": named_residual(defect.entries[(word, last)], rep.basis)}
 
 
 def _residual_report(name, residuals, space, target, order) -> Report:
@@ -440,20 +461,22 @@ def check_phi_hom_cmd(cfg, algebra, rep_, left, right, draws):
     rep = _rep(ws, rep_, alg)
     if draws:
         rng = random.Random(cfg.seed)
-        ok = True
-        for _ in range(draws):
+        witness = None
+        for draw in range(1, draws + 1):
             f = random_altmap(rng, rng.randrange(3), rep.space_dim, alg.dim)
             g = random_altmap(rng, rng.randrange(3), rep.space_dim, alg.dim)
             if not check_phi_homomorphism(f, g, alg, rep, cfg.arity_max):
-                ok = False
+                witness = {"draw": draw, **_phi_witness(f, g, alg, rep, cfg.arity_max)}
                 break
-        _finish(cfg, [Report("check-phi-hom", ok, order=cfg.arity_max)])
+        _finish(cfg, [Report("check-phi-hom", witness is None, order=cfg.arity_max,
+                             witness=witness)])
     if left is None or right is None:
         raise click.ClickException("provide --left and --right, or --draws N")
     f = _operator_or_altmap(ws, left, alg, rep)
     g = _operator_or_altmap(ws, right, alg, rep)
     ok = check_phi_homomorphism(f, g, alg, rep, cfg.arity_max)
-    _finish(cfg, [Report("check-phi-hom", ok, order=cfg.arity_max)])
+    witness = None if ok else _phi_witness(f, g, alg, rep, cfg.arity_max)
+    _finish(cfg, [Report("check-phi-hom", ok, order=cfg.arity_max, witness=witness)])
 
 
 @main.command("search-rbo")
@@ -641,20 +664,23 @@ def check_psi_hom_cmd(cfg, sgla_, grep_, left, right, draws):
     galg, grep = _graded_context(ws, sgla_, grep_)
     if draws:
         rng = random.Random(cfg.seed)
-        ok = True
-        for _ in range(draws):
+        witness = None
+        for draw in range(1, draws + 1):
             f = random_sym_family(rng, grep.space, galg.space, rng.choice([-1, 0, 1]), 2)
             g = random_sym_family(rng, grep.space, galg.space, rng.choice([-1, 0, 1]), 2)
-            if not check_psi_homomorphism(f, g, galg, grep, cfg.p_max):
-                ok = False
+            found = _psi_witness(f, g, galg, grep, cfg.p_max)
+            if found is not None:
+                witness = {"draw": draw, **_hook_witness(*found, grep.space)}
                 break
-        _finish(cfg, [Report("check-psi-hom", ok, order=cfg.p_max)])
+        _finish(cfg, [Report("check-psi-hom", witness is None, order=cfg.p_max,
+                             witness=witness)])
     if left is None or right is None:
         raise click.ClickException("provide --left and --right, or --draws N")
     f = _sym_family(ws, left, grep.space, galg.space)
     g = _sym_family(ws, right, grep.space, galg.space)
-    ok = check_psi_homomorphism(f, g, galg, grep, cfg.p_max)
-    _finish(cfg, [Report("check-psi-hom", ok, order=cfg.p_max)])
+    found = _psi_witness(f, g, galg, grep, cfg.p_max)
+    witness = None if found is None else _hook_witness(*found, grep.space)
+    _finish(cfg, [Report("check-psi-hom", found is None, order=cfg.p_max, witness=witness)])
 
 
 if __name__ == "__main__":

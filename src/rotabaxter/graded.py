@@ -92,15 +92,15 @@ def _nonzero_values(space: GradedVectorSpace, weights, on_word, free: bool = Fal
     which ``on_word`` is nonzero, weight by weight and in sorted key order.
 
     The key is the word, or (word, last) with every last argument when
-    ``free`` is set; ``on_word`` takes the word (and the last argument).  A
+    ``free`` is set; ``on_word`` takes the word and returns its value, or
+    when ``free`` is set its values in the order of the last argument.  A
     whole map collects what this yields; a zero test stops at the first
     value, so a PASS still evaluates every key.
     """
     for p in weights:
         for word in canonical_words(space, p):
             if free:
-                for last in range(space.dim):
-                    val = on_word(word, last)
+                for last, val in enumerate(on_word(word)):
                     if any(val):
                         yield p, (word, last), val
             else:
@@ -201,23 +201,42 @@ class SparseMap:
         if n != self.weight or self.free == (last is None):
             raise ShapeMismatchError(f"expected {self.weight} arguments"
                                      f"{' and a last one' if self.free else ''}")
-        negate = False
-        if n > 1:
-            deg = self.space.degrees
-            odd = [a for a in args if deg[a] % 2]
-            if len(set(odd)) < len(odd):
-                return (ZERO,) * self.target.dim
-            for i, a in enumerate(odd):
-                for b in odd[i + 1:]:
-                    if a > b:
-                        negate = not negate
-            word = tuple(sorted(args))
-        else:
-            word = tuple(args)
+        word, negate = self._sorted(args) if n > 1 else (tuple(args), False)
         val = self.entries.get((word, last) if self.free else word)
         if val is None:
             return (ZERO,) * self.target.dim
         return tuple(-x for x in val) if negate else val
+
+    def eval_lasts(self, args) -> dict[int, Vector]:
+        """{last: value on (args; last)} for every last argument where that
+        value is nonzero, for a map with a free slot; the arguments are
+        sorted, and the Koszul sign taken, once for all of them."""
+        n = len(args)
+        if n != self.weight or not self.free:
+            raise ShapeMismatchError(f"expected {self.weight} arguments of a map "
+                                     "with a free slot")
+        word, negate = self._sorted(args) if n > 1 else (tuple(args), False)
+        vals = {}
+        get = self.entries.get
+        for last in range(self.space.dim):
+            val = get((word, last))
+            if val is not None:
+                vals[last] = tuple(-x for x in val) if negate else val
+        return vals
+
+    def _sorted(self, args):
+        """(the canonical word of two or more arguments, whether sorting
+        them negates); the word is None when an odd-degree letter repeats."""
+        deg = self.space.degrees
+        odd = [a for a in args if deg[a] % 2]
+        if len(set(odd)) < len(odd):
+            return None, False
+        negate = False
+        for i, a in enumerate(odd):
+            for b in odd[i + 1:]:
+                if a > b:
+                    negate = not negate
+        return tuple(sorted(args)), negate
 
     def _expand(self, coeffs, term_at) -> Vector:
         out = [0] * self.target.dim

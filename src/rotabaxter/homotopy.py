@@ -203,10 +203,11 @@ def _by_weight(values, den: int) -> dict:
     return out
 
 
-def _bracket_values(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
-                    rep: GradedRepresentation, p_max: int):
-    """(den, the nonzero values of den * [[f, g]] up to weight p_max), the
-    values computed lazily by :func:`bracket_on_word` on the int images."""
+def _cleared_bracket_inputs(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
+                            rep: GradedRepresentation, p_max: int):
+    """(df * dg, ds, f, g, alg, rep) with the inputs of the graded bracket as
+    int images: f times df, g times dg, and (alg, rep) times one ds.  Raises
+    what :func:`graded_bracket` raises before it computes a word."""
     _require_bound(p_max, 0, "p_max")
     if f.space != rep.space or g.space != rep.space:
         raise ShapeMismatchError("families do not live on the module of the action")
@@ -216,7 +217,15 @@ def _bracket_values(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
     df, f = f.cleared()
     dg, g = (df, f) if same else g.cleared()
     ds, alg, rep = cleared_pair(alg, rep)
-    return df * dg * ds, _nonzero_values(
+    return df * dg, ds, f, g, alg, rep
+
+
+def _bracket_values(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
+                    rep: GradedRepresentation, p_max: int):
+    """(den, the nonzero values of den * [[f, g]] up to weight p_max), the
+    values computed lazily by :func:`bracket_on_word` on the int images."""
+    dfg, ds, f, g, alg, rep = _cleared_bracket_inputs(f, g, alg, rep, p_max)
+    return dfg * ds, _nonzero_values(
         rep.space, range(p_max + 1), lambda word: bracket_on_word(f, g, alg, rep, word))
 
 
@@ -449,9 +458,8 @@ def psi(f: GradedSymFamily, rep: GradedRepresentation) -> GradedHookFamily:
     for w, comp in f.components.items():
         entries = {}
         for word, gval in comp.entries.items():
-            mat = rep.rho(gval)
             for j in range(rep.space_dim):
-                col = tuple(mat[r][j] for r in range(rep.space_dim))
+                col = rep.act_basis(gval, j)
                 if any(col):
                     entries[(word, j)] = col
         if entries:
@@ -459,20 +467,25 @@ def psi(f: GradedSymFamily, rep: GradedRepresentation) -> GradedHookFamily:
     return GradedHookFamily(rep.space, f.degree + 1, comps)
 
 
-def hook_compose_on_word(a: GradedHookFamily, b: GradedHookFamily, word, last) -> Vector:
-    """The hooked-family compose on explicit arguments (word; last).
+def hook_compose_lasts(a: GradedHookFamily, b: GradedHookFamily, word) -> list[Vector]:
+    """The hooked-family compose on (word; last) for every last argument, in
+    the order of the last argument.
 
     Two sums: b lands in a symmetric slot of a (absorbing the unshuffle
     singleton into its own free slot), or in the free slot of a with the
     per-term factor (-1)^(deg(b) * sum of a-block degrees); the final
     argument never permutes.  Globally scaled by COMPOSE_NORMALIZATION.
+    The unshuffles, the inner values of the first sum and the a-values of
+    the second do not depend on the last argument, so each is computed once
+    per word, and every map is read through ``eval_lasts``.
     """
     space = a.space
+    dim = space.dim
     degs = tuple(space.degrees[i] for i in word)
     par = tuple(d % 2 for d in degs)
     p = len(word)
     nbar = b.degree
-    out = [0] * space.dim
+    out = [[0] * dim for _ in range(dim)]
     for wb in range(p):
         bb = b.component(wb)
         aa = a.component(p - wb)
@@ -483,10 +496,16 @@ def hook_compose_on_word(a: GradedHookFamily, b: GradedHookFamily, word, last) -
             inner = bb.eval(u[:wb], u[wb])
             if vec_is_zero(inner):
                 continue
-            term = aa.eval_insert(inner, u[wb + 1:], last)
-            for k in range(space.dim):
-                if term[k]:
-                    out[k] += eps * term[k]
+            rest = u[wb + 1:]
+            for j, cj in enumerate(inner):
+                if not cj:
+                    continue
+                c = eps * cj
+                for last, val in aa.eval_lasts((j,) + rest).items():
+                    acc = out[last]
+                    for k, x in enumerate(val):
+                        if x:
+                            acc[k] += c * x
     for wa in range(p + 1):
         aa = a.component(wa)
         bb = b.component(p - wa)
@@ -494,22 +513,37 @@ def hook_compose_on_word(a: GradedHookFamily, b: GradedHookFamily, word, last) -
             continue
         for s, eps in signed_unshuffles((wa, p - wa), par):
             u = tuple(word[i] for i in s)
-            inner = bb.eval(u[wa:], last)
-            if vec_is_zero(inner):
+            inners = bb.eval_lasts(u[wa:])
+            if not inners:
+                continue
+            avals = aa.eval_lasts(u[:wa])
+            if not avals:
                 continue
             d1 = sum(degs[s[t]] for t in range(wa))
             factor = parity_sign(nbar * d1) * eps
-            term = aa.eval_last_insert(u[:wa], inner)
-            for k in range(space.dim):
-                if term[k]:
-                    out[k] += factor * term[k]
-    return tuple(COMPOSE_NORMALIZATION * x for x in out)
+            for last, inner in inners.items():
+                acc = out[last]
+                for j, val in avals.items():
+                    cj = inner[j]
+                    if not cj:
+                        continue
+                    c = factor * cj
+                    for k, x in enumerate(val):
+                        if x:
+                            acc[k] += c * x
+    return [tuple(COMPOSE_NORMALIZATION * x for x in acc) for acc in out]
+
+
+def hook_compose_on_word(a: GradedHookFamily, b: GradedHookFamily, word, last) -> Vector:
+    """The hooked-family compose on explicit arguments (word; last): the
+    ``last`` entry of :func:`hook_compose_lasts`."""
+    return hook_compose_lasts(a, b, word)[last]
 
 
 def hook_compose(a: GradedHookFamily, b: GradedHookFamily,
                  p_max: int = DEFAULT_P_MAX) -> GradedHookFamily:
-    """The compose a o b up to weight p_max: :func:`hook_compose_on_word`
-    on the int images of the two families, each value divided once."""
+    """The compose a o b up to weight p_max: :func:`hook_compose_lasts` on
+    the int images of the two families, each value divided once."""
     _require_bound(p_max, 0, "p_max")
     if a.space != b.space:
         raise ShapeMismatchError("families live on different spaces")
@@ -517,8 +551,7 @@ def hook_compose(a: GradedHookFamily, b: GradedHookFamily,
     da, a = a.cleared()
     db, b = b.cleared()
     values = _nonzero_values(a.space, range(p_max + 1),
-                             lambda word, last: hook_compose_on_word(a, b, word, last),
-                             free=True)
+                             lambda word: hook_compose_lasts(a, b, word), free=True)
     # the compose of homogeneous hooked maps is homogeneous
     comps = {p: GradedHookedMap._on(a.space, a.space, p, degree, entries)
              for p, entries in _by_weight(values, da * db).items()}
@@ -532,12 +565,63 @@ def hook_bracket(a: GradedHookFamily, b: GradedHookFamily,
     return hook_compose(a, b, p_max) - hook_compose(b, a, p_max).scale(s)
 
 
+def psi_homomorphism_defect(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
+                            rep: GradedRepresentation,
+                            p_max: int = DEFAULT_P_MAX) -> GradedHookFamily:
+    """psi([[f, g]]) - [psi(f), psi(g)] up to weight p_max, built as whole
+    families; a :func:`check_psi_homomorphism` witness replays as its value
+    at the witness key."""
+    return (psi(graded_bracket(f, g, alg, rep, p_max), rep)
+            - hook_bracket(psi(f, rep), psi(g, rep), p_max))
+
+
+def _psi_witness(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
+                 rep: GradedRepresentation, p_max: int = DEFAULT_P_MAX):
+    """(weight, word, last, value) of psi([[f, g]]) - [psi(f), psi(g)] at the
+    first canonical (word, last), in weight then sorted order, where it is
+    nonzero, or None when the two sides agree up to weight p_max.
+
+    Word by word on the int images: the action applied to
+    :func:`bracket_on_word` against :func:`hook_compose_lasts` of the int
+    psi(f) and psi(g), both sides carrying df * dg * ds^2, so only the value
+    returned is divided.  It raises what :func:`psi_homomorphism_defect`
+    raises: every bracket value is validated as the bracket's map, and then
+    its action columns as psi's map, on every word even past a difference.
+    """
+    dfg, ds, f, g, alg, rep = _cleared_bracket_inputs(f, g, alg, rep, p_max)
+    space, dim = rep.space, rep.space.dim
+    degree = f.degree + g.degree + 1
+    brackets = {}
+    for p in range(p_max + 1):
+        for word in canonical_words(space, p):
+            val = brackets[word] = bracket_on_word(f, g, alg, rep, word)
+            if any(val):
+                GradedSymMap(space, alg.space, p, degree, {word: val})
+    lhs = {}
+    for word, val in brackets.items():
+        if any(val):
+            cols = lhs[word] = [rep.act_basis(val, last) for last in range(dim)]
+            GradedHookedMap(space, len(word), degree + 1,
+                            {(word, last): c for last, c in enumerate(cols) if any(c)})
+    pf = psi(f, rep).cleared()[1]
+    pg = pf if g is f else psi(g, rep).cleared()[1]
+    s = parity_sign(pf.degree * pg.degree)
+    zeros = [(0,) * dim] * dim
+    for word in brackets:
+        fg = hook_compose_lasts(pf, pg, word)
+        gf = hook_compose_lasts(pg, pf, word)
+        for last, (x, y, z) in enumerate(zip(lhs.get(word, zeros), fg, gf)):
+            res = [xk - yk + s * zk for xk, yk, zk in zip(x, y, z)]
+            if any(res):
+                return len(word), word, last, divided(res, dfg * ds * ds)
+    return None
+
+
 def check_psi_homomorphism(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
                            rep: GradedRepresentation, p_max: int = DEFAULT_P_MAX) -> bool:
-    """Exact equality of psi([[f, g]]) and [psi(f), psi(g)] up to weight p_max."""
-    lhs = psi(graded_bracket(f, g, alg, rep, p_max), rep)
-    rhs = hook_bracket(psi(f, rep), psi(g, rep), p_max)
-    return lhs == rhs
+    """Exact equality of psi([[f, g]]) and [psi(f), psi(g)] up to weight
+    p_max, decided word by word (see :func:`_psi_witness`)."""
+    return _psi_witness(f, g, alg, rep, p_max) is None
 
 
 class PreLieInfinity(GradedHookFamily):
@@ -643,9 +727,10 @@ def check_prelie_infinity(p: PreLieInfinity, n_max: int = DEFAULT_P_MAX,
             raise SearchSpaceError(f"order {n_max} needs at least {total} arguments, "
                                    f"above the cap of {PRELIE_INFINITY_CAP}")
     den, p = p.cleared()
-    nonzero = _nonzero_values(space, range(n_max),
-                              lambda word, last: prelie_infinity_residual(p, word, last),
-                              free=True)
+    nonzero = _nonzero_values(
+        space, range(n_max),
+        lambda word: (prelie_infinity_residual(p, word, last) for last in range(space.dim)),
+        free=True)
     for weight, (word, last), res in nonzero:
         return Report(
             "check-prelie-inf", False, order=n_max,

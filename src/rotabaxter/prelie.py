@@ -225,22 +225,34 @@ def phi(f: AltMap, rep) -> HookedMap:
         raise ShapeMismatchError("map and representation live on different modules")
     entries = {}
     for key, gval in f.entries.items():
-        mat = rep.rho(gval)
         for j in range(rep.space_dim):
-            col = tuple(mat[r][j] for r in range(rep.space_dim))
+            col = rep.act_basis(gval, j)
             if any(col):
                 entries[(key, j)] = col
     return HookedMap(f.arity, rep.space_dim, entries)
 
 
-def check_phi_homomorphism(f: AltMap, g: AltMap, alg, rep,
-                           arity_max: int = DEFAULT_ARITY_MAX) -> bool:
-    """Exact equality of phi([[f, g]]) and [phi(f), phi(g)]."""
+def _phi_sides(f: AltMap, g: AltMap, alg, rep, arity_max: int):
+    """(phi([[f, g]]), [phi(f), phi(g)])."""
     from .deformation import courant_bracket
 
     lhs = phi(courant_bracket(f, g, alg, rep, arity_max), rep)
-    rhs = mn_bracket(phi(f, rep), phi(g, rep), arity_max)
+    return lhs, mn_bracket(phi(f, rep), phi(g, rep), arity_max)
+
+
+def check_phi_homomorphism(f: AltMap, g: AltMap, alg, rep,
+                           arity_max: int = DEFAULT_ARITY_MAX) -> bool:
+    """Exact equality of phi([[f, g]]) and [phi(f), phi(g)]."""
+    lhs, rhs = _phi_sides(f, g, alg, rep, arity_max)
     return lhs == rhs
+
+
+def phi_homomorphism_defect(f: AltMap, g: AltMap, alg, rep,
+                            arity_max: int = DEFAULT_ARITY_MAX) -> HookedMap:
+    """phi([[f, g]]) - [phi(f), phi(g)]: zero exactly when
+    :func:`check_phi_homomorphism` passes; a FAIL's witness is its first key."""
+    lhs, rhs = _phi_sides(f, g, alg, rep, arity_max)
+    return lhs - rhs
 
 
 def induce_prelie(t, alg, rep, force: bool = False) -> PreLieProduct:

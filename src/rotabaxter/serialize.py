@@ -248,11 +248,13 @@ def operator_from_obj(obj, nrows=None, ncols=None) -> LinearOperator:
         nrows = len(rows)
     if ncols is None:
         ncols = len(rows[0]) if rows and isinstance(rows[0], list) else 0
-    return LinearOperator(
-        parse_matrix(rows, nrows, ncols),
-        obj.get("domain", "V"),
-        obj.get("codomain", "g"),
-    )
+    domain = _field(obj, "domain", "V")
+    if domain not in ("V", "g"):
+        raise SchemaError(f"operator domain must be \"V\" or \"g\", got {domain!r}")
+    codomain = _field(obj, "codomain", "g")
+    if codomain != "g":
+        raise SchemaError(f"operator codomain must be \"g\", got {codomain!r}")
+    return LinearOperator(parse_matrix(rows, nrows, ncols), domain, codomain)
 
 
 def operator_to_obj(op: LinearOperator) -> dict:

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -10,10 +11,14 @@ from click.testing import CliRunner
 
 from rotabaxter.catalog import affine_line
 from rotabaxter.cli import main
-from rotabaxter.graded import adjoint_graded, from_lie
-from rotabaxter.homotopy import residual_on_word
+from rotabaxter.deformation import AltMap, random_altmap
+from rotabaxter.graded import GradedRepresentation, adjoint_graded, from_lie
+from rotabaxter.homotopy import psi_homomorphism_defect, random_sym_family, residual_on_word
+from rotabaxter.lie import Representation, operator
+from rotabaxter.linalg import matrix
+from rotabaxter.prelie import phi_homomorphism_defect
 from rotabaxter.reports import named_residual
-from rotabaxter.serialize import hop_from_obj
+from rotabaxter.serialize import hop_from_obj, sym_family_from_obj
 
 AFFINE = {
     "lie_algebra": {
@@ -421,6 +426,100 @@ def test_check_psi_hom_draws(runner, tmp_path):
     assert res.exit_code == 0
 
 
+# rho(e1) and rho(e2) do not intertwine [e1, e2] = e2: an action only in name
+BROKEN_ACTION = {"e1": [["1", "0"], ["0", "0"]], "e2": [["0", "0"], ["0", "1"]]}
+BROKEN_MATRICES = (matrix(BROKEN_ACTION["e1"]), matrix(BROKEN_ACTION["e2"]))
+
+
+def _report(res):
+    return json.loads(res.output[res.output.index("\n{"):])
+
+
+def _first_key(defect_family):
+    """(weight, (word, last)) of the first nonzero value, in weight then key order."""
+    return min((w, key) for w, comp in defect_family.components.items() for key in comp.entries)
+
+
+def test_check_psi_hom_failure_reports_a_replayable_witness(runner, tmp_path):
+    alg = write(tmp_path, "L.json", AFFINE)
+    sgla_path = str(tmp_path / "g.json")
+    runner.invoke(main, ["from-lie", "--algebra", alg, "--out", sgla_path])
+    grep_path = write(tmp_path, "rho.json", {"graded_rep": {"action": BROKEN_ACTION}})
+    families = {name: {"sym_family": {"degree": 0, "components": [
+        {"weight": 1, "entries": [{"args": [arg], "value": value}]}]}}
+        for name, arg, value in (("f", "e2", {"e1": "1/2"}), ("g", "e1", {"e2": "-1/3"}))}
+    left, right = (write(tmp_path, f"family_{n}.json", families[n]) for n in ("f", "g"))
+    res = runner.invoke(main, ["--json-report", "-", "check-psi-hom", "--sgla", sgla_path,
+                               "--grep", grep_path, "--left", left, "--right", right])
+    assert res.exit_code == 1
+    assert res.output.startswith("check-psi-hom: FAIL (order=4)\n  witness: {")
+    witness = _report(res)["witness"]
+    assert set(witness) == {"weight", "at", "last", "residual"}
+    # psi([[f, g]]) - [psi(f), psi(g)] built as whole families replays it
+    galg = from_lie(affine_line())
+    grep = GradedRepresentation(galg.space, BROKEN_MATRICES)
+    f, g = (sym_family_from_obj(families[n]["sym_family"], grep.space, galg.space)
+            for n in ("f", "g"))
+    defect = psi_homomorphism_defect(f, g, galg, grep, 4)
+    word = tuple(grep.space.index(name) for name in witness["at"])
+    last = grep.space.index(witness["last"])
+    assert (witness["weight"], (word, last)) == _first_key(defect)
+    replay = defect.component(len(word)).eval(word, last)
+    assert witness["residual"] == named_residual(replay, grep.space.basis) != {}
+
+    # a --draws FAIL names its draw, and the draw replays the same way
+    res = runner.invoke(main, ["--seed", "3", "--json-report", "-", "check-psi-hom",
+                               "--sgla", sgla_path, "--grep", grep_path, "--draws", "6"])
+    assert res.exit_code == 1
+    witness = _report(res)["witness"]
+    assert set(witness) == {"draw", "weight", "at", "last", "residual"}
+    rng = random.Random(3)
+    for _ in range(witness["draw"]):
+        f = random_sym_family(rng, grep.space, galg.space, rng.choice([-1, 0, 1]), 2)
+        g = random_sym_family(rng, grep.space, galg.space, rng.choice([-1, 0, 1]), 2)
+    defect = psi_homomorphism_defect(f, g, galg, grep, 4)
+    word = tuple(grep.space.index(name) for name in witness["at"])
+    last = grep.space.index(witness["last"])
+    assert (witness["weight"], (word, last)) == _first_key(defect)
+    replay = defect.component(len(word)).eval(word, last)
+    assert witness["residual"] == named_residual(replay, grep.space.basis) != {}
+
+
+def test_check_phi_hom_failure_reports_a_replayable_witness(runner, tmp_path):
+    alg = write(tmp_path, "L.json", AFFINE)
+    rep_path = write(tmp_path, "rho.json", {"representation": {"basis": ["v1", "v2"],
+                                                                "action": BROKEN_ACTION}})
+    ident = write(tmp_path, "I.json", IDENT)
+    res = runner.invoke(main, ["--json-report", "-", "check-phi-hom", "--algebra", alg,
+                               "--rep", rep_path, "--left", ident, "--right", ident])
+    assert res.exit_code == 1
+    assert res.output.startswith("check-phi-hom: FAIL (order=6)\n  witness: {")
+    witness = _report(res)["witness"]
+    assert set(witness) == {"arity", "at", "last", "residual"}
+    # phi([[f, g]]) - [phi(f), phi(g)] replays it at its first key
+    lie = affine_line()
+    rep = Representation(("v1", "v2"), BROKEN_MATRICES)
+    t = AltMap.from_operator(operator(IDENT["operator"]["rows"], "g", "g"))
+    defect = phi_homomorphism_defect(t, t, lie, rep)
+    key = (tuple(i - 1 for i in witness["at"]), witness["last"] - 1)
+    assert key == min(defect.entries) and len(key[0]) == witness["arity"]
+    assert witness["residual"] == named_residual(defect.entries[key], rep.basis) != {}
+
+    res = runner.invoke(main, ["--seed", "0", "--json-report", "-", "check-phi-hom",
+                               "--algebra", alg, "--rep", rep_path, "--draws", "5"])
+    assert res.exit_code == 1
+    witness = _report(res)["witness"]
+    assert set(witness) == {"draw", "arity", "at", "last", "residual"}
+    rng = random.Random(0)
+    for _ in range(witness["draw"]):
+        f = random_altmap(rng, rng.randrange(3), 2, 2)
+        g = random_altmap(rng, rng.randrange(3), 2, 2)
+    defect = phi_homomorphism_defect(f, g, lie, rep)
+    key = (tuple(i - 1 for i in witness["at"]), witness["last"] - 1)
+    assert key == min(defect.entries)
+    assert witness["residual"] == named_residual(defect.entries[key], rep.basis) != {}
+
+
 def test_unresolved_reference_errors(runner, tmp_path):
     alg = write(tmp_path, "L.json", AFFINE)
     res = runner.invoke(main, ["check-rbo", "--algebra", alg, "--op", "nosuch.json"])
@@ -541,3 +640,14 @@ def test_malformed_input_is_a_schema_error(runner, tmp_path, case):
     assert isinstance(res.exception, SystemExit), res.exception
     assert res.exit_code == 1
     assert res.output.startswith("Error: ") and "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("field, value", [("domain", "W"), ("domain", [1, {"x": None}]),
+                                          ("codomain", "V"), ("codomain", 7)])
+def test_an_unknown_operator_space_is_a_schema_error(runner, tmp_path, field, value):
+    alg = write(tmp_path, "L.json", AFFINE)
+    op = write(tmp_path, "P.json", {"operator": {**RBO["operator"], field: value}})
+    res = runner.invoke(main, ["check-rbo", "--algebra", alg, "--op", op])
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert res.exit_code == 1
+    assert res.output.startswith(f"Error: operator {field} must be") and "Traceback" not in res.output

@@ -8,6 +8,7 @@ independent oracles are compared with each other.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -28,23 +29,36 @@ from rotabaxter.embed import (
     homotopy_operator_from_linear,
     hook_family_from_hooked,
 )
-from rotabaxter.graded import GradedRepresentation, SGLA, check_graded_rep, check_sgla
+from rotabaxter import homotopy
+from rotabaxter.errors import ShapeMismatchError
+from rotabaxter.graded import (
+    GradedRepresentation,
+    SGLA,
+    check_graded_rep,
+    check_sgla,
+    suspend,
+)
 from rotabaxter.homotopy import (
     HomotopyOperator,
     bracket_on_word,
     canonical_words,
     _mc_witness,
+    _psi_witness,
     check_prelie_infinity,
+    check_psi_homomorphism,
     expand_low_identities,
     graded_bracket,
     homotopy_oop_residual,
+    hook_bracket,
     hook_compose,
+    hook_compose_lasts,
     hook_compose_on_word,
     induce_prelie_infinity,
     is_homotopy_oop,
     mc_check_homotopy,
     prelie_infinity_residual,
     psi,
+    psi_homomorphism_defect,
     random_homotopy_operator,
     random_sym_family,
     residual_on_word,
@@ -331,3 +345,106 @@ def test_algebra_and_action_share_one_denominator():
     assert den == 6
     assert all(type(x) is int for plane in ia.c for row in plane for x in row)
     assert ia.c == scaled(alg.c, 6) and ir.matrices == scaled(rep.matrices, 6)
+
+
+GRADED = ("two-level", "mixed/adjoint", "three-level/adjoint")
+
+
+def broken_action(rep, rng, kind):
+    """The action with one nonzero entry scaled ("scale", still homogeneous,
+    usually no longer an action) or one zero entry set ("fill", usually
+    inhomogeneous); "valid" leaves it alone."""
+    mats = [[list(row) for row in m] for m in rep.matrices]
+    cells = [(i, r, c) for i, m in enumerate(mats) for r, row in enumerate(m)
+             for c in range(len(row))]
+    if kind == "scale":
+        i, r, c = rng.choice([x for x in cells if mats[x[0]][x[1]][x[2]]])
+        mats[i][r][c] *= rng.choice((Fraction(2), Fraction(-1), Fraction(1, 3)))
+    elif kind == "fill":
+        i, r, c = rng.choice([x for x in cells if not mats[x[0]][x[1]][x[2]]])
+        mats[i][r][c] = rng.choice(POOL)
+    return GradedRepresentation(rep.space, tuple(tuple(map(tuple, m)) for m in mats))
+
+
+def outcome(check, *args):
+    """What a check returns, or the type and message of what it raises."""
+    try:
+        return check(*args)
+    except ShapeMismatchError as exc:
+        return type(exc), str(exc)
+
+
+def family_psi_check(f, g, alg, rep, p_max):
+    """The whole-family comparison: psi([[f, g]]) == [psi(f), psi(g)]."""
+    lhs = psi(graded_bracket(f, g, alg, rep, p_max), rep)
+    rhs = hook_bracket(psi(f, rep), psi(g, rep), p_max)
+    return lhs == rhs
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(GRADED), scales, scales, st.integers(-1, 1), st.integers(-1, 1),
+       st.sampled_from(("scale", "valid", "scale", "fill", "scale", "other space",
+                        "same family")),
+       st.integers(1, 3), rngs)
+def test_the_word_by_word_psi_check_matches_the_family_comparison(
+        name, a, d, df, dg, kind, p_max, rng):
+    alg, rep = graded_pair(name, a, d)
+    rep = broken_action(rep, rng, kind)
+    f = random_sym_family(rng, rep.space, alg.space, df, 2, pool=POOL)
+    g = f if kind == "same family" else random_sym_family(rng, rep.space, alg.space, dg, 2,
+                                                          pool=POOL)
+    if kind == "other space":
+        f = random_sym_family(rng, suspend(rep.space, 1), alg.space, df, 2, pool=POOL)
+    want = outcome(family_psi_check, f, g, alg, rep, p_max)
+    assert outcome(check_psi_homomorphism, f, g, alg, rep, p_max) == want
+    if want is not False:
+        return
+    # the witness is the first key of the whole-family defect, and its value
+    weight, word, last, value = _psi_witness(f, g, alg, rep, p_max)
+    defect = psi_homomorphism_defect(f, g, alg, rep, p_max)
+    first = min((w, key) for w, comp in defect.components.items() for key in comp.entries)
+    assert (weight, (word, last)) == first
+    assert value == defect.component(weight).eval(word, last)
+
+
+def test_the_psi_check_runs_the_bracket_once_per_canonical_word(monkeypatch):
+    calls = []
+    kernel = homotopy.bracket_on_word
+    monkeypatch.setattr(homotopy, "bracket_on_word",
+                        lambda *args: calls.append(args[-1]) or kernel(*args))
+    rng = random.Random(7)
+    verdicts = []
+    for name in GRADED:
+        alg, rep = graded_pair(name, (Fraction(1, 2), Fraction(1), Fraction(-1, 3)),
+                               (Fraction(5, 12), Fraction(1), Fraction(2)))
+        words = [w for p in range(4) for w in canonical_words(rep.space, p)]
+        for kind in ("valid", "scale"):
+            action = broken_action(rep, rng, kind)
+            f = random_sym_family(rng, rep.space, alg.space, 0, 2, pool=POOL)
+            g = random_sym_family(rng, rep.space, alg.space, 1, 2, pool=POOL)
+            want = family_psi_check(f, g, alg, action, 3)
+            calls.clear()
+            verdicts.append(check_psi_homomorphism(f, g, alg, action, 3))
+            assert verdicts[-1] == want
+            assert calls == words
+    assert False in verdicts  # so a FAIL, too, evaluated every word once
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(GRADED), scales, scales, st.integers(-1, 1), st.integers(-1, 1), rngs)
+def test_the_all_lasts_kernel_matches_the_composed_family(name, a, d, df, dg, rng):
+    alg, rep = graded_pair(name, a, d)
+    space, p_max = rep.space, 3
+    f = random_sym_family(rng, space, alg.space, df, 2, pool=POOL)
+    g = random_sym_family(rng, space, alg.space, dg, 2, pool=POOL)
+    ha, hb = psi(f, rep), psi(g, rep)
+    comp = hook_compose(ha, hb, p_max)
+    for p in range(p_max + 1):
+        for word in canonical_words(space, p):
+            got = hook_compose_lasts(ha, hb, word)
+            assert got == [comp.component(p).eval(word, last) for last in range(space.dim)]
+    # eval_lasts is eval at every last argument, on words in any order
+    for m in list(ha.components.values()) + list(hb.components.values()):
+        for args in itertools.product(range(space.dim), repeat=m.weight):
+            want = {last: m.eval(args, last) for last in range(space.dim)}
+            assert m.eval_lasts(args) == {k: v for k, v in want.items() if any(v)}
