@@ -20,9 +20,9 @@ import click
 from . import serialize as ser
 from .deformation import (
     AltMap,
+    _deform_witness,
     _mc_vanishes,
     courant_bracket,
-    deformation_check,
     mc_residual,
     random_altmap,
 )
@@ -222,13 +222,16 @@ def _hooked(ws, ref):
     return ser.hooked_from_obj(_resolve(ws, ref, "hooked_map"))
 
 
+def _altmap_witness(word, value, cod_names) -> dict:
+    return {"at": [i + 1 for i in word], "residual": ser.value_obj(value, cod_names)}
+
+
 def _altmap_report(name, f: AltMap, cod_names, order=None) -> Report:
     if f.is_zero():
         return Report(name, True, order=order)
     key = sorted(f.entries)[0]
     return Report(name, False, order=order,
-                  witness={"at": [i + 1 for i in key],
-                           "residual": ser.value_obj(f.entries[key], cod_names)})
+                  witness=_altmap_witness(key, f.entries[key], cod_names))
 
 
 def _weight_witness(weight, word, value, space, target) -> dict:
@@ -380,8 +383,9 @@ def deform_cmd(cfg, algebra, rep_, base, delta):
     tp = _operator_or_altmap(ws, delta, alg, rep)
     if not _mc_vanishes(t, alg, rep, cfg.arity_max):
         raise click.ClickException("the base operator is not an O-operator")
-    ok = deformation_check(t, tp, alg, rep, cfg.arity_max)
-    _finish(cfg, [Report("deform", ok)])
+    found = _deform_witness(t, tp, alg, rep, cfg.arity_max)
+    witness = None if found is None else _altmap_witness(*found, alg.basis)
+    _finish(cfg, [Report("deform", found is None, witness=witness)])
 
 
 @main.command("induce-prelie")

@@ -90,7 +90,8 @@ def unshuffles(shape) -> list[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=1024)
-def signed_unshuffles(shape: tuple[int, ...], parities: tuple[int, ...] | None = None):
+def signed_unshuffles(shape: tuple[int, ...], parities: tuple[int, ...] | None = None,
+                      pattern: tuple[int, ...] | None = None):
     """The unshuffles of ``shape``, each paired with its sign, as a tuple.
 
     With ``parities`` None the sign is the permutation parity :func:`sign`
@@ -98,10 +99,27 @@ def signed_unshuffles(shape: tuple[int, ...], parities: tuple[int, ...] | None =
     of the letter at position i and the sign is :func:`koszul_sign`.  Both
     depend only on the shape and the parity pattern, so the per-word kernels
     share one table per key instead of recomputing signs per word and term.
+
+    ``pattern[i]`` names the letter at position i (equal names for equal
+    letters, e.g. ``tuple(map(word.index, word))``).  With a pattern, the
+    unshuffles that rearrange the word into the same word are merged: one
+    representative is kept, paired with the sum of their signs, and a group
+    whose signs cancel (only possible when an odd letter repeats) is dropped.
+    A kernel whose term is the sign times a function of the rearranged word
+    alone sums the same total over the merged table.
     """
-    if parities is None:
-        return tuple((s, sign(s)) for s in unshuffles(shape))
-    return tuple((s, koszul_sign(s, parities)) for s in unshuffles(shape))
+    if pattern is None:
+        if parities is None:
+            return tuple((s, sign(s)) for s in unshuffles(shape))
+        return tuple((s, koszul_sign(s, parities)) for s in unshuffles(shape))
+    merged: dict = {}
+    for s, eps in signed_unshuffles(shape, parities):
+        key = tuple(pattern[i] for i in s)
+        if key in merged:
+            merged[key][1] += eps
+        else:
+            merged[key] = [s, eps]
+    return tuple((s, c) for s, c in merged.values() if c)
 
 
 def multinomial(shape) -> int:

@@ -84,7 +84,11 @@ def _check_spaces(f: AltMap, g: AltMap, alg, rep):
 
 def courant_on_word(f: AltMap, g: AltMap, alg, rep, word) -> Vector:
     """The bracket [[f, g]] of :func:`courant_bracket` on an explicit word of
-    arity(f) + arity(g) arguments: its three sums over unshuffles."""
+    arity(f) + arity(g) arguments: its three sums over unshuffles.
+
+    The unshuffle tables are the unmerged ones: the canonical words of the
+    ungraded complex never repeat a letter, so no two unshuffles rearrange
+    one into the same word."""
     n, m = f.arity, g.arity
     mn = parity_sign(m * n)
     val = [0] * f.dim_cod
@@ -202,14 +206,14 @@ def d_T(t: AltMap, f: AltMap, alg, rep, force: bool = False,
     return courant_bracket(t, f, alg, rep, arity_max)
 
 
-def deformation_check(t: AltMap, tp: AltMap, alg, rep,
-                      arity_max: int = DEFAULT_ARITY_MAX) -> bool:
-    """Whether t + tp is again an O-operator, tested via the Maurer-Cartan
-    equation d_t(tp) + 1/2 [[tp, tp]] = 0 of the twisted complex.
+def _twisted_values(t: AltMap, tp: AltMap, alg, rep, arity_max: int):
+    """(den, the nonzero values of den * ([[t, tp]] + 1/2 [[tp, tp]]) on the
+    canonical arity-2 words), computed lazily on ints.
 
-    With t and tp cleared over one common denominator, the equation is
-    2 [[t, tp]] + [[tp, tp]] = 0 on ints; the test stops at the first word
-    where it fails.
+    With t and tp cleared over one common denominator d, and (alg, rep) over
+    ds, the sum is 2 [[t, tp]] + [[tp, tp]] on the int images, and den is
+    2 d^2 ds.  When t is an O-operator, [[t, t]] is zero and the sum is
+    :func:`mc_residual` of t + tp.
     """
     if t.arity != 1 or tp.arity != 1:
         raise ShapeMismatchError("deformations are 1-ary maps")
@@ -217,14 +221,36 @@ def deformation_check(t: AltMap, tp: AltMap, alg, rep,
     _check_arity(1, 1, arity_max)
     den = common_denominator(x for f in (t, tp) for v in f.entries.values() for x in v)
     it, itp = t.integral(den), tp.integral(den)
-    _, alg, rep = cleared_pair(alg, rep)
+    ds, alg, rep = cleared_pair(alg, rep)
 
     def twisted(word):
         lin = courant_on_word(it, itp, alg, rep, word)
         quad = courant_on_word(itp, itp, alg, rep, word)
         return tuple(2 * a + b for a, b in zip(lin, quad))
 
-    return next(_nonzero_values(t.space, (2,), twisted), None) is None
+    return 2 * den * den * ds, _nonzero_values(t.space, (2,), twisted)
+
+
+def _deform_witness(t: AltMap, tp: AltMap, alg, rep, arity_max: int = DEFAULT_ARITY_MAX):
+    """(word, value) of [[t, tp]] + 1/2 [[tp, tp]] at the first canonical
+    arity-2 word where it is nonzero, or None when it vanishes; only the
+    value returned is divided."""
+    den, values = _twisted_values(t, tp, alg, rep, arity_max)
+    for _, word, val in values:
+        return word, divided(val, den)
+    return None
+
+
+def deformation_check(t: AltMap, tp: AltMap, alg, rep,
+                      arity_max: int = DEFAULT_ARITY_MAX) -> bool:
+    """Whether t + tp is again an O-operator, tested via the Maurer-Cartan
+    equation d_t(tp) + 1/2 [[tp, tp]] = 0 of the twisted complex.
+
+    The test runs on ints and stops at the first word where it fails (see
+    :func:`_twisted_values`).
+    """
+    _, values = _twisted_values(t, tp, alg, rep, arity_max)
+    return next(values, None) is None
 
 
 def random_altmap(rng, arity, dim_dom, dim_cod, pool=None, density=0.8) -> AltMap:

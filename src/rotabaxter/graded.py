@@ -11,7 +11,7 @@ bracket and the degree-1 action then reproduce the ungraded axioms, since
 from __future__ import annotations
 
 import copy
-import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache
@@ -46,13 +46,17 @@ from .reports import Report, named_residual, scalar_text
 class GradedVectorSpace:
     basis: tuple[str, ...]
     degrees: tuple[int, ...]
-    # Stored at construction: every kernel reads it.  A cached_property would
-    # write the instance dict after construction, which in CPython 3.11 slows
-    # every other attribute read on the object (degrees: 17 ns -> 92 ns).
+    # Stored at construction: every kernel reads them.  A cached_property
+    # would write the instance dict after construction, which in CPython 3.11
+    # slows every other attribute read on the object (degrees: 17 ns -> 92 ns).
     dim: int = field(init=False, repr=False, compare=False)
+    # the one degree of a space concentrated in a single degree, else None
+    uniform_degree: int | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "dim", len(self.basis))
+        object.__setattr__(self, "uniform_degree",
+                           self.degrees[0] if len(set(self.degrees)) == 1 else None)
 
     def index(self, name: str) -> int:
         return self.basis.index(name)
@@ -79,12 +83,44 @@ def ungraded_space(dim: int) -> GradedVectorSpace:
 
 
 def canonical_words(space: GradedVectorSpace, weight: int):
-    """Weakly increasing index words with no odd-degree index repeated."""
-    for word in itertools.combinations_with_replacement(range(space.dim), weight):
-        if any(a == b and space.degrees[a] % 2
-               for a, b in zip(word, word[1:])):
+    """Weakly increasing index words with no odd-degree index repeated, in
+    sorted order.
+
+    The words are built letter by letter, and a prefix is extended only when
+    it completes to a word of the weight, so the cost is that of the words
+    themselves: a weight above the odd letters of a space without even ones
+    yields nothing at once.
+    """
+    dim, deg = space.dim, space.degrees
+    # room[a]: the most letters a word may still take from letter a on
+    room = [0] * (dim + 1)
+    for a in range(dim - 1, -1, -1):
+        room[a] = min(weight, room[a + 1] + 1) if deg[a] % 2 else weight
+    stack = [((), 0)] if room[0] >= weight else []
+    while stack:
+        word, start = stack.pop()
+        if len(word) == weight:
+            yield word
             continue
-        yield word
+        need = weight - len(word) - 1
+        # pushed in reverse, so the smallest next letter is extended first
+        for a in range(dim - 1, start - 1, -1):
+            nxt = a + deg[a] % 2
+            if room[nxt] >= need:
+                stack.append((word + (a,), nxt))
+
+
+def canonical_word_count(space: GradedVectorSpace, weight: int) -> int:
+    """The number of :func:`canonical_words` of a weight, in closed form: a
+    canonical word holds k distinct odd-degree letters and weight - k
+    even-degree ones with repeats, so with n_odd and n_even letters of each
+    parity it is the sum over k of C(n_odd, k) C(n_even + weight - k - 1, weight - k).
+    """
+    n_odd = sum(d % 2 for d in space.degrees)
+    n_even = space.dim - n_odd
+    return sum(math.comb(n_odd, k)
+               * (math.comb(n_even + weight - k - 1, weight - k) if weight > k else 1)
+               for k in range(min(n_odd, weight) + 1))
 
 
 def _nonzero_values(space: GradedVectorSpace, weights, on_word, free: bool = False):
@@ -140,8 +176,6 @@ class SparseMap:
         self.weight = int(weight)
         self.degree = int(degree)
         deg = space.degrees
-        # a target in a single degree (every ungraded one) skips the per-value test
-        uniform = target.degrees[0] if len(set(target.degrees)) == 1 else None
         clean = {}
         for key, val in (entries or {}).items():
             if self.free:
@@ -150,10 +184,8 @@ class SparseMap:
                     raise ShapeMismatchError(f"free argument {last} out of range")
                 word = tuple(word)
                 key = (word, last)
-                want = self.degree + deg[last]
             else:
                 word = key = tuple(key)
-                want = self.degree
             if len(word) != self.weight:
                 raise ShapeMismatchError(f"word {word} does not have weight {self.weight}")
             if list(word) != sorted(word):
@@ -164,15 +196,31 @@ class SparseMap:
                     a == b and deg[a] % 2 for a, b in zip(word, word[1:])):
                 raise ShapeMismatchError(f"word {word} repeats an odd-degree index")
             val = tuple(map(fr, val))
-            if len(val) != target.dim:
-                raise ShapeMismatchError("value length does not match the target dimension")
-            want += sum(map(deg.__getitem__, word))
-            if want != uniform and any(
-                    x and target.degrees[k] != want for k, x in enumerate(val)):
-                raise ShapeMismatchError(f"value at {key} is not homogeneous of degree {want}")
+            self._check_value(key, val)
             if any(val):
                 clean[key] = val
         self.entries = clean
+
+    def _check_value(self, key, val) -> None:
+        """Raise unless ``val`` may be stored at ``key``, a valid key of this
+        map: one coordinate per target basis element, and homogeneous of
+        degree (word degree) + (degree of last) + degree.  The constructor
+        checks each entry with it; a kernel can check an int value directly.
+        """
+        deg = self.space.degrees
+        if self.free:
+            word, last = key
+            want = self.degree + deg[last]
+        else:
+            word, want = key, self.degree
+        target = self.target
+        if len(val) != target.dim:
+            raise ShapeMismatchError("value length does not match the target dimension")
+        want += sum(map(deg.__getitem__, word))
+        # a target in a single degree (every ungraded one) skips the per-value test
+        if want != target.uniform_degree and any(
+                x and target.degrees[k] != want for k, x in enumerate(val)):
+            raise ShapeMismatchError(f"value at {key} is not homogeneous of degree {want}")
 
     @classmethod
     def zero(cls, *shape):

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 from .combinatorics import parity_sign, signed_unshuffles
 from .errors import (
@@ -40,6 +41,7 @@ from .graded import (
     SparseMap,
     _nonzero_values,
     adjoint_graded,
+    canonical_word_count,
     canonical_words,
 )
 from .linalg import (
@@ -62,12 +64,41 @@ DEFAULT_P_MAX = 4
 # counted as the sum of n * dim^n.  The cap allows n_max 13 on a
 # 2-dimensional space and 631 on a 1-dimensional one, about a second each.
 PRELIE_INFINITY_CAP = 200_000
+# Work a walk over the canonical words of weights 0..p_max may take: each
+# weight is a step, even an empty one, and a word of weight p costs about p
+# steps (its letters are sorted, signed and unshuffled), so the work is
+# counted as p_max + 1 plus the sum of p times the number of words of weight p.
+CANONICAL_WORD_CAP = 200_000
 
 
 def _require_bound(value: int, least: int, name: str) -> None:
     """Reject a bound below the first weight or order a check must cover."""
     if value < least:
         raise BoundError(f"{name} must be at least {least}, got {value}")
+
+
+@lru_cache(maxsize=256)
+def _walk_steps(space: GradedVectorSpace, p_max: int) -> int:
+    """The work of a walk up to weight p_max (see CANONICAL_WORD_CAP), the
+    words counted by :func:`canonical_word_count` and only until the cap is
+    passed, so a huge p_max costs nothing."""
+    total = p_max + 1
+    # a space without even letters has no words above its odd letters
+    top = p_max if any(d % 2 == 0 for d in space.degrees) else min(p_max, space.dim)
+    for p in range(top + 1):
+        if total > CANONICAL_WORD_CAP:
+            break
+        total += p * canonical_word_count(space, p)
+    return total
+
+
+def _require_walk(space: GradedVectorSpace, p_max: int) -> None:
+    """Refuse a walk over the canonical words up to p_max whose work, counted
+    first, is above CANONICAL_WORD_CAP."""
+    total = _walk_steps(space, p_max)
+    if total > CANONICAL_WORD_CAP:
+        raise SearchSpaceError(f"p_max {p_max} needs at least {total} steps over canonical "
+                               f"words, above the cap of {CANONICAL_WORD_CAP}")
 
 
 def word_degree(space: GradedVectorSpace, word) -> int:
@@ -127,21 +158,24 @@ def bracket_on_word(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
     Three sums over unshuffles: g inserted into f through the action, f
     inserted into g with the factor (-1)^((m+1)(n+1)), and the bracket of
     values with the per-term factor -(-1)^(n(sum of f-block degrees)+m+1),
-    where m, n are the degrees of f and g.
+    where m, n are the degrees of f and g.  Unshuffles that rearrange the
+    word into the same word are summed once (see :func:`signed_unshuffles`).
     """
     degs = tuple(f.space.degrees[i] for i in word)
     par = tuple(d % 2 for d in degs)
+    pat = tuple(map(word.index, word))
     p = len(word)
     m, n = f.degree, g.degree
+    fc, gc = f.components, g.components
     dim_g = alg.dim
     out = [0] * dim_g
     # g inserted into an argument slot of f
     for l in range(p):
-        gl = g.component(l)
-        fk = f.component(p - l)
-        if gl.is_zero() or fk.is_zero():
+        gl = gc.get(l)
+        fk = fc.get(p - l)
+        if gl is None or fk is None:
             continue
-        for s, eps in signed_unshuffles((l, 1, p - l - 1), par):
+        for s, eps in signed_unshuffles((l, 1, p - l - 1), par, pat):
             u = tuple(word[i] for i in s)
             gval = gl.eval(u[:l])
             if vec_is_zero(gval):
@@ -156,11 +190,11 @@ def bracket_on_word(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
     # f inserted into an argument slot of g
     s2 = parity_sign((m + 1) * (n + 1))
     for a in range(p):
-        fa = f.component(a)
-        gl = g.component(p - a)
-        if fa.is_zero() or gl.is_zero():
+        fa = fc.get(a)
+        gl = gc.get(p - a)
+        if fa is None or gl is None:
             continue
-        for s, eps in signed_unshuffles((a, 1, p - a - 1), par):
+        for s, eps in signed_unshuffles((a, 1, p - a - 1), par, pat):
             u = tuple(word[i] for i in s)
             fval = fa.eval(u[:a])
             if vec_is_zero(fval):
@@ -174,11 +208,11 @@ def bracket_on_word(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
                     out[k] += s2 * eps * term[k]
     # bracket of values
     for a in range(p + 1):
-        fa = f.component(a)
-        gb = g.component(p - a)
-        if fa.is_zero() or gb.is_zero():
+        fa = fc.get(a)
+        gb = gc.get(p - a)
+        if fa is None or gb is None:
             continue
-        for s, eps in signed_unshuffles((a, p - a), par):
+        for s, eps in signed_unshuffles((a, p - a), par, pat):
             u = tuple(word[i] for i in s)
             x = fa.eval(u[:a])
             if vec_is_zero(x):
@@ -213,6 +247,7 @@ def _cleared_bracket_inputs(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
         raise ShapeMismatchError("families do not live on the module of the action")
     if f.target != alg.space or g.target != alg.space:
         raise ShapeMismatchError("families do not take values in the algebra")
+    _require_walk(rep.space, p_max)
     same = g is f
     df, f = f.cleared()
     dg, g = (df, f) if same else g.cleared()
@@ -263,17 +298,20 @@ def shifted_bracket(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
 def residual_on_word(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
                      word) -> Vector:
     """Generalized Rota-Baxter residual on an explicit word, bracket side
-    minus operator side; at weight 0 this is [Omega, Omega]/2."""
+    minus operator side; at weight 0 this is [Omega, Omega]/2.  Unshuffles
+    that rearrange the word into the same word are summed once."""
     par = tuple(t.space.degrees[i] % 2 for i in word)
+    pat = tuple(map(word.index, word))
     p = len(word)
+    comps = t.components
     dim_g = alg.dim
     lhs = [0] * dim_g
     for l in range(p):
-        tl = t.component(l)
-        tk = t.component(p - l)
-        if tl.is_zero() or tk.is_zero():
+        tl = comps.get(l)
+        tk = comps.get(p - l)
+        if tl is None or tk is None:
             continue
-        for s, eps in signed_unshuffles((l, 1, p - l - 1), par):
+        for s, eps in signed_unshuffles((l, 1, p - l - 1), par, pat):
             u = tuple(word[i] for i in s)
             tval = tl.eval(u[:l])
             if vec_is_zero(tval):
@@ -287,11 +325,11 @@ def residual_on_word(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
                     lhs[k] += eps * term[k]
     rhs = [0] * dim_g
     for a in range(p + 1):
-        ta = t.component(a)
-        tb = t.component(p - a)
-        if ta.is_zero() or tb.is_zero():
+        ta = comps.get(a)
+        tb = comps.get(p - a)
+        if ta is None or tb is None:
             continue
-        for s, eps in signed_unshuffles((a, p - a), par):
+        for s, eps in signed_unshuffles((a, p - a), par, pat):
             u = tuple(word[i] for i in s)
             x = ta.eval(u[:a])
             if vec_is_zero(x):
@@ -320,6 +358,7 @@ def homotopy_oop_residual(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentati
     _require_bound(p_max, 0, "p_max")
     if t.degree != 0:
         raise ShapeMismatchError("homotopy operators are degree-0 families")
+    _require_walk(rep.space, p_max)
     dt, t = t.cleared()
     ds, alg, rep = cleared_pair(alg, rep)
     by_weight = _by_weight(_nonzero_values(
@@ -346,6 +385,7 @@ def is_homotopy_oop(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
     _require_bound(p_max, 0, "p_max")
     if t.degree != 0:
         raise ShapeMismatchError("homotopy operators are degree-0 families")
+    _require_walk(rep.space, p_max)
     return _residual_vanishes(t, alg, rep, range(p_max + 1))
 
 
@@ -450,21 +490,38 @@ class GradedHookFamily(SparseFamily):
         super().__init__(space, space, degree, components)
 
 
-def psi(f: GradedSymFamily, rep: GradedRepresentation) -> GradedHookFamily:
-    """Hooked family (v_1..v_w, w) |-> rho(f_w(v_1..v_w)) w; degree rises by 1."""
+def _psi_entries(f: GradedSymFamily, rep: GradedRepresentation) -> dict:
+    """{weight: {(word, j): column}} of psi(f), the nonzero action columns
+    as ``act_basis`` computes them (ints from int inputs), each checked as
+    psi's map checks it, in the same order."""
     if f.space != rep.space:
         raise ShapeMismatchError("family and action live on different modules")
     comps = {}
     for w, comp in f.components.items():
+        hook = GradedHookedMap.zero(rep.space, w, f.degree + 1)
         entries = {}
         for word, gval in comp.entries.items():
             for j in range(rep.space_dim):
                 col = rep.act_basis(gval, j)
                 if any(col):
+                    hook._check_value((word, j), col)
                     entries[(word, j)] = col
         if entries:
-            comps[w] = GradedHookedMap(rep.space, w, f.degree + 1, entries)
-    return GradedHookFamily(rep.space, f.degree + 1, comps)
+            comps[w] = entries
+    return comps
+
+
+def _hook_family(space: GradedVectorSpace, degree: int, comps: dict) -> GradedHookFamily:
+    """The family of checked {weight: entries}, values stored as given."""
+    return GradedHookFamily(space, degree, {
+        w: GradedHookedMap._on(space, space, w, degree, entries) for w, entries in comps.items()})
+
+
+def psi(f: GradedSymFamily, rep: GradedRepresentation) -> GradedHookFamily:
+    """Hooked family (v_1..v_w, w) |-> rho(f_w(v_1..v_w)) w; degree rises by 1."""
+    comps = {w: {key: tuple(map(fr, col)) for key, col in entries.items()}
+             for w, entries in _psi_entries(f, rep).items()}
+    return _hook_family(rep.space, f.degree + 1, comps)
 
 
 def hook_compose_lasts(a: GradedHookFamily, b: GradedHookFamily, word) -> list[Vector]:
@@ -477,21 +534,24 @@ def hook_compose_lasts(a: GradedHookFamily, b: GradedHookFamily, word) -> list[V
     argument never permutes.  Globally scaled by COMPOSE_NORMALIZATION.
     The unshuffles, the inner values of the first sum and the a-values of
     the second do not depend on the last argument, so each is computed once
-    per word, and every map is read through ``eval_lasts``.
+    per word, and every map is read through ``eval_lasts``.  Unshuffles that
+    rearrange the word into the same word are summed once.
     """
     space = a.space
     dim = space.dim
     degs = tuple(space.degrees[i] for i in word)
     par = tuple(d % 2 for d in degs)
+    pat = tuple(map(word.index, word))
     p = len(word)
     nbar = b.degree
+    ac, bc = a.components, b.components
     out = [[0] * dim for _ in range(dim)]
     for wb in range(p):
-        bb = b.component(wb)
-        aa = a.component(p - wb)
-        if bb.is_zero() or aa.is_zero():
+        bb = bc.get(wb)
+        aa = ac.get(p - wb)
+        if bb is None or aa is None:
             continue
-        for s, eps in signed_unshuffles((wb, 1, p - wb - 1), par):
+        for s, eps in signed_unshuffles((wb, 1, p - wb - 1), par, pat):
             u = tuple(word[i] for i in s)
             inner = bb.eval(u[:wb], u[wb])
             if vec_is_zero(inner):
@@ -507,11 +567,11 @@ def hook_compose_lasts(a: GradedHookFamily, b: GradedHookFamily, word) -> list[V
                         if x:
                             acc[k] += c * x
     for wa in range(p + 1):
-        aa = a.component(wa)
-        bb = b.component(p - wa)
-        if aa.is_zero() or bb.is_zero():
+        aa = ac.get(wa)
+        bb = bc.get(p - wa)
+        if aa is None or bb is None:
             continue
-        for s, eps in signed_unshuffles((wa, p - wa), par):
+        for s, eps in signed_unshuffles((wa, p - wa), par, pat):
             u = tuple(word[i] for i in s)
             inners = bb.eval_lasts(u[wa:])
             if not inners:
@@ -547,6 +607,7 @@ def hook_compose(a: GradedHookFamily, b: GradedHookFamily,
     _require_bound(p_max, 0, "p_max")
     if a.space != b.space:
         raise ShapeMismatchError("families live on different spaces")
+    _require_walk(a.space, p_max)
     degree = a.degree + b.degree
     da, a = a.cleared()
     db, b = b.cleared()
@@ -585,26 +646,30 @@ def _psi_witness(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
     :func:`bracket_on_word` against :func:`hook_compose_lasts` of the int
     psi(f) and psi(g), both sides carrying df * dg * ds^2, so only the value
     returned is divided.  It raises what :func:`psi_homomorphism_defect`
-    raises: every bracket value is validated as the bracket's map, and then
-    its action columns as psi's map, on every word even past a difference.
+    raises: every bracket value is checked as the bracket's map checks it,
+    and then its action columns as psi's map does, on every word even past a
+    difference; the int values are checked as they are.
     """
     dfg, ds, f, g, alg, rep = _cleared_bracket_inputs(f, g, alg, rep, p_max)
     space, dim = rep.space, rep.space.dim
     degree = f.degree + g.degree + 1
     brackets = {}
     for p in range(p_max + 1):
+        sym = GradedSymMap.zero(space, alg.space, p, degree)
         for word in canonical_words(space, p):
             val = brackets[word] = bracket_on_word(f, g, alg, rep, word)
             if any(val):
-                GradedSymMap(space, alg.space, p, degree, {word: val})
+                sym._check_value(word, val)
     lhs = {}
     for word, val in brackets.items():
         if any(val):
+            hook = GradedHookedMap.zero(space, len(word), degree + 1)
             cols = lhs[word] = [rep.act_basis(val, last) for last in range(dim)]
-            GradedHookedMap(space, len(word), degree + 1,
-                            {(word, last): c for last, c in enumerate(cols) if any(c)})
-    pf = psi(f, rep).cleared()[1]
-    pg = pf if g is f else psi(g, rep).cleared()[1]
+            for last, c in enumerate(cols):
+                if any(c):
+                    hook._check_value((word, last), c)
+    pf = _hook_family(space, f.degree + 1, _psi_entries(f, rep))
+    pg = pf if g is f else _hook_family(space, g.degree + 1, _psi_entries(g, rep))
     s = parity_sign(pf.degree * pg.degree)
     zeros = [(0,) * dim] * dim
     for word in brackets:
@@ -654,20 +719,23 @@ def prelie_infinity_residual(p: PreLieInfinity, word, last) -> Vector:
     Two double sums over i + j = n + 1: m_i feeding an argument slot of m_j
     (over (i-1,1,j-2)-unshuffles), and m_i feeding the last slot of m_j
     (over (j-1,i-1)-unshuffles, with the sign (-1) to the summed degrees of
-    the m_j-block); the final argument is never permuted.
+    the m_j-block); the final argument is never permuted.  Unshuffles that
+    rearrange the word into the same word are summed once.
     """
     space = p.space
     degs = tuple(space.degrees[i] for i in word)
     par = tuple(d % 2 for d in degs)
+    pat = tuple(map(word.index, word))
     n = len(word) + 1
+    ops = p.components  # m_k is the weight-(k - 1) component
     out = [0] * space.dim
     for i in range(1, n):
         j = n + 1 - i  # j >= 2 here, so m_j has at least one symmetric slot
-        mi = p.op(i)
-        mj = p.op(j)
-        if mi.is_zero() or mj.is_zero():
+        mi = ops.get(i - 1)
+        mj = ops.get(j - 1)
+        if mi is None or mj is None:
             continue
-        for s, eps in signed_unshuffles((i - 1, 1, j - 2), par):
+        for s, eps in signed_unshuffles((i - 1, 1, j - 2), par, pat):
             u = tuple(word[t] for t in s)
             inner = mi.eval(u[:i - 1], u[i - 1])
             if vec_is_zero(inner):
@@ -678,11 +746,11 @@ def prelie_infinity_residual(p: PreLieInfinity, word, last) -> Vector:
                     out[k] += eps * term[k]
     for j in range(1, n + 1):
         i = n + 1 - j
-        mi = p.op(i)
-        mj = p.op(j)
-        if mi.is_zero() or mj.is_zero():
+        mi = ops.get(i - 1)
+        mj = ops.get(j - 1)
+        if mi is None or mj is None:
             continue
-        for s, eps in signed_unshuffles((j - 1, i - 1), par):
+        for s, eps in signed_unshuffles((j - 1, i - 1), par, pat):
             u = tuple(word[t] for t in s)
             inner = mi.eval(u[j - 1:], last)
             if vec_is_zero(inner):
@@ -778,6 +846,7 @@ def search_homotopy_operators(alg: SGLA, rep: GradedRepresentation, grid,
     if not grid:
         raise ValueError("search grid must be nonempty")
     space, target = rep.space, alg.space
+    _require_walk(space, p_max)
     slots = []
     for w in range(max_weight + 1):
         for word in canonical_words(space, w):

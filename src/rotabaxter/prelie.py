@@ -162,7 +162,9 @@ def circ(alpha: HookedMap, beta: HookedMap, arity_max: int = DEFAULT_ARITY_MAX) 
     alpha (over (n,m)-unshuffles, with the factor (-1)^(mn)); the final
     argument never permutes.  See COMPOSE_NORMALIZATION for the global sign.
     Both summands are bilinear in (alpha, beta), so they run on the int
-    images of the two maps and each value is divided once.
+    images of the two maps and each value is divided once.  The words are
+    strictly increasing, so no two unshuffles rearrange one into the same
+    word, and the tables are the unmerged ones.
     """
     if alpha.dim != beta.dim:
         raise ShapeMismatchError("hooked maps live on different spaces")

@@ -11,10 +11,10 @@ from click.testing import CliRunner
 
 from rotabaxter.catalog import affine_line
 from rotabaxter.cli import main
-from rotabaxter.deformation import AltMap, random_altmap
+from rotabaxter.deformation import AltMap, mc_residual, random_altmap
 from rotabaxter.graded import GradedRepresentation, adjoint_graded, from_lie
 from rotabaxter.homotopy import psi_homomorphism_defect, random_sym_family, residual_on_word
-from rotabaxter.lie import Representation, operator
+from rotabaxter.lie import Representation, adjoint, operator
 from rotabaxter.linalg import matrix
 from rotabaxter.prelie import phi_homomorphism_defect
 from rotabaxter.reports import named_residual
@@ -124,6 +124,31 @@ def test_deform_command(runner, tmp_path):
     res = runner.invoke(main, ["deform", "--algebra", alg, "--rep", "adjoint",
                                "--base", ident, "--delta", delta0])
     assert res.exit_code != 0
+
+
+def test_deform_failure_reports_a_replayable_witness(runner, tmp_path):
+    alg = write(tmp_path, "L.json", AFFINE)
+    base = write(tmp_path, "T.json", RBO)
+    delta = write(tmp_path, "Tp.json", {"operator": {"rows": [["1/2", "0"], ["0", "-1/3"]]}})
+    res = runner.invoke(main, ["--json-report", "-", "deform", "--algebra", alg,
+                               "--rep", "adjoint", "--base", base, "--delta", delta])
+    assert res.exit_code == 1
+    assert res.output.startswith("deform: FAIL\n  witness: {")
+    witness = _report(res)["witness"]
+    assert set(witness) == {"at", "residual"}
+    # the Maurer-Cartan residual of T + T' replays it: its first word and value
+    t = AltMap.from_operator(operator([[0, 1], [0, 0]], "g", "g"))
+    tp = AltMap.from_operator(operator([["1/2", 0], [0, "-1/3"]], "g", "g"))
+    lie = affine_line()
+    res_map = mc_residual(t + tp, lie, adjoint(lie))
+    word = min(res_map.entries)
+    assert witness["at"] == [i + 1 for i in word]
+    assert witness["residual"] == named_residual(res_map.entries[word], lie.basis) != {}
+    # and so does mc-check on the sum, as its own witness
+    total = write(tmp_path, "sum.json", {"operator": {"rows": [["1/2", "1"], ["0", "-1/3"]]}})
+    res = runner.invoke(main, ["--json-report", "-", "mc-check", "--algebra", alg,
+                               "--rep", "adjoint", "--op", total])
+    assert res.exit_code == 1 and _report(res)["witness"] == witness
 
 
 def test_induce_then_check_prelie_pipeline(runner, tmp_path):
@@ -303,6 +328,35 @@ def test_prelie_infinity_order_is_capped(runner, tmp_path):
             assert time.perf_counter() - start < 1
             assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
             assert "arguments, above the cap of 200000" in res.output
+
+
+def test_a_huge_p_max_is_refused_at_once(runner, tmp_path):
+    # the weights and canonical words up to --p-max are counted before any is
+    # computed; more than 200,000 steps is a SearchSpaceError (exit 1)
+    alg = write(tmp_path, "L.json", AFFINE)
+    sgla_path = str(tmp_path / "g.json")
+    runner.invoke(main, ["from-lie", "--algebra", alg, "--out", sgla_path])
+    hop = write(tmp_path, "hop.json", {"homotopy_operator": {"truncation": 1, "components": [
+        {"weight": 1, "entries": [{"args": ["e2"], "value": {"e1": "1"}}]}]}})
+    fam = write(tmp_path, "f.json", {"sym_family": {"degree": 0, "components": [
+        {"weight": 1, "entries": [{"args": ["e2"], "value": {"e1": "1"}}]}]}})
+    graded = ["--sgla", sgla_path, "--grep", "adjoint"]
+    for cmd in (["check-hoop", *graded, "--hop", hop],
+                ["check-hrbo", "--sgla", sgla_path, "--hop", hop],
+                ["mc-check-homotopy", *graded, "--hop", hop],
+                ["graded-bracket", *graded, "--left", fam, "--right", fam],
+                ["check-psi-hom", *graded, "--left", fam, "--right", fam],
+                ["check-psi-hom", *graded, "--draws", "3"],
+                ["induce-prelie-inf", *graded, "--hop", hop]):
+        start = time.perf_counter()
+        res = runner.invoke(main, ["--p-max", "1000000000", *cmd])
+        assert time.perf_counter() - start < 1, cmd
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit), (cmd, res.output)
+        assert "canonical words, above the cap of 200000" in res.output
+    # the embedded algebra has no word above weight 2: a p_max of 2,000 costs
+    # a step per weight, and its verdict is the one of weight 2
+    res = runner.invoke(main, ["--p-max", "2000", "check-hoop", *graded, "--hop", hop])
+    assert res.exit_code == 0 and res.output == "check-hoop: PASS (order=2000)\n"
 
 
 SRC =str(Path(__file__).resolve().parents[1] / "src")

@@ -164,3 +164,64 @@ def test_signed_unshuffles_table_matches_the_sign_functions():
     for s, eps in signed_unshuffles((1, 1, 2), tuple(d % 2 for d in degs)):
         assert eps == koszul_sign(s, degs)
     assert signed_unshuffles.cache_info().maxsize is not None
+
+
+def raw_and_merged_sums(shape, word, parity, values):
+    """The sum of eps * F(rearranged word) over the raw table and over the
+    merged one, for the word's letters of the given parities and F the
+    ``values`` table."""
+    par = tuple(parity[x] for x in word)
+    pattern = tuple(map(word.index, word))
+    raw = sum(eps * values[tuple(word[i] for i in s)]
+              for s, eps in signed_unshuffles(shape, par))
+    merged = sum(c * values[tuple(word[i] for i in s)]
+                 for s, c in signed_unshuffles(shape, par, pattern))
+    return raw, merged
+
+
+shapes = st.lists(st.integers(0, 3), min_size=1, max_size=3).filter(lambda s: sum(s) <= 6).map(tuple)
+
+
+@given(shapes, st.data())
+def test_merged_unshuffles_sum_what_the_raw_table_sums(shape, data):
+    # unsorted words over a three-letter alphabet, odd letters repeated too
+    n = sum(shape)
+    parity = data.draw(st.lists(st.integers(0, 1), min_size=3, max_size=3))
+    word = tuple(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    values = {u: rng.randrange(-9, 10) for u in itertools.product(range(3), repeat=n)}
+    raw, merged = raw_and_merged_sums(shape, word, parity, values)
+    assert raw == merged
+
+
+def test_merged_table_is_a_subset_of_the_raw_table():
+    for shape in [(1, 1, 2), (2, 1, 1), (2, 2), (0, 1, 3), (1, 3)]:
+        for word in itertools.product(range(2), repeat=sum(shape)):
+            for parity in itertools.product((0, 1), repeat=2):
+                par = tuple(parity[x] for x in word)
+                raw = dict(signed_unshuffles(shape, par))
+                merged = signed_unshuffles(shape, par, tuple(map(word.index, word)))
+                assert {s for s, _ in merged} <= set(raw)
+                # one representative per distinct rearranged word, none repeated
+                rearranged = [tuple(word[i] for i in s) for s, _ in merged]
+                assert len(set(rearranged)) == len(rearranged)
+                assert all(c for _, c in merged)
+    # (a, a, a, b) with a even and b odd: twelve unshuffles, three rearranged
+    # words (b first, b second, or b last in the sorted block of two)
+    word, par = (0, 0, 0, 1), (0, 0, 0, 1)
+    merged = signed_unshuffles((1, 1, 2), par, tuple(map(word.index, word)))
+    assert len(signed_unshuffles((1, 1, 2), par)) == 12
+    assert sorted(c for _, c in merged) == [3, 3, 6]
+    # a repeated odd letter cancels: (c, c) splits into two words of opposite sign
+    assert signed_unshuffles((1, 1), (1, 1), (0, 0)) == ()
+    # distinct letters merge nothing
+    assert signed_unshuffles((1, 2), (1, 0, 1), (0, 1, 2)) == signed_unshuffles((1, 2), (1, 0, 1))
+
+
+def test_merged_tables_share_the_one_bounded_cache():
+    before = signed_unshuffles.cache_info()
+    assert before.maxsize is not None
+    signed_unshuffles((2, 3), (0, 0, 1, 0, 0), (0, 0, 2, 3, 3))
+    after = signed_unshuffles.cache_info()
+    assert after.maxsize == before.maxsize
+    assert after.currsize <= after.maxsize

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -16,6 +17,8 @@ from rotabaxter.errors import ShapeMismatchError
 from rotabaxter.graded import (
     SGLA,
     adjoint_graded,
+    canonical_word_count,
+    canonical_words,
     check_graded_rep,
     check_sdgla,
     check_sgla,
@@ -237,3 +240,25 @@ def test_embedded_representation_reduces_to_ungraded():
 def test_graded_space_shape_error():
     with pytest.raises(ShapeMismatchError):
         graded_space(["a", "b"], [0])
+
+
+def test_canonical_words_are_the_sorted_words_without_a_repeated_odd_letter():
+    # the definition, filtered from every weakly increasing word, is the oracle
+    for dim in range(5):
+        for degrees in itertools.product((-1, 0, 1, 2), repeat=dim):
+            space = graded_space([f"e{i}" for i in range(dim)], degrees)
+            for weight in range(7):
+                want = [w for w in itertools.combinations_with_replacement(range(dim), weight)
+                        if not any(a == b and degrees[a] % 2 for a, b in zip(w, w[1:]))]
+                assert list(canonical_words(space, weight)) == want
+                assert canonical_word_count(space, weight) == len(want)
+
+
+def test_canonical_words_above_the_odd_letters_are_found_empty_at_once():
+    space = graded_space(["a", "b", "c"], [-1, 1, 3])
+    assert list(canonical_words(space, 3)) == [(0, 1, 2)]
+    assert list(canonical_words(space, 10 ** 9)) == []
+    assert canonical_word_count(space, 10 ** 9) == 0
+    # with an even letter, the count is polynomial in the weight
+    line = graded_space(["a", "b"], [0, 1])
+    assert canonical_word_count(line, 10 ** 9) == 2

@@ -33,6 +33,7 @@ from rotabaxter.errors import (
 )
 from rotabaxter.graded import (
     GradedRepresentation,
+    adjoint_graded,
     check_graded_rep,
     check_sgla,
     concentrated,
@@ -201,6 +202,47 @@ def test_prelie_infinity_work_is_counted_before_enumerating():
     assert check_prelie_infinity(line, 20).ok
     with pytest.raises(SearchSpaceError):
         check_prelie_infinity(line, 10 ** 9)
+
+
+@pytest.mark.parametrize("call", [
+    lambda t, a, r, p: is_homotopy_oop(t, a, r, p),
+    lambda t, a, r, p: mc_check_homotopy(t, a, r, p),
+    lambda t, a, r, p: homotopy_oop_residual(t, a, r, p),
+    lambda t, a, r, p: is_homotopy_rbo(t, a, p),
+    lambda t, a, r, p: graded_bracket(t, t, a, r, p),
+    lambda t, a, r, p: check_psi_homomorphism(t, t, a, r, p),
+    lambda t, a, r, p: hook_bracket(psi(t, r), psi(t, r), p),
+    lambda t, a, r, p: induce_prelie_infinity(t, a, r, p),
+    lambda t, a, r, p: search_homotopy_operators(a, r, (0,), max_weight=0, p_max=p),
+], ids=["is_homotopy_oop", "mc_check_homotopy", "homotopy_oop_residual", "is_homotopy_rbo",
+        "graded_bracket", "check_psi_homomorphism", "hook_bracket", "induce_prelie_infinity",
+        "search_homotopy_operators"])
+def test_canonical_word_walks_are_counted_before_enumerating(call):
+    t, alg, rep = _failing_mixed_operator()
+    for p_max in (homotopy.CANONICAL_WORD_CAP, 10 ** 9):
+        with pytest.raises(SearchSpaceError, match="above the cap of 200000"):
+            call(t, alg, rep, p_max)
+    # the largest p_max under the cap is refused by no check's count
+    p_max = 66
+    assert homotopy._walk_steps(rep.space, p_max) <= homotopy.CANONICAL_WORD_CAP
+    assert homotopy._walk_steps(rep.space, p_max + 1) > homotopy.CANONICAL_WORD_CAP
+
+
+def test_the_walk_work_is_weights_plus_the_letters_of_every_word():
+    for _, alg, rep in graded_instances():
+        for p_max in range(7):
+            letters = sum(p * len(list(canonical_words(rep.space, p))) for p in range(p_max + 1))
+            assert homotopy._walk_steps(rep.space, p_max) == p_max + 1 + letters
+
+
+def test_a_space_of_odd_letters_walks_a_large_p_max_at_once():
+    # the embedded affine algebra has no word above weight 2, so a p_max far
+    # beyond it costs one step per weight
+    alg = from_lie(affine_line())
+    rep = adjoint_graded(alg)
+    t = homotopy_operator_from_linear(operator([[0, 1], [0, 0]], "g", "g"), alg, rep.space)
+    assert is_homotopy_oop(t, alg, rep, 20_000)
+    assert all(r.is_zero() for r in homotopy_oop_residual(t, alg, rep, 5_000).values())
 
 
 def test_homotopy_operator_truncation():

@@ -15,8 +15,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rotabaxter.catalog import graded_instances, search_rbo, sl2
+from rotabaxter.combinatorics import parity_sign, signed_unshuffles
 from rotabaxter.deformation import (
     AltMap,
+    _deform_witness,
     _mc_vanishes,
     courant_bracket,
     deformation_check,
@@ -448,3 +450,165 @@ def test_the_all_lasts_kernel_matches_the_composed_family(name, a, d, df, dg, rn
         for args in itertools.product(range(space.dim), repeat=m.weight):
             want = {last: m.eval(args, last) for last in range(space.dim)}
             assert m.eval_lasts(args) == {k: v for k, v in want.items() if any(v)}
+
+
+# -- the graded kernels against reference loops over the raw unshuffle tables
+#
+# The kernels sum each distinct rearranged word once; these loops are the sums
+# term by term, over every unshuffle, reading every weight through component().
+
+def add_into(out, c, vec):
+    for k, x in enumerate(vec):
+        out[k] += c * x
+
+
+def raw_bracket(f, g, alg, rep, word):
+    degs = [f.space.degrees[i] for i in word]
+    par, p, m, n = tuple(d % 2 for d in degs), len(word), f.degree, g.degree
+    out = [0] * alg.dim
+    for l in range(p):
+        for s, eps in signed_unshuffles((l, 1, p - l - 1), par):
+            u = [word[i] for i in s]
+            ins = rep.act_basis(g.component(l).eval(u[:l]), u[l])
+            add_into(out, -eps, f.component(p - l).eval_insert(ins, u[l + 1:]))
+            ins = rep.act_basis(f.component(l).eval(u[:l]), u[l])
+            add_into(out, parity_sign((m + 1) * (n + 1)) * eps,
+                     g.component(p - l).eval_insert(ins, u[l + 1:]))
+    for a in range(p + 1):
+        for s, eps in signed_unshuffles((a, p - a), par):
+            u = [word[i] for i in s]
+            d1 = sum(degs[i] for i in s[:a])
+            add_into(out, -parity_sign(n * d1 + m + 1) * eps,
+                     alg.bracket(f.component(a).eval(u[:a]), g.component(p - a).eval(u[a:])))
+    return tuple(out)
+
+
+def raw_residual(t, alg, rep, word):
+    par, p = tuple(t.space.degrees[i] % 2 for i in word), len(word)
+    lhs, rhs = [0] * alg.dim, [0] * alg.dim
+    for l in range(p):
+        for s, eps in signed_unshuffles((l, 1, p - l - 1), par):
+            u = [word[i] for i in s]
+            ins = rep.act_basis(t.component(l).eval(u[:l]), u[l])
+            add_into(lhs, eps, t.component(p - l).eval_insert(ins, u[l + 1:]))
+    for a in range(p + 1):
+        for s, eps in signed_unshuffles((a, p - a), par):
+            u = [word[i] for i in s]
+            add_into(rhs, eps, alg.bracket(t.component(a).eval(u[:a]),
+                                           t.component(p - a).eval(u[a:])))
+    return tuple(Fraction(r) / 2 - x for r, x in zip(rhs, lhs))
+
+
+def raw_hook_compose(a, b, word, last):
+    space = a.space
+    degs = [space.degrees[i] for i in word]
+    par, p = tuple(d % 2 for d in degs), len(word)
+    out = [0] * space.dim
+    for wb in range(p):
+        for s, eps in signed_unshuffles((wb, 1, p - wb - 1), par):
+            u = [word[i] for i in s]
+            inner = b.component(wb).eval(u[:wb], u[wb])
+            add_into(out, eps, a.component(p - wb).eval_insert(inner, u[wb + 1:], last))
+    for wa in range(p + 1):
+        for s, eps in signed_unshuffles((wa, p - wa), par):
+            u = [word[i] for i in s]
+            inner = b.component(p - wa).eval(u[wa:], last)
+            d1 = sum(degs[i] for i in s[:wa])
+            add_into(out, parity_sign(b.degree * d1) * eps,
+                     a.component(wa).eval_last_insert(u[:wa], inner))
+    return tuple(-x for x in out)  # COMPOSE_NORMALIZATION
+
+
+def raw_prelie_residual(pinf, word, last):
+    degs = [pinf.space.degrees[i] for i in word]
+    par, n = tuple(d % 2 for d in degs), len(word) + 1
+    out = [0] * pinf.space.dim
+    for i in range(1, n):
+        j = n + 1 - i
+        for s, eps in signed_unshuffles((i - 1, 1, j - 2), par):
+            u = [word[t] for t in s]
+            inner = pinf.op(i).eval(u[:i - 1], u[i - 1])
+            add_into(out, eps, pinf.op(j).eval_insert(inner, u[i:], last))
+    for j in range(1, n + 1):
+        i = n + 1 - j
+        for s, eps in signed_unshuffles((j - 1, i - 1), par):
+            u = [word[t] for t in s]
+            inner = pinf.op(i).eval(u[j - 1:], last)
+            alpha = sum(degs[t] for t in s[:j - 1])
+            add_into(out, parity_sign(alpha) * eps, pinf.op(j).eval_last_insert(u[:j - 1], inner))
+    return tuple(out)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(GRADED), scales, scales, st.integers(-1, 1), st.integers(-1, 1), rngs)
+def test_the_graded_kernels_match_raw_unshuffle_sums_on_any_word(name, a, d, df, dg, rng):
+    alg, rep = graded_pair(name, a, d)
+    space = rep.space
+    f = random_sym_family(rng, space, alg.space, df, 2, pool=POOL)
+    g = random_sym_family(rng, space, alg.space, dg, 2, pool=POOL)
+    t = random_homotopy_operator(rng, space, alg.space, 2, pool=POOL)
+    ha, hb = psi(f, rep), psi(g, rep)
+    pinf = induce_prelie_infinity(t, alg, rep, force=True)
+    # every word of weight <= 3 and some of weight 4: unsorted, repeating
+    # even and odd letters
+    words = [w for p in range(4) for w in itertools.product(range(space.dim), repeat=p)]
+    words += rng.sample(list(itertools.product(range(space.dim), repeat=4)), 8)
+    for word in words:
+        assert bracket_on_word(f, g, alg, rep, word) == raw_bracket(f, g, alg, rep, word)
+        assert residual_on_word(t, alg, rep, word) == raw_residual(t, alg, rep, word)
+        lasts = hook_compose_lasts(ha, hb, word)
+        for last in range(space.dim):
+            assert lasts[last] == raw_hook_compose(ha, hb, word, last)
+            assert prelie_infinity_residual(pinf, word, last) == \
+                raw_prelie_residual(pinf, word, last)
+
+
+def test_repeated_letters_merge_terms_on_the_bundled_spaces():
+    # unshuffle terms and distinct rearranged words over weights 0-4 and
+    # every bracket shape, on each bundled graded space
+    counts = {}
+    for name, alg, rep in graded_instances():
+        raw = merged = 0
+        for p in range(5):
+            for word in canonical_words(rep.space, p):
+                par = tuple(rep.space.degrees[i] % 2 for i in word)
+                pattern = tuple(map(word.index, word))
+                for shape in [(a, p - a) for a in range(p + 1)] + \
+                        [(a, 1, p - a - 1) for a in range(p)]:
+                    raw += len(signed_unshuffles(shape, par))
+                    merged += len(signed_unshuffles(shape, par, pattern))
+        counts[name] = raw, merged
+    assert counts == {"two-level": (159, 67), "mixed/adjoint": (622, 305),
+                      "three-level/adjoint": (314, 169)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(scales, st.sampled_from(SCALES), st.integers(0, len(SL2_RBOS) - 1),
+       st.integers(0, len(SL2_RBOS) - 1), st.sampled_from(("rbo", "delta", "random")), rngs)
+def test_the_deform_witness_replays_through_the_mc_residual_of_the_sum(a, lam, i, j, kind, rng):
+    alg, _ = sl2_pair(a, a)
+    rep = adjoint(alg)
+    ops = [tuple(tuple(lam * x for x in row) for row in rescaled_operator(m, a))
+           for m in (SL2_RBOS[i], SL2_RBOS[j])]
+    t = AltMap.from_operator(LinearOperator(ops[0], "g", "g"))
+    if kind == "rbo":
+        tp = AltMap.from_operator(LinearOperator(ops[1], "g", "g")) - t
+    else:
+        tp = random_altmap(rng, 1, 3, 3, pool=POOL)
+    if kind == "random":  # a base that need not be an O-operator
+        t = random_altmap(rng, 1, 3, 3, pool=POOL)
+    found = _deform_witness(t, tp, alg, rep)
+    assert deformation_check(t, tp, alg, rep) == (found is None)
+    # in general the witness is [[t, tp]] + [[tp, tp]] / 2 at its first word
+    twisted = courant_bracket(t, tp, alg, rep) + courant_bracket(tp, tp, alg, rep).scale(
+        Fraction(1, 2))
+    if found is None:
+        assert twisted.is_zero()
+    else:
+        word, value = found
+        assert word == min(twisted.entries) and value == twisted.entries[word]
+    if kind != "random":  # t is an O-operator: the witness is the residual of t + tp
+        res = mc_residual(t + tp, alg, rep)
+        assert (found is None) == res.is_zero()
+        if found is not None:
+            assert found == (min(res.entries), res.entries[min(res.entries)])
