@@ -54,14 +54,7 @@ from .homotopy import (
     random_sym_family,
 )
 from .lie import adjoint, check_lie, check_representation, is_rota_baxter, oop_defect, search_rbo
-from .prelie import (
-    check_phi_homomorphism,
-    check_prelie,
-    induce_prelie,
-    mn_bracket,
-    phi,
-    phi_homomorphism_defect,
-)
+from .prelie import _phi_witness, check_prelie, induce_prelie, mn_bracket, phi
 from .reports import Report, named_residual
 from .serialize import Workspace
 
@@ -245,12 +238,10 @@ def _hook_witness(weight, word, last, value, space) -> dict:
             "last": space.basis[last], "residual": named_residual(value, space.basis)}
 
 
-def _phi_witness(f, g, alg, rep, arity_max) -> dict:
-    """A check-phi-hom witness: the first key of phi([[f, g]]) - [phi(f), phi(g)]."""
-    defect = phi_homomorphism_defect(f, g, alg, rep, arity_max)
-    word, last = min(defect.entries)
+def _arity_witness(word, last, value, names) -> dict:
+    """A check-phi-hom witness: a hooked value at (word; last), 1-based."""
     return {"arity": len(word), "at": [i + 1 for i in word], "last": last + 1,
-            "residual": named_residual(defect.entries[(word, last)], rep.basis)}
+            "residual": named_residual(value, names)}
 
 
 def _residual_report(name, residuals, space, target, order) -> Report:
@@ -469,8 +460,9 @@ def check_phi_hom_cmd(cfg, algebra, rep_, left, right, draws):
         for draw in range(1, draws + 1):
             f = random_altmap(rng, rng.randrange(3), rep.space_dim, alg.dim)
             g = random_altmap(rng, rng.randrange(3), rep.space_dim, alg.dim)
-            if not check_phi_homomorphism(f, g, alg, rep, cfg.arity_max):
-                witness = {"draw": draw, **_phi_witness(f, g, alg, rep, cfg.arity_max)}
+            found = _phi_witness(f, g, alg, rep, cfg.arity_max)
+            if found is not None:
+                witness = {"draw": draw, **_arity_witness(*found, rep.basis)}
                 break
         _finish(cfg, [Report("check-phi-hom", witness is None, order=cfg.arity_max,
                              witness=witness)])
@@ -478,9 +470,10 @@ def check_phi_hom_cmd(cfg, algebra, rep_, left, right, draws):
         raise click.ClickException("provide --left and --right, or --draws N")
     f = _operator_or_altmap(ws, left, alg, rep)
     g = _operator_or_altmap(ws, right, alg, rep)
-    ok = check_phi_homomorphism(f, g, alg, rep, cfg.arity_max)
-    witness = None if ok else _phi_witness(f, g, alg, rep, cfg.arity_max)
-    _finish(cfg, [Report("check-phi-hom", ok, order=cfg.arity_max, witness=witness)])
+    found = _phi_witness(f, g, alg, rep, cfg.arity_max)
+    witness = None if found is None else _arity_witness(*found, rep.basis)
+    _finish(cfg, [Report("check-phi-hom", found is None, order=cfg.arity_max,
+                         witness=witness)])
 
 
 @main.command("search-rbo")

@@ -80,6 +80,8 @@ def _check_spaces(f: AltMap, g: AltMap, alg, rep):
         raise ShapeMismatchError("maps live on different spaces")
     if f.dim_dom != rep.space_dim or f.dim_cod != alg.dim:
         raise ShapeMismatchError("maps do not match the algebra and module dimensions")
+    if len(rep.matrices) != alg.dim:
+        raise ShapeMismatchError("one action matrix per algebra basis element required")
 
 
 def courant_on_word(f: AltMap, g: AltMap, alg, rep, word) -> Vector:
@@ -88,11 +90,17 @@ def courant_on_word(f: AltMap, g: AltMap, alg, rep, word) -> Vector:
 
     The unshuffle tables are the unmerged ones: the canonical words of the
     ungraded complex never repeat a letter, so no two unshuffles rearrange
-    one into the same word."""
+    one into the same word.  When g is f, the two insertion sums are one sum
+    over one table with the coefficients -1 and (-1)^(nm), so it is summed
+    once with the coefficient (-1)^(nm) - 1, and not at all when that is 0;
+    this uses no axiom of the algebra or the action."""
     n, m = f.arity, g.arity
     mn = parity_sign(m * n)
-    val = [0] * f.dim_cod
-    for s, sg in signed_unshuffles((m, 1, n - 1)) if n >= 1 else ():
+    dim = f.dim_cod
+    val = [0] * dim
+    same = g is f
+    coef = mn - 1 if same else -1
+    for s, sg in signed_unshuffles((m, 1, n - 1)) if n >= 1 and coef else ():
         u = tuple(word[i] for i in s)
         gval = g.eval(u[:m])
         if vec_is_zero(gval):
@@ -101,10 +109,10 @@ def courant_on_word(f: AltMap, g: AltMap, alg, rep, word) -> Vector:
         if vec_is_zero(inserted):
             continue
         term = f.eval_insert(inserted, u[m + 1:])
-        for k in range(f.dim_cod):
-            val[k] -= sg * term[k]
-    for s, sg in signed_unshuffles((n, 1, m - 1)) if m >= 1 else ():
-        sg *= mn
+        sg *= coef
+        for k in range(dim):
+            val[k] += sg * term[k]
+    for s, sg in signed_unshuffles((n, 1, m - 1)) if m >= 1 and not same else ():
         u = tuple(word[i] for i in s)
         fval = f.eval(u[:n])
         if vec_is_zero(fval):
@@ -113,10 +121,10 @@ def courant_on_word(f: AltMap, g: AltMap, alg, rep, word) -> Vector:
         if vec_is_zero(inserted):
             continue
         term = g.eval_insert(inserted, u[n + 1:])
-        for k in range(f.dim_cod):
+        sg *= mn
+        for k in range(dim):
             val[k] += sg * term[k]
     for s, sg in signed_unshuffles((n, m)):
-        sg *= mn
         u = tuple(word[i] for i in s)
         x = f.eval(u[:n])
         if vec_is_zero(x):
@@ -125,7 +133,8 @@ def courant_on_word(f: AltMap, g: AltMap, alg, rep, word) -> Vector:
         if vec_is_zero(y):
             continue
         br = alg.bracket(x, y)
-        for k in range(f.dim_cod):
+        sg *= mn
+        for k in range(dim):
             val[k] -= sg * br[k]
     return tuple(val)
 
@@ -212,23 +221,20 @@ def _twisted_values(t: AltMap, tp: AltMap, alg, rep, arity_max: int):
 
     With t and tp cleared over one common denominator d, and (alg, rep) over
     ds, the sum is 2 [[t, tp]] + [[tp, tp]] on the int images, and den is
-    2 d^2 ds.  When t is an O-operator, [[t, t]] is zero and the sum is
-    :func:`mc_residual` of t + tp.
+    2 d^2 ds.  The bracket is bilinear, so the sum is the one bracket
+    [[2 t + tp, tp]].  When t is an O-operator, [[t, t]] is zero and the sum
+    is :func:`mc_residual` of t + tp.
     """
     if t.arity != 1 or tp.arity != 1:
         raise ShapeMismatchError("deformations are 1-ary maps")
     _check_spaces(t, tp, alg, rep)
     _check_arity(1, 1, arity_max)
     den = common_denominator(x for f in (t, tp) for v in f.entries.values() for x in v)
-    it, itp = t.integral(den), tp.integral(den)
+    itp = tp.integral(den)
+    left = t.integral(2 * den) + itp
     ds, alg, rep = cleared_pair(alg, rep)
-
-    def twisted(word):
-        lin = courant_on_word(it, itp, alg, rep, word)
-        quad = courant_on_word(itp, itp, alg, rep, word)
-        return tuple(2 * a + b for a, b in zip(lin, quad))
-
-    return 2 * den * den * ds, _nonzero_values(t.space, (2,), twisted)
+    return 2 * den * den * ds, _nonzero_values(
+        t.space, (2,), lambda word: courant_on_word(left, itp, alg, rep, word))
 
 
 def _deform_witness(t: AltMap, tp: AltMap, alg, rep, arity_max: int = DEFAULT_ARITY_MAX):

@@ -333,7 +333,8 @@ class SparseMap:
         if self._shape() != other._shape():
             raise ShapeMismatchError("maps live on different spaces, weights or degrees")
         keys = set(self.entries) | set(other.entries)
-        zero = (ZERO,) * self.target.dim
+        # an int zero keeps a sum of int images int, and a Fraction map Fraction
+        zero = (0,) * self.target.dim
         return self._like(
             {k: op(self.entries.get(k, zero), other.entries.get(k, zero)) for k in keys})
 

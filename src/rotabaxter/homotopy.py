@@ -247,6 +247,8 @@ def _cleared_bracket_inputs(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
         raise ShapeMismatchError("families do not live on the module of the action")
     if f.target != alg.space or g.target != alg.space:
         raise ShapeMismatchError("families do not take values in the algebra")
+    if len(rep.matrices) != alg.dim:
+        raise ShapeMismatchError("one action matrix per algebra basis element required")
     _require_walk(rep.space, p_max)
     same = g is f
     df, f = f.cleared()
@@ -496,6 +498,8 @@ def _psi_entries(f: GradedSymFamily, rep: GradedRepresentation) -> dict:
     psi's map checks it, in the same order."""
     if f.space != rep.space:
         raise ShapeMismatchError("family and action live on different modules")
+    if f.target.dim != len(rep.matrices):
+        raise ShapeMismatchError("family values do not match the algebra of the action")
     comps = {}
     for w, comp in f.components.items():
         hook = GradedHookedMap.zero(rep.space, w, f.degree + 1)

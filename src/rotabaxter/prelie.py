@@ -14,14 +14,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinatorics import parity_sign, signed_unshuffles
-from .deformation import DEFAULT_ARITY_MAX, AltMap
+from .deformation import (
+    DEFAULT_ARITY_MAX,
+    AltMap,
+    _check_arity,
+    _check_spaces,
+    courant_bracket,
+    courant_on_word,
+)
 from .errors import NotMaurerCartanError, ShapeMismatchError, TruncationExceededError
-from .graded import SparseMap, ungraded_space
+from .graded import SparseMap, _nonzero_values, ungraded_space
 from .linalg import (
     Clearable,
     Vector,
     ZERO,
     bilinear,
+    cleared_pair,
     divided,
     table_from_pairs,
     vec_is_zero,
@@ -153,18 +161,68 @@ def product_of_hook(h: HookedMap, basis) -> PreLieProduct:
     return PreLieProduct(tuple(basis), mu)
 
 
-def circ(alpha: HookedMap, beta: HookedMap, arity_max: int = DEFAULT_ARITY_MAX) -> HookedMap:
-    """Compose of hooked maps; arities add.
+def circ_lasts(alpha: HookedMap, beta: HookedMap, word) -> list[Vector]:
+    """The compose alpha o beta on (word; last) for every last argument, in
+    the order of the last argument; the word is strictly increasing.
 
     For alpha of arity n and beta of arity m, the two summands insert beta
     either into an alternating slot of alpha (over (m,1,n-1)-unshuffles, beta
     absorbing the singleton into its free slot) or into the free slot of
     alpha (over (n,m)-unshuffles, with the factor (-1)^(mn)); the final
     argument never permutes.  See COMPOSE_NORMALIZATION for the global sign.
+    The unshuffles, the inner values of the first sum and the alpha-values
+    of the second do not depend on the last argument, so each is computed
+    once per word, and every map is read through ``eval_lasts``.  The words
+    are strictly increasing, so no two unshuffles rearrange one into the
+    same word, and the tables are the unmerged ones.
+    """
+    a, b = alpha.arity, beta.arity
+    dim = alpha.dim
+    out = [[0] * dim for _ in range(dim)]
+    for s, sg in signed_unshuffles((b, 1, a - 1)) if a >= 1 else ():
+        u = tuple(word[i] for i in s)
+        inner = beta.eval(u[:b], u[b])
+        if vec_is_zero(inner):
+            continue
+        rest = u[b + 1:]
+        for j, cj in enumerate(inner):
+            if not cj:
+                continue
+            c = sg * cj
+            for last, val in alpha.eval_lasts((j,) + rest).items():
+                acc = out[last]
+                for k, x in enumerate(val):
+                    if x:
+                        acc[k] += c * x
+    ab = parity_sign(a * b)
+    for s, sg in signed_unshuffles((a, b)):
+        u = tuple(word[i] for i in s)
+        inners = beta.eval_lasts(u[a:])
+        if not inners:
+            continue
+        avals = alpha.eval_lasts(u[:a])
+        if not avals:
+            continue
+        sg *= ab
+        for last, inner in inners.items():
+            acc = out[last]
+            for j, val in avals.items():
+                cj = inner[j]
+                if not cj:
+                    continue
+                c = sg * cj
+                for k, x in enumerate(val):
+                    if x:
+                        acc[k] += c * x
+    return [tuple(COMPOSE_NORMALIZATION * x for x in acc) for acc in out]
+
+
+def circ(alpha: HookedMap, beta: HookedMap, arity_max: int = DEFAULT_ARITY_MAX) -> HookedMap:
+    """Compose of hooked maps; arities add: :func:`circ_lasts` on each
+    increasing word.
+
     Both summands are bilinear in (alpha, beta), so they run on the int
-    images of the two maps and each value is divided once.  The words are
-    strictly increasing, so no two unshuffles rearrange one into the same
-    word, and the tables are the unmerged ones.
+    images of the two maps and each value is divided once.
     """
     if alpha.dim != beta.dim:
         raise ShapeMismatchError("hooked maps live on different spaces")
@@ -174,40 +232,12 @@ def circ(alpha: HookedMap, beta: HookedMap, arity_max: int = DEFAULT_ARITY_MAX) 
         raise TruncationExceededError(
             f"compose of arities {a} and {b} exceeds the arity cap {arity_max}"
         )
-    ab = parity_sign(a * b)
-    dim = alpha.dim
     da, alpha = alpha.cleared()
     db, beta = beta.cleared()
     den = da * db
-    into_slot = signed_unshuffles((b, 1, a - 1)) if a >= 1 else ()
-    into_last = signed_unshuffles((a, b))
-    entries = {}
-    for word in itertools.combinations(range(dim), total):
-        # beta's value in an alternating slot does not depend on the free
-        # argument w, so it is evaluated once per word
-        slot_terms = []
-        for s, sg in into_slot:
-            u = tuple(word[i] for i in s)
-            inner = beta.eval(u[:b], u[b])
-            if not vec_is_zero(inner):
-                slot_terms.append((sg, inner, u[b + 1:]))
-        for w in range(dim):
-            val = [0] * dim
-            for sg, inner, rest in slot_terms:
-                term = alpha.eval_insert(inner, rest, w)
-                for k in range(dim):
-                    val[k] += sg * term[k]
-            for s, sg in into_last:
-                sg *= ab
-                u = tuple(word[i] for i in s)
-                inner = beta.eval(u[a:], w)
-                if vec_is_zero(inner):
-                    continue
-                term = alpha.eval_last_insert(u[:a], inner)
-                for k in range(dim):
-                    val[k] += sg * term[k]
-            if any(val):
-                entries[(word, w)] = divided([COMPOSE_NORMALIZATION * x for x in val], den)
+    values = _nonzero_values(alpha.space, (total,),
+                             lambda word: circ_lasts(alpha, beta, word), free=True)
+    entries = {key: divided(val, den) for _, key, val in values}
     return HookedMap._on(alpha.space, alpha.space, total, total, entries)
 
 
@@ -221,40 +251,79 @@ def mn_bracket(alpha: HookedMap, beta: HookedMap,
     return circ(alpha, beta, arity_max) - circ(beta, alpha, arity_max).scale(ab)
 
 
-def phi(f: AltMap, rep) -> HookedMap:
-    """Hooked map (u_1..u_k, w) |-> rho(f(u_1..u_k)) w attached to f."""
+def _phi_entries(f: AltMap, rep) -> dict:
+    """{(word, j): column} of phi(f), the nonzero action columns as
+    ``act_basis`` computes them (ints from int inputs)."""
     if f.dim_dom != rep.space_dim:
         raise ShapeMismatchError("map and representation live on different modules")
+    if f.dim_cod != len(rep.matrices):
+        raise ShapeMismatchError("map values do not match the algebra of the representation")
     entries = {}
     for key, gval in f.entries.items():
         for j in range(rep.space_dim):
             col = rep.act_basis(gval, j)
             if any(col):
                 entries[(key, j)] = col
-    return HookedMap(f.arity, rep.space_dim, entries)
+    return entries
 
 
-def _phi_sides(f: AltMap, g: AltMap, alg, rep, arity_max: int):
-    """(phi([[f, g]]), [phi(f), phi(g)])."""
-    from .deformation import courant_bracket
+def phi(f: AltMap, rep) -> HookedMap:
+    """Hooked map (u_1..u_k, w) |-> rho(f(u_1..u_k)) w attached to f."""
+    return HookedMap(f.arity, rep.space_dim, _phi_entries(f, rep))
 
-    lhs = phi(courant_bracket(f, g, alg, rep, arity_max), rep)
-    return lhs, mn_bracket(phi(f, rep), phi(g, rep), arity_max)
+
+def _phi_witness(f: AltMap, g: AltMap, alg, rep, arity_max: int = DEFAULT_ARITY_MAX):
+    """(word, last, value) of phi([[f, g]]) - [phi(f), phi(g)] at the first
+    increasing word and last argument, in sorted order, where it is
+    nonzero, or None when the two sides agree.
+
+    Word by word on the int images: the action applied to
+    :func:`courant_on_word` against :func:`circ_lasts` of the int phi(f) and
+    phi(g), both sides carrying df * dg * ds^2, so only the value returned
+    is divided.  Maps on other spaces, an action with other than one matrix
+    per algebra basis element, and the arity cap raise what
+    :func:`phi_homomorphism_defect` raises, in the same order.
+    """
+    _check_spaces(f, g, alg, rep)
+    _check_arity(f.arity, g.arity, arity_max)
+    df, f = f.cleared()
+    dg, g = g.cleared()
+    ds, alg, rep = cleared_pair(alg, rep)
+
+    def hooked(h):
+        return HookedMap._on(h.space, h.space, h.arity, h.arity, _phi_entries(h, rep))
+
+    pf, pg = hooked(f), hooked(g)
+    s = parity_sign(f.arity * g.arity)
+    dim = rep.space_dim
+    zeros = [(0,) * dim] * dim
+
+    def residuals_on_word(word):
+        br = courant_on_word(f, g, alg, rep, word)
+        lhs = [rep.act_basis(br, last) for last in range(dim)] if any(br) else zeros
+        return [[xk - yk + s * zk for xk, yk, zk in zip(x, y, z)]
+                for x, y, z in zip(lhs, circ_lasts(pf, pg, word), circ_lasts(pg, pf, word))]
+
+    for _, (word, last), val in _nonzero_values(
+            f.space, (f.arity + g.arity,), residuals_on_word, free=True):
+        return word, last, divided(val, df * dg * ds * ds)
+    return None
 
 
 def check_phi_homomorphism(f: AltMap, g: AltMap, alg, rep,
                            arity_max: int = DEFAULT_ARITY_MAX) -> bool:
-    """Exact equality of phi([[f, g]]) and [phi(f), phi(g)]."""
-    lhs, rhs = _phi_sides(f, g, alg, rep, arity_max)
-    return lhs == rhs
+    """Exact equality of phi([[f, g]]) and [phi(f), phi(g)], decided word by
+    word (see :func:`_phi_witness`)."""
+    return _phi_witness(f, g, alg, rep, arity_max) is None
 
 
 def phi_homomorphism_defect(f: AltMap, g: AltMap, alg, rep,
                             arity_max: int = DEFAULT_ARITY_MAX) -> HookedMap:
-    """phi([[f, g]]) - [phi(f), phi(g)]: zero exactly when
-    :func:`check_phi_homomorphism` passes; a FAIL's witness is its first key."""
-    lhs, rhs = _phi_sides(f, g, alg, rep, arity_max)
-    return lhs - rhs
+    """phi([[f, g]]) - [phi(f), phi(g)], built as whole maps: zero exactly
+    when :func:`check_phi_homomorphism` passes, and a
+    :func:`_phi_witness` replays as its value at the witness key."""
+    lhs = phi(courant_bracket(f, g, alg, rep, arity_max), rep)
+    return lhs - mn_bracket(phi(f, rep), phi(g, rep), arity_max)
 
 
 def induce_prelie(t, alg, rep, force: bool = False) -> PreLieProduct:

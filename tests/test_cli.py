@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from rotabaxter import prelie
 from rotabaxter.catalog import affine_line
 from rotabaxter.cli import main
 from rotabaxter.deformation import AltMap, mc_residual, random_altmap
@@ -572,6 +573,27 @@ def test_check_phi_hom_failure_reports_a_replayable_witness(runner, tmp_path):
     key = (tuple(i - 1 for i in witness["at"]), witness["last"] - 1)
     assert key == min(defect.entries)
     assert witness["residual"] == named_residual(defect.entries[key], rep.basis) != {}
+
+
+def test_check_phi_hom_takes_its_witness_from_the_one_pass(runner, tmp_path, monkeypatch):
+    alg = write(tmp_path, "L.json", AFFINE)
+    rep_path = write(tmp_path, "rho.json", {"representation": {"basis": ["v1", "v2"],
+                                                                "action": BROKEN_ACTION}})
+    ident = write(tmp_path, "I.json", IDENT)
+    calls = [["--json-report", "-", "check-phi-hom", "--algebra", alg, "--rep", rep_path,
+              "--left", ident, "--right", ident],
+             ["--seed", "0", "--json-report", "-", "check-phi-hom", "--algebra", alg,
+              "--rep", rep_path, "--draws", "5"]]
+    before = [runner.invoke(main, args) for args in calls]
+
+    def whole_map(*args, **kwargs):
+        raise AssertionError("a whole map was built")
+
+    for name in ("phi_homomorphism_defect", "courant_bracket", "circ", "mn_bracket"):
+        monkeypatch.setattr(prelie, name, whole_map)
+    after = [runner.invoke(main, args) for args in calls]
+    assert [(r.exit_code, r.output) for r in after] == [(r.exit_code, r.output) for r in before]
+    assert all(r.exit_code == 1 and "witness" in r.output for r in after)
 
 
 def test_unresolved_reference_errors(runner, tmp_path):

@@ -20,7 +20,7 @@ from rotabaxter.errors import (
     ShapeMismatchError,
     TruncationExceededError,
 )
-from rotabaxter.lie import adjoint, oop_defect, operator, search_rbo
+from rotabaxter.lie import Representation, adjoint, oop_defect, operator, search_rbo
 
 
 def catalog_pairs():
@@ -235,3 +235,19 @@ def test_space_mismatch():
     f = AltMap.zero(1, 3, 2)
     with pytest.raises(ShapeMismatchError):
         courant_bracket(f, f, alg, rep)
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_an_action_needs_one_matrix_per_algebra_basis_element(extra):
+    alg = affine_line()
+    rep = adjoint(alg)
+    # one matrix too few (read past its end) or one too many (never read)
+    mats = rep.matrices[:extra] if extra < 0 else rep.matrices + rep.matrices[:1]
+    rep = Representation(rep.basis, mats)
+    t = random_altmap(random.Random(8), 1, 2, 2)
+    tp = random_altmap(random.Random(9), 1, 2, 2)
+    for check in (lambda: courant_bracket(t, tp, alg, rep), lambda: mc_residual(t, alg, rep),
+                  lambda: deformation_check(t, tp, alg, rep),
+                  lambda: d_T(t, tp, alg, rep, force=True)):
+        with pytest.raises(ShapeMismatchError, match="one action matrix per algebra"):
+            check()

@@ -731,6 +731,34 @@ def test_psi_zero_and_degree():
     assert psi(f, rep).degree == 1
 
 
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_psi_refuses_values_outside_the_algebra_of_the_action(extra):
+    alg, rep = two_level_sgla(), two_level_rep()
+    # one value coordinate too few or too many for the action's matrices
+    names, degrees = alg.space.basis, alg.space.degrees
+    target = graded_space(names[:extra] if extra < 0 else names + ("x",),
+                          degrees[:extra] if extra < 0 else degrees + (degrees[-1],))
+    f = random_sym_family(random.Random(53), rep.space, target, 0, 2)
+    with pytest.raises(ShapeMismatchError, match="algebra of the action"):
+        psi(f, rep)
+    with pytest.raises(ShapeMismatchError, match="algebra of the action"):
+        psi(GradedSymFamily(rep.space, target, 0, {}), rep)
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_graded_brackets_need_one_action_matrix_per_algebra_basis_element(extra):
+    alg, rep = two_level_sgla(), two_level_rep()
+    # one matrix too few (read past its end) or one too many (never read)
+    mats = rep.matrices[:extra] if extra < 0 else rep.matrices + rep.matrices[:1]
+    rep = GradedRepresentation(rep.space, mats)
+    f = random_sym_family(random.Random(54), rep.space, alg.space, 0, 2)
+    for check in (lambda: graded_bracket(f, f, alg, rep, 2),
+                  lambda: mc_check_homotopy(f, alg, rep, 2),
+                  lambda: check_psi_homomorphism(f, f, alg, rep, 2)):
+        with pytest.raises(ShapeMismatchError, match="one action matrix per algebra"):
+            check()
+
+
 def test_psi_homomorphism_random():
     rng = random.Random(52)
     for name, alg, rep in _instances():

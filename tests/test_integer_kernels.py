@@ -14,13 +14,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rotabaxter.catalog import graded_instances, search_rbo, sl2
+from rotabaxter.catalog import graded_instances, lie_pairs, search_rbo, sl2
 from rotabaxter.combinatorics import parity_sign, signed_unshuffles
 from rotabaxter.deformation import (
     AltMap,
     _deform_witness,
     _mc_vanishes,
     courant_bracket,
+    courant_on_word,
     deformation_check,
     mc_residual,
     random_altmap,
@@ -32,7 +33,7 @@ from rotabaxter.embed import (
     hook_family_from_hooked,
 )
 from rotabaxter import homotopy
-from rotabaxter.errors import ShapeMismatchError
+from rotabaxter.errors import ShapeMismatchError, TruncationExceededError
 from rotabaxter.graded import (
     GradedRepresentation,
     SGLA,
@@ -75,7 +76,15 @@ from rotabaxter.lie import (
     check_representation,
     is_rota_baxter,
 )
-from rotabaxter.prelie import circ, random_hooked
+from rotabaxter.prelie import (
+    _phi_witness,
+    check_phi_homomorphism,
+    circ,
+    mn_bracket,
+    phi,
+    phi_homomorphism_defect,
+    random_hooked,
+)
 from rotabaxter.reports import named_residual
 
 BIG = 1_000_003
@@ -612,3 +621,160 @@ def test_the_deform_witness_replays_through_the_mc_residual_of_the_sum(a, lam, i
         assert (found is None) == res.is_zero()
         if found is not None:
             assert found == (min(res.entries), res.entries[min(res.entries)])
+
+
+# -- the phi check word by word, self-brackets, and the one-bracket twisted check
+
+LIE = {name: (alg, rep) for name, alg, rep in lie_pairs()}
+LIE["sl2/adjoint"] = (sl2(), adjoint(sl2()))
+LIE["sl2/natural"] = (sl2(), Representation(("v1", "v2"), tuple(
+    tuple(tuple(Fraction(x) for x in row) for row in m) for m in NATURAL_SL2)))
+
+
+def nonzero_cells(nested, at=()):
+    for i, x in enumerate(nested):
+        if isinstance(x, tuple):
+            yield from nonzero_cells(x, at + (i,))
+        elif x:
+            yield at + (i,)
+
+
+def scale_one_entry(nested, rng):
+    """The nested constants with one nonzero entry scaled by 2, -1 or 1/3."""
+    hit = rng.choice(list(nonzero_cells(nested)))
+    k = rng.choice((Fraction(2), Fraction(-1), Fraction(1, 3)))
+
+    def rebuild(x, at):
+        if isinstance(x, tuple):
+            return tuple(rebuild(y, at + (i,)) for i, y in enumerate(x))
+        return k * x if at == hit else x
+    return rebuild(nested, ())
+
+
+def lie_pair(name, a, d, kind, rng):
+    """A bundled Lie pair in rescaled bases (non-unit denominators), with one
+    entry of the algebra ("algebra") or of the action ("action") scaled, or
+    the action's last matrix dropped ("fewer matrices") or its first
+    repeated ("more matrices")."""
+    base, module = LIE[name]
+    n, m = base.dim, module.space_dim
+    alg = LieAlgebra(base.basis, rescaled_constants(base.c, a[:n]))
+    rep = Representation(module.basis, rescaled_action(module.matrices, a[:n], d[:m]))
+    if kind == "algebra":
+        alg = LieAlgebra(alg.basis, scale_one_entry(alg.c, rng))
+    elif kind == "action":
+        rep = Representation(rep.basis, scale_one_entry(rep.matrices, rng))
+    elif kind == "fewer matrices":
+        rep = Representation(rep.basis, rep.matrices[:-1])
+    elif kind == "more matrices":
+        rep = Representation(rep.basis, rep.matrices + rep.matrices[:1])
+    return alg, rep
+
+
+def family_phi_check(f, g, alg, rep, arity_max):
+    """The whole-map comparison: phi([[f, g]]) == [phi(f), phi(g)]."""
+    lhs = phi(courant_bracket(f, g, alg, rep, arity_max), rep)
+    return lhs == mn_bracket(phi(f, rep), phi(g, rep), arity_max)
+
+
+def outcome_of(check, *args):
+    """What a check returns, or the type and message of what it raises."""
+    try:
+        return check(*args)
+    except (ShapeMismatchError, TruncationExceededError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(LIE)), scales, scales, st.integers(0, 3), st.integers(0, 3),
+       st.sampled_from(("algebra", "action", "other algebra", "valid", "algebra", "cap",
+                        "action", "other module", "fewer matrices", "more matrices")),
+       st.booleans(), rngs)
+def test_the_word_by_word_phi_check_matches_the_family_comparison(
+        name, a, d, n, m, kind, same, rng):
+    alg, rep = lie_pair(name, a, d, kind, rng)
+    dim, cod = rep.space_dim, alg.dim
+    if kind != "cap":  # words exist only up to arity dim
+        m = max(min(m, dim - n), 0)
+    f = random_altmap(rng, n, dim, cod, pool=POOL)
+    g = f if same else random_altmap(rng, m, dim, cod, pool=POOL)
+    if kind == "other module":
+        g = random_altmap(rng, m, dim + 1, cod, pool=POOL)
+    elif kind == "other algebra":
+        f = random_altmap(rng, n, dim, cod + 1, pool=POOL)
+    arity_max = min(n + m, 6) - 1 if kind == "cap" else 6
+    want = outcome_of(family_phi_check, f, g, alg, rep, arity_max)
+    assert outcome_of(check_phi_homomorphism, f, g, alg, rep, arity_max) == want
+    found = outcome_of(_phi_witness, f, g, alg, rep, arity_max)
+    if want is not False:  # a PASS, or what both raise
+        assert found == (None if want is True else want)
+        return
+    # the witness is the first key of the whole-map defect, and its value
+    word, last, value = found
+    defect = phi_homomorphism_defect(f, g, alg, rep, arity_max)
+    assert (word, last) == min(defect.entries)
+    assert value == defect.entries[(word, last)]
+
+
+class NoAction:
+    """An action that must not be read: a self-bracket whose insertion
+    coefficient is 0 skips the insertion sum."""
+
+    def __init__(self, rep):
+        self.space_dim = rep.space_dim
+
+    def act_basis(self, x, j):
+        raise AssertionError("the insertion sum was evaluated")
+
+
+def copy_map(f):
+    """A distinct map equal to f, so ``g is f`` does not hold."""
+    return AltMap(f.arity, f.dim_dom, f.dim_cod, f.entries)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(LIE)), scales, scales, st.integers(0, 3),
+       st.sampled_from(("algebra", "action", "valid", "random table")), rngs)
+def test_a_self_bracket_sums_each_insertion_once(name, a, d, n, kind, rng):
+    alg, rep = lie_pair(name, a, d, kind, rng)
+    if kind == "random table":  # neither antisymmetric nor Jacobi
+        alg = LieAlgebra(alg.basis, tuple(tuple(tuple(rng.choice(POOL) for _ in alg.basis)
+                                                for _ in alg.basis) for _ in alg.basis))
+    f = random_altmap(rng, n, rep.space_dim, alg.dim, pool=POOL)
+    twin = copy_map(f)
+    # every word, unsorted and with repeated letters, up to four letters
+    words = itertools.product(range(rep.space_dim), repeat=2 * n) if n <= 2 else (
+        tuple(rng.randrange(rep.space_dim) for _ in range(2 * n)) for _ in range(40))
+    for word in words:
+        got = courant_on_word(f, f, alg, rep, word)
+        assert got == courant_on_word(f, twin, alg, rep, word)
+        if n % 2 == 0:  # (-1)^(n n) - 1 = 0: the action is never read
+            assert got == courant_on_word(f, f, alg, NoAction(rep), word)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(LIE)), scales, scales,
+       st.sampled_from(("algebra", "action", "valid")), rngs)
+def test_the_twisted_check_is_one_bracket(name, a, d, kind, rng):
+    alg, rep = lie_pair(name, a, d, kind, rng)
+    t = random_altmap(rng, 1, rep.space_dim, alg.dim, pool=POOL)  # not Maurer-Cartan
+    tp = random_altmap(rng, 1, rep.space_dim, alg.dim, pool=POOL)
+    twice = (courant_bracket(t, tp, alg, rep).scale(2) + courant_bracket(tp, tp, alg, rep))
+    assert deformation_check(t, tp, alg, rep) == twice.is_zero()
+    found = _deform_witness(t, tp, alg, rep)
+    if found is not None:
+        word = min(twice.entries)
+        assert found == (word, vec_scale(Fraction(1, 2), twice.entries[word]))
+
+
+def test_a_sum_of_int_images_stays_int():
+    f = AltMap(1, 3, 2, {(0,): (Fraction(1, 2), Fraction(0)), (1,): (Fraction(1), Fraction(2))})
+    g = AltMap(1, 3, 2, {(1,): (Fraction(-1, 3), Fraction(1)), (2,): (Fraction(0), Fraction(5))})
+    (_, i), (_, j) = f.cleared(), g.cleared()
+    for total in (i + j, i - j, j - i):
+        assert set(total.entries) == {(0,), (1,), (2,)}
+        assert all(type(x) is int for v in total.entries.values() for x in v)
+    for total in (f + g, f - g, g - f):
+        assert set(total.entries) == {(0,), (1,), (2,)}
+        assert all_fractions(total)
+    assert (f + g).entries[(2,)] == (Fraction(0), Fraction(5))

@@ -156,6 +156,17 @@ def test_phi_zero_map():
     assert phi(AltMap.zero(2, 2, 2), rep).is_zero()
 
 
+@pytest.mark.parametrize("dim_cod", [1, 3])
+def test_phi_refuses_values_outside_the_algebra_of_the_action(dim_cod):
+    rep = adjoint(affine_line())  # two action matrices
+    f = AltMap(1, 2, dim_cod, {(0,): (1,) + (0,) * (dim_cod - 1),
+                               (1,): (0,) * (dim_cod - 1) + (2,)})
+    with pytest.raises(ShapeMismatchError, match="algebra of the representation"):
+        phi(f, rep)
+    with pytest.raises(ShapeMismatchError, match="algebra of the representation"):
+        phi(AltMap.zero(1, 2, dim_cod), rep)
+
+
 def test_phi_of_operator_is_induced_product():
     alg = affine_line()
     rep = adjoint(alg)
