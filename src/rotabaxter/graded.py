@@ -11,6 +11,7 @@ bracket and the degree-1 action then reproduce the ungraded axioms, since
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -86,11 +87,22 @@ def canonical_words(space: GradedVectorSpace, weight: int):
     """Weakly increasing index words with no odd-degree index repeated, in
     sorted order.
 
-    The words are built letter by letter, and a prefix is extended only when
-    it completes to a word of the weight, so the cost is that of the words
-    themselves: a weight above the odd letters of a space without even ones
-    yields nothing at once.
+    On a space of odd letters only (every ungraded one) these are the
+    strictly increasing words, ``itertools.combinations``.  It allocates a
+    buffer of the weight up front, so a weight above the letters, which has
+    no words, gets an empty iterator before it is called.  Other spaces
+    take :func:`_walk_words`.
     """
+    dim = space.dim
+    if all(d % 2 for d in space.degrees):
+        return itertools.combinations(range(dim), weight) if weight <= dim else iter(())
+    return _walk_words(space, weight)
+
+
+def _walk_words(space: GradedVectorSpace, weight: int):
+    """The canonical words of any space, built letter by letter.  A prefix
+    is extended only when it completes to a word of the weight, so the cost
+    is that of the words themselves."""
     dim, deg = space.dim, space.degrees
     # room[a]: the most letters a word may still take from letter a on
     room = [0] * (dim + 1)
@@ -164,9 +176,12 @@ class SparseMap:
     concentrated in degree -1 the canonical words are the strictly increasing
     ones and the Koszul sign is the permutation parity: the ungraded
     alternating maps are exactly these maps.
+
+    A map is never changed after construction, so :meth:`cleared` stores
+    its int image on the map the first time it is asked for.
     """
 
-    __slots__ = ("space", "target", "weight", "degree", "entries")
+    __slots__ = ("space", "target", "weight", "degree", "entries", "_image")
     free = False
 
     def __init__(self, space: GradedVectorSpace, target: GradedVectorSpace,
@@ -200,6 +215,7 @@ class SparseMap:
             if any(val):
                 clean[key] = val
         self.entries = clean
+        self._image = None
 
     def _check_value(self, key, val) -> None:
         """Raise unless ``val`` may be stored at ``key``, a valid key of this
@@ -233,6 +249,7 @@ class SparseMap:
         new = object.__new__(cls)
         new.space, new.target, new.weight, new.degree = space, target, weight, degree
         new.entries = {k: v for k, v in entries.items() if any(v)}
+        new._image = None
         return new
 
     def _like(self, entries):
@@ -314,10 +331,13 @@ class SparseMap:
 
     def cleared(self):
         """(den, the map times den with int values), den the least common
-        denominator.  A kernel run on the int map computes den times the
-        result, since every kernel is linear in each map."""
-        den = common_denominator(x for v in self.entries.values() for x in v)
-        return den, self.integral(den)
+        denominator, computed once per map.  A kernel run on the int map
+        computes den times the result, since every kernel is linear in each
+        map."""
+        if self._image is None:
+            den = common_denominator(x for v in self.entries.values() for x in v)
+            self._image = den, self.integral(den)
+        return self._image
 
     def scale(self, c):
         c = fr(c)
@@ -360,9 +380,11 @@ def _empty_member(cls, space, target, weight, degree):
 
 
 class SparseFamily:
-    """A degree-n family of maps, one ``member`` map per weight."""
+    """A degree-n family of maps, one ``member`` map per weight.  Like a
+    map, a family is never changed after construction and stores its int
+    image the first time :meth:`cleared` is asked for it."""
 
-    __slots__ = ("space", "target", "degree", "components")
+    __slots__ = ("space", "target", "degree", "components", "_image")
     member = SparseMap
 
     def __init__(self, space, target, degree, components=None):
@@ -378,10 +400,12 @@ class SparseFamily:
                 raise ShapeMismatchError("component space, degree or weight mismatch")
             comps[int(w)] = comp
         self.components = comps
+        self._image = None
 
     def _like(self, components):
         new = copy.copy(self)
         new.components = {w: c for w, c in components.items() if not c.is_zero()}
+        new._image = None  # the copy carries this family's image, not its own
         return new
 
     def component(self, w: int):
@@ -402,10 +426,13 @@ class SparseFamily:
 
     def cleared(self):
         """(den, the family times den with int values), den the least common
-        denominator of all its components."""
-        den = common_denominator(x for c in self.components.values()
-                                 for v in c.entries.values() for x in v)
-        return den, self._like({w: c.integral(den) for w, c in self.components.items()})
+        denominator of all its components, computed once per family."""
+        if self._image is None:
+            den = common_denominator(x for c in self.components.values()
+                                     for v in c.entries.values() for x in v)
+            self._image = den, self._like(
+                {w: c.integral(den) for w, c in self.components.items()})
+        return self._image
 
     def scale(self, c):
         return self._like({w: comp.scale(c) for w, comp in self.components.items()})

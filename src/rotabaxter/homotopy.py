@@ -717,22 +717,27 @@ class PreLieInfinity(GradedHookFamily):
         return self.component(k - 1)
 
 
-def prelie_infinity_residual(p: PreLieInfinity, word, last) -> Vector:
-    """Coherence residual of the operations m_k on (word; last).
+def prelie_infinity_residual_lasts(p: PreLieInfinity, word) -> list[Vector]:
+    """Coherence residual of the operations m_k on (word; last) for every
+    last argument, in the order of the last argument.
 
     Two double sums over i + j = n + 1: m_i feeding an argument slot of m_j
     (over (i-1,1,j-2)-unshuffles), and m_i feeding the last slot of m_j
     (over (j-1,i-1)-unshuffles, with the sign (-1) to the summed degrees of
-    the m_j-block); the final argument is never permuted.  Unshuffles that
-    rearrange the word into the same word are summed once.
+    the m_j-block); the final argument is never permuted.  The unshuffles,
+    the inner m_i values of the first sum and the m_j values of the second
+    do not depend on the last argument, so each is computed once per word,
+    and every m_j is read through ``eval_lasts``.  Unshuffles that rearrange
+    the word into the same word are summed once.
     """
     space = p.space
+    dim = space.dim
     degs = tuple(space.degrees[i] for i in word)
     par = tuple(d % 2 for d in degs)
     pat = tuple(map(word.index, word))
     n = len(word) + 1
     ops = p.components  # m_k is the weight-(k - 1) component
-    out = [0] * space.dim
+    out = [[0] * dim for _ in range(dim)]
     for i in range(1, n):
         j = n + 1 - i  # j >= 2 here, so m_j has at least one symmetric slot
         mi = ops.get(i - 1)
@@ -742,12 +747,16 @@ def prelie_infinity_residual(p: PreLieInfinity, word, last) -> Vector:
         for s, eps in signed_unshuffles((i - 1, 1, j - 2), par, pat):
             u = tuple(word[t] for t in s)
             inner = mi.eval(u[:i - 1], u[i - 1])
-            if vec_is_zero(inner):
-                continue
-            term = mj.eval_insert(inner, u[i:], last)
-            for k in range(space.dim):
-                if term[k]:
-                    out[k] += eps * term[k]
+            rest = u[i:]
+            for c, x in enumerate(inner):
+                if not x:
+                    continue
+                coeff = eps * x
+                for last, val in mj.eval_lasts((c,) + rest).items():
+                    acc = out[last]
+                    for k, y in enumerate(val):
+                        if y:
+                            acc[k] += coeff * y
     for j in range(1, n + 1):
         i = n + 1 - j
         mi = ops.get(i - 1)
@@ -756,16 +765,31 @@ def prelie_infinity_residual(p: PreLieInfinity, word, last) -> Vector:
             continue
         for s, eps in signed_unshuffles((j - 1, i - 1), par, pat):
             u = tuple(word[t] for t in s)
-            inner = mi.eval(u[j - 1:], last)
-            if vec_is_zero(inner):
+            inners = mi.eval_lasts(u[j - 1:])
+            if not inners:
+                continue
+            outers = mj.eval_lasts(u[:j - 1])
+            if not outers:
                 continue
             alpha = sum(degs[s[t]] for t in range(j - 1))
-            term = mj.eval_last_insert(u[:j - 1], inner)
             factor = parity_sign(alpha) * eps
-            for k in range(space.dim):
-                if term[k]:
-                    out[k] += factor * term[k]
-    return tuple(out)
+            for last, inner in inners.items():
+                acc = out[last]
+                for c, val in outers.items():
+                    x = inner[c]
+                    if not x:
+                        continue
+                    coeff = factor * x
+                    for k, y in enumerate(val):
+                        if y:
+                            acc[k] += coeff * y
+    return [tuple(acc) for acc in out]
+
+
+def prelie_infinity_residual(p: PreLieInfinity, word, last) -> Vector:
+    """Coherence residual of the operations m_k on (word; last): the
+    ``last`` entry of :func:`prelie_infinity_residual_lasts`."""
+    return prelie_infinity_residual_lasts(p, word)[last]
 
 
 def check_prelie_infinity(p: PreLieInfinity, n_max: int = DEFAULT_P_MAX,
@@ -800,9 +824,7 @@ def check_prelie_infinity(p: PreLieInfinity, n_max: int = DEFAULT_P_MAX,
                                    f"above the cap of {PRELIE_INFINITY_CAP}")
     den, p = p.cleared()
     nonzero = _nonzero_values(
-        space, range(n_max),
-        lambda word: (prelie_infinity_residual(p, word, last) for last in range(space.dim)),
-        free=True)
+        space, range(n_max), lambda word: prelie_infinity_residual_lasts(p, word), free=True)
     for weight, (word, last), res in nonzero:
         return Report(
             "check-prelie-inf", False, order=n_max,

@@ -16,6 +16,7 @@ from rotabaxter.catalog import (
 from rotabaxter.errors import ShapeMismatchError
 from rotabaxter.graded import (
     SGLA,
+    _walk_words,
     adjoint_graded,
     canonical_word_count,
     canonical_words,
@@ -254,10 +255,20 @@ def test_canonical_words_are_the_sorted_words_without_a_repeated_odd_letter():
                 assert canonical_word_count(space, weight) == len(want)
 
 
+def test_canonical_words_of_odd_letters_are_the_generic_walk():
+    # the closed form for spaces without even letters, against the walk
+    for dim in range(6):
+        for degrees in itertools.product((-1, 1, 3), repeat=dim):
+            space = graded_space([f"e{i}" for i in range(dim)], degrees)
+            for weight in range(dim + 3):
+                assert list(canonical_words(space, weight)) == list(_walk_words(space, weight))
+
+
 def test_canonical_words_above_the_odd_letters_are_found_empty_at_once():
     space = graded_space(["a", "b", "c"], [-1, 1, 3])
     assert list(canonical_words(space, 3)) == [(0, 1, 2)]
     assert list(canonical_words(space, 10 ** 9)) == []
+    assert list(_walk_words(space, 10 ** 9)) == []
     assert canonical_word_count(space, 10 ** 9) == 0
     # with an even letter, the count is polynomial in the weight
     line = graded_space(["a", "b"], [0, 1])

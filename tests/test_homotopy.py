@@ -327,10 +327,11 @@ def test_check_prelie_infinity_visits_canonical_words_only(monkeypatch):
     _, alg, rep = graded_instances()[2]
     t = HomotopyOperator(rep.space, alg.space, {}, truncation=2)  # zero, so coherent
     pinf = induce_prelie_infinity(t, alg, rep, 4)
-    calls = _count_calls(monkeypatch, "prelie_infinity_residual")
+    calls = _count_calls(monkeypatch, "prelie_infinity_residual_lasts")
     assert check_prelie_infinity(pinf, 4).ok
     words = sum(1 for w in range(4) for _ in canonical_words(rep.space, w))
-    assert len(calls) == words * rep.space.dim == 36  # of 120 argument tuples
+    # one all-lasts call per canonical word covers 36 of the 120 argument tuples
+    assert len(calls) == words == 12
 
 
 def test_mc_check_homotopy_stops_at_the_first_nonzero_word(monkeypatch):

@@ -8,6 +8,7 @@ independent oracles are compared with each other.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -37,6 +38,7 @@ from rotabaxter.errors import ShapeMismatchError, TruncationExceededError
 from rotabaxter.graded import (
     GradedRepresentation,
     SGLA,
+    SparseFamily,
     check_graded_rep,
     check_sgla,
     suspend,
@@ -60,6 +62,7 @@ from rotabaxter.homotopy import (
     is_homotopy_oop,
     mc_check_homotopy,
     prelie_infinity_residual,
+    prelie_infinity_residual_lasts,
     psi,
     psi_homomorphism_defect,
     random_homotopy_operator,
@@ -358,6 +361,72 @@ def test_algebra_and_action_share_one_denominator():
     assert ia.c == scaled(alg.c, 6) and ir.matrices == scaled(rep.matrices, 6)
 
 
+# -- the int image stored on each map and family
+
+def image_by_hand(m):
+    """(den, {key: den * value as ints}) of a map, or of a family keyed by
+    (weight, key), from its values."""
+    entries = family_entries(m) if isinstance(m, SparseFamily) else m.entries
+    den = math.lcm(*{x.denominator for v in entries.values() for x in v})
+    return den, {k: tuple(int(x * den) for x in v) for k, v in entries.items()}
+
+
+def assert_own_image(m):
+    den, image = m.cleared()
+    got = family_entries(image) if isinstance(m, SparseFamily) else image.entries
+    assert (den, got) == image_by_hand(m)
+    assert all(type(x) is int for v in got.values() for x in v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SCALES + (Fraction(-1),)), rngs)
+def test_each_map_and_family_clears_once_and_derived_ones_clear_their_own(c, rng):
+    _, alg, rep = graded_instances()[1]
+    f, g = (random_altmap(rng, 2, 3, 3, pool=POOL) for _ in range(2))
+    t, u = (random_homotopy_operator(rng, rep.space, alg.space, 2, pool=POOL)
+            for _ in range(2))
+    fam = random_sym_family(rng, rep.space, alg.space, 1, 2, pool=POOL)
+    parents = (f, g, t, u, fam)
+    for m in parents:
+        first = m.cleared()
+        assert m.cleared() is first  # the pair is stored, not recomputed
+        assert_own_image(m)
+    derived = [f.scale(c), f + g, f - g, -f, f._like(dict(g.entries)), f.scale(1),
+               t.scale(c), t + u, t - u, t._like(dict(u.components)), t.scale(1),
+               fam.scale(c), fam._like(dict(fam.components)),
+               t.component(1).scale(c), t.component(2) + u.component(2)]
+    for m in derived:
+        # computed for the result, not copied from the parent it came from
+        assert all(m.cleared() is not p.cleared() for p in parents)
+        assert_own_image(m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(scales, st.sampled_from(SCALES), st.integers(0, len(SL2_RBOS) - 1),
+       st.integers(0, len(SL2_RBOS) - 1), rngs)
+def test_the_oracles_agree_on_warm_operators_and_what_is_made_from_them(a, lam, i, j, rng):
+    alg, _ = sl2_pair(a, a)
+    rep = adjoint(alg)
+    galg, grep = embed_pair(alg, rep)
+    mats = [rescaled_operator(SL2_RBOS[k], a) for k in (i, j)]
+    mats.append(random_altmap(rng, 1, 3, 3, pool=POOL).to_operator().matrix)
+    t, s, delta = (AltMap.from_operator(LinearOperator(m, "g", "g")) for m in mats)
+    ht, hs, hd = (homotopy_operator_from_linear(LinearOperator(m, "g", "g"), galg, grep.space)
+                  for m in mats)
+    # the warm-up stores the int images of the two operators
+    assert mc_check_homotopy(ht, galg, grep, 3) and is_homotopy_oop(hs, galg, grep, 3)
+    assert mc_residual(t, alg, rep).is_zero() and deformation_check(t, s - t, alg, rep)
+    for _ in range(2):  # the first round clears the results, the second reads them
+        for total, hop in ((t.scale(lam), ht.scale(lam)), (t + delta, ht + hd),
+                           (s - t + t, hs - ht + ht), (t - delta, ht - hd)):
+            expected = is_rota_baxter(alg, total.to_operator())
+            assert mc_residual(total, alg, rep).is_zero() == expected
+            assert mc_check_homotopy(hop, galg, grep, 3) == expected
+            assert is_homotopy_oop(hop, galg, grep, 3) == expected
+        for tp in (delta, s - t, t.scale(lam) - t):
+            assert deformation_check(t, tp, alg, rep) == mc_residual(t + tp, alg, rep).is_zero()
+
+
 GRADED = ("two-level", "mixed/adjoint", "three-level/adjoint")
 
 
@@ -566,10 +635,12 @@ def test_the_graded_kernels_match_raw_unshuffle_sums_on_any_word(name, a, d, df,
         assert bracket_on_word(f, g, alg, rep, word) == raw_bracket(f, g, alg, rep, word)
         assert residual_on_word(t, alg, rep, word) == raw_residual(t, alg, rep, word)
         lasts = hook_compose_lasts(ha, hb, word)
+        residuals = prelie_infinity_residual_lasts(pinf, word)
+        assert len(lasts) == len(residuals) == space.dim
         for last in range(space.dim):
             assert lasts[last] == raw_hook_compose(ha, hb, word, last)
-            assert prelie_infinity_residual(pinf, word, last) == \
-                raw_prelie_residual(pinf, word, last)
+            assert residuals[last] == raw_prelie_residual(pinf, word, last)
+            assert prelie_infinity_residual(pinf, word, last) == residuals[last]
 
 
 def test_repeated_letters_merge_terms_on_the_bundled_spaces():
