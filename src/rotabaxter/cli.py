@@ -33,7 +33,6 @@ from .errors import (
     SchemaError,
     SearchSpaceError,
     ShapeMismatchError,
-    TruncationExceededError,
     UnresolvedReferenceError,
 )
 from .graded import (
@@ -50,10 +49,9 @@ from .homotopy import (
     graded_bracket,
     homotopy_oop_residual,
     induce_prelie_infinity,
-    is_homotopy_rbo,
     random_sym_family,
 )
-from .lie import adjoint, check_lie, check_representation, is_rota_baxter, oop_defect, search_rbo
+from .lie import adjoint, check_lie, check_representation, oop_defect, search_rbo
 from .prelie import _phi_witness, check_prelie, induce_prelie, mn_bracket, phi
 from .reports import Report, named_residual
 from .serialize import Workspace
@@ -63,7 +61,6 @@ _ERRORS = (
     SchemaError,
     UnresolvedReferenceError,
     ShapeMismatchError,
-    TruncationExceededError,
     SearchSpaceError,
     NotMaurerCartanError,
     OversizedScalarError,
@@ -73,7 +70,6 @@ _ERRORS = (
 @dataclass
 class Config:
     p_max: int
-    arity_max: int
     json_report: str | None
     seed: int
     parallel: bool
@@ -82,8 +78,6 @@ class Config:
 @click.group()
 @click.option("--p-max", default=4, show_default=True, type=click.IntRange(min=0),
               help="Weight bound for truncated homotopy checks.")
-@click.option("--arity-max", default=6, show_default=True, type=click.IntRange(min=0),
-              help="Arity cap for bracket computations.")
 @click.option("--json-report", type=click.Path(dir_okay=False), default=None,
               help="Write the machine-readable report(s) to this file ('-' for stdout).")
 @click.option("--seed", default=0, show_default=True,
@@ -91,9 +85,9 @@ class Config:
 @click.option("--parallel", is_flag=True,
               help="Partition the Rota-Baxter grid search over worker processes.")
 @click.pass_context
-def main(ctx, p_max, arity_max, json_report, seed, parallel):
+def main(ctx, p_max, json_report, seed, parallel):
     """Exact verification of Rota-Baxter / O-operator structures."""
-    ctx.obj = Config(p_max, arity_max, json_report, seed, parallel)
+    ctx.obj = Config(p_max, json_report, seed, parallel)
 
 
 def _finish(cfg: Config, reports: list[Report]):
@@ -304,9 +298,7 @@ def check_rbo_cmd(cfg, algebra, op_):
     alg = _lie(ws, algebra)
     p = _op(ws, op_, alg.dim, alg.dim)
     defect = oop_defect(alg, adjoint(alg), p)
-    report = _altmap_report("check-rbo", defect, alg.basis)
-    report.details["direct"] = is_rota_baxter(alg, p)
-    _finish(cfg, [report])
+    _finish(cfg, [_altmap_report("check-rbo", defect, alg.basis)])
 
 
 @main.command("check-oop")
@@ -339,7 +331,7 @@ def bracket_cmd(cfg, algebra, rep_, left, right, out):
     rep = _rep(ws, rep_, alg)
     f = _operator_or_altmap(ws, left, alg, rep)
     g = _operator_or_altmap(ws, right, alg, rep)
-    result = courant_bracket(f, g, alg, rep, cfg.arity_max)
+    result = courant_bracket(f, g, alg, rep)
     _emit({"altmap": ser.altmap_to_obj(result, alg.basis)}, out)
 
 
@@ -355,7 +347,7 @@ def mc_check_cmd(cfg, algebra, rep_, op_):
     alg = _lie(ws, algebra)
     rep = _rep(ws, rep_, alg)
     t = _operator_or_altmap(ws, op_, alg, rep)
-    _finish(cfg, [_altmap_report("mc-check", mc_residual(t, alg, rep, cfg.arity_max), alg.basis)])
+    _finish(cfg, [_altmap_report("mc-check", mc_residual(t, alg, rep), alg.basis)])
 
 
 @main.command("deform")
@@ -372,9 +364,9 @@ def deform_cmd(cfg, algebra, rep_, base, delta):
     rep = _rep(ws, rep_, alg)
     t = _operator_or_altmap(ws, base, alg, rep)
     tp = _operator_or_altmap(ws, delta, alg, rep)
-    if not _mc_vanishes(t, alg, rep, cfg.arity_max):
+    if not _mc_vanishes(t, alg, rep):
         raise click.ClickException("the base operator is not an O-operator")
-    found = _deform_witness(t, tp, alg, rep, cfg.arity_max)
+    found = _deform_witness(t, tp, alg, rep)
     witness = None if found is None else _altmap_witness(*found, alg.basis)
     _finish(cfg, [Report("deform", found is None, witness=witness)])
 
@@ -420,7 +412,7 @@ def mn_bracket_cmd(cfg, left, right, out):
     b, names_b = _hooked(ws, right)
     if names != names_b:
         raise click.ClickException("hooked maps live on different bases")
-    result = mn_bracket(a, b, cfg.arity_max)
+    result = mn_bracket(a, b)
     _emit({"hooked_map": ser.hooked_to_obj(result, names)}, out)
 
 
@@ -460,20 +452,18 @@ def check_phi_hom_cmd(cfg, algebra, rep_, left, right, draws):
         for draw in range(1, draws + 1):
             f = random_altmap(rng, rng.randrange(3), rep.space_dim, alg.dim)
             g = random_altmap(rng, rng.randrange(3), rep.space_dim, alg.dim)
-            found = _phi_witness(f, g, alg, rep, cfg.arity_max)
+            found = _phi_witness(f, g, alg, rep)
             if found is not None:
                 witness = {"draw": draw, **_arity_witness(*found, rep.basis)}
                 break
-        _finish(cfg, [Report("check-phi-hom", witness is None, order=cfg.arity_max,
-                             witness=witness)])
+        _finish(cfg, [Report("check-phi-hom", witness is None, witness=witness)])
     if left is None or right is None:
         raise click.ClickException("provide --left and --right, or --draws N")
     f = _operator_or_altmap(ws, left, alg, rep)
     g = _operator_or_altmap(ws, right, alg, rep)
-    found = _phi_witness(f, g, alg, rep, cfg.arity_max)
+    found = _phi_witness(f, g, alg, rep)
     witness = None if found is None else _arity_witness(*found, rep.basis)
-    _finish(cfg, [Report("check-phi-hom", found is None, order=cfg.arity_max,
-                         witness=witness)])
+    _finish(cfg, [Report("check-phi-hom", found is None, witness=witness)])
 
 
 @main.command("search-rbo")
@@ -578,9 +568,7 @@ def check_hrbo_cmd(cfg, sgla_, hop):
     galg = _sgla(ws, sgla_)
     t = _hop(ws, hop, galg.space, galg.space)
     res = homotopy_oop_residual(t, galg, adjoint_graded(galg), cfg.p_max)
-    report = _residual_report("check-hrbo", res, galg.space, galg.space, cfg.p_max)
-    report.details["early_exit"] = is_homotopy_rbo(t, galg, cfg.p_max)
-    _finish(cfg, [report])
+    _finish(cfg, [_residual_report("check-hrbo", res, galg.space, galg.space, cfg.p_max)])
 
 
 @main.command("graded-bracket")

@@ -11,7 +11,7 @@ import itertools
 import math
 from functools import lru_cache
 
-from .errors import ShapeMismatchError
+from .errors import SearchSpaceError, ShapeMismatchError
 
 
 def compose(p, q) -> tuple[int, ...]:
@@ -69,10 +69,17 @@ def unshuffles(shape) -> list[tuple[int, ...]]:
     An unshuffle for shape (i_1, ..., i_k) is a permutation of i_1 + ... + i_k
     letters whose images increase within each consecutive block.  Blocks of
     size 0 impose no constraint; the empty shape yields the identity on zero
-    letters; shapes (0, n) and (n, 0) yield only the identity.
+    letters; shapes (0, n) and (n, 0) yield only the identity.  A shape with
+    more unshuffles than the work cap is refused before any is built.
     """
+    from .graded import CANONICAL_WORD_CAP  # graded imports this module
+
     if any(part < 0 for part in shape):
         raise ValueError("unshuffle blocks must be non-negative")
+    count = multinomial(shape)
+    if count > CANONICAL_WORD_CAP:
+        raise SearchSpaceError(f"{count} unshuffles of shape {tuple(shape)} exceed "
+                               f"the cap of {CANONICAL_WORD_CAP}")
     n = sum(shape)
     out: list[tuple[int, ...]] = []
 

@@ -19,11 +19,9 @@ import itertools
 from fractions import Fraction
 
 from .combinatorics import parity_sign, signed_unshuffles
-from .errors import NotMaurerCartanError, ShapeMismatchError, TruncationExceededError
+from .errors import NotMaurerCartanError, ShapeMismatchError
 from .graded import SparseMap, _nonzero_values, ungraded_space
 from .linalg import Vector, ZERO, cleared_pair, common_denominator, divided, vec_is_zero
-
-DEFAULT_ARITY_MAX = 6
 
 
 class AltMap(SparseMap):
@@ -139,18 +137,10 @@ def courant_on_word(f: AltMap, g: AltMap, alg, rep, word) -> Vector:
     return tuple(val)
 
 
-def _check_arity(n: int, m: int, arity_max: int) -> None:
-    if n + m > arity_max:
-        raise TruncationExceededError(
-            f"bracket of arities {n} and {m} exceeds the arity cap {arity_max}"
-        )
-
-
-def _courant_values(f: AltMap, g: AltMap, alg, rep, arity_max: int):
+def _courant_values(f: AltMap, g: AltMap, alg, rep):
     """(den, the nonzero values of den * [[f, g]]), the values computed
     lazily by :func:`courant_on_word` on the int images of the inputs."""
     _check_spaces(f, g, alg, rep)
-    _check_arity(f.arity, g.arity, arity_max)
     same = g is f
     df, f = f.cleared()
     dg, g = (df, f) if same else g.cleared()
@@ -159,15 +149,15 @@ def _courant_values(f: AltMap, g: AltMap, alg, rep, arity_max: int):
         f.space, (f.arity + g.arity,), lambda word: courant_on_word(f, g, alg, rep, word))
 
 
-def _courant_map(f: AltMap, g: AltMap, alg, rep, arity_max: int, divisor: int = 1) -> AltMap:
+def _courant_map(f: AltMap, g: AltMap, alg, rep, divisor: int = 1) -> AltMap:
     """[[f, g]] / divisor, each value divided once."""
-    den, values = _courant_values(f, g, alg, rep, arity_max)
+    den, values = _courant_values(f, g, alg, rep)
     total_arity = f.arity + g.arity
     entries = {word: divided(val, divisor * den) for _, word, val in values}
     return AltMap._on(f.space, f.target, total_arity, total_arity - 1, entries)
 
 
-def courant_bracket(f: AltMap, g: AltMap, alg, rep, arity_max: int = DEFAULT_ARITY_MAX) -> AltMap:
+def courant_bracket(f: AltMap, g: AltMap, alg, rep) -> AltMap:
     """Graded Lie bracket on C(V, g) attached to (g, [.,.], rho).
 
     For f of arity n and g of arity m the value on (u_1, ..., u_{m+n}) is
@@ -180,7 +170,7 @@ def courant_bracket(f: AltMap, g: AltMap, alg, rep, arity_max: int = DEFAULT_ARI
     term is bilinear in (f, g) and linear in the structure, so the sums run on
     the int images of f, g and (alg, rep) and each value is divided once.
     """
-    return _courant_map(f, g, alg, rep, arity_max)
+    return _courant_map(f, g, alg, rep)
 
 
 def _require_one_ary(t: AltMap) -> None:
@@ -188,34 +178,33 @@ def _require_one_ary(t: AltMap) -> None:
         raise ShapeMismatchError("Maurer-Cartan candidates are 1-ary maps")
 
 
-def mc_residual(t: AltMap, alg, rep, arity_max: int = DEFAULT_ARITY_MAX) -> AltMap:
+def mc_residual(t: AltMap, alg, rep) -> AltMap:
     """Half the self-bracket of a 1-ary map; zero exactly for O-operators."""
     _require_one_ary(t)
-    return _courant_map(t, t, alg, rep, arity_max, divisor=2)
+    return _courant_map(t, t, alg, rep, divisor=2)
 
 
-def _mc_vanishes(t: AltMap, alg, rep, arity_max: int = DEFAULT_ARITY_MAX) -> bool:
+def _mc_vanishes(t: AltMap, alg, rep) -> bool:
     """Whether :func:`mc_residual` is zero, stopping at the first nonzero word."""
     _require_one_ary(t)
-    _, values = _courant_values(t, t, alg, rep, arity_max)
+    _, values = _courant_values(t, t, alg, rep)
     return next(values, None) is None
 
 
-def d_T(t: AltMap, f: AltMap, alg, rep, force: bool = False,
-        arity_max: int = DEFAULT_ARITY_MAX) -> AltMap:
+def d_T(t: AltMap, f: AltMap, alg, rep, force: bool = False) -> AltMap:
     """Differential [[t, .]] induced by an O-operator t.
 
     Squares to zero when t is an O-operator; pass ``force=True`` to evaluate
     the bracket for exploratory t without that guarantee.
     """
-    if not force and not _mc_vanishes(t, alg, rep, arity_max):
+    if not force and not _mc_vanishes(t, alg, rep):
         raise NotMaurerCartanError(
             "base map is not an O-operator; pass force=True to differentiate anyway"
         )
-    return courant_bracket(t, f, alg, rep, arity_max)
+    return courant_bracket(t, f, alg, rep)
 
 
-def _twisted_values(t: AltMap, tp: AltMap, alg, rep, arity_max: int):
+def _twisted_values(t: AltMap, tp: AltMap, alg, rep):
     """(den, the nonzero values of den * ([[t, tp]] + 1/2 [[tp, tp]]) on the
     canonical arity-2 words), computed lazily on ints.
 
@@ -228,7 +217,6 @@ def _twisted_values(t: AltMap, tp: AltMap, alg, rep, arity_max: int):
     if t.arity != 1 or tp.arity != 1:
         raise ShapeMismatchError("deformations are 1-ary maps")
     _check_spaces(t, tp, alg, rep)
-    _check_arity(1, 1, arity_max)
     den = common_denominator(x for f in (t, tp) for v in f.entries.values() for x in v)
     itp = tp.integral(den)
     left = t.integral(2 * den) + itp
@@ -237,25 +225,24 @@ def _twisted_values(t: AltMap, tp: AltMap, alg, rep, arity_max: int):
         t.space, (2,), lambda word: courant_on_word(left, itp, alg, rep, word))
 
 
-def _deform_witness(t: AltMap, tp: AltMap, alg, rep, arity_max: int = DEFAULT_ARITY_MAX):
+def _deform_witness(t: AltMap, tp: AltMap, alg, rep):
     """(word, value) of [[t, tp]] + 1/2 [[tp, tp]] at the first canonical
     arity-2 word where it is nonzero, or None when it vanishes; only the
     value returned is divided."""
-    den, values = _twisted_values(t, tp, alg, rep, arity_max)
+    den, values = _twisted_values(t, tp, alg, rep)
     for _, word, val in values:
         return word, divided(val, den)
     return None
 
 
-def deformation_check(t: AltMap, tp: AltMap, alg, rep,
-                      arity_max: int = DEFAULT_ARITY_MAX) -> bool:
+def deformation_check(t: AltMap, tp: AltMap, alg, rep) -> bool:
     """Whether t + tp is again an O-operator, tested via the Maurer-Cartan
     equation d_t(tp) + 1/2 [[tp, tp]] = 0 of the twisted complex.
 
     The test runs on ints and stops at the first word where it fails (see
     :func:`_twisted_values`).
     """
-    _, values = _twisted_values(t, tp, alg, rep, arity_max)
+    _, values = _twisted_values(t, tp, alg, rep)
     return next(values, None) is None
 
 

@@ -6,7 +6,7 @@ class ShapeMismatchError(ValueError):
 
 
 class TruncationExceededError(ValueError):
-    """A computation was requested beyond the configured arity/weight bound."""
+    """A computation needs components beyond a family's truncation."""
 
 
 class BoundError(ValueError):
@@ -15,7 +15,8 @@ class BoundError(ValueError):
 
 
 class SearchSpaceError(ValueError):
-    """A brute-force search grid is larger than the configured cap."""
+    """A search grid, a walk over canonical words or an unshuffle table is
+    larger than its cap."""
 
 
 class NotMaurerCartanError(ValueError):

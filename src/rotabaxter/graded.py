@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 
 from .combinatorics import parity_sign
-from .errors import ShapeMismatchError
+from .errors import SearchSpaceError, ShapeMismatchError
 from .linalg import (
     Clearable,
     Matrix,
@@ -135,16 +135,59 @@ def canonical_word_count(space: GradedVectorSpace, weight: int) -> int:
                for k in range(min(n_odd, weight) + 1))
 
 
+# Work a walk over the canonical words of weights 0..p_max may take: each
+# weight is a step, even an empty one, and a word of weight p costs about p
+# steps (its letters are sorted, signed and unshuffled), so the work is
+# counted as p_max + 1 plus the sum of p times the number of words of weight p.
+# An unshuffle table of more than this many entries is refused too
+# (:func:`~rotabaxter.combinatorics.unshuffles`).
+CANONICAL_WORD_CAP = 200_000
+
+
+@lru_cache(maxsize=256)
+def _walk_steps(space: GradedVectorSpace, p_max: int) -> int:
+    """The work of a walk up to weight p_max (see CANONICAL_WORD_CAP), the
+    words counted by :func:`canonical_word_count` and only until the cap is
+    passed, so a huge p_max costs nothing."""
+    total = p_max + 1
+    # a space without even letters has no words above its odd letters
+    top = p_max if any(d % 2 == 0 for d in space.degrees) else min(p_max, space.dim)
+    for p in range(top + 1):
+        if total > CANONICAL_WORD_CAP:
+            break
+        total += p * canonical_word_count(space, p)
+    return total
+
+
+def _require_walk(space: GradedVectorSpace, p_max: int) -> None:
+    """Refuse a walk over the canonical words up to p_max whose work, counted
+    first, is above CANONICAL_WORD_CAP."""
+    total = _walk_steps(space, p_max)
+    if total > CANONICAL_WORD_CAP:
+        raise SearchSpaceError(f"p_max {p_max} needs at least {total} steps over canonical "
+                               f"words, above the cap of {CANONICAL_WORD_CAP}")
+
+
 def _nonzero_values(space: GradedVectorSpace, weights, on_word, free: bool = False):
-    """(weight, key, value) for every canonical key of the given weights at
-    which ``on_word`` is nonzero, weight by weight and in sorted key order.
+    """(weight, key, value) for every canonical key of the given weights, an
+    increasing sequence, at which ``on_word`` is nonzero, weight by weight
+    and in sorted key order.
 
     The key is the word, or (word, last) with every last argument when
     ``free`` is set; ``on_word`` takes the word and returns its value, or
     when ``free`` is set its values in the order of the last argument.  A
     whole map collects what this yields; a zero test stops at the first
-    value, so a PASS still evaluates every key.
+    value, so a PASS still evaluates every key.  The walk up to the top
+    weight is counted when it is asked for, not when it starts, and refused
+    above the cap (:func:`_require_walk`), so a caller can ask for it before
+    it does work of its own.
     """
+    _require_walk(space, weights[-1] if weights else -1)
+    return _walk_values(space, weights, on_word, free)
+
+
+def _walk_values(space: GradedVectorSpace, weights, on_word, free: bool):
+    """The walk of :func:`_nonzero_values`, uncounted."""
     for p in weights:
         for word in canonical_words(space, p):
             if free:

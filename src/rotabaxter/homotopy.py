@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
 
 from .combinatorics import parity_sign, signed_unshuffles
 from .errors import (
@@ -34,14 +33,16 @@ from .errors import (
     TruncationExceededError,
 )
 from .graded import (
+    CANONICAL_WORD_CAP,  # with _walk_steps, re-exported: callers read the cap here too
     SGLA,
     GradedRepresentation,
     GradedVectorSpace,
     SparseFamily,
     SparseMap,
     _nonzero_values,
+    _require_walk,
+    _walk_steps,
     adjoint_graded,
-    canonical_word_count,
     canonical_words,
 )
 from .linalg import (
@@ -59,46 +60,12 @@ from .prelie import COMPOSE_NORMALIZATION
 from .reports import Report, named_residual
 
 DEFAULT_P_MAX = 4
-# Work check_prelie_infinity may take on: order n visits dim^n argument
-# tuples of n arguments each, and a tuple costs about n steps, so the work is
-# counted as the sum of n * dim^n.  The cap allows n_max 13 on a
-# 2-dimensional space and 631 on a 1-dimensional one, about a second each.
-PRELIE_INFINITY_CAP = 200_000
-# Work a walk over the canonical words of weights 0..p_max may take: each
-# weight is a step, even an empty one, and a word of weight p costs about p
-# steps (its letters are sorted, signed and unshuffled), so the work is
-# counted as p_max + 1 plus the sum of p times the number of words of weight p.
-CANONICAL_WORD_CAP = 200_000
 
 
 def _require_bound(value: int, least: int, name: str) -> None:
     """Reject a bound below the first weight or order a check must cover."""
     if value < least:
         raise BoundError(f"{name} must be at least {least}, got {value}")
-
-
-@lru_cache(maxsize=256)
-def _walk_steps(space: GradedVectorSpace, p_max: int) -> int:
-    """The work of a walk up to weight p_max (see CANONICAL_WORD_CAP), the
-    words counted by :func:`canonical_word_count` and only until the cap is
-    passed, so a huge p_max costs nothing."""
-    total = p_max + 1
-    # a space without even letters has no words above its odd letters
-    top = p_max if any(d % 2 == 0 for d in space.degrees) else min(p_max, space.dim)
-    for p in range(top + 1):
-        if total > CANONICAL_WORD_CAP:
-            break
-        total += p * canonical_word_count(space, p)
-    return total
-
-
-def _require_walk(space: GradedVectorSpace, p_max: int) -> None:
-    """Refuse a walk over the canonical words up to p_max whose work, counted
-    first, is above CANONICAL_WORD_CAP."""
-    total = _walk_steps(space, p_max)
-    if total > CANONICAL_WORD_CAP:
-        raise SearchSpaceError(f"p_max {p_max} needs at least {total} steps over canonical "
-                               f"words, above the cap of {CANONICAL_WORD_CAP}")
 
 
 def word_degree(space: GradedVectorSpace, word) -> int:
@@ -249,7 +216,6 @@ def _cleared_bracket_inputs(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
         raise ShapeMismatchError("families do not take values in the algebra")
     if len(rep.matrices) != alg.dim:
         raise ShapeMismatchError("one action matrix per algebra basis element required")
-    _require_walk(rep.space, p_max)
     same = g is f
     df, f = f.cleared()
     dg, g = (df, f) if same else g.cleared()
@@ -360,7 +326,6 @@ def homotopy_oop_residual(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentati
     _require_bound(p_max, 0, "p_max")
     if t.degree != 0:
         raise ShapeMismatchError("homotopy operators are degree-0 families")
-    _require_walk(rep.space, p_max)
     dt, t = t.cleared()
     ds, alg, rep = cleared_pair(alg, rep)
     by_weight = _by_weight(_nonzero_values(
@@ -387,7 +352,6 @@ def is_homotopy_oop(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
     _require_bound(p_max, 0, "p_max")
     if t.degree != 0:
         raise ShapeMismatchError("homotopy operators are degree-0 families")
-    _require_walk(rep.space, p_max)
     return _residual_vanishes(t, alg, rep, range(p_max + 1))
 
 
@@ -611,7 +575,6 @@ def hook_compose(a: GradedHookFamily, b: GradedHookFamily,
     _require_bound(p_max, 0, "p_max")
     if a.space != b.space:
         raise ShapeMismatchError("families live on different spaces")
-    _require_walk(a.space, p_max)
     degree = a.degree + b.degree
     da, a = a.cleared()
     db, b = b.cleared()
@@ -655,6 +618,8 @@ def _psi_witness(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
     difference; the int values are checked as they are.
     """
     dfg, ds, f, g, alg, rep = _cleared_bracket_inputs(f, g, alg, rep, p_max)
+    # the brackets are computed below without _nonzero_values, so counted here
+    _require_walk(rep.space, p_max)
     space, dim = rep.space, rep.space.dim
     degree = f.degree + g.degree + 1
     brackets = {}
@@ -806,22 +771,16 @@ def check_prelie_infinity(p: PreLieInfinity, n_max: int = DEFAULT_P_MAX,
     zero.  The first nonzero (word, last) in the order of all tuples
     therefore has a canonical word, and it is the witness reported.
 
-    The work, dim^n argument tuples of n arguments at each order n, is
-    counted first; beyond PRELIE_INFINITY_CAP arguments the check raises
-    SearchSpaceError, and an empty space, with no tuples at any order,
-    passes at once.  The residual is quadratic in the operations, so it runs
-    on their int images and only a witness is divided back.
+    The walk over the canonical words of weights up to n_max - 1 is counted
+    first like every other walk (see :func:`~rotabaxter.graded._nonzero_values`),
+    and an empty space, with no tuples at any order, passes at once.  The
+    residual is quadratic in the operations, so it runs on their int images
+    and only a witness is divided back.
     """
     _require_bound(n_max, 1, "n_max")
     space = p.space
     if not space.dim:
         return Report("check-prelie-inf", True, order=n_max)
-    total = 0  # counted only until the cap is passed, so a huge n_max costs nothing
-    for n in range(1, n_max + 1):
-        total += n * space.dim ** n
-        if total > PRELIE_INFINITY_CAP:
-            raise SearchSpaceError(f"order {n_max} needs at least {total} arguments, "
-                                   f"above the cap of {PRELIE_INFINITY_CAP}")
     den, p = p.cleared()
     nonzero = _nonzero_values(
         space, range(n_max), lambda word: prelie_infinity_residual_lasts(p, word), free=True)

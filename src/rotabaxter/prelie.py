@@ -14,15 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinatorics import parity_sign, signed_unshuffles
-from .deformation import (
-    DEFAULT_ARITY_MAX,
-    AltMap,
-    _check_arity,
-    _check_spaces,
-    courant_bracket,
-    courant_on_word,
-)
-from .errors import NotMaurerCartanError, ShapeMismatchError, TruncationExceededError
+from .deformation import AltMap, _check_spaces, courant_bracket, courant_on_word
+from .errors import NotMaurerCartanError, ShapeMismatchError
 from .graded import SparseMap, _nonzero_values, ungraded_space
 from .linalg import (
     Clearable,
@@ -217,7 +210,7 @@ def circ_lasts(alpha: HookedMap, beta: HookedMap, word) -> list[Vector]:
     return [tuple(COMPOSE_NORMALIZATION * x for x in acc) for acc in out]
 
 
-def circ(alpha: HookedMap, beta: HookedMap, arity_max: int = DEFAULT_ARITY_MAX) -> HookedMap:
+def circ(alpha: HookedMap, beta: HookedMap) -> HookedMap:
     """Compose of hooked maps; arities add: :func:`circ_lasts` on each
     increasing word.
 
@@ -226,12 +219,7 @@ def circ(alpha: HookedMap, beta: HookedMap, arity_max: int = DEFAULT_ARITY_MAX) 
     """
     if alpha.dim != beta.dim:
         raise ShapeMismatchError("hooked maps live on different spaces")
-    a, b = alpha.arity, beta.arity
-    total = a + b
-    if total > arity_max:
-        raise TruncationExceededError(
-            f"compose of arities {a} and {b} exceeds the arity cap {arity_max}"
-        )
+    total = alpha.arity + beta.arity
     da, alpha = alpha.cleared()
     db, beta = beta.cleared()
     den = da * db
@@ -241,14 +229,13 @@ def circ(alpha: HookedMap, beta: HookedMap, arity_max: int = DEFAULT_ARITY_MAX) 
     return HookedMap._on(alpha.space, alpha.space, total, total, entries)
 
 
-def mn_bracket(alpha: HookedMap, beta: HookedMap,
-               arity_max: int = DEFAULT_ARITY_MAX) -> HookedMap:
+def mn_bracket(alpha: HookedMap, beta: HookedMap) -> HookedMap:
     """Graded Lie bracket alpha o beta - (-1)^(nm) beta o alpha on hooked maps.
 
     A 1-ary alpha defines a pre-Lie product exactly when [alpha, alpha] = 0.
     """
     ab = parity_sign(alpha.arity * beta.arity)
-    return circ(alpha, beta, arity_max) - circ(beta, alpha, arity_max).scale(ab)
+    return circ(alpha, beta) - circ(beta, alpha).scale(ab)
 
 
 def _phi_entries(f: AltMap, rep) -> dict:
@@ -272,7 +259,7 @@ def phi(f: AltMap, rep) -> HookedMap:
     return HookedMap(f.arity, rep.space_dim, _phi_entries(f, rep))
 
 
-def _phi_witness(f: AltMap, g: AltMap, alg, rep, arity_max: int = DEFAULT_ARITY_MAX):
+def _phi_witness(f: AltMap, g: AltMap, alg, rep):
     """(word, last, value) of phi([[f, g]]) - [phi(f), phi(g)] at the first
     increasing word and last argument, in sorted order, where it is
     nonzero, or None when the two sides agree.
@@ -281,19 +268,13 @@ def _phi_witness(f: AltMap, g: AltMap, alg, rep, arity_max: int = DEFAULT_ARITY_
     :func:`courant_on_word` against :func:`circ_lasts` of the int phi(f) and
     phi(g), both sides carrying df * dg * ds^2, so only the value returned
     is divided.  Maps on other spaces, an action with other than one matrix
-    per algebra basis element, and the arity cap raise what
+    per algebra basis element, and a walk above the work cap raise what
     :func:`phi_homomorphism_defect` raises, in the same order.
     """
     _check_spaces(f, g, alg, rep)
-    _check_arity(f.arity, g.arity, arity_max)
     df, f = f.cleared()
     dg, g = g.cleared()
     ds, alg, rep = cleared_pair(alg, rep)
-
-    def hooked(h):
-        return HookedMap._on(h.space, h.space, h.arity, h.arity, _phi_entries(h, rep))
-
-    pf, pg = hooked(f), hooked(g)
     s = parity_sign(f.arity * g.arity)
     dim = rep.space_dim
     zeros = [(0,) * dim] * dim
@@ -304,26 +285,30 @@ def _phi_witness(f: AltMap, g: AltMap, alg, rep, arity_max: int = DEFAULT_ARITY_
         return [[xk - yk + s * zk for xk, yk, zk in zip(x, y, z)]
                 for x, y, z in zip(lhs, circ_lasts(pf, pg, word), circ_lasts(pg, pf, word))]
 
-    for _, (word, last), val in _nonzero_values(
-            f.space, (f.arity + g.arity,), residuals_on_word, free=True):
+    # counted before phi(f) and phi(g), which cost dim action columns per entry
+    values = _nonzero_values(f.space, (f.arity + g.arity,), residuals_on_word, free=True)
+
+    def hooked(h):
+        return HookedMap._on(h.space, h.space, h.arity, h.arity, _phi_entries(h, rep))
+
+    pf, pg = hooked(f), hooked(g)
+    for _, (word, last), val in values:
         return word, last, divided(val, df * dg * ds * ds)
     return None
 
 
-def check_phi_homomorphism(f: AltMap, g: AltMap, alg, rep,
-                           arity_max: int = DEFAULT_ARITY_MAX) -> bool:
+def check_phi_homomorphism(f: AltMap, g: AltMap, alg, rep) -> bool:
     """Exact equality of phi([[f, g]]) and [phi(f), phi(g)], decided word by
     word (see :func:`_phi_witness`)."""
-    return _phi_witness(f, g, alg, rep, arity_max) is None
+    return _phi_witness(f, g, alg, rep) is None
 
 
-def phi_homomorphism_defect(f: AltMap, g: AltMap, alg, rep,
-                            arity_max: int = DEFAULT_ARITY_MAX) -> HookedMap:
+def phi_homomorphism_defect(f: AltMap, g: AltMap, alg, rep) -> HookedMap:
     """phi([[f, g]]) - [phi(f), phi(g)], built as whole maps: zero exactly
     when :func:`check_phi_homomorphism` passes, and a
     :func:`_phi_witness` replays as its value at the witness key."""
-    lhs = phi(courant_bracket(f, g, alg, rep, arity_max), rep)
-    return lhs - mn_bracket(phi(f, rep), phi(g, rep), arity_max)
+    lhs = phi(courant_bracket(f, g, alg, rep), rep)
+    return lhs - mn_bracket(phi(f, rep), phi(g, rep))
 
 
 def induce_prelie(t, alg, rep, force: bool = False) -> PreLieProduct:

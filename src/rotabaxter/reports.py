@@ -15,7 +15,7 @@ class Report:
     ``witness`` is present exactly when the check failed and contains enough
     information (argument tuple plus the nonzero residual, as strings) to
     re-evaluate the residual independently.  ``order`` records the truncation
-    bound (p_max or arity cap) the check was run to, when one applies.
+    bound (p_max or n_max) the check was run to, when one applies.
     """
 
     check: str

@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from rotabaxter import prelie
-from rotabaxter.catalog import affine_line
+from rotabaxter.catalog import affine_line, heisenberg
 from rotabaxter.cli import main
 from rotabaxter.deformation import AltMap, mc_residual, random_altmap
 from rotabaxter.graded import GradedRepresentation, adjoint_graded, from_lie
@@ -19,7 +19,7 @@ from rotabaxter.lie import Representation, adjoint, operator
 from rotabaxter.linalg import matrix
 from rotabaxter.prelie import phi_homomorphism_defect
 from rotabaxter.reports import named_residual
-from rotabaxter.serialize import hop_from_obj, sym_family_from_obj
+from rotabaxter.serialize import altmap_to_obj, hop_from_obj, lie_to_obj, sym_family_from_obj
 
 AFFINE = {
     "lie_algebra": {
@@ -182,6 +182,26 @@ def test_bracket_and_mc_check(runner, tmp_path):
                                 "--op", ident]).exit_code == 1
 
 
+def test_a_bracket_above_the_work_cap_exits_1_at_once(runner, tmp_path):
+    # two arity-3 maps on a 20-dimensional module walk more than 200,000
+    # steps over the words of arity 6, so their bracket and the phi check on
+    # it are refused before any word
+    lie = heisenberg()
+    alg = write(tmp_path, "L.json", {"lie_algebra": lie_to_obj(lie)})
+    rep = write(tmp_path, "rho.json", {"representation": {
+        "basis": [f"v{i + 1}" for i in range(20)], "action": {}}})
+    rng = random.Random(5)
+    sides = [write(tmp_path, f"{side}.json", {"altmap": altmap_to_obj(
+        random_altmap(rng, 3, 20, lie.dim), lie.basis)}) for side in ("left", "right")]
+    for cmd in ("bracket", "check-phi-hom"):
+        start = time.perf_counter()
+        res = runner.invoke(main, [cmd, "--algebra", alg, "--rep", rep,
+                                   "--left", sides[0], "--right", sides[1]])
+        assert time.perf_counter() - start < 1, cmd
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit), cmd
+        assert "canonical words, above the cap of 200000" in res.output
+
+
 def test_phi_and_mn_bracket_pipeline(runner, tmp_path):
     alg = write(tmp_path, "L.json", AFFINE)
     op = write(tmp_path, "P.json", RBO)
@@ -234,7 +254,6 @@ def test_graded_pipeline(runner, tmp_path):
 
 def test_bounds_below_the_first_weight_are_usage_errors(runner, tmp_path):
     alg = write(tmp_path, "L.json", AFFINE)
-    op = write(tmp_path, "P.json", RBO)
     sgla_path = str(tmp_path / "g.json")
     runner.invoke(main, ["from-lie", "--algebra", alg, "--out", sgla_path])
     hop = write(tmp_path, "hop.json", {
@@ -255,8 +274,6 @@ def test_bounds_below_the_first_weight_are_usage_errors(runner, tmp_path):
     assert runner.invoke(main, ["--p-max", "0"] + hoop).exit_code == 0
     assert runner.invoke(main, ["--p-max", "4"] + hoop).exit_code == 1
     for args in (["--p-max", "-1"] + hoop,
-                 ["--arity-max", "-1", "mc-check", "--algebra", alg, "--rep", "adjoint",
-                  "--op", op],
                  ["check-prelie-inf", "--pinf", pinf, "--n-max", "0"]):
         res = runner.invoke(main, args)
         assert res.exit_code == 2, (args, res.output)
@@ -302,8 +319,10 @@ def test_oversized_jacobi_residual_exits_1(runner, tmp_path):
 
 
 def test_prelie_infinity_order_is_capped(runner, tmp_path):
-    # pre-Lie-infinity structures on the 2-dimensional affine module: order n
-    # adds 2^n argument tuples, so --n-max 40 is refused before any work
+    # pre-Lie-infinity structures on the 2-dimensional affine module, whose
+    # letters are all odd: no canonical word is longer than 2, so --n-max 40
+    # walks a step per order and gives the --n-max 4 verdict, while a huge
+    # --n-max is still refused at once for its weights alone
     alg = write(tmp_path, "L.json", AFFINE)
     sgla_path = str(tmp_path / "g.json")
     runner.invoke(main, ["from-lie", "--algebra", alg, "--out", sgla_path])
@@ -323,12 +342,28 @@ def test_prelie_infinity_order_is_capped(runner, tmp_path):
         assert res.exit_code == 0
         res = runner.invoke(main, ["check-prelie-inf", "--pinf", pinf, "--n-max", "4"])
         assert res.output == want and res.exit_code == (0 if "PASS" in want else 1)
-        for n_max in ("40", "1000000000"):
-            start = time.perf_counter()
-            res = runner.invoke(main, ["check-prelie-inf", "--pinf", pinf, "--n-max", n_max])
-            assert time.perf_counter() - start < 1
-            assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
-            assert "arguments, above the cap of 200000" in res.output
+        res = runner.invoke(main, ["check-prelie-inf", "--pinf", pinf, "--n-max", "40"])
+        assert res.output == want.replace("order=4", "order=40")
+        assert res.exit_code == (0 if "PASS" in want else 1)
+        start = time.perf_counter()
+        res = runner.invoke(main, ["check-prelie-inf", "--pinf", pinf, "--n-max", "1000000000"])
+        assert time.perf_counter() - start < 1
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+        assert "canonical words, above the cap of 200000" in res.output
+    # an even letter repeats, so words grow with the weight: on three even
+    # letters and one odd, --n-max 40 walks more than 200,000 steps and is
+    # refused before any word is computed
+    pinf = write(tmp_path, "pinf_even.json", {"prelie_infinity": {
+        "space": {"basis": [{"name": name, "degree": degree} for name, degree in
+                            (("a", 0), ("b", 0), ("c", 0), ("d", -1))]},
+        "truncation": 2,
+        "operations": [{"arity": 1, "entries": [
+            {"args": [], "last": "d", "value": {"a": "1"}}]}]}})
+    start = time.perf_counter()
+    res = runner.invoke(main, ["check-prelie-inf", "--pinf", pinf, "--n-max", "40"])
+    assert time.perf_counter() - start < 1
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert "canonical words, above the cap of 200000" in res.output
 
 
 def test_a_huge_p_max_is_refused_at_once(runner, tmp_path):
@@ -548,7 +583,7 @@ def test_check_phi_hom_failure_reports_a_replayable_witness(runner, tmp_path):
     res = runner.invoke(main, ["--json-report", "-", "check-phi-hom", "--algebra", alg,
                                "--rep", rep_path, "--left", ident, "--right", ident])
     assert res.exit_code == 1
-    assert res.output.startswith("check-phi-hom: FAIL (order=6)\n  witness: {")
+    assert res.output.startswith("check-phi-hom: FAIL\n  witness: {")
     witness = _report(res)["witness"]
     assert set(witness) == {"arity", "at", "last", "residual"}
     # phi([[f, g]]) - [phi(f), phi(g)] replays it at its first key

@@ -1,10 +1,11 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from rotabaxter.catalog import affine_line, lie_pairs
+from rotabaxter.catalog import affine_line, heisenberg, lie_pairs
 from rotabaxter.combinatorics import sign as perm_sign
 from rotabaxter.combinatorics import parity_sign
 from rotabaxter.deformation import (
@@ -15,11 +16,7 @@ from rotabaxter.deformation import (
     mc_residual,
     random_altmap,
 )
-from rotabaxter.errors import (
-    NotMaurerCartanError,
-    ShapeMismatchError,
-    TruncationExceededError,
-)
+from rotabaxter.errors import NotMaurerCartanError, SearchSpaceError, ShapeMismatchError
 from rotabaxter.lie import Representation, adjoint, oop_defect, operator, search_rbo
 
 
@@ -221,12 +218,28 @@ def test_deformation_check_matches_direct_mc():
                     mc_residual(t + tp, alg, rep).is_zero()
 
 
-def test_arity_cap():
-    alg = affine_line()
+def test_a_bracket_above_the_work_cap_is_refused_at_once():
+    # two arity-3 maps on a 20-dimensional module: the C(20, 6) = 38,760
+    # words of arity 6 and those below count 333,287 steps, above the cap
+    alg = heisenberg()
+    zero = ((0,) * 20,) * 20
+    rep = Representation(tuple(f"v{i + 1}" for i in range(20)), (zero,) * alg.dim)
+    rng = random.Random(5)
+    f, g = (random_altmap(rng, 3, 20, alg.dim) for _ in range(2))
+    start = time.perf_counter()
+    with pytest.raises(SearchSpaceError, match="above the cap of 200000"):
+        courant_bracket(f, g, alg, rep)
+    assert time.perf_counter() - start < 1
+
+
+def test_a_bracket_above_the_module_dimension_is_zero():
+    # arities 4 + 3 on a 3-dimensional module leave no word to walk: the
+    # bracket is the zero map, and no cap refuses it
+    alg = heisenberg()
     rep = adjoint(alg)
-    f = AltMap.zero(2, 2, 2)
-    with pytest.raises(TruncationExceededError):
-        courant_bracket(f, f, alg, rep, arity_max=3)
+    g = random_altmap(random.Random(7), 3, 3, 3)
+    assert not g.is_zero()
+    assert courant_bracket(AltMap(4, 3, 3), g, alg, rep) == AltMap.zero(7, 3, 3)
 
 
 def test_space_mismatch():

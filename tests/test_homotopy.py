@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -243,6 +244,22 @@ def test_a_space_of_odd_letters_walks_a_large_p_max_at_once():
     t = homotopy_operator_from_linear(operator([[0, 1], [0, 0]], "g", "g"), alg, rep.space)
     assert is_homotopy_oop(t, alg, rep, 20_000)
     assert all(r.is_zero() for r in homotopy_oop_residual(t, alg, rep, 5_000).values())
+
+
+def test_an_unshuffle_table_above_the_work_cap_is_refused_at_once():
+    # a lone T_9 on one even letter: the walk to weight 18 counts 190 steps,
+    # but the weight-18 residual reads T_9 twice, over the 437,580
+    # (9, 1, 8)-unshuffles, and that table is refused before it is built
+    space = graded_space(["a"], [0])
+    alg = sgla(graded_space(["x"], [0]), {})
+    rep = GradedRepresentation(space, (((0,),),))
+    t9 = GradedSymMap(space, alg.space, 9, 0, {(0,) * 9: (Fraction(1),)})
+    t = HomotopyOperator(space, alg.space, {9: t9})
+    assert is_homotopy_oop(t, alg, rep, 17)
+    start = time.perf_counter()
+    with pytest.raises(SearchSpaceError, match="437580 unshuffles .* the cap of 200000"):
+        is_homotopy_oop(t, alg, rep, 18)
+    assert time.perf_counter() - start < 1
 
 
 def test_homotopy_operator_truncation():

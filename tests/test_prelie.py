@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,8 +7,15 @@ import pytest
 from rotabaxter.catalog import affine_line, heisenberg, lie_pairs
 from rotabaxter.combinatorics import parity_sign
 from rotabaxter.deformation import AltMap, courant_bracket, random_altmap
-from rotabaxter.errors import NotMaurerCartanError, ShapeMismatchError
-from rotabaxter.lie import adjoint, check_lie, operator, search_rbo, zero_operator
+from rotabaxter.errors import NotMaurerCartanError, SearchSpaceError, ShapeMismatchError
+from rotabaxter.lie import (
+    Representation,
+    adjoint,
+    check_lie,
+    operator,
+    search_rbo,
+    zero_operator,
+)
 from rotabaxter.prelie import (
     COMPOSE_NORMALIZATION,
     HookedMap,
@@ -258,3 +266,18 @@ def test_space_mismatch():
     b = HookedMap.zero(1, 3)
     with pytest.raises(ShapeMismatchError):
         circ(a, b)
+
+
+def test_a_phi_check_above_the_work_cap_is_refused_before_phi_is_built():
+    # two arity-3 maps on a 40-dimensional module: the walk of arity 6 is
+    # refused before phi of the two maps, C(40, 3) * 40 = 395,200 action
+    # columns and seconds of work, is built
+    alg = heisenberg()
+    zero = ((0,) * 40,) * 40
+    rep = Representation(tuple(f"v{i + 1}" for i in range(40)), (zero,) * alg.dim)
+    rng = random.Random(5)
+    f, g = (random_altmap(rng, 3, 40, alg.dim) for _ in range(2))
+    start = time.perf_counter()
+    with pytest.raises(SearchSpaceError, match="above the cap of 200000"):
+        check_phi_homomorphism(f, g, alg, rep)
+    assert time.perf_counter() - start < 1
