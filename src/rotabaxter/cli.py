@@ -437,7 +437,7 @@ def phi_cmd(cfg, algebra, rep_, map_, out):
 @click.option("--rep", "rep_", required=True)
 @click.option("--left", default=None)
 @click.option("--right", default=None)
-@click.option("--draws", default=0, show_default=True,
+@click.option("--draws", default=0, show_default=True, type=click.IntRange(min=0),
               help="Check this many random (f, g) pairs instead of given maps.")
 @click.pass_obj
 @command
@@ -479,6 +479,8 @@ def search_rbo_cmd(cfg, algebra, grid, cap, out):
     ws = Workspace()
     alg = _lie(ws, algebra)
     entries = [ser.parse_scalar(x.strip()) for x in grid.split(",") if x.strip()]
+    if not entries:
+        raise click.BadParameter("the grid needs at least one entry", param_hint="'--grid'")
     processes = os.cpu_count() if cfg.parallel else None
     found = search_rbo(alg, entries, cap=cap, processes=processes)
     click.echo(f"found {len(found)} operators", err=True)
@@ -640,7 +642,7 @@ def check_prelie_inf_cmd(cfg, pinf, n_max):
 @click.option("--grep", "grep_", required=True)
 @click.option("--left", default=None)
 @click.option("--right", default=None)
-@click.option("--draws", default=0, show_default=True)
+@click.option("--draws", default=0, show_default=True, type=click.IntRange(min=0))
 @click.pass_obj
 @command
 def check_psi_hom_cmd(cfg, sgla_, grep_, left, right, draws):

@@ -159,13 +159,13 @@ def _walk_steps(space: GradedVectorSpace, p_max: int) -> int:
     return total
 
 
-def _require_walk(space: GradedVectorSpace, p_max: int) -> None:
-    """Refuse a walk over the canonical words up to p_max whose work, counted
-    first, is above CANONICAL_WORD_CAP."""
-    total = _walk_steps(space, p_max)
+def _require_walk(space: GradedVectorSpace, top: int) -> None:
+    """Refuse a walk over the canonical words of weights 0..top whose work,
+    counted first, is above CANONICAL_WORD_CAP, naming that top weight."""
+    total = _walk_steps(space, top)
     if total > CANONICAL_WORD_CAP:
-        raise SearchSpaceError(f"p_max {p_max} needs at least {total} steps over canonical "
-                               f"words, above the cap of {CANONICAL_WORD_CAP}")
+        raise SearchSpaceError(f"a walk to weight {top} needs at least {total} steps over "
+                               f"canonical words, above the cap of {CANONICAL_WORD_CAP}")
 
 
 def _nonzero_values(space: GradedVectorSpace, weights, on_word, free: bool = False):

@@ -499,7 +499,8 @@ def hook_compose_lasts(a: GradedHookFamily, b: GradedHookFamily, word) -> list[V
     Two sums: b lands in a symmetric slot of a (absorbing the unshuffle
     singleton into its own free slot), or in the free slot of a with the
     per-term factor (-1)^(deg(b) * sum of a-block degrees); the final
-    argument never permutes.  Globally scaled by COMPOSE_NORMALIZATION.
+    argument never permutes.  Globally scaled by COMPOSE_NORMALIZATION,
+    which each term's sign carries, so no value is rescaled afterwards.
     The unshuffles, the inner values of the first sum and the a-values of
     the second do not depend on the last argument, so each is computed once
     per word, and every map is read through ``eval_lasts``.  Unshuffles that
@@ -525,10 +526,11 @@ def hook_compose_lasts(a: GradedHookFamily, b: GradedHookFamily, word) -> list[V
             if vec_is_zero(inner):
                 continue
             rest = u[wb + 1:]
+            sign = COMPOSE_NORMALIZATION * eps
             for j, cj in enumerate(inner):
                 if not cj:
                     continue
-                c = eps * cj
+                c = sign * cj
                 for last, val in aa.eval_lasts((j,) + rest).items():
                     acc = out[last]
                     for k, x in enumerate(val):
@@ -548,7 +550,7 @@ def hook_compose_lasts(a: GradedHookFamily, b: GradedHookFamily, word) -> list[V
             if not avals:
                 continue
             d1 = sum(degs[s[t]] for t in range(wa))
-            factor = parity_sign(nbar * d1) * eps
+            factor = COMPOSE_NORMALIZATION * parity_sign(nbar * d1) * eps
             for last, inner in inners.items():
                 acc = out[last]
                 for j, val in avals.items():
@@ -559,7 +561,7 @@ def hook_compose_lasts(a: GradedHookFamily, b: GradedHookFamily, word) -> list[V
                     for k, x in enumerate(val):
                         if x:
                             acc[k] += c * x
-    return [tuple(COMPOSE_NORMALIZATION * x for x in acc) for acc in out]
+    return [tuple(acc) for acc in out]
 
 
 def hook_compose_on_word(a: GradedHookFamily, b: GradedHookFamily, word, last) -> Vector:
@@ -682,79 +684,16 @@ class PreLieInfinity(GradedHookFamily):
         return self.component(k - 1)
 
 
-def prelie_infinity_residual_lasts(p: PreLieInfinity, word) -> list[Vector]:
-    """Coherence residual of the operations m_k on (word; last) for every
-    last argument, in the order of the last argument.
-
-    Two double sums over i + j = n + 1: m_i feeding an argument slot of m_j
-    (over (i-1,1,j-2)-unshuffles), and m_i feeding the last slot of m_j
-    (over (j-1,i-1)-unshuffles, with the sign (-1) to the summed degrees of
-    the m_j-block); the final argument is never permuted.  The unshuffles,
-    the inner m_i values of the first sum and the m_j values of the second
-    do not depend on the last argument, so each is computed once per word,
-    and every m_j is read through ``eval_lasts``.  Unshuffles that rearrange
-    the word into the same word are summed once.
-    """
-    space = p.space
-    dim = space.dim
-    degs = tuple(space.degrees[i] for i in word)
-    par = tuple(d % 2 for d in degs)
-    pat = tuple(map(word.index, word))
-    n = len(word) + 1
-    ops = p.components  # m_k is the weight-(k - 1) component
-    out = [[0] * dim for _ in range(dim)]
-    for i in range(1, n):
-        j = n + 1 - i  # j >= 2 here, so m_j has at least one symmetric slot
-        mi = ops.get(i - 1)
-        mj = ops.get(j - 1)
-        if mi is None or mj is None:
-            continue
-        for s, eps in signed_unshuffles((i - 1, 1, j - 2), par, pat):
-            u = tuple(word[t] for t in s)
-            inner = mi.eval(u[:i - 1], u[i - 1])
-            rest = u[i:]
-            for c, x in enumerate(inner):
-                if not x:
-                    continue
-                coeff = eps * x
-                for last, val in mj.eval_lasts((c,) + rest).items():
-                    acc = out[last]
-                    for k, y in enumerate(val):
-                        if y:
-                            acc[k] += coeff * y
-    for j in range(1, n + 1):
-        i = n + 1 - j
-        mi = ops.get(i - 1)
-        mj = ops.get(j - 1)
-        if mi is None or mj is None:
-            continue
-        for s, eps in signed_unshuffles((j - 1, i - 1), par, pat):
-            u = tuple(word[t] for t in s)
-            inners = mi.eval_lasts(u[j - 1:])
-            if not inners:
-                continue
-            outers = mj.eval_lasts(u[:j - 1])
-            if not outers:
-                continue
-            alpha = sum(degs[s[t]] for t in range(j - 1))
-            factor = parity_sign(alpha) * eps
-            for last, inner in inners.items():
-                acc = out[last]
-                for c, val in outers.items():
-                    x = inner[c]
-                    if not x:
-                        continue
-                    coeff = factor * x
-                    for k, y in enumerate(val):
-                        if y:
-                            acc[k] += coeff * y
-    return [tuple(acc) for acc in out]
-
-
 def prelie_infinity_residual(p: PreLieInfinity, word, last) -> Vector:
-    """Coherence residual of the operations m_k on (word; last): the
-    ``last`` entry of :func:`prelie_infinity_residual_lasts`."""
-    return prelie_infinity_residual_lasts(p, word)[last]
+    """Coherence residual of the operations m_k on (word; last).
+
+    The operations m_k are the components of a degree-1 hooked family, and
+    the coherence identities are its Maurer-Cartan equation p o p = 0 in
+    the graded Lie algebra of hooked maps: the residual is the ``last`` entry
+    of :func:`hook_compose_lasts` (p, p, word), with the global normalization
+    COMPOSE_NORMALIZATION taken back out.
+    """
+    return tuple(COMPOSE_NORMALIZATION * x for x in hook_compose_lasts(p, p, word)[last])
 
 
 def check_prelie_infinity(p: PreLieInfinity, n_max: int = DEFAULT_P_MAX,
@@ -774,8 +713,9 @@ def check_prelie_infinity(p: PreLieInfinity, n_max: int = DEFAULT_P_MAX,
     The walk over the canonical words of weights up to n_max - 1 is counted
     first like every other walk (see :func:`~rotabaxter.graded._nonzero_values`),
     and an empty space, with no tuples at any order, passes at once.  The
-    residual is quadratic in the operations, so it runs on their int images
-    and only a witness is divided back.
+    residual is the self-compose p o p of the operations' hooked family (see
+    :func:`prelie_infinity_residual`); it is quadratic in the operations, so
+    it runs on their int images and only a witness is divided back.
     """
     _require_bound(n_max, 1, "n_max")
     space = p.space
@@ -783,8 +723,9 @@ def check_prelie_infinity(p: PreLieInfinity, n_max: int = DEFAULT_P_MAX,
         return Report("check-prelie-inf", True, order=n_max)
     den, p = p.cleared()
     nonzero = _nonzero_values(
-        space, range(n_max), lambda word: prelie_infinity_residual_lasts(p, word), free=True)
-    for weight, (word, last), res in nonzero:
+        space, range(n_max), lambda word: hook_compose_lasts(p, p, word), free=True)
+    for weight, (word, last), comp in nonzero:
+        res = [COMPOSE_NORMALIZATION * x for x in comp]
         return Report(
             "check-prelie-inf", False, order=n_max,
             witness={"part": "coherence", "n": weight + 1,

@@ -224,6 +224,14 @@ def test_search_rbo_output(runner, tmp_path):
     assert "found 5 operators" in res.stderr
 
 
+def test_an_empty_search_grid_is_a_usage_error(runner, tmp_path):
+    alg = write(tmp_path, "L.json", AFFINE)
+    for grid in (",", " , ", ""):
+        res = runner.invoke(main, ["search-rbo", "--algebra", alg, "--grid", grid])
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+        assert "Invalid value for '--grid'" in res.output
+
+
 def test_graded_pipeline(runner, tmp_path):
     alg = write(tmp_path, "L.json", AFFINE)
     sgla_path = str(tmp_path / "g.json")
@@ -273,10 +281,15 @@ def test_bounds_below_the_first_weight_are_usage_errors(runner, tmp_path):
     hoop = ["check-hoop", "--sgla", sgla_path, "--grep", "adjoint", "--hop", hop]
     assert runner.invoke(main, ["--p-max", "0"] + hoop).exit_code == 0
     assert runner.invoke(main, ["--p-max", "4"] + hoop).exit_code == 1
-    for args in (["--p-max", "-1"] + hoop,
-                 ["check-prelie-inf", "--pinf", pinf, "--n-max", "0"]):
+    # a negative draw count would run no draw and pass
+    for args, option in ((["--p-max", "-1"] + hoop, "'--p-max'"),
+                         (["check-prelie-inf", "--pinf", pinf, "--n-max", "0"], "'--n-max'"),
+                         (["check-phi-hom", "--algebra", alg, "--rep", "adjoint",
+                           "--draws", "-3"], "'--draws'"),
+                         (["check-psi-hom", "--sgla", sgla_path, "--grep", "adjoint",
+                           "--draws", "-1"], "'--draws'")):
         res = runner.invoke(main, args)
-        assert res.exit_code == 2, (args, res.output)
+        assert res.exit_code == 2 and option in res.output, (args, res.output)
 
 
 def test_oversized_scalar_exits_1(runner, tmp_path):
@@ -363,6 +376,8 @@ def test_prelie_infinity_order_is_capped(runner, tmp_path):
     res = runner.invoke(main, ["check-prelie-inf", "--pinf", pinf, "--n-max", "40"])
     assert time.perf_counter() - start < 1
     assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    # the refusal names the top weight of the walk, n_max - 1
+    assert res.output.startswith("Error: a walk to weight 39 needs at least ")
     assert "canonical words, above the cap of 200000" in res.output
 
 

@@ -81,6 +81,7 @@ from rotabaxter.prelie import (
     phi,
     random_hooked,
 )
+from test_integer_kernels import raw_prelie_residual
 
 
 def test_eval_sym_signs():
@@ -344,7 +345,7 @@ def test_check_prelie_infinity_visits_canonical_words_only(monkeypatch):
     _, alg, rep = graded_instances()[2]
     t = HomotopyOperator(rep.space, alg.space, {}, truncation=2)  # zero, so coherent
     pinf = induce_prelie_infinity(t, alg, rep, 4)
-    calls = _count_calls(monkeypatch, "prelie_infinity_residual_lasts")
+    calls = _count_calls(monkeypatch, "hook_compose_lasts")
     assert check_prelie_infinity(pinf, 4).ok
     words = sum(1 for w in range(4) for _ in canonical_words(rep.space, w))
     # one all-lasts call per canonical word covers 36 of the 120 argument tuples
@@ -705,8 +706,9 @@ def test_prelie_infinity_clause_ii_reduces_to_left_symmetry():
 
 def test_prelie_infinity_coherence_equals_hook_square():
     # The coherence residual of the operations built from a degree-1 hooked
-    # family equals minus the self-compose of the family, so squaring to
-    # zero under the bracket is the same as the identities holding.
+    # family, summed term by term over the raw unshuffles, equals minus the
+    # self-compose of the family, so squaring to zero under the bracket is
+    # the same as the identities holding.
     rng = random.Random(50)
     alg, rep = two_level_sgla(), two_level_rep()
     space = rep.space
@@ -736,7 +738,7 @@ def test_prelie_infinity_coherence_equals_hook_square():
         for n in range(1, 4):
             for word in itertools.product(range(space.dim), repeat=n - 1):
                 for last in range(space.dim):
-                    res = prelie_infinity_residual(pli, word, last)
+                    res = raw_prelie_residual(pli, word, last)
                     comp = hook_compose_on_word(fam, fam, word, last)
                     assert tuple(res) == tuple(-x for x in comp)
 

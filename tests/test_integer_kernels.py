@@ -62,7 +62,6 @@ from rotabaxter.homotopy import (
     is_homotopy_oop,
     mc_check_homotopy,
     prelie_infinity_residual,
-    prelie_infinity_residual_lasts,
     psi,
     psi_homomorphism_defect,
     random_homotopy_operator,
@@ -635,12 +634,31 @@ def test_the_graded_kernels_match_raw_unshuffle_sums_on_any_word(name, a, d, df,
         assert bracket_on_word(f, g, alg, rep, word) == raw_bracket(f, g, alg, rep, word)
         assert residual_on_word(t, alg, rep, word) == raw_residual(t, alg, rep, word)
         lasts = hook_compose_lasts(ha, hb, word)
-        residuals = prelie_infinity_residual_lasts(pinf, word)
-        assert len(lasts) == len(residuals) == space.dim
+        assert len(lasts) == space.dim
         for last in range(space.dim):
             assert lasts[last] == raw_hook_compose(ha, hb, word, last)
-            assert residuals[last] == raw_prelie_residual(pinf, word, last)
-            assert prelie_infinity_residual(pinf, word, last) == residuals[last]
+            assert prelie_infinity_residual(pinf, word, last) == \
+                raw_prelie_residual(pinf, word, last)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(GRADED), scales, scales, st.integers(1, 4), rngs)
+def test_the_prelie_infinity_witness_replays_through_the_raw_residual(name, a, d, n_max, rng):
+    # check_prelie_infinity runs the self-compose of the hooked family; its
+    # witness is the first canonical (word, last) where the raw coherence sum
+    # is nonzero, and a PASS has that sum zero on every canonical word
+    alg, rep = graded_pair(name, a, d)
+    space = rep.space
+    t = random_homotopy_operator(rng, space, alg.space, 2, pool=POOL)
+    pinf = induce_prelie_infinity(t, alg, rep, force=True)
+    report = check_prelie_infinity(pinf, n_max)
+    first = next(({"part": "coherence", "n": n, "at": [i + 1 for i in word] + [last + 1],
+                   "residual": named_residual(val, space.basis)}
+                  for n in range(1, n_max + 1) for word in canonical_words(space, n - 1)
+                  for last in range(space.dim)
+                  for val in [raw_prelie_residual(pinf, word, last)] if any(val)), None)
+    assert report.ok == (first is None)
+    assert report.witness == first
 
 
 def test_repeated_letters_merge_terms_on_the_bundled_spaces():
