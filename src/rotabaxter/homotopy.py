@@ -14,9 +14,9 @@ Conventions pinned by tests:
   * The generalized Rota-Baxter residual at weight p is oriented bracket
     side minus operator side, so the weight-0 residual is [Omega, Omega]/2
     and agrees with half the self-bracket of T in every weight.
-  * The bracket on hooked families (the graded analogue of the compose of
-    hooked maps) carries the same global normalization as the ungraded one;
-    see prelie.COMPOSE_NORMALIZATION.
+  * The bracket on hooked families is built from the one compose kernel,
+    prelie.hook_compose_lasts, which the ungraded compose of hooked maps
+    runs too, with its global normalization prelie.COMPOSE_NORMALIZATION.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from .linalg import (
     vec_scale,
     vec_sub,
 )
-from .prelie import COMPOSE_NORMALIZATION
+from .prelie import COMPOSE_NORMALIZATION, hook_compose_lasts
 from .reports import Report, named_residual
 
 DEFAULT_P_MAX = 4
@@ -492,78 +492,6 @@ def psi(f: GradedSymFamily, rep: GradedRepresentation) -> GradedHookFamily:
     return _hook_family(rep.space, f.degree + 1, comps)
 
 
-def hook_compose_lasts(a: GradedHookFamily, b: GradedHookFamily, word) -> list[Vector]:
-    """The hooked-family compose on (word; last) for every last argument, in
-    the order of the last argument.
-
-    Two sums: b lands in a symmetric slot of a (absorbing the unshuffle
-    singleton into its own free slot), or in the free slot of a with the
-    per-term factor (-1)^(deg(b) * sum of a-block degrees); the final
-    argument never permutes.  Globally scaled by COMPOSE_NORMALIZATION,
-    which each term's sign carries, so no value is rescaled afterwards.
-    The unshuffles, the inner values of the first sum and the a-values of
-    the second do not depend on the last argument, so each is computed once
-    per word, and every map is read through ``eval_lasts``.  Unshuffles that
-    rearrange the word into the same word are summed once.
-    """
-    space = a.space
-    dim = space.dim
-    degs = tuple(space.degrees[i] for i in word)
-    par = tuple(d % 2 for d in degs)
-    pat = tuple(map(word.index, word))
-    p = len(word)
-    nbar = b.degree
-    ac, bc = a.components, b.components
-    out = [[0] * dim for _ in range(dim)]
-    for wb in range(p):
-        bb = bc.get(wb)
-        aa = ac.get(p - wb)
-        if bb is None or aa is None:
-            continue
-        for s, eps in signed_unshuffles((wb, 1, p - wb - 1), par, pat):
-            u = tuple(word[i] for i in s)
-            inner = bb.eval(u[:wb], u[wb])
-            if vec_is_zero(inner):
-                continue
-            rest = u[wb + 1:]
-            sign = COMPOSE_NORMALIZATION * eps
-            for j, cj in enumerate(inner):
-                if not cj:
-                    continue
-                c = sign * cj
-                for last, val in aa.eval_lasts((j,) + rest).items():
-                    acc = out[last]
-                    for k, x in enumerate(val):
-                        if x:
-                            acc[k] += c * x
-    for wa in range(p + 1):
-        aa = ac.get(wa)
-        bb = bc.get(p - wa)
-        if aa is None or bb is None:
-            continue
-        for s, eps in signed_unshuffles((wa, p - wa), par, pat):
-            u = tuple(word[i] for i in s)
-            inners = bb.eval_lasts(u[wa:])
-            if not inners:
-                continue
-            avals = aa.eval_lasts(u[:wa])
-            if not avals:
-                continue
-            d1 = sum(degs[s[t]] for t in range(wa))
-            factor = COMPOSE_NORMALIZATION * parity_sign(nbar * d1) * eps
-            for last, inner in inners.items():
-                acc = out[last]
-                for j, val in avals.items():
-                    cj = inner[j]
-                    if not cj:
-                        continue
-                    c = factor * cj
-                    for k, x in enumerate(val):
-                        if x:
-                            acc[k] += c * x
-    return [tuple(acc) for acc in out]
-
-
 def hook_compose_on_word(a: GradedHookFamily, b: GradedHookFamily, word, last) -> Vector:
     """The hooked-family compose on explicit arguments (word; last): the
     ``last`` entry of :func:`hook_compose_lasts`."""
@@ -754,7 +682,7 @@ def search_homotopy_operators(alg: SGLA, rep: GradedRepresentation, grid,
                               cap: int = 200_000) -> list[HomotopyOperator]:
     """Exhaustive grid search for homotopy O-operators of bounded weight.
 
-    Decides every assignment of grid values to the degree-admissible
+    Decides every assignment of distinct grid values to the degree-admissible
     (word, target) slots of T_0..T_max_weight and returns those whose
     residuals vanish to order p_max, in the order of ``itertools.product``
     over the slots.
@@ -768,7 +696,8 @@ def search_homotopy_operators(alg: SGLA, rep: GradedRepresentation, grid,
     search would reject.
     """
     _require_bound(p_max, 0, "p_max")
-    grid = tuple(fr(x) for x in grid)
+    # each value once, so no candidate is searched or counted twice
+    grid = tuple(dict.fromkeys(fr(x) for x in grid))
     if not grid:
         raise ValueError("search grid must be nonempty")
     space, target = rep.space, alg.space

@@ -281,11 +281,13 @@ def _search_chunk(alg: LieAlgebra, grid: tuple, n: int, first_entries) -> list[L
 def search_rbo(alg: LieAlgebra, grid, cap: int = 2_000_000, processes: int | None = None) -> list[LinearOperator]:
     """All Rota-Baxter operators with matrix entries drawn from the grid.
 
-    Exhaustive over |grid|^(dim^2) candidate matrices; the result is sorted
-    by matrix entries so sequential and parallel runs agree byte for byte.
+    Exhaustive over |grid|^(dim^2) candidate matrices, |grid| the number of
+    distinct values; the result is sorted by matrix entries so sequential
+    and parallel runs agree byte for byte.
     Raises SearchSpaceError beyond ``cap`` candidates.
     """
-    grid = tuple(fr(x) for x in grid)
+    # each value once, so no candidate is searched or counted twice
+    grid = tuple(dict.fromkeys(fr(x) for x in grid))
     if not grid:
         raise ValueError("search grid must be nonempty")
     n = alg.dim

@@ -5,6 +5,10 @@ A hooked map of arity k is an element of Hom(wedge^k V (x) V, V): alternating
 in its first k slots, unconstrained in the final slot.  The compose operation
 below makes the hooked maps a graded Lie algebra (degrees are the arities)
 whose square-zero 1-ary elements are precisely the pre-Lie products.
+
+One compose kernel, :func:`hook_compose_lasts`, serves every grading: the
+ungraded maps are the graded ones on V concentrated in degree -1, and the
+hooked families of :mod:`rotabaxter.homotopy` run it on any grading.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from fractions import Fraction
 from .combinatorics import parity_sign, signed_unshuffles
 from .deformation import AltMap, _check_spaces, courant_bracket, courant_on_word
 from .errors import NotMaurerCartanError, ShapeMismatchError
-from .graded import SparseMap, _nonzero_values, ungraded_space
+from .graded import SparseFamily, SparseMap, _nonzero_values, ungraded_space
 from .linalg import (
     Clearable,
     Vector,
@@ -36,6 +40,79 @@ from .reports import Report, named_residual
 # choice fails that homomorphism law by a global -1.  Pinned by
 # test_prelie.py::test_compose_normalization_pinned.
 COMPOSE_NORMALIZATION = -1
+
+
+def hook_compose_lasts(a: SparseFamily, b: SparseFamily, word) -> list[Vector]:
+    """The hooked-family compose on (word; last) for every last argument, in
+    the order of the last argument.
+
+    Two sums: b lands in a symmetric slot of a (absorbing the unshuffle
+    singleton into its own free slot), or in the free slot of a with the
+    per-term factor (-1)^(deg(b) * sum of a-block degrees); the final
+    argument never permutes.  Globally scaled by COMPOSE_NORMALIZATION,
+    which each term's sign carries, so no value is rescaled afterwards.
+    The unshuffles, the inner values of the first sum and the a-values of
+    the second do not depend on the last argument, so each is computed once
+    per word, and every map is read through ``eval_lasts``.  Unshuffles that
+    rearrange the word into the same word are summed once.  On hooked maps
+    (:func:`_family`) the factor is (-1)^(nm) and the tables are unmerged.
+    """
+    space = a.space
+    dim = space.dim
+    degs = tuple(space.degrees[i] for i in word)
+    par = tuple(d % 2 for d in degs)
+    pat = tuple(map(word.index, word))
+    p = len(word)
+    nbar = b.degree
+    ac, bc = a.components, b.components
+    out = [[0] * dim for _ in range(dim)]
+    for wb in range(p):
+        bb = bc.get(wb)
+        aa = ac.get(p - wb)
+        if bb is None or aa is None:
+            continue
+        for s, eps in signed_unshuffles((wb, 1, p - wb - 1), par, pat):
+            u = tuple(word[i] for i in s)
+            inner = bb.eval(u[:wb], u[wb])
+            if vec_is_zero(inner):
+                continue
+            rest = u[wb + 1:]
+            sign = COMPOSE_NORMALIZATION * eps
+            for j, cj in enumerate(inner):
+                if not cj:
+                    continue
+                c = sign * cj
+                for last, val in aa.eval_lasts((j,) + rest).items():
+                    acc = out[last]
+                    for k, x in enumerate(val):
+                        if x:
+                            acc[k] += c * x
+    for wa in range(p + 1):
+        aa = ac.get(wa)
+        bb = bc.get(p - wa)
+        if aa is None or bb is None:
+            continue
+        for s, eps in signed_unshuffles((wa, p - wa), par, pat):
+            u = tuple(word[i] for i in s)
+            inners = bb.eval_lasts(u[wa:])
+            if not inners:
+                continue
+            avals = aa.eval_lasts(u[:wa])
+            if not avals:
+                continue
+            d1 = sum(degs[s[t]] for t in range(wa))
+            factor = COMPOSE_NORMALIZATION * parity_sign(nbar * d1) * eps
+            for last, inner in inners.items():
+                acc = out[last]
+                for j, val in avals.items():
+                    cj = inner[j]
+                    if not cj:
+                        continue
+                    c = factor * cj
+                    for k, x in enumerate(val):
+                        if x:
+                            acc[k] += c * x
+    return [tuple(acc) for acc in out]
 
 
 @dataclass(frozen=True)
@@ -154,65 +231,14 @@ def product_of_hook(h: HookedMap, basis) -> PreLieProduct:
     return PreLieProduct(tuple(basis), mu)
 
 
-def circ_lasts(alpha: HookedMap, beta: HookedMap, word) -> list[Vector]:
-    """The compose alpha o beta on (word; last) for every last argument, in
-    the order of the last argument; the word is strictly increasing.
-
-    For alpha of arity n and beta of arity m, the two summands insert beta
-    either into an alternating slot of alpha (over (m,1,n-1)-unshuffles, beta
-    absorbing the singleton into its free slot) or into the free slot of
-    alpha (over (n,m)-unshuffles, with the factor (-1)^(mn)); the final
-    argument never permutes.  See COMPOSE_NORMALIZATION for the global sign.
-    The unshuffles, the inner values of the first sum and the alpha-values
-    of the second do not depend on the last argument, so each is computed
-    once per word, and every map is read through ``eval_lasts``.  The words
-    are strictly increasing, so no two unshuffles rearrange one into the
-    same word, and the tables are the unmerged ones.
-    """
-    a, b = alpha.arity, beta.arity
-    dim = alpha.dim
-    out = [[0] * dim for _ in range(dim)]
-    for s, sg in signed_unshuffles((b, 1, a - 1)) if a >= 1 else ():
-        u = tuple(word[i] for i in s)
-        inner = beta.eval(u[:b], u[b])
-        if vec_is_zero(inner):
-            continue
-        rest = u[b + 1:]
-        for j, cj in enumerate(inner):
-            if not cj:
-                continue
-            c = sg * cj
-            for last, val in alpha.eval_lasts((j,) + rest).items():
-                acc = out[last]
-                for k, x in enumerate(val):
-                    if x:
-                        acc[k] += c * x
-    ab = parity_sign(a * b)
-    for s, sg in signed_unshuffles((a, b)):
-        u = tuple(word[i] for i in s)
-        inners = beta.eval_lasts(u[a:])
-        if not inners:
-            continue
-        avals = alpha.eval_lasts(u[:a])
-        if not avals:
-            continue
-        sg *= ab
-        for last, inner in inners.items():
-            acc = out[last]
-            for j, val in avals.items():
-                cj = inner[j]
-                if not cj:
-                    continue
-                c = sg * cj
-                for k, x in enumerate(val):
-                    if x:
-                        acc[k] += c * x
-    return [tuple(COMPOSE_NORMALIZATION * x for x in acc) for acc in out]
+def _family(h: HookedMap) -> SparseFamily:
+    """A hooked map as the one-weight family :func:`hook_compose_lasts` reads."""
+    return SparseFamily(h.space, h.space, h.degree, {h.weight: h})
 
 
 def circ(alpha: HookedMap, beta: HookedMap) -> HookedMap:
-    """Compose of hooked maps; arities add: :func:`circ_lasts` on each
-    increasing word.
+    """Compose of hooked maps; arities add: :func:`hook_compose_lasts` on
+    each increasing word.
 
     Both summands are bilinear in (alpha, beta), so they run on the int
     images of the two maps and each value is divided once.
@@ -223,8 +249,9 @@ def circ(alpha: HookedMap, beta: HookedMap) -> HookedMap:
     da, alpha = alpha.cleared()
     db, beta = beta.cleared()
     den = da * db
+    a, b = _family(alpha), _family(beta)
     values = _nonzero_values(alpha.space, (total,),
-                             lambda word: circ_lasts(alpha, beta, word), free=True)
+                             lambda word: hook_compose_lasts(a, b, word), free=True)
     entries = {key: divided(val, den) for _, key, val in values}
     return HookedMap._on(alpha.space, alpha.space, total, total, entries)
 
@@ -265,11 +292,11 @@ def _phi_witness(f: AltMap, g: AltMap, alg, rep):
     nonzero, or None when the two sides agree.
 
     Word by word on the int images: the action applied to
-    :func:`courant_on_word` against :func:`circ_lasts` of the int phi(f) and
-    phi(g), both sides carrying df * dg * ds^2, so only the value returned
-    is divided.  Maps on other spaces, an action with other than one matrix
-    per algebra basis element, and a walk above the work cap raise what
-    :func:`phi_homomorphism_defect` raises, in the same order.
+    :func:`courant_on_word` against :func:`hook_compose_lasts` of the int
+    phi(f) and phi(g), both sides carrying df * dg * ds^2, so only the value
+    returned is divided.  Maps on other spaces, an action with other than
+    one matrix per algebra basis element, and a walk above the work cap
+    raise what :func:`phi_homomorphism_defect` raises, in the same order.
     """
     _check_spaces(f, g, alg, rep)
     df, f = f.cleared()
@@ -283,13 +310,14 @@ def _phi_witness(f: AltMap, g: AltMap, alg, rep):
         br = courant_on_word(f, g, alg, rep, word)
         lhs = [rep.act_basis(br, last) for last in range(dim)] if any(br) else zeros
         return [[xk - yk + s * zk for xk, yk, zk in zip(x, y, z)]
-                for x, y, z in zip(lhs, circ_lasts(pf, pg, word), circ_lasts(pg, pf, word))]
+                for x, y, z in zip(lhs, hook_compose_lasts(pf, pg, word),
+                                   hook_compose_lasts(pg, pf, word))]
 
     # counted before phi(f) and phi(g), which cost dim action columns per entry
     values = _nonzero_values(f.space, (f.arity + g.arity,), residuals_on_word, free=True)
 
     def hooked(h):
-        return HookedMap._on(h.space, h.space, h.arity, h.arity, _phi_entries(h, rep))
+        return _family(HookedMap._on(h.space, h.space, h.arity, h.arity, _phi_entries(h, rep)))
 
     pf, pg = hooked(f), hooked(g)
     for _, (word, last), val in values:

@@ -1,9 +1,11 @@
+import itertools
 import json
 import os
 import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,14 +14,23 @@ from click.testing import CliRunner
 from rotabaxter import prelie
 from rotabaxter.catalog import affine_line, heisenberg
 from rotabaxter.cli import main
+from rotabaxter.combinatorics import parity_sign
 from rotabaxter.deformation import AltMap, mc_residual, random_altmap
+from rotabaxter.embed import hook_family_from_hooked
 from rotabaxter.graded import GradedRepresentation, adjoint_graded, from_lie
 from rotabaxter.homotopy import psi_homomorphism_defect, random_sym_family, residual_on_word
 from rotabaxter.lie import Representation, adjoint, operator
 from rotabaxter.linalg import matrix
-from rotabaxter.prelie import phi_homomorphism_defect
+from rotabaxter.prelie import phi_homomorphism_defect, random_hooked
 from rotabaxter.reports import named_residual
-from rotabaxter.serialize import altmap_to_obj, hop_from_obj, lie_to_obj, sym_family_from_obj
+from rotabaxter.serialize import (
+    altmap_to_obj,
+    hooked_to_obj,
+    hop_from_obj,
+    lie_to_obj,
+    sym_family_from_obj,
+)
+from test_integer_kernels import raw_hook_compose
 
 AFFINE = {
     "lie_algebra": {
@@ -215,6 +226,37 @@ def test_phi_and_mn_bracket_pipeline(runner, tmp_path):
     assert emitted["hooked_map"]["entries"] == []  # operators square to zero
 
 
+def test_mn_bracket_emits_every_nonzero_entry(runner, tmp_path):
+    # a 1-ary and a 2-ary hooked map on three letters, with non-unit
+    # denominators, held to the raw unshuffle sums of the compose
+    basis = ["u", "v", "w"]
+    pool = [Fraction(1, 2), Fraction(-1, 3), Fraction(5, 12), Fraction(-7, 5), Fraction(2)]
+    rng = random.Random(11)
+    maps = {"a": random_hooked(rng, 1, 3, pool=pool), "b": random_hooked(rng, 2, 3, pool=pool)}
+    paths = {k: write(tmp_path, f"{k}.json", {"hooked_map": hooked_to_obj(h, basis)})
+             for k, h in maps.items()}
+    space = maps["a"].space
+    for left, right in (("a", "b"), ("b", "a"), ("a", "a")):
+        res = runner.invoke(main, ["mn-bracket", "--left", paths[left], "--right", paths[right]])
+        assert res.exit_code == 0, res.output
+        emitted = json.loads(res.stdout)["hooked_map"]
+        x, y = maps[left], maps[right]
+        assert emitted["basis"] == basis and emitted["arity"] == x.arity + y.arity
+        fx, fy = hook_family_from_hooked(x, space), hook_family_from_hooked(y, space)
+        s = parity_sign(x.arity * y.arity)
+        want = {}
+        for word in itertools.combinations(range(3), x.arity + y.arity):
+            for last in range(3):
+                xy = raw_hook_compose(fx, fy, word, last)
+                yx = raw_hook_compose(fy, fx, word, last)
+                val = named_residual([p - s * q for p, q in zip(xy, yx)], basis)
+                if val:
+                    want[(tuple(i + 1 for i in word), last + 1)] = val
+        got = {(tuple(e["args"]), e["last"]): e["value"] for e in emitted["entries"]}
+        assert len(got) == len(emitted["entries"])
+        assert got == want and want
+
+
 def test_search_rbo_output(runner, tmp_path):
     alg = write(tmp_path, "L.json", AFFINE)
     res = runner.invoke(main, ["search-rbo", "--algebra", alg, "--grid", "0,1"])
@@ -222,6 +264,12 @@ def test_search_rbo_output(runner, tmp_path):
     ops = json.loads(res.stdout)["operators"]
     assert len(ops) == 5
     assert "found 5 operators" in res.stderr
+    # a repeated grid value searches its candidates once
+    for grid, count in (("0,0", 1), ("0,1,1", 5), ("0, 1/1, 2/2", 5)):
+        res = runner.invoke(main, ["search-rbo", "--algebra", alg, "--grid", grid])
+        assert res.exit_code == 0
+        assert len(json.loads(res.stdout)["operators"]) == count
+        assert f"found {count} operators" in res.stderr
 
 
 def test_an_empty_search_grid_is_a_usage_error(runner, tmp_path):

@@ -81,7 +81,7 @@ from rotabaxter.prelie import (
     phi,
     random_hooked,
 )
-from test_integer_kernels import raw_prelie_residual
+from test_integer_kernels import POOL, raw_hook_compose, raw_prelie_residual
 
 
 def test_eval_sym_signs():
@@ -591,6 +591,24 @@ def test_grid_search_two_level():
         search_homotopy_operators(alg, rep, (-1, 0, 1), max_weight=2, cap=10)
 
 
+def test_search_homotopy_operators_searches_each_grid_value_once():
+    # a repeated value, however written, adds no candidate and no operator
+    alg, rep = two_level_sgla(), two_level_rep()
+    want = search_homotopy_operators(alg, rep, (0, 1), max_weight=1, p_max=2)
+    assert len(want) == 5
+    for grid in ((0, 1, 1), ("0", "1/1", "2/2")):
+        assert search_homotopy_operators(alg, rep, grid, max_weight=1, p_max=2) == want
+    # the first occurrence fixes the order of the values, and so of the result
+    assert (search_homotopy_operators(alg, rep, (1, 0, 1, 0), 1, 2)
+            == search_homotopy_operators(alg, rep, (1, 0), 1, 2))
+    # the cap counts the 2^5 distinct candidates, not 3^5
+    assert search_homotopy_operators(alg, rep, (0, 1, 1), 1, 2, cap=32) == want
+    with pytest.raises(SearchSpaceError, match="32 candidates"):
+        search_homotopy_operators(alg, rep, (0, 1, 1), 1, 2, cap=31)
+    zero = search_homotopy_operators(alg, rep, (0, 0), max_weight=1, p_max=2)
+    assert [t.is_zero() for t in zero] == [True]
+
+
 def brute_force_search(alg, rep, grid, max_weight, p_max):
     """Oracle: every slot assignment in product order, kept when it passes
     the full early-exit check."""
@@ -798,21 +816,27 @@ def test_psi_sends_mc_to_mc():
 
 
 def test_hook_bracket_reduces_to_ungraded_mn():
+    # both brackets run one kernel, so each is held to the raw unshuffle sums
     rng = random.Random(53)
-    space = graded_space(["v1", "v2"], [-1, -1])
-    for _ in range(10):
-        a = random_hooked(rng, rng.randrange(3), 2)
-        b = random_hooked(rng, rng.randrange(3), 2)
-        if a.arity + b.arity > 4:
-            continue
-        got = hook_bracket(hook_family_from_hooked(a, space),
-                           hook_family_from_hooked(b, space), 5)
-        want = mn_bracket(a, b)
-        if want.is_zero():
-            assert got.is_zero()
-        else:
-            assert got.components.keys() == {a.arity + b.arity}
-            assert dict(got.component(a.arity + b.arity).entries) == dict(want.entries)
+    for _ in range(20):
+        dim = rng.randint(1, 4)
+        a = random_hooked(rng, rng.randrange(4), dim, pool=POOL)
+        b = random_hooked(rng, rng.randrange(4), dim, pool=POOL)
+        space = graded_space([f"v{i + 1}" for i in range(dim)], [-1] * dim)
+        fa, fb = hook_family_from_hooked(a, space), hook_family_from_hooked(b, space)
+        total, s = a.arity + b.arity, parity_sign(a.arity * b.arity)
+        want = {}
+        for word in itertools.combinations(range(dim), total):
+            for last in range(dim):
+                ab = raw_hook_compose(fa, fb, word, last)
+                ba = raw_hook_compose(fb, fa, word, last)
+                val = tuple(x - s * y for x, y in zip(ab, ba))
+                if any(val):
+                    want[(word, last)] = val
+        assert dict(mn_bracket(a, b).entries) == want
+        got = hook_bracket(fa, fb, total)
+        assert got.components.keys() <= {total}
+        assert dict(got.component(total).entries) == want
 
 
 def test_phi_agrees_with_psi_on_embeddings():

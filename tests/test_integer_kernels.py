@@ -173,17 +173,24 @@ def test_courant_bracket_matches_the_graded_word_kernel(a, d, rng):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2), st.integers(0, 2), rngs)
-def test_circ_matches_the_hooked_word_kernel(n, m, rng):
-    a = random_hooked(rng, n, 3, pool=POOL)
-    b = random_hooked(rng, m, 3, pool=POOL)
-    got = circ(a, b)
-    assert all_fractions(got)
-    space = got.space
+@given(st.integers(0, 3), st.integers(0, 3), st.integers(1, 4), rngs)
+def test_circ_and_mn_bracket_match_the_raw_compose(n, m, dim, rng):
+    # the ungraded compose runs the graded kernel, so the oracle is the raw
+    # unshuffle sum on V concentrated in degree -1, which reads no kernel
+    a = random_hooked(rng, n, dim, pool=POOL)
+    b = random_hooked(rng, m, dim, pool=POOL)
+    got, br = circ(a, b), mn_bracket(a, b)
+    assert all_fractions(got) and all_fractions(br)
+    space = a.space
+    assert set(space.degrees) == {-1}
     fa, fb = hook_family_from_hooked(a, space), hook_family_from_hooked(b, space)
-    for word in itertools.combinations(range(3), n + m):
-        for last in range(3):
-            assert got.eval(word, last) == hook_compose_on_word(fa, fb, word, last)
+    s = parity_sign(n * m)
+    for word in itertools.combinations(range(dim), n + m):
+        for last in range(dim):
+            ab = raw_hook_compose(fa, fb, word, last)
+            ba = raw_hook_compose(fb, fa, word, last)
+            assert got.eval(word, last) == ab
+            assert br.eval(word, last) == tuple(x - s * y for x, y in zip(ab, ba))
 
 
 @settings(max_examples=60, deadline=None)

@@ -193,6 +193,21 @@ def test_search_rbo_abelian_one_dim():
     assert len(found) == 2
 
 
+def test_search_rbo_searches_each_grid_value_once():
+    # a repeated value, however written, adds no candidate and no operator
+    alg = affine_line()
+    assert [op.matrix for op in search_rbo(alg, (0, 0))] == [matrix([[0, 0], [0, 0]])]
+    want = [op.matrix for op in search_rbo(alg, (0, 1))]
+    assert len(want) == 5
+    for grid in ((0, 1, 1), ("0", "1/1", "2/2"), (1, 0, 1, 0)):
+        assert [op.matrix for op in search_rbo(alg, grid)] == want
+    assert [op.matrix for op in search_rbo(alg, (0, 1, 1), processes=2)] == want
+    # the cap counts the 2^4 distinct candidates, not 3^4
+    assert len(search_rbo(alg, (0, 1, 1), cap=16)) == 5
+    with pytest.raises(SearchSpaceError, match="16 candidates"):
+        search_rbo(alg, (0, 1, 1), cap=15)
+
+
 def test_search_rbo_empty_grid():
     with pytest.raises(ValueError):
         search_rbo(affine_line(), ())
