@@ -210,7 +210,7 @@ def _hooked(ws, ref):
 
 
 def _altmap_witness(word, value, cod_names) -> dict:
-    return {"at": [i + 1 for i in word], "residual": ser.value_obj(value, cod_names)}
+    return {"at": [i + 1 for i in word], "residual": named_residual(value, cod_names)}
 
 
 def _altmap_report(name, f: AltMap, cod_names, order=None) -> Report:
@@ -247,6 +247,13 @@ def _residual_report(name, residuals, space, target, order) -> Report:
         return Report(name, False, order=order,
                       witness=_weight_witness(p, word, comp.entries[word], space, target))
     return Report(name, True, order=order)
+
+
+def _given_or_drawn(left, right, draws):
+    """A homomorphism check runs on the given pair or on seeded random
+    pairs, never both: the draws must not stand in for a given map."""
+    if draws and (left is not None or right is not None):
+        raise click.UsageError("--draws checks random pairs; give it without --left and --right")
 
 
 def command(fn):
@@ -443,6 +450,7 @@ def phi_cmd(cfg, algebra, rep_, map_, out):
 @command
 def check_phi_hom_cmd(cfg, algebra, rep_, left, right, draws):
     """Verify that the hook construction preserves brackets."""
+    _given_or_drawn(left, right, draws)
     ws = Workspace()
     alg = _lie(ws, algebra)
     rep = _rep(ws, rep_, alg)
@@ -647,6 +655,7 @@ def check_prelie_inf_cmd(cfg, pinf, n_max):
 @command
 def check_psi_hom_cmd(cfg, sgla_, grep_, left, right, draws):
     """Verify that the action hook preserves graded brackets."""
+    _given_or_drawn(left, right, draws)
     ws = Workspace()
     galg, grep = _graded_context(ws, sgla_, grep_)
     if draws:

@@ -37,10 +37,9 @@ from .linalg import (
     rho,
     table_from_pairs,
     vec_add,
-    vec_is_zero,
     vec_sub,
 )
-from .reports import Report, named_residual, scalar_text
+from .reports import Report, first_failure, matrix_text, named_residual
 
 
 @dataclass(frozen=True)
@@ -555,55 +554,22 @@ def check_sgla(g: SGLA) -> Report:
         raise ShapeMismatchError("bracket constants do not match the basis")
     deg = g.space.degrees
     names = g.space.basis
-    degree_w = None
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if g.b[i][j][k] and deg[k] != deg[i] + deg[j] + 1:
-                    degree_w = {"at": [i + 1, j + 1, k + 1],
-                                "residual": scalar_text(g.b[i][j][k])}
-                    break
-            if degree_w:
-                break
-        if degree_w:
-            break
-    sym_w = None
-    if degree_w is None:
-        for i in range(n):
-            for j in range(n):
-                s = parity_sign(deg[i] * deg[j])
-                for k in range(n):
-                    if g.b[i][j][k] != s * g.b[j][i][k]:
-                        sym_w = {"at": [i + 1, j + 1, k + 1],
-                                 "residual": scalar_text(g.b[i][j][k] - s * g.b[j][i][k])}
-                        break
-                if sym_w:
-                    break
-            if sym_w:
-                break
-    leib_w = None
-    if degree_w is None and sym_w is None:
-        for i in range(n):
-            ei = basis_vector(n, i)
-            for j in range(n):
-                ej = basis_vector(n, j)
-                for k in range(n):
-                    ek = basis_vector(n, k)
-                    lhs = g.bracket(ei, g.bracket(ej, ek))
-                    r1 = vec_sub(lhs,
-                                 tuple(parity_sign(deg[i] + 1) * x
-                                       for x in g.bracket(g.bracket(ei, ej), ek)))
-                    res = vec_sub(r1,
-                                  tuple(parity_sign((deg[i] + 1) * (deg[j] + 1)) * x
-                                        for x in g.bracket(ej, g.bracket(ei, ek))))
-                    if not vec_is_zero(res):
-                        leib_w = {"at": [i + 1, j + 1, k + 1],
-                                  "residual": named_residual(res, names)}
-                        break
-                if leib_w:
-                    break
-            if leib_w:
-                break
+    triples = list(itertools.product(range(n), repeat=3))
+    degree_w = first_failure(
+        triples, lambda i, j, k: g.b[i][j][k] if deg[k] != deg[i] + deg[j] + 1 else 0)
+    sym_w = None if degree_w else first_failure(
+        triples, lambda i, j, k: g.b[i][j][k] - parity_sign(deg[i] * deg[j]) * g.b[j][i][k])
+    e = [basis_vector(n, i) for i in range(n)]
+    br = g.bracket
+
+    def leibniz(i, j, k):
+        r1 = vec_sub(br(e[i], br(e[j], e[k])),
+                     tuple(parity_sign(deg[i] + 1) * x for x in br(br(e[i], e[j]), e[k])))
+        return vec_sub(r1, tuple(parity_sign((deg[i] + 1) * (deg[j] + 1)) * x
+                                 for x in br(e[j], br(e[i], e[k]))))
+
+    leib_w = None if degree_w or sym_w else first_failure(
+        triples, leibniz, lambda res: named_residual(res, names))
     ok = degree_w is None and sym_w is None and leib_w is None
     # parts skipped after an earlier failure report None, not a verdict
     return Report(
@@ -643,31 +609,23 @@ def check_sdgla(g: SGLA, d: Matrix) -> Report:
     deg = g.space.degrees
     names = g.space.basis
     square = mat_mul(d, d)
-    for j in range(n):
-        col = tuple(square[r][j] for r in range(n))
-        if not vec_is_zero(col):
-            return Report("check-sdgla", False,
-                          witness={"at": [j + 1], "residual": named_residual(col, names),
-                                   "part": "square"},
-                          details={"square_ok": False, "compatibility_ok": None})
-    for i in range(n):
-        ei = basis_vector(n, i)
-        dei = mat_vec(d, ei)
-        for j in range(n):
-            ej = basis_vector(n, j)
-            dej = mat_vec(d, ej)
-            lhs = mat_vec(d, g.bracket(ei, ej))
-            rhs = vec_add(
-                tuple(-x for x in g.bracket(dei, ej)),
-                tuple(-parity_sign(deg[i]) * x for x in g.bracket(ei, dej)),
-            )
-            res = vec_sub(lhs, rhs)
-            if not vec_is_zero(res):
-                return Report("check-sdgla", False,
-                              witness={"at": [i + 1, j + 1],
-                                       "residual": named_residual(res, names),
-                                       "part": "compatibility"},
-                              details={"square_ok": True, "compatibility_ok": False})
+    witness = first_failure(((j,) for j in range(n)),
+                            lambda j: tuple(square[r][j] for r in range(n)),
+                            lambda res: named_residual(res, names))
+    if witness:
+        return Report("check-sdgla", False, witness={**witness, "part": "square"},
+                      details={"square_ok": False, "compatibility_ok": None})
+    e = [basis_vector(n, i) for i in range(n)]
+    de = [mat_vec(d, ei) for ei in e]
+    witness = first_failure(
+        itertools.product(range(n), repeat=2),
+        lambda i, j: vec_add(vec_add(mat_vec(d, g.bracket(e[i], e[j])), g.bracket(de[i], e[j])),
+                             tuple(parity_sign(deg[i]) * x for x in g.bracket(e[i], de[j]))),
+        lambda res: named_residual(res, names),
+    )
+    if witness:
+        return Report("check-sdgla", False, witness={**witness, "part": "compatibility"},
+                      details={"square_ok": True, "compatibility_ok": False})
     return Report("check-sdgla", True,
                   details={"square_ok": True, "compatibility_ok": True})
 
@@ -725,18 +683,16 @@ def check_graded_rep(g: SGLA, rep: GradedRepresentation) -> Report:
             return Report("check-graded-rep", False,
                           witness={"at": [i + 1], "part": "degree"},
                           details={"degree_ok": False, "homomorphism_ok": None})
-    for i in range(n):
-        for j in range(n):
-            lhs = rep.rho(g.bracket_basis(i, j))
-            rhs = desuspended_gl_bracket(rep.matrices[i], rep.matrices[j],
-                                         deg[i] + 1, deg[j] + 1)
-            res = mat_sub(lhs, rhs)
-            if any(any(row) for row in res):
-                return Report("check-graded-rep", False,
-                              witness={"at": [i + 1, j + 1],
-                                       "residual": [[scalar_text(x) for x in row] for row in res],
-                                       "part": "homomorphism"},
-                              details={"degree_ok": True, "homomorphism_ok": False})
+    witness = first_failure(
+        itertools.product(range(n), repeat=2),
+        lambda i, j: mat_sub(rep.rho(g.bracket_basis(i, j)),
+                             desuspended_gl_bracket(rep.matrices[i], rep.matrices[j],
+                                                    deg[i] + 1, deg[j] + 1)),
+        matrix_text,
+    )
+    if witness:
+        return Report("check-graded-rep", False, witness={**witness, "part": "homomorphism"},
+                      details={"degree_ok": True, "homomorphism_ok": False})
     return Report("check-graded-rep", True,
                   details={"degree_ok": True, "homomorphism_ok": True})
 

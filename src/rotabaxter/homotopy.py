@@ -33,7 +33,6 @@ from .errors import (
     TruncationExceededError,
 )
 from .graded import (
-    CANONICAL_WORD_CAP,  # with _walk_steps, re-exported: callers read the cap here too
     SGLA,
     GradedRepresentation,
     GradedVectorSpace,
@@ -41,7 +40,6 @@ from .graded import (
     SparseMap,
     _nonzero_values,
     _require_walk,
-    _walk_steps,
     adjoint_graded,
     canonical_words,
 )

@@ -22,7 +22,6 @@ from .linalg import (
     bilinear,
     fr,
     mat_commutator,
-    mat_is_zero,
     mat_sub,
     mat_vec,
     matrix,
@@ -32,7 +31,7 @@ from .linalg import (
     vec_is_zero,
     vec_sub,
 )
-from .reports import Report, named_residual, scalar_text
+from .reports import Report, first_failure, matrix_text, named_residual
 
 
 @dataclass(frozen=True)
@@ -146,44 +145,16 @@ def check_lie(alg: LieAlgebra) -> Report:
     n = alg.dim
     if len(alg.c) != n or any(len(p) != n or any(len(r) != n for r in p) for p in alg.c):
         raise ShapeMismatchError("structure constant array does not match the basis")
-    antisym = None
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if alg.c[i][j][k] != -alg.c[j][i][k]:
-                    antisym = {
-                        "at": [i + 1, j + 1, k + 1],
-                        "residual": scalar_text(alg.c[i][j][k] + alg.c[j][i][k]),
-                    }
-                    break
-            if antisym:
-                break
-        if antisym:
-            break
-    jacobi = None
-    for i in range(n):
-        ei = basis_vector(n, i)
-        for j in range(n):
-            ej = basis_vector(n, j)
-            for k in range(n):
-                ek = basis_vector(n, k)
-                res = vec_add(
-                    vec_add(
-                        alg.bracket(alg.bracket(ei, ej), ek),
-                        alg.bracket(alg.bracket(ej, ek), ei),
-                    ),
-                    alg.bracket(alg.bracket(ek, ei), ej),
-                )
-                if not vec_is_zero(res):
-                    jacobi = {
-                        "at": [i + 1, j + 1, k + 1],
-                        "residual": named_residual(res, alg.basis),
-                    }
-                    break
-            if jacobi:
-                break
-        if jacobi:
-            break
+    triples = list(itertools.product(range(n), repeat=3))
+    antisym = first_failure(triples, lambda i, j, k: alg.c[i][j][k] + alg.c[j][i][k])
+    e = [basis_vector(n, i) for i in range(n)]
+    br = alg.bracket
+    jacobi = first_failure(
+        triples,
+        lambda i, j, k: vec_add(vec_add(br(br(e[i], e[j]), e[k]), br(br(e[j], e[k]), e[i])),
+                                br(br(e[k], e[i]), e[j])),
+        lambda res: named_residual(res, alg.basis),
+    )
     ok = antisym is None and jacobi is None
     return Report(
         "check-lie",
@@ -200,20 +171,12 @@ def check_representation(alg: LieAlgebra, rep: Representation) -> Report:
     d = rep.space_dim
     if any(len(m) != d or any(len(row) != d for row in m) for m in rep.matrices):
         raise ShapeMismatchError("action matrices must be square of the module dimension")
-    witness = None
-    for i in range(alg.dim):
-        for j in range(i + 1, alg.dim):
-            lhs = rep.rho(alg.bracket_basis(i, j))
-            rhs = mat_commutator(rep.matrices[i], rep.matrices[j])
-            res = mat_sub(lhs, rhs)
-            if not mat_is_zero(res):
-                witness = {
-                    "at": [i + 1, j + 1],
-                    "residual": [[scalar_text(x) for x in row] for row in res],
-                }
-                break
-        if witness:
-            break
+    witness = first_failure(
+        itertools.combinations(range(alg.dim), 2),
+        lambda i, j: mat_sub(rep.rho(alg.bracket_basis(i, j)),
+                             mat_commutator(rep.matrices[i], rep.matrices[j])),
+        matrix_text,
+    )
     return Report("check-rep", witness is None, witness=witness)
 
 

@@ -70,10 +70,6 @@ def mat_commutator(a: Matrix, b: Matrix) -> Matrix:
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 
-def mat_is_zero(a: Matrix) -> bool:
-    return all(not any(row) for row in a)
-
-
 # -- cleared denominators -----------------------------------------------------
 #
 # Every residual and bracket the kernels sum is multilinear in its inputs, so

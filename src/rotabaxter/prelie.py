@@ -25,6 +25,7 @@ from .linalg import (
     Clearable,
     Vector,
     ZERO,
+    basis_vector,
     bilinear,
     cleared_pair,
     divided,
@@ -32,7 +33,7 @@ from .linalg import (
     vec_is_zero,
     vec_sub,
 )
-from .reports import Report, named_residual
+from .reports import Report, first_failure, named_residual
 
 # Global normalization of the compose operation.  The sign is fixed by
 # requiring that f |-> (u_1..u_k, w) |-> rho(f(u_1..u_k)) w intertwine the
@@ -149,29 +150,16 @@ def check_prelie(p: PreLieProduct) -> Report:
     n = p.dim
     if len(p.mu) != n or any(len(pl) != n or any(len(r) != n for r in pl) for pl in p.mu):
         raise ShapeMismatchError("product constants do not match the basis")
-    witness = None
-    from .linalg import basis_vector
-
-    for i in range(n):
-        ei = basis_vector(n, i)
-        for j in range(n):
-            ej = basis_vector(n, j)
-            for k in range(n):
-                ek = basis_vector(n, k)
-                res = vec_sub(
-                    vec_sub(p.product(p.product(ei, ej), ek), p.product(ei, p.product(ej, ek))),
-                    vec_sub(p.product(p.product(ej, ei), ek), p.product(ej, p.product(ei, ek))),
-                )
-                if not vec_is_zero(res):
-                    witness = {
-                        "at": [i + 1, j + 1, k + 1],
-                        "residual": named_residual(res, p.basis),
-                    }
-                    break
-            if witness:
-                break
-        if witness:
-            break
+    e = [basis_vector(n, i) for i in range(n)]
+    pr = p.product
+    witness = first_failure(
+        itertools.product(range(n), repeat=3),
+        lambda i, j, k: vec_sub(
+            vec_sub(pr(pr(e[i], e[j]), e[k]), pr(e[i], pr(e[j], e[k]))),
+            vec_sub(pr(pr(e[j], e[i]), e[k]), pr(e[j], pr(e[i], e[k]))),
+        ),
+        lambda res: named_residual(res, p.basis),
+    )
     return Report("check-prelie", witness is None, witness=witness)
 
 

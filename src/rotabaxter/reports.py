@@ -51,4 +51,29 @@ def scalar_text(x) -> str:
 
 
 def named_residual(vec, names) -> dict:
+    """The text of a vector: its nonzero coefficients, keyed by basis name."""
     return {name: scalar_text(x) for name, x in zip(names, vec) if x}
+
+
+def matrix_text(m) -> list[list[str]]:
+    """The text of a matrix: row-major lists of scalar text."""
+    return [[scalar_text(x) for x in row] for row in m]
+
+
+def _is_zero(r) -> bool:
+    return all(map(_is_zero, r)) if isinstance(r, tuple) else not r
+
+
+def first_failure(cells, residual, text=scalar_text) -> dict | None:
+    """The witness of the first cell, in the order given, whose residual is
+    nonzero: ``{"at": <1-based indices>, "residual": text(r)}``.
+
+    Each cell is a tuple of 0-based basis indices, and ``residual(*cell)`` is
+    a scalar, a vector or a matrix (a tuple of rows).  None when every
+    residual is zero.
+    """
+    for cell in cells:
+        r = residual(*cell)
+        if not _is_zero(r):
+            return {"at": [i + 1 for i in cell], "residual": text(r)}
+    return None

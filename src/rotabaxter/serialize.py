@@ -30,7 +30,7 @@ from .lie import LieAlgebra, LinearOperator, Representation, lie_algebra
 from .combinatorics import parity_sign
 from .linalg import Matrix, ZERO, matrix
 from .prelie import HookedMap, PreLieProduct, prelie_product
-from .reports import scalar_text as scalar_str
+from .reports import matrix_text as matrix_obj, named_residual as value_obj
 
 KINDS = (
     "lie_algebra",
@@ -126,10 +126,6 @@ def parse_value(obj, names) -> tuple[Fraction, ...]:
     return tuple(vec)
 
 
-def value_obj(vec, names) -> dict:
-    return {name: scalar_str(x) for name, x in zip(names, vec) if x}
-
-
 def _one_based(a) -> int:
     return _int(a, f"argument {a!r} is not a 1-based integer index") - 1
 
@@ -162,10 +158,6 @@ def parse_matrix(rows, nrows, ncols) -> Matrix:
     if any(not isinstance(r, list) or len(r) != ncols for r in rows):
         raise SchemaError(f"expected rows of length {ncols}")
     return matrix([[parse_scalar(x) for x in row] for row in rows])
-
-
-def matrix_obj(m) -> list[list[str]]:
-    return [[scalar_str(x) for x in row] for row in m]
 
 
 # -- structure tables and actions ---------------------------------------------

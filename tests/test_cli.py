@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 from rotabaxter import prelie
-from rotabaxter.catalog import affine_line, heisenberg
+from rotabaxter.catalog import affine_line, heisenberg, three_level_sgla
 from rotabaxter.cli import main
 from rotabaxter.combinatorics import parity_sign
 from rotabaxter.deformation import AltMap, mc_residual, random_altmap
@@ -25,9 +25,11 @@ from rotabaxter.prelie import phi_homomorphism_defect, random_hooked
 from rotabaxter.reports import named_residual
 from rotabaxter.serialize import (
     altmap_to_obj,
+    grep_to_obj,
     hooked_to_obj,
     hop_from_obj,
     lie_to_obj,
+    sgla_to_obj,
     sym_family_from_obj,
 )
 from test_integer_kernels import raw_hook_compose
@@ -579,6 +581,26 @@ def test_check_psi_hom_draws(runner, tmp_path):
     assert res.exit_code == 0
 
 
+def test_check_psi_hom_refuses_draws_with_given_families(runner, tmp_path):
+    # the adjoint action of the three-level algebra with ad(p) doubled is none
+    galg = three_level_sgla()
+    ad = adjoint_graded(galg)
+    doubled = (tuple(tuple(2 * x for x in row) for row in ad.matrices[0]),) + ad.matrices[1:]
+    sgla_path = write(tmp_path, "g.json", {"sgla": sgla_to_obj(galg)})
+    grep_path = write(tmp_path, "rho.json", {"graded_rep": grep_to_obj(
+        GradedRepresentation(ad.space, doubled), galg)})
+    left, right = (write(tmp_path, f"{name}.json", {"sym_family": {
+        "degree": degree, "components": [{"weight": 0, "value": {name: "1"}}]}})
+        for name, degree in (("p", -1), ("q", 0)))
+    given = ["check-psi-hom", "--sgla", sgla_path, "--grep", grep_path, "--left", left,
+             "--right", right]
+    res = runner.invoke(main, ["--p-max", "1", *given])
+    assert res.exit_code == 1 and "FAIL" in res.output
+    # one passing draw must not stand in for the failing given pair
+    res = runner.invoke(main, ["--p-max", "1", "--seed", "0", *given, "--draws", "1"])
+    assert res.exit_code == 2 and "--draws" in res.output and "PASS" not in res.output
+
+
 # rho(e1) and rho(e2) do not intertwine [e1, e2] = e2: an action only in name
 BROKEN_ACTION = {"e1": [["1", "0"], ["0", "0"]], "e2": [["0", "0"], ["0", "1"]]}
 BROKEN_MATRICES = (matrix(BROKEN_ACTION["e1"]), matrix(BROKEN_ACTION["e2"]))
@@ -671,6 +693,23 @@ def test_check_phi_hom_failure_reports_a_replayable_witness(runner, tmp_path):
     key = (tuple(i - 1 for i in witness["at"]), witness["last"] - 1)
     assert key == min(defect.entries)
     assert witness["residual"] == named_residual(defect.entries[key], rep.basis) != {}
+
+
+def test_check_phi_hom_refuses_draws_with_given_maps(runner, tmp_path):
+    # rho(e1) = E11, rho(e2) = E21 is no action of [e1, e2] = e2
+    alg = write(tmp_path, "L.json", AFFINE)
+    rep_path = write(tmp_path, "rho.json", {"representation": {"basis": ["v1", "v2"], "action": {
+        "e1": [["1", "0"], ["0", "0"]], "e2": [["0", "0"], ["1", "0"]]}}})
+    left, right = (write(tmp_path, f"{name}.json", {"altmap": {"arity": 1, "entries": [
+        {"args": [arg], "value": value}]}}) for name, arg, value in
+        (("f", 1, {"e1": "1"}), ("g", 2, {"e2": "1"})))
+    given = ["check-phi-hom", "--algebra", alg, "--rep", rep_path, "--left", left,
+             "--right", right]
+    res = runner.invoke(main, given)
+    assert res.exit_code == 1 and "FAIL" in res.output
+    # one passing draw must not stand in for the failing given pair
+    res = runner.invoke(main, ["--seed", "2", *given, "--draws", "1"])
+    assert res.exit_code == 2 and "--draws" in res.output and "PASS" not in res.output
 
 
 def test_check_phi_hom_takes_its_witness_from_the_one_pass(runner, tmp_path, monkeypatch):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from rotabaxter import homotopy
+from rotabaxter import graded, homotopy
 from rotabaxter.catalog import (
     affine_line,
     graded_instances,
@@ -221,20 +221,20 @@ def test_prelie_infinity_work_is_counted_before_enumerating():
         "search_homotopy_operators"])
 def test_canonical_word_walks_are_counted_before_enumerating(call):
     t, alg, rep = _failing_mixed_operator()
-    for p_max in (homotopy.CANONICAL_WORD_CAP, 10 ** 9):
+    for p_max in (graded.CANONICAL_WORD_CAP, 10 ** 9):
         with pytest.raises(SearchSpaceError, match="above the cap of 200000"):
             call(t, alg, rep, p_max)
     # the largest p_max under the cap is refused by no check's count
     p_max = 66
-    assert homotopy._walk_steps(rep.space, p_max) <= homotopy.CANONICAL_WORD_CAP
-    assert homotopy._walk_steps(rep.space, p_max + 1) > homotopy.CANONICAL_WORD_CAP
+    assert graded._walk_steps(rep.space, p_max) <= graded.CANONICAL_WORD_CAP
+    assert graded._walk_steps(rep.space, p_max + 1) > graded.CANONICAL_WORD_CAP
 
 
 def test_the_walk_work_is_weights_plus_the_letters_of_every_word():
     for _, alg, rep in graded_instances():
         for p_max in range(7):
             letters = sum(p * len(list(canonical_words(rep.space, p))) for p in range(p_max + 1))
-            assert homotopy._walk_steps(rep.space, p_max) == p_max + 1 + letters
+            assert graded._walk_steps(rep.space, p_max) == p_max + 1 + letters
 
 
 def test_a_space_of_odd_letters_walks_a_large_p_max_at_once():

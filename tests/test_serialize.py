@@ -20,12 +20,13 @@ from rotabaxter.graded import adjoint_graded, check_sgla, from_lie, graded_space
 from rotabaxter.homotopy import GradedSymMap, induce_prelie_infinity
 from rotabaxter.lie import adjoint, lie_algebra, operator
 from rotabaxter.prelie import HookedMap, prelie_product
+from rotabaxter.reports import scalar_text
 from rotabaxter.serialize import Workspace
 
 
 def test_scalar_round_trip():
     for text in ("3", "-7", "1/2", "-22/7", "0"):
-        assert ser.scalar_str(ser.parse_scalar(text)) == str(Fraction(text))
+        assert scalar_text(ser.parse_scalar(text)) == str(Fraction(text))
     assert ser.parse_scalar(5) == Fraction(5)
     with pytest.raises(SchemaError):
         ser.parse_scalar("2/0")
