@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import os
-import random
 import sys
 from dataclasses import dataclass
 
@@ -24,7 +23,6 @@ from .deformation import (
     _mc_vanishes,
     courant_bracket,
     mc_residual,
-    random_altmap,
 )
 from .errors import (
     BoundError,
@@ -40,16 +38,19 @@ from .graded import (
     check_graded_rep,
     check_sdgla,
     check_sgla,
+    elementary_pairs,
     from_lie,
+    ungraded_space,
 )
 from .homotopy import (
+    GradedSymFamily,
+    GradedSymMap,
     _mc_witness,
     _psi_witness,
     check_prelie_infinity,
     graded_bracket,
     homotopy_oop_residual,
     induce_prelie_infinity,
-    random_sym_family,
 )
 from .lie import adjoint, check_lie, check_representation, oop_defect, search_rbo
 from .prelie import _phi_witness, check_prelie, induce_prelie, mn_bracket, phi
@@ -71,7 +72,6 @@ _ERRORS = (
 class Config:
     p_max: int
     json_report: str | None
-    seed: int
     parallel: bool
 
 
@@ -80,14 +80,12 @@ class Config:
               help="Weight bound for truncated homotopy checks.")
 @click.option("--json-report", type=click.Path(dir_okay=False), default=None,
               help="Write the machine-readable report(s) to this file ('-' for stdout).")
-@click.option("--seed", default=0, show_default=True,
-              help="Seed for the randomized draw modes.")
 @click.option("--parallel", is_flag=True,
               help="Partition the Rota-Baxter grid search over worker processes.")
 @click.pass_context
-def main(ctx, p_max, json_report, seed, parallel):
+def main(ctx, p_max, json_report, parallel):
     """Exact verification of Rota-Baxter / O-operator structures."""
-    ctx.obj = Config(p_max, json_report, seed, parallel)
+    ctx.obj = Config(p_max, json_report, parallel)
 
 
 def _finish(cfg: Config, reports: list[Report]):
@@ -226,18 +224,6 @@ def _weight_witness(weight, word, value, space, target) -> dict:
             "residual": named_residual(value, target.basis)}
 
 
-def _hook_witness(weight, word, last, value, space) -> dict:
-    """A check-psi-hom witness: a hooked value at (word; last), named."""
-    return {"weight": weight, "at": [space.basis[i] for i in word],
-            "last": space.basis[last], "residual": named_residual(value, space.basis)}
-
-
-def _arity_witness(word, last, value, names) -> dict:
-    """A check-phi-hom witness: a hooked value at (word; last), 1-based."""
-    return {"arity": len(word), "at": [i + 1 for i in word], "last": last + 1,
-            "residual": named_residual(value, names)}
-
-
 def _residual_report(name, residuals, space, target, order) -> Report:
     for p in sorted(residuals):
         comp = residuals[p]
@@ -249,11 +235,22 @@ def _residual_report(name, residuals, space, target, order) -> Report:
     return Report(name, True, order=order)
 
 
-def _given_or_drawn(left, right, draws):
-    """A homomorphism check runs on the given pair or on seeded random
-    pairs, never both: the draws must not stand in for a given map."""
-    if draws and (left is not None or right is not None):
-        raise click.UsageError("--draws checks random pairs; give it without --left and --right")
+def _pair_given(left, right) -> bool:
+    """Whether a homomorphism check runs on a given pair, not the basis pairs."""
+    if (left is None) != (right is None):
+        raise click.UsageError(f"Missing option '--{'right' if right is None else 'left'}': "
+                               "give --left and --right, or neither to sweep the basis pairs")
+    return left is not None
+
+
+def _sweep(pairs, check, file_form):
+    """The witness of the first pair whose check fails, naming the pair in
+    file form as "left" and "right" to replay it; None when all pass."""
+    for f, g in pairs:
+        witness = check(f, g)
+        if witness is not None:
+            return {"left": file_form(f), "right": file_form(g), **witness}
+    return None
 
 
 def command(fn):
@@ -444,34 +441,31 @@ def phi_cmd(cfg, algebra, rep_, map_, out):
 @click.option("--rep", "rep_", required=True)
 @click.option("--left", default=None)
 @click.option("--right", default=None)
-@click.option("--draws", default=0, show_default=True, type=click.IntRange(min=0),
-              help="Check this many random (f, g) pairs instead of given maps.")
 @click.pass_obj
 @command
-def check_phi_hom_cmd(cfg, algebra, rep_, left, right, draws):
-    """Verify that the hook construction preserves brackets."""
-    _given_or_drawn(left, right, draws)
+def check_phi_hom_cmd(cfg, algebra, rep_, left, right):
+    """Verify that the hook construction preserves brackets: on the given
+    pair, or on every pair of basis maps, which decides the whole complex."""
+    given = _pair_given(left, right)
     ws = Workspace()
     alg = _lie(ws, algebra)
     rep = _rep(ws, rep_, alg)
-    if draws:
-        rng = random.Random(cfg.seed)
-        witness = None
-        for draw in range(1, draws + 1):
-            f = random_altmap(rng, rng.randrange(3), rep.space_dim, alg.dim)
-            g = random_altmap(rng, rng.randrange(3), rep.space_dim, alg.dim)
-            found = _phi_witness(f, g, alg, rep)
-            if found is not None:
-                witness = {"draw": draw, **_arity_witness(*found, rep.basis)}
-                break
-        _finish(cfg, [Report("check-phi-hom", witness is None, witness=witness)])
-    if left is None or right is None:
-        raise click.ClickException("provide --left and --right, or --draws N")
-    f = _operator_or_altmap(ws, left, alg, rep)
-    g = _operator_or_altmap(ws, right, alg, rep)
-    found = _phi_witness(f, g, alg, rep)
-    witness = None if found is None else _arity_witness(*found, rep.basis)
-    _finish(cfg, [Report("check-phi-hom", found is None, witness=witness)])
+
+    def check(f, g):
+        found = _phi_witness(f, g, alg, rep)
+        if found is not None:
+            word, last, value = found
+            return {**_altmap_witness(word, value, rep.basis), "arity": len(word), "last": last + 1}
+
+    if given:
+        witness = check(_operator_or_altmap(ws, left, alg, rep),
+                        _operator_or_altmap(ws, right, alg, rep))
+    else:
+        dim = rep.space_dim
+        pairs = elementary_pairs(ungraded_space(dim), ungraded_space(alg.dim), dim, lambda s: s,
+                                 lambda w, _, entries: AltMap(w, dim, alg.dim, entries))
+        witness = _sweep(pairs, check, lambda f: {"altmap": ser.altmap_to_obj(f, alg.basis)})
+    _finish(cfg, [Report("check-phi-hom", witness is None, witness=witness)])
 
 
 @main.command("search-rbo")
@@ -650,33 +644,32 @@ def check_prelie_inf_cmd(cfg, pinf, n_max):
 @click.option("--grep", "grep_", required=True)
 @click.option("--left", default=None)
 @click.option("--right", default=None)
-@click.option("--draws", default=0, show_default=True, type=click.IntRange(min=0))
 @click.pass_obj
 @command
-def check_psi_hom_cmd(cfg, sgla_, grep_, left, right, draws):
-    """Verify that the action hook preserves graded brackets."""
-    _given_or_drawn(left, right, draws)
+def check_psi_hom_cmd(cfg, sgla_, grep_, left, right):
+    """Verify that the action hook preserves graded brackets: on the given
+    pair, or on every pair of basis families, which decides it up to p_max."""
+    given = _pair_given(left, right)
     ws = Workspace()
     galg, grep = _graded_context(ws, sgla_, grep_)
-    if draws:
-        rng = random.Random(cfg.seed)
-        witness = None
-        for draw in range(1, draws + 1):
-            f = random_sym_family(rng, grep.space, galg.space, rng.choice([-1, 0, 1]), 2)
-            g = random_sym_family(rng, grep.space, galg.space, rng.choice([-1, 0, 1]), 2)
-            found = _psi_witness(f, g, galg, grep, cfg.p_max)
-            if found is not None:
-                witness = {"draw": draw, **_hook_witness(*found, grep.space)}
-                break
-        _finish(cfg, [Report("check-psi-hom", witness is None, order=cfg.p_max,
-                             witness=witness)])
-    if left is None or right is None:
-        raise click.ClickException("provide --left and --right, or --draws N")
-    f = _sym_family(ws, left, grep.space, galg.space)
-    g = _sym_family(ws, right, grep.space, galg.space)
-    found = _psi_witness(f, g, galg, grep, cfg.p_max)
-    witness = None if found is None else _hook_witness(*found, grep.space)
-    _finish(cfg, [Report("check-psi-hom", found is None, order=cfg.p_max, witness=witness)])
+    space, target = grep.space, galg.space
+
+    def check(f, g):
+        found = _psi_witness(f, g, galg, grep, cfg.p_max)
+        if found is not None:
+            weight, word, last, value = found
+            return {**_weight_witness(weight, word, value, space, space), "last": space.basis[last]}
+
+    if given:
+        witness = check(_sym_family(ws, left, space, target),
+                        _sym_family(ws, right, space, target))
+    else:
+        pairs = elementary_pairs(
+            space, target, cfg.p_max, lambda s: cfg.p_max,
+            lambda w, degree, entries: GradedSymFamily(
+                space, target, degree, {w: GradedSymMap(space, target, w, degree, entries)}))
+        witness = _sweep(pairs, check, lambda f: {"sym_family": ser.sym_family_to_obj(f)})
+    _finish(cfg, [Report("check-psi-hom", witness is None, order=cfg.p_max, witness=witness)])
 
 
 if __name__ == "__main__":

@@ -167,6 +167,31 @@ def _require_walk(space: GradedVectorSpace, top: int) -> None:
                                f"canonical words, above the cap of {CANONICAL_WORD_CAP}")
 
 
+def elementary_pairs(space: GradedVectorSpace, target: GradedVectorSpace, top: int,
+                     walk, make):
+    """The ordered pairs (f, g) of elementary maps whose weights add up to at
+    most ``top``, by f and then g, each by weight, word and k: ``make(w,
+    degree, entries)`` sends one canonical word of weight w to the target
+    basis vector e_k, with degree deg e_k - (word degree).  A pair whose
+    weights add up to s is checked by a walk to weight ``walk(s)``, and these
+    walks, counted first, are refused above CANONICAL_WORD_CAP."""
+    # a sweep with any pair walks to weight top, which bounds the weights below
+    _require_walk(space, top)
+    # a weight without elementary maps has none above it
+    counts = list(itertools.takewhile(bool, (canonical_word_count(space, w) * target.dim
+                                             for w in range(top + 1))))
+    total = sum(m * n * _walk_steps(space, walk(a + b)) for a, m in enumerate(counts)
+                for b, n in enumerate(counts[:top + 1 - a]))
+    if total > CANONICAL_WORD_CAP:
+        raise SearchSpaceError(f"a sweep of the basis pairs needs {total} steps over "
+                               f"canonical words, above the cap of {CANONICAL_WORD_CAP}")
+    maps = [(w, make(w, target.degrees[k] - sum(space.degrees[i] for i in word),
+                     {word: basis_vector(target.dim, k)}))
+            for w in range(len(counts)) for word in canonical_words(space, w)
+            for k in range(target.dim)]
+    return ((f, g) for wf, f in maps for wg, g in maps if wf + wg <= top)
+
+
 def _nonzero_values(space: GradedVectorSpace, weights, on_word, free: bool = False):
     """(weight, key, value) for every canonical key of the given weights, an
     increasing sequence, at which ``on_word`` is nonzero, weight by weight
@@ -538,6 +563,14 @@ def from_lie(alg) -> SGLA:
     return SGLA(concentrated(alg.basis, -1), alg.c)
 
 
+def _table_dim(g: SGLA) -> int:
+    """The dimension of an SGLA whose table has one n x n plane per basis vector."""
+    n = g.dim
+    if len(g.b) != n or any(len(p) != n or any(len(r) != n for r in p) for p in g.b):
+        raise ShapeMismatchError("bracket constants do not match the basis")
+    return n
+
+
 def check_sgla(g: SGLA) -> Report:
     """Verify degree homogeneity, graded symmetry and the graded Leibniz rule.
 
@@ -549,9 +582,7 @@ def check_sgla(g: SGLA) -> Report:
 
     with exponents the degrees of the named elements.
     """
-    n = g.dim
-    if len(g.b) != n or any(len(p) != n or any(len(r) != n for r in p) for p in g.b):
-        raise ShapeMismatchError("bracket constants do not match the basis")
+    n = _table_dim(g)
     deg = g.space.degrees
     names = g.space.basis
     triples = list(itertools.product(range(n), repeat=3))
@@ -601,7 +632,7 @@ def check_sdgla(g: SGLA, d: Matrix) -> Report:
     The differential must be a homogeneous degree-1 matrix on the underlying
     space; an inhomogeneous d is a shape error, not a failed check.
     """
-    n = g.dim
+    n = _table_dim(g)
     if len(d) != n or any(len(row) != n for row in d):
         raise ShapeMismatchError("differential must be square of the algebra dimension")
     if not matrix_is_homogeneous(d, g.space, g.space, 1):
@@ -671,7 +702,7 @@ def check_graded_rep(g: SGLA, rep: GradedRepresentation) -> Report:
 
         rho([x, y]) = (-1)^(x+1) (rho(x) rho(y) - (-1)^((x+1)(y+1)) rho(y) rho(x)).
     """
-    n = g.dim
+    n = _table_dim(g)
     if len(rep.matrices) != n:
         raise ShapeMismatchError("one action matrix per algebra basis element required")
     d = rep.space_dim

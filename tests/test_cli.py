@@ -10,27 +10,43 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from rotabaxter import prelie
-from rotabaxter.catalog import affine_line, heisenberg, three_level_sgla
+from rotabaxter import cli, prelie
+from rotabaxter.catalog import (
+    affine_line,
+    graded_instances,
+    heisenberg,
+    lie_pairs,
+    sl2,
+    three_level_sgla,
+)
 from rotabaxter.cli import main
 from rotabaxter.combinatorics import parity_sign
 from rotabaxter.deformation import AltMap, mc_residual, random_altmap
 from rotabaxter.embed import hook_family_from_hooked
 from rotabaxter.graded import GradedRepresentation, adjoint_graded, from_lie
-from rotabaxter.homotopy import psi_homomorphism_defect, random_sym_family, residual_on_word
+from rotabaxter.homotopy import (
+    GradedSymFamily,
+    GradedSymMap,
+    psi_homomorphism_defect,
+    residual_on_word,
+)
 from rotabaxter.lie import Representation, adjoint, operator
-from rotabaxter.linalg import matrix
+from rotabaxter.linalg import basis_vector, matrix
 from rotabaxter.prelie import phi_homomorphism_defect, random_hooked
 from rotabaxter.reports import named_residual
 from rotabaxter.serialize import (
+    altmap_from_obj,
     altmap_to_obj,
     grep_to_obj,
     hooked_to_obj,
     hop_from_obj,
     lie_to_obj,
+    rep_to_obj,
     sgla_to_obj,
     sym_family_from_obj,
+    sym_family_to_obj,
 )
 from test_integer_kernels import raw_hook_compose
 
@@ -110,9 +126,8 @@ def test_json_report_deterministic(runner, tmp_path):
     outputs = []
     for name in ("a.json", "b.json"):
         out = tmp_path / name
-        res = runner.invoke(main, ["--seed", "7", "--json-report", str(out),
-                                   "check-phi-hom", "--algebra", alg,
-                                   "--rep", "adjoint", "--draws", "5"])
+        res = runner.invoke(main, ["--json-report", str(out),
+                                   "check-phi-hom", "--algebra", alg, "--rep", "adjoint"])
         assert res.exit_code == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
@@ -331,13 +346,8 @@ def test_bounds_below_the_first_weight_are_usage_errors(runner, tmp_path):
     hoop = ["check-hoop", "--sgla", sgla_path, "--grep", "adjoint", "--hop", hop]
     assert runner.invoke(main, ["--p-max", "0"] + hoop).exit_code == 0
     assert runner.invoke(main, ["--p-max", "4"] + hoop).exit_code == 1
-    # a negative draw count would run no draw and pass
     for args, option in ((["--p-max", "-1"] + hoop, "'--p-max'"),
-                         (["check-prelie-inf", "--pinf", pinf, "--n-max", "0"], "'--n-max'"),
-                         (["check-phi-hom", "--algebra", alg, "--rep", "adjoint",
-                           "--draws", "-3"], "'--draws'"),
-                         (["check-psi-hom", "--sgla", sgla_path, "--grep", "adjoint",
-                           "--draws", "-1"], "'--draws'")):
+                         (["check-prelie-inf", "--pinf", pinf, "--n-max", "0"], "'--n-max'")):
         res = runner.invoke(main, args)
         assert res.exit_code == 2 and option in res.output, (args, res.output)
 
@@ -447,7 +457,7 @@ def test_a_huge_p_max_is_refused_at_once(runner, tmp_path):
                 ["mc-check-homotopy", *graded, "--hop", hop],
                 ["graded-bracket", *graded, "--left", fam, "--right", fam],
                 ["check-psi-hom", *graded, "--left", fam, "--right", fam],
-                ["check-psi-hom", *graded, "--draws", "3"],
+                ["check-psi-hom", *graded],
                 ["induce-prelie-inf", *graded, "--hop", hop]):
         start = time.perf_counter()
         res = runner.invoke(main, ["--p-max", "1000000000", *cmd])
@@ -572,13 +582,25 @@ def test_graded_bracket_command(runner, tmp_path):
     assert emitted["components"] == []  # a Maurer-Cartan element squares to zero
 
 
-def test_check_psi_hom_draws(runner, tmp_path):
+def test_check_psi_hom_sweeps_the_basis_pairs(runner, tmp_path):
     alg = write(tmp_path, "L.json", AFFINE)
     sgla_path = str(tmp_path / "g.json")
     runner.invoke(main, ["from-lie", "--algebra", alg, "--out", sgla_path])
-    res = runner.invoke(main, ["--seed", "3", "check-psi-hom", "--sgla", sgla_path,
-                               "--grep", "adjoint", "--draws", "6"])
-    assert res.exit_code == 0
+    res = runner.invoke(main, ["check-psi-hom", "--sgla", sgla_path, "--grep", "adjoint"])
+    assert res.exit_code == 0 and res.output == "check-psi-hom: PASS (order=4)\n"
+
+
+def _assert_pair_options_are_checked(runner, given):
+    """One of --left/--right alone, and the removed --draws and --seed, are
+    usage errors (exit 2) naming the option, never a verdict."""
+    at = given.index("--left")
+    left_only, right_only = given[:at + 2], given[:at] + given[at + 2:]
+    for args, option in ((left_only, "'--right'"), (right_only, "'--left'"),
+                         ([*given, "--draws", "1"], "'--draws'"),
+                         (["--seed", "0", *given], "'--seed'")):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2 and option in res.output, (args, res.output)
+        assert "PASS" not in res.output and "FAIL" not in res.output
 
 
 def test_check_psi_hom_refuses_draws_with_given_families(runner, tmp_path):
@@ -596,9 +618,10 @@ def test_check_psi_hom_refuses_draws_with_given_families(runner, tmp_path):
              "--right", right]
     res = runner.invoke(main, ["--p-max", "1", *given])
     assert res.exit_code == 1 and "FAIL" in res.output
-    # one passing draw must not stand in for the failing given pair
-    res = runner.invoke(main, ["--p-max", "1", "--seed", "0", *given, "--draws", "1"])
-    assert res.exit_code == 2 and "--draws" in res.output and "PASS" not in res.output
+    _assert_pair_options_are_checked(runner, ["--p-max", "1", *given])
+    # without maps the sweep fails too
+    res = runner.invoke(main, ["--p-max", "1", *given[:5]])
+    assert res.exit_code == 1 and "FAIL" in res.output
 
 
 # rho(e1) and rho(e2) do not intertwine [e1, e2] = e2: an action only in name
@@ -613,6 +636,17 @@ def _report(res):
 def _first_key(defect_family):
     """(weight, (word, last)) of the first nonzero value, in weight then key order."""
     return min((w, key) for w, comp in defect_family.components.items() for key in comp.entries)
+
+
+def _assert_replays(runner, tmp_path, args, witness):
+    """A sweep witness names its failing pair in file form; written to files
+    and given as --left and --right, the pair fails with the same witness."""
+    paths = [write(tmp_path, f"{side}_pair.json", witness[side]) for side in ("left", "right")]
+    res = runner.invoke(main, ["--json-report", "-", *args, "--left", paths[0],
+                               "--right", paths[1]])
+    assert res.exit_code == 1
+    rest = {k: v for k, v in witness.items() if k not in ("left", "right")}
+    assert _report(res)["witness"] == rest
 
 
 def test_check_psi_hom_failure_reports_a_replayable_witness(runner, tmp_path):
@@ -642,22 +676,21 @@ def test_check_psi_hom_failure_reports_a_replayable_witness(runner, tmp_path):
     replay = defect.component(len(word)).eval(word, last)
     assert witness["residual"] == named_residual(replay, grep.space.basis) != {}
 
-    # a --draws FAIL names its draw, and the draw replays the same way
-    res = runner.invoke(main, ["--seed", "3", "--json-report", "-", "check-psi-hom",
-                               "--sgla", sgla_path, "--grep", grep_path, "--draws", "6"])
+    # a sweep FAIL names its basis pair, and the pair replays the same way
+    args = ["check-psi-hom", "--sgla", sgla_path, "--grep", grep_path]
+    res = runner.invoke(main, ["--json-report", "-", *args])
     assert res.exit_code == 1
     witness = _report(res)["witness"]
-    assert set(witness) == {"draw", "weight", "at", "last", "residual"}
-    rng = random.Random(3)
-    for _ in range(witness["draw"]):
-        f = random_sym_family(rng, grep.space, galg.space, rng.choice([-1, 0, 1]), 2)
-        g = random_sym_family(rng, grep.space, galg.space, rng.choice([-1, 0, 1]), 2)
+    assert set(witness) == {"left", "right", "weight", "at", "last", "residual"}
+    f, g = (sym_family_from_obj(witness[side]["sym_family"], grep.space, galg.space)
+            for side in ("left", "right"))
     defect = psi_homomorphism_defect(f, g, galg, grep, 4)
     word = tuple(grep.space.index(name) for name in witness["at"])
     last = grep.space.index(witness["last"])
     assert (witness["weight"], (word, last)) == _first_key(defect)
     replay = defect.component(len(word)).eval(word, last)
     assert witness["residual"] == named_residual(replay, grep.space.basis) != {}
+    _assert_replays(runner, tmp_path, args, witness)
 
 
 def test_check_phi_hom_failure_reports_a_replayable_witness(runner, tmp_path):
@@ -680,19 +713,17 @@ def test_check_phi_hom_failure_reports_a_replayable_witness(runner, tmp_path):
     assert key == min(defect.entries) and len(key[0]) == witness["arity"]
     assert witness["residual"] == named_residual(defect.entries[key], rep.basis) != {}
 
-    res = runner.invoke(main, ["--seed", "0", "--json-report", "-", "check-phi-hom",
-                               "--algebra", alg, "--rep", rep_path, "--draws", "5"])
+    args = ["check-phi-hom", "--algebra", alg, "--rep", rep_path]
+    res = runner.invoke(main, ["--json-report", "-", *args])
     assert res.exit_code == 1
     witness = _report(res)["witness"]
-    assert set(witness) == {"draw", "arity", "at", "last", "residual"}
-    rng = random.Random(0)
-    for _ in range(witness["draw"]):
-        f = random_altmap(rng, rng.randrange(3), 2, 2)
-        g = random_altmap(rng, rng.randrange(3), 2, 2)
+    assert set(witness) == {"left", "right", "arity", "at", "last", "residual"}
+    f, g = (altmap_from_obj(witness[side]["altmap"], 2, lie.basis) for side in ("left", "right"))
     defect = phi_homomorphism_defect(f, g, lie, rep)
     key = (tuple(i - 1 for i in witness["at"]), witness["last"] - 1)
     assert key == min(defect.entries)
     assert witness["residual"] == named_residual(defect.entries[key], rep.basis) != {}
+    _assert_replays(runner, tmp_path, args, witness)
 
 
 def test_check_phi_hom_refuses_draws_with_given_maps(runner, tmp_path):
@@ -707,9 +738,10 @@ def test_check_phi_hom_refuses_draws_with_given_maps(runner, tmp_path):
              "--right", right]
     res = runner.invoke(main, given)
     assert res.exit_code == 1 and "FAIL" in res.output
-    # one passing draw must not stand in for the failing given pair
-    res = runner.invoke(main, ["--seed", "2", *given, "--draws", "1"])
-    assert res.exit_code == 2 and "--draws" in res.output and "PASS" not in res.output
+    _assert_pair_options_are_checked(runner, given)
+    # without maps the sweep fails too
+    res = runner.invoke(main, given[:5])
+    assert res.exit_code == 1 and "FAIL" in res.output
 
 
 def test_check_phi_hom_takes_its_witness_from_the_one_pass(runner, tmp_path, monkeypatch):
@@ -719,8 +751,7 @@ def test_check_phi_hom_takes_its_witness_from_the_one_pass(runner, tmp_path, mon
     ident = write(tmp_path, "I.json", IDENT)
     calls = [["--json-report", "-", "check-phi-hom", "--algebra", alg, "--rep", rep_path,
               "--left", ident, "--right", ident],
-             ["--seed", "0", "--json-report", "-", "check-phi-hom", "--algebra", alg,
-              "--rep", rep_path, "--draws", "5"]]
+             ["--json-report", "-", "check-phi-hom", "--algebra", alg, "--rep", rep_path]]
     before = [runner.invoke(main, args) for args in calls]
 
     def whole_map(*args, **kwargs):
@@ -731,6 +762,129 @@ def test_check_phi_hom_takes_its_witness_from_the_one_pass(runner, tmp_path, mon
     after = [runner.invoke(main, args) for args in calls]
     assert [(r.exit_code, r.output) for r in after] == [(r.exit_code, r.output) for r in before]
     assert all(r.exit_code == 1 and "witness" in r.output for r in after)
+
+
+def _phi_basis_maps(alg, rep):
+    """Every elementary alternating map, by arity, increasing word and value e_k."""
+    dim = rep.space_dim
+    return [AltMap(a, dim, alg.dim, {word: basis_vector(alg.dim, k)}) for a in range(dim + 1)
+            for word in itertools.combinations(range(dim), a) for k in range(alg.dim)]
+
+
+def test_the_phi_sweep_checks_every_ordered_basis_pair(runner, tmp_path, monkeypatch):
+    alg = write(tmp_path, "L.json", AFFINE)
+    lie = affine_line()
+    seen = []
+
+    def counting(f, g, *rest):
+        seen.append((f, g))
+        return phi_witness(f, g, *rest)
+
+    phi_witness = cli._phi_witness
+    monkeypatch.setattr(cli, "_phi_witness", counting)
+    res = runner.invoke(main, ["check-phi-hom", "--algebra", alg, "--rep", "adjoint"])
+    assert res.exit_code == 0
+    # 8 maps of arities 0, 1, 2 on a 2-dimensional module: the 44 ordered
+    # pairs of arities adding up to at most 2, in basis order, both ways round
+    maps = _phi_basis_maps(lie, adjoint(lie))
+    want = [(f, g) for f in maps for g in maps if f.arity + g.arity <= 2]
+    assert len(seen) == len(want) == 44 and seen == want
+    assert (maps[0], maps[2]) in seen and (maps[2], maps[0]) in seen
+    # with a broken action the sweep stops at the first failing pair
+    seen.clear()
+    rep_path = write(tmp_path, "rho.json", {"representation": {"basis": ["v1", "v2"],
+                                                                "action": BROKEN_ACTION}})
+    res = runner.invoke(main, ["--json-report", "-", "check-phi-hom", "--algebra", alg,
+                               "--rep", rep_path])
+    broken = Representation(("v1", "v2"), BROKEN_MATRICES)
+    first = next(i for i, (f, g) in enumerate(want)
+                 if not phi_homomorphism_defect(f, g, lie, broken).is_zero())
+    assert res.exit_code == 1 and seen == want[:first + 1]
+    witness = _report(res)["witness"]
+    assert [witness["left"], witness["right"]] == [
+        {"altmap": altmap_to_obj(h, lie.basis)} for h in want[first]]
+
+
+PHI_CASES = [*lie_pairs(), ("sl2/adjoint", sl2(), adjoint(sl2()))]
+BUMP = st.none() | st.tuples(st.integers(0, 99), st.sampled_from([1, -1, Fraction(1, 2)]))
+
+
+def _bumped(matrices, positions, bump):
+    """The action matrices with one entry, at positions[i % len], moved by x."""
+    if bump is None:
+        return matrices
+    i, x = bump
+    a, r, c = positions[i % len(positions)]
+    rows = [list(row) for row in matrices[a]]
+    rows[r][c] += x
+    return (*matrices[:a], tuple(map(tuple, rows)), *matrices[a + 1:])
+
+
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.integers(0, len(PHI_CASES) - 1), bump=BUMP)
+def test_the_phi_sweep_is_the_verdict_of_every_basis_pair(tmp_path, case, bump):
+    # the conjunction over every ordered basis pair of phi_homomorphism_defect,
+    # each pair built as a whole map, on actions valid and perturbed
+    _, lie, rho = PHI_CASES[case]
+    d = rho.space_dim
+    positions = list(itertools.product(range(lie.dim), range(d), range(d)))
+    rho = Representation(rho.basis, _bumped(rho.matrices, positions, bump))
+    runner = CliRunner()
+    args = ["check-phi-hom",
+            "--algebra", write(tmp_path, "L.json", {"lie_algebra": lie_to_obj(lie)}),
+            "--rep", write(tmp_path, "rho.json", {"representation": rep_to_obj(rho, lie)})]
+    res = runner.invoke(main, ["--json-report", "-", *args])
+    maps = _phi_basis_maps(lie, rho)
+    failing = [(f, g) for f in maps for g in maps if f.arity + g.arity <= d
+               and not phi_homomorphism_defect(f, g, lie, rho).is_zero()]
+    assert res.exit_code == (1 if failing else 0), res.output
+    if failing:
+        witness = _report(res)["witness"]
+        assert [witness["left"], witness["right"]] == [
+            {"altmap": altmap_to_obj(h, lie.basis)} for h in failing[0]]
+        _assert_replays(runner, tmp_path, args, witness)
+
+
+def _psi_basis_families(space, target, p_max):
+    """Every elementary family up to weight p_max, by weight, word and value
+    e_k: the words are the sorted ones that repeat no odd-degree letter."""
+    fams = []
+    for w in range(p_max + 1):
+        for word in itertools.combinations_with_replacement(range(space.dim), w):
+            if any(a == b and space.degrees[a] % 2 for a, b in zip(word, word[1:])):
+                continue
+            for k in range(target.dim):
+                deg = target.degrees[k] - sum(space.degrees[i] for i in word)
+                fams.append(GradedSymFamily(space, target, deg, {w: GradedSymMap(
+                    space, target, w, deg, {word: basis_vector(target.dim, k)})}))
+    return fams
+
+
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.integers(0, 2), p_max=st.integers(0, 3), bump=BUMP)
+def test_the_psi_sweep_is_the_verdict_of_every_basis_pair(tmp_path, case, p_max, bump):
+    # the same for psi_homomorphism_defect up to p_max; a perturbation moves
+    # an entry that keeps the action homogeneous
+    _, galg, grep = graded_instances()[case]
+    deg, gdeg = grep.space.degrees, galg.space.degrees
+    positions = [(a, r, c) for a in range(galg.dim) for r in range(grep.space.dim)
+                 for c in range(grep.space.dim) if deg[r] == deg[c] + gdeg[a] + 1]
+    grep = GradedRepresentation(grep.space, _bumped(grep.matrices, positions, bump))
+    runner = CliRunner()
+    args = ["check-psi-hom", "--sgla", write(tmp_path, "g.json", {"sgla": sgla_to_obj(galg)}),
+            "--grep", write(tmp_path, "rho.json", {"graded_rep": grep_to_obj(grep, galg)})]
+    res = runner.invoke(main, ["--p-max", str(p_max), "--json-report", "-", *args])
+    fams = _psi_basis_families(grep.space, galg.space, p_max)
+    failing = [(f, g) for f in fams for g in fams if f.max_weight + g.max_weight <= p_max
+               and not psi_homomorphism_defect(f, g, galg, grep, p_max).is_zero()]
+    assert res.exit_code == (1 if failing else 0), res.output
+    if failing:
+        witness = _report(res)["witness"]
+        assert [witness["left"], witness["right"]] == [
+            {"sym_family": sym_family_to_obj(h)} for h in failing[0]]
+        _assert_replays(runner, tmp_path, ["--p-max", str(p_max), *args], witness)
 
 
 def test_unresolved_reference_errors(runner, tmp_path):

@@ -16,6 +16,7 @@ from rotabaxter.catalog import (
 from rotabaxter.errors import ShapeMismatchError
 from rotabaxter.graded import (
     SGLA,
+    GradedRepresentation,
     _walk_words,
     adjoint_graded,
     canonical_word_count,
@@ -216,6 +217,21 @@ def test_graded_rep_homomorphism_violation():
     rep = check_graded_rep(g, GradedRepresentation(g.space, (z,) + ad.matrices[1:]))
     assert not rep.ok
     assert rep.witness["part"] == "homomorphism"
+
+
+@pytest.mark.parametrize("check", ["check_sgla", "check_sdgla", "check_graded_rep"])
+def test_a_table_shorter_than_the_basis_is_a_shape_error(check):
+    # one bracket plane over a two-vector space, which each structure check
+    # refuses before it reads the table
+    space = graded_space(["a", "b"], [-1, -1])
+    g = SGLA(space, (((Fraction(0),) * 2,) * 2,))
+    zero = matrix([[0, 0], [0, 0]])
+    run = {"check_sgla": lambda: check_sgla(g),
+           "check_sdgla": lambda: check_sdgla(g, zero),
+           "check_graded_rep": lambda: check_graded_rep(
+               g, GradedRepresentation(space, (zero, zero)))}[check]
+    with pytest.raises(ShapeMismatchError, match="bracket constants do not match the basis"):
+        run()
 
 
 def test_adjoint_graded_is_representation():
