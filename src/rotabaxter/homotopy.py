@@ -46,7 +46,9 @@ from .graded import (
 from .linalg import (
     Vector,
     ZERO,
+    as_integers,
     cleared_pair,
+    common_denominator,
     divided,
     fr,
     vec_add,
@@ -543,15 +545,18 @@ def _psi_witness(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
     returned is divided.  It raises what :func:`psi_homomorphism_defect`
     raises: every bracket value is checked as the bracket's map checks it,
     and then its action columns as psi's map does, on every word even past a
-    difference; the int values are checked as they are.
+    difference; the int values are checked as they are.  Only the weights
+    a + b, for a weight a of f and b of g, are walked: at any other weight
+    every term of both sides vanishes.
     """
     dfg, ds, f, g, alg, rep = _cleared_bracket_inputs(f, g, alg, rep, p_max)
     # the brackets are computed below without _nonzero_values, so counted here
     _require_walk(rep.space, p_max)
     space, dim = rep.space, rep.space.dim
     degree = f.degree + g.degree + 1
+    weights = sorted({a + b for a in f.components for b in g.components if a + b <= p_max})
     brackets = {}
-    for p in range(p_max + 1):
+    for p in weights:
         sym = GradedSymMap.zero(space, alg.space, p, degree)
         for word in canonical_words(space, p):
             val = brackets[word] = bracket_on_word(f, g, alg, rep, word)
@@ -692,7 +697,15 @@ def search_homotopy_operators(alg: SGLA, rep: GradedRepresentation, grid,
     still free; a nonzero residual there rules out every completion of the
     prefix, and the assignments it skips are exactly ones the exhaustive
     search would reject.
+
+    Candidates are decided on int images: the grid and (alg, rep) are each
+    cleared once per search, and the residual, homogeneous quadratic in T
+    and linear in the structure, has the same zero set on them.  A level's
+    words are listed once, and a word that rules out a candidate moves to
+    the front of its list.  Only an accepted candidate is built as a
+    HomotopyOperator, from the grid's own values.
     """
+    _require_bound(max_weight, 0, "max_weight")
     _require_bound(p_max, 0, "p_max")
     # each value once, so no candidate is searched or counted twice
     grid = tuple(dict.fromkeys(fr(x) for x in grid))
@@ -710,39 +723,60 @@ def search_homotopy_operators(alg: SGLA, rep: GradedRepresentation, grid,
     total = len(grid) ** len(slots)
     if total > cap:
         raise SearchSpaceError(f"{total} candidates exceed the cap of {cap}")
-    # one level per weight with slots: the weight, its slots, and the
-    # residual weights decided once they are fixed
+    den = common_denominator(grid)
+    ints = as_integers(grid, den)
+    # back from the int images to the grid's own values; 0 is also every
+    # coordinate outside the slots
+    value_of = {0: ZERO, **dict(zip(ints, grid))}
+    _, alg, rep = cleared_pair(alg, rep)
+    # one level per weight with slots: the weight, its slots, and the words
+    # of the residual weights decided once they are fixed; without any slot,
+    # one level decides the zero operator on every weight
     slotted = sorted({w for w, _, _ in slots})
     levels = []
     decided = 0  # the first residual weight no level decides
-    for i, w in enumerate(slotted):
+    for i, w in enumerate(slotted or [0]):
         upto = min(slotted[i + 1] - 1 if i + 1 < len(slotted) else p_max, p_max)
         levels.append((w, [(word, k) for v, word, k in slots if v == w],
-                       range(decided, upto + 1)))
+                       [word for p in range(decided, upto + 1)
+                        for word in canonical_words(space, p)]))
         decided = upto + 1
+    # the int candidate, holding the components of the levels fixed so far
+    cand = GradedSymFamily(space, target, 0)
+    comps = cand.components
     found = []
 
-    def extend(level: int, cand: HomotopyOperator) -> None:
+    def refuted(words) -> bool:
+        for i, word in enumerate(words):
+            if any(residual_on_word(cand, alg, rep, word)):
+                words.insert(0, words.pop(i))
+                return True
+        return False
+
+    def extend(level: int) -> None:
         if level == len(levels):
-            # only without any slot does a weight remain undecided here
-            if _residual_vanishes(cand, alg, rep, range(decided, p_max + 1)):
-                found.append(cand)
+            found.append(HomotopyOperator(space, target, {
+                w: GradedSymMap(space, target, w, 0, {
+                    word: tuple(map(value_of.__getitem__, vec))
+                    for word, vec in comp.entries.items()})
+                for w, comp in comps.items()}, truncation=max_weight))
             return
-        w, wslots, weights = levels[level]
-        for values in itertools.product(grid, repeat=len(wslots)):
+        w, wslots, words = levels[level]
+        for values in itertools.product(ints, repeat=len(wslots)):
             vecs: dict = {}
             for (word, k), val in zip(wslots, values):
                 if val:
-                    vecs.setdefault(word, [ZERO] * target.dim)[k] = val
-            fixed = dict(cand.components)
+                    vecs.setdefault(word, [0] * target.dim)[k] = val
             if vecs:
-                fixed[w] = GradedSymMap(space, target, w, 0,
-                                        {word: tuple(vec) for word, vec in vecs.items()})
-            nxt = HomotopyOperator(space, target, fixed, truncation=max_weight)
-            if _residual_vanishes(nxt, alg, rep, weights):
-                extend(level + 1, nxt)
+                comps[w] = GradedSymMap._on(space, target, w, 0,
+                                            {word: tuple(vec) for word, vec in vecs.items()})
+            else:
+                comps.pop(w, None)
+            if not refuted(words):
+                extend(level + 1)
+        comps.pop(w, None)  # back to the prefix the level above fixed
 
-    extend(0, HomotopyOperator(space, target, {}, truncation=max_weight))
+    extend(0)
     return found
 
 

@@ -184,10 +184,12 @@ def _failing_mixed_operator():
     lambda t, a, r: hook_bracket(psi(t, r), psi(t, r), -1),
     lambda t, a, r: induce_prelie_infinity(t, a, r, -1, force=True),
     lambda t, a, r: search_homotopy_operators(a, r, (0,), max_weight=0, p_max=-1),
+    lambda t, a, r: search_homotopy_operators(a, r, (0, 1), max_weight=-1, p_max=2),
     lambda t, a, r: check_prelie_infinity(induce_prelie_infinity(t, a, r, force=True), 0),
 ], ids=["is_homotopy_oop", "mc_check_homotopy", "homotopy_oop_residual", "is_homotopy_rbo",
         "graded_bracket", "check_psi_homomorphism", "hook_bracket", "induce_prelie_infinity",
-        "search_homotopy_operators", "check_prelie_infinity"])
+        "search_homotopy_operators", "search_homotopy_operators_max_weight",
+        "check_prelie_infinity"])
 def test_bound_below_first_weight_is_rejected(call):
     t, alg, rep = _failing_mixed_operator()
     with pytest.raises(BoundError):
@@ -641,7 +643,8 @@ def gapped_instance():
     return alg, rep
 
 
-@pytest.mark.parametrize("grid", [(0, 1), (Fraction(1, 2), 0, -1)])
+@pytest.mark.parametrize("grid", [(0, 1), (Fraction(1, 2), 0, -1),
+                                  (Fraction(-2, 3), 0, Fraction(1, 2))])
 def test_pruned_search_matches_brute_force(grid):
     cases = [(alg, rep) for _, alg, rep in graded_instances()]
     for alg, rep in cases:
@@ -668,6 +671,24 @@ def test_pruned_search_matches_brute_force(grid):
     want = [HomotopyOperator(rep.space, lone.space, {}, truncation=0)]
     assert search_homotopy_operators(lone, lone_rep, grid, 0, 2) == want
     assert brute_force_search(lone, lone_rep, grid, 0, 2) == want
+
+
+def test_search_builds_an_operator_only_for_each_hit(monkeypatch):
+    # candidates are decided on int images; a HomotopyOperator is built for
+    # each returned operator alone, from the grid's own Fraction values
+    built = []
+    operator = homotopy.HomotopyOperator
+    monkeypatch.setattr(homotopy, "HomotopyOperator",
+                        lambda *args, **kwargs: built.append(1) or operator(*args, **kwargs))
+    alg, rep = two_level_sgla(), two_level_rep()
+    grid = (Fraction(-2, 3), 0, Fraction(1, 2))
+    found = search_homotopy_operators(alg, rep, grid, max_weight=2, p_max=4)
+    assert found and len(built) == len(found)
+    for t in found:
+        assert t.truncation == 2
+        for comp in t.components.values():
+            for val in comp.entries.values():
+                assert all(type(x) is Fraction and x in grid for x in val)
 
 
 def test_grid_search_operators_induce_prelie_infinity():
