@@ -7,10 +7,21 @@ deterministic, bounded selection rule for the derived operators.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
+from .errors import BoundError
 from .graded import GradedRepresentation, GradedVectorSpace, SGLA, graded_space, sgla
-from .lie import LieAlgebra, Representation, adjoint, lie_algebra, search_rbo
+from .lie import (
+    LieAlgebra,
+    Representation,
+    adjoint,
+    is_rota_baxter,
+    iter_rbo,
+    lie_algebra,
+    zero_operator,
+)
+from .linalg import fr
 
 
 def abelian(n: int) -> LieAlgebra:
@@ -78,18 +89,25 @@ def rbo_catalog(grid=(-1, 0, 1), per_algebra: int = 10):
     """Curated catalog of Rota-Baxter operators found by exhaustive search.
 
     All operators are kept on the 2-dimensional algebra; on each
-    3-dimensional algebra the catalog keeps the first ``per_algebra`` nonzero
-    operators in sorted matrix order plus the zero operator, which bounds the
-    downstream randomized suites while staying fully search-derived.
+    3-dimensional algebra the catalog keeps the zero operator (when 0 is in
+    the grid) and then the first ``per_algebra`` nonzero operators in sorted
+    matrix order, which bounds the downstream randomized suites while
+    staying fully search-derived.  The search stops at the last kept
+    operator.  Raises BoundError for a negative ``per_algebra``.
     """
+    if per_algebra < 0:
+        raise BoundError(f"per_algebra must be at least 0, got {per_algebra}")
+    grid = tuple(grid)
     out = []
     for name, alg in search_algebras():
-        found = search_rbo(alg, grid)
+        hits = iter_rbo(alg, grid)
         if alg.dim > 2:
-            nonzero = [op for op in found if any(any(row) for row in op.matrix)]
-            zero = [op for op in found if not any(any(row) for row in op.matrix)]
-            found = zero + nonzero[:per_algebra]
-        out.append((name, alg, found))
+            zero = zero_operator(alg.dim, alg.dim, "g", "g")
+            kept = [zero] if 0 in map(fr, grid) and is_rota_baxter(alg, zero) else []
+            kept += itertools.islice((op for op in hits if op.matrix != zero.matrix), per_algebra)
+        else:
+            kept = list(hits)
+        out.append((name, alg, kept))
     return out
 
 

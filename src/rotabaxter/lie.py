@@ -229,46 +229,67 @@ def is_rota_baxter(alg: LieAlgebra, p: LinearOperator) -> bool:
     return True
 
 
-def _search_chunk(alg: LieAlgebra, grid: tuple, n: int, first_entries) -> list[LinearOperator]:
-    found = []
-    for head in first_entries:
-        for rest in itertools.product(grid, repeat=n * n - 1):
-            flat = (head,) + rest
-            mat = tuple(flat[r * n:(r + 1) * n] for r in range(n))
-            cand = LinearOperator(mat, "g", "g")
-            if is_rota_baxter(alg, cand):
-                found.append(cand)
-    return found
+def _hits(alg: LieAlgebra, grid: tuple, heads: tuple):
+    """The Rota-Baxter operators among the candidates whose first entry is in
+    ``heads`` and whose other entries are in ``grid``.  Over sorted ``heads``
+    and ``grid`` they come in sorted matrix order: product visits the
+    row-major entries in lexicographic order."""
+    n = alg.dim
+    for flat in itertools.product(heads, *[grid] * (n * n - 1)):
+        mat = tuple(flat[r * n:(r + 1) * n] for r in range(n))
+        cand = LinearOperator(mat, "g", "g")
+        if is_rota_baxter(alg, cand):
+            yield cand
+
+
+def _search_chunk(alg: LieAlgebra, grid: tuple, heads: tuple) -> list[LinearOperator]:
+    return list(_hits(alg, grid, heads))
+
+
+def _search_grid(alg: LieAlgebra, grid, cap: int) -> tuple:
+    """The distinct grid values, sorted, once the search they span is allowed."""
+    # each value once, so no candidate is searched or counted twice
+    grid = tuple(sorted({fr(x) for x in grid}))
+    if not grid:
+        raise ValueError("search grid must be nonempty")
+    if not alg.dim:
+        raise ShapeMismatchError("the searched algebra needs a nonempty basis")
+    total = len(grid) ** (alg.dim * alg.dim)
+    if total > cap:
+        raise SearchSpaceError(f"{total} candidates exceed the cap of {cap}")
+    return grid
+
+
+def iter_rbo(alg: LieAlgebra, grid, cap: int = 2_000_000):
+    """Iterator over the Rota-Baxter operators with matrix entries drawn from
+    the grid, in sorted matrix order, each decided when it is reached.
+
+    Raises ValueError for an empty grid, ShapeMismatchError for a
+    zero-dimensional algebra and SearchSpaceError beyond ``cap`` candidates
+    when called, before any candidate is decided.
+    """
+    grid = _search_grid(alg, grid, cap)
+    return _hits(alg, grid, grid)
 
 
 def search_rbo(alg: LieAlgebra, grid, cap: int = 2_000_000, processes: int | None = None) -> list[LinearOperator]:
     """All Rota-Baxter operators with matrix entries drawn from the grid.
 
     Exhaustive over |grid|^(dim^2) candidate matrices, |grid| the number of
-    distinct values; the result is sorted by matrix entries so sequential
-    and parallel runs agree byte for byte.
+    distinct values.  Hits come out in sorted matrix order with no sort
+    step: ``processes`` workers each search a contiguous range of first
+    entries, so sequential and parallel runs agree byte for byte.
     Raises SearchSpaceError beyond ``cap`` candidates.
     """
-    # each value once, so no candidate is searched or counted twice
-    grid = tuple(dict.fromkeys(fr(x) for x in grid))
-    if not grid:
-        raise ValueError("search grid must be nonempty")
-    n = alg.dim
-    total = len(grid) ** (n * n)
-    if total > cap:
-        raise SearchSpaceError(f"{total} candidates exceed the cap of {cap}")
-    if processes and processes > 1 and len(grid) > 1:
-        # imported here: the process pool pulls in multiprocessing, pickle,
-        # socket and logging, which a sequential search never needs
-        from concurrent.futures import ProcessPoolExecutor
+    grid = _search_grid(alg, grid, cap)
+    if not (processes and processes > 1 and len(grid) > 1):
+        return list(_hits(alg, grid, grid))
+    # imported here: the process pool pulls in multiprocessing, pickle,
+    # socket and logging, which a sequential search never needs
+    from concurrent.futures import ProcessPoolExecutor
 
-        chunks = [grid[i::processes] for i in range(processes)]
-        chunks = [ch for ch in chunks if ch]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = pool.map(_search_chunk, itertools.repeat(alg), itertools.repeat(grid),
-                             itertools.repeat(n), chunks)
-        found = [op for part in parts for op in part]
-    else:
-        found = _search_chunk(alg, grid, n, grid)
-    found.sort(key=lambda op: op.matrix)
-    return found
+    size = -(-len(grid) // processes)
+    chunks = [grid[i:i + size] for i in range(0, len(grid), size)]
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        parts = pool.map(_search_chunk, itertools.repeat(alg), itertools.repeat(grid), chunks)
+    return [op for part in parts for op in part]

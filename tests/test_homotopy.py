@@ -11,7 +11,6 @@ from rotabaxter.catalog import (
     graded_instances,
     lie_pairs,
     search_algebras,
-    search_rbo,
     two_level_rep,
     two_level_sgla,
 )
@@ -72,7 +71,7 @@ from rotabaxter.homotopy import (
     shifted_bracket,
     word_degree,
 )
-from rotabaxter.lie import adjoint, is_rota_baxter, oop_defect, operator
+from rotabaxter.lie import adjoint, is_rota_baxter, oop_defect, operator, search_rbo
 from rotabaxter.prelie import (
     HookedMap,
     check_prelie,

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rotabaxter.catalog import graded_instances, lie_pairs, search_rbo, sl2
+from rotabaxter.catalog import graded_instances, lie_pairs, sl2
 from rotabaxter.combinatorics import parity_sign, signed_unshuffles
 from rotabaxter.deformation import (
     AltMap,
@@ -77,6 +77,7 @@ from rotabaxter.lie import (
     check_lie,
     check_representation,
     is_rota_baxter,
+    search_rbo,
 )
 from rotabaxter.prelie import (
     _phi_witness,

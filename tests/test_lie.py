@@ -1,25 +1,29 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from rotabaxter import lie
 from rotabaxter.catalog import (
     abelian,
     affine_line,
     double_affine,
     heisenberg,
     natural_rep_affine,
+    rbo_catalog,
     search_algebras,
     sl2,
 )
-from rotabaxter.errors import SearchSpaceError, ShapeMismatchError
+from rotabaxter.errors import BoundError, SearchSpaceError, ShapeMismatchError
 from rotabaxter.lie import (
     LinearOperator,
     adjoint,
     check_lie,
     check_representation,
     is_rota_baxter,
+    iter_rbo,
     lie_algebra,
     oop_defect,
     operator,
@@ -223,6 +227,96 @@ def test_search_rbo_parallel_agrees():
     seq = search_rbo(alg, (-1, 0, 1))
     par = search_rbo(alg, (-1, 0, 1), processes=2)
     assert [op.matrix for op in seq] == [op.matrix for op in par]
+
+
+@pytest.mark.parametrize("alg, values", [(affine_line(), (-1, 0, 1)), (sl2(), (0, 1))],
+                         ids=["affine", "sl2"])
+def test_search_rbo_hits_come_in_sorted_order(alg, values):
+    # the search sorts its grid, not its hits: every grid order, sequential
+    # or split over two workers, gives the one sorted list
+    want = sorted(op.matrix for op in search_rbo(alg, values))
+    for grid in itertools.permutations(values):
+        for processes in (None, 2):
+            assert [op.matrix for op in search_rbo(alg, grid, processes=processes)] == want
+
+
+def count_decided(monkeypatch):
+    """Count the candidates the search decides, through lie.is_rota_baxter."""
+    calls = []
+
+    def counted(alg, p):
+        calls.append(p.matrix)
+        return is_rota_baxter(alg, p)
+
+    monkeypatch.setattr(lie, "is_rota_baxter", counted)
+    return calls
+
+
+def test_iter_rbo_refuses_before_deciding_a_candidate(monkeypatch):
+    calls = count_decided(monkeypatch)
+    with pytest.raises(ValueError, match="nonempty"):
+        iter_rbo(affine_line(), ())
+    with pytest.raises(SearchSpaceError, match="19683 candidates"):
+        iter_rbo(sl2(), (-1, 0, 1), cap=100)
+    with pytest.raises(ShapeMismatchError, match="nonempty basis"):
+        iter_rbo(lie_algebra([], {}), (0, 1))
+    assert calls == []
+
+
+@functools.lru_cache(maxsize=None)
+def exhaustive(name, grid):
+    alg = dict(search_algebras())[name]
+    return [op.matrix for op in search_rbo(alg, grid)]
+
+
+def catalog_oracle(grid, k):
+    """zero + nonzero[:k] of each exhaustive search; everything in dimension 2."""
+    out = []
+    for name, alg in search_algebras():
+        found = exhaustive(name, grid)
+        if alg.dim > 2:
+            nonzero = [m for m in found if any(any(row) for row in m)]
+            zero = [m for m in found if not any(any(row) for row in m)]
+            found = zero + nonzero[:k]
+        out.append((name, found))
+    return out
+
+
+def catalog_matrices(catalog):
+    return [(name, [op.matrix for op in ops]) for name, _, ops in catalog]
+
+
+@pytest.mark.parametrize("grid", [(0, 1), (1, 0), (-1, 1), (0,), (Fraction(1, 2), 0, -2)],
+                         ids=str)
+def test_rbo_catalog_stops_early_on_the_exhaustive_selection(grid):
+    for k in (0, 1, 10, 100):
+        assert catalog_matrices(rbo_catalog(grid, k)) == catalog_oracle(grid, k)
+
+
+def test_rbo_catalog_default_grid_matches_the_exhaustive_selection():
+    # on heisenberg the zero operator is candidate 9,842 of 19,683, after
+    # the 10th nonzero hit (candidate 840), yet it still comes first
+    catalog = rbo_catalog()
+    assert catalog_matrices(catalog) == catalog_oracle((-1, 0, 1), 10)
+    assert [len(ops) for _, _, ops in catalog] == [15, 11, 11]
+    assert all(op.domain == op.codomain == "g" for _, _, ops in catalog for op in ops)
+
+
+def test_rbo_catalog_decides_candidates_up_to_its_last_kept_operator(monkeypatch):
+    calls = count_decided(monkeypatch)
+    assert [len(ops) for _, _, ops in rbo_catalog((0, 1))] == [5, 11, 9]
+    # affine 16; heisenberg to its 10th nonzero hit, the 21st candidate;
+    # sl2 has 8 nonzero, so all 512
+    assert len(calls) == 16 + 21 + 512
+    calls.clear()
+    # per_algebra 0 keeps the zero operator and scans no 3-dimensional grid
+    assert [len(ops) for _, _, ops in rbo_catalog((0, 1), 0)] == [5, 1, 1]
+    assert len(calls) == 16
+
+
+def test_rbo_catalog_refuses_a_negative_per_algebra():
+    with pytest.raises(BoundError, match="per_algebra"):
+        rbo_catalog((0, 1), -1)
 
 
 def test_shape_errors():
