@@ -51,7 +51,6 @@ from .lie import (
     check_lie,
     check_representation,
     is_rota_baxter,
-    iter_rbo,
     lie_algebra,
     oop_defect,
     operator,

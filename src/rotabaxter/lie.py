@@ -246,6 +246,9 @@ def _search_chunk(alg: LieAlgebra, grid: tuple, heads: tuple) -> list[LinearOper
     return list(_hits(alg, grid, heads))
 
 
+SEARCH_CAP = 2_000_000
+
+
 def _search_grid(alg: LieAlgebra, grid, cap: int) -> tuple:
     """The distinct grid values, sorted, once the search they span is allowed."""
     # each value once, so no candidate is searched or counted twice
@@ -260,19 +263,19 @@ def _search_grid(alg: LieAlgebra, grid, cap: int) -> tuple:
     return grid
 
 
-def iter_rbo(alg: LieAlgebra, grid, cap: int = 2_000_000):
+def iter_rbo(alg: LieAlgebra, grid):
     """Iterator over the Rota-Baxter operators with matrix entries drawn from
     the grid, in sorted matrix order, each decided when it is reached.
 
     Raises ValueError for an empty grid, ShapeMismatchError for a
-    zero-dimensional algebra and SearchSpaceError beyond ``cap`` candidates
-    when called, before any candidate is decided.
+    zero-dimensional algebra and SearchSpaceError beyond ``SEARCH_CAP``
+    candidates when called, before any candidate is decided.
     """
-    grid = _search_grid(alg, grid, cap)
+    grid = _search_grid(alg, grid, SEARCH_CAP)
     return _hits(alg, grid, grid)
 
 
-def search_rbo(alg: LieAlgebra, grid, cap: int = 2_000_000, processes: int | None = None) -> list[LinearOperator]:
+def search_rbo(alg: LieAlgebra, grid, cap: int = SEARCH_CAP, processes: int | None = None) -> list[LinearOperator]:
     """All Rota-Baxter operators with matrix entries drawn from the grid.
 
     Exhaustive over |grid|^(dim^2) candidate matrices, |grid| the number of

@@ -223,21 +223,13 @@ def test_search_rbo_cap():
 
 
 def test_search_rbo_parallel_agrees():
-    alg = affine_line()
-    seq = search_rbo(alg, (-1, 0, 1))
-    par = search_rbo(alg, (-1, 0, 1), processes=2)
-    assert [op.matrix for op in seq] == [op.matrix for op in par]
-
-
-@pytest.mark.parametrize("alg, values", [(affine_line(), (-1, 0, 1)), (sl2(), (0, 1))],
-                         ids=["affine", "sl2"])
-def test_search_rbo_hits_come_in_sorted_order(alg, values):
     # the search sorts its grid, not its hits: every grid order, sequential
     # or split over two workers, gives the one sorted list
-    want = sorted(op.matrix for op in search_rbo(alg, values))
-    for grid in itertools.permutations(values):
-        for processes in (None, 2):
-            assert [op.matrix for op in search_rbo(alg, grid, processes=processes)] == want
+    for alg, values in ((affine_line(), (-1, 0, 1)), (sl2(), (0, 1))):
+        want = sorted(op.matrix for op in search_rbo(alg, values))
+        for grid in itertools.permutations(values):
+            for processes in (None, 2):
+                assert [op.matrix for op in search_rbo(alg, grid, processes=processes)] == want
 
 
 def count_decided(monkeypatch):
@@ -256,8 +248,8 @@ def test_iter_rbo_refuses_before_deciding_a_candidate(monkeypatch):
     calls = count_decided(monkeypatch)
     with pytest.raises(ValueError, match="nonempty"):
         iter_rbo(affine_line(), ())
-    with pytest.raises(SearchSpaceError, match="19683 candidates"):
-        iter_rbo(sl2(), (-1, 0, 1), cap=100)
+    with pytest.raises(SearchSpaceError, match="10077696 candidates"):
+        iter_rbo(heisenberg(), range(6))
     with pytest.raises(ShapeMismatchError, match="nonempty basis"):
         iter_rbo(lie_algebra([], {}), (0, 1))
     assert calls == []
