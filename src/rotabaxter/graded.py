@@ -29,12 +29,11 @@ from .linalg import (
     as_integers,
     basis_vector,
     bilinear,
+    cleared_pair,
     common_denominator,
     fr,
-    mat_mul,
-    mat_sub,
-    mat_vec,
-    rho,
+    require_action,
+    signed_sum,
     table_from_pairs,
     vec_add,
     vec_sub,
@@ -541,9 +540,6 @@ class SGLA(Clearable):
     def dim(self) -> int:
         return self.space.dim
 
-    def bracket_basis(self, i: int, j: int) -> Vector:
-        return self.b[i][j]
-
     bracket = bilinear
 
 
@@ -580,27 +576,27 @@ def check_sgla(g: SGLA) -> Report:
 
         [x, [y, z]] = (-1)^(x+1) [[x, y], z] + (-1)^((x+1)(y+1)) [y, [x, z]]
 
-    with exponents the degrees of the named elements.
+    with exponents the degrees of the named elements, on the int image of the
+    constants (den times them).
     """
     n = _table_dim(g)
     deg = g.space.degrees
     names = g.space.basis
+    den, b = g.cleared()
+    b = b.b
     triples = list(itertools.product(range(n), repeat=3))
     degree_w = first_failure(
-        triples, lambda i, j, k: g.b[i][j][k] if deg[k] != deg[i] + deg[j] + 1 else 0)
+        triples, lambda i, j, k: b[i][j][k] if deg[k] != deg[i] + deg[j] + 1 else 0, den)
     sym_w = None if degree_w else first_failure(
-        triples, lambda i, j, k: g.b[i][j][k] - parity_sign(deg[i] * deg[j]) * g.b[j][i][k])
-    e = [basis_vector(n, i) for i in range(n)]
-    br = g.bracket
+        triples, lambda i, j, k: b[i][j][k] - parity_sign(deg[i] * deg[j]) * b[j][i][k], den)
+    cols = tuple(zip(*b))  # cols[k][m] is [e_m, e_k]
 
     def leibniz(i, j, k):
-        r1 = vec_sub(br(e[i], br(e[j], e[k])),
-                     tuple(parity_sign(deg[i] + 1) * x for x in br(br(e[i], e[j]), e[k])))
-        return vec_sub(r1, tuple(parity_sign((deg[i] + 1) * (deg[j] + 1)) * x
-                                 for x in br(e[j], br(e[i], e[k]))))
+        return signed_sum(n, ((1, b[j][k], b[i]), (-parity_sign(deg[i] + 1), b[i][j], cols[k]),
+                              (-parity_sign((deg[i] + 1) * (deg[j] + 1)), b[i][k], b[j])))
 
     leib_w = None if degree_w or sym_w else first_failure(
-        triples, leibniz, lambda res: named_residual(res, names))
+        triples, leibniz, den * den, lambda res: named_residual(res, names))
     ok = degree_w is None and sym_w is None and leib_w is None
     # parts skipped after an earlier failure report None, not a verdict
     return Report(
@@ -630,7 +626,8 @@ def check_sdgla(g: SGLA, d: Matrix) -> Report:
     """Verify d^2 = 0 and d[x, y] = -[dx, y] - (-1)^x [x, dy] on basis pairs.
 
     The differential must be a homogeneous degree-1 matrix on the underlying
-    space; an inhomogeneous d is a shape error, not a failed check.
+    space; an inhomogeneous d is a shape error, not a failed check.  Both
+    parts run on d cleared by its own dd and the bracket by its own db.
     """
     n = _table_dim(g)
     if len(d) != n or any(len(row) != n for row in d):
@@ -639,19 +636,22 @@ def check_sdgla(g: SGLA, d: Matrix) -> Report:
         raise ShapeMismatchError("differential must be homogeneous of degree 1")
     deg = g.space.degrees
     names = g.space.basis
-    square = mat_mul(d, d)
+    dd = common_denominator(x for row in d for x in row)
+    dcols = tuple(zip(*as_integers(d, dd)))  # dcols[l] is d e_l
     witness = first_failure(((j,) for j in range(n)),
-                            lambda j: tuple(square[r][j] for r in range(n)),
+                            lambda j: signed_sum(n, ((1, dcols[j], dcols),)), dd * dd,
                             lambda res: named_residual(res, names))
     if witness:
         return Report("check-sdgla", False, witness={**witness, "part": "square"},
                       details={"square_ok": False, "compatibility_ok": None})
-    e = [basis_vector(n, i) for i in range(n)]
-    de = [mat_vec(d, ei) for ei in e]
+    db, b = g.cleared()
+    b = b.b
+    cols = tuple(zip(*b))  # cols[j][m] is [e_m, e_j]
     witness = first_failure(
         itertools.product(range(n), repeat=2),
-        lambda i, j: vec_add(vec_add(mat_vec(d, g.bracket(e[i], e[j])), g.bracket(de[i], e[j])),
-                             tuple(parity_sign(deg[i]) * x for x in g.bracket(e[i], de[j]))),
+        lambda i, j: signed_sum(n, ((1, b[i][j], dcols), (1, dcols[i], cols[j]),
+                                    (parity_sign(deg[i]), dcols[j], b[i]))),
+        dd * db,
         lambda res: named_residual(res, names),
     )
     if witness:
@@ -676,22 +676,7 @@ class GradedRepresentation(Clearable):
     def space_dim(self) -> int:
         return self.space.dim
 
-    rho = rho
     act_basis = act_basis
-
-
-def desuspended_gl_bracket(a: Matrix, b: Matrix, deg_a: int, deg_b: int) -> Matrix:
-    """Bracket of gl(V) transported to its desuspension.
-
-    For homogeneous matrices of gl-degrees deg_a, deg_b the formula is
-    (-1)^(deg_a) (a b - (-1)^(deg_a deg_b) b a); it is graded symmetric and
-    of degree 1 with respect to the shifted degrees deg - 1.
-    """
-    comm = mat_sub(mat_mul(a, b),
-                   tuple(tuple(parity_sign(deg_a * deg_b) * x for x in row)
-                         for row in mat_mul(b, a)))
-    s = parity_sign(deg_a)
-    return tuple(tuple(s * x for x in row) for row in comm)
 
 
 def check_graded_rep(g: SGLA, rep: GradedRepresentation) -> Report:
@@ -700,27 +685,31 @@ def check_graded_rep(g: SGLA, rep: GradedRepresentation) -> Report:
     Each rho(e_i) must be homogeneous of degree deg(e_i)+1 on V, and the
     desuspension of rho must preserve brackets:
 
-        rho([x, y]) = (-1)^(x+1) (rho(x) rho(y) - (-1)^((x+1)(y+1)) rho(y) rho(x)).
+        rho([x, y]) = (-1)^(x+1) (rho(x) rho(y) - (-1)^((x+1)(y+1)) rho(y) rho(x)),
+
+    the bracket of gl(V) transported to its desuspension, on the int images
+    of both over one den.
     """
     n = _table_dim(g)
-    if len(rep.matrices) != n:
-        raise ShapeMismatchError("one action matrix per algebra basis element required")
-    d = rep.space_dim
-    if any(len(m) != d or any(len(row) != d for row in m) for m in rep.matrices):
-        raise ShapeMismatchError("action matrices must be square of the module dimension")
+    d = require_action(n, rep)
     deg = g.space.degrees
     for i in range(n):
         if not matrix_is_homogeneous(rep.matrices[i], rep.space, rep.space, deg[i] + 1):
             return Report("check-graded-rep", False,
                           witness={"at": [i + 1], "part": "degree"},
                           details={"degree_ok": False, "homomorphism_ok": None})
-    witness = first_failure(
-        itertools.product(range(n), repeat=2),
-        lambda i, j: mat_sub(rep.rho(g.bracket_basis(i, j)),
-                             desuspended_gl_bracket(rep.matrices[i], rep.matrices[j],
-                                                    deg[i] + 1, deg[j] + 1)),
-        matrix_text,
-    )
+    den, g, rep = cleared_pair(g, rep)
+    b, ms = g.b, rep.matrices
+    rows = tuple(zip(*ms))  # rows[r][k] is row r of rho(e_k)
+
+    def homomorphism(i, j):
+        s = parity_sign(deg[i] + 1)
+        s2 = s * parity_sign((deg[i] + 1) * (deg[j] + 1))
+        return tuple(signed_sum(d, ((1, b[i][j], rows[r]), (-s, ms[i][r], ms[j]),
+                                    (s2, ms[j][r], ms[i]))) for r in range(d))
+
+    witness = first_failure(itertools.product(range(n), repeat=2), homomorphism, den * den,
+                            matrix_text)
     if witness:
         return Report("check-graded-rep", False, witness={**witness, "part": "homomorphism"},
                       details={"degree_ok": True, "homomorphism_ok": False})

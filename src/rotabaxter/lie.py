@@ -18,17 +18,20 @@ from .linalg import (
     ZERO,
     act_basis,
     adjoint_matrices,
+    as_integers,
     basis_vector,
     bilinear,
+    cleared_pair,
+    common_denominator,
+    divided,
     fr,
-    mat_commutator,
-    mat_sub,
     mat_vec,
     matrix,
+    require_action,
     rho,
+    signed_sum,
     table_from_pairs,
     vec_add,
-    vec_is_zero,
     vec_sub,
 )
 from .reports import Report, first_failure, matrix_text, named_residual
@@ -50,9 +53,6 @@ class LieAlgebra(Clearable):
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def bracket_basis(self, i: int, j: int) -> Vector:
-        return self.c[i][j]
 
     bracket = bilinear
 
@@ -141,18 +141,21 @@ def zero_operator(nrows: int, ncols: int, domain: str = "V", codomain: str = "g"
 
 
 def check_lie(alg: LieAlgebra) -> Report:
-    """Verify antisymmetry and the Jacobi identity on all basis triples."""
+    """Verify antisymmetry and the Jacobi identity on all basis triples, on
+    the int image of the constants (den times them)."""
     n = alg.dim
     if len(alg.c) != n or any(len(p) != n or any(len(r) != n for r in p) for p in alg.c):
         raise ShapeMismatchError("structure constant array does not match the basis")
+    den, c = alg.cleared()
+    c = c.c
+    cols = tuple(zip(*c))  # cols[k][m] is [e_m, e_k]
     triples = list(itertools.product(range(n), repeat=3))
-    antisym = first_failure(triples, lambda i, j, k: alg.c[i][j][k] + alg.c[j][i][k])
-    e = [basis_vector(n, i) for i in range(n)]
-    br = alg.bracket
+    antisym = first_failure(triples, lambda i, j, k: c[i][j][k] + c[j][i][k], den)
     jacobi = first_failure(
         triples,
-        lambda i, j, k: vec_add(vec_add(br(br(e[i], e[j]), e[k]), br(br(e[j], e[k]), e[i])),
-                                br(br(e[k], e[i]), e[j])),
+        lambda i, j, k: signed_sum(n, ((1, c[i][j], cols[k]), (1, c[j][k], cols[i]),
+                                       (1, c[k][i], cols[j]))),
+        den * den,
         lambda res: named_residual(res, alg.basis),
     )
     ok = antisym is None and jacobi is None
@@ -165,16 +168,17 @@ def check_lie(alg: LieAlgebra) -> Report:
 
 
 def check_representation(alg: LieAlgebra, rep: Representation) -> Report:
-    """Verify rho([e_i, e_j]) = [rho(e_i), rho(e_j)] on all basis pairs."""
-    if len(rep.matrices) != alg.dim:
-        raise ShapeMismatchError("one action matrix per algebra basis element required")
-    d = rep.space_dim
-    if any(len(m) != d or any(len(row) != d for row in m) for m in rep.matrices):
-        raise ShapeMismatchError("action matrices must be square of the module dimension")
+    """Verify rho([e_i, e_j]) = [rho(e_i), rho(e_j)] on all basis pairs, on
+    the int images of both over one den."""
+    d = require_action(alg.dim, rep)
+    den, alg, rep = cleared_pair(alg, rep)
+    c, ms = alg.c, rep.matrices
+    rows = tuple(zip(*ms))  # rows[r][k] is row r of rho(e_k)
     witness = first_failure(
         itertools.combinations(range(alg.dim), 2),
-        lambda i, j: mat_sub(rep.rho(alg.bracket_basis(i, j)),
-                             mat_commutator(rep.matrices[i], rep.matrices[j])),
+        lambda i, j: tuple(signed_sum(d, ((1, c[i][j], rows[r]), (-1, ms[i][r], ms[j]),
+                                          (1, ms[j][r], ms[i]))) for r in range(d)),
+        den * den,
         matrix_text,
     )
     return Report("check-rep", witness is None, witness=witness)
@@ -189,22 +193,27 @@ def oop_defect(alg: LieAlgebra, rep: Representation, t: LinearOperator) -> AltMa
     """Bilinear defect of the relative Rota-Baxter identity for T: V -> g.
 
     D(u, v) = [Tu, Tv] - T(rho(Tu) v - rho(Tv) u); T is an O-operator
-    exactly when D vanishes on all basis pairs.
+    exactly when D vanishes on all basis pairs.  It runs on the int images
+    of T (over dt) and of (alg, rep) (over ds), each value divided by dt^2 ds.
     """
     if t.rows != alg.dim or t.cols != rep.space_dim:
         raise ShapeMismatchError(
             f"operator is {t.rows}x{t.cols}, expected {alg.dim}x{rep.space_dim}"
         )
+    d = require_action(alg.dim, rep)
+    dt = common_denominator(x for row in t.matrix for x in row)
+    cols = tuple(zip(*as_integers(t.matrix, dt)))
+    ds, alg, rep = cleared_pair(alg, rep)
     entries = {}
-    for i in range(rep.space_dim):
-        ti = t.column(i)
-        for j in range(i + 1, rep.space_dim):
-            tj = t.column(j)
+    for i in range(d):
+        ti = cols[i]
+        for j in range(i + 1, d):
+            tj = cols[j]
             inner = vec_sub(rep.act_basis(ti, j), rep.act_basis(tj, i))
-            val = vec_sub(alg.bracket(ti, tj), t.apply(inner))
-            if not vec_is_zero(val):
-                entries[(i, j)] = val
-    return AltMap(2, rep.space_dim, alg.dim, entries)
+            val = vec_sub(alg.bracket(ti, tj), signed_sum(alg.dim, ((1, inner, cols),)))
+            if any(val):
+                entries[(i, j)] = divided(val, dt * dt * ds)
+    return AltMap(2, d, alg.dim, entries)
 
 
 def is_rota_baxter(alg: LieAlgebra, p: LinearOperator) -> bool:

@@ -10,6 +10,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .combinatorics import parity_sign
+from .errors import ShapeMismatchError
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -50,24 +51,8 @@ def matrix(rows) -> Matrix:
     return m
 
 
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(vec_sub(x, y) for x, y in zip(a, b, strict=True))
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    ncols = len(b[0]) if b else 0
-    return tuple(
-        tuple(sum((row[k] * b[k][j] for k in range(len(b))), ZERO) for j in range(ncols))
-        for row in a
-    )
-
-
 def mat_vec(a: Matrix, v: Vector) -> Vector:
     return tuple(sum((row[j] * v[j] for j in range(len(v))), ZERO) for row in a)
-
-
-def mat_commutator(a: Matrix, b: Matrix) -> Matrix:
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 
 # -- cleared denominators -----------------------------------------------------
@@ -126,6 +111,20 @@ class Clearable:
 
     def cleared(self):
         return self._cleared
+
+
+def signed_sum(n: int, terms) -> tuple:
+    """Sum of s * sum_m coeffs[m] vectors[m] over (s, coeffs, vectors) in terms,
+    as n ints.  For a table t, (e_i e_j) e_k is (1, t[i][j], [t[m][k] for m]),
+    e_i (e_j e_k) is (1, t[j][k], t[i]), and row r of a b is (1, a[r], b)."""
+    out = [0] * n
+    for s, coeffs, vectors in terms:
+        for c, v in zip(coeffs, vectors):
+            if c:
+                c *= s
+                for k, x in enumerate(v):
+                    out[k] += c * x
+    return tuple(out)
 
 
 def cleared_pair(alg, act):
@@ -207,6 +206,16 @@ def act_basis(self, x: Vector, j: int) -> Vector:
             if m[r][j]:
                 out[r] += xa * m[r][j]
     return tuple(out)
+
+
+def require_action(n: int, act) -> int:
+    """The module dimension, once act has one square matrix of it per basis element."""
+    if len(act.matrices) != n:
+        raise ShapeMismatchError("one action matrix per algebra basis element required")
+    d = act.space_dim
+    if any(len(m) != d or any(len(row) != d for row in m) for m in act.matrices):
+        raise ShapeMismatchError("action matrices must be square of the module dimension")
+    return d
 
 
 def rho(self, x: Vector) -> Matrix:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .errors import OversizedScalarError
 
@@ -64,16 +65,20 @@ def _is_zero(r) -> bool:
     return all(map(_is_zero, r)) if isinstance(r, tuple) else not r
 
 
-def first_failure(cells, residual, text=scalar_text) -> dict | None:
+def _divided(r, den: int):
+    return tuple(_divided(x, den) for x in r) if isinstance(r, tuple) else Fraction(r, den)
+
+
+def first_failure(cells, residual, den: int, text=scalar_text) -> dict | None:
     """The witness of the first cell, in the order given, whose residual is
-    nonzero: ``{"at": <1-based indices>, "residual": text(r)}``.
+    nonzero: ``{"at": <1-based indices>, "residual": text(r / den)}``.
 
     Each cell is a tuple of 0-based basis indices, and ``residual(*cell)`` is
-    a scalar, a vector or a matrix (a tuple of rows).  None when every
-    residual is zero.
+    a scalar, a vector or a matrix (a tuple of rows): den times the exact
+    residual, computed on int images.  None when every residual is zero.
     """
     for cell in cells:
         r = residual(*cell)
         if not _is_zero(r):
-            return {"at": [i + 1 for i in cell], "residual": text(r)}
+            return {"at": [i + 1 for i in cell], "residual": text(_divided(r, den))}
     return None

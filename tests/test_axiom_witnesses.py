@@ -4,7 +4,12 @@ Every check scans its basis cells in a fixed order and reports the first cell
 whose residual is nonzero, 1-based, with that residual's text.  The oracle
 below recomputes each residual from the raw constants (``c``, ``mu``, ``b``,
 the action matrices and ``d``) by explicit index sums, without the library's
-brackets, products, actions or checks, and rebuilds the whole report.
+brackets, products, actions or checks, and rebuilds the whole report.  The
+O-operator defect gets the same oracle, value by value.
+
+The drawn values have denominators 2 and 3, so the algebra and its action,
+and the bracket and the differential, often clear over different
+denominators, and a witness divided back by the wrong one shows.
 """
 
 from fractions import Fraction
@@ -20,10 +25,17 @@ from rotabaxter.graded import (
     check_sgla,
     from_lie,
 )
-from rotabaxter.lie import LieAlgebra, Representation, check_lie, check_representation
+from rotabaxter.lie import (
+    LieAlgebra,
+    LinearOperator,
+    Representation,
+    check_lie,
+    check_representation,
+    oop_defect,
+)
 from rotabaxter.prelie import PreLieProduct, check_prelie
 
-VALUES = (Fraction(-2), Fraction(-1), Fraction(1), Fraction(2), Fraction(1, 2))
+VALUES = (Fraction(-2), Fraction(-1), Fraction(1), Fraction(2), Fraction(1, 2), Fraction(1, 3))
 ALGEBRAS = [alg for _, alg in search_algebras()] + [double_affine(), abelian(2)]
 PAIRS = [(alg, rep) for _, alg, rep in lie_pairs()]
 GRADED = [(g, rep) for _, g, rep in graded_instances()]
@@ -259,3 +271,28 @@ def test_axiom_check_reports_the_first_nonzero_residual(kind, data):
     report, expected = drawn_case(data.draw, kind)
     assert {"check": report.check, "ok": report.ok, "witness": report.witness,
             "order": report.order, "details": report.details} == expected
+
+
+def raw_oop_defect(alg, rep, t):
+    """D(u_i, u_j) = [Tu_i, Tu_j] - T(rho(Tu_i) u_j - rho(Tu_j) u_i) for i < j, by
+    index sums over c, the action matrices and T, with the zero values left out."""
+    c, ms, n, d = alg.c, rep.matrices, alg.dim, rep.space_dim
+    tu = [[t[a][i] for a in range(n)] for i in range(d)]
+    out = {}
+    for i, j in ((i, j) for i in range(d) for j in range(i + 1, d)):
+        inner = [sum(tu[i][a] * ms[a][r][j] - tu[j][a] * ms[a][r][i] for a in range(n))
+                 for r in range(d)]
+        val = tuple(sum(tu[i][a] * tu[j][b] * c[a][b][m] for a in range(n) for b in range(n))
+                    - sum(t[m][r] * inner[r] for r in range(d)) for m in range(n))
+        if any(val):
+            out[(i, j)] = val
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(PAIRS), st.data())
+def test_oop_defect_equals_its_raw_sum(pair, data):
+    alg, rep = pair
+    entry = st.one_of(st.just(Fraction(0)), st.sampled_from(VALUES))
+    t = tuple(tuple(data.draw(entry) for _ in range(rep.space_dim)) for _ in range(alg.dim))
+    assert oop_defect(alg, rep, LinearOperator(t)).entries == raw_oop_defect(alg, rep, t)

@@ -317,3 +317,9 @@ def test_shape_errors():
         oop_defect(alg, adjoint(alg), zero_operator(3, 3))
     with pytest.raises(ShapeMismatchError):
         is_rota_baxter(alg, zero_operator(3, 3))
+    # the affine adjoint action has 2 matrices, heisenberg 3 basis elements
+    with pytest.raises(ShapeMismatchError, match="one action matrix per algebra basis element"):
+        oop_defect(heisenberg(), adjoint(alg), zero_operator(3, 2))
+    ragged = lie.Representation(("v1", "v2"), (matrix([[1, 0], [0, 1]]), ((1, 0), (0,))))
+    with pytest.raises(ShapeMismatchError, match="square of the module dimension"):
+        oop_defect(alg, ragged, zero_operator(2, 2))
