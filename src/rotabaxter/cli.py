@@ -88,31 +88,32 @@ def main(ctx, p_max, json_report, parallel):
     ctx.obj = Config(p_max, json_report, parallel)
 
 
+# Every echo names the stream it writes to.  A bare ``click.echo`` caches the
+# current ``sys.stdout`` in click's stream table with the stream itself as the
+# value, so the entry is never freed and each redirected stream of an
+# in-process call would stay alive until exit.  Every text is ASCII (it comes
+# from ``json.dumps``), so click's encoding wrapper has nothing to change.
 def _finish(cfg: Config, reports: list[Report]):
     for rep in reports:
         status = "PASS" if rep.ok else "FAIL"
         extra = f" (order={rep.order})" if rep.order is not None else ""
-        click.echo(f"{rep.check}: {status}{extra}")
+        click.echo(f"{rep.check}: {status}{extra}", file=sys.stdout)
         if not rep.ok and rep.witness:
-            click.echo(f"  witness: {json.dumps(rep.witness, sort_keys=True)}")
+            click.echo(f"  witness: {json.dumps(rep.witness, sort_keys=True)}", file=sys.stdout)
     if cfg.json_report:
         payload = reports[0].to_dict() if len(reports) == 1 else [r.to_dict() for r in reports]
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        if cfg.json_report == "-":
-            click.echo(text)
-        else:
-            with open(cfg.json_report, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+        _emit(payload, None if cfg.json_report == "-" else cfg.json_report)
     sys.exit(0 if all(r.ok for r in reports) else 1)
 
 
 def _emit(obj, out: str | None):
+    """Write ``obj`` as indented JSON to the file ``out``, or to stdout."""
     text = json.dumps(obj, indent=2, sort_keys=True)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
-        click.echo(text)
+        click.echo(text, file=sys.stdout)
 
 
 def _split_ref(ref: str):
@@ -485,7 +486,7 @@ def search_rbo_cmd(cfg, algebra, grid, cap, out):
         raise click.BadParameter("the grid needs at least one entry", param_hint="'--grid'")
     processes = os.cpu_count() if cfg.parallel else None
     found = search_rbo(alg, entries, cap=cap, processes=processes)
-    click.echo(f"found {len(found)} operators", err=True)
+    click.echo(f"found {len(found)} operators", file=sys.stderr)
     _emit({"operators": [ser.operator_to_obj(op) for op in found]}, out)
 
 

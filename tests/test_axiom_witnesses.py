@@ -35,7 +35,9 @@ from rotabaxter.lie import (
 )
 from rotabaxter.prelie import PreLieProduct, check_prelie
 
-VALUES = (Fraction(-2), Fraction(-1), Fraction(1), Fraction(2), Fraction(1, 2), Fraction(1, 3))
+# the fractions first: hypothesis draws the first entries most often, and a
+# witness divided back by the wrong denominator shows only on a fraction
+VALUES = (Fraction(1, 2), Fraction(1, 3), Fraction(-2), Fraction(-1), Fraction(1), Fraction(2))
 ALGEBRAS = [alg for _, alg in search_algebras()] + [double_affine(), abelian(2)]
 PAIRS = [(alg, rep) for _, alg, rep in lie_pairs()]
 GRADED = [(g, rep) for _, g, rep in graded_instances()]
@@ -204,16 +206,37 @@ def expected_report(check, parts, run_all=False, details=True, tag_part=False):
 # -- drawn structures -----------------------------------------------------------
 
 
-def perturbed_table(draw, t):
+def most(draw):
+    """True three times in four."""
+    return draw(st.integers(0, 3)) > 0
+
+
+def perturbed_table(draw, t, degrees):
+    """t with up to two drawn cells moved by a drawn value.  Most moves keep
+    the degree (deg_k = deg_i + deg_j + 1, where such a k exists) and are
+    mirrored at [j][i] with the graded sign (-1)^(deg_i deg_j), which keeps
+    graded symmetry (antisymmetry for a Lie table, every degree -1), so the
+    later parts, Jacobi and Leibniz, get to fail; the rest break the degree
+    or the symmetry."""
     n = len(t)
     t = [[list(row) for row in plane] for plane in t]
     for _ in range(draw(st.integers(0, 2))):
-        i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        fits = [k for k in range(n) if degrees[k] == degrees[i] + degrees[j] + 1]
+        k = draw(st.sampled_from(fits) if fits and most(draw) else st.integers(0, n - 1))
         v = draw(st.sampled_from(VALUES))
         t[i][j][k] += v
-        if draw(st.booleans()):
-            t[j][i][k] -= v  # keeps antisymmetry, so the later parts get to fail
+        if most(draw):
+            t[j][i][k] += sign(degrees[i] * degrees[j]) * v
     return tuple(tuple(tuple(row) for row in plane) for plane in t)
+
+
+def perturbed_lie(draw, alg):
+    return LieAlgebra(alg.basis, perturbed_table(draw, alg.c, (-1,) * alg.dim))
+
+
+def perturbed_sgla(draw, g):
+    return SGLA(g.space, perturbed_table(draw, g.b, g.space.degrees))
 
 
 def perturbed_matrices(draw, ms):
@@ -229,11 +252,11 @@ def drawn_case(draw, kind):
     """(report, expected report) for one drawn input of the named check."""
     if kind == "check-lie":
         alg = draw(st.sampled_from(ALGEBRAS))
-        alg = LieAlgebra(alg.basis, perturbed_table(draw, alg.c))
+        alg = perturbed_lie(draw, alg)
         return check_lie(alg), expected_report(kind, lie_parts(alg), run_all=True)
     if kind == "check-rep":
         alg, rep = draw(st.sampled_from(PAIRS))
-        alg = LieAlgebra(alg.basis, perturbed_table(draw, alg.c))
+        alg = perturbed_lie(draw, alg)
         rep = Representation(rep.basis, perturbed_matrices(draw, rep.matrices))
         return check_representation(alg, rep), expected_report(kind, rep_parts(alg, rep),
                                                                details=False)
@@ -246,11 +269,11 @@ def drawn_case(draw, kind):
         return check_prelie(p), expected_report(kind, prelie_parts(p), details=False)
     if kind == "check-sgla":
         g = draw(st.sampled_from([g for g, _ in GRADED] + [from_lie(a) for a in ALGEBRAS]))
-        g = SGLA(g.space, perturbed_table(draw, g.b))
+        g = perturbed_sgla(draw, g)
         return check_sgla(g), expected_report(kind, sgla_parts(g))
     if kind == "check-sdgla":
         g, _ = draw(st.sampled_from(GRADED))
-        g = SGLA(g.space, perturbed_table(draw, g.b))
+        g = perturbed_sgla(draw, g)
         deg, n = g.space.degrees, g.dim
         entry = st.one_of(st.just(Fraction(0)), st.sampled_from(VALUES))
         # homogeneous of degree 1, as the check requires of its input
@@ -258,13 +281,13 @@ def drawn_case(draw, kind):
                   for r in range(n))
         return check_sdgla(g, d), expected_report(kind, sdgla_parts(g, d), tag_part=True)
     g, rep = draw(st.sampled_from(GRADED))
-    g = SGLA(g.space, perturbed_table(draw, g.b))
+    g = perturbed_sgla(draw, g)
     rep = GradedRepresentation(rep.space, perturbed_matrices(draw, rep.matrices))
     return check_graded_rep(g, rep), expected_report(kind, graded_rep_parts(g, rep),
                                                      tag_part=True)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=1000, deadline=None)
 @given(st.sampled_from(("check-lie", "check-rep", "check-prelie", "check-sgla", "check-sdgla",
                         "check-graded-rep")), st.data())
 def test_axiom_check_reports_the_first_nonzero_residual(kind, data):
