@@ -21,7 +21,6 @@ from .graded import (
     from_representation,
     graded_space,
     sgla,
-    suspend,
 )
 from .homotopy import (
     GradedHookedMap,
@@ -32,13 +31,11 @@ from .homotopy import (
     PreLieInfinity,
     check_prelie_infinity,
     check_psi_homomorphism,
-    expand_low_identities,
     graded_bracket,
     homotopy_oop_residual,
     hook_bracket,
     induce_prelie_infinity,
     is_homotopy_oop,
-    is_homotopy_rbo,
     mc_check_homotopy,
     psi,
     psi_homomorphism_defect,
@@ -62,7 +59,6 @@ from .prelie import (
     check_phi_homomorphism,
     check_prelie,
     circ,
-    fiber_classes,
     induce_prelie,
     mn_bracket,
     phi,

@@ -14,11 +14,6 @@ from functools import lru_cache
 from .errors import SearchSpaceError, ShapeMismatchError
 
 
-def compose(p, q) -> tuple[int, ...]:
-    """The permutation acting as q followed by p."""
-    return tuple(p[q[i]] for i in range(len(q)))
-
-
 def parity_sign(exponent: int) -> int:
     """(-1) raised to an integer exponent (negative exponents allowed)."""
     return -1 if exponent % 2 else 1

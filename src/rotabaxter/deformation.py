@@ -15,13 +15,10 @@ are pinned by exhaustive tests.
 
 from __future__ import annotations
 
-import itertools
-from fractions import Fraction
-
 from .combinatorics import parity_sign, signed_unshuffles
 from .errors import NotMaurerCartanError, ShapeMismatchError
 from .graded import SparseMap, _nonzero_values, ungraded_space
-from .linalg import Vector, ZERO, cleared_pair, common_denominator, divided, vec_is_zero
+from .linalg import Vector, cleared_pair, common_denominator, divided, vec_is_zero
 
 
 class AltMap(SparseMap):
@@ -244,18 +241,3 @@ def deformation_check(t: AltMap, tp: AltMap, alg, rep) -> bool:
     """
     _, values = _twisted_values(t, tp, alg, rep)
     return next(values, None) is None
-
-
-def random_altmap(rng, arity, dim_dom, dim_cod, pool=None, density=0.8) -> AltMap:
-    """Random alternating map for property tests; deterministic given rng."""
-    if pool is None:
-        pool = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
-                Fraction(1, 2), Fraction(-1, 3)]
-    entries = {}
-    for word in itertools.combinations(range(dim_dom), arity):
-        vec = tuple(
-            rng.choice(pool) if rng.random() < density else ZERO
-            for _ in range(dim_cod)
-        )
-        entries[word] = vec
-    return AltMap(arity, dim_dom, dim_cod, entries)

@@ -5,10 +5,6 @@ class ShapeMismatchError(ValueError):
     """Dimensions, arities or degrees of the inputs do not line up."""
 
 
-class TruncationExceededError(ValueError):
-    """A computation needs components beyond a family's truncation."""
-
-
 class BoundError(ValueError):
     """A truncation bound leaves nothing to check (a negative weight bound,
     or a coherence order below 1), so a PASS would be vacuous."""

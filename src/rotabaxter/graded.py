@@ -1,4 +1,4 @@
-"""Z-graded vector spaces, suspension, the sparse multilinear maps and
+"""Z-graded vector spaces, the sparse multilinear maps and
 families on them, symmetric graded Lie algebras with a degree-1 bracket,
 their differentials, and degree-1 representations.
 
@@ -223,13 +223,6 @@ def _walk_values(space: GradedVectorSpace, weights, on_word, free: bool):
                     yield p, word, val
 
 
-def suspend(space: GradedVectorSpace, shift: int) -> GradedVectorSpace:
-    """Shift all degrees by +1 (suspension) or -1 (desuspension)."""
-    if shift not in (1, -1):
-        raise ValueError("shift must be +1 or -1")
-    return GradedVectorSpace(space.basis, tuple(d + shift for d in space.degrees))
-
-
 class SparseMap:
     """Weight-w graded map from S^w(V) into a graded target, or from
     S^w(V) (x) V when the class has a free last slot.
@@ -382,11 +375,6 @@ class SparseMap:
         """Evaluate with a vector of V in the first slot, expanded linearly."""
         rest = tuple(rest)
         return self._expand(first, lambda j: self.eval((j,) + rest, last))
-
-    def eval_last_insert(self, args, last_vec: Vector) -> Vector:
-        """Evaluate with a vector of V in the free last slot, expanded linearly."""
-        args = tuple(args)
-        return self._expand(last_vec, lambda j: self.eval(args, j))
 
     def is_zero(self) -> bool:
         return not self.entries

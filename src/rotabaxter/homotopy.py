@@ -22,7 +22,6 @@ Conventions pinned by tests:
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .combinatorics import parity_sign, signed_unshuffles
 from .errors import (
@@ -30,7 +29,6 @@ from .errors import (
     NotMaurerCartanError,
     SearchSpaceError,
     ShapeMismatchError,
-    TruncationExceededError,
 )
 from .graded import (
     SGLA,
@@ -40,7 +38,6 @@ from .graded import (
     SparseMap,
     _nonzero_values,
     _require_walk,
-    adjoint_graded,
     canonical_words,
 )
 from .linalg import (
@@ -51,10 +48,7 @@ from .linalg import (
     common_denominator,
     divided,
     fr,
-    vec_add,
     vec_is_zero,
-    vec_scale,
-    vec_sub,
 )
 from .prelie import COMPOSE_NORMALIZATION, hook_compose_lasts
 from .reports import Report, named_residual
@@ -108,9 +102,6 @@ class HomotopyOperator(GradedSymFamily):
         components = {w: c for w, c in components.items() if w <= truncation}
         super().__init__(space, target, 0, components)
         self.truncation = int(truncation)
-
-    def omega(self) -> Vector:
-        return self.component(0).eval(())
 
     def _like(self, components):
         fam = super()._like(components)
@@ -204,18 +195,25 @@ def _by_weight(values, den: int) -> dict:
     return out
 
 
+def _require_matching(alg: SGLA, rep: GradedRepresentation, *families) -> None:
+    """Refuse families on another space than the action's module or with
+    values outside the algebra, and an action with other than one matrix per
+    algebra basis element: every kernel indexes them by those bases."""
+    if any(f.space != rep.space for f in families):
+        raise ShapeMismatchError("families do not live on the module of the action")
+    if any(f.target != alg.space for f in families):
+        raise ShapeMismatchError("families do not take values in the algebra")
+    if len(rep.matrices) != alg.dim:
+        raise ShapeMismatchError("one action matrix per algebra basis element required")
+
+
 def _cleared_bracket_inputs(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
                             rep: GradedRepresentation, p_max: int):
     """(df * dg, ds, f, g, alg, rep) with the inputs of the graded bracket as
     int images: f times df, g times dg, and (alg, rep) times one ds.  Raises
     what :func:`graded_bracket` raises before it computes a word."""
     _require_bound(p_max, 0, "p_max")
-    if f.space != rep.space or g.space != rep.space:
-        raise ShapeMismatchError("families do not live on the module of the action")
-    if f.target != alg.space or g.target != alg.space:
-        raise ShapeMismatchError("families do not take values in the algebra")
-    if len(rep.matrices) != alg.dim:
-        raise ShapeMismatchError("one action matrix per algebra basis element required")
+    _require_matching(alg, rep, f, g)
     same = g is f
     df, f = f.cleared()
     dg, g = (df, f) if same else g.cleared()
@@ -245,22 +243,6 @@ def graded_bracket(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
     comps = {p: GradedSymMap(rep.space, alg.space, p, degree, entries)
              for p, entries in _by_weight(values, den).items()}
     return GradedSymFamily(rep.space, alg.space, degree, comps)
-
-
-def shifted_bracket(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
-                    rep: GradedRepresentation, p_max: int = DEFAULT_P_MAX) -> GradedSymFamily:
-    """The bracket transported through the degree shift: (-1)^deg(f) [[f, g]].
-
-    With this standard shift sign the bracket is a degree-1 operation that is
-    graded symmetric, [f, g] = (-1)^(mn) [g, f], and satisfies the graded
-    Leibniz rule
-
-        [f, [g, h]] = (-1)^(m+1) [[f, g], h] + (-1)^((m+1)(n+1)) [g, [f, h]]
-
-    with m, n the degrees of f and g; equivalently, the unshifted bracket is
-    a graded Lie bracket once every degree is raised by one.
-    """
-    return graded_bracket(f, g, alg, rep, p_max).scale(parity_sign(f.degree))
 
 
 def residual_on_word(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
@@ -326,6 +308,7 @@ def homotopy_oop_residual(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentati
     _require_bound(p_max, 0, "p_max")
     if t.degree != 0:
         raise ShapeMismatchError("homotopy operators are degree-0 families")
+    _require_matching(alg, rep, t)
     dt, t = t.cleared()
     ds, alg, rep = cleared_pair(alg, rep)
     by_weight = _by_weight(_nonzero_values(
@@ -352,6 +335,7 @@ def is_homotopy_oop(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
     _require_bound(p_max, 0, "p_max")
     if t.degree != 0:
         raise ShapeMismatchError("homotopy operators are degree-0 families")
+    _require_matching(alg, rep, t)
     return _residual_vanishes(t, alg, rep, range(p_max + 1))
 
 
@@ -381,56 +365,6 @@ def mc_check_homotopy(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
     two sides are computed independently.  Stops at the first nonzero word.
     """
     return _mc_witness(t, alg, rep, p_max) is None
-
-
-def is_homotopy_rbo(t: GradedSymFamily, alg: SGLA, p_max: int = DEFAULT_P_MAX) -> bool:
-    """Homotopy Rota-Baxter check: the residual with the adjoint action."""
-    return is_homotopy_oop(t, alg, adjoint_graded(alg), p_max)
-
-
-def expand_low_identities(t: HomotopyOperator, alg: SGLA, rep: GradedRepresentation):
-    """Hand-expanded generalized Rota-Baxter residuals at weights 0, 1, 2.
-
-    Independent of the unshuffle machinery; each returned map is oriented to
-    coincide with the corresponding output of :func:`homotopy_oop_residual`:
-
-        weight 0:  [Omega, Omega]/2
-        weight 1:  [Omega, T_1 v] - T_1(rho(Omega) v)
-        weight 2:  [T_1 v_1, T_1 v_2]
-                   - T_1(rho(T_1 v_1) v_2) - (-1)^(v_1 v_2) T_1(rho(T_1 v_2) v_1)
-                   - T_2(rho(Omega) v_1, v_2) - (-1)^(v_1 v_2) T_2(rho(Omega) v_2, v_1)
-                   + [Omega, T_2(v_1, v_2)]
-    """
-    if t.truncation < 2:
-        raise TruncationExceededError("the low-order expansion needs components up to weight 2")
-    space, target = t.space, t.target
-    omega = t.omega()
-    t1 = t.component(1)
-    t2 = t.component(2)
-    half = Fraction(1, 2)
-    r0_val = vec_scale(half, alg.bracket(omega, omega))
-    r0 = GradedSymMap(space, target, 0, 1,
-                      {(): r0_val} if not vec_is_zero(r0_val) else {})
-    entries1 = {}
-    for (j,) in canonical_words(space, 1):
-        val = vec_sub(alg.bracket(omega, t1.eval((j,))),
-                      t1.eval_insert(rep.act_basis(omega, j), ()))
-        if not vec_is_zero(val):
-            entries1[(j,)] = val
-    r1 = GradedSymMap(space, target, 1, 1, entries1)
-    entries2 = {}
-    for (i, j) in canonical_words(space, 2):
-        sgn = parity_sign(space.degrees[i] * space.degrees[j])
-        val = alg.bracket(t1.eval((i,)), t1.eval((j,)))
-        val = vec_sub(val, t1.eval_insert(rep.act_basis(t1.eval((i,)), j), ()))
-        val = vec_sub(val, vec_scale(sgn, t1.eval_insert(rep.act_basis(t1.eval((j,)), i), ())))
-        val = vec_sub(val, t2.eval_insert(rep.act_basis(omega, i), (j,)))
-        val = vec_sub(val, vec_scale(sgn, t2.eval_insert(rep.act_basis(omega, j), (i,))))
-        val = vec_add(val, alg.bracket(omega, t2.eval((i, j))))
-        if not vec_is_zero(val):
-            entries2[(i, j)] = val
-    r2 = GradedSymMap(space, target, 2, 1, entries2)
-    return r0, r1, r2
 
 
 class GradedHookedMap(SparseMap):
@@ -707,6 +641,7 @@ def search_homotopy_operators(alg: SGLA, rep: GradedRepresentation, grid,
     """
     _require_bound(max_weight, 0, "max_weight")
     _require_bound(p_max, 0, "p_max")
+    _require_matching(alg, rep)
     # each value once, so no candidate is searched or counted twice
     grid = tuple(dict.fromkeys(fr(x) for x in grid))
     if not grid:
@@ -778,28 +713,3 @@ def search_homotopy_operators(alg: SGLA, rep: GradedRepresentation, grid,
 
     extend(0)
     return found
-
-
-def random_sym_family(rng, space: GradedVectorSpace, target: GradedVectorSpace,
-                      degree: int, max_weight: int, pool=None, density=0.7) -> GradedSymFamily:
-    """Random homogeneous family for property tests; deterministic given rng."""
-    if pool is None:
-        pool = [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-1, 3)]
-    comps = {}
-    for w in range(max_weight + 1):
-        entries = {}
-        for word in canonical_words(space, w):
-            want = word_degree(space, word) + degree
-            vec = [ZERO] * target.dim
-            for k in range(target.dim):
-                if target.degrees[k] == want and rng.random() < density:
-                    vec[k] = rng.choice(pool)
-            entries[word] = tuple(vec)
-        comps[w] = GradedSymMap(space, target, w, degree, entries)
-    return GradedSymFamily(space, target, degree, comps)
-
-
-def random_homotopy_operator(rng, space, target, max_weight, pool=None,
-                             density=0.7) -> HomotopyOperator:
-    fam = random_sym_family(rng, space, target, 0, max_weight, pool, density)
-    return HomotopyOperator(space, target, fam.components, truncation=max_weight)

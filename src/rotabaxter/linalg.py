@@ -35,11 +35,6 @@ def vec_sub(a: Vector, b: Vector) -> Vector:
     return tuple(x - y for x, y in zip(a, b, strict=True))
 
 
-def vec_scale(c, v: Vector) -> Vector:
-    c = fr(c)
-    return tuple(c * x for x in v)
-
-
 def vec_is_zero(v: Vector) -> bool:
     return not any(v)
 

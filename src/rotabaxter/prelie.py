@@ -24,7 +24,6 @@ from .graded import SparseFamily, SparseMap, _nonzero_values, ungraded_space
 from .linalg import (
     Clearable,
     Vector,
-    ZERO,
     bilinear,
     cleared_pair,
     divided,
@@ -131,9 +130,6 @@ class PreLieProduct(Clearable):
     def dim(self) -> int:
         return len(self.basis)
 
-    def product_basis(self, i: int, j: int) -> Vector:
-        return self.mu[i][j]
-
     product = bilinear
 
 
@@ -161,21 +157,6 @@ def check_prelie(p: PreLieProduct) -> Report:
         lambda res: named_residual(res, p.basis),
     )
     return Report("check-prelie", witness is None, witness=witness)
-
-
-def commutator_algebra(p: PreLieProduct):
-    """The sub-adjacent Lie bracket [x, y] = x*y - y*x of a pre-Lie product."""
-    from .lie import LieAlgebra
-
-    n = p.dim
-    c = tuple(
-        tuple(
-            tuple(p.mu[i][j][k] - p.mu[j][i][k] for k in range(n))
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    return LieAlgebra(p.basis, c)
 
 
 class HookedMap(SparseMap):
@@ -206,17 +187,6 @@ def hook_of_product(p: PreLieProduct) -> HookedMap:
     """A bilinear product viewed as a 1-ary hooked map."""
     pairs = itertools.product(range(p.dim), repeat=2)
     return HookedMap(1, p.dim, {((i,), j): p.mu[i][j] for i, j in pairs})
-
-
-def product_of_hook(h: HookedMap, basis) -> PreLieProduct:
-    if h.arity != 1:
-        raise ShapeMismatchError("only 1-ary hooked maps are bilinear products")
-    n = h.dim
-    mu = tuple(
-        tuple(h.eval((i,), j) for j in range(n))
-        for i in range(n)
-    )
-    return PreLieProduct(tuple(basis), mu)
 
 
 def _family(h: HookedMap) -> SparseFamily:
@@ -341,39 +311,3 @@ def induce_prelie(t, alg, rep, force: bool = False) -> PreLieProduct:
         for i in range(n)
     )
     return PreLieProduct(rep.basis, mu)
-
-
-def fiber_classes(ops, alg, rep) -> list[list]:
-    """Group verified O-operators by exact equality of their induced products.
-
-    Equality is structural on the product constants in the given basis, so
-    the partition is basis-dependent.
-    """
-    from .lie import oop_defect
-
-    classes: dict = {}
-    order: list = []
-    for op in ops:
-        if not oop_defect(alg, rep, op).is_zero():
-            raise NotMaurerCartanError("fiber classification requires verified O-operators")
-        key = induce_prelie(op, alg, rep, force=True).mu
-        if key not in classes:
-            classes[key] = []
-            order.append(key)
-        classes[key].append(op)
-    return [classes[k] for k in order]
-
-
-def random_hooked(rng, arity, dim, pool=None, density=0.7) -> HookedMap:
-    """Random hooked map for property tests; deterministic given rng."""
-    if pool is None:
-        pool = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)]
-    entries = {}
-    for word in itertools.combinations(range(dim), arity):
-        for w in range(dim):
-            vec = tuple(
-                rng.choice(pool) if rng.random() < density else ZERO
-                for _ in range(dim)
-            )
-            entries[(word, w)] = vec
-    return HookedMap(arity, dim, entries)

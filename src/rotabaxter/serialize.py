@@ -368,8 +368,13 @@ def _components_from_obj(obj, space, target, degree) -> dict:
 def hop_from_obj(obj, space: GradedVectorSpace, target: GradedVectorSpace) -> HomotopyOperator:
     truncation = _field(obj, "truncation", None)
     if truncation is not None:
-        _int(truncation, "homotopy_operator truncation must be a non-negative integer", 0)
+        truncation = _int(truncation,
+                          "homotopy_operator truncation must be a non-negative integer", 0)
     comps = _components_from_obj(obj, space, target, 0)
+    # the constructor drops such a component; a file that lists one means it
+    if truncation is not None and max(comps, default=0) > truncation:
+        raise SchemaError(f"homotopy_operator lists a component of weight {max(comps)} "
+                          f"above its truncation {truncation}")
     return HomotopyOperator(space, target, comps, truncation)
 
 

@@ -23,8 +23,7 @@ from rotabaxter.catalog import (
 )
 from rotabaxter.cli import main
 from rotabaxter.combinatorics import parity_sign
-from rotabaxter.deformation import AltMap, mc_residual, random_altmap
-from rotabaxter.embed import hook_family_from_hooked
+from rotabaxter.deformation import AltMap, mc_residual
 from rotabaxter.graded import GradedRepresentation, adjoint_graded, from_lie
 from rotabaxter.homotopy import (
     GradedSymFamily,
@@ -34,7 +33,7 @@ from rotabaxter.homotopy import (
 )
 from rotabaxter.lie import Representation, adjoint, operator
 from rotabaxter.linalg import basis_vector, matrix
-from rotabaxter.prelie import phi_homomorphism_defect, random_hooked
+from rotabaxter.prelie import phi_homomorphism_defect
 from rotabaxter.reports import named_residual
 from rotabaxter.serialize import (
     altmap_from_obj,
@@ -48,6 +47,7 @@ from rotabaxter.serialize import (
     sym_family_from_obj,
     sym_family_to_obj,
 )
+from helpers import hook_family_from_hooked, random_altmap, random_hooked
 from test_integer_kernels import raw_hook_compose
 
 AFFINE = {
@@ -986,6 +986,9 @@ MALFORMED = {
     "truncation that is text": ("hop", {"homotopy_operator": {
         "truncation": "z", "components": []}}),
     "component that is a number": ("hop", {"homotopy_operator": {"components": [5]}}),
+    "component above the truncation": ("hop", {"homotopy_operator": {
+        "truncation": 0, "components": [{"weight": 1, "entries": [
+            {"args": ["e1"], "value": {"e1": "1"}}]}]}}),
     "action that is a list": ("rep", {"representation": {"basis": ["v"], "action": [["1"]]}}),
     "directory": ("lie", None),
 }
@@ -1007,6 +1010,27 @@ def test_malformed_input_is_a_schema_error(runner, tmp_path, case):
     assert isinstance(res.exception, SystemExit), res.exception
     assert res.exit_code == 1
     assert res.output.startswith("Error: ") and "Traceback" not in res.output
+
+
+def test_a_component_above_the_truncation_is_refused_not_dropped(runner, tmp_path):
+    # The identity as the weight-1 component fails the identities at weight
+    # 2; dropped under truncation 0, it would leave the zero operator, which
+    # passes every check and induces an empty structure.
+    sgla_path = write(tmp_path, "g.json", AFFINE_SGLA)
+    identity = {"weight": 1, "entries": [{"args": ["e1"], "value": {"e1": "1"}},
+                                         {"args": ["e2"], "value": {"e2": "1"}}]}
+    graded = ["--sgla", sgla_path, "--grep", "adjoint", "--hop"]
+    whole = write(tmp_path, "whole.json", {"homotopy_operator": {"components": [identity]}})
+    res = runner.invoke(main, ["check-hoop", *graded, whole])
+    assert res.exit_code == 1 and '"weight": 2}' in res.output, res.output
+    cut = write(tmp_path, "cut.json", {"homotopy_operator": {
+        "truncation": 0, "components": [identity]}})
+    for command in ("check-hoop", "mc-check-homotopy", "induce-prelie-inf"):
+        res = runner.invoke(main, [command, *graded, cut])
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.exit_code == 1, (command, res.output)
+        assert res.output == ("Error: homotopy_operator lists a component of weight 1 "
+                              "above its truncation 0\n"), (command, res.output)
 
 
 @pytest.mark.parametrize("field, value", [("domain", "W"), ("domain", [1, {"x": None}]),

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rotabaxter.combinatorics import (
-    compose,
     koszul_sign,
     multinomial,
     parity_sign,
@@ -14,6 +13,8 @@ from rotabaxter.combinatorics import (
     unshuffles,
 )
 from rotabaxter.errors import ShapeMismatchError
+
+from helpers import compose
 
 
 def brute_unshuffles(shape):

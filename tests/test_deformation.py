@@ -14,10 +14,11 @@ from rotabaxter.deformation import (
     d_T,
     deformation_check,
     mc_residual,
-    random_altmap,
 )
 from rotabaxter.errors import NotMaurerCartanError, SearchSpaceError, ShapeMismatchError
 from rotabaxter.lie import Representation, adjoint, oop_defect, operator, search_rbo
+
+from helpers import random_altmap
 
 
 def catalog_pairs():

@@ -28,23 +28,9 @@ from rotabaxter.graded import (
     from_representation,
     graded_space,
     sgla,
-    suspend,
 )
 from rotabaxter.lie import adjoint, check_lie, check_representation, lie_algebra
 from rotabaxter.linalg import matrix
-
-
-def test_suspend_shifts_degrees():
-    v = graded_space(["a", "b"], [0, 2])
-    up = suspend(v, 1)
-    assert up.degrees == (1, 3)
-    assert suspend(up, -1) == v
-    assert suspend(graded_space([], []), 1).dim == 0
-
-
-def test_suspend_rejects_other_shifts():
-    with pytest.raises(ValueError):
-        suspend(graded_space(["a"], [0]), 2)
 
 
 def test_from_lie_degrees_and_constants():

@@ -15,21 +15,13 @@ from rotabaxter.catalog import (
     two_level_sgla,
 )
 from rotabaxter.combinatorics import koszul_sign, parity_sign
-from rotabaxter.deformation import AltMap, courant_bracket, mc_residual, random_altmap
-from rotabaxter.embed import (
-    alt_from_sym,
-    embed_pair,
-    family_from_alt,
-    homotopy_operator_from_linear,
-    hook_family_from_hooked,
-    prelie_infinity_from_product,
-)
+from rotabaxter.deformation import AltMap, courant_bracket, mc_residual
+from rotabaxter.embed import homotopy_operator_from_linear
 from rotabaxter.errors import (
     BoundError,
     NotMaurerCartanError,
     SearchSpaceError,
     ShapeMismatchError,
-    TruncationExceededError,
 )
 from rotabaxter.graded import (
     GradedRepresentation,
@@ -53,22 +45,17 @@ from rotabaxter.homotopy import (
     canonical_words,
     check_prelie_infinity,
     check_psi_homomorphism,
-    expand_low_identities,
     graded_bracket,
     homotopy_oop_residual,
     hook_bracket,
     hook_compose_on_word,
     induce_prelie_infinity,
     is_homotopy_oop,
-    is_homotopy_rbo,
     mc_check_homotopy,
     prelie_infinity_residual,
     psi,
-    random_homotopy_operator,
-    random_sym_family,
     residual_on_word,
     search_homotopy_operators,
-    shifted_bracket,
     word_degree,
 )
 from rotabaxter.lie import adjoint, is_rota_baxter, oop_defect, operator, search_rbo
@@ -78,7 +65,21 @@ from rotabaxter.prelie import (
     induce_prelie,
     mn_bracket,
     phi,
+)
+
+from helpers import (
+    TruncationExceededError,
+    embed_pair,
+    expand_low_identities,
+    family_from_alt,
+    hook_family_from_hooked,
+    omega,
+    prelie_infinity_from_product,
+    random_altmap,
+    random_homotopy_operator,
     random_hooked,
+    random_sym_family,
+    shifted_bracket,
 )
 from test_integer_kernels import POOL, raw_hook_compose, raw_prelie_residual
 
@@ -177,7 +178,7 @@ def _failing_mixed_operator():
     lambda t, a, r: is_homotopy_oop(t, a, r, -1),
     lambda t, a, r: mc_check_homotopy(t, a, r, -1),
     lambda t, a, r: homotopy_oop_residual(t, a, r, -1),
-    lambda t, a, r: is_homotopy_rbo(t, a, -1),
+    lambda t, a, r: is_homotopy_oop(t, a, adjoint_graded(a), -1),
     lambda t, a, r: graded_bracket(t, t, a, r, -1),
     lambda t, a, r: check_psi_homomorphism(t, t, a, r, -1),
     lambda t, a, r: hook_bracket(psi(t, r), psi(t, r), -1),
@@ -193,6 +194,34 @@ def test_bound_below_first_weight_is_rejected(call):
     t, alg, rep = _failing_mixed_operator()
     with pytest.raises(BoundError):
         call(t, alg, rep)
+
+
+def test_a_mismatched_operator_or_action_is_refused_like_the_bracket():
+    # The residual checks and the search refuse what graded_bracket, and so
+    # mc_check_homotopy, refuses, instead of a PASS, a FAIL, an IndexError or
+    # a homogeneity error on shapes their kernels cannot index.
+    alg, rep = two_level_sgla(), two_level_rep()
+    checks = (is_homotopy_oop, homotopy_oop_residual, mc_check_homotopy)
+    t = next(t for t in search_homotopy_operators(alg, rep, (-1, 0, 1))
+             if len(t.components) == 3)
+    short = GradedRepresentation(rep.space, rep.matrices[:-1])
+    for call in checks:
+        with pytest.raises(ShapeMismatchError, match="one action matrix per algebra basis"):
+            call(t, alg, short, 4)
+    with pytest.raises(ShapeMismatchError, match="one action matrix per algebra basis"):
+        search_homotopy_operators(alg, short, (0, 1), max_weight=1, p_max=2)
+    swapped = graded_space(["a", "b"], [1, 0])
+    t = HomotopyOperator(swapped, alg.space, {
+        1: GradedSymMap(swapped, alg.space, 1, 0, {(1,): (1, 0, 0)})})
+    for call in checks:
+        with pytest.raises(ShapeMismatchError, match="module of the action"):
+            call(t, alg, rep, 4)
+    other = graded_space(["u", "v", "w"], [0, 0, 1])
+    t = HomotopyOperator(rep.space, other, {
+        1: GradedSymMap(rep.space, other, 1, 0, {(0,): (1, 0, 0)})})
+    for call in checks:
+        with pytest.raises(ShapeMismatchError, match="values in the algebra"):
+            call(t, alg, rep, 4)
 
 
 def test_prelie_infinity_work_is_counted_before_enumerating():
@@ -211,7 +240,7 @@ def test_prelie_infinity_work_is_counted_before_enumerating():
     lambda t, a, r, p: is_homotopy_oop(t, a, r, p),
     lambda t, a, r, p: mc_check_homotopy(t, a, r, p),
     lambda t, a, r, p: homotopy_oop_residual(t, a, r, p),
-    lambda t, a, r, p: is_homotopy_rbo(t, a, p),
+    lambda t, a, r, p: is_homotopy_oop(t, a, adjoint_graded(a), p),
     lambda t, a, r, p: graded_bracket(t, t, a, r, p),
     lambda t, a, r, p: check_psi_homomorphism(t, t, a, r, p),
     lambda t, a, r, p: hook_bracket(psi(t, r), psi(t, r), p),
@@ -452,7 +481,7 @@ def test_bracket_reduces_to_ungraded():
                 assert got.is_zero()
             else:
                 assert got.components.keys() == {n + m}
-                assert alt_from_sym(got.component(n + m)) == want
+                assert got.component(n + m).entries == want.entries
 
 
 def test_bracket_word_expression_is_graded_symmetric():
@@ -489,8 +518,8 @@ def test_residual_weight_zero_is_half_omega_bracket():
     for name, alg, rep in _instances():
         for _ in range(5):
             t = random_homotopy_operator(rng, rep.space, alg.space, 2)
-            omega = t.omega()
-            want = tuple(Fraction(1, 2) * x for x in alg.bracket(omega, omega))
+            t0 = omega(t)
+            want = tuple(Fraction(1, 2) * x for x in alg.bracket(t0, t0))
             assert residual_on_word(t, alg, rep, ()) == want
 
 
@@ -521,7 +550,7 @@ def test_embedded_catalog_operators_are_homotopy_operators():
             t = homotopy_operator_from_linear(op, galg, grep.space)
             assert is_homotopy_oop(t, galg, grep, 4)
             assert mc_check_homotopy(t, galg, grep, 4)
-            assert is_homotopy_rbo(t, galg, 4)
+            assert is_homotopy_oop(t, galg, adjoint_graded(galg), 4)
 
 
 def test_perturbed_embedded_operator_fails_with_witness():
@@ -583,11 +612,11 @@ def test_grid_search_two_level():
     alg, rep = two_level_sgla(), two_level_rep()
     found = search_homotopy_operators(alg, rep, (-1, 0, 1), max_weight=2, p_max=4)
     assert found, "search must produce verified operators"
-    nonzero_omega = [t for t in found if any(t.omega())]
+    nonzero_omega = [t for t in found if any(omega(t))]
     assert nonzero_omega, "instances with a nonzero weight-0 part must exist"
     # [Omega, Omega] = 0 forces the x1-coefficient of Omega to vanish
     for t in found:
-        assert t.omega()[0] == 0
+        assert omega(t)[0] == 0
     with pytest.raises(SearchSpaceError):
         search_homotopy_operators(alg, rep, (-1, 0, 1), max_weight=2, cap=10)
 
@@ -697,7 +726,7 @@ def test_grid_search_operators_induce_prelie_infinity():
     for t in found:
         p = induce_prelie_infinity(t, alg, rep, 4)
         assert check_prelie_infinity(p, 4).ok
-        if any(t.omega()) and not p.op(1).is_zero():
+        if any(omega(t)) and not p.op(1).is_zero():
             checked_nonzero_m1 = True
     assert checked_nonzero_m1, "a unary operation m_1 = rho(Omega) must occur"
 
@@ -891,4 +920,4 @@ def test_reduction_coherence_verdicts():
             assert mc_residual(t_alt, alg_u, rep_u).is_zero() == ungraded
             assert is_homotopy_oop(t_hop, galg, grep, 4) == ungraded
             assert mc_check_homotopy(t_hop, galg, grep, 4) == ungraded
-            assert is_homotopy_rbo(t_hop, galg, 4) == ungraded
+            assert is_homotopy_oop(t_hop, galg, adjoint_graded(galg), 4) == ungraded

@@ -1,11 +1,15 @@
-"""Every name a module of the package imports at module level is read there.
+"""Every name a module of the package imports at module level is read there,
+and every public name it defines is called from outside the tests.
 
-No linter runs on this code, so an import left behind when its last use goes
-would stay unseen; this test reads each module's syntax tree instead.
-``__init__.py`` is left out: it imports names to export them.
+No linter runs on this code, so an import left behind when its last use goes,
+or a helper that only the tests still call, would stay unseen; these tests
+read each module's syntax tree instead.  ``__init__.py`` is left out: it
+imports names to export them.
 """
 
 import ast
+import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -56,3 +60,92 @@ def test_every_module_level_import_is_read(path):
     read = _read(tree)
     unread = {name: line for name, line in _imported(tree).items() if name not in read}
     assert not unread, f"{path.name} imports names it never reads: {unread}"
+
+
+# -- every public name has a caller --------------------------------------------
+
+REPO = PACKAGE.parent.parent
+IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+
+
+def _is_click_command(node) -> bool:
+    """Whether a function is registered by a click decorator (``@main.command``
+    or ``@click.group``), which calls it by registration, not by name."""
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr in ("command", "group") for d in node.decorator_list)
+
+
+def _public_definitions(path):
+    """(name, first line, last line) of each public top-level function and
+    class of a module, and of each public method of its classes."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if not isinstance(node, defs) or node.name.startswith("_"):
+            continue
+        if path.name == "cli.py" and _is_click_command(node):
+            continue
+        yield node.name, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, defs[:2]) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.lineno, item.end_lineno
+
+
+def _src_references() -> dict[str, list]:
+    """{name: [(module path, line), ...]} of every name the package's modules
+    read, as a bare name, an attribute or an imported name."""
+    refs: dict[str, list] = {}
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            for name in names:
+                refs.setdefault(name, []).append((path, node.lineno))
+    return refs
+
+
+def _benchmark_names() -> set[str]:
+    """Every identifier of the benchmark's code, inside strings too, since its
+    tracer names the functions it wraps in strings."""
+    names = set()
+    for path in sorted((REPO / "perfbench").glob("*.py")):
+        with tokenize.open(path) as fh:
+            for tok in tokenize.generate_tokens(fh.readline):
+                if tok.type == tokenize.NAME:
+                    names.add(tok.string)
+                elif tok.type == tokenize.STRING:
+                    names.update(IDENTIFIER.findall(tok.string))
+    return names
+
+
+def _readme_names() -> set[str]:
+    """Every identifier inside backticks in README.md, its documented API."""
+    text = (REPO / "README.md").read_text()
+    return {name for span in re.findall(r"`+([^`]+)`+", text)
+            for name in IDENTIFIER.findall(span)}
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    """A public function, class or method of the package is named somewhere
+    a user, the CLI or the benchmark reaches: in another line of the package,
+    in the benchmark, or in README's backticked text.  A name only the tests
+    call belongs in the tests.  The check goes by name, so a reused name can
+    hide a missing caller, while a name called by name passes."""
+    refs = _src_references()
+    outside = _benchmark_names() | _readme_names()
+    uncalled = []
+    for path in MODULES:
+        for qualname, first, last in _public_definitions(path):
+            name = qualname.rpartition(".")[2]
+            if name in outside or any(other != path or not first <= line <= last
+                                      for other, line in refs.get(name, ())):
+                continue
+            uncalled.append(f"{path.name}:{first} {qualname}")
+    assert not uncalled, "public names with no caller outside the tests:\n" + "\n".join(uncalled)

@@ -6,7 +6,7 @@ import pytest
 
 from rotabaxter.catalog import affine_line, heisenberg, lie_pairs
 from rotabaxter.combinatorics import parity_sign
-from rotabaxter.deformation import AltMap, courant_bracket, random_altmap
+from rotabaxter.deformation import AltMap, courant_bracket
 from rotabaxter.errors import NotMaurerCartanError, SearchSpaceError, ShapeMismatchError
 from rotabaxter.lie import (
     Representation,
@@ -22,16 +22,14 @@ from rotabaxter.prelie import (
     check_phi_homomorphism,
     check_prelie,
     circ,
-    commutator_algebra,
-    fiber_classes,
     hook_of_product,
     induce_prelie,
     mn_bracket,
     phi,
     prelie_product,
-    product_of_hook,
-    random_hooked,
 )
+
+from helpers import commutator_algebra, eval_last_insert, random_altmap, random_hooked
 
 
 def rng():
@@ -100,8 +98,8 @@ def test_compose_normalization_pinned():
                 for w in range(dim):
                     want = a.eval_insert(b.eval((u1,), u2), (), w)
                     want = tuple(x - y for x, y in zip(want, a.eval_insert(b.eval((u2,), u1), (), w)))
-                    want = tuple(x - y for x, y in zip(want, a.eval_last_insert((u1,), b.eval((u2,), w))))
-                    want = tuple(x + y for x, y in zip(want, a.eval_last_insert((u2,), b.eval((u1,), w))))
+                    want = tuple(x - y for x, y in zip(want, eval_last_insert(a, (u1,), b.eval((u2,), w))))
+                    want = tuple(x + y for x, y in zip(want, eval_last_insert(a, (u2,), b.eval((u1,), w))))
                     assert got.eval((u1, u2), w) == tuple(-x for x in want)
 
 
@@ -182,7 +180,7 @@ def test_phi_of_operator_is_induced_product():
     hook = phi(AltMap.from_operator(p), rep)
     prod = induce_prelie(p, alg, rep)
     assert hook == hook_of_product(prod)
-    assert product_of_hook(hook, rep.basis) == prod
+    assert all(hook.eval((i,), j) == prod.mu[i][j] for i in range(2) for j in range(2))
 
 
 def test_phi_spot_value_on_defect_map():
@@ -225,10 +223,10 @@ def test_induce_prelie_spec_examples():
     alg = affine_line()
     rep = adjoint(alg)
     p1 = induce_prelie(operator([[0, 1], [0, 0]], "g", "g"), alg, rep)
-    assert p1.product_basis(1, 1) == (Fraction(0), Fraction(1))  # e2*e2 = e2
+    assert p1.mu[1][1] == (Fraction(0), Fraction(1))  # e2*e2 = e2
     assert all(not any(p1.mu[i][j]) for i in range(2) for j in range(2) if (i, j) != (1, 1))
     p2 = induce_prelie(operator([[0, 0], [1, 0]], "g", "g"), alg, rep)
-    assert p2.product_basis(0, 0) == (Fraction(0), Fraction(-1))  # e1*e1 = -e2
+    assert p2.mu[0][0] == (Fraction(0), Fraction(-1))  # e1*e1 = -e2
     assert check_prelie(p1).ok and check_prelie(p2).ok
 
 
@@ -247,18 +245,6 @@ def test_induced_products_pass_check_and_commutator_is_lie():
             assert check_prelie(p).ok
             assert check_lie(commutator_algebra(p)).ok
 
-
-def test_fiber_classes():
-    alg = affine_line()
-    rep = adjoint(alg)
-    a = operator([[0, 1], [0, 0]], "g", "g")
-    b = operator([[0, 0], [1, 0]], "g", "g")
-    assert len(fiber_classes([a], alg, rep)) == 1
-    assert len(fiber_classes([a, a], alg, rep)) == 1
-    classes = fiber_classes([a, b], alg, rep)
-    assert len(classes) == 2
-    with pytest.raises(NotMaurerCartanError):
-        fiber_classes([operator([[1, 0], [0, 1]], "g", "g")], alg, rep)
 
 
 def test_space_mismatch():

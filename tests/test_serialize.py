@@ -23,6 +23,8 @@ from rotabaxter.prelie import HookedMap, prelie_product
 from rotabaxter.reports import scalar_text
 from rotabaxter.serialize import Workspace
 
+from helpers import omega, random_sym_family
+
 
 def test_scalar_round_trip():
     for text in ("3", "-7", "1/2", "-22/7", "0"):
@@ -166,13 +168,11 @@ def test_omega_component_round_trip():
     t = HomotopyOperator(rep.space, alg.space, {0: comp0}, truncation=1)
     obj = ser.hop_to_obj(t)
     again = ser.hop_from_obj(obj, rep.space, alg.space)
-    assert again.omega() == t.omega()
+    assert omega(again) == omega(t)
 
 
 def test_sym_family_round_trip():
     import random
-
-    from rotabaxter.homotopy import random_sym_family
 
     alg = two_level_sgla()
     rep = two_level_rep()
@@ -187,7 +187,7 @@ def test_prelie_infinity_round_trip():
     alg, rep = two_level_sgla(), two_level_rep()
     from rotabaxter.homotopy import search_homotopy_operators
 
-    t = [x for x in search_homotopy_operators(alg, rep, (0, 1), 1, 4) if any(x.omega())][0]
+    t = [x for x in search_homotopy_operators(alg, rep, (0, 1), 1, 4) if any(omega(x))][0]
     p = induce_prelie_infinity(t, alg, rep, 4)
     obj = ser.prelie_inf_to_obj(p)
     again = ser.prelie_inf_from_obj(obj)
@@ -378,6 +378,16 @@ def test_a_repeated_basis_name_is_a_schema_error():
         ser.gvs_from_obj({"basis": [{"name": "x", "degree": 0}, {"name": "x", "degree": 1}]})
     with pytest.raises(SchemaError):
         ser.rep_from_obj({"basis": ["v"], "action": {"e3": [["1"]]}}, affine_line())
+
+
+def test_a_component_above_the_truncation_is_a_schema_error():
+    # the constructor drops such a component; a file that lists one is refused
+    space = graded_space(["x"], [0])
+    comp = {"weight": 2, "entries": [{"args": ["x", "x"], "value": {"x": "1"}}]}
+    with pytest.raises(SchemaError, match="weight 2 above its truncation 1"):
+        ser.hop_from_obj({"truncation": 1, "components": [comp]}, space, space)
+    assert ser.hop_from_obj({"components": [comp]}, space, space).truncation == 2
+    assert ser.hop_from_obj({"truncation": 3, "components": [comp]}, space, space).weights() == [2]
 
 
 def test_unreadable_paths_are_schema_errors(tmp_path):
