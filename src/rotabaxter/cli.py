@@ -75,7 +75,33 @@ class Config:
     parallel: bool
 
 
-@click.group()
+def _show_help(ctx: click.Context, param: click.Parameter, value: bool) -> None:
+    """The help option's callback: click's own, with the stream named (see
+    :func:`_finish` on why every echo names its stream)."""
+    if value and not ctx.resilient_parsing:
+        click.echo(ctx.get_help(), file=sys.stdout, color=ctx.color)
+        ctx.exit()
+
+
+class _HelpToStdout:
+    """A command whose ``--help`` echoes to the named ``sys.stdout``."""
+
+    def get_help_option(self, ctx: click.Context) -> click.Option | None:
+        option = super().get_help_option(ctx)
+        if option is not None:
+            option.callback = _show_help
+        return option
+
+
+class _Command(_HelpToStdout, click.Command):
+    pass
+
+
+class _Group(_HelpToStdout, click.Group):
+    command_class = _Command
+
+
+@click.group(cls=_Group)
 @click.option("--p-max", default=4, show_default=True, type=click.IntRange(min=0),
               help="Weight bound for truncated homotopy checks.")
 @click.option("--json-report", type=click.Path(dir_okay=False), default=None,

@@ -18,7 +18,14 @@ from __future__ import annotations
 from .combinatorics import parity_sign, signed_unshuffles
 from .errors import NotMaurerCartanError, ShapeMismatchError
 from .graded import SparseMap, _nonzero_values, ungraded_space
-from .linalg import Vector, cleared_pair, common_denominator, divided, vec_is_zero
+from .linalg import (
+    Vector,
+    cleared_pair,
+    common_denominator,
+    divided,
+    require_action,
+    vec_is_zero,
+)
 
 
 class AltMap(SparseMap):
@@ -75,8 +82,7 @@ def _check_spaces(f: AltMap, g: AltMap, alg, rep):
         raise ShapeMismatchError("maps live on different spaces")
     if f.dim_dom != rep.space_dim or f.dim_cod != alg.dim:
         raise ShapeMismatchError("maps do not match the algebra and module dimensions")
-    if len(rep.matrices) != alg.dim:
-        raise ShapeMismatchError("one action matrix per algebra basis element required")
+    require_action(alg.dim, rep)
 
 
 def courant_on_word(f: AltMap, g: AltMap, alg, rep, word) -> Vector:

@@ -20,6 +20,7 @@ from functools import cache, lru_cache
 from .combinatorics import parity_sign
 from .errors import SearchSpaceError, ShapeMismatchError
 from .linalg import (
+    Action,
     Clearable,
     Matrix,
     Vector,
@@ -223,6 +224,22 @@ def _walk_values(space: GradedVectorSpace, weights, on_word, free: bool):
                     yield p, word, val
 
 
+def koszul_sorted(degrees, args):
+    """(the canonical word of the letters ``args``, whether sorting them
+    into it negates): the Koszul sign of the sort, for letters of the given
+    degrees.  The word is None when an odd-degree letter repeats, where
+    every graded-symmetric map vanishes."""
+    odd = [a for a in args if degrees[a] % 2]
+    if len(set(odd)) < len(odd):
+        return None, False
+    negate = False
+    for i, a in enumerate(odd):
+        for b in odd[i + 1:]:
+            if a > b:
+                negate = not negate
+    return tuple(sorted(args)), negate
+
+
 class SparseMap:
     """Weight-w graded map from S^w(V) into a graded target, or from
     S^w(V) (x) V when the class has a free last slot.
@@ -325,7 +342,7 @@ class SparseMap:
         if n != self.weight or self.free == (last is None):
             raise ShapeMismatchError(f"expected {self.weight} arguments"
                                      f"{' and a last one' if self.free else ''}")
-        word, negate = self._sorted(args) if n > 1 else (tuple(args), False)
+        word, negate = koszul_sorted(self.space.degrees, args) if n > 1 else (tuple(args), False)
         val = self.entries.get((word, last) if self.free else word)
         if val is None:
             return (ZERO,) * self.target.dim
@@ -339,7 +356,7 @@ class SparseMap:
         if n != self.weight or not self.free:
             raise ShapeMismatchError(f"expected {self.weight} arguments of a map "
                                      "with a free slot")
-        word, negate = self._sorted(args) if n > 1 else (tuple(args), False)
+        word, negate = koszul_sorted(self.space.degrees, args) if n > 1 else (tuple(args), False)
         vals = {}
         get = self.entries.get
         for last in range(self.space.dim):
@@ -347,20 +364,6 @@ class SparseMap:
             if val is not None:
                 vals[last] = tuple(-x for x in val) if negate else val
         return vals
-
-    def _sorted(self, args):
-        """(the canonical word of two or more arguments, whether sorting
-        them negates); the word is None when an odd-degree letter repeats."""
-        deg = self.space.degrees
-        odd = [a for a in args if deg[a] % 2]
-        if len(set(odd)) < len(odd):
-            return None, False
-        negate = False
-        for i, a in enumerate(odd):
-            for b in odd[i + 1:]:
-                if a > b:
-                    negate = not negate
-        return tuple(sorted(args)), negate
 
     def _expand(self, coeffs, term_at) -> Vector:
         out = [0] * self.target.dim
@@ -650,7 +653,7 @@ def check_sdgla(g: SGLA, d: Matrix) -> Report:
 
 
 @dataclass(frozen=True)
-class GradedRepresentation(Clearable):
+class GradedRepresentation(Action):
     """Degree-1 action of an SGLA on a graded space V.
 
     ``matrices[i]`` is rho(e_i), a matrix on V raising degrees by deg(e_i)+1.
@@ -658,7 +661,6 @@ class GradedRepresentation(Clearable):
 
     space: GradedVectorSpace
     matrices: tuple[Matrix, ...]
-    _constants = "matrices"
 
     @property
     def space_dim(self) -> int:

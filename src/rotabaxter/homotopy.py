@@ -39,6 +39,7 @@ from .graded import (
     _nonzero_values,
     _require_walk,
     canonical_words,
+    koszul_sorted,
 )
 from .linalg import (
     Vector,
@@ -48,6 +49,7 @@ from .linalg import (
     common_denominator,
     divided,
     fr,
+    require_action,
     vec_is_zero,
 )
 from .prelie import COMPOSE_NORMALIZATION, hook_compose_lasts
@@ -197,14 +199,14 @@ def _by_weight(values, den: int) -> dict:
 
 def _require_matching(alg: SGLA, rep: GradedRepresentation, *families) -> None:
     """Refuse families on another space than the action's module or with
-    values outside the algebra, and an action with other than one matrix per
-    algebra basis element: every kernel indexes them by those bases."""
+    values outside the algebra, and an action with other than one square
+    matrix of the module dimension per algebra basis element: every kernel
+    indexes them by those bases."""
     if any(f.space != rep.space for f in families):
         raise ShapeMismatchError("families do not live on the module of the action")
     if any(f.target != alg.space for f in families):
         raise ShapeMismatchError("families do not take values in the algebra")
-    if len(rep.matrices) != alg.dim:
-        raise ShapeMismatchError("one action matrix per algebra basis element required")
+    require_action(alg.dim, rep)
 
 
 def _cleared_bracket_inputs(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
@@ -245,17 +247,22 @@ def graded_bracket(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
     return GradedSymFamily(rep.space, alg.space, degree, comps)
 
 
-def residual_on_word(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
-                     word) -> Vector:
-    """Generalized Rota-Baxter residual on an explicit word, bracket side
-    minus operator side; at weight 0 this is [Omega, Omega]/2.  Unshuffles
-    that rearrange the word into the same word are summed once."""
+def _twice_residual(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
+                    word) -> list:
+    """Twice the generalized Rota-Baxter residual on a canonical word, the
+    bracket side minus twice the operator side, undivided: ints on int
+    inputs.  It is a quadratic form in t.
+
+    Every block of an unshuffle of a canonical word is itself canonical, so
+    each value of t on a block is read straight from its entries; only the
+    words with an inserted letter are sorted again.  Unshuffles that
+    rearrange the word into the same word are summed once."""
     par = tuple(t.space.degrees[i] % 2 for i in word)
     pat = tuple(map(word.index, word))
     p = len(word)
     comps = t.components
     dim_g = alg.dim
-    lhs = [0] * dim_g
+    out = [0] * dim_g
     for l in range(p):
         tl = comps.get(l)
         tk = comps.get(p - l)
@@ -263,17 +270,17 @@ def residual_on_word(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
             continue
         for s, eps in signed_unshuffles((l, 1, p - l - 1), par, pat):
             u = tuple(word[i] for i in s)
-            tval = tl.eval(u[:l])
-            if vec_is_zero(tval):
+            tval = tl.entries.get(u[:l])
+            if tval is None:
                 continue
             inserted = rep.act_basis(tval, u[l])
             if vec_is_zero(inserted):
                 continue
             term = tk.eval_insert(inserted, u[l + 1:])
+            eps *= -2  # minus twice the operator side
             for k in range(dim_g):
                 if term[k]:
-                    lhs[k] += eps * term[k]
-    rhs = [0] * dim_g
+                    out[k] += eps * term[k]
     for a in range(p + 1):
         ta = comps.get(a)
         tb = comps.get(p - a)
@@ -281,18 +288,32 @@ def residual_on_word(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
             continue
         for s, eps in signed_unshuffles((a, p - a), par, pat):
             u = tuple(word[i] for i in s)
-            x = ta.eval(u[:a])
-            if vec_is_zero(x):
+            x = ta.entries.get(u[:a])
+            if x is None:
                 continue
-            y = tb.eval(u[a:])
-            if vec_is_zero(y):
+            y = tb.entries.get(u[a:])
+            if y is None:
                 continue
             br = alg.bracket(x, y)
             for k in range(dim_g):
                 if br[k]:
-                    rhs[k] += eps * br[k]
-    # rhs/2 - lhs, halved once, so int inputs stay int until the division
-    return divided([r - 2 * l for r, l in zip(rhs, lhs)], 2)
+                    out[k] += eps * br[k]
+    return out
+
+
+def residual_on_word(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
+                     word) -> Vector:
+    """Generalized Rota-Baxter residual on an explicit word, bracket side
+    minus operator side; at weight 0 this is [Omega, Omega]/2.  The residual
+    is graded symmetric, so the word is sorted once into a canonical word,
+    with its Koszul sign, and a word repeating an odd-degree letter gives
+    zero; :func:`_twice_residual` sums it there and it is halved once."""
+    canonical, negate = (koszul_sorted(t.space.degrees, word) if len(word) > 1
+                         else (tuple(word), False))
+    if canonical is None:
+        return (ZERO,) * alg.dim
+    val = _twice_residual(t, alg, rep, canonical)
+    return divided([-x for x in val] if negate else val, 2)
 
 
 def homotopy_oop_residual(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
@@ -614,6 +635,33 @@ def induce_prelie_infinity(t: HomotopyOperator, alg: SGLA, rep: GradedRepresenta
     return PreLieInfinity(rep.space, t.truncation + 1, ops)
 
 
+def _polarized_rows(constant, linear, quadratic) -> list:
+    """The coordinates of R(P + X), X = sum_a x_a E_a, that are not
+    identically zero (see :func:`search_homotopy_operators`), each as
+    (constant, ((a, coefficient of x_a), ...), ((a, b, coefficient of
+    x_a x_b), ...)), from the vectors R(P), B_a (``linear[a]``) and Q_ab
+    (``quadratic[a, b]``, a <= b)."""
+    rows = []
+    for k, c in enumerate(constant):
+        lin = tuple((a, v[k]) for a, v in enumerate(linear) if v[k])
+        quad = tuple((a, b, v[k]) for (a, b), v in quadratic.items() if v[k])
+        if c or lin or quad:
+            rows.append((c, lin, quad))
+    return rows
+
+
+def _vanishes_at(rows, x) -> bool:
+    """Whether every row of :func:`_polarized_rows` is zero at the values x."""
+    for c, lin, quad in rows:
+        for a, v in lin:
+            c += v * x[a]
+        for a, b, v in quad:
+            c += v * x[a] * x[b]
+        if c:
+            return False
+    return True
+
+
 def search_homotopy_operators(alg: SGLA, rep: GradedRepresentation, grid,
                               max_weight: int = 2, p_max: int = DEFAULT_P_MAX,
                               cap: int = 200_000) -> list[HomotopyOperator]:
@@ -631,6 +679,23 @@ def search_homotopy_operators(alg: SGLA, rep: GradedRepresentation, grid,
     still free; a nonzero residual there rules out every completion of the
     prefix, and the assignments it skips are exactly ones the exhaustive
     search would reject.
+
+    A level is decided by twisting its prefix.  Twice the residual, R, is a
+    quadratic form in T, so with the prefix P fixed and the level's slots
+    X = sum_a x_a E_a, E_a the elementary map of slot a, it polarizes on
+    every word as
+
+        R(P + X) = R(P) + sum_a x_a B_a + sum_{a <= b} x_a x_b Q_ab,
+
+    with B_a = R(P + E_a) - R(P) - R(E_a), Q_aa = R(E_a) and Q_ab =
+    R(E_a + E_b) - R(E_a) - R(E_b).  R(P) and the B_a are read once per
+    prefix and word, the Q_ab once per level and word, each only when a
+    candidate reaches the word and each by the one residual kernel
+    (:func:`_twice_residual`); a candidate is then a few int dot products.
+    On a word of weight p every term pairs components of weights i and
+    p - i, and X has weight w while P has none, so the Q_ab vanish unless
+    p = 2w, and the B_a unless P has a component of weight p - w, where R(E_a)
+    vanishes and B_a = R(P + E_a) - R(P); neither is read where it vanishes.
 
     Candidates are decided on int images: the grid and (alg, rep) are each
     cleared once per search, and the residual, homogeneous quadratic in T
@@ -664,29 +729,47 @@ def search_homotopy_operators(alg: SGLA, rep: GradedRepresentation, grid,
     # coordinate outside the slots
     value_of = {0: ZERO, **dict(zip(ints, grid))}
     _, alg, rep = cleared_pair(alg, rep)
-    # one level per weight with slots: the weight, its slots, and the words
-    # of the residual weights decided once they are fixed; without any slot,
-    # one level decides the zero operator on every weight
+
+    def level_map(w, assigned) -> GradedSymMap:
+        """The int map of weight w with each (word, k) slot at its value."""
+        vecs: dict = {}
+        for (word, k), val in assigned:
+            if val:
+                vecs.setdefault(word, [0] * target.dim)[k] = val
+        return GradedSymMap._on(space, target, w, 0,
+                                {word: tuple(vec) for word, vec in vecs.items()})
+
+    def family(components) -> GradedSymFamily:
+        return GradedSymFamily(space, target, 0, components)
+
+    # one level per weight with slots: the weight, its slots and their
+    # elementary maps E_a, the words of the residual weights decided once
+    # they are fixed, and its Q_ab by word, filled as words are reached;
+    # without any slot, one level decides the zero operator on every weight
     slotted = sorted({w for w, _, _ in slots})
     levels = []
     decided = 0  # the first residual weight no level decides
     for i, w in enumerate(slotted or [0]):
         upto = min(slotted[i + 1] - 1 if i + 1 < len(slotted) else p_max, p_max)
-        levels.append((w, [(word, k) for v, word, k in slots if v == w],
+        wslots = [(word, k) for v, word, k in slots if v == w]
+        levels.append((w, wslots, [level_map(w, [(slot, 1)]) for slot in wslots],
                        [word for p in range(decided, upto + 1)
-                        for word in canonical_words(space, p)]))
+                        for word in canonical_words(space, p)], {}))
         decided = upto + 1
-    # the int candidate, holding the components of the levels fixed so far
-    cand = GradedSymFamily(space, target, 0)
-    comps = cand.components
-    found = []
 
-    def refuted(words) -> bool:
-        for i, word in enumerate(words):
-            if any(residual_on_word(cand, alg, rep, word)):
-                words.insert(0, words.pop(i))
-                return True
-        return False
+    def quadratic_part(w, wslots, elementary, word) -> dict:
+        """{(a, b): Q_ab on the word} for a <= b."""
+        quad = {(a, a): _twice_residual(family({w: e}), alg, rep, word)
+                for a, e in enumerate(elementary)}
+        for a, b in itertools.combinations(range(len(elementary)), 2):
+            both = family({w: level_map(w, [(wslots[a], 1), (wslots[b], 1)])})
+            quad[a, b] = [x - y - z for x, y, z in zip(
+                _twice_residual(both, alg, rep, word), quad[a, a], quad[b, b])]
+        return quad
+
+    # the int components of the levels fixed so far
+    comps: dict = {}
+    found = []
 
     def extend(level: int) -> None:
         if level == len(levels):
@@ -696,20 +779,37 @@ def search_homotopy_operators(alg: SGLA, rep: GradedRepresentation, grid,
                     for word, vec in comp.entries.items()})
                 for w, comp in comps.items()}, truncation=max_weight))
             return
-        w, wslots, words = levels[level]
+        w, wslots, elementary, words, quadratic = levels[level]
+        prefix = family(comps)
+        shifted = [family({**comps, w: e}) for e in elementary]
+        polarized: dict = {}  # word: its rows under this prefix
+
+        def rows(word) -> list:
+            got = polarized.get(word)
+            if got is None:
+                p = len(word)
+                constant = _twice_residual(prefix, alg, rep, word)
+                linear, quad = [], {}
+                if p == 2 * w:
+                    quad = quadratic.get(word)
+                    if quad is None:
+                        quad = quadratic[word] = quadratic_part(w, wslots, elementary, word)
+                elif p - w in prefix.components:
+                    linear = [[x - y for x, y in zip(_twice_residual(t, alg, rep, word),
+                                                     constant)] for t in shifted]
+                got = polarized[word] = _polarized_rows(constant, linear, quad)
+            return got
+
         for values in itertools.product(ints, repeat=len(wslots)):
-            vecs: dict = {}
-            for (word, k), val in zip(wslots, values):
-                if val:
-                    vecs.setdefault(word, [0] * target.dim)[k] = val
-            if vecs:
-                comps[w] = GradedSymMap._on(space, target, w, 0,
-                                            {word: tuple(vec) for word, vec in vecs.items()})
+            for i, word in enumerate(words):
+                if not _vanishes_at(rows(word), values):
+                    words.insert(0, words.pop(i))
+                    break
             else:
-                comps.pop(w, None)
-            if not refuted(words):
+                if any(values):
+                    comps[w] = level_map(w, zip(wslots, values))
                 extend(level + 1)
-        comps.pop(w, None)  # back to the prefix the level above fixed
+                comps.pop(w, None)  # back to the prefix the level above fixed
 
     extend(0)
     return found

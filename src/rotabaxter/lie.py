@@ -12,6 +12,7 @@ from fractions import Fraction
 from .deformation import AltMap
 from .errors import SearchSpaceError, ShapeMismatchError
 from .linalg import (
+    Action,
     Clearable,
     Matrix,
     Vector,
@@ -70,7 +71,7 @@ def lie_algebra(basis, brackets) -> LieAlgebra:
 
 
 @dataclass(frozen=True)
-class Representation(Clearable):
+class Representation(Action):
     """Representation of a Lie algebra on a named vector space V.
 
     ``matrices[i]`` is rho(e_i), rows indexed by the codomain basis of V.
@@ -78,7 +79,6 @@ class Representation(Clearable):
 
     basis: tuple[str, ...]
     matrices: tuple[Matrix, ...]
-    _constants = "matrices"
 
     @property
     def space_dim(self) -> int:

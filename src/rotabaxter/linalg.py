@@ -108,6 +108,21 @@ class Clearable:
         return self._cleared
 
 
+class Action(Clearable):
+    """Mixin for a module of an algebra: a frozen dataclass with one matrix
+    per algebra basis element in ``matrices``, acting on a module of
+    dimension ``space_dim``."""
+
+    _constants = "matrices"
+
+    @cached_property
+    def _square(self) -> bool:
+        """Whether every matrix is square of the module dimension, decided
+        once per object (see :func:`require_action`)."""
+        d = self.space_dim
+        return all(len(m) == d and all(len(row) == d for row in m) for m in self.matrices)
+
+
 def signed_sum(n: int, terms) -> tuple:
     """Sum of s * sum_m coeffs[m] vectors[m] over (s, coeffs, vectors) in terms,
     as n ints.  For a table t, (e_i e_j) e_k is (1, t[i][j], [t[m][k] for m]),
@@ -203,14 +218,15 @@ def act_basis(self, x: Vector, j: int) -> Vector:
     return tuple(out)
 
 
-def require_action(n: int, act) -> int:
-    """The module dimension, once act has one square matrix of it per basis element."""
+def require_action(n: int, act: Action) -> int:
+    """The module dimension, once act has one square matrix of it per basis
+    element; every check and kernel that reads an action calls it, so the
+    matrices' shape is decided once per action object."""
     if len(act.matrices) != n:
         raise ShapeMismatchError("one action matrix per algebra basis element required")
-    d = act.space_dim
-    if any(len(m) != d or any(len(row) != d for row in m) for m in act.matrices):
+    if not act._square:
         raise ShapeMismatchError("action matrices must be square of the module dimension")
-    return d
+    return act.space_dim
 
 
 def rho(self, x: Vector) -> Matrix:

@@ -58,7 +58,14 @@ from rotabaxter.homotopy import (
     search_homotopy_operators,
     word_degree,
 )
-from rotabaxter.lie import adjoint, is_rota_baxter, oop_defect, operator, search_rbo
+from rotabaxter.lie import (
+    Representation,
+    adjoint,
+    is_rota_baxter,
+    oop_defect,
+    operator,
+    search_rbo,
+)
 from rotabaxter.prelie import (
     HookedMap,
     check_prelie,
@@ -701,6 +708,27 @@ def test_pruned_search_matches_brute_force(grid):
     assert brute_force_search(lone, lone_rep, grid, 0, 2) == want
 
 
+@pytest.mark.parametrize("name, max_weight", [
+    ("two-level", 2), ("three-level/adjoint", 2), ("mixed/adjoint", 1)])
+def test_pruned_search_matches_brute_force_past_256_candidates(name, max_weight):
+    # 6,561, 6,561 and 2,187 candidates; the benchmark searches two-level
+    # at max_weight 2 over a shuffled (-1, 0, 1)
+    alg, rep = next((alg, rep) for n, alg, rep in graded_instances() if n == name)
+    grid = (-1, 0, 1)
+    got = search_homotopy_operators(alg, rep, grid, max_weight, 4)
+    assert got == brute_force_search(alg, rep, grid, max_weight, 4)
+
+
+def test_the_search_reads_the_residual_per_prefix_and_word_not_per_candidate(monkeypatch):
+    # two-level at max_weight 2 decides 1,305 of its 6,561 candidates; one
+    # residual per candidate and word made 1,571 kernel calls, and the
+    # twisted decision makes 271
+    alg, rep = two_level_sgla(), two_level_rep()
+    calls = _count_calls(monkeypatch, "_twice_residual")
+    assert len(search_homotopy_operators(alg, rep, (-1, 0, 1), 2, 4)) == 35
+    assert 0 < len(calls) <= 600
+
+
 def test_search_builds_an_operator_only_for_each_hit(monkeypatch):
     # candidates are decided on int images; a HomotopyOperator is built for
     # each returned operator alone, from the grid's own Fraction values
@@ -844,6 +872,36 @@ def test_graded_brackets_need_one_action_matrix_per_algebra_basis_element(extra)
                   lambda: check_psi_homomorphism(f, f, alg, rep, 2)):
         with pytest.raises(ShapeMismatchError, match="one action matrix per algebra"):
             check()
+
+
+def _cut_to_one_row(graded_case):
+    """An operator of the algebra and its action, with every matrix of the
+    action cut to its first row: the affine adjoint, or two-level's action."""
+    if graded_case:
+        alg, rep = two_level_sgla(), two_level_rep()
+        t = next(t for t in search_homotopy_operators(alg, rep, (-1, 0, 1))
+                 if len(t.components) == 3)
+        return t, alg, GradedRepresentation(rep.space, tuple(m[:1] for m in rep.matrices))
+    alg = affine_line()
+    rep = adjoint(alg)
+    t = AltMap(1, 2, 2, {(0,): (1, 0), (1,): (1, 1)})
+    return t, alg, Representation(rep.basis, tuple(m[:1] for m in rep.matrices))
+
+
+@pytest.mark.parametrize("call, graded_case", [
+    (lambda t, a, r: courant_bracket(t, t, a, r), False),
+    (lambda t, a, r: mc_residual(t, a, r), False),
+    (lambda t, a, r: is_homotopy_oop(t, a, r, 4), True),
+    (lambda t, a, r: homotopy_oop_residual(t, a, r, 4), True),
+    (lambda t, a, r: mc_check_homotopy(t, a, r, 4), True),
+    (lambda t, a, r: search_homotopy_operators(a, r, (0, 1), max_weight=1, p_max=2), True),
+    (lambda t, a, r: check_psi_homomorphism(t, t, a, r, 2), True),
+], ids=["courant_bracket", "mc_residual", "is_homotopy_oop", "homotopy_oop_residual",
+        "mc_check_homotopy", "search_homotopy_operators", "check_psi_homomorphism"])
+def test_an_action_of_matrices_that_are_not_square_is_refused(call, graded_case):
+    t, alg, rep = _cut_to_one_row(graded_case)
+    with pytest.raises(ShapeMismatchError, match="square of the module dimension"):
+        call(t, alg, rep)
 
 
 def test_psi_homomorphism_random():

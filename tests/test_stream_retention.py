@@ -6,8 +6,8 @@ each time with fresh standard streams: ``contextlib.redirect_stdout`` /
 ``redirect_stderr`` onto ``StringIO``s, or ``CliRunner``'s wrappers.  A
 stream that outlives its call is memory that grows with every call.  Each
 case below names one way the CLI writes: status lines, a report on stdout, a
-failing check's exit, and the search's count line with its operators on
-stdout or in a file.
+failing check's exit, the search's count line with its operators on stdout or
+in a file, and the help of the group and of a command.
 """
 
 import contextlib
@@ -35,6 +35,8 @@ CASES = {
     "fail": (["check-lie", "--algebra", "{bad}"], 1),
     "search-stdout": (["search-rbo", "--algebra", "{good}", "--grid", "0,1"], 0),
     "search-out": (["search-rbo", "--algebra", "{good}", "--grid", "0,1", "--out", "{out}"], 0),
+    "help": (["--help"], 0),
+    "command-help": (["check-lie", "--help"], 0),
 }
 
 
