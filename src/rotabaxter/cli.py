@@ -24,15 +24,7 @@ from .deformation import (
     courant_bracket,
     mc_residual,
 )
-from .errors import (
-    BoundError,
-    NotMaurerCartanError,
-    OversizedScalarError,
-    SchemaError,
-    SearchSpaceError,
-    ShapeMismatchError,
-    UnresolvedReferenceError,
-)
+from .errors import RotabaxterError, UnresolvedReferenceError
 from .graded import (
     adjoint_graded,
     check_graded_rep,
@@ -56,17 +48,6 @@ from .lie import adjoint, check_lie, check_representation, oop_defect, search_rb
 from .prelie import _phi_witness, check_prelie, induce_prelie, mn_bracket, phi
 from .reports import Report, named_residual
 from .serialize import Workspace
-
-_ERRORS = (
-    BoundError,
-    SchemaError,
-    UnresolvedReferenceError,
-    ShapeMismatchError,
-    SearchSpaceError,
-    NotMaurerCartanError,
-    OversizedScalarError,
-)
-
 
 @dataclass
 class Config:
@@ -94,11 +75,26 @@ class _HelpToStdout:
 
 
 class _Command(_HelpToStdout, click.Command):
-    pass
+    """Every subcommand's class: the one place where a package error becomes
+    a one-line ``Error:`` message with exit status 1."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except RotabaxterError as exc:
+            raise click.ClickException(str(exc)) from exc
 
 
 class _Group(_HelpToStdout, click.Group):
     command_class = _Command
+
+    def parse_args(self, ctx: click.Context, args: list[str]) -> list[str]:
+        # click's own no-arguments help echoes with no stream named (see
+        # :func:`_finish`); the same text, stream and status
+        if not args and self.no_args_is_help and not ctx.resilient_parsing:
+            click.echo(ctx.get_help(), file=sys.stderr, color=ctx.color)
+            ctx.exit(2)
+        return super().parse_args(ctx, args)
 
 
 @click.group(cls=_Group)
@@ -280,26 +276,11 @@ def _sweep(pairs, check, file_form):
     return None
 
 
-def command(fn):
-    """Convert package errors into CLI errors with a nonzero exit."""
-    from functools import wraps
-
-    @wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except _ERRORS as exc:
-            raise click.ClickException(str(exc)) from exc
-
-    return wrapper
-
-
 # -- ungraded checks ----------------------------------------------------------
 
 @main.command("check-lie")
 @click.option("--algebra", required=True)
 @click.pass_obj
-@command
 def check_lie_cmd(cfg, algebra):
     """Verify antisymmetry and the Jacobi identity."""
     ws = Workspace()
@@ -310,7 +291,6 @@ def check_lie_cmd(cfg, algebra):
 @click.option("--algebra", required=True)
 @click.option("--rep", "rep_", required=True)
 @click.pass_obj
-@command
 def check_rep_cmd(cfg, algebra, rep_):
     """Verify the representation axiom on all basis pairs."""
     ws = Workspace()
@@ -322,7 +302,6 @@ def check_rep_cmd(cfg, algebra, rep_):
 @click.option("--algebra", required=True)
 @click.option("--op", "op_", required=True)
 @click.pass_obj
-@command
 def check_rbo_cmd(cfg, algebra, op_):
     """Verify the Rota-Baxter identity for an operator g -> g."""
     ws = Workspace()
@@ -337,7 +316,6 @@ def check_rbo_cmd(cfg, algebra, op_):
 @click.option("--rep", "rep_", required=True)
 @click.option("--op", "op_", required=True)
 @click.pass_obj
-@command
 def check_oop_cmd(cfg, algebra, rep_, op_):
     """Verify the relative Rota-Baxter identity for an operator V -> g."""
     ws = Workspace()
@@ -354,7 +332,6 @@ def check_oop_cmd(cfg, algebra, rep_, op_):
 @click.option("--right", required=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @click.pass_obj
-@command
 def bracket_cmd(cfg, algebra, rep_, left, right, out):
     """Bracket of two alternating maps; emits an altmap."""
     ws = Workspace()
@@ -371,7 +348,6 @@ def bracket_cmd(cfg, algebra, rep_, left, right, out):
 @click.option("--rep", "rep_", required=True)
 @click.option("--op", "op_", required=True)
 @click.pass_obj
-@command
 def mc_check_cmd(cfg, algebra, rep_, op_):
     """Maurer-Cartan check: half the self-bracket of a 1-ary map."""
     ws = Workspace()
@@ -387,7 +363,6 @@ def mc_check_cmd(cfg, algebra, rep_, op_):
 @click.option("--base", required=True)
 @click.option("--delta", required=True)
 @click.pass_obj
-@command
 def deform_cmd(cfg, algebra, rep_, base, delta):
     """Whether base + delta is still an O-operator (twisted Maurer-Cartan)."""
     ws = Workspace()
@@ -409,7 +384,6 @@ def deform_cmd(cfg, algebra, rep_, base, delta):
 @click.option("--force", is_flag=True, help="Skip the O-operator verification.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @click.pass_obj
-@command
 def induce_prelie_cmd(cfg, algebra, rep_, op_, force, out):
     """Pre-Lie product u * v = rho(Tu) v of an O-operator; emits a prelie."""
     ws = Workspace()
@@ -423,7 +397,6 @@ def induce_prelie_cmd(cfg, algebra, rep_, op_, force, out):
 @main.command("check-prelie")
 @click.option("--prelie", "prelie_", required=True)
 @click.pass_obj
-@command
 def check_prelie_cmd(cfg, prelie_):
     """Verify the left-symmetry identity of a bilinear product."""
     ws = Workspace()
@@ -435,7 +408,6 @@ def check_prelie_cmd(cfg, prelie_):
 @click.option("--right", required=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @click.pass_obj
-@command
 def mn_bracket_cmd(cfg, left, right, out):
     """Bracket of two hooked maps; emits a hooked_map."""
     ws = Workspace()
@@ -453,7 +425,6 @@ def mn_bracket_cmd(cfg, left, right, out):
 @click.option("--map", "map_", required=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @click.pass_obj
-@command
 def phi_cmd(cfg, algebra, rep_, map_, out):
     """Hooked map rho(f(...))(.) of an alternating map; emits a hooked_map."""
     ws = Workspace()
@@ -469,7 +440,6 @@ def phi_cmd(cfg, algebra, rep_, map_, out):
 @click.option("--left", default=None)
 @click.option("--right", default=None)
 @click.pass_obj
-@command
 def check_phi_hom_cmd(cfg, algebra, rep_, left, right):
     """Verify that the hook construction preserves brackets: on the given
     pair, or on every pair of basis maps, which decides the whole complex."""
@@ -502,7 +472,6 @@ def check_phi_hom_cmd(cfg, algebra, rep_, left, right):
 @click.option("--cap", default=2_000_000, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @click.pass_obj
-@command
 def search_rbo_cmd(cfg, algebra, grid, cap, out):
     """Exhaustive grid search for Rota-Baxter operators; emits operators."""
     ws = Workspace()
@@ -521,7 +490,6 @@ def search_rbo_cmd(cfg, algebra, grid, cap, out):
 @main.command("check-sgla")
 @click.option("--sgla", "sgla_", required=True)
 @click.pass_obj
-@command
 def check_sgla_cmd(cfg, sgla_):
     """Verify degree bookkeeping, graded symmetry and the Leibniz rule."""
     ws = Workspace()
@@ -532,7 +500,6 @@ def check_sgla_cmd(cfg, sgla_):
 @click.option("--sgla", "sgla_", required=True)
 @click.option("--differential", required=True)
 @click.pass_obj
-@command
 def check_sdgla_cmd(cfg, sgla_, differential):
     """Verify a square-zero degree-1 differential compatible with the bracket."""
     ws = Workspace()
@@ -545,7 +512,6 @@ def check_sdgla_cmd(cfg, sgla_, differential):
 @click.option("--sgla", "sgla_", required=True)
 @click.option("--grep", "grep_", required=True)
 @click.pass_obj
-@command
 def check_graded_rep_cmd(cfg, sgla_, grep_):
     """Verify a degree-1 action compatible with the graded bracket."""
     ws = Workspace()
@@ -557,7 +523,6 @@ def check_graded_rep_cmd(cfg, sgla_, grep_):
 @click.option("--algebra", required=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @click.pass_obj
-@command
 def from_lie_cmd(cfg, algebra, out):
     """Embed an ungraded Lie algebra in degree -1; emits an sgla."""
     ws = Workspace()
@@ -578,7 +543,6 @@ def _graded_context(ws, sgla_, grep_):
 @click.option("--grep", "grep_", required=True)
 @click.option("--hop", required=True)
 @click.pass_obj
-@command
 def check_hoop_cmd(cfg, sgla_, grep_, hop):
     """Verify the generalized Rota-Baxter identities up to the weight bound."""
     ws = Workspace()
@@ -592,7 +556,6 @@ def check_hoop_cmd(cfg, sgla_, grep_, hop):
 @click.option("--sgla", "sgla_", required=True)
 @click.option("--hop", required=True)
 @click.pass_obj
-@command
 def check_hrbo_cmd(cfg, sgla_, hop):
     """Homotopy Rota-Baxter check (the adjoint action)."""
     ws = Workspace()
@@ -609,7 +572,6 @@ def check_hrbo_cmd(cfg, sgla_, hop):
 @click.option("--right", required=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @click.pass_obj
-@command
 def graded_bracket_cmd(cfg, sgla_, grep_, left, right, out):
     """Graded bracket of two families; emits a sym_family."""
     ws = Workspace()
@@ -625,7 +587,6 @@ def graded_bracket_cmd(cfg, sgla_, grep_, left, right, out):
 @click.option("--grep", "grep_", required=True)
 @click.option("--hop", required=True)
 @click.pass_obj
-@command
 def mc_check_homotopy_cmd(cfg, sgla_, grep_, hop):
     """Maurer-Cartan check of a degree-0 family up to the weight bound."""
     ws = Workspace()
@@ -644,7 +605,6 @@ def mc_check_homotopy_cmd(cfg, sgla_, grep_, hop):
 @click.option("--force", is_flag=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @click.pass_obj
-@command
 def induce_prelie_inf_cmd(cfg, sgla_, grep_, hop, force, out):
     """Operations rho(T_{k-1}(...)) of a homotopy operator; emits prelie_infinity."""
     ws = Workspace()
@@ -658,7 +618,6 @@ def induce_prelie_inf_cmd(cfg, sgla_, grep_, hop, force, out):
 @click.option("--pinf", required=True)
 @click.option("--n-max", default=4, show_default=True, type=click.IntRange(min=1))
 @click.pass_obj
-@command
 def check_prelie_inf_cmd(cfg, pinf, n_max):
     """Verify the coherence identities of a homotopy pre-Lie structure."""
     ws = Workspace()
@@ -672,7 +631,6 @@ def check_prelie_inf_cmd(cfg, pinf, n_max):
 @click.option("--left", default=None)
 @click.option("--right", default=None)
 @click.pass_obj
-@command
 def check_psi_hom_cmd(cfg, sgla_, grep_, left, right):
     """Verify that the action hook preserves graded brackets: on the given
     pair, or on every pair of basis families, which decides it up to p_max."""

@@ -34,6 +34,7 @@ from .linalg import (
     common_denominator,
     fr,
     require_action,
+    require_table,
     signed_sum,
     table_from_pairs,
     vec_add,
@@ -552,10 +553,7 @@ def from_lie(alg) -> SGLA:
 
 def _table_dim(g: SGLA) -> int:
     """The dimension of an SGLA whose table has one n x n plane per basis vector."""
-    n = g.dim
-    if len(g.b) != n or any(len(p) != n or any(len(r) != n for r in p) for p in g.b):
-        raise ShapeMismatchError("bracket constants do not match the basis")
-    return n
+    return require_table(g.dim, g.b, "bracket constants do not match the basis")
 
 
 def check_sgla(g: SGLA) -> Report:

@@ -316,6 +316,21 @@ def residual_on_word(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
     return divided([-x for x in val] if negate else val, 2)
 
 
+def _residual_values(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation, p_max: int):
+    """(den, the nonzero values of den * the residual up to weight p_max),
+    the values computed lazily by :func:`residual_on_word` on the int
+    images of the inputs (the residual is quadratic in T and linear in the
+    structure)."""
+    _require_bound(p_max, 0, "p_max")
+    if t.degree != 0:
+        raise ShapeMismatchError("homotopy operators are degree-0 families")
+    _require_matching(alg, rep, t)
+    dt, t = t.cleared()
+    ds, alg, rep = cleared_pair(alg, rep)
+    return dt * dt * ds, _nonzero_values(
+        rep.space, range(p_max + 1), lambda word: residual_on_word(t, alg, rep, word))
+
+
 def homotopy_oop_residual(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
                           p_max: int = DEFAULT_P_MAX) -> dict[int, GradedSymMap]:
     """Per-weight defect of the generalized Rota-Baxter identities.
@@ -323,41 +338,20 @@ def homotopy_oop_residual(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentati
     T is a homotopy O-operator to order p_max exactly when every returned
     map is zero.  Implemented directly from the identities, independently of
     :func:`graded_bracket`.  Like it, runs on the int images of the inputs
-    (the residual is quadratic in T and linear in the structure) and divides
-    each value once.
+    and divides each value once.
     """
-    _require_bound(p_max, 0, "p_max")
-    if t.degree != 0:
-        raise ShapeMismatchError("homotopy operators are degree-0 families")
-    _require_matching(alg, rep, t)
-    dt, t = t.cleared()
-    ds, alg, rep = cleared_pair(alg, rep)
-    by_weight = _by_weight(_nonzero_values(
-        rep.space, range(p_max + 1), lambda word: residual_on_word(t, alg, rep, word)),
-        dt * dt * ds)
+    den, values = _residual_values(t, alg, rep, p_max)
+    by_weight = _by_weight(values, den)
     return {p: GradedSymMap(rep.space, alg.space, p, 1, by_weight.get(p, {}))
             for p in range(p_max + 1)}
 
 
-def _residual_vanishes(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
-                       weights) -> bool:
-    """Whether the residual is zero on every canonical word of the given
-    weights; a zero test, so the int images of the inputs decide it."""
-    _, t = t.cleared()
-    _, alg, rep = cleared_pair(alg, rep)
-    nonzero = _nonzero_values(rep.space, weights,
-                              lambda word: residual_on_word(t, alg, rep, word))
-    return next(nonzero, None) is None
-
-
 def is_homotopy_oop(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
                     p_max: int = DEFAULT_P_MAX) -> bool:
-    """Early-exit version of the residual check."""
-    _require_bound(p_max, 0, "p_max")
-    if t.degree != 0:
-        raise ShapeMismatchError("homotopy operators are degree-0 families")
-    _require_matching(alg, rep, t)
-    return _residual_vanishes(t, alg, rep, range(p_max + 1))
+    """Early-exit version of the residual check; a zero test, so the int
+    images of the inputs decide it."""
+    _, values = _residual_values(t, alg, rep, p_max)
+    return next(values, None) is None
 
 
 def _mc_witness(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,

@@ -29,6 +29,7 @@ from .linalg import (
     mat_vec,
     matrix,
     require_action,
+    require_table,
     rho,
     signed_sum,
     table_from_pairs,
@@ -143,9 +144,7 @@ def zero_operator(nrows: int, ncols: int, domain: str = "V", codomain: str = "g"
 def check_lie(alg: LieAlgebra) -> Report:
     """Verify antisymmetry and the Jacobi identity on all basis triples, on
     the int image of the constants (den times them)."""
-    n = alg.dim
-    if len(alg.c) != n or any(len(p) != n or any(len(r) != n for r in p) for p in alg.c):
-        raise ShapeMismatchError("structure constant array does not match the basis")
+    n = require_table(alg.dim, alg.c, "structure constant array does not match the basis")
     den, c = alg.cleared()
     c = c.c
     cols = tuple(zip(*c))  # cols[k][m] is [e_m, e_k]

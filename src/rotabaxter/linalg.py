@@ -218,6 +218,14 @@ def act_basis(self, x: Vector, j: int) -> Vector:
     return tuple(out)
 
 
+def require_table(n: int, t, message: str) -> int:
+    """n, once the structure constants t hold one n x n plane per basis
+    vector; raises ShapeMismatchError with message otherwise."""
+    if len(t) != n or any(len(p) != n or any(len(r) != n for r in p) for p in t):
+        raise ShapeMismatchError(message)
+    return n
+
+
 def require_action(n: int, act: Action) -> int:
     """The module dimension, once act has one square matrix of it per basis
     element; every check and kernel that reads an action calls it, so the

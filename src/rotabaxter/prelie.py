@@ -27,6 +27,7 @@ from .linalg import (
     bilinear,
     cleared_pair,
     divided,
+    require_table,
     signed_sum,
     table_from_pairs,
     vec_is_zero,
@@ -143,9 +144,7 @@ def prelie_product(basis, products) -> PreLieProduct:
 def check_prelie(p: PreLieProduct) -> Report:
     """Verify left-symmetry (x*y)*z - x*(y*z) = (y*x)*z - y*(x*z) on basis
     triples, on the int image of the constants (den times them)."""
-    n = p.dim
-    if len(p.mu) != n or any(len(pl) != n or any(len(r) != n for r in pl) for pl in p.mu):
-        raise ShapeMismatchError("product constants do not match the basis")
+    n = require_table(p.dim, p.mu, "product constants do not match the basis")
     den, mu = p.cleared()
     mu = mu.mu
     cols = tuple(zip(*mu))  # cols[k][m] is e_m * e_k

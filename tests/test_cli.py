@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from rotabaxter import cli, prelie
+from rotabaxter import cli, errors, prelie
 from rotabaxter.catalog import (
     affine_line,
     graded_instances,
@@ -894,6 +894,31 @@ def test_unresolved_reference_errors(runner, tmp_path):
     res = runner.invoke(main, ["check-lie", "--algebra",
                                write(tmp_path, "bad.json", {"weird": []})])
     assert res.exit_code != 0
+
+
+@pytest.mark.parametrize("command", sorted(main.commands))
+def test_every_command_turns_a_package_error_into_one_error_line(runner, command):
+    # a command that let a package error escape would print a traceback
+    args = [command]
+    for param in main.commands[command].params:
+        if param.required:
+            args += [param.opts[0], "nope"]
+    res = runner.invoke(main, args)
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert (res.exit_code, res.stdout) == (1, "")
+    assert res.stderr == "Error: 'nope' is neither a file nor a loaded entity\n"
+
+
+def test_every_package_error_is_a_rotabaxter_error_with_its_builtin_base():
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and c.__module__ == errors.__name__]
+    assert errors.RotabaxterError in classes and len(classes) > 1
+    assert all(issubclass(c, errors.RotabaxterError) for c in classes)
+    # callers that catch the builtin base keep working
+    for cls in (errors.ShapeMismatchError, errors.BoundError, errors.SearchSpaceError,
+                errors.NotMaurerCartanError, errors.OversizedScalarError, errors.SchemaError):
+        assert issubclass(cls, ValueError), cls
+    assert issubclass(errors.UnresolvedReferenceError, KeyError)
 
 
 def test_split_graded_file_layout(runner, tmp_path):

@@ -7,7 +7,8 @@ each time with fresh standard streams: ``contextlib.redirect_stdout`` /
 stream that outlives its call is memory that grows with every call.  Each
 case below names one way the CLI writes: status lines, a report on stdout, a
 failing check's exit, the search's count line with its operators on stdout or
-in a file, and the help of the group and of a command.
+in a file, the help of the group and of a command, and the group's help
+when it is called with no arguments.
 """
 
 import contextlib
@@ -37,6 +38,7 @@ CASES = {
     "search-out": (["search-rbo", "--algebra", "{good}", "--grid", "0,1", "--out", "{out}"], 0),
     "help": (["--help"], 0),
     "command-help": (["check-lie", "--help"], 0),
+    "no-arguments": ([], 2),
 }
 
 
