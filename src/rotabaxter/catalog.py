@@ -11,7 +11,14 @@ import itertools
 from fractions import Fraction
 
 from .errors import BoundError
-from .graded import GradedRepresentation, GradedVectorSpace, SGLA, graded_space, sgla
+from .graded import (
+    GradedRepresentation,
+    GradedVectorSpace,
+    SGLA,
+    adjoint_graded,
+    graded_space,
+    sgla,
+)
 from .lie import (
     LieAlgebra,
     Representation,
@@ -167,8 +174,6 @@ def three_level_sgla() -> SGLA:
 
 def graded_instances():
     """Graded (algebra, action) pairs used by the homotopy suites."""
-    from .graded import adjoint_graded
-
     mixed = mixed_sgla()
     three = three_level_sgla()
     return [

@@ -17,13 +17,7 @@ from dataclasses import dataclass
 import click
 
 from . import serialize as ser
-from .deformation import (
-    AltMap,
-    _deform_witness,
-    _mc_vanishes,
-    courant_bracket,
-    mc_residual,
-)
+from .deformation import AltMap, _mc_walk, _twisted_walk, courant_bracket
 from .errors import RotabaxterError, UnresolvedReferenceError
 from .graded import (
     adjoint_graded,
@@ -39,12 +33,12 @@ from .homotopy import (
     GradedSymMap,
     _mc_witness,
     _psi_witness,
+    _residual_witness,
     check_prelie_infinity,
     graded_bracket,
-    homotopy_oop_residual,
     induce_prelie_infinity,
 )
-from .lie import adjoint, check_lie, check_representation, oop_defect, search_rbo
+from .lie import _oop_walk, adjoint, check_lie, check_representation, search_rbo
 from .prelie import _phi_witness, check_prelie, induce_prelie, mn_bracket, phi
 from .reports import Report, named_residual
 from .serialize import Workspace
@@ -234,12 +228,13 @@ def _altmap_witness(word, value, cod_names) -> dict:
     return {"at": [i + 1 for i in word], "residual": named_residual(value, cod_names)}
 
 
-def _altmap_report(name, f: AltMap, cod_names, order=None) -> Report:
-    if f.is_zero():
-        return Report(name, True, order=order)
-    key = sorted(f.entries)[0]
-    return Report(name, False, order=order,
-                  witness=_altmap_witness(key, f.entries[key], cod_names))
+def _altmap_report(name, found, cod_names) -> Report:
+    """The report of a walked check from the first nonzero (weight, word,
+    value) of its walk, None for a PASS."""
+    if found is None:
+        return Report(name, True)
+    _, word, value = found
+    return Report(name, False, witness=_altmap_witness(word, value, cod_names))
 
 
 def _weight_witness(weight, word, value, space, target) -> dict:
@@ -247,15 +242,10 @@ def _weight_witness(weight, word, value, space, target) -> dict:
             "residual": named_residual(value, target.basis)}
 
 
-def _residual_report(name, residuals, space, target, order) -> Report:
-    for p in sorted(residuals):
-        comp = residuals[p]
-        if comp.is_zero():
-            continue
-        word = sorted(comp.entries)[0]
-        return Report(name, False, order=order,
-                      witness=_weight_witness(p, word, comp.entries[word], space, target))
-    return Report(name, True, order=order)
+def _weight_report(name, found, space, target, order) -> Report:
+    if found is None:
+        return Report(name, True, order=order)
+    return Report(name, False, order=order, witness=_weight_witness(*found, space, target))
 
 
 def _pair_given(left, right) -> bool:
@@ -307,8 +297,8 @@ def check_rbo_cmd(cfg, algebra, op_):
     ws = Workspace()
     alg = _lie(ws, algebra)
     p = _op(ws, op_, alg.dim, alg.dim)
-    defect = oop_defect(alg, adjoint(alg), p)
-    _finish(cfg, [_altmap_report("check-rbo", defect, alg.basis)])
+    found = _oop_walk(alg, adjoint(alg), p).first()
+    _finish(cfg, [_altmap_report("check-rbo", found, alg.basis)])
 
 
 @main.command("check-oop")
@@ -322,7 +312,7 @@ def check_oop_cmd(cfg, algebra, rep_, op_):
     alg = _lie(ws, algebra)
     rep = _rep(ws, rep_, alg)
     t = _op(ws, op_, alg.dim, rep.space_dim)
-    _finish(cfg, [_altmap_report("check-oop", oop_defect(alg, rep, t), alg.basis)])
+    _finish(cfg, [_altmap_report("check-oop", _oop_walk(alg, rep, t).first(), alg.basis)])
 
 
 @main.command("bracket")
@@ -354,7 +344,7 @@ def mc_check_cmd(cfg, algebra, rep_, op_):
     alg = _lie(ws, algebra)
     rep = _rep(ws, rep_, alg)
     t = _operator_or_altmap(ws, op_, alg, rep)
-    _finish(cfg, [_altmap_report("mc-check", mc_residual(t, alg, rep), alg.basis)])
+    _finish(cfg, [_altmap_report("mc-check", _mc_walk(t, alg, rep).first(2), alg.basis)])
 
 
 @main.command("deform")
@@ -370,11 +360,9 @@ def deform_cmd(cfg, algebra, rep_, base, delta):
     rep = _rep(ws, rep_, alg)
     t = _operator_or_altmap(ws, base, alg, rep)
     tp = _operator_or_altmap(ws, delta, alg, rep)
-    if not _mc_vanishes(t, alg, rep):
+    if not _mc_walk(t, alg, rep).vanishes():
         raise click.ClickException("the base operator is not an O-operator")
-    found = _deform_witness(t, tp, alg, rep)
-    witness = None if found is None else _altmap_witness(*found, alg.basis)
-    _finish(cfg, [Report("deform", found is None, witness=witness)])
+    _finish(cfg, [_altmap_report("deform", _twisted_walk(t, tp, alg, rep).first(), alg.basis)])
 
 
 @main.command("induce-prelie")
@@ -451,8 +439,8 @@ def check_phi_hom_cmd(cfg, algebra, rep_, left, right):
     def check(f, g):
         found = _phi_witness(f, g, alg, rep)
         if found is not None:
-            word, last, value = found
-            return {**_altmap_witness(word, value, rep.basis), "arity": len(word), "last": last + 1}
+            arity, (word, last), value = found
+            return {**_altmap_witness(word, value, rep.basis), "arity": arity, "last": last + 1}
 
     if given:
         witness = check(_operator_or_altmap(ws, left, alg, rep),
@@ -469,7 +457,7 @@ def check_phi_hom_cmd(cfg, algebra, rep_, left, right):
 @click.option("--algebra", required=True)
 @click.option("--grid", default="-1,0,1", show_default=True,
               help="Comma-separated list of rational entries to try.")
-@click.option("--cap", default=2_000_000, show_default=True)
+@click.option("--cap", default=2_000_000, show_default=True, type=click.IntRange(min=0))
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @click.pass_obj
 def search_rbo_cmd(cfg, algebra, grid, cap, out):
@@ -548,8 +536,8 @@ def check_hoop_cmd(cfg, sgla_, grep_, hop):
     ws = Workspace()
     galg, grep = _graded_context(ws, sgla_, grep_)
     t = _hop(ws, hop, grep.space, galg.space)
-    res = homotopy_oop_residual(t, galg, grep, cfg.p_max)
-    _finish(cfg, [_residual_report("check-hoop", res, grep.space, galg.space, cfg.p_max)])
+    found = _residual_witness(t, galg, grep, cfg.p_max)
+    _finish(cfg, [_weight_report("check-hoop", found, grep.space, galg.space, cfg.p_max)])
 
 
 @main.command("check-hrbo")
@@ -561,8 +549,8 @@ def check_hrbo_cmd(cfg, sgla_, hop):
     ws = Workspace()
     galg = _sgla(ws, sgla_)
     t = _hop(ws, hop, galg.space, galg.space)
-    res = homotopy_oop_residual(t, galg, adjoint_graded(galg), cfg.p_max)
-    _finish(cfg, [_residual_report("check-hrbo", res, galg.space, galg.space, cfg.p_max)])
+    found = _residual_witness(t, galg, adjoint_graded(galg), cfg.p_max)
+    _finish(cfg, [_weight_report("check-hrbo", found, galg.space, galg.space, cfg.p_max)])
 
 
 @main.command("graded-bracket")
@@ -593,9 +581,7 @@ def mc_check_homotopy_cmd(cfg, sgla_, grep_, hop):
     galg, grep = _graded_context(ws, sgla_, grep_)
     t = _hop(ws, hop, grep.space, galg.space)
     found = _mc_witness(t, galg, grep, cfg.p_max)
-    witness = None if found is None else _weight_witness(*found, grep.space, galg.space)
-    _finish(cfg, [Report("mc-check-homotopy", found is None, order=cfg.p_max,
-                         witness=witness)])
+    _finish(cfg, [_weight_report("mc-check-homotopy", found, grep.space, galg.space, cfg.p_max)])
 
 
 @main.command("induce-prelie-inf")

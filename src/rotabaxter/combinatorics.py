@@ -13,6 +13,14 @@ from functools import lru_cache
 
 from .errors import SearchSpaceError, ShapeMismatchError
 
+# Work a walk over the canonical words of weights 0..p_max may take: each
+# weight is a step, even an empty one, and a word of weight p costs about p
+# steps (its letters are sorted, signed and unshuffled), so the work is
+# counted as p_max + 1 plus the sum of p times the number of words of weight p
+# (:class:`~rotabaxter.graded.Walk`).  An unshuffle table of more than this many
+# entries is refused too (:func:`unshuffles`).
+CANONICAL_WORD_CAP = 200_000
+
 
 def parity_sign(exponent: int) -> int:
     """(-1) raised to an integer exponent (negative exponents allowed)."""
@@ -67,8 +75,6 @@ def unshuffles(shape) -> list[tuple[int, ...]]:
     letters; shapes (0, n) and (n, 0) yield only the identity.  A shape with
     more unshuffles than the work cap is refused before any is built.
     """
-    from .graded import CANONICAL_WORD_CAP  # graded imports this module
-
     if any(part < 0 for part in shape):
         raise ValueError("unshuffle blocks must be non-negative")
     count = multinomial(shape)

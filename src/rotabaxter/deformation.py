@@ -17,12 +17,11 @@ from __future__ import annotations
 
 from .combinatorics import parity_sign, signed_unshuffles
 from .errors import NotMaurerCartanError, ShapeMismatchError
-from .graded import SparseMap, _nonzero_values, ungraded_space
+from .graded import SparseMap, Walk, ungraded_space
 from .linalg import (
     Vector,
     cleared_pair,
     common_denominator,
-    divided,
     require_action,
     vec_is_zero,
 )
@@ -140,24 +139,24 @@ def courant_on_word(f: AltMap, g: AltMap, alg, rep, word) -> Vector:
     return tuple(val)
 
 
-def _courant_values(f: AltMap, g: AltMap, alg, rep):
-    """(den, the nonzero values of den * [[f, g]]), the values computed
-    lazily by :func:`courant_on_word` on the int images of the inputs."""
+def _courant_walk(f: AltMap, g: AltMap, alg, rep) -> Walk:
+    """The walk of [[f, g]], each value computed by :func:`courant_on_word`
+    on the int images of the inputs."""
     _check_spaces(f, g, alg, rep)
     same = g is f
     df, f = f.cleared()
     dg, g = (df, f) if same else g.cleared()
     ds, alg, rep = cleared_pair(alg, rep)
-    return df * dg * ds, _nonzero_values(
-        f.space, (f.arity + g.arity,), lambda word: courant_on_word(f, g, alg, rep, word))
+    return Walk(df * dg * ds, f.space, (f.arity + g.arity,),
+                lambda word: courant_on_word(f, g, alg, rep, word))
 
 
-def _courant_map(f: AltMap, g: AltMap, alg, rep, divisor: int = 1) -> AltMap:
-    """[[f, g]] / divisor, each value divided once."""
-    den, values = _courant_values(f, g, alg, rep)
-    total_arity = f.arity + g.arity
-    entries = {word: divided(val, divisor * den) for _, word, val in values}
-    return AltMap._on(f.space, f.target, total_arity, total_arity - 1, entries)
+def _walked_altmap(walk: Walk, dim_cod: int, divisor: int = 1) -> AltMap:
+    """The alternating map of a walk over the words of one arity, divided by
+    divisor, each value divided once."""
+    arity, = walk.weights
+    return AltMap._on(walk.space, ungraded_space(dim_cod), arity, arity - 1,
+                      walk.by_weight(divisor).get(arity, {}))
 
 
 def courant_bracket(f: AltMap, g: AltMap, alg, rep) -> AltMap:
@@ -173,25 +172,19 @@ def courant_bracket(f: AltMap, g: AltMap, alg, rep) -> AltMap:
     term is bilinear in (f, g) and linear in the structure, so the sums run on
     the int images of f, g and (alg, rep) and each value is divided once.
     """
-    return _courant_map(f, g, alg, rep)
+    return _walked_altmap(_courant_walk(f, g, alg, rep), f.dim_cod)
 
 
-def _require_one_ary(t: AltMap) -> None:
+def _mc_walk(t: AltMap, alg, rep) -> Walk:
+    """The walk of the self-bracket of a 1-ary map, twice :func:`mc_residual`."""
     if t.arity != 1:
         raise ShapeMismatchError("Maurer-Cartan candidates are 1-ary maps")
+    return _courant_walk(t, t, alg, rep)
 
 
 def mc_residual(t: AltMap, alg, rep) -> AltMap:
     """Half the self-bracket of a 1-ary map; zero exactly for O-operators."""
-    _require_one_ary(t)
-    return _courant_map(t, t, alg, rep, divisor=2)
-
-
-def _mc_vanishes(t: AltMap, alg, rep) -> bool:
-    """Whether :func:`mc_residual` is zero, stopping at the first nonzero word."""
-    _require_one_ary(t)
-    _, values = _courant_values(t, t, alg, rep)
-    return next(values, None) is None
+    return _walked_altmap(_mc_walk(t, alg, rep), t.dim_cod, 2)
 
 
 def d_T(t: AltMap, f: AltMap, alg, rep, force: bool = False) -> AltMap:
@@ -200,16 +193,16 @@ def d_T(t: AltMap, f: AltMap, alg, rep, force: bool = False) -> AltMap:
     Squares to zero when t is an O-operator; pass ``force=True`` to evaluate
     the bracket for exploratory t without that guarantee.
     """
-    if not force and not _mc_vanishes(t, alg, rep):
+    if not force and not _mc_walk(t, alg, rep).vanishes():
         raise NotMaurerCartanError(
             "base map is not an O-operator; pass force=True to differentiate anyway"
         )
     return courant_bracket(t, f, alg, rep)
 
 
-def _twisted_values(t: AltMap, tp: AltMap, alg, rep):
-    """(den, the nonzero values of den * ([[t, tp]] + 1/2 [[tp, tp]]) on the
-    canonical arity-2 words), computed lazily on ints.
+def _twisted_walk(t: AltMap, tp: AltMap, alg, rep) -> Walk:
+    """The walk of [[t, tp]] + 1/2 [[tp, tp]] on the canonical arity-2
+    words, computed on ints.
 
     With t and tp cleared over one common denominator d, and (alg, rep) over
     ds, the sum is 2 [[t, tp]] + [[tp, tp]] on the int images, and den is
@@ -224,18 +217,8 @@ def _twisted_values(t: AltMap, tp: AltMap, alg, rep):
     itp = tp.integral(den)
     left = t.integral(2 * den) + itp
     ds, alg, rep = cleared_pair(alg, rep)
-    return 2 * den * den * ds, _nonzero_values(
-        t.space, (2,), lambda word: courant_on_word(left, itp, alg, rep, word))
-
-
-def _deform_witness(t: AltMap, tp: AltMap, alg, rep):
-    """(word, value) of [[t, tp]] + 1/2 [[tp, tp]] at the first canonical
-    arity-2 word where it is nonzero, or None when it vanishes; only the
-    value returned is divided."""
-    den, values = _twisted_values(t, tp, alg, rep)
-    for _, word, val in values:
-        return word, divided(val, den)
-    return None
+    return Walk(2 * den * den * ds, t.space, (2,),
+                lambda word: courant_on_word(left, itp, alg, rep, word))
 
 
 def deformation_check(t: AltMap, tp: AltMap, alg, rep) -> bool:
@@ -243,7 +226,6 @@ def deformation_check(t: AltMap, tp: AltMap, alg, rep) -> bool:
     equation d_t(tp) + 1/2 [[tp, tp]] = 0 of the twisted complex.
 
     The test runs on ints and stops at the first word where it fails (see
-    :func:`_twisted_values`).
+    :func:`_twisted_walk`).
     """
-    _, values = _twisted_values(t, tp, alg, rep)
-    return next(values, None) is None
+    return _twisted_walk(t, tp, alg, rep).vanishes()

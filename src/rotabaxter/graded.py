@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache
 
-from .combinatorics import parity_sign
+from .combinatorics import CANONICAL_WORD_CAP, parity_sign
 from .errors import SearchSpaceError, ShapeMismatchError
 from .linalg import (
     Action,
@@ -32,6 +32,7 @@ from .linalg import (
     bilinear,
     cleared_pair,
     common_denominator,
+    divided,
     fr,
     require_action,
     require_table,
@@ -135,15 +136,6 @@ def canonical_word_count(space: GradedVectorSpace, weight: int) -> int:
                for k in range(min(n_odd, weight) + 1))
 
 
-# Work a walk over the canonical words of weights 0..p_max may take: each
-# weight is a step, even an empty one, and a word of weight p costs about p
-# steps (its letters are sorted, signed and unshuffled), so the work is
-# counted as p_max + 1 plus the sum of p times the number of words of weight p.
-# An unshuffle table of more than this many entries is refused too
-# (:func:`~rotabaxter.combinatorics.unshuffles`).
-CANONICAL_WORD_CAP = 200_000
-
-
 @lru_cache(maxsize=256)
 def _walk_steps(space: GradedVectorSpace, p_max: int) -> int:
     """The work of a walk up to weight p_max (see CANONICAL_WORD_CAP), the
@@ -193,36 +185,61 @@ def elementary_pairs(space: GradedVectorSpace, target: GradedVectorSpace, top: i
     return ((f, g) for wf, f in maps for wg, g in maps if wf + wg <= top)
 
 
-def _nonzero_values(space: GradedVectorSpace, weights, on_word, free: bool = False):
-    """(weight, key, value) for every canonical key of the given weights, an
-    increasing sequence, at which ``on_word`` is nonzero, weight by weight
-    and in sorted key order.
+class Walk:
+    """The nonzero values of den times a map, or a residual, on the
+    canonical keys of the given weights, an increasing sequence: the key is
+    the word, or (word, last) with every last argument when ``free`` is set.
+    ``on_word`` takes the word and returns den times its value, or when
+    ``free`` is set those values in the order of the last argument.
 
-    The key is the word, or (word, last) with every last argument when
-    ``free`` is set; ``on_word`` takes the word and returns its value, or
-    when ``free`` is set its values in the order of the last argument.  A
-    whole map collects what this yields; a zero test stops at the first
-    value, so a PASS still evaluates every key.  The walk up to the top
-    weight is counted when it is asked for, not when it starts, and refused
-    above the cap (:func:`_require_walk`), so a caller can ask for it before
-    it does work of its own.
+    The walk up to the top weight is counted when it is made, and refused
+    above the cap (:func:`_require_walk`), so a caller can make it before it
+    does work of its own.  It runs when it is read, weight by weight and in
+    sorted key order, and each reader divides only what it returns, once:
+    :meth:`vanishes` and :meth:`first` stop at the first nonzero value, so a
+    FAIL costs the keys up to its witness and a PASS evaluates every key, and
+    :meth:`by_weight` collects every value.
     """
-    _require_walk(space, weights[-1] if weights else -1)
-    return _walk_values(space, weights, on_word, free)
 
+    __slots__ = ("den", "space", "weights", "on_word", "free")
 
-def _walk_values(space: GradedVectorSpace, weights, on_word, free: bool):
-    """The walk of :func:`_nonzero_values`, uncounted."""
-    for p in weights:
-        for word in canonical_words(space, p):
-            if free:
-                for last, val in enumerate(on_word(word)):
+    def __init__(self, den: int, space: GradedVectorSpace, weights, on_word,
+                 free: bool = False):
+        _require_walk(space, weights[-1] if weights else -1)
+        self.den, self.space, self.weights = den, space, weights
+        self.on_word, self.free = on_word, free
+
+    def __iter__(self):
+        """(weight, key, den times the value) at every nonzero key."""
+        on_word, free = self.on_word, self.free
+        for p in self.weights:
+            for word in canonical_words(self.space, p):
+                if free:
+                    for last, val in enumerate(on_word(word)):
+                        if any(val):
+                            yield p, (word, last), val
+                else:
+                    val = on_word(word)
                     if any(val):
-                        yield p, (word, last), val
-            else:
-                val = on_word(word)
-                if any(val):
-                    yield p, word, val
+                        yield p, word, val
+
+    def vanishes(self) -> bool:
+        """Whether every value is zero."""
+        return next(iter(self), None) is None
+
+    def first(self, scale: int = 1):
+        """(weight, key, value / scale) at the first nonzero key, or None."""
+        for p, key, val in self:
+            return p, key, divided(val, scale * self.den)
+        return None
+
+    def by_weight(self, scale: int = 1) -> dict:
+        """{weight: {key: value / scale}} over every nonzero key."""
+        out: dict = {}
+        den = scale * self.den
+        for p, key, val in self:
+            out.setdefault(p, {})[key] = divided(val, den)
+        return out
 
 
 def koszul_sorted(degrees, args):

@@ -36,7 +36,7 @@ from .graded import (
     GradedVectorSpace,
     SparseFamily,
     SparseMap,
-    _nonzero_values,
+    Walk,
     _require_walk,
     canonical_words,
     koszul_sorted,
@@ -189,14 +189,6 @@ def bracket_on_word(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
     return tuple(out)
 
 
-def _by_weight(values, den: int) -> dict:
-    """{weight: {key: value / den}} from what _nonzero_values yields."""
-    out: dict = {}
-    for p, key, val in values:
-        out.setdefault(p, {})[key] = divided(val, den)
-    return out
-
-
 def _require_matching(alg: SGLA, rep: GradedRepresentation, *families) -> None:
     """Refuse families on another space than the action's module or with
     values outside the algebra, and an action with other than one square
@@ -223,13 +215,13 @@ def _cleared_bracket_inputs(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
     return df * dg, ds, f, g, alg, rep
 
 
-def _bracket_values(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
-                    rep: GradedRepresentation, p_max: int):
-    """(den, the nonzero values of den * [[f, g]] up to weight p_max), the
-    values computed lazily by :func:`bracket_on_word` on the int images."""
+def _bracket_walk(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
+                  rep: GradedRepresentation, p_max: int) -> Walk:
+    """The walk of [[f, g]] up to weight p_max, each value computed by
+    :func:`bracket_on_word` on the int images."""
     dfg, ds, f, g, alg, rep = _cleared_bracket_inputs(f, g, alg, rep, p_max)
-    return dfg * ds, _nonzero_values(
-        rep.space, range(p_max + 1), lambda word: bracket_on_word(f, g, alg, rep, word))
+    return Walk(dfg * ds, rep.space, range(p_max + 1),
+                lambda word: bracket_on_word(f, g, alg, rep, word))
 
 
 def graded_bracket(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
@@ -241,9 +233,8 @@ def graded_bracket(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
     an unchecked structure that is not homogeneous can make it inhomogeneous.
     """
     degree = f.degree + g.degree + 1
-    den, values = _bracket_values(f, g, alg, rep, p_max)
     comps = {p: GradedSymMap(rep.space, alg.space, p, degree, entries)
-             for p, entries in _by_weight(values, den).items()}
+             for p, entries in _bracket_walk(f, g, alg, rep, p_max).by_weight().items()}
     return GradedSymFamily(rep.space, alg.space, degree, comps)
 
 
@@ -316,19 +307,19 @@ def residual_on_word(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
     return divided([-x for x in val] if negate else val, 2)
 
 
-def _residual_values(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation, p_max: int):
-    """(den, the nonzero values of den * the residual up to weight p_max),
-    the values computed lazily by :func:`residual_on_word` on the int
-    images of the inputs (the residual is quadratic in T and linear in the
-    structure)."""
+def _residual_walk(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
+                   p_max: int) -> Walk:
+    """The walk of the residual up to weight p_max, each value computed by
+    :func:`residual_on_word` on the int images of the inputs (the residual
+    is quadratic in T and linear in the structure)."""
     _require_bound(p_max, 0, "p_max")
     if t.degree != 0:
         raise ShapeMismatchError("homotopy operators are degree-0 families")
     _require_matching(alg, rep, t)
     dt, t = t.cleared()
     ds, alg, rep = cleared_pair(alg, rep)
-    return dt * dt * ds, _nonzero_values(
-        rep.space, range(p_max + 1), lambda word: residual_on_word(t, alg, rep, word))
+    return Walk(dt * dt * ds, rep.space, range(p_max + 1),
+                lambda word: residual_on_word(t, alg, rep, word))
 
 
 def homotopy_oop_residual(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
@@ -340,8 +331,7 @@ def homotopy_oop_residual(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentati
     :func:`graded_bracket`.  Like it, runs on the int images of the inputs
     and divides each value once.
     """
-    den, values = _residual_values(t, alg, rep, p_max)
-    by_weight = _by_weight(values, den)
+    by_weight = _residual_walk(t, alg, rep, p_max).by_weight()
     return {p: GradedSymMap(rep.space, alg.space, p, 1, by_weight.get(p, {}))
             for p in range(p_max + 1)}
 
@@ -350,26 +340,37 @@ def is_homotopy_oop(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
                     p_max: int = DEFAULT_P_MAX) -> bool:
     """Early-exit version of the residual check; a zero test, so the int
     images of the inputs decide it."""
-    _, values = _residual_values(t, alg, rep, p_max)
-    return next(values, None) is None
+    return _residual_walk(t, alg, rep, p_max).vanishes()
+
+
+def _checked_first(walk: Walk, target: GradedVectorSpace, degree: int, scale: int = 1):
+    """:meth:`~rotabaxter.graded.Walk.first` of the walk of a family of the
+    given degree, its value validated as the family's map of that weight
+    would validate it: an inhomogeneous structure can make an inhomogeneous
+    value.  Values past it are not computed."""
+    found = walk.first(scale)
+    if found is not None:
+        p, word, value = found
+        GradedSymMap(walk.space, target, p, degree, {word: value})
+    return found
+
+
+def _residual_witness(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
+                      p_max: int = DEFAULT_P_MAX):
+    """(weight, word, value) of :func:`homotopy_oop_residual` at its first
+    nonzero canonical word, or None when it vanishes up to weight p_max.
+    Raises what it raises up to that word."""
+    return _checked_first(_residual_walk(t, alg, rep, p_max), alg.space, 1)
 
 
 def _mc_witness(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
                 p_max: int = DEFAULT_P_MAX):
     """(weight, word, value) of half the self-bracket of T at the first
     canonical word where it is nonzero, or None when it vanishes up to
-    weight p_max.
-
-    Raises what :func:`graded_bracket` raises, and validates the value it
-    returns as the bracket's map would; values past it are not computed.
-    """
-    den, values = _bracket_values(t, t, alg, rep, p_max)
-    for p, word, val in values:
-        half = divided(val, 2 * den)
-        # an inhomogeneous structure can make an inhomogeneous value
-        GradedSymMap(rep.space, alg.space, p, 2 * t.degree + 1, {word: half})
-        return p, word, half
-    return None
+    weight p_max.  Raises what :func:`graded_bracket` raises up to that
+    word."""
+    return _checked_first(_bracket_walk(t, t, alg, rep, p_max), alg.space,
+                          2 * t.degree + 1, 2)
 
 
 def mc_check_homotopy(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
@@ -457,11 +458,11 @@ def hook_compose(a: GradedHookFamily, b: GradedHookFamily,
     degree = a.degree + b.degree
     da, a = a.cleared()
     db, b = b.cleared()
-    values = _nonzero_values(a.space, range(p_max + 1),
-                             lambda word: hook_compose_lasts(a, b, word), free=True)
+    walk = Walk(da * db, a.space, range(p_max + 1),
+                lambda word: hook_compose_lasts(a, b, word), free=True)
     # the compose of homogeneous hooked maps is homogeneous
     comps = {p: GradedHookedMap._on(a.space, a.space, p, degree, entries)
-             for p, entries in _by_weight(values, da * db).items()}
+             for p, entries in walk.by_weight().items()}
     return GradedHookFamily(a.space, degree, comps)
 
 
@@ -499,7 +500,7 @@ def _psi_witness(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
     every term of both sides vanishes.
     """
     dfg, ds, f, g, alg, rep = _cleared_bracket_inputs(f, g, alg, rep, p_max)
-    # the brackets are computed below without _nonzero_values, so counted here
+    # the brackets are computed below without a Walk, so counted here
     _require_walk(rep.space, p_max)
     space, dim = rep.space, rep.space.dim
     degree = f.degree + g.degree + 1
@@ -591,7 +592,7 @@ def check_prelie_infinity(p: PreLieInfinity, n_max: int = DEFAULT_P_MAX,
     therefore has a canonical word, and it is the witness reported.
 
     The walk over the canonical words of weights up to n_max - 1 is counted
-    first like every other walk (see :func:`~rotabaxter.graded._nonzero_values`),
+    first like every other walk (see :class:`~rotabaxter.graded.Walk`),
     and an empty space, with no tuples at any order, passes at once.  The
     residual is the self-compose p o p of the operations' hooked family (see
     :func:`prelie_infinity_residual`); it is quadratic in the operations, so
@@ -602,17 +603,17 @@ def check_prelie_infinity(p: PreLieInfinity, n_max: int = DEFAULT_P_MAX,
     if not space.dim:
         return Report("check-prelie-inf", True, order=n_max)
     den, p = p.cleared()
-    nonzero = _nonzero_values(
-        space, range(n_max), lambda word: hook_compose_lasts(p, p, word), free=True)
-    for weight, (word, last), comp in nonzero:
-        res = [COMPOSE_NORMALIZATION * x for x in comp]
-        return Report(
-            "check-prelie-inf", False, order=n_max,
-            witness={"part": "coherence", "n": weight + 1,
-                     "at": [i + 1 for i in word] + [last + 1],
-                     "residual": named_residual(divided(res, den * den), space.basis)},
-        )
-    return Report("check-prelie-inf", True, order=n_max)
+    walk = Walk(den * den, space, range(n_max),
+                lambda word: hook_compose_lasts(p, p, word), free=True)
+    # the normalization is -1 or 1, so dividing by it takes it back out
+    found = walk.first(COMPOSE_NORMALIZATION)
+    if found is None:
+        return Report("check-prelie-inf", True, order=n_max)
+    weight, (word, last), res = found
+    return Report("check-prelie-inf", False, order=n_max,
+                  witness={"part": "coherence", "n": weight + 1,
+                           "at": [i + 1 for i in word] + [last + 1],
+                           "residual": named_residual(res, space.basis)})
 
 
 def induce_prelie_infinity(t: HomotopyOperator, alg: SGLA, rep: GradedRepresentation,

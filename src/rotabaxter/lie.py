@@ -9,8 +9,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .deformation import AltMap
+from .deformation import AltMap, _walked_altmap
 from .errors import SearchSpaceError, ShapeMismatchError
+from .graded import Walk, ungraded_space
 from .linalg import (
     Action,
     Clearable,
@@ -24,7 +25,6 @@ from .linalg import (
     bilinear,
     cleared_pair,
     common_denominator,
-    divided,
     fr,
     mat_vec,
     matrix,
@@ -188,13 +188,9 @@ def adjoint(alg: LieAlgebra) -> Representation:
     return Representation(alg.basis, adjoint_matrices(alg.c))
 
 
-def oop_defect(alg: LieAlgebra, rep: Representation, t: LinearOperator) -> AltMap:
-    """Bilinear defect of the relative Rota-Baxter identity for T: V -> g.
-
-    D(u, v) = [Tu, Tv] - T(rho(Tu) v - rho(Tv) u); T is an O-operator
-    exactly when D vanishes on all basis pairs.  It runs on the int images
-    of T (over dt) and of (alg, rep) (over ds), each value divided by dt^2 ds.
-    """
+def _oop_walk(alg: LieAlgebra, rep: Representation, t: LinearOperator) -> Walk:
+    """The walk of the bilinear defect of :func:`oop_defect` over the pairs
+    i < j, on the int images of T (over dt) and of (alg, rep) (over ds)."""
     if t.rows != alg.dim or t.cols != rep.space_dim:
         raise ShapeMismatchError(
             f"operator is {t.rows}x{t.cols}, expected {alg.dim}x{rep.space_dim}"
@@ -203,16 +199,24 @@ def oop_defect(alg: LieAlgebra, rep: Representation, t: LinearOperator) -> AltMa
     dt = common_denominator(x for row in t.matrix for x in row)
     cols = tuple(zip(*as_integers(t.matrix, dt)))
     ds, alg, rep = cleared_pair(alg, rep)
-    entries = {}
-    for i in range(d):
-        ti = cols[i]
-        for j in range(i + 1, d):
-            tj = cols[j]
-            inner = vec_sub(rep.act_basis(ti, j), rep.act_basis(tj, i))
-            val = vec_sub(alg.bracket(ti, tj), signed_sum(alg.dim, ((1, inner, cols),)))
-            if any(val):
-                entries[(i, j)] = divided(val, dt * dt * ds)
-    return AltMap(2, d, alg.dim, entries)
+
+    def on_pair(pair):
+        i, j = pair
+        inner = vec_sub(rep.act_basis(cols[i], j), rep.act_basis(cols[j], i))
+        return vec_sub(alg.bracket(cols[i], cols[j]), signed_sum(alg.dim, ((1, inner, cols),)))
+
+    return Walk(dt * dt * ds, ungraded_space(d), (2,), on_pair)
+
+
+def oop_defect(alg: LieAlgebra, rep: Representation, t: LinearOperator) -> AltMap:
+    """Bilinear defect of the relative Rota-Baxter identity for T: V -> g.
+
+    D(u, v) = [Tu, Tv] - T(rho(Tu) v - rho(Tv) u); T is an O-operator
+    exactly when D vanishes on all basis pairs.  It runs on the int images
+    of T and of (alg, rep), each value divided once, and its walk over the
+    pairs is counted against the work cap first.
+    """
+    return _walked_altmap(_oop_walk(alg, rep, t), alg.dim)
 
 
 def is_rota_baxter(alg: LieAlgebra, p: LinearOperator) -> bool:

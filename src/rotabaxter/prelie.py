@@ -20,13 +20,12 @@ from fractions import Fraction
 from .combinatorics import parity_sign, signed_unshuffles
 from .deformation import AltMap, _check_spaces, courant_bracket, courant_on_word
 from .errors import NotMaurerCartanError, ShapeMismatchError
-from .graded import SparseFamily, SparseMap, _nonzero_values, ungraded_space
+from .graded import SparseFamily, SparseMap, Walk, ungraded_space
 from .linalg import (
     Clearable,
     Vector,
     bilinear,
     cleared_pair,
-    divided,
     require_table,
     signed_sum,
     table_from_pairs,
@@ -205,12 +204,11 @@ def circ(alpha: HookedMap, beta: HookedMap) -> HookedMap:
     total = alpha.arity + beta.arity
     da, alpha = alpha.cleared()
     db, beta = beta.cleared()
-    den = da * db
     a, b = _family(alpha), _family(beta)
-    values = _nonzero_values(alpha.space, (total,),
-                             lambda word: hook_compose_lasts(a, b, word), free=True)
-    entries = {key: divided(val, den) for _, key, val in values}
-    return HookedMap._on(alpha.space, alpha.space, total, total, entries)
+    walk = Walk(da * db, alpha.space, (total,), lambda word: hook_compose_lasts(a, b, word),
+                free=True)
+    return HookedMap._on(alpha.space, alpha.space, total, total,
+                         walk.by_weight().get(total, {}))
 
 
 def mn_bracket(alpha: HookedMap, beta: HookedMap) -> HookedMap:
@@ -244,9 +242,9 @@ def phi(f: AltMap, rep) -> HookedMap:
 
 
 def _phi_witness(f: AltMap, g: AltMap, alg, rep):
-    """(word, last, value) of phi([[f, g]]) - [phi(f), phi(g)] at the first
-    increasing word and last argument, in sorted order, where it is
-    nonzero, or None when the two sides agree.
+    """(arity, (word, last), value) of phi([[f, g]]) - [phi(f), phi(g)] at
+    the first increasing word and last argument, in sorted order, where it
+    is nonzero, or None when the two sides agree.
 
     Word by word on the int images: the action applied to
     :func:`courant_on_word` against :func:`hook_compose_lasts` of the int
@@ -271,15 +269,13 @@ def _phi_witness(f: AltMap, g: AltMap, alg, rep):
                                    hook_compose_lasts(pg, pf, word))]
 
     # counted before phi(f) and phi(g), which cost dim action columns per entry
-    values = _nonzero_values(f.space, (f.arity + g.arity,), residuals_on_word, free=True)
+    walk = Walk(df * dg * ds * ds, f.space, (f.arity + g.arity,), residuals_on_word, free=True)
 
     def hooked(h):
         return _family(HookedMap._on(h.space, h.space, h.arity, h.arity, _phi_entries(h, rep)))
 
     pf, pg = hooked(f), hooked(g)
-    for _, (word, last), val in values:
-        return word, last, divided(val, df * dg * ds * ds)
-    return None
+    return walk.first()
 
 
 def check_phi_homomorphism(f: AltMap, g: AltMap, alg, rep) -> bool:
@@ -298,9 +294,9 @@ def phi_homomorphism_defect(f: AltMap, g: AltMap, alg, rep) -> HookedMap:
 
 def induce_prelie(t, alg, rep, force: bool = False) -> PreLieProduct:
     """Pre-Lie product u * v = rho(Tu) v induced by an O-operator T."""
-    from .lie import oop_defect
+    from .lie import _oop_walk
 
-    if not force and not oop_defect(alg, rep, t).is_zero():
+    if not force and not _oop_walk(alg, rep, t).vanishes():
         raise NotMaurerCartanError(
             "operator is not an O-operator; pass force=True to build the product anyway"
         )

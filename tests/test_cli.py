@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from rotabaxter import cli, errors, prelie
+from rotabaxter import cli, deformation, errors, homotopy, prelie
 from rotabaxter.catalog import (
     affine_line,
     graded_instances,
@@ -24,14 +24,15 @@ from rotabaxter.catalog import (
 from rotabaxter.cli import main
 from rotabaxter.combinatorics import parity_sign
 from rotabaxter.deformation import AltMap, mc_residual
-from rotabaxter.graded import GradedRepresentation, adjoint_graded, from_lie
+from rotabaxter.graded import GradedRepresentation, adjoint_graded, canonical_words, from_lie
 from rotabaxter.homotopy import (
     GradedSymFamily,
     GradedSymMap,
+    homotopy_oop_residual,
     psi_homomorphism_defect,
     residual_on_word,
 )
-from rotabaxter.lie import Representation, adjoint, operator
+from rotabaxter.lie import LieAlgebra, Representation, adjoint, oop_defect, operator
 from rotabaxter.linalg import basis_vector, matrix
 from rotabaxter.prelie import phi_homomorphism_defect
 from rotabaxter.reports import named_residual
@@ -41,13 +42,19 @@ from rotabaxter.serialize import (
     grep_to_obj,
     hooked_to_obj,
     hop_from_obj,
+    hop_to_obj,
     lie_to_obj,
     rep_to_obj,
     sgla_to_obj,
     sym_family_from_obj,
     sym_family_to_obj,
 )
-from helpers import hook_family_from_hooked, random_altmap, random_hooked
+from helpers import (
+    hook_family_from_hooked,
+    random_altmap,
+    random_hooked,
+    random_homotopy_operator,
+)
 from test_integer_kernels import raw_hook_compose
 
 AFFINE = {
@@ -295,6 +302,16 @@ def test_an_empty_search_grid_is_a_usage_error(runner, tmp_path):
         res = runner.invoke(main, ["search-rbo", "--algebra", alg, "--grid", grid])
         assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
         assert "Invalid value for '--grid'" in res.output
+
+
+def test_a_negative_search_cap_is_a_usage_error(runner, tmp_path):
+    alg = write(tmp_path, "L.json", AFFINE)
+    res = runner.invoke(main, ["search-rbo", "--algebra", alg, "--cap", "-1"])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+    assert "Invalid value for '--cap'" in res.output and "candidates" not in res.output
+    # a cap of 0 is allowed, and refuses every search as too large
+    res = runner.invoke(main, ["search-rbo", "--algebra", alg, "--cap", "0"])
+    assert res.exit_code == 1 and "81 candidates exceed the cap of 0" in res.output
 
 
 def test_graded_pipeline(runner, tmp_path):
@@ -1067,3 +1084,121 @@ def test_an_unknown_operator_space_is_a_schema_error(runner, tmp_path, field, va
     assert isinstance(res.exception, SystemExit), res.exception
     assert res.exit_code == 1
     assert res.output.startswith(f"Error: operator {field} must be") and "Traceback" not in res.output
+
+
+# -- a walked FAIL is the least key of its whole map, found where the walk stops
+
+WALK_POOL = (Fraction(1, 2), Fraction(-1, 3), Fraction(2)) + (Fraction(0),) * 4
+
+
+def _walked_fail(runner, monkeypatch, owner, kernel, args):
+    """The witness of the FAIL of a command line and its calls of the kernel
+    ``owner.kernel``."""
+    calls = []
+    wrapped = getattr(owner, kernel)
+    monkeypatch.setattr(owner, kernel, lambda *a: calls.append(a) or wrapped(*a))
+    res = runner.invoke(main, ["--json-report", "-", *args])
+    monkeypatch.undo()
+    assert res.exit_code == 1, res.output
+    return _report(res)["witness"], len(calls)
+
+
+def _drawn(rng, rows, cols, defect):
+    """A seeded random matrix whose ``defect`` is nonzero, and first nonzero
+    past the pair (1, 2) when there is another pair; drawn again until it is."""
+    while True:
+        m = [[rng.choice(WALK_POOL) for _ in range(cols)] for _ in range(rows)]
+        entries = defect(m).entries
+        if entries and (cols < 3 or min(entries) != (0, 1)):
+            return m
+
+
+def _operator_file(tmp_path, name, rows, space="V"):
+    return write(tmp_path, name, {"operator": {
+        "rows": [[str(x) for x in row] for row in rows], "domain": space, "codomain": "g"}})
+
+
+@pytest.mark.parametrize("pair", range(4))
+def test_an_ungraded_walked_fail_is_the_least_pair_of_its_whole_map(
+        runner, tmp_path, monkeypatch, pair):
+    _, alg, rep = [*lie_pairs(), ("sl2/adjoint", sl2(), adjoint(sl2()))][pair]
+    rng = random.Random(pair)
+    d, m = alg.dim, rep.space_dim
+    given = ["--algebra", write(tmp_path, "L.json", {"lie_algebra": lie_to_obj(alg)}),
+             "--rep", write(tmp_path, "rho.json", {"representation": rep_to_obj(rep, alg)})]
+
+    def assert_least(witness, calls, defect, before=0):
+        """The witness is the least pair of the whole map, the kernel ran on
+        every pair up to it and on none after it."""
+        word = min(defect.entries)
+        assert witness == {"at": [i + 1 for i in word],
+                           "residual": named_residual(defect.entries[word], alg.basis)}
+        pairs = list(itertools.combinations(range(defect.dim_dom), 2))
+        assert calls == before + pairs.index(word) + 1
+
+    def oop(rows, action=rep):
+        return oop_defect(alg, action, operator(rows))
+
+    def mc(rows, delta=None):
+        t = AltMap.from_operator(operator(rows))
+        if delta is not None:
+            t = t + AltMap.from_operator(operator(delta))
+        return mc_residual(t, alg, rep)
+
+    t = _drawn(rng, d, m, oop)
+    op = _operator_file(tmp_path, "T.json", t)
+    # check-oop and check-rbo read one bracket per pair
+    witness, calls = _walked_fail(runner, monkeypatch, LieAlgebra, "bracket",
+                                  ["check-oop", *given, "--op", op])
+    assert_least(witness, calls, oop(t))
+    p = _drawn(rng, d, d, lambda rows: oop(rows, adjoint(alg)))
+    witness, calls = _walked_fail(runner, monkeypatch, LieAlgebra, "bracket",
+                                  ["check-rbo", *given[:2], "--op", _operator_file(
+                                      tmp_path, "P.json", p, "g")])
+    assert_least(witness, calls, oop(p, adjoint(alg)))
+    # mc-check and deform read courant_on_word once per pair; deform first
+    # walks every pair of its base, an O-operator
+    witness, calls = _walked_fail(runner, monkeypatch, deformation, "courant_on_word",
+                                  ["mc-check", *given, "--op", op])
+    assert_least(witness, calls, mc(t))
+    bases = []
+    for flat in itertools.product((0, 1), repeat=d * m):
+        rows = [flat[r * m:(r + 1) * m] for r in range(d)]
+        if oop(rows).is_zero():
+            bases.append(rows)
+    scale = rng.choice(WALK_POOL[:3])
+    base = [[scale * x for x in row] for row in rng.choice(bases)]
+    delta = _drawn(rng, d, m, lambda rows: mc(base, rows))
+    witness, calls = _walked_fail(
+        runner, monkeypatch, deformation, "courant_on_word",
+        ["deform", *given, "--base", _operator_file(tmp_path, "B.json", base),
+         "--delta", _operator_file(tmp_path, "D.json", delta)])
+    assert_least(witness, calls, mc(base, delta), before=m * (m - 1) // 2)
+
+
+@pytest.mark.parametrize("instance", range(3))
+def test_a_graded_walked_fail_is_the_least_word_of_its_whole_residual(
+        runner, tmp_path, monkeypatch, instance):
+    _, galg, grep = graded_instances()[instance]
+    rng = random.Random(instance)
+    sgla_path = write(tmp_path, "g.json", {"sgla": sgla_to_obj(galg)})
+    grep_path = write(tmp_path, "rho.json", {"graded_rep": grep_to_obj(grep, galg)})
+    for command, rep, action in (("check-hoop", grep, ["--grep", grep_path]),
+                                 ("check-hrbo", adjoint_graded(galg), [])):
+        while True:
+            t = random_homotopy_operator(rng, rep.space, galg.space, 2, pool=WALK_POOL,
+                                         density=0.3)
+            residual = homotopy_oop_residual(t, galg, rep, 3)
+            if not all(m.is_zero() for m in residual.values()):
+                break
+        hop = write(tmp_path, f"{command}.json", {"homotopy_operator": hop_to_obj(t)})
+        # the residual kernel runs on every canonical word up to the witness
+        witness, calls = _walked_fail(runner, monkeypatch, homotopy, "residual_on_word", [
+            "--p-max", "3", command, "--sgla", sgla_path, *action, "--hop", hop])
+        weight = min(w for w, m in residual.items() if not m.is_zero())
+        word = min(residual[weight].entries)
+        assert witness == {"weight": weight, "at": [rep.space.basis[i] for i in word],
+                           "residual": named_residual(residual[weight].entries[word],
+                                                      galg.space.basis)}
+        words = [w for p in range(weight + 1) for w in canonical_words(rep.space, p)]
+        assert calls == words.index(word) + 1

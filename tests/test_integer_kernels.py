@@ -19,8 +19,8 @@ from rotabaxter.catalog import graded_instances, lie_pairs, sl2
 from rotabaxter.combinatorics import parity_sign, signed_unshuffles
 from rotabaxter.deformation import (
     AltMap,
-    _deform_witness,
-    _mc_vanishes,
+    _mc_walk,
+    _twisted_walk,
     courant_bracket,
     courant_on_word,
     deformation_check,
@@ -102,6 +102,13 @@ POOL = (Fraction(1, 2), Fraction(-1, 3), Fraction(5, 12), Fraction(1, BIG),
 
 scales = st.lists(st.sampled_from(SCALES), min_size=3, max_size=3)
 rngs = st.randoms(use_true_random=False)
+
+
+def deform_witness(t, tp, alg, rep):
+    """(word, value) where the twisted walk of ``deform`` first finds a
+    nonzero value, or None."""
+    found = _twisted_walk(t, tp, alg, rep).first()
+    return found and found[1:]
 
 
 def rescaled_constants(c, a):
@@ -341,7 +348,7 @@ def test_deformation_check_matches_the_full_maps(a, lam, i, j, kind, rng):
     half = courant_bracket(t, t, alg, rep).scale(Fraction(1, 2))
     assert mc_residual(t, alg, rep) == half
     assert all_fractions(mc_residual(t, alg, rep))
-    assert _mc_vanishes(t, alg, rep) == half.is_zero()
+    assert _mc_walk(t, alg, rep).vanishes() == half.is_zero()
 
 
 @pytest.mark.parametrize("values, den", [
@@ -710,7 +717,7 @@ def test_the_deform_witness_replays_through_the_mc_residual_of_the_sum(a, lam, i
         tp = random_altmap(rng, 1, 3, 3, pool=POOL)
     if kind == "random":  # a base that need not be an O-operator
         t = random_altmap(rng, 1, 3, 3, pool=POOL)
-    found = _deform_witness(t, tp, alg, rep)
+    found = deform_witness(t, tp, alg, rep)
     assert deformation_check(t, tp, alg, rep) == (found is None)
     # in general the witness is [[t, tp]] + [[tp, tp]] / 2 at its first word
     twisted = courant_bracket(t, tp, alg, rep) + courant_bracket(tp, tp, alg, rep).scale(
@@ -821,7 +828,7 @@ def test_the_word_by_word_phi_check_matches_the_family_comparison(
         assert found == (None if want is True else want)
         return
     # the witness is the first key of the whole-map defect, and its value
-    word, last, value = found
+    _, (word, last), value = found
     defect = phi_homomorphism_defect(f, g, alg, rep)
     assert (word, last) == min(defect.entries)
     assert value == defect.entries[(word, last)]
@@ -872,7 +879,7 @@ def test_the_twisted_check_is_one_bracket(name, a, d, kind, rng):
     tp = random_altmap(rng, 1, rep.space_dim, alg.dim, pool=POOL)
     twice = (courant_bracket(t, tp, alg, rep).scale(2) + courant_bracket(tp, tp, alg, rep))
     assert deformation_check(t, tp, alg, rep) == twice.is_zero()
-    found = _deform_witness(t, tp, alg, rep)
+    found = deform_witness(t, tp, alg, rep)
     if found is not None:
         word = min(twice.entries)
         assert found == (word, vec_scale(Fraction(1, 2), twice.entries[word]))

@@ -323,3 +323,21 @@ def test_shape_errors():
     ragged = lie.Representation(("v1", "v2"), (matrix([[1, 0], [0, 1]]), ((1, 0), (0,))))
     with pytest.raises(ShapeMismatchError, match="square of the module dimension"):
         oop_defect(alg, ragged, zero_operator(2, 2))
+
+
+def test_oop_defect_refuses_a_module_of_dimension_448_before_any_pair(monkeypatch):
+    # its walk over the pairs i < j counts 3 + d^2 steps: 200,707 at d = 448,
+    # above the cap of 200,000, and 199,812 at d = 447
+    from rotabaxter.graded import CANONICAL_WORD_CAP, _walk_steps, ungraded_space
+
+    assert _walk_steps(ungraded_space(447), 2) == 3 + 447 ** 2 <= CANONICAL_WORD_CAP
+    calls = []
+    for cls, name in ((lie.LieAlgebra, "bracket"), (lie.Representation, "act_basis")):
+        kernel = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda *args, kernel=kernel: calls.append(args) or kernel(*args))
+    d = 448
+    zero = (Fraction(0),) * d
+    rep = lie.Representation(tuple(f"v{i + 1}" for i in range(d)), ((zero,) * d,))
+    with pytest.raises(SearchSpaceError, match="a walk to weight 2 needs at least 200707 steps"):
+        oop_defect(abelian(1), rep, zero_operator(1, d))
+    assert not calls
