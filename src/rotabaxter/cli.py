@@ -47,7 +47,6 @@ from .serialize import Workspace
 class Config:
     p_max: int
     json_report: str | None
-    parallel: bool
 
 
 def _show_help(ctx: click.Context, param: click.Parameter, value: bool) -> None:
@@ -95,13 +94,11 @@ class _Group(_HelpToStdout, click.Group):
 @click.option("--p-max", default=4, show_default=True, type=click.IntRange(min=0),
               help="Weight bound for truncated homotopy checks.")
 @click.option("--json-report", type=click.Path(dir_okay=False), default=None,
-              help="Write the machine-readable report(s) to this file ('-' for stdout).")
-@click.option("--parallel", is_flag=True,
-              help="Partition the Rota-Baxter grid search over worker processes.")
+              help="Write the machine-readable report to this file ('-' for stdout).")
 @click.pass_context
-def main(ctx, p_max, json_report, parallel):
+def main(ctx, p_max, json_report):
     """Exact verification of Rota-Baxter / O-operator structures."""
-    ctx.obj = Config(p_max, json_report, parallel)
+    ctx.obj = Config(p_max, json_report)
 
 
 # Every echo names the stream it writes to.  A bare ``click.echo`` caches the
@@ -109,17 +106,15 @@ def main(ctx, p_max, json_report, parallel):
 # value, so the entry is never freed and each redirected stream of an
 # in-process call would stay alive until exit.  Every text is ASCII (it comes
 # from ``json.dumps``), so click's encoding wrapper has nothing to change.
-def _finish(cfg: Config, reports: list[Report]):
-    for rep in reports:
-        status = "PASS" if rep.ok else "FAIL"
-        extra = f" (order={rep.order})" if rep.order is not None else ""
-        click.echo(f"{rep.check}: {status}{extra}", file=sys.stdout)
-        if not rep.ok and rep.witness:
-            click.echo(f"  witness: {json.dumps(rep.witness, sort_keys=True)}", file=sys.stdout)
+def _finish(cfg: Config, rep: Report):
+    status = "PASS" if rep.ok else "FAIL"
+    extra = f" (order={rep.order})" if rep.order is not None else ""
+    click.echo(f"{rep.check}: {status}{extra}", file=sys.stdout)
+    if not rep.ok and rep.witness:
+        click.echo(f"  witness: {json.dumps(rep.witness, sort_keys=True)}", file=sys.stdout)
     if cfg.json_report:
-        payload = reports[0].to_dict() if len(reports) == 1 else [r.to_dict() for r in reports]
-        _emit(payload, None if cfg.json_report == "-" else cfg.json_report)
-    sys.exit(0 if all(r.ok for r in reports) else 1)
+        _emit(rep.to_dict(), None if cfg.json_report == "-" else cfg.json_report)
+    sys.exit(0 if rep.ok else 1)
 
 
 def _emit(obj, out: str | None):
@@ -274,7 +269,7 @@ def _sweep(pairs, check, file_form):
 def check_lie_cmd(cfg, algebra):
     """Verify antisymmetry and the Jacobi identity."""
     ws = Workspace()
-    _finish(cfg, [check_lie(_lie(ws, algebra))])
+    _finish(cfg, check_lie(_lie(ws, algebra)))
 
 
 @main.command("check-rep")
@@ -285,7 +280,7 @@ def check_rep_cmd(cfg, algebra, rep_):
     """Verify the representation axiom on all basis pairs."""
     ws = Workspace()
     alg = _lie(ws, algebra)
-    _finish(cfg, [check_representation(alg, _rep(ws, rep_, alg))])
+    _finish(cfg, check_representation(alg, _rep(ws, rep_, alg)))
 
 
 @main.command("check-rbo")
@@ -298,7 +293,7 @@ def check_rbo_cmd(cfg, algebra, op_):
     alg = _lie(ws, algebra)
     p = _op(ws, op_, alg.dim, alg.dim)
     found = _oop_walk(alg, adjoint(alg), p).first()
-    _finish(cfg, [_altmap_report("check-rbo", found, alg.basis)])
+    _finish(cfg, _altmap_report("check-rbo", found, alg.basis))
 
 
 @main.command("check-oop")
@@ -312,7 +307,7 @@ def check_oop_cmd(cfg, algebra, rep_, op_):
     alg = _lie(ws, algebra)
     rep = _rep(ws, rep_, alg)
     t = _op(ws, op_, alg.dim, rep.space_dim)
-    _finish(cfg, [_altmap_report("check-oop", _oop_walk(alg, rep, t).first(), alg.basis)])
+    _finish(cfg, _altmap_report("check-oop", _oop_walk(alg, rep, t).first(), alg.basis))
 
 
 @main.command("bracket")
@@ -344,7 +339,7 @@ def mc_check_cmd(cfg, algebra, rep_, op_):
     alg = _lie(ws, algebra)
     rep = _rep(ws, rep_, alg)
     t = _operator_or_altmap(ws, op_, alg, rep)
-    _finish(cfg, [_altmap_report("mc-check", _mc_walk(t, alg, rep).first(2), alg.basis)])
+    _finish(cfg, _altmap_report("mc-check", _mc_walk(t, alg, rep).first(2), alg.basis))
 
 
 @main.command("deform")
@@ -362,7 +357,7 @@ def deform_cmd(cfg, algebra, rep_, base, delta):
     tp = _operator_or_altmap(ws, delta, alg, rep)
     if not _mc_walk(t, alg, rep).vanishes():
         raise click.ClickException("the base operator is not an O-operator")
-    _finish(cfg, [_altmap_report("deform", _twisted_walk(t, tp, alg, rep).first(), alg.basis)])
+    _finish(cfg, _altmap_report("deform", _twisted_walk(t, tp, alg, rep).first(), alg.basis))
 
 
 @main.command("induce-prelie")
@@ -388,7 +383,7 @@ def induce_prelie_cmd(cfg, algebra, rep_, op_, force, out):
 def check_prelie_cmd(cfg, prelie_):
     """Verify the left-symmetry identity of a bilinear product."""
     ws = Workspace()
-    _finish(cfg, [check_prelie(ser.prelie_from_obj(_resolve(ws, prelie_, "prelie")))])
+    _finish(cfg, check_prelie(ser.prelie_from_obj(_resolve(ws, prelie_, "prelie"))))
 
 
 @main.command("mn-bracket")
@@ -450,7 +445,7 @@ def check_phi_hom_cmd(cfg, algebra, rep_, left, right):
         pairs = elementary_pairs(ungraded_space(dim), ungraded_space(alg.dim), dim, lambda s: s,
                                  lambda w, _, entries: AltMap(w, dim, alg.dim, entries))
         witness = _sweep(pairs, check, lambda f: {"altmap": ser.altmap_to_obj(f, alg.basis)})
-    _finish(cfg, [Report("check-phi-hom", witness is None, witness=witness)])
+    _finish(cfg, Report("check-phi-hom", witness is None, witness=witness))
 
 
 @main.command("search-rbo")
@@ -467,8 +462,7 @@ def search_rbo_cmd(cfg, algebra, grid, cap, out):
     entries = [ser.parse_scalar(x.strip()) for x in grid.split(",") if x.strip()]
     if not entries:
         raise click.BadParameter("the grid needs at least one entry", param_hint="'--grid'")
-    processes = os.cpu_count() if cfg.parallel else None
-    found = search_rbo(alg, entries, cap=cap, processes=processes)
+    found = search_rbo(alg, entries, cap=cap)
     click.echo(f"found {len(found)} operators", file=sys.stderr)
     _emit({"operators": [ser.operator_to_obj(op) for op in found]}, out)
 
@@ -481,7 +475,7 @@ def search_rbo_cmd(cfg, algebra, grid, cap, out):
 def check_sgla_cmd(cfg, sgla_):
     """Verify degree bookkeeping, graded symmetry and the Leibniz rule."""
     ws = Workspace()
-    _finish(cfg, [check_sgla(_sgla(ws, sgla_))])
+    _finish(cfg, check_sgla(_sgla(ws, sgla_)))
 
 
 @main.command("check-sdgla")
@@ -493,7 +487,7 @@ def check_sdgla_cmd(cfg, sgla_, differential):
     ws = Workspace()
     galg = _sgla(ws, sgla_)
     d = ser.differential_from_obj(_resolve(ws, differential, "differential"), galg.dim)
-    _finish(cfg, [check_sdgla(galg, d)])
+    _finish(cfg, check_sdgla(galg, d))
 
 
 @main.command("check-graded-rep")
@@ -504,7 +498,7 @@ def check_graded_rep_cmd(cfg, sgla_, grep_):
     """Verify a degree-1 action compatible with the graded bracket."""
     ws = Workspace()
     galg = _sgla(ws, sgla_)
-    _finish(cfg, [check_graded_rep(galg, _grep(ws, grep_, galg))])
+    _finish(cfg, check_graded_rep(galg, _grep(ws, grep_, galg)))
 
 
 @main.command("from-lie")
@@ -537,7 +531,7 @@ def check_hoop_cmd(cfg, sgla_, grep_, hop):
     galg, grep = _graded_context(ws, sgla_, grep_)
     t = _hop(ws, hop, grep.space, galg.space)
     found = _residual_witness(t, galg, grep, cfg.p_max)
-    _finish(cfg, [_weight_report("check-hoop", found, grep.space, galg.space, cfg.p_max)])
+    _finish(cfg, _weight_report("check-hoop", found, grep.space, galg.space, cfg.p_max))
 
 
 @main.command("check-hrbo")
@@ -550,7 +544,7 @@ def check_hrbo_cmd(cfg, sgla_, hop):
     galg = _sgla(ws, sgla_)
     t = _hop(ws, hop, galg.space, galg.space)
     found = _residual_witness(t, galg, adjoint_graded(galg), cfg.p_max)
-    _finish(cfg, [_weight_report("check-hrbo", found, galg.space, galg.space, cfg.p_max)])
+    _finish(cfg, _weight_report("check-hrbo", found, galg.space, galg.space, cfg.p_max))
 
 
 @main.command("graded-bracket")
@@ -581,7 +575,7 @@ def mc_check_homotopy_cmd(cfg, sgla_, grep_, hop):
     galg, grep = _graded_context(ws, sgla_, grep_)
     t = _hop(ws, hop, grep.space, galg.space)
     found = _mc_witness(t, galg, grep, cfg.p_max)
-    _finish(cfg, [_weight_report("mc-check-homotopy", found, grep.space, galg.space, cfg.p_max)])
+    _finish(cfg, _weight_report("mc-check-homotopy", found, grep.space, galg.space, cfg.p_max))
 
 
 @main.command("induce-prelie-inf")
@@ -608,7 +602,7 @@ def check_prelie_inf_cmd(cfg, pinf, n_max):
     """Verify the coherence identities of a homotopy pre-Lie structure."""
     ws = Workspace()
     p = ser.prelie_inf_from_obj(_resolve(ws, pinf, "prelie_infinity"))
-    _finish(cfg, [check_prelie_infinity(p, n_max)])
+    _finish(cfg, check_prelie_infinity(p, n_max))
 
 
 @main.command("check-psi-hom")
@@ -640,7 +634,7 @@ def check_psi_hom_cmd(cfg, sgla_, grep_, left, right):
             lambda w, degree, entries: GradedSymFamily(
                 space, target, degree, {w: GradedSymMap(space, target, w, degree, entries)}))
         witness = _sweep(pairs, check, lambda f: {"sym_family": ser.sym_family_to_obj(f)})
-    _finish(cfg, [Report("check-psi-hom", witness is None, order=cfg.p_max, witness=witness)])
+    _finish(cfg, Report("check-psi-hom", witness is None, order=cfg.p_max, witness=witness))
 
 
 if __name__ == "__main__":

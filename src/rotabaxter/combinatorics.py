@@ -76,7 +76,7 @@ def unshuffles(shape) -> list[tuple[int, ...]]:
     more unshuffles than the work cap is refused before any is built.
     """
     if any(part < 0 for part in shape):
-        raise ValueError("unshuffle blocks must be non-negative")
+        raise ShapeMismatchError("unshuffle blocks must be non-negative")
     count = multinomial(shape)
     if count > CANONICAL_WORD_CAP:
         raise SearchSpaceError(f"{count} unshuffles of shape {tuple(shape)} exceed "

@@ -225,6 +225,9 @@ def deformation_check(t: AltMap, tp: AltMap, alg, rep) -> bool:
     """Whether t + tp is again an O-operator, tested via the Maurer-Cartan
     equation d_t(tp) + 1/2 [[tp, tp]] = 0 of the twisted complex.
 
+    t must be an O-operator; this is not checked.  For any other t the
+    function decides whether [[2 t + tp, tp]] vanishes, not whether t + tp
+    is an O-operator: on the affine line it passes the identity with tp = 0.
     The test runs on ints and stops at the first word where it fails (see
     :func:`_twisted_walk`).
     """

@@ -18,10 +18,10 @@ from .graded import GradedVectorSpace, SGLA
 from .homotopy import GradedSymMap, HomotopyOperator
 
 
-def homotopy_operator_from_linear(t, alg_graded: SGLA, space: GradedVectorSpace,
-                                  truncation: int = 1) -> HomotopyOperator:
+def homotopy_operator_from_linear(t, alg_graded: SGLA,
+                                  space: GradedVectorSpace) -> HomotopyOperator:
     """A linear operator V -> g as a weight-1 homotopy operator."""
     if t.rows != alg_graded.dim or t.cols != space.dim:
         raise ShapeMismatchError("operator does not match the graded spaces")
     comp = GradedSymMap(space, alg_graded.space, 1, 0, AltMap.from_operator(t).entries)
-    return HomotopyOperator(space, alg_graded.space, {1: comp}, truncation=truncation)
+    return HomotopyOperator(space, alg_graded.space, {1: comp})

@@ -19,8 +19,9 @@ class ShapeMismatchError(RotabaxterError, ValueError):
 
 
 class BoundError(RotabaxterError, ValueError):
-    """A truncation bound leaves nothing to check (a negative weight bound,
-    or a coherence order below 1), so a PASS would be vacuous."""
+    """A bound leaves nothing to check or search (a negative weight bound, a
+    coherence order below 1, or an empty search grid), so a PASS or an empty
+    result would be vacuous."""
 
 
 class SearchSpaceError(RotabaxterError, ValueError):

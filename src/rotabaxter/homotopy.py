@@ -310,16 +310,18 @@ def residual_on_word(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
 def _residual_walk(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
                    p_max: int) -> Walk:
     """The walk of the residual up to weight p_max, each value computed by
-    :func:`residual_on_word` on the int images of the inputs (the residual
-    is quadratic in T and linear in the structure)."""
+    :func:`_twice_residual` on the int images of the inputs (the residual
+    is quadratic in T and linear in the structure).  The walk's words are
+    canonical already, so none is sorted, and den carries the 2 that
+    :func:`residual_on_word` divides by."""
     _require_bound(p_max, 0, "p_max")
     if t.degree != 0:
         raise ShapeMismatchError("homotopy operators are degree-0 families")
     _require_matching(alg, rep, t)
     dt, t = t.cleared()
     ds, alg, rep = cleared_pair(alg, rep)
-    return Walk(dt * dt * ds, rep.space, range(p_max + 1),
-                lambda word: residual_on_word(t, alg, rep, word))
+    return Walk(2 * dt * dt * ds, rep.space, range(p_max + 1),
+                lambda word: _twice_residual(t, alg, rep, word))
 
 
 def homotopy_oop_residual(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
@@ -705,7 +707,7 @@ def search_homotopy_operators(alg: SGLA, rep: GradedRepresentation, grid,
     # each value once, so no candidate is searched or counted twice
     grid = tuple(dict.fromkeys(fr(x) for x in grid))
     if not grid:
-        raise ValueError("search grid must be nonempty")
+        raise BoundError("search grid must be nonempty")
     space, target = rep.space, alg.space
     _require_walk(space, p_max)
     slots = []

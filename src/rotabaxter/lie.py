@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .deformation import AltMap, _walked_altmap
-from .errors import SearchSpaceError, ShapeMismatchError
+from .errors import BoundError, SearchSpaceError, ShapeMismatchError
 from .graded import Walk, ungraded_space
 from .linalg import (
     Action,
@@ -241,21 +241,16 @@ def is_rota_baxter(alg: LieAlgebra, p: LinearOperator) -> bool:
     return True
 
 
-def _hits(alg: LieAlgebra, grid: tuple, heads: tuple):
-    """The Rota-Baxter operators among the candidates whose first entry is in
-    ``heads`` and whose other entries are in ``grid``.  Over sorted ``heads``
-    and ``grid`` they come in sorted matrix order: product visits the
-    row-major entries in lexicographic order."""
+def _hits(alg: LieAlgebra, grid: tuple):
+    """The Rota-Baxter operators with entries in ``grid``.  Over a sorted
+    ``grid`` they come in sorted matrix order: product visits the row-major
+    entries in lexicographic order."""
     n = alg.dim
-    for flat in itertools.product(heads, *[grid] * (n * n - 1)):
+    for flat in itertools.product(grid, repeat=n * n):
         mat = tuple(flat[r * n:(r + 1) * n] for r in range(n))
         cand = LinearOperator(mat, "g", "g")
         if is_rota_baxter(alg, cand):
             yield cand
-
-
-def _search_chunk(alg: LieAlgebra, grid: tuple, heads: tuple) -> list[LinearOperator]:
-    return list(_hits(alg, grid, heads))
 
 
 SEARCH_CAP = 2_000_000
@@ -266,7 +261,7 @@ def _search_grid(alg: LieAlgebra, grid, cap: int) -> tuple:
     # each value once, so no candidate is searched or counted twice
     grid = tuple(sorted({fr(x) for x in grid}))
     if not grid:
-        raise ValueError("search grid must be nonempty")
+        raise BoundError("search grid must be nonempty")
     if not alg.dim:
         raise ShapeMismatchError("the searched algebra needs a nonempty basis")
     total = len(grid) ** (alg.dim * alg.dim)
@@ -279,32 +274,20 @@ def iter_rbo(alg: LieAlgebra, grid):
     """Iterator over the Rota-Baxter operators with matrix entries drawn from
     the grid, in sorted matrix order, each decided when it is reached.
 
-    Raises ValueError for an empty grid, ShapeMismatchError for a
+    Raises BoundError for an empty grid, ShapeMismatchError for a
     zero-dimensional algebra and SearchSpaceError beyond ``SEARCH_CAP``
     candidates when called, before any candidate is decided.
     """
     grid = _search_grid(alg, grid, SEARCH_CAP)
-    return _hits(alg, grid, grid)
+    return _hits(alg, grid)
 
 
 def search_rbo(alg: LieAlgebra, grid, cap: int = SEARCH_CAP, processes: int | None = None) -> list[LinearOperator]:
     """All Rota-Baxter operators with matrix entries drawn from the grid.
 
     Exhaustive over |grid|^(dim^2) candidate matrices, |grid| the number of
-    distinct values.  Hits come out in sorted matrix order with no sort
-    step: ``processes`` workers each search a contiguous range of first
-    entries, so sequential and parallel runs agree byte for byte.
+    distinct values, in one process.  Hits come out in sorted matrix order
+    with no sort step.  ``processes`` is accepted and ignored.
     Raises SearchSpaceError beyond ``cap`` candidates.
     """
-    grid = _search_grid(alg, grid, cap)
-    if not (processes and processes > 1 and len(grid) > 1):
-        return list(_hits(alg, grid, grid))
-    # imported here: the process pool pulls in multiprocessing, pickle,
-    # socket and logging, which a sequential search never needs
-    from concurrent.futures import ProcessPoolExecutor
-
-    size = -(-len(grid) // processes)
-    chunks = [grid[i:i + size] for i in range(0, len(grid), size)]
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        parts = pool.map(_search_chunk, itertools.repeat(alg), itertools.repeat(grid), chunks)
-    return [op for part in parts for op in part]
+    return list(_hits(alg, _search_grid(alg, grid, cap)))

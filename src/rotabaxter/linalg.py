@@ -42,7 +42,7 @@ def vec_is_zero(v: Vector) -> bool:
 def matrix(rows) -> Matrix:
     m = tuple(tuple(fr(x) for x in row) for row in rows)
     if m and any(len(row) != len(m[0]) for row in m):
-        raise ValueError("ragged matrix")
+        raise ShapeMismatchError("ragged matrix")
     return m
 
 

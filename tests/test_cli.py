@@ -18,6 +18,7 @@ from rotabaxter.catalog import (
     graded_instances,
     heisenberg,
     lie_pairs,
+    mixed_sgla,
     sl2,
     three_level_sgla,
 )
@@ -506,6 +507,49 @@ def test_module_entry_point_runs_the_cli(tmp_path):
 def test_cli_import_leaves_out_the_process_pool():
     res = _python("-c", "import sys, rotabaxter.cli; print('multiprocessing' in sys.modules)")
     assert res.returncode == 0 and res.stdout.strip() == "False"
+
+
+def test_the_search_runs_in_one_process(runner, tmp_path):
+    # processes is accepted and ignored: no worker pool is imported
+    res = _python("-c", "import sys; from rotabaxter.catalog import affine_line; "
+                  "from rotabaxter.lie import search_rbo; "
+                  "print(len(search_rbo(affine_line(), (-1, 0, 1), processes=2)), "
+                  "'multiprocessing' in sys.modules)")
+    assert res.returncode == 0 and res.stdout == "15 False\n", res.stderr
+    # and the CLI has no option for workers
+    alg = write(tmp_path, "L.json", AFFINE)
+    res = runner.invoke(main, ["--parallel", "search-rbo", "--algebra", alg])
+    assert res.exit_code == 2 and "--parallel" in res.stderr and res.stdout == ""
+
+
+def _hooked_file(tmp_path, name, basis):
+    return write(tmp_path, name, {"hooked_map": {
+        "basis": basis, "arity": 1, "entries": [{"args": [1], "last": 1, "value": {basis[0]: "1"}}]}})
+
+
+REFUSALS = {
+    "a sweep above the work cap": (
+        lambda tmp_path: ["--p-max", "5", "check-psi-hom", "--grep", "adjoint", "--sgla",
+                          write(tmp_path, "g.json", {"sgla": sgla_to_obj(mixed_sgla())})],
+        "a sweep of the basis pairs needs 354879 steps over canonical words, "
+        "above the cap of 200000"),
+    "hooked maps on different bases": (
+        lambda tmp_path: ["mn-bracket", "--left", _hooked_file(tmp_path, "a.json", ["u", "v"]),
+                          "--right", _hooked_file(tmp_path, "b.json", ["u", "w"])],
+        "hooked maps live on different bases"),
+    "two entities of the kind asked for": (
+        lambda tmp_path: ["check-lie", "--algebra", write(tmp_path, "two.json", {
+            "x": AFFINE, "y": AFFINE})],
+        "several entities of kind 'lie_algebra' (x, y); address one by key"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_a_refusal_is_its_one_error_line(runner, tmp_path, case):
+    args, message = REFUSALS[case]
+    res = runner.invoke(main, args(tmp_path))
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert (res.exit_code, res.stdout, res.stderr) == (1, "", f"Error: {message}\n")
 
 
 def test_failing_homotopy_operator_reports_witness(runner, tmp_path):
@@ -1193,7 +1237,7 @@ def test_a_graded_walked_fail_is_the_least_word_of_its_whole_residual(
                 break
         hop = write(tmp_path, f"{command}.json", {"homotopy_operator": hop_to_obj(t)})
         # the residual kernel runs on every canonical word up to the witness
-        witness, calls = _walked_fail(runner, monkeypatch, homotopy, "residual_on_word", [
+        witness, calls = _walked_fail(runner, monkeypatch, homotopy, "_twice_residual", [
             "--p-max", "3", command, "--sgla", sgla_path, *action, "--hop", hop])
         weight = min(w for w, m in residual.items() if not m.is_zero())
         word = min(residual[weight].entries)

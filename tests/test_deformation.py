@@ -133,6 +133,17 @@ def test_mc_residual_requires_arity_one():
         mc_residual(AltMap.zero(2, 2, 2), affine_line(), adjoint(affine_line()))
 
 
+def test_operators_and_deformations_are_one_ary_maps():
+    alg = affine_line()
+    f = AltMap(2, 2, 2, {(0, 1): (Fraction(1), Fraction(0))})
+    with pytest.raises(ShapeMismatchError) as exc:
+        f.to_operator()
+    assert str(exc.value) == "only 1-ary maps correspond to operators"
+    with pytest.raises(ShapeMismatchError) as exc:
+        deformation_check(f, f, alg, adjoint(alg))
+    assert str(exc.value) == "deformations are 1-ary maps"
+
+
 def test_mc_residual_catalog_rbos_vanish():
     alg = affine_line()
     rep = adjoint(alg)

@@ -177,6 +177,13 @@ def test_check_sdgla_rejects_inhomogeneous():
         check_sdgla(g, skew)
 
 
+def test_check_sdgla_rejects_a_non_square_differential():
+    g = two_level_sgla()
+    with pytest.raises(ShapeMismatchError) as exc:
+        check_sdgla(g, matrix([[0, 0, 0], [0, 0, 0]]))
+    assert str(exc.value) == "differential must be square of the algebra dimension"
+
+
 def test_graded_rep_degree_violation():
     g = two_level_sgla()
     space = g.space

@@ -1,13 +1,15 @@
 """Every name a module of the package imports at module level is read there,
-and every public name it defines is called from outside the tests.
+every public name it defines is called from outside the tests, and every
+error it raises is a package error.
 
 No linter runs on this code, so an import left behind when its last use goes,
-or a helper that only the tests still call, would stay unseen; these tests
-read each module's syntax tree instead.  ``__init__.py`` is left out: it
-imports names to export them.
+a helper that only the tests still call, or a bare builtin exception would
+stay unseen; these tests read each module's syntax tree instead.
+``__init__.py`` is left out: it imports names to export them.
 """
 
 import ast
+import builtins
 import re
 import tokenize
 from pathlib import Path
@@ -60,6 +62,25 @@ def test_every_module_level_import_is_read(path):
     read = _read(tree)
     unread = {name: line for name, line in _imported(tree).items() if name not in read}
     assert not unread, f"{path.name} imports names it never reads: {unread}"
+
+
+# -- every raise names a package error -------------------------------------------
+
+BUILTIN_EXCEPTIONS = {name for name, obj in vars(builtins).items()
+                      if isinstance(obj, type) and issubclass(obj, BaseException)}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_raise_names_a_builtin_exception(path):
+    """A caller catches ``RotabaxterError`` for every error of the package
+    (``errors.py``), so no module raises a builtin class itself."""
+    builtin = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id in BUILTIN_EXCEPTIONS:
+                builtin.append(f"line {node.lineno}: {exc.id}")
+    assert not builtin, f"{path.name} raises builtin exceptions: {builtin}"
 
 
 # -- every public name has a caller --------------------------------------------

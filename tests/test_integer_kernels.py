@@ -885,6 +885,22 @@ def test_the_twisted_check_is_one_bracket(name, a, d, kind, rng):
         assert found == (word, vec_scale(Fraction(1, 2), twice.entries[word]))
 
 
+@pytest.mark.parametrize("name", ["two-level", "mixed/adjoint", "three-level/adjoint"])
+def test_the_residual_walk_holds_ints_and_divides_each_value_once(name):
+    # the walk runs the int kernel on canonical words and den carries its
+    # 2, so a value is int until a reader divides it, once
+    alg, rep = graded_pair(name, SCALES[:3], SCALES[3:6])
+    rng = random.Random(5)
+    values = []
+    while not values:
+        t = random_homotopy_operator(rng, rep.space, alg.space, 2, pool=POOL)
+        walk = homotopy._residual_walk(t, alg, rep, 3)
+        values = list(walk)
+    assert all(type(x) is int for _, _, v in values for x in v)
+    for _, word, v in values:
+        assert tuple(Fraction(x, walk.den) for x in v) == residual_on_word(t, alg, rep, word)
+
+
 def test_a_sum_of_int_images_stays_int():
     f = AltMap(1, 3, 2, {(0,): (Fraction(1, 2), Fraction(0)), (1,): (Fraction(1), Fraction(2))})
     g = AltMap(1, 3, 2, {(1,): (Fraction(-1, 3), Fraction(1)), (2,): (Fraction(0), Fraction(5))})
