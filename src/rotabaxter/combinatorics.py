@@ -21,6 +21,10 @@ from .errors import SearchSpaceError, ShapeMismatchError
 # entries is refused too (:func:`unshuffles`).
 CANONICAL_WORD_CAP = 200_000
 
+# Residual coordinates a structure-axiom check may compute over its basis
+# cells, and the entries a dense structure table may have.
+AXIOM_WORK_CAP = 20_000_000
+
 
 def parity_sign(exponent: int) -> int:
     """(-1) raised to an integer exponent (negative exponents allowed)."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache
 
-from .combinatorics import CANONICAL_WORD_CAP, parity_sign
+from .combinatorics import AXIOM_WORK_CAP, CANONICAL_WORD_CAP, parity_sign
 from .errors import SearchSpaceError, ShapeMismatchError
 from .linalg import (
     Action,
@@ -41,7 +41,7 @@ from .linalg import (
     vec_add,
     vec_sub,
 )
-from .reports import Report, first_failure, matrix_text, named_residual
+from .reports import Report, cell_witness
 
 
 @dataclass(frozen=True)
@@ -240,6 +240,32 @@ class Walk:
         for p, key, val in self:
             out.setdefault(p, {})[key] = divided(val, den)
         return out
+
+
+class CellWalk(Walk):
+    """A :class:`Walk` over the ``arity``-tuples of indices below n in sorted
+    order, or the increasing ones when ``distinct``, each keyed by itself with
+    weight None: ``on_cell(*cell)`` is den times its residual, a flat int tuple."""
+
+    __slots__ = ("n", "arity", "distinct")
+
+    def __init__(self, den: int, n: int, arity: int, on_cell, distinct: bool = False):
+        self.den, self.n, self.arity, self.on_word, self.distinct = den, n, arity, on_cell, distinct
+
+    def __iter__(self):
+        cells = (itertools.combinations(range(self.n), self.arity) if self.distinct
+                 else itertools.product(range(self.n), repeat=self.arity))
+        for cell in cells:
+            if any(val := self.on_word(*cell)):
+                yield None, cell, val
+
+
+def require_cells(check: str, total: int) -> None:
+    """Refuse a structure-axiom check whose :class:`CellWalk` parts, counted
+    first as residual coordinates over basis cells, are above AXIOM_WORK_CAP."""
+    if total > AXIOM_WORK_CAP:
+        raise SearchSpaceError(f"{check} needs {total} residual coordinates over basis cells, "
+                               f"above the cap of {AXIOM_WORK_CAP}")
 
 
 def koszul_sorted(degrees, args):
@@ -586,23 +612,22 @@ def check_sgla(g: SGLA) -> Report:
     constants (den times them).
     """
     n = _table_dim(g)
+    require_cells("check-sgla", 2 * n ** 3 + n ** 4)
     deg = g.space.degrees
-    names = g.space.basis
     den, b = g.cleared()
     b = b.b
-    triples = list(itertools.product(range(n), repeat=3))
-    degree_w = first_failure(
-        triples, lambda i, j, k: b[i][j][k] if deg[k] != deg[i] + deg[j] + 1 else 0, den)
-    sym_w = None if degree_w else first_failure(
-        triples, lambda i, j, k: b[i][j][k] - parity_sign(deg[i] * deg[j]) * b[j][i][k], den)
+    degree_w = cell_witness(CellWalk(
+        den, n, 3, lambda i, j, k: (b[i][j][k] if deg[k] != deg[i] + deg[j] + 1 else 0,)))
+    sym_w = None if degree_w else cell_witness(CellWalk(
+        den, n, 3, lambda i, j, k: (b[i][j][k] - parity_sign(deg[i] * deg[j]) * b[j][i][k],)))
     cols = tuple(zip(*b))  # cols[k][m] is [e_m, e_k]
 
     def leibniz(i, j, k):
         return signed_sum(n, ((1, b[j][k], b[i]), (-parity_sign(deg[i] + 1), b[i][j], cols[k]),
                               (-parity_sign((deg[i] + 1) * (deg[j] + 1)), b[i][k], b[j])))
 
-    leib_w = None if degree_w or sym_w else first_failure(
-        triples, leibniz, den * den, lambda res: named_residual(res, names))
+    leib_w = None if degree_w or sym_w else cell_witness(
+        CellWalk(den * den, n, 3, leibniz), g.space.basis)
     ok = degree_w is None and sym_w is None and leib_w is None
     # parts skipped after an earlier failure report None, not a verdict
     return Report(
@@ -640,26 +665,23 @@ def check_sdgla(g: SGLA, d: Matrix) -> Report:
         raise ShapeMismatchError("differential must be square of the algebra dimension")
     if not matrix_is_homogeneous(d, g.space, g.space, 1):
         raise ShapeMismatchError("differential must be homogeneous of degree 1")
+    require_cells("check-sdgla", n ** 2 + n ** 3)
     deg = g.space.degrees
     names = g.space.basis
     dd = common_denominator(x for row in d for x in row)
     dcols = tuple(zip(*as_integers(d, dd)))  # dcols[l] is d e_l
-    witness = first_failure(((j,) for j in range(n)),
-                            lambda j: signed_sum(n, ((1, dcols[j], dcols),)), dd * dd,
-                            lambda res: named_residual(res, names))
+    witness = cell_witness(
+        CellWalk(dd * dd, n, 1, lambda j: signed_sum(n, ((1, dcols[j], dcols),))), names)
     if witness:
         return Report("check-sdgla", False, witness={**witness, "part": "square"},
                       details={"square_ok": False, "compatibility_ok": None})
     db, b = g.cleared()
     b = b.b
     cols = tuple(zip(*b))  # cols[j][m] is [e_m, e_j]
-    witness = first_failure(
-        itertools.product(range(n), repeat=2),
+    witness = cell_witness(CellWalk(
+        dd * db, n, 2,
         lambda i, j: signed_sum(n, ((1, b[i][j], dcols), (1, dcols[i], cols[j]),
-                                    (parity_sign(deg[i]), dcols[j], b[i]))),
-        dd * db,
-        lambda res: named_residual(res, names),
-    )
+                                    (parity_sign(deg[i]), dcols[j], b[i])))), names)
     if witness:
         return Report("check-sdgla", False, witness={**witness, "part": "compatibility"},
                       details={"square_ok": True, "compatibility_ok": False})
@@ -697,6 +719,7 @@ def check_graded_rep(g: SGLA, rep: GradedRepresentation) -> Report:
     """
     n = _table_dim(g)
     d = require_action(n, rep)
+    require_cells("check-graded-rep", n * n * d * d)
     deg = g.space.degrees
     for i in range(n):
         if not matrix_is_homogeneous(rep.matrices[i], rep.space, rep.space, deg[i] + 1):
@@ -710,11 +733,11 @@ def check_graded_rep(g: SGLA, rep: GradedRepresentation) -> Report:
     def homomorphism(i, j):
         s = parity_sign(deg[i] + 1)
         s2 = s * parity_sign((deg[i] + 1) * (deg[j] + 1))
-        return tuple(signed_sum(d, ((1, b[i][j], rows[r]), (-s, ms[i][r], ms[j]),
-                                    (s2, ms[j][r], ms[i]))) for r in range(d))
+        return tuple(x for r in range(d)
+                     for x in signed_sum(d, ((1, b[i][j], rows[r]), (-s, ms[i][r], ms[j]),
+                                             (s2, ms[j][r], ms[i]))))
 
-    witness = first_failure(itertools.product(range(n), repeat=2), homomorphism, den * den,
-                            matrix_text)
+    witness = cell_witness(CellWalk(den * den, n, 2, homomorphism), side=d)
     if witness:
         return Report("check-graded-rep", False, witness={**witness, "part": "homomorphism"},
                       details={"degree_ok": True, "homomorphism_ok": False})

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .deformation import AltMap, _walked_altmap
 from .errors import BoundError, SearchSpaceError, ShapeMismatchError
-from .graded import Walk, ungraded_space
+from .graded import CellWalk, Walk, require_cells, ungraded_space
 from .linalg import (
     Action,
     Clearable,
@@ -36,7 +36,7 @@ from .linalg import (
     vec_add,
     vec_sub,
 )
-from .reports import Report, first_failure, matrix_text, named_residual
+from .reports import Report, cell_witness
 
 
 @dataclass(frozen=True)
@@ -145,18 +145,15 @@ def check_lie(alg: LieAlgebra) -> Report:
     """Verify antisymmetry and the Jacobi identity on all basis triples, on
     the int image of the constants (den times them)."""
     n = require_table(alg.dim, alg.c, "structure constant array does not match the basis")
+    require_cells("check-lie", n ** 3 + n ** 4)
     den, c = alg.cleared()
     c = c.c
     cols = tuple(zip(*c))  # cols[k][m] is [e_m, e_k]
-    triples = list(itertools.product(range(n), repeat=3))
-    antisym = first_failure(triples, lambda i, j, k: c[i][j][k] + c[j][i][k], den)
-    jacobi = first_failure(
-        triples,
+    antisym = cell_witness(CellWalk(den, n, 3, lambda i, j, k: (c[i][j][k] + c[j][i][k],)))
+    jacobi = cell_witness(CellWalk(
+        den * den, n, 3,
         lambda i, j, k: signed_sum(n, ((1, c[i][j], cols[k]), (1, c[j][k], cols[i]),
-                                       (1, c[k][i], cols[j]))),
-        den * den,
-        lambda res: named_residual(res, alg.basis),
-    )
+                                       (1, c[k][i], cols[j])))), alg.basis)
     ok = antisym is None and jacobi is None
     return Report(
         "check-lie",
@@ -169,17 +166,18 @@ def check_lie(alg: LieAlgebra) -> Report:
 def check_representation(alg: LieAlgebra, rep: Representation) -> Report:
     """Verify rho([e_i, e_j]) = [rho(e_i), rho(e_j)] on all basis pairs, on
     the int images of both over one den."""
-    d = require_action(alg.dim, rep)
+    n = require_table(alg.dim, alg.c, "structure constant array does not match the basis")
+    d = require_action(n, rep)
+    require_cells("check-rep", n * (n - 1) // 2 * d * d)
     den, alg, rep = cleared_pair(alg, rep)
     c, ms = alg.c, rep.matrices
     rows = tuple(zip(*ms))  # rows[r][k] is row r of rho(e_k)
-    witness = first_failure(
-        itertools.combinations(range(alg.dim), 2),
-        lambda i, j: tuple(signed_sum(d, ((1, c[i][j], rows[r]), (-1, ms[i][r], ms[j]),
-                                          (1, ms[j][r], ms[i]))) for r in range(d)),
-        den * den,
-        matrix_text,
-    )
+    witness = cell_witness(CellWalk(
+        den * den, n, 2,
+        lambda i, j: tuple(x for r in range(d)
+                           for x in signed_sum(d, ((1, c[i][j], rows[r]), (-1, ms[i][r], ms[j]),
+                                                   (1, ms[j][r], ms[i])))),
+        distinct=True), side=d)
     return Report("check-rep", witness is None, witness=witness)
 
 
@@ -195,6 +193,7 @@ def _oop_walk(alg: LieAlgebra, rep: Representation, t: LinearOperator) -> Walk:
         raise ShapeMismatchError(
             f"operator is {t.rows}x{t.cols}, expected {alg.dim}x{rep.space_dim}"
         )
+    require_table(alg.dim, alg.c, "structure constant array does not match the basis")
     d = require_action(alg.dim, rep)
     dt = common_denominator(x for row in t.matrix for x in row)
     cols = tuple(zip(*as_integers(t.matrix, dt)))

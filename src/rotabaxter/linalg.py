@@ -9,8 +9,8 @@ import math
 from fractions import Fraction
 from functools import cached_property
 
-from .combinatorics import parity_sign
-from .errors import ShapeMismatchError
+from .combinatorics import AXIOM_WORK_CAP, parity_sign
+from .errors import SearchSpaceError, ShapeMismatchError
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -167,6 +167,9 @@ def table_from_pairs(n: int, pairs, degrees=None):
     listed mirror is taken verbatim, so broken inputs stay expressible.
     Without (a pre-Lie product), nothing is completed.
     """
+    if n ** 3 > AXIOM_WORK_CAP:
+        raise SearchSpaceError(f"a table on {n} basis elements has {n ** 3} entries, "
+                               f"above the cap of {AXIOM_WORK_CAP}")
     t = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
     for (i, j), val in pairs.items():
         for k, coeff in val.items():

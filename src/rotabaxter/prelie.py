@@ -20,7 +20,7 @@ from fractions import Fraction
 from .combinatorics import parity_sign, signed_unshuffles
 from .deformation import AltMap, _check_spaces, courant_bracket, courant_on_word
 from .errors import NotMaurerCartanError, ShapeMismatchError
-from .graded import SparseFamily, SparseMap, Walk, ungraded_space
+from .graded import CellWalk, SparseFamily, SparseMap, Walk, require_cells, ungraded_space
 from .linalg import (
     Clearable,
     Vector,
@@ -31,7 +31,7 @@ from .linalg import (
     table_from_pairs,
     vec_is_zero,
 )
-from .reports import Report, first_failure, named_residual
+from .reports import Report, cell_witness
 
 # Global normalization of the compose operation.  The sign is fixed by
 # requiring that f |-> (u_1..u_k, w) |-> rho(f(u_1..u_k)) w intertwine the
@@ -144,16 +144,14 @@ def check_prelie(p: PreLieProduct) -> Report:
     """Verify left-symmetry (x*y)*z - x*(y*z) = (y*x)*z - y*(x*z) on basis
     triples, on the int image of the constants (den times them)."""
     n = require_table(p.dim, p.mu, "product constants do not match the basis")
+    require_cells("check-prelie", n ** 4)
     den, mu = p.cleared()
     mu = mu.mu
     cols = tuple(zip(*mu))  # cols[k][m] is e_m * e_k
-    witness = first_failure(
-        itertools.product(range(n), repeat=3),
+    witness = cell_witness(CellWalk(
+        den * den, n, 3,
         lambda i, j, k: signed_sum(n, ((1, mu[i][j], cols[k]), (-1, mu[j][k], mu[i]),
-                                       (-1, mu[j][i], cols[k]), (1, mu[i][k], mu[j]))),
-        den * den,
-        lambda res: named_residual(res, p.basis),
-    )
+                                       (-1, mu[j][i], cols[k]), (1, mu[i][k], mu[j])))), p.basis)
     return Report("check-prelie", witness is None, witness=witness)
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import OversizedScalarError
 
@@ -61,24 +60,18 @@ def matrix_text(m) -> list[list[str]]:
     return [[scalar_text(x) for x in row] for row in m]
 
 
-def _is_zero(r) -> bool:
-    return all(map(_is_zero, r)) if isinstance(r, tuple) else not r
-
-
-def _divided(r, den: int):
-    return tuple(_divided(x, den) for x in r) if isinstance(r, tuple) else Fraction(r, den)
-
-
-def first_failure(cells, residual, den: int, text=scalar_text) -> dict | None:
-    """The witness of the first cell, in the order given, whose residual is
-    nonzero: ``{"at": <1-based indices>, "residual": text(r / den)}``.
-
-    Each cell is a tuple of 0-based basis indices, and ``residual(*cell)`` is
-    a scalar, a vector or a matrix (a tuple of rows): den times the exact
-    residual, computed on int images.  None when every residual is zero.
-    """
-    for cell in cells:
-        r = residual(*cell)
-        if not _is_zero(r):
-            return {"at": [i + 1 for i in cell], "residual": text(_divided(r, den))}
-    return None
+def cell_witness(walk, names=(), side: int = 0) -> dict | None:
+    """``{"at": <1-based cell>, "residual": <text>}`` at the first nonzero
+    residual of a :class:`~rotabaxter.graded.CellWalk`, or None: a side x side
+    matrix when ``side`` is given, a vector keyed by ``names``, else a scalar."""
+    hit = walk.first()
+    if hit is None:
+        return None
+    _, cell, r = hit
+    if side:
+        text = matrix_text(r[k:k + side] for k in range(0, len(r), side))
+    elif names:
+        text = named_residual(r, names)
+    else:
+        text = scalar_text(r[0])
+    return {"at": [i + 1 for i in cell], "residual": text}

@@ -7,7 +7,8 @@ the action matrices and ``d``) by explicit index sums, without the library's
 brackets, products, actions or checks, and rebuilds the whole report.  The
 O-operator defect gets the same oracle, value by value.
 
-The drawn values have denominators 2 and 3, so the algebra and its action,
+The drawn modules include a one-dimensional one, whose residuals are 1 x 1
+matrices.  The drawn values have denominators 2 and 3, so the algebra and its action,
 and the bracket and the differential, often clear over different
 denominators, and a witness divided back by the wrong one shows.
 """
@@ -16,7 +17,14 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from rotabaxter.catalog import abelian, double_affine, graded_instances, lie_pairs, search_algebras
+from rotabaxter.catalog import (
+    abelian,
+    affine_line,
+    double_affine,
+    graded_instances,
+    lie_pairs,
+    search_algebras,
+)
 from rotabaxter.graded import (
     SGLA,
     GradedRepresentation,
@@ -24,6 +32,7 @@ from rotabaxter.graded import (
     check_sdgla,
     check_sgla,
     from_lie,
+    from_representation,
 )
 from rotabaxter.lie import (
     LieAlgebra,
@@ -39,8 +48,12 @@ from rotabaxter.prelie import PreLieProduct, check_prelie
 # witness divided back by the wrong denominator shows only on a fraction
 VALUES = (Fraction(1, 2), Fraction(1, 3), Fraction(-2), Fraction(-1), Fraction(1), Fraction(2))
 ALGEBRAS = [alg for _, alg in search_algebras()] + [double_affine(), abelian(2)]
-PAIRS = [(alg, rep) for _, alg, rep in lie_pairs()]
-GRADED = [(g, rep) for _, g, rep in graded_instances()]
+# a one-dimensional module of the affine algebra, rho(e1) = 1 and rho(e2) = 0:
+# every residual of its action is a 1 x 1 matrix
+LINE = (affine_line(), Representation(("v",), (((Fraction(1),),), ((Fraction(0),),))))
+PAIRS = [(alg, rep) for _, alg, rep in lie_pairs()] + [LINE]
+GRADED = ([(g, rep) for _, g, rep in graded_instances()]
+          + [(from_lie(LINE[0]), from_representation(LINE[1]))])
 
 
 def sign(e):

@@ -552,6 +552,57 @@ def test_a_refusal_is_its_one_error_line(runner, tmp_path, case):
     assert (res.exit_code, res.stdout, res.stderr) == (1, "", f"Error: {message}\n")
 
 
+def spaced(names):
+    """The file objects of each table kind on the given basis with no products."""
+    return {
+        "lie_algebra": {"lie_algebra": {"basis": names, "brackets": []}},
+        "sgla": {"sgla": {"space": {"basis": [{"name": n, "degree": -1} for n in names]},
+                          "brackets": []}},
+        "prelie": {"prelie": {"basis": names, "products": []}},
+    }
+
+
+@pytest.mark.parametrize("kind,command", [("lie_algebra", ["check-lie", "--algebra"]),
+                                          ("sgla", ["check-sgla", "--sgla"]),
+                                          ("prelie", ["check-prelie", "--prelie"])])
+def test_a_table_above_the_work_cap_is_refused_before_it_is_built(runner, tmp_path, kind,
+                                                                   command):
+    # 1,000 names ask for a dense table of 10^9 entries
+    path = write(tmp_path, "big.json", spaced([f"e{i}" for i in range(1000)])[kind])
+    start = time.perf_counter()
+    res = runner.invoke(main, [*command, path])
+    assert time.perf_counter() - start < 1
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert (res.exit_code, res.stdout, res.stderr) == (1, "", (
+        "Error: a table on 1000 basis elements has 1000000000 entries, "
+        "above the cap of 20000000\n"))
+
+
+def test_a_sparse_120_name_algebra_is_refused_before_its_first_cell(runner, tmp_path,
+                                                                   monkeypatch):
+    # the table is built (120^3 entries) and the checks refuse their scans:
+    # 120^3 + 120^4 residual coordinates for check-lie, C(120, 2) 120^2 for
+    # the adjoint in check-rep
+    path = write(tmp_path, "big.json", spaced([f"e{i}" for i in range(120)])["lie_algebra"])
+
+    def scanned(*args):
+        raise AssertionError("a residual cell was computed")
+
+    monkeypatch.setattr("rotabaxter.lie.signed_sum", scanned)
+    for args, message in (
+            (["check-lie", "--algebra", path],
+             "check-lie needs 209088000 residual coordinates over basis cells, "
+             "above the cap of 20000000"),
+            (["check-rep", "--algebra", path, "--rep", "adjoint"],
+             "check-rep needs 102816000 residual coordinates over basis cells, "
+             "above the cap of 20000000")):
+        start = time.perf_counter()
+        res = runner.invoke(main, args)
+        assert time.perf_counter() - start < 1, args
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert (res.exit_code, res.stdout, res.stderr) == (1, "", f"Error: {message}\n")
+
+
 def test_failing_homotopy_operator_reports_witness(runner, tmp_path):
     alg = write(tmp_path, "L.json", AFFINE)
     sgla_path = str(tmp_path / "g.json")

@@ -341,3 +341,14 @@ def test_oop_defect_refuses_a_module_of_dimension_448_before_any_pair(monkeypatc
     with pytest.raises(SearchSpaceError, match="a walk to weight 2 needs at least 200707 steps"):
         oop_defect(abelian(1), rep, zero_operator(1, d))
     assert not calls
+
+
+def test_a_short_structure_table_is_a_shape_error_of_the_module_checks():
+    # one 1 x 2 plane for two basis elements: the representation check and
+    # the O-operator defect compare the table with the basis before reading it
+    alg = lie.LieAlgebra(("a", "b"), (((0, 1),),))
+    rep = lie.Representation(("u", "v"), (matrix([[1, 0], [0, 1]]),) * 2)
+    for run in (lambda: check_representation(alg, rep),
+                lambda: oop_defect(alg, rep, zero_operator(2, 2))):
+        with pytest.raises(ShapeMismatchError, match="structure constant array does not match"):
+            run()

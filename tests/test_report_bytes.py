@@ -31,6 +31,9 @@ MIXED = (("x", -1), ("y", 0), ("w", 0))
 LADDER = (("a", -1), ("b", 0), ("c", 1))
 AFFINE = lie("e1 e2".split(), ("e1", "e2", {"e2": "1/2"}))
 ACTION = {"e1": [["1/3", "0"], ["0", "0"]], "e2": [["0", "1/5"], ["0", "0"]]}
+# a one-dimensional module: each residual of its action is a 1 x 1 matrix
+UNIT = lie("e1 e2".split(), ("e1", "e2", {"e2": "1"}))
+UNIT_ACTION = {"e2": [["1/2"]]}
 
 # name: (command, {option: the JSON object written to the file it names})
 CASES = {
@@ -60,6 +63,10 @@ CASES = {
         "--grep": {"graded_rep": {"action": {
             "x": [["0", "0", "0"], ["0", "1/3", "0"], ["0", "0", "1/3"]],
             "y": [["0", "0", "0"], ["0", "0", "0"], ["1/5", "0", "0"]]}}}}),
+    "graded-rep-one-coordinate": ("check-graded-rep", {
+        "--sgla": sgla((("e1", -1), ("e2", -1)), ("e1", "e2", {"e2": "1"})),
+        "--grep": {"graded_rep": {"space": {"basis": [{"name": "v", "degree": -1}]},
+                                  "action": UNIT_ACTION}}}),
     "prelie": ("check-prelie", {"--prelie": {"prelie": {"basis": ["e1", "e2"], "products": [
         {"left": "e1", "right": "e1", "value": {"e2": "1/2"}},
         {"left": "e2", "right": "e1", "value": {"e1": "1/3"}}]}}}),
@@ -67,6 +74,8 @@ CASES = {
         "--algebra": AFFINE,
         "--rep": {"representation": {"basis": ["v1", "v2"], "action": ACTION}},
         "--op": {"operator": {"rows": [["1/7", "2/3"], ["0", "1"]]}}}),
+    "rep-one-coordinate": ("check-rep", {"--algebra": UNIT, "--rep": {"representation": {
+        "basis": ["v"], "action": UNIT_ACTION}}}),
     "rbo": ("check-rbo", {
         "--algebra": AFFINE,
         "--op": {"operator": {"rows": [["1/7", "0"], ["2/3", "1"]],
@@ -89,6 +98,8 @@ WITNESS = {
     "graded-rep":
         '{"at": [1, 2], "part": "homomorphism", "residual": '
         '[["0", "0", "0"], ["0", "0", "0"], ["-1/15", "0", "0"]]}',
+    "graded-rep-one-coordinate":
+        '{"at": [1, 2], "part": "homomorphism", "residual": [["1/2"]]}',
     "lie-antisymmetry":
         '{"at": [1, 2, 1], "residual": "5/6"}',
     "lie-jacobi":
@@ -101,6 +112,8 @@ WITNESS = {
         '{"at": [1, 2], "residual": {"e2": "-1/2"}}',
     "rep":
         '{"at": [1, 2], "residual": [["0", "1/30"], ["0", "0"]]}',
+    "rep-one-coordinate":
+        '{"at": [1, 2], "residual": [["1/2"]]}',
     "sdgla-compatibility":
         '{"at": [1, 2], "part": "compatibility", "residual": {"c": "1/6"}}',
     "sdgla-square":
