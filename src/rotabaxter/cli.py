@@ -29,6 +29,7 @@ from .graded import (
     ungraded_space,
 )
 from .homotopy import (
+    DEFAULT_P_MAX,
     GradedSymFamily,
     GradedSymMap,
     _mc_witness,
@@ -38,7 +39,7 @@ from .homotopy import (
     graded_bracket,
     induce_prelie_infinity,
 )
-from .lie import _oop_walk, adjoint, check_lie, check_representation, search_rbo
+from .lie import SEARCH_CAP, _oop_walk, adjoint, check_lie, check_representation, search_rbo
 from .prelie import _phi_witness, check_prelie, induce_prelie, mn_bracket, phi
 from .reports import Report, named_residual
 from .serialize import Workspace
@@ -91,7 +92,7 @@ class _Group(_HelpToStdout, click.Group):
 
 
 @click.group(cls=_Group)
-@click.option("--p-max", default=4, show_default=True, type=click.IntRange(min=0),
+@click.option("--p-max", default=DEFAULT_P_MAX, show_default=True, type=click.IntRange(min=0),
               help="Weight bound for truncated homotopy checks.")
 @click.option("--json-report", type=click.Path(dir_okay=False), default=None,
               help="Write the machine-readable report to this file ('-' for stdout).")
@@ -452,7 +453,7 @@ def check_phi_hom_cmd(cfg, algebra, rep_, left, right):
 @click.option("--algebra", required=True)
 @click.option("--grid", default="-1,0,1", show_default=True,
               help="Comma-separated list of rational entries to try.")
-@click.option("--cap", default=2_000_000, show_default=True, type=click.IntRange(min=0))
+@click.option("--cap", default=SEARCH_CAP, show_default=True, type=click.IntRange(min=0))
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @click.pass_obj
 def search_rbo_cmd(cfg, algebra, grid, cap, out):
@@ -596,7 +597,7 @@ def induce_prelie_inf_cmd(cfg, sgla_, grep_, hop, force, out):
 
 @main.command("check-prelie-inf")
 @click.option("--pinf", required=True)
-@click.option("--n-max", default=4, show_default=True, type=click.IntRange(min=1))
+@click.option("--n-max", default=DEFAULT_P_MAX, show_default=True, type=click.IntRange(min=1))
 @click.pass_obj
 def check_prelie_inf_cmd(cfg, pinf, n_max):
     """Verify the coherence identities of a homotopy pre-Lie structure."""

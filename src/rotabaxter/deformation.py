@@ -94,36 +94,25 @@ def courant_on_word(f: AltMap, g: AltMap, alg, rep, word) -> Vector:
     over one table with the coefficients -1 and (-1)^(nm), so it is summed
     once with the coefficient (-1)^(nm) - 1, and not at all when that is 0;
     this uses no axiom of the algebra or the action."""
-    n, m = f.arity, g.arity
+    n, m = f.weight, g.weight  # the arities
     mn = parity_sign(m * n)
-    dim = f.dim_cod
+    dim = f.target.dim
     val = [0] * dim
-    same = g is f
-    coef = mn - 1 if same else -1
-    for s, sg in signed_unshuffles((m, 1, n - 1)) if n >= 1 and coef else ():
-        u = tuple(word[i] for i in s)
-        gval = g.eval(u[:m])
-        if vec_is_zero(gval):
-            continue
-        inserted = rep.act_basis(gval, u[m])
-        if vec_is_zero(inserted):
-            continue
-        term = f.eval_insert(inserted, u[m + 1:])
-        sg *= coef
-        for k in range(dim):
-            val[k] += sg * term[k]
-    for s, sg in signed_unshuffles((n, 1, m - 1)) if m >= 1 and not same else ():
-        u = tuple(word[i] for i in s)
-        fval = f.eval(u[:n])
-        if vec_is_zero(fval):
-            continue
-        inserted = rep.act_basis(fval, u[n])
-        if vec_is_zero(inserted):
-            continue
-        term = g.eval_insert(inserted, u[n + 1:])
-        sg *= mn
-        for k in range(dim):
-            val[k] += sg * term[k]
+    # g inserted into f and f into g; a self-bracket sums the one table once
+    for inner, outer, coef in ((f, f, mn - 1),) if g is f else ((g, f, -1), (f, g, mn)):
+        a, b = inner.weight, outer.weight
+        for s, sg in signed_unshuffles((a, 1, b - 1)) if b and coef else ():
+            u = tuple(word[i] for i in s)
+            ival = inner.eval(u[:a])
+            if vec_is_zero(ival):
+                continue
+            inserted = rep.act_basis(ival, u[a])
+            if vec_is_zero(inserted):
+                continue
+            term = outer.eval_insert(inserted, u[a + 1:])
+            sg *= coef
+            for k in range(dim):
+                val[k] += sg * term[k]
     for s, sg in signed_unshuffles((n, m)):
         u = tuple(word[i] for i in s)
         x = f.eval(u[:n])

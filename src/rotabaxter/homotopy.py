@@ -52,7 +52,13 @@ from .linalg import (
     require_action,
     vec_is_zero,
 )
-from .prelie import COMPOSE_NORMALIZATION, hook_compose_lasts
+from .prelie import (
+    COMPOSE_NORMALIZATION,
+    _compose_by_weight,
+    _hom_residual,
+    _hooked_maps,
+    hook_compose_lasts,
+)
 from .reports import Report, named_residual
 
 DEFAULT_P_MAX = 4
@@ -120,6 +126,9 @@ def bracket_on_word(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
     values with the per-term factor -(-1)^(n(sum of f-block degrees)+m+1),
     where m, n are the degrees of f and g.  Unshuffles that rearrange the
     word into the same word are summed once (see :func:`signed_unshuffles`).
+    When g is f, the two insertion sums are one sum with the coefficients -1
+    and (-1)^((m+1)(m+1)), so it is summed once with their sum, and not at
+    all at odd m, where that is 0; this uses no axiom of the structure.
     """
     degs = tuple(f.space.degrees[i] for i in word)
     par = tuple(d % 2 for d in degs)
@@ -129,43 +138,27 @@ def bracket_on_word(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
     fc, gc = f.components, g.components
     dim_g = alg.dim
     out = [0] * dim_g
-    # g inserted into an argument slot of f
-    for l in range(p):
-        gl = gc.get(l)
-        fk = fc.get(p - l)
-        if gl is None or fk is None:
-            continue
-        for s, eps in signed_unshuffles((l, 1, p - l - 1), par, pat):
-            u = tuple(word[i] for i in s)
-            gval = gl.eval(u[:l])
-            if vec_is_zero(gval):
-                continue
-            inserted = rep.act_basis(gval, u[l])
-            if vec_is_zero(inserted):
-                continue
-            term = fk.eval_insert(inserted, u[l + 1:])
-            for k in range(dim_g):
-                if term[k]:
-                    out[k] -= eps * term[k]
-    # f inserted into an argument slot of g
+    # g inserted into an argument slot of f, and f into an argument slot of g
     s2 = parity_sign((m + 1) * (n + 1))
-    for a in range(p):
-        fa = fc.get(a)
-        gl = gc.get(p - a)
-        if fa is None or gl is None:
-            continue
-        for s, eps in signed_unshuffles((a, 1, p - a - 1), par, pat):
-            u = tuple(word[i] for i in s)
-            fval = fa.eval(u[:a])
-            if vec_is_zero(fval):
+    for inner, outer, coef in ((fc, fc, s2 - 1),) if g is f else ((gc, fc, -1), (fc, gc, s2)):
+        for l in range(p):
+            il = inner.get(l)
+            ol = outer.get(p - l)
+            if il is None or ol is None:
                 continue
-            inserted = rep.act_basis(fval, u[a])
-            if vec_is_zero(inserted):
-                continue
-            term = gl.eval_insert(inserted, u[a + 1:])
-            for k in range(dim_g):
-                if term[k]:
-                    out[k] += s2 * eps * term[k]
+            for s, eps in signed_unshuffles((l, 1, p - l - 1), par, pat) if coef else ():
+                u = tuple(word[i] for i in s)
+                val = il.eval(u[:l])
+                if vec_is_zero(val):
+                    continue
+                inserted = rep.act_basis(val, u[l])
+                if vec_is_zero(inserted):
+                    continue
+                term = ol.eval_insert(inserted, u[l + 1:])
+                eps *= coef
+                for k in range(dim_g):
+                    if term[k]:
+                        out[k] += eps * term[k]
     # bracket of values
     for a in range(p + 1):
         fa = fc.get(a)
@@ -408,40 +401,14 @@ class GradedHookFamily(SparseFamily):
         super().__init__(space, space, degree, components)
 
 
-def _psi_entries(f: GradedSymFamily, rep: GradedRepresentation) -> dict:
-    """{weight: {(word, j): column}} of psi(f), the nonzero action columns
-    as ``act_basis`` computes them (ints from int inputs), each checked as
-    psi's map checks it, in the same order."""
+def psi(f: GradedSymFamily, rep: GradedRepresentation) -> GradedHookFamily:
+    """Hooked family (v_1..v_w, w) |-> rho(f_w(v_1..v_w)) w; degree rises by 1."""
     if f.space != rep.space:
         raise ShapeMismatchError("family and action live on different modules")
     if f.target.dim != len(rep.matrices):
         raise ShapeMismatchError("family values do not match the algebra of the action")
-    comps = {}
-    for w, comp in f.components.items():
-        hook = GradedHookedMap.zero(rep.space, w, f.degree + 1)
-        entries = {}
-        for word, gval in comp.entries.items():
-            for j in range(rep.space_dim):
-                col = rep.act_basis(gval, j)
-                if any(col):
-                    hook._check_value((word, j), col)
-                    entries[(word, j)] = col
-        if entries:
-            comps[w] = entries
-    return comps
-
-
-def _hook_family(space: GradedVectorSpace, degree: int, comps: dict) -> GradedHookFamily:
-    """The family of checked {weight: entries}, values stored as given."""
-    return GradedHookFamily(space, degree, {
-        w: GradedHookedMap._on(space, space, w, degree, entries) for w, entries in comps.items()})
-
-
-def psi(f: GradedSymFamily, rep: GradedRepresentation) -> GradedHookFamily:
-    """Hooked family (v_1..v_w, w) |-> rho(f_w(v_1..v_w)) w; degree rises by 1."""
-    comps = {w: {key: tuple(map(fr, col)) for key, col in entries.items()}
-             for w, entries in _psi_entries(f, rep).items()}
-    return _hook_family(rep.space, f.degree + 1, comps)
+    return GradedHookFamily(rep.space, f.degree + 1,
+                            _hooked_maps(f.components, f.degree, rep, GradedHookedMap, fr))
 
 
 def hook_compose_on_word(a: GradedHookFamily, b: GradedHookFamily, word, last) -> Vector:
@@ -458,13 +425,9 @@ def hook_compose(a: GradedHookFamily, b: GradedHookFamily,
     if a.space != b.space:
         raise ShapeMismatchError("families live on different spaces")
     degree = a.degree + b.degree
-    da, a = a.cleared()
-    db, b = b.cleared()
-    walk = Walk(da * db, a.space, range(p_max + 1),
-                lambda word: hook_compose_lasts(a, b, word), free=True)
     # the compose of homogeneous hooked maps is homogeneous
     comps = {p: GradedHookedMap._on(a.space, a.space, p, degree, entries)
-             for p, entries in walk.by_weight().items()}
+             for p, entries in _compose_by_weight(a, b, range(p_max + 1)).items()}
     return GradedHookFamily(a.space, degree, comps)
 
 
@@ -491,49 +454,42 @@ def _psi_witness(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
     first canonical (word, last), in weight then sorted order, where it is
     nonzero, or None when the two sides agree up to weight p_max.
 
-    Word by word on the int images: the action applied to
-    :func:`bracket_on_word` against :func:`hook_compose_lasts` of the int
-    psi(f) and psi(g), both sides carrying df * dg * ds^2, so only the value
-    returned is divided.  It raises what :func:`psi_homomorphism_defect`
-    raises: every bracket value is checked as the bracket's map checks it,
-    and then its action columns as psi's map does, on every word even past a
-    difference; the int values are checked as they are.  Only the weights
-    a + b, for a weight a of f and b of g, are walked: at any other weight
-    every term of both sides vanishes.
+    Word by word on the int images, in two walks.  The first collects the
+    values of :func:`bracket_on_word` and checks each as the bracket's map
+    checks it, and the action-column rule of psi checks their columns; then
+    psi of the int f and of the int g are built.  The second walks
+    :func:`_hom_residual`, both sides carrying df * dg * ds^2, and stops at
+    its first nonzero value, the only one divided.  So it raises what
+    :func:`psi_homomorphism_defect` raises, in the same order, on every word
+    even past a difference; the int values are checked as they are.  Only
+    the weights a + b, for a weight a of f and b of g, are walked: at any
+    other weight every term of both sides vanishes.
     """
     dfg, ds, f, g, alg, rep = _cleared_bracket_inputs(f, g, alg, rep, p_max)
-    # the brackets are computed below without a Walk, so counted here
+    # the walks stop at the top weight of f plus g, so the count to p_max is made here
     _require_walk(rep.space, p_max)
     space, dim = rep.space, rep.space.dim
     degree = f.degree + g.degree + 1
     weights = sorted({a + b for a in f.components for b in g.components if a + b <= p_max})
-    brackets = {}
-    for p in weights:
-        sym = GradedSymMap.zero(space, alg.space, p, degree)
-        for word in canonical_words(space, p):
-            val = brackets[word] = bracket_on_word(f, g, alg, rep, word)
-            if any(val):
-                sym._check_value(word, val)
-    lhs = {}
-    for word, val in brackets.items():
-        if any(val):
-            hook = GradedHookedMap.zero(space, len(word), degree + 1)
-            cols = lhs[word] = [rep.act_basis(val, last) for last in range(dim)]
-            for last, c in enumerate(cols):
-                if any(c):
-                    hook._check_value((word, last), c)
-    pf = _hook_family(space, f.degree + 1, _psi_entries(f, rep))
-    pg = pf if g is f else _hook_family(space, g.degree + 1, _psi_entries(g, rep))
+    brackets = {p: GradedSymMap._on(space, alg.space, p, degree, {}) for p in weights}
+    # den 1: the values are checked and kept as ints, never divided
+    for p, word, val in Walk(1, space, weights, lambda word: bracket_on_word(f, g, alg, rep, word)):
+        brackets[p]._check_value(word, val)
+        brackets[p].entries[word] = val
+    lhs = _hooked_maps(brackets, degree, rep, GradedHookedMap)
+    pf = GradedHookFamily(space, f.degree + 1,
+                          _hooked_maps(f.components, f.degree, rep, GradedHookedMap))
+    pg = pf if g is f else GradedHookFamily(
+        space, g.degree + 1, _hooked_maps(g.components, g.degree, rep, GradedHookedMap))
     s = parity_sign(pf.degree * pg.degree)
-    zeros = [(0,) * dim] * dim
-    for word in brackets:
-        fg = hook_compose_lasts(pf, pg, word)
-        gf = hook_compose_lasts(pg, pf, word)
-        for last, (x, y, z) in enumerate(zip(lhs.get(word, zeros), fg, gf)):
-            res = [xk - yk + s * zk for xk, yk, zk in zip(x, y, z)]
-            if any(res):
-                return len(word), word, last, divided(res, dfg * ds * ds)
-    return None
+    zero = (0,) * dim
+
+    def residuals_on_word(word):
+        get = lhs[len(word)].entries.get
+        return _hom_residual([get((word, last), zero) for last in range(dim)], pf, pg, s, word)
+
+    found = Walk(dfg * ds * ds, space, weights, residuals_on_word, free=True).first()
+    return found and (found[0], *found[1], found[2])
 
 
 def check_psi_homomorphism(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,

@@ -30,7 +30,6 @@ from .linalg import (
     matrix,
     require_action,
     require_table,
-    rho,
     signed_sum,
     table_from_pairs,
     vec_add,
@@ -85,7 +84,6 @@ class Representation(Action):
     def space_dim(self) -> int:
         return len(self.basis)
 
-    rho = rho
     act_basis = act_basis
 
 

@@ -239,7 +239,3 @@ def require_action(n: int, act: Action) -> int:
         raise ShapeMismatchError("action matrices must be square of the module dimension")
     return act.space_dim
 
-
-def rho(self, x: Vector) -> Matrix:
-    """The matrix of rho(x); column j is :func:`act_basis` of x on e_j."""
-    return tuple(zip(*(act_basis(self, x, j) for j in range(self.space_dim))))

@@ -21,11 +21,13 @@ from .combinatorics import parity_sign, signed_unshuffles
 from .deformation import AltMap, _check_spaces, courant_bracket, courant_on_word
 from .errors import NotMaurerCartanError, ShapeMismatchError
 from .graded import CellWalk, SparseFamily, SparseMap, Walk, require_cells, ungraded_space
+from .lie import _oop_walk
 from .linalg import (
     Clearable,
     Vector,
     bilinear,
     cleared_pair,
+    fr,
     require_table,
     signed_sum,
     table_from_pairs,
@@ -54,7 +56,8 @@ def hook_compose_lasts(a: SparseFamily, b: SparseFamily, word) -> list[Vector]:
     the second do not depend on the last argument, so each is computed once
     per word, and every map is read through ``eval_lasts``.  Unshuffles that
     rearrange the word into the same word are summed once.  On hooked maps
-    (:func:`_family`) the factor is (-1)^(nm) and the tables are unmerged.
+    (one-weight families on V in degree -1) the factor is (-1)^(nm) and the
+    tables are unmerged.
     """
     space = a.space
     dim = space.dim
@@ -185,28 +188,26 @@ def hook_of_product(p: PreLieProduct) -> HookedMap:
     return HookedMap(1, p.dim, {((i,), j): p.mu[i][j] for i, j in pairs})
 
 
-def _family(h: HookedMap) -> SparseFamily:
-    """A hooked map as the one-weight family :func:`hook_compose_lasts` reads."""
-    return SparseFamily(h.space, h.space, h.degree, {h.weight: h})
+def _compose_by_weight(a: SparseFamily, b: SparseFamily, weights) -> dict:
+    """{weight: {(word, last): value}} of the compose a o b on the given
+    weights: :func:`hook_compose_lasts` on the int images of the two
+    families, each value divided once."""
+    da, a = a.cleared()
+    db, b = b.cleared()
+    return Walk(da * db, a.space, weights, lambda word: hook_compose_lasts(a, b, word),
+                free=True).by_weight()
 
 
 def circ(alpha: HookedMap, beta: HookedMap) -> HookedMap:
     """Compose of hooked maps; arities add: :func:`hook_compose_lasts` on
-    each increasing word.
-
-    Both summands are bilinear in (alpha, beta), so they run on the int
-    images of the two maps and each value is divided once.
-    """
+    each increasing word, each map read as the one-weight family of its
+    arity on V in degree -1."""
     if alpha.dim != beta.dim:
         raise ShapeMismatchError("hooked maps live on different spaces")
     total = alpha.arity + beta.arity
-    da, alpha = alpha.cleared()
-    db, beta = beta.cleared()
-    a, b = _family(alpha), _family(beta)
-    walk = Walk(da * db, alpha.space, (total,), lambda word: hook_compose_lasts(a, b, word),
-                free=True)
+    a, b = (SparseFamily(h.space, h.space, h.degree, {h.arity: h}) for h in (alpha, beta))
     return HookedMap._on(alpha.space, alpha.space, total, total,
-                         walk.by_weight().get(total, {}))
+                         _compose_by_weight(a, b, (total,)).get(total, {}))
 
 
 def mn_bracket(alpha: HookedMap, beta: HookedMap) -> HookedMap:
@@ -218,25 +219,48 @@ def mn_bracket(alpha: HookedMap, beta: HookedMap) -> HookedMap:
     return circ(alpha, beta) - circ(beta, alpha).scale(ab)
 
 
-def _phi_entries(f: AltMap, rep) -> dict:
-    """{(word, j): column} of phi(f), the nonzero action columns as
-    ``act_basis`` computes them (ints from int inputs)."""
-    if f.dim_dom != rep.space_dim:
-        raise ShapeMismatchError("map and representation live on different modules")
-    if f.dim_cod != len(rep.matrices):
-        raise ShapeMismatchError("map values do not match the algebra of the representation")
-    entries = {}
-    for key, gval in f.entries.items():
-        for j in range(rep.space_dim):
-            col = rep.act_basis(gval, j)
-            if any(col):
-                entries[(key, j)] = col
-    return entries
+def _hooked_maps(components: dict, degree: int, rep, member, scalar=None) -> dict:
+    """{weight: the hooked map (u_1..u_w, v) |-> rho(f_w(u_1..u_w)) v} of
+    each map f_w of ``components`` ({weight: map of degree ``degree``}), a
+    ``member`` map of degree ``degree`` + 1: the nonzero action columns,
+    keyed (word, j), each checked as that map checks a value, in weight, word
+    and j order.  A column is what ``act_basis`` computes, ints from int
+    inputs, with ``scalar`` applied to each coordinate when it is given.
+    The one action-column rule of phi, psi and their homomorphism checks."""
+    act, hooks = rep.act_basis, {}
+    for w, comp in components.items():
+        space = comp.space
+        hook = hooks[w] = member._on(space, space, w, degree + 1, {})
+        entries = hook.entries
+        check = True
+        for word, gval in comp.entries.items():
+            for j in range(space.dim):
+                col = act(gval, j)
+                if any(col):
+                    if check:
+                        hook._check_value((word, j), col)
+                        # on a space of one degree every column has the degree of the first
+                        check = space.uniform_degree is None
+                    entries[(word, j)] = tuple(map(scalar, col)) if scalar else col
+    return hooks
 
 
 def phi(f: AltMap, rep) -> HookedMap:
     """Hooked map (u_1..u_k, w) |-> rho(f(u_1..u_k)) w attached to f."""
-    return HookedMap(f.arity, rep.space_dim, _phi_entries(f, rep))
+    if f.dim_dom != rep.space_dim:
+        raise ShapeMismatchError("map and representation live on different modules")
+    if f.dim_cod != len(rep.matrices):
+        raise ShapeMismatchError("map values do not match the algebra of the representation")
+    return _hooked_maps({f.arity: f}, f.degree, rep, HookedMap, fr)[f.arity]
+
+
+def _hom_residual(lhs, pf: SparseFamily, pg: SparseFamily, s: int, word):
+    """lhs - (pf o pg - s pg o pf) on (word; last) for each last argument in
+    turn, lhs its left side's values in that order: the residual of the phi
+    and psi homomorphism checks, where s is (-1)^(deg pf deg pg), computed
+    for a last argument only once the ones before it are read."""
+    for x, y, z in zip(lhs, hook_compose_lasts(pf, pg, word), hook_compose_lasts(pg, pf, word)):
+        yield [xk - yk + s * zk for xk, yk, zk in zip(x, y, z)]
 
 
 def _phi_witness(f: AltMap, g: AltMap, alg, rep):
@@ -245,8 +269,8 @@ def _phi_witness(f: AltMap, g: AltMap, alg, rep):
     is nonzero, or None when the two sides agree.
 
     Word by word on the int images: the action applied to
-    :func:`courant_on_word` against :func:`hook_compose_lasts` of the int
-    phi(f) and phi(g), both sides carrying df * dg * ds^2, so only the value
+    :func:`courant_on_word` against :func:`_hom_residual` of the int phi(f)
+    and phi(g), both sides carrying df * dg * ds^2, so only the value
     returned is divided.  Maps on other spaces, an action with other than
     one matrix per algebra basis element, and a walk above the work cap
     raise what :func:`phi_homomorphism_defect` raises, in the same order.
@@ -262,17 +286,14 @@ def _phi_witness(f: AltMap, g: AltMap, alg, rep):
     def residuals_on_word(word):
         br = courant_on_word(f, g, alg, rep, word)
         lhs = [rep.act_basis(br, last) for last in range(dim)] if any(br) else zeros
-        return [[xk - yk + s * zk for xk, yk, zk in zip(x, y, z)]
-                for x, y, z in zip(lhs, hook_compose_lasts(pf, pg, word),
-                                   hook_compose_lasts(pg, pf, word))]
+        return _hom_residual(lhs, pf, pg, s, word)
 
     # counted before phi(f) and phi(g), which cost dim action columns per entry
     walk = Walk(df * dg * ds * ds, f.space, (f.arity + g.arity,), residuals_on_word, free=True)
-
-    def hooked(h):
-        return _family(HookedMap._on(h.space, h.space, h.arity, h.arity, _phi_entries(h, rep)))
-
-    pf, pg = hooked(f), hooked(g)
+    pf = SparseFamily(f.space, f.space, f.arity,
+                      _hooked_maps({f.arity: f}, f.degree, rep, HookedMap))
+    pg = SparseFamily(g.space, g.space, g.arity,
+                      _hooked_maps({g.arity: g}, g.degree, rep, HookedMap))
     return walk.first()
 
 
@@ -292,8 +313,6 @@ def phi_homomorphism_defect(f: AltMap, g: AltMap, alg, rep) -> HookedMap:
 
 def induce_prelie(t, alg, rep, force: bool = False) -> PreLieProduct:
     """Pre-Lie product u * v = rho(Tu) v induced by an O-operator T."""
-    from .lie import _oop_walk
-
     if not force and not _oop_walk(alg, rep, t).vanishes():
         raise NotMaurerCartanError(
             "operator is not an O-operator; pass force=True to build the product anyway"

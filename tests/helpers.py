@@ -80,6 +80,13 @@ def shifted_bracket(f, g, alg, rep, p_max):
     return graded_bracket(f, g, alg, rep, p_max).scale(parity_sign(f.degree))
 
 
+def action_matrix(rep, x: Vector):
+    """rho(x) = sum_a x_a M_a, summed straight from the action's matrices."""
+    d = rep.space_dim
+    return tuple(tuple(sum(xa * m[r][c] for xa, m in zip(x, rep.matrices)) for c in range(d))
+                 for r in range(d))
+
+
 def commutator_algebra(p: PreLieProduct) -> LieAlgebra:
     """The sub-adjacent Lie bracket [x, y] = x*y - y*x of a pre-Lie product."""
     n = p.dim

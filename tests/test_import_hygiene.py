@@ -64,6 +64,36 @@ def test_every_module_level_import_is_read(path):
     assert not unread, f"{path.name} imports names it never reads: {unread}"
 
 
+# -- imports sit at module level ------------------------------------------------
+
+# ``lie`` imports ``deformation``, so ``deformation`` reaches ``lie`` at call time
+FUNCTION_IMPORTS = {("deformation.py", "AltMap.to_operator")}
+
+
+def _function_imports(tree):
+    """(qualified name, line) of each import inside a function or method."""
+    def visit(node, prefix, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from visit(child, prefix + (child.name,),
+                                 in_function or not isinstance(child, ast.ClassDef))
+            elif isinstance(child, (ast.Import, ast.ImportFrom)):
+                if in_function:
+                    yield ".".join(prefix), child.lineno
+            else:
+                yield from visit(child, prefix, in_function)
+    return list(visit(tree, (), False))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_import_inside_a_function(path):
+    """Every import runs when its module loads, so an import cycle shows at
+    once; only a call that must reach a module importing this one is exempt."""
+    found = [(name, line) for name, line in _function_imports(ast.parse(path.read_text()))
+             if (path.name, name) not in FUNCTION_IMPORTS]
+    assert not found, f"{path.name} imports inside functions: {found}"
+
+
 # -- every raise names a package error -------------------------------------------
 
 BUILTIN_EXCEPTIONS = {name for name, obj in vars(builtins).items()

@@ -834,6 +834,33 @@ def test_the_word_by_word_phi_check_matches_the_family_comparison(
     assert value == defect.entries[(word, last)]
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(LIE)), scales, scales,
+       st.sampled_from(("valid", "action", "algebra")), rngs)
+def test_the_phi_and_psi_checks_agree_on_embedded_maps(name, a, d, kind, rng):
+    # psi of the degree -1 embedding is phi, and the bracket and compose
+    # agree there, so the two checks find the same witness with the same value
+    alg, rep = lie_pair(name, a, d, kind, rng)
+    galg, grep = embed_pair(alg, rep)
+    dim = rep.space_dim
+    verdicts = set()
+    for n in range(dim + 1):
+        for m in range(dim + 1 - n):
+            f = random_altmap(rng, n, dim, alg.dim, pool=POOL)
+            g = random_altmap(rng, m, dim, alg.dim, pool=POOL)
+            found = _phi_witness(f, g, alg, rep)
+            got = _psi_witness(family_from_alt(f, grep.space, galg.space),
+                               family_from_alt(g, grep.space, galg.space), galg, grep, n + m)
+            if found is None:
+                assert got is None
+            else:
+                arity, (word, last), value = found
+                assert got == (arity, word, last, value)
+            verdicts.add(found is None)
+    if kind == "valid":
+        assert verdicts == {True}
+
+
 class NoAction:
     """An action that must not be read: a self-bracket whose insertion
     coefficient is 0 skips the insertion sum."""
@@ -868,6 +895,23 @@ def test_a_self_bracket_sums_each_insertion_once(name, a, d, n, kind, rng):
         assert got == courant_on_word(f, twin, alg, rep, word)
         if n % 2 == 0:  # (-1)^(n n) - 1 = 0: the action is never read
             assert got == courant_on_word(f, f, alg, NoAction(rep), word)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(GRADED), scales, scales, st.integers(-1, 1),
+       st.sampled_from(("scale", "valid", "fill")), rngs)
+def test_a_graded_self_bracket_sums_each_insertion_once(name, a, d, degree, kind, rng):
+    alg, rep = graded_pair(name, a, d)
+    rep = broken_action(rep, rng, kind)
+    f = random_sym_family(rng, rep.space, alg.space, degree, 2, pool=POOL)
+    twin = f.scale(1)  # equal to f, but not f
+    # every word, unsorted and with repeated letters, up to three letters
+    for p in range(4):
+        for word in itertools.product(range(rep.space.dim), repeat=p):
+            got = bracket_on_word(f, f, alg, rep, word)
+            assert got == bracket_on_word(f, twin, alg, rep, word)
+            if degree % 2:  # (-1)^((m+1)(m+1)) - 1 = 0: the action is never read
+                assert got == bracket_on_word(f, f, alg, NoAction(rep), word)
 
 
 @settings(max_examples=60, deadline=None)

@@ -29,7 +29,13 @@ from rotabaxter.prelie import (
     prelie_product,
 )
 
-from helpers import commutator_algebra, eval_last_insert, random_altmap, random_hooked
+from helpers import (
+    action_matrix,
+    commutator_algebra,
+    eval_last_insert,
+    random_altmap,
+    random_hooked,
+)
 
 
 def rng():
@@ -189,7 +195,7 @@ def test_phi_spot_value_on_defect_map():
     rep = adjoint(alg)
     f = AltMap(2, 2, 2, {(0, 1): (Fraction(1), Fraction(2))})
     hook = phi(f, rep)
-    m = rep.rho((Fraction(1), Fraction(2)))
+    m = action_matrix(rep, (Fraction(1), Fraction(2)))
     for w in range(2):
         assert hook.eval((0, 1), w) == tuple(m[r][w] for r in range(2))
 
