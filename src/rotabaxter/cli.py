@@ -9,10 +9,11 @@ the invocation passed.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import click
 
@@ -46,8 +47,11 @@ from .serialize import Workspace
 
 @dataclass
 class Config:
+    """One invocation's options, and the workspace its files are read into:
+    a fresh one for every call of :func:`main`."""
     p_max: int
     json_report: str | None
+    ws: Workspace = field(default_factory=Workspace)
 
 
 def _show_help(ctx: click.Context, param: click.Parameter, value: bool) -> None:
@@ -70,9 +74,15 @@ class _HelpToStdout:
 
 class _Command(_HelpToStdout, click.Command):
     """Every subcommand's class: the one place where a package error becomes
-    a one-line ``Error:`` message with exit status 1."""
+    a one-line ``Error:`` message with exit status 1, and where a half-given
+    --left/--right pair is a usage error before any file is read."""
 
     def invoke(self, ctx: click.Context):
+        left, right = ctx.params.get("left"), ctx.params.get("right")
+        if (left is None) != (right is None):
+            raise click.UsageError(f"Missing option '--{'right' if right is None else 'left'}': "
+                                   "give --left and --right, or neither to sweep the basis pairs",
+                                   ctx)
         try:
             return super().invoke(ctx)
         except RotabaxterError as exc:
@@ -166,12 +176,6 @@ def _lie(ws, ref):
     return ser.lie_from_obj(_resolve(ws, ref, "lie_algebra"))
 
 
-def _rep(ws, ref, alg):
-    if ref == "adjoint":
-        return adjoint(alg)
-    return ser.rep_from_obj(_resolve(ws, ref, "representation"), alg)
-
-
 def _op(ws, ref, nrows=None, ncols=None):
     return ser.operator_from_obj(_resolve(ws, ref, "operator"), nrows, ncols)
 
@@ -202,10 +206,41 @@ def _sgla(ws, ref):
     return ser.sgla_from_obj(payload, default_space)
 
 
-def _grep(ws, ref, galg):
-    if ref == "adjoint":
-        return adjoint_graded(galg)
-    return ser.grep_from_obj(_resolve(ws, ref, "graded_rep"), galg)
+def _input_pair(first, second, read):
+    """A decorator declaring the two options of an input pair, ``first`` and
+    then ``second`` (each an option and its parameter name), ahead of the
+    command's own options, and calling the command with the config and the
+    pair that ``read`` makes of the two references."""
+    def decorate(command):
+        @click.option(*first, required=True)
+        @click.option(*second, required=True)
+        @click.pass_obj
+        @functools.wraps(command)
+        def run(cfg, **options):
+            refs = options.pop(first[1]), options.pop(second[1])
+            return command(cfg, *read(cfg.ws, *refs), **options)
+        return run
+    return decorate
+
+
+def _lie_rep(ws, algebra, rep_):
+    alg = _lie(ws, algebra)
+    if rep_ == "adjoint":
+        return alg, adjoint(alg)
+    return alg, ser.rep_from_obj(_resolve(ws, rep_, "representation"), alg)
+
+
+def _sgla_grep(ws, sgla_, grep_):
+    galg = _sgla(ws, sgla_)
+    if grep_ == "adjoint":
+        return galg, adjoint_graded(galg)
+    return galg, ser.grep_from_obj(_resolve(ws, grep_, "graded_rep"), galg)
+
+
+# a Lie algebra and a representation of it, the setting of O-operators
+_on_rep = _input_pair(("--algebra", "algebra"), ("--rep", "rep_"), _lie_rep)
+# an SGLA and a graded representation, the setting of homotopy O-operators
+_on_grep = _input_pair(("--sgla", "sgla_"), ("--grep", "grep_"), _sgla_grep)
 
 
 def _hop(ws, ref, space, target):
@@ -244,18 +279,15 @@ def _weight_report(name, found, space, target, order) -> Report:
     return Report(name, False, order=order, witness=_weight_witness(*found, space, target))
 
 
-def _pair_given(left, right) -> bool:
-    """Whether a homomorphism check runs on a given pair, not the basis pairs."""
-    if (left is None) != (right is None):
-        raise click.UsageError(f"Missing option '--{'right' if right is None else 'left'}': "
-                               "give --left and --right, or neither to sweep the basis pairs")
-    return left is not None
-
-
-def _sweep(pairs, check, file_form):
-    """The witness of the first pair whose check fails, naming the pair in
-    file form as "left" and "right" to replay it; None when all pass."""
-    for f, g in pairs:
+def _given_or_sweep(left, right, read, check, sweep, file_form):
+    """The witness of ``check`` on the given --left/--right pair, each map
+    ``read`` from its reference; with neither given, the witness of the first
+    pair of ``sweep()`` whose check fails, naming the pair in file form as
+    "left" and "right" to replay it.  None when every check passes.  A
+    half-given pair is refused before the inputs are read (:class:`_Command`)."""
+    if left is not None:
+        return check(read(left), read(right))
+    for f, g in sweep():
         witness = check(f, g)
         if witness is not None:
             return {"left": file_form(f), "right": file_form(g), **witness}
@@ -269,19 +301,14 @@ def _sweep(pairs, check, file_form):
 @click.pass_obj
 def check_lie_cmd(cfg, algebra):
     """Verify antisymmetry and the Jacobi identity."""
-    ws = Workspace()
-    _finish(cfg, check_lie(_lie(ws, algebra)))
+    _finish(cfg, check_lie(_lie(cfg.ws, algebra)))
 
 
 @main.command("check-rep")
-@click.option("--algebra", required=True)
-@click.option("--rep", "rep_", required=True)
-@click.pass_obj
-def check_rep_cmd(cfg, algebra, rep_):
+@_on_rep
+def check_rep_cmd(cfg, alg, rep):
     """Verify the representation axiom on all basis pairs."""
-    ws = Workspace()
-    alg = _lie(ws, algebra)
-    _finish(cfg, check_representation(alg, _rep(ws, rep_, alg)))
+    _finish(cfg, check_representation(alg, rep))
 
 
 @main.command("check-rbo")
@@ -290,90 +317,64 @@ def check_rep_cmd(cfg, algebra, rep_):
 @click.pass_obj
 def check_rbo_cmd(cfg, algebra, op_):
     """Verify the Rota-Baxter identity for an operator g -> g."""
-    ws = Workspace()
-    alg = _lie(ws, algebra)
-    p = _op(ws, op_, alg.dim, alg.dim)
+    alg = _lie(cfg.ws, algebra)
+    p = _op(cfg.ws, op_, alg.dim, alg.dim)
     found = _oop_walk(alg, adjoint(alg), p).first()
     _finish(cfg, _altmap_report("check-rbo", found, alg.basis))
 
 
 @main.command("check-oop")
-@click.option("--algebra", required=True)
-@click.option("--rep", "rep_", required=True)
+@_on_rep
 @click.option("--op", "op_", required=True)
-@click.pass_obj
-def check_oop_cmd(cfg, algebra, rep_, op_):
+def check_oop_cmd(cfg, alg, rep, op_):
     """Verify the relative Rota-Baxter identity for an operator V -> g."""
-    ws = Workspace()
-    alg = _lie(ws, algebra)
-    rep = _rep(ws, rep_, alg)
-    t = _op(ws, op_, alg.dim, rep.space_dim)
+    t = _op(cfg.ws, op_, alg.dim, rep.space_dim)
     _finish(cfg, _altmap_report("check-oop", _oop_walk(alg, rep, t).first(), alg.basis))
 
 
 @main.command("bracket")
-@click.option("--algebra", required=True)
-@click.option("--rep", "rep_", required=True)
+@_on_rep
 @click.option("--left", required=True)
 @click.option("--right", required=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.pass_obj
-def bracket_cmd(cfg, algebra, rep_, left, right, out):
+def bracket_cmd(cfg, alg, rep, left, right, out):
     """Bracket of two alternating maps; emits an altmap."""
-    ws = Workspace()
-    alg = _lie(ws, algebra)
-    rep = _rep(ws, rep_, alg)
-    f = _operator_or_altmap(ws, left, alg, rep)
-    g = _operator_or_altmap(ws, right, alg, rep)
+    f = _operator_or_altmap(cfg.ws, left, alg, rep)
+    g = _operator_or_altmap(cfg.ws, right, alg, rep)
     result = courant_bracket(f, g, alg, rep)
     _emit({"altmap": ser.altmap_to_obj(result, alg.basis)}, out)
 
 
 @main.command("mc-check")
-@click.option("--algebra", required=True)
-@click.option("--rep", "rep_", required=True)
+@_on_rep
 @click.option("--op", "op_", required=True)
-@click.pass_obj
-def mc_check_cmd(cfg, algebra, rep_, op_):
+def mc_check_cmd(cfg, alg, rep, op_):
     """Maurer-Cartan check: half the self-bracket of a 1-ary map."""
-    ws = Workspace()
-    alg = _lie(ws, algebra)
-    rep = _rep(ws, rep_, alg)
-    t = _operator_or_altmap(ws, op_, alg, rep)
+    t = _operator_or_altmap(cfg.ws, op_, alg, rep)
     _finish(cfg, _altmap_report("mc-check", _mc_walk(t, alg, rep).first(2), alg.basis))
 
 
 @main.command("deform")
-@click.option("--algebra", required=True)
-@click.option("--rep", "rep_", required=True)
+@_on_rep
 @click.option("--base", required=True)
 @click.option("--delta", required=True)
-@click.pass_obj
-def deform_cmd(cfg, algebra, rep_, base, delta):
+def deform_cmd(cfg, alg, rep, base, delta):
     """Whether base + delta is still an O-operator (twisted Maurer-Cartan)."""
-    ws = Workspace()
-    alg = _lie(ws, algebra)
-    rep = _rep(ws, rep_, alg)
-    t = _operator_or_altmap(ws, base, alg, rep)
-    tp = _operator_or_altmap(ws, delta, alg, rep)
+    t = _operator_or_altmap(cfg.ws, base, alg, rep)
+    tp = _operator_or_altmap(cfg.ws, delta, alg, rep)
     if not _mc_walk(t, alg, rep).vanishes():
         raise click.ClickException("the base operator is not an O-operator")
     _finish(cfg, _altmap_report("deform", _twisted_walk(t, tp, alg, rep).first(), alg.basis))
 
 
 @main.command("induce-prelie")
-@click.option("--algebra", required=True)
-@click.option("--rep", "rep_", required=True)
+@_on_rep
 @click.option("--op", "op_", required=True)
 @click.option("--force", is_flag=True, help="Skip the O-operator verification.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.pass_obj
-def induce_prelie_cmd(cfg, algebra, rep_, op_, force, out):
+def induce_prelie_cmd(cfg, alg, rep, op_, force, out):
     """Pre-Lie product u * v = rho(Tu) v of an O-operator; emits a prelie."""
-    ws = Workspace()
-    alg = _lie(ws, algebra)
-    rep = _rep(ws, rep_, alg)
-    t = _op(ws, op_, alg.dim, rep.space_dim)
+    t = _op(cfg.ws, op_, alg.dim, rep.space_dim)
     product = induce_prelie(t, alg, rep, force=force)
     _emit({"prelie": ser.prelie_to_obj(product)}, out)
 
@@ -383,8 +384,7 @@ def induce_prelie_cmd(cfg, algebra, rep_, op_, force, out):
 @click.pass_obj
 def check_prelie_cmd(cfg, prelie_):
     """Verify the left-symmetry identity of a bilinear product."""
-    ws = Workspace()
-    _finish(cfg, check_prelie(ser.prelie_from_obj(_resolve(ws, prelie_, "prelie"))))
+    _finish(cfg, check_prelie(ser.prelie_from_obj(_resolve(cfg.ws, prelie_, "prelie"))))
 
 
 @main.command("mn-bracket")
@@ -394,9 +394,8 @@ def check_prelie_cmd(cfg, prelie_):
 @click.pass_obj
 def mn_bracket_cmd(cfg, left, right, out):
     """Bracket of two hooked maps; emits a hooked_map."""
-    ws = Workspace()
-    a, names = _hooked(ws, left)
-    b, names_b = _hooked(ws, right)
+    a, names = _hooked(cfg.ws, left)
+    b, names_b = _hooked(cfg.ws, right)
     if names != names_b:
         raise click.ClickException("hooked maps live on different bases")
     result = mn_bracket(a, b)
@@ -404,33 +403,23 @@ def mn_bracket_cmd(cfg, left, right, out):
 
 
 @main.command("phi")
-@click.option("--algebra", required=True)
-@click.option("--rep", "rep_", required=True)
+@_on_rep
 @click.option("--map", "map_", required=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.pass_obj
-def phi_cmd(cfg, algebra, rep_, map_, out):
+def phi_cmd(cfg, alg, rep, map_, out):
     """Hooked map rho(f(...))(.) of an alternating map; emits a hooked_map."""
-    ws = Workspace()
-    alg = _lie(ws, algebra)
-    rep = _rep(ws, rep_, alg)
-    f = _operator_or_altmap(ws, map_, alg, rep)
+    f = _operator_or_altmap(cfg.ws, map_, alg, rep)
     _emit({"hooked_map": ser.hooked_to_obj(phi(f, rep), rep.basis)}, out)
 
 
 @main.command("check-phi-hom")
-@click.option("--algebra", required=True)
-@click.option("--rep", "rep_", required=True)
+@_on_rep
 @click.option("--left", default=None)
 @click.option("--right", default=None)
-@click.pass_obj
-def check_phi_hom_cmd(cfg, algebra, rep_, left, right):
+def check_phi_hom_cmd(cfg, alg, rep, left, right):
     """Verify that the hook construction preserves brackets: on the given
     pair, or on every pair of basis maps, which decides the whole complex."""
-    given = _pair_given(left, right)
-    ws = Workspace()
-    alg = _lie(ws, algebra)
-    rep = _rep(ws, rep_, alg)
+    dim = rep.space_dim
 
     def check(f, g):
         found = _phi_witness(f, g, alg, rep)
@@ -438,14 +427,11 @@ def check_phi_hom_cmd(cfg, algebra, rep_, left, right):
             arity, (word, last), value = found
             return {**_altmap_witness(word, value, rep.basis), "arity": arity, "last": last + 1}
 
-    if given:
-        witness = check(_operator_or_altmap(ws, left, alg, rep),
-                        _operator_or_altmap(ws, right, alg, rep))
-    else:
-        dim = rep.space_dim
-        pairs = elementary_pairs(ungraded_space(dim), ungraded_space(alg.dim), dim, lambda s: s,
-                                 lambda w, _, entries: AltMap(w, dim, alg.dim, entries))
-        witness = _sweep(pairs, check, lambda f: {"altmap": ser.altmap_to_obj(f, alg.basis)})
+    witness = _given_or_sweep(
+        left, right, lambda ref: _operator_or_altmap(cfg.ws, ref, alg, rep), check,
+        lambda: elementary_pairs(ungraded_space(dim), ungraded_space(alg.dim), dim, lambda s: s,
+                                 lambda w, _, entries: AltMap(w, dim, alg.dim, entries)),
+        lambda f: {"altmap": ser.altmap_to_obj(f, alg.basis)})
     _finish(cfg, Report("check-phi-hom", witness is None, witness=witness))
 
 
@@ -458,8 +444,7 @@ def check_phi_hom_cmd(cfg, algebra, rep_, left, right):
 @click.pass_obj
 def search_rbo_cmd(cfg, algebra, grid, cap, out):
     """Exhaustive grid search for Rota-Baxter operators; emits operators."""
-    ws = Workspace()
-    alg = _lie(ws, algebra)
+    alg = _lie(cfg.ws, algebra)
     entries = [ser.parse_scalar(x.strip()) for x in grid.split(",") if x.strip()]
     if not entries:
         raise click.BadParameter("the grid needs at least one entry", param_hint="'--grid'")
@@ -475,8 +460,7 @@ def search_rbo_cmd(cfg, algebra, grid, cap, out):
 @click.pass_obj
 def check_sgla_cmd(cfg, sgla_):
     """Verify degree bookkeeping, graded symmetry and the Leibniz rule."""
-    ws = Workspace()
-    _finish(cfg, check_sgla(_sgla(ws, sgla_)))
+    _finish(cfg, check_sgla(_sgla(cfg.ws, sgla_)))
 
 
 @main.command("check-sdgla")
@@ -485,21 +469,16 @@ def check_sgla_cmd(cfg, sgla_):
 @click.pass_obj
 def check_sdgla_cmd(cfg, sgla_, differential):
     """Verify a square-zero degree-1 differential compatible with the bracket."""
-    ws = Workspace()
-    galg = _sgla(ws, sgla_)
-    d = ser.differential_from_obj(_resolve(ws, differential, "differential"), galg.dim)
+    galg = _sgla(cfg.ws, sgla_)
+    d = ser.differential_from_obj(_resolve(cfg.ws, differential, "differential"), galg.dim)
     _finish(cfg, check_sdgla(galg, d))
 
 
 @main.command("check-graded-rep")
-@click.option("--sgla", "sgla_", required=True)
-@click.option("--grep", "grep_", required=True)
-@click.pass_obj
-def check_graded_rep_cmd(cfg, sgla_, grep_):
+@_on_grep
+def check_graded_rep_cmd(cfg, galg, grep):
     """Verify a degree-1 action compatible with the graded bracket."""
-    ws = Workspace()
-    galg = _sgla(ws, sgla_)
-    _finish(cfg, check_graded_rep(galg, _grep(ws, grep_, galg)))
+    _finish(cfg, check_graded_rep(galg, grep))
 
 
 @main.command("from-lie")
@@ -508,29 +487,18 @@ def check_graded_rep_cmd(cfg, sgla_, grep_):
 @click.pass_obj
 def from_lie_cmd(cfg, algebra, out):
     """Embed an ungraded Lie algebra in degree -1; emits an sgla."""
-    ws = Workspace()
-    galg = from_lie(_lie(ws, algebra))
+    galg = from_lie(_lie(cfg.ws, algebra))
     _emit({"sgla": ser.sgla_to_obj(galg)}, out)
 
 
 # -- homotopy checks ----------------------------------------------------------
 
-def _graded_context(ws, sgla_, grep_):
-    galg = _sgla(ws, sgla_)
-    grep = _grep(ws, grep_, galg)
-    return galg, grep
-
-
 @main.command("check-hoop")
-@click.option("--sgla", "sgla_", required=True)
-@click.option("--grep", "grep_", required=True)
+@_on_grep
 @click.option("--hop", required=True)
-@click.pass_obj
-def check_hoop_cmd(cfg, sgla_, grep_, hop):
+def check_hoop_cmd(cfg, galg, grep, hop):
     """Verify the generalized Rota-Baxter identities up to the weight bound."""
-    ws = Workspace()
-    galg, grep = _graded_context(ws, sgla_, grep_)
-    t = _hop(ws, hop, grep.space, galg.space)
+    t = _hop(cfg.ws, hop, grep.space, galg.space)
     found = _residual_witness(t, galg, grep, cfg.p_max)
     _finish(cfg, _weight_report("check-hoop", found, grep.space, galg.space, cfg.p_max))
 
@@ -541,56 +509,43 @@ def check_hoop_cmd(cfg, sgla_, grep_, hop):
 @click.pass_obj
 def check_hrbo_cmd(cfg, sgla_, hop):
     """Homotopy Rota-Baxter check (the adjoint action)."""
-    ws = Workspace()
-    galg = _sgla(ws, sgla_)
-    t = _hop(ws, hop, galg.space, galg.space)
+    galg = _sgla(cfg.ws, sgla_)
+    t = _hop(cfg.ws, hop, galg.space, galg.space)
     found = _residual_witness(t, galg, adjoint_graded(galg), cfg.p_max)
     _finish(cfg, _weight_report("check-hrbo", found, galg.space, galg.space, cfg.p_max))
 
 
 @main.command("graded-bracket")
-@click.option("--sgla", "sgla_", required=True)
-@click.option("--grep", "grep_", required=True)
+@_on_grep
 @click.option("--left", required=True)
 @click.option("--right", required=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.pass_obj
-def graded_bracket_cmd(cfg, sgla_, grep_, left, right, out):
+def graded_bracket_cmd(cfg, galg, grep, left, right, out):
     """Graded bracket of two families; emits a sym_family."""
-    ws = Workspace()
-    galg, grep = _graded_context(ws, sgla_, grep_)
-    f = _sym_family(ws, left, grep.space, galg.space)
-    g = _sym_family(ws, right, grep.space, galg.space)
+    f = _sym_family(cfg.ws, left, grep.space, galg.space)
+    g = _sym_family(cfg.ws, right, grep.space, galg.space)
     result = graded_bracket(f, g, galg, grep, cfg.p_max)
     _emit({"sym_family": ser.sym_family_to_obj(result)}, out)
 
 
 @main.command("mc-check-homotopy")
-@click.option("--sgla", "sgla_", required=True)
-@click.option("--grep", "grep_", required=True)
+@_on_grep
 @click.option("--hop", required=True)
-@click.pass_obj
-def mc_check_homotopy_cmd(cfg, sgla_, grep_, hop):
+def mc_check_homotopy_cmd(cfg, galg, grep, hop):
     """Maurer-Cartan check of a degree-0 family up to the weight bound."""
-    ws = Workspace()
-    galg, grep = _graded_context(ws, sgla_, grep_)
-    t = _hop(ws, hop, grep.space, galg.space)
+    t = _hop(cfg.ws, hop, grep.space, galg.space)
     found = _mc_witness(t, galg, grep, cfg.p_max)
     _finish(cfg, _weight_report("mc-check-homotopy", found, grep.space, galg.space, cfg.p_max))
 
 
 @main.command("induce-prelie-inf")
-@click.option("--sgla", "sgla_", required=True)
-@click.option("--grep", "grep_", required=True)
+@_on_grep
 @click.option("--hop", required=True)
 @click.option("--force", is_flag=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.pass_obj
-def induce_prelie_inf_cmd(cfg, sgla_, grep_, hop, force, out):
+def induce_prelie_inf_cmd(cfg, galg, grep, hop, force, out):
     """Operations rho(T_{k-1}(...)) of a homotopy operator; emits prelie_infinity."""
-    ws = Workspace()
-    galg, grep = _graded_context(ws, sgla_, grep_)
-    t = _hop(ws, hop, grep.space, galg.space)
+    t = _hop(cfg.ws, hop, grep.space, galg.space)
     p = induce_prelie_infinity(t, galg, grep, cfg.p_max, force=force)
     _emit({"prelie_infinity": ser.prelie_inf_to_obj(p)}, out)
 
@@ -601,23 +556,17 @@ def induce_prelie_inf_cmd(cfg, sgla_, grep_, hop, force, out):
 @click.pass_obj
 def check_prelie_inf_cmd(cfg, pinf, n_max):
     """Verify the coherence identities of a homotopy pre-Lie structure."""
-    ws = Workspace()
-    p = ser.prelie_inf_from_obj(_resolve(ws, pinf, "prelie_infinity"))
+    p = ser.prelie_inf_from_obj(_resolve(cfg.ws, pinf, "prelie_infinity"))
     _finish(cfg, check_prelie_infinity(p, n_max))
 
 
 @main.command("check-psi-hom")
-@click.option("--sgla", "sgla_", required=True)
-@click.option("--grep", "grep_", required=True)
+@_on_grep
 @click.option("--left", default=None)
 @click.option("--right", default=None)
-@click.pass_obj
-def check_psi_hom_cmd(cfg, sgla_, grep_, left, right):
+def check_psi_hom_cmd(cfg, galg, grep, left, right):
     """Verify that the action hook preserves graded brackets: on the given
     pair, or on every pair of basis families, which decides it up to p_max."""
-    given = _pair_given(left, right)
-    ws = Workspace()
-    galg, grep = _graded_context(ws, sgla_, grep_)
     space, target = grep.space, galg.space
 
     def check(f, g):
@@ -626,15 +575,13 @@ def check_psi_hom_cmd(cfg, sgla_, grep_, left, right):
             weight, word, last, value = found
             return {**_weight_witness(weight, word, value, space, space), "last": space.basis[last]}
 
-    if given:
-        witness = check(_sym_family(ws, left, space, target),
-                        _sym_family(ws, right, space, target))
-    else:
-        pairs = elementary_pairs(
+    witness = _given_or_sweep(
+        left, right, lambda ref: _sym_family(cfg.ws, ref, space, target), check,
+        lambda: elementary_pairs(
             space, target, cfg.p_max, lambda s: cfg.p_max,
             lambda w, degree, entries: GradedSymFamily(
-                space, target, degree, {w: GradedSymMap(space, target, w, degree, entries)}))
-        witness = _sweep(pairs, check, lambda f: {"sym_family": ser.sym_family_to_obj(f)})
+                space, target, degree, {w: GradedSymMap(space, target, w, degree, entries)})),
+        lambda f: {"sym_family": ser.sym_family_to_obj(f)})
     _finish(cfg, Report("check-psi-hom", witness is None, order=cfg.p_max, witness=witness))
 
 

@@ -19,6 +19,7 @@ from .combinatorics import parity_sign, signed_unshuffles
 from .errors import NotMaurerCartanError, ShapeMismatchError
 from .graded import SparseMap, Walk, ungraded_space
 from .linalg import (
+    LinearOperator,
     Vector,
     cleared_pair,
     common_denominator,
@@ -65,8 +66,6 @@ class AltMap(SparseMap):
         return cls(1, cols, cod, {(j,): op.column(j) for j in range(cols)})
 
     def to_operator(self):
-        from .lie import LinearOperator
-
         if self.arity != 1:
             raise ShapeMismatchError("only 1-ary maps correspond to operators")
         rows = tuple(

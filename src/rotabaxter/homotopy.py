@@ -427,7 +427,8 @@ def hook_compose(a: GradedHookFamily, b: GradedHookFamily,
     degree = a.degree + b.degree
     # the compose of homogeneous hooked maps is homogeneous
     comps = {p: GradedHookedMap._on(a.space, a.space, p, degree, entries)
-             for p, entries in _compose_by_weight(a, b, range(p_max + 1)).items()}
+             for p, entries in _compose_by_weight(*a.cleared(), *b.cleared(),
+                                                  range(p_max + 1)).items()}
     return GradedHookFamily(a.space, degree, comps)
 
 

@@ -15,8 +15,8 @@ from .graded import CellWalk, Walk, require_cells, ungraded_space
 from .linalg import (
     Action,
     Clearable,
+    LinearOperator,
     Matrix,
-    Vector,
     ZERO,
     act_basis,
     adjoint_matrices,
@@ -26,7 +26,6 @@ from .linalg import (
     cleared_pair,
     common_denominator,
     fr,
-    mat_vec,
     matrix,
     require_action,
     require_table,
@@ -85,50 +84,6 @@ class Representation(Action):
         return len(self.basis)
 
     act_basis = act_basis
-
-
-@dataclass(frozen=True)
-class LinearOperator:
-    """Linear map between the tagged spaces, stored as a dense matrix.
-
-    Rows are indexed by the codomain basis, columns by the domain basis, so
-    the image of the j-th domain basis vector is column j.
-    """
-
-    matrix: Matrix
-    domain: str = "V"
-    codomain: str = "g"
-
-    @property
-    def rows(self) -> int:
-        return len(self.matrix)
-
-    @property
-    def cols(self) -> int:
-        return len(self.matrix[0]) if self.matrix else 0
-
-    def column(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.matrix)
-
-    def apply(self, v: Vector) -> Vector:
-        return mat_vec(self.matrix, v)
-
-    def __add__(self, other: "LinearOperator") -> "LinearOperator":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeMismatchError("operator shapes differ")
-        return LinearOperator(
-            tuple(vec_add(a, b) for a, b in zip(self.matrix, other.matrix)),
-            self.domain,
-            self.codomain,
-        )
-
-    def scale(self, c) -> "LinearOperator":
-        c = fr(c)
-        return LinearOperator(
-            tuple(tuple(c * x for x in row) for row in self.matrix),
-            self.domain,
-            self.codomain,
-        )
 
 
 def operator(rows, domain: str = "V", codomain: str = "g") -> LinearOperator:

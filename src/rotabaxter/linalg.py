@@ -50,6 +50,50 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
     return tuple(sum((row[j] * v[j] for j in range(len(v))), ZERO) for row in a)
 
 
+@dataclasses.dataclass(frozen=True)
+class LinearOperator:
+    """Linear map between the tagged spaces, stored as a dense matrix.
+
+    Rows are indexed by the codomain basis, columns by the domain basis, so
+    the image of the j-th domain basis vector is column j.
+    """
+
+    matrix: Matrix
+    domain: str = "V"
+    codomain: str = "g"
+
+    @property
+    def rows(self) -> int:
+        return len(self.matrix)
+
+    @property
+    def cols(self) -> int:
+        return len(self.matrix[0]) if self.matrix else 0
+
+    def column(self, j: int) -> Vector:
+        return tuple(row[j] for row in self.matrix)
+
+    def apply(self, v: Vector) -> Vector:
+        return mat_vec(self.matrix, v)
+
+    def __add__(self, other: "LinearOperator") -> "LinearOperator":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ShapeMismatchError("operator shapes differ")
+        return LinearOperator(
+            tuple(vec_add(a, b) for a, b in zip(self.matrix, other.matrix)),
+            self.domain,
+            self.codomain,
+        )
+
+    def scale(self, c) -> "LinearOperator":
+        c = fr(c)
+        return LinearOperator(
+            tuple(tuple(c * x for x in row) for row in self.matrix),
+            self.domain,
+            self.codomain,
+        )
+
+
 # -- cleared denominators -----------------------------------------------------
 #
 # Every residual and bracket the kernels sum is multilinear in its inputs, so

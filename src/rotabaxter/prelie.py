@@ -188,26 +188,25 @@ def hook_of_product(p: PreLieProduct) -> HookedMap:
     return HookedMap(1, p.dim, {((i,), j): p.mu[i][j] for i, j in pairs})
 
 
-def _compose_by_weight(a: SparseFamily, b: SparseFamily, weights) -> dict:
-    """{weight: {(word, last): value}} of the compose a o b on the given
-    weights: :func:`hook_compose_lasts` on the int images of the two
-    families, each value divided once."""
-    da, a = a.cleared()
-    db, b = b.cleared()
+def _compose_by_weight(da: int, a: SparseFamily, db: int, b: SparseFamily, weights) -> dict:
+    """{weight: {(word, last): value}} of the compose on the given weights
+    of two families whose int images, da and db times them, are a and b:
+    :func:`hook_compose_lasts` on a and b, each value divided once."""
     return Walk(da * db, a.space, weights, lambda word: hook_compose_lasts(a, b, word),
                 free=True).by_weight()
 
 
 def circ(alpha: HookedMap, beta: HookedMap) -> HookedMap:
     """Compose of hooked maps; arities add: :func:`hook_compose_lasts` on
-    each increasing word, each map read as the one-weight family of its
-    arity on V in degree -1."""
+    each increasing word, each map's stored int image read as the one-weight
+    family of its arity on V in degree -1."""
     if alpha.dim != beta.dim:
         raise ShapeMismatchError("hooked maps live on different spaces")
     total = alpha.arity + beta.arity
-    a, b = (SparseFamily(h.space, h.space, h.degree, {h.arity: h}) for h in (alpha, beta))
+    (da, a), (db, b) = alpha.cleared(), beta.cleared()
+    a, b = (SparseFamily(h.space, h.space, h.degree, {h.arity: h}) for h in (a, b))
     return HookedMap._on(alpha.space, alpha.space, total, total,
-                         _compose_by_weight(a, b, (total,)).get(total, {}))
+                         _compose_by_weight(da, a, db, b, (total,)).get(total, {}))
 
 
 def mn_bracket(alpha: HookedMap, beta: HookedMap) -> HookedMap:

@@ -27,13 +27,21 @@ from rotabaxter.combinatorics import parity_sign
 from rotabaxter.deformation import AltMap, mc_residual
 from rotabaxter.graded import GradedRepresentation, adjoint_graded, canonical_words, from_lie
 from rotabaxter.homotopy import (
+    DEFAULT_P_MAX,
     GradedSymFamily,
     GradedSymMap,
     homotopy_oop_residual,
     psi_homomorphism_defect,
     residual_on_word,
 )
-from rotabaxter.lie import LieAlgebra, Representation, adjoint, oop_defect, operator
+from rotabaxter.lie import (
+    SEARCH_CAP,
+    LieAlgebra,
+    Representation,
+    adjoint,
+    oop_defect,
+    operator,
+)
 from rotabaxter.linalg import basis_vector, matrix
 from rotabaxter.prelie import phi_homomorphism_defect
 from rotabaxter.reports import named_residual
@@ -715,6 +723,18 @@ def _assert_pair_options_are_checked(runner, given):
         assert "PASS" not in res.output and "FAIL" not in res.output
 
 
+@pytest.mark.parametrize("command, pair", [("check-phi-hom", ["--algebra", "nope", "--rep"]),
+                                           ("check-psi-hom", ["--sgla", "nope", "--grep"])])
+@pytest.mark.parametrize("given, missing", [("--left", "'--right'"), ("--right", "'--left'")])
+def test_a_half_given_pair_is_a_usage_error_before_any_file_is_read(runner, command, pair,
+                                                                      given, missing):
+    # 'nope' names nothing: reading it first would be exit 1, not a usage error
+    res = runner.invoke(main, [command, *pair, "adjoint", given, "x"])
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert f"Error: Missing option {missing}" in res.stderr
+    assert "nope" not in res.stderr
+
+
 def test_check_psi_hom_refuses_draws_with_given_families(runner, tmp_path):
     # the adjoint action of the three-level algebra with ad(p) doubled is none
     galg = three_level_sgla()
@@ -1006,6 +1026,71 @@ def test_unresolved_reference_errors(runner, tmp_path):
     res = runner.invoke(main, ["check-lie", "--algebra",
                                write(tmp_path, "bad.json", {"weird": []})])
     assert res.exit_code != 0
+
+
+def _required(*opts):
+    return [(opt, "text", True, None, None) for opt in opts]
+
+
+OUT = ("--out", "file", False, None, None)
+OPTIONAL_PAIR = [("--left", "text", False, None, None), ("--right", "text", False, None, None)]
+# (opts, type name, required, default, help) of each parameter, in order; None
+# is the group.  A table, not the --help text, whose layout click may change.
+OPTIONS = {
+    None: [("--p-max", "integer range", False, DEFAULT_P_MAX,
+            "Weight bound for truncated homotopy checks."),
+           ("--json-report", "file", False, None,
+            "Write the machine-readable report to this file ('-' for stdout).")],
+    "bracket": [*_required("--algebra", "--rep", "--left", "--right"), OUT],
+    "check-graded-rep": _required("--sgla", "--grep"),
+    "check-hoop": _required("--sgla", "--grep", "--hop"),
+    "check-hrbo": _required("--sgla", "--hop"),
+    "check-lie": _required("--algebra"),
+    "check-oop": _required("--algebra", "--rep", "--op"),
+    "check-phi-hom": [*_required("--algebra", "--rep"), *OPTIONAL_PAIR],
+    "check-prelie": _required("--prelie"),
+    "check-prelie-inf": [*_required("--pinf"),
+                         ("--n-max", "integer range", False, DEFAULT_P_MAX, None)],
+    "check-psi-hom": [*_required("--sgla", "--grep"), *OPTIONAL_PAIR],
+    "check-rbo": _required("--algebra", "--op"),
+    "check-rep": _required("--algebra", "--rep"),
+    "check-sdgla": _required("--sgla", "--differential"),
+    "check-sgla": _required("--sgla"),
+    "deform": _required("--algebra", "--rep", "--base", "--delta"),
+    "from-lie": [*_required("--algebra"), OUT],
+    "graded-bracket": [*_required("--sgla", "--grep", "--left", "--right"), OUT],
+    "induce-prelie": [*_required("--algebra", "--rep", "--op"),
+                      ("--force", "boolean", False, False, "Skip the O-operator verification."),
+                      OUT],
+    "induce-prelie-inf": [*_required("--sgla", "--grep", "--hop"),
+                          ("--force", "boolean", False, False, None), OUT],
+    "mc-check": _required("--algebra", "--rep", "--op"),
+    "mc-check-homotopy": _required("--sgla", "--grep", "--hop"),
+    "mn-bracket": [*_required("--left", "--right"), OUT],
+    "phi": [*_required("--algebra", "--rep", "--map"), OUT],
+    "search-rbo": [*_required("--algebra"),
+                   ("--grid", "text", False, "-1,0,1",
+                    "Comma-separated list of rational entries to try."),
+                   ("--cap", "integer range", False, SEARCH_CAP, None), OUT],
+}
+
+
+def test_every_command_keeps_its_options():
+    def table(command):
+        return [(" ".join(d["opts"]), d["type"]["name"], d["required"], d["default"],
+                 d.get("help")) for d in (p.to_info_dict() for p in command.params)]
+
+    assert {None: table(main), **{name: table(c) for name, c in main.commands.items()}} == OPTIONS
+
+
+def test_each_call_of_main_reads_into_its_own_workspace(runner, tmp_path):
+    bundle = write(tmp_path, "bundle.json", {"bundled_algebra": AFFINE, "bundled_op": RBO})
+    # within one call a key of a loaded file may be named bare; in the next it is gone
+    res = runner.invoke(main, ["check-rbo", "--algebra", bundle, "--op", "bundled_op"])
+    assert res.exit_code == 0 and res.stdout == "check-rbo: PASS\n"
+    res = runner.invoke(main, ["check-lie", "--algebra", "bundled_algebra"])
+    assert (res.exit_code, res.stdout) == (1, "")
+    assert res.stderr == "Error: 'bundled_algebra' is neither a file nor a loaded entity\n"
 
 
 @pytest.mark.parametrize("command", sorted(main.commands))

@@ -66,8 +66,7 @@ def test_every_module_level_import_is_read(path):
 
 # -- imports sit at module level ------------------------------------------------
 
-# ``lie`` imports ``deformation``, so ``deformation`` reaches ``lie`` at call time
-FUNCTION_IMPORTS = {("deformation.py", "AltMap.to_operator")}
+FUNCTION_IMPORTS = set()
 
 
 def _function_imports(tree):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from rotabaxter import graded
 from rotabaxter.catalog import affine_line, heisenberg, lie_pairs
 from rotabaxter.combinatorics import parity_sign
 from rotabaxter.deformation import AltMap, courant_bracket
@@ -134,6 +135,25 @@ def test_mn_bracket_graded_jacobi():
             r1 = mn_bracket(mn_bracket(a, b), c)
             r2 = mn_bracket(b, mn_bracket(a, c)).scale(parity_sign(arities[0] * arities[1]))
             assert lhs == r1 + r2
+
+
+@pytest.mark.parametrize("arities", [(1, 1), (2, 1)])
+def test_mn_bracket_reuses_each_maps_int_image(monkeypatch, arities):
+    # each map clears its values once; a second bracket of the same maps
+    # reads the stored images and computes no denominator again
+    r = rng()
+    a, b = (random_hooked(r, k, 3) for k in arities)
+    calls = []
+    common_denominator = graded.common_denominator
+
+    def counting(values):
+        calls.append(1)
+        return common_denominator(values)
+
+    monkeypatch.setattr(graded, "common_denominator", counting)
+    first = mn_bracket(a, b)
+    assert len(calls) == 2
+    assert mn_bracket(a, b) == first and len(calls) == 2
 
 
 def test_self_bracket_is_twice_compose_for_odd_arity():
