@@ -1,17 +1,16 @@
 """Command-line interface: file-driven verification with pass/fail reports.
 
-Inputs are JSON files whose top-level keys name entities (see serialize.py).
-Option values accept a file path, ``path:key`` to address one entity in a
-bundle, a bare key into an already-loaded file, or the word ``adjoint`` where
-a representation is expected.  Exit status is 0 exactly when every check in
-the invocation passed.
+Inputs are JSON files whose top-level keys name entities.  Option values are
+references that ``serialize.Workspace`` resolves (a file path, ``path:key``
+for one entity of a bundle, or a bare key into an already-loaded file), or the
+word ``adjoint`` where a representation is expected.  Exit status is 0
+exactly when every check in the invocation passed.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 
@@ -138,66 +137,22 @@ def _emit(obj, out: str | None):
         click.echo(text, file=sys.stdout)
 
 
-def _split_ref(ref: str):
-    if os.path.exists(ref):
-        return ref, None
-    if ":" in ref:
-        path, key = ref.rsplit(":", 1)
-        if os.path.exists(path):
-            return path, key
-    return None, ref
-
-
-def _scope(ws: Workspace, ref: str):
-    """The workspace a FILE, FILE:KEY or bare KEY reads from, and the key it
-    names (None for a whole FILE).
-
-    Each file is read into its own scope so that two files may both use the
-    plain kind name for their single entity; the shared workspace keeps the
-    first entity registered under each name for bare-key lookups.
-    """
-    path, key = _split_ref(ref)
-    if path is None:
-        if ref not in ws.raw:
-            raise UnresolvedReferenceError(f"{ref!r} is neither a file nor a loaded entity")
-        return ws, ref
-    local = Workspace().load_file(path)
-    for name, item in local.raw.items():
-        ws.raw.setdefault(name, item)
-    return local, key
-
-
-def _resolve(ws: Workspace, ref: str, kind: str):
-    scope, key = _scope(ws, ref)
-    return scope.find(kind, key)
-
-
-def _lie(ws, ref):
-    return ser.lie_from_obj(_resolve(ws, ref, "lie_algebra"))
-
-
-def _op(ws, ref, nrows=None, ncols=None):
-    return ser.operator_from_obj(_resolve(ws, ref, "operator"), nrows, ncols)
-
-
-def _operator_or_altmap(ws, ref, alg, rep) -> AltMap:
-    """Accept either an operator matrix or a 1-ary altmap where a map V -> g
-    is expected, returning the altmap view.  A named entity has its own
-    kind; a whole FILE is an altmap when it holds one and no operator."""
-    scope, key = _scope(ws, ref)
-    if key is None:
-        kinds = {k for (k, _) in scope.raw.values()}
-        is_altmap = "altmap" in kinds and "operator" not in kinds
-    else:
-        is_altmap = key in scope.raw and scope.raw[key][0] == "altmap"
-    if is_altmap:
-        return ser.altmap_from_obj(scope.find("altmap", key), rep.space_dim, alg.basis)
+def _map(ws: Workspace, ref, alg, rep, operator=False):
+    """The map T: V -> g that ``ref`` names, from an operator or an altmap:
+    a LinearOperator with ``operator`` (an altmap must then be 1-ary), else
+    an AltMap of any arity.  A named entity has its own kind; a whole FILE is
+    read as its operator, or as its altmap when it holds no operator."""
+    scope, key = ws.scope(ref)
+    if scope.kind(key, ("operator", "altmap")) == "altmap":
+        f = ser.altmap_from_obj(scope.find("altmap", key), rep.space_dim, alg.basis)
+        return f.to_operator() if operator else f
     op = ser.operator_from_obj(scope.find("operator", key), alg.dim, rep.space_dim)
-    return AltMap.from_operator(op)
+    return op if operator else AltMap.from_operator(op)
 
 
-def _sgla(ws, ref):
-    scope, key = _scope(ws, ref)
+def _sgla(ws: Workspace, ref):
+    """An SGLA; one that embeds no space takes its file's graded_space."""
+    scope, key = ws.scope(ref)
     payload = scope.find("sgla", key)
     try:
         default_space = ser.gvs_from_obj(scope.find("graded_space"))
@@ -206,53 +161,43 @@ def _sgla(ws, ref):
     return ser.sgla_from_obj(payload, default_space)
 
 
-def _input_pair(first, second, read):
-    """A decorator declaring the two options of an input pair, ``first`` and
-    then ``second`` (each an option and its parameter name), ahead of the
-    command's own options, and calling the command with the config and the
-    pair that ``read`` makes of the two references."""
+def _inputs(read, *options):
+    """A decorator declaring the required options of a command's inputs (each
+    an option and its parameter name) ahead of the command's own options, and
+    calling the command with the config and what ``read`` makes of their
+    references: the input pair, or the one input."""
     def decorate(command):
-        @click.option(*first, required=True)
-        @click.option(*second, required=True)
         @click.pass_obj
         @functools.wraps(command)
-        def run(cfg, **options):
-            refs = options.pop(first[1]), options.pop(second[1])
-            return command(cfg, *read(cfg.ws, *refs), **options)
+        def run(cfg, **kwargs):
+            refs = [kwargs.pop(name) for _, name in options]
+            return command(cfg, *read(cfg.ws, *refs), **kwargs)
+        for option in reversed(options):
+            run = click.option(*option, required=True)(run)
         return run
     return decorate
 
 
 def _lie_rep(ws, algebra, rep_):
-    alg = _lie(ws, algebra)
+    alg = ws.read(algebra, "lie_algebra")
     if rep_ == "adjoint":
         return alg, adjoint(alg)
-    return alg, ser.rep_from_obj(_resolve(ws, rep_, "representation"), alg)
+    return alg, ws.read(rep_, "representation", alg)
 
 
 def _sgla_grep(ws, sgla_, grep_):
     galg = _sgla(ws, sgla_)
     if grep_ == "adjoint":
         return galg, adjoint_graded(galg)
-    return galg, ser.grep_from_obj(_resolve(ws, grep_, "graded_rep"), galg)
+    return galg, ws.read(grep_, "graded_rep", galg)
 
 
-# a Lie algebra and a representation of it, the setting of O-operators
-_on_rep = _input_pair(("--algebra", "algebra"), ("--rep", "rep_"), _lie_rep)
-# an SGLA and a graded representation, the setting of homotopy O-operators
-_on_grep = _input_pair(("--sgla", "sgla_"), ("--grep", "grep_"), _sgla_grep)
-
-
-def _hop(ws, ref, space, target):
-    return ser.hop_from_obj(_resolve(ws, ref, "homotopy_operator"), space, target)
-
-
-def _sym_family(ws, ref, space, target):
-    return ser.sym_family_from_obj(_resolve(ws, ref, "sym_family"), space, target)
-
-
-def _hooked(ws, ref):
-    return ser.hooked_from_obj(_resolve(ws, ref, "hooked_map"))
+# a Lie algebra, alone or with a representation of it, the setting of O-operators
+_on_algebra = _inputs(lambda ws, ref: (ws.read(ref, "lie_algebra"),), ("--algebra", "algebra"))
+_on_rep = _inputs(_lie_rep, ("--algebra", "algebra"), ("--rep", "rep_"))
+# an SGLA, alone or with a graded representation, the setting of homotopy O-operators
+_on_sgla = _inputs(lambda ws, ref: (_sgla(ws, ref),), ("--sgla", "sgla_"))
+_on_grep = _inputs(_sgla_grep, ("--sgla", "sgla_"), ("--grep", "grep_"))
 
 
 def _altmap_witness(word, value, cod_names) -> dict:
@@ -297,11 +242,10 @@ def _given_or_sweep(left, right, read, check, sweep, file_form):
 # -- ungraded checks ----------------------------------------------------------
 
 @main.command("check-lie")
-@click.option("--algebra", required=True)
-@click.pass_obj
-def check_lie_cmd(cfg, algebra):
+@_on_algebra
+def check_lie_cmd(cfg, alg):
     """Verify antisymmetry and the Jacobi identity."""
-    _finish(cfg, check_lie(_lie(cfg.ws, algebra)))
+    _finish(cfg, check_lie(alg))
 
 
 @main.command("check-rep")
@@ -312,14 +256,13 @@ def check_rep_cmd(cfg, alg, rep):
 
 
 @main.command("check-rbo")
-@click.option("--algebra", required=True)
+@_on_algebra
 @click.option("--op", "op_", required=True)
-@click.pass_obj
-def check_rbo_cmd(cfg, algebra, op_):
+def check_rbo_cmd(cfg, alg, op_):
     """Verify the Rota-Baxter identity for an operator g -> g."""
-    alg = _lie(cfg.ws, algebra)
-    p = _op(cfg.ws, op_, alg.dim, alg.dim)
-    found = _oop_walk(alg, adjoint(alg), p).first()
+    adj = adjoint(alg)
+    p = _map(cfg.ws, op_, alg, adj, operator=True)
+    found = _oop_walk(alg, adj, p).first()
     _finish(cfg, _altmap_report("check-rbo", found, alg.basis))
 
 
@@ -328,7 +271,7 @@ def check_rbo_cmd(cfg, algebra, op_):
 @click.option("--op", "op_", required=True)
 def check_oop_cmd(cfg, alg, rep, op_):
     """Verify the relative Rota-Baxter identity for an operator V -> g."""
-    t = _op(cfg.ws, op_, alg.dim, rep.space_dim)
+    t = _map(cfg.ws, op_, alg, rep, operator=True)
     _finish(cfg, _altmap_report("check-oop", _oop_walk(alg, rep, t).first(), alg.basis))
 
 
@@ -339,8 +282,8 @@ def check_oop_cmd(cfg, alg, rep, op_):
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def bracket_cmd(cfg, alg, rep, left, right, out):
     """Bracket of two alternating maps; emits an altmap."""
-    f = _operator_or_altmap(cfg.ws, left, alg, rep)
-    g = _operator_or_altmap(cfg.ws, right, alg, rep)
+    f = _map(cfg.ws, left, alg, rep)
+    g = _map(cfg.ws, right, alg, rep)
     result = courant_bracket(f, g, alg, rep)
     _emit({"altmap": ser.altmap_to_obj(result, alg.basis)}, out)
 
@@ -350,7 +293,7 @@ def bracket_cmd(cfg, alg, rep, left, right, out):
 @click.option("--op", "op_", required=True)
 def mc_check_cmd(cfg, alg, rep, op_):
     """Maurer-Cartan check: half the self-bracket of a 1-ary map."""
-    t = _operator_or_altmap(cfg.ws, op_, alg, rep)
+    t = _map(cfg.ws, op_, alg, rep)
     _finish(cfg, _altmap_report("mc-check", _mc_walk(t, alg, rep).first(2), alg.basis))
 
 
@@ -360,8 +303,8 @@ def mc_check_cmd(cfg, alg, rep, op_):
 @click.option("--delta", required=True)
 def deform_cmd(cfg, alg, rep, base, delta):
     """Whether base + delta is still an O-operator (twisted Maurer-Cartan)."""
-    t = _operator_or_altmap(cfg.ws, base, alg, rep)
-    tp = _operator_or_altmap(cfg.ws, delta, alg, rep)
+    t = _map(cfg.ws, base, alg, rep)
+    tp = _map(cfg.ws, delta, alg, rep)
     if not _mc_walk(t, alg, rep).vanishes():
         raise click.ClickException("the base operator is not an O-operator")
     _finish(cfg, _altmap_report("deform", _twisted_walk(t, tp, alg, rep).first(), alg.basis))
@@ -374,7 +317,7 @@ def deform_cmd(cfg, alg, rep, base, delta):
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def induce_prelie_cmd(cfg, alg, rep, op_, force, out):
     """Pre-Lie product u * v = rho(Tu) v of an O-operator; emits a prelie."""
-    t = _op(cfg.ws, op_, alg.dim, rep.space_dim)
+    t = _map(cfg.ws, op_, alg, rep, operator=True)
     product = induce_prelie(t, alg, rep, force=force)
     _emit({"prelie": ser.prelie_to_obj(product)}, out)
 
@@ -384,7 +327,7 @@ def induce_prelie_cmd(cfg, alg, rep, op_, force, out):
 @click.pass_obj
 def check_prelie_cmd(cfg, prelie_):
     """Verify the left-symmetry identity of a bilinear product."""
-    _finish(cfg, check_prelie(ser.prelie_from_obj(_resolve(cfg.ws, prelie_, "prelie"))))
+    _finish(cfg, check_prelie(cfg.ws.read(prelie_, "prelie")))
 
 
 @main.command("mn-bracket")
@@ -394,8 +337,8 @@ def check_prelie_cmd(cfg, prelie_):
 @click.pass_obj
 def mn_bracket_cmd(cfg, left, right, out):
     """Bracket of two hooked maps; emits a hooked_map."""
-    a, names = _hooked(cfg.ws, left)
-    b, names_b = _hooked(cfg.ws, right)
+    a, names = cfg.ws.read(left, "hooked_map")
+    b, names_b = cfg.ws.read(right, "hooked_map")
     if names != names_b:
         raise click.ClickException("hooked maps live on different bases")
     result = mn_bracket(a, b)
@@ -408,7 +351,7 @@ def mn_bracket_cmd(cfg, left, right, out):
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def phi_cmd(cfg, alg, rep, map_, out):
     """Hooked map rho(f(...))(.) of an alternating map; emits a hooked_map."""
-    f = _operator_or_altmap(cfg.ws, map_, alg, rep)
+    f = _map(cfg.ws, map_, alg, rep)
     _emit({"hooked_map": ser.hooked_to_obj(phi(f, rep), rep.basis)}, out)
 
 
@@ -428,7 +371,7 @@ def check_phi_hom_cmd(cfg, alg, rep, left, right):
             return {**_altmap_witness(word, value, rep.basis), "arity": arity, "last": last + 1}
 
     witness = _given_or_sweep(
-        left, right, lambda ref: _operator_or_altmap(cfg.ws, ref, alg, rep), check,
+        left, right, lambda ref: _map(cfg.ws, ref, alg, rep), check,
         lambda: elementary_pairs(ungraded_space(dim), ungraded_space(alg.dim), dim, lambda s: s,
                                  lambda w, _, entries: AltMap(w, dim, alg.dim, entries)),
         lambda f: {"altmap": ser.altmap_to_obj(f, alg.basis)})
@@ -436,15 +379,13 @@ def check_phi_hom_cmd(cfg, alg, rep, left, right):
 
 
 @main.command("search-rbo")
-@click.option("--algebra", required=True)
+@_on_algebra
 @click.option("--grid", default="-1,0,1", show_default=True,
               help="Comma-separated list of rational entries to try.")
 @click.option("--cap", default=SEARCH_CAP, show_default=True, type=click.IntRange(min=0))
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.pass_obj
-def search_rbo_cmd(cfg, algebra, grid, cap, out):
+def search_rbo_cmd(cfg, alg, grid, cap, out):
     """Exhaustive grid search for Rota-Baxter operators; emits operators."""
-    alg = _lie(cfg.ws, algebra)
     entries = [ser.parse_scalar(x.strip()) for x in grid.split(",") if x.strip()]
     if not entries:
         raise click.BadParameter("the grid needs at least one entry", param_hint="'--grid'")
@@ -456,21 +397,18 @@ def search_rbo_cmd(cfg, algebra, grid, cap, out):
 # -- graded checks ------------------------------------------------------------
 
 @main.command("check-sgla")
-@click.option("--sgla", "sgla_", required=True)
-@click.pass_obj
-def check_sgla_cmd(cfg, sgla_):
+@_on_sgla
+def check_sgla_cmd(cfg, galg):
     """Verify degree bookkeeping, graded symmetry and the Leibniz rule."""
-    _finish(cfg, check_sgla(_sgla(cfg.ws, sgla_)))
+    _finish(cfg, check_sgla(galg))
 
 
 @main.command("check-sdgla")
-@click.option("--sgla", "sgla_", required=True)
+@_on_sgla
 @click.option("--differential", required=True)
-@click.pass_obj
-def check_sdgla_cmd(cfg, sgla_, differential):
+def check_sdgla_cmd(cfg, galg, differential):
     """Verify a square-zero degree-1 differential compatible with the bracket."""
-    galg = _sgla(cfg.ws, sgla_)
-    d = ser.differential_from_obj(_resolve(cfg.ws, differential, "differential"), galg.dim)
+    d = cfg.ws.read(differential, "differential", galg.dim)
     _finish(cfg, check_sdgla(galg, d))
 
 
@@ -482,12 +420,11 @@ def check_graded_rep_cmd(cfg, galg, grep):
 
 
 @main.command("from-lie")
-@click.option("--algebra", required=True)
+@_on_algebra
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.pass_obj
-def from_lie_cmd(cfg, algebra, out):
+def from_lie_cmd(cfg, alg, out):
     """Embed an ungraded Lie algebra in degree -1; emits an sgla."""
-    galg = from_lie(_lie(cfg.ws, algebra))
+    galg = from_lie(alg)
     _emit({"sgla": ser.sgla_to_obj(galg)}, out)
 
 
@@ -498,19 +435,17 @@ def from_lie_cmd(cfg, algebra, out):
 @click.option("--hop", required=True)
 def check_hoop_cmd(cfg, galg, grep, hop):
     """Verify the generalized Rota-Baxter identities up to the weight bound."""
-    t = _hop(cfg.ws, hop, grep.space, galg.space)
+    t = cfg.ws.read(hop, "homotopy_operator", grep.space, galg.space)
     found = _residual_witness(t, galg, grep, cfg.p_max)
     _finish(cfg, _weight_report("check-hoop", found, grep.space, galg.space, cfg.p_max))
 
 
 @main.command("check-hrbo")
-@click.option("--sgla", "sgla_", required=True)
+@_on_sgla
 @click.option("--hop", required=True)
-@click.pass_obj
-def check_hrbo_cmd(cfg, sgla_, hop):
+def check_hrbo_cmd(cfg, galg, hop):
     """Homotopy Rota-Baxter check (the adjoint action)."""
-    galg = _sgla(cfg.ws, sgla_)
-    t = _hop(cfg.ws, hop, galg.space, galg.space)
+    t = cfg.ws.read(hop, "homotopy_operator", galg.space, galg.space)
     found = _residual_witness(t, galg, adjoint_graded(galg), cfg.p_max)
     _finish(cfg, _weight_report("check-hrbo", found, galg.space, galg.space, cfg.p_max))
 
@@ -522,8 +457,8 @@ def check_hrbo_cmd(cfg, sgla_, hop):
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def graded_bracket_cmd(cfg, galg, grep, left, right, out):
     """Graded bracket of two families; emits a sym_family."""
-    f = _sym_family(cfg.ws, left, grep.space, galg.space)
-    g = _sym_family(cfg.ws, right, grep.space, galg.space)
+    f = cfg.ws.read(left, "sym_family", grep.space, galg.space)
+    g = cfg.ws.read(right, "sym_family", grep.space, galg.space)
     result = graded_bracket(f, g, galg, grep, cfg.p_max)
     _emit({"sym_family": ser.sym_family_to_obj(result)}, out)
 
@@ -533,7 +468,7 @@ def graded_bracket_cmd(cfg, galg, grep, left, right, out):
 @click.option("--hop", required=True)
 def mc_check_homotopy_cmd(cfg, galg, grep, hop):
     """Maurer-Cartan check of a degree-0 family up to the weight bound."""
-    t = _hop(cfg.ws, hop, grep.space, galg.space)
+    t = cfg.ws.read(hop, "homotopy_operator", grep.space, galg.space)
     found = _mc_witness(t, galg, grep, cfg.p_max)
     _finish(cfg, _weight_report("mc-check-homotopy", found, grep.space, galg.space, cfg.p_max))
 
@@ -545,7 +480,7 @@ def mc_check_homotopy_cmd(cfg, galg, grep, hop):
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def induce_prelie_inf_cmd(cfg, galg, grep, hop, force, out):
     """Operations rho(T_{k-1}(...)) of a homotopy operator; emits prelie_infinity."""
-    t = _hop(cfg.ws, hop, grep.space, galg.space)
+    t = cfg.ws.read(hop, "homotopy_operator", grep.space, galg.space)
     p = induce_prelie_infinity(t, galg, grep, cfg.p_max, force=force)
     _emit({"prelie_infinity": ser.prelie_inf_to_obj(p)}, out)
 
@@ -556,7 +491,7 @@ def induce_prelie_inf_cmd(cfg, galg, grep, hop, force, out):
 @click.pass_obj
 def check_prelie_inf_cmd(cfg, pinf, n_max):
     """Verify the coherence identities of a homotopy pre-Lie structure."""
-    p = ser.prelie_inf_from_obj(_resolve(cfg.ws, pinf, "prelie_infinity"))
+    p = cfg.ws.read(pinf, "prelie_infinity")
     _finish(cfg, check_prelie_infinity(p, n_max))
 
 
@@ -576,7 +511,7 @@ def check_psi_hom_cmd(cfg, galg, grep, left, right):
             return {**_weight_witness(weight, word, value, space, space), "last": space.basis[last]}
 
     witness = _given_or_sweep(
-        left, right, lambda ref: _sym_family(cfg.ws, ref, space, target), check,
+        left, right, lambda ref: cfg.ws.read(ref, "sym_family", space, target), check,
         lambda: elementary_pairs(
             space, target, cfg.p_max, lambda s: cfg.p_max,
             lambda w, degree, entries: GradedSymFamily(

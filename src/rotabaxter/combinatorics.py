@@ -1,8 +1,10 @@
 """Permutations, unshuffles and signs (ordinary and Koszul).
 
 A permutation of n letters is a tuple of 0-based images: rearranging a word
-``w`` by ``p`` yields ``(w[p[0]], w[p[1]], ...)``.  The serialization layer
-is the only place where the 1-based external convention appears.
+``w`` by ``p`` yields ``(w[p[0]], w[p[1]], ...)``.  Indices are 0-based in
+memory; the 1-based convention of files and witnesses appears only where they
+are written: in ``serialize``, in the witnesses of ``reports`` and ``cli``, and
+in the coherence witness of ``homotopy.check_prelie_infinity``.
 """
 
 from __future__ import annotations

@@ -59,11 +59,9 @@ class AltMap(SparseMap):
         return self.target.dim
 
     @classmethod
-    def from_operator(cls, op, dim_cod=None):
+    def from_operator(cls, op):
         """View a linear operator V -> g as a 1-ary element of the complex."""
-        cod = len(op.matrix) if dim_cod is None else dim_cod
-        cols = len(op.matrix[0]) if op.matrix else 0
-        return cls(1, cols, cod, {(j,): op.column(j) for j in range(cols)})
+        return cls(1, op.cols, op.rows, {(j,): op.column(j) for j in range(op.cols)})
 
     def to_operator(self):
         if self.arity != 1:

@@ -214,16 +214,19 @@ def table_from_pairs(n: int, pairs, degrees=None):
     if n ** 3 > AXIOM_WORK_CAP:
         raise SearchSpaceError(f"a table on {n} basis elements has {n ** 3} entries, "
                                f"above the cap of {AXIOM_WORK_CAP}")
-    t = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    zero = (ZERO,) * n  # every unlisted (i, j) shares it, so a sparse file costs n^2 refs
+    t = [[zero] * n for _ in range(n)]
     for (i, j), val in pairs.items():
+        row = list(zero)
         for k, coeff in val.items():
-            t[i][j][k] = fr(coeff)
+            row[k] = fr(coeff)
+        t[i][j] = tuple(row)
     if degrees is not None:
         for (i, j) in pairs:
             if (j, i) not in pairs:
                 s = parity_sign(degrees[i] * degrees[j])
-                t[j][i] = [s * x for x in t[i][j]]
-    return tuple(tuple(tuple(row) for row in plane) for plane in t)
+                t[j][i] = tuple(s * x for x in t[i][j])
+    return tuple(map(tuple, t))
 
 
 def bilinear(self, x: Vector, y: Vector) -> Vector:

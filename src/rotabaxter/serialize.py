@@ -14,6 +14,7 @@ the (anti)symmetric completion applied to pairs whose mirror is unlisted.
 from __future__ import annotations
 
 import json
+import os
 from fractions import Fraction
 
 from .deformation import AltMap
@@ -31,23 +32,6 @@ from .combinatorics import parity_sign
 from .linalg import Matrix, ZERO, matrix
 from .prelie import HookedMap, PreLieProduct, prelie_product
 from .reports import matrix_text as matrix_obj, named_residual as value_obj
-
-KINDS = (
-    "lie_algebra",
-    "representation",
-    "operator",
-    "altmap",
-    "prelie",
-    "hooked_map",
-    "graded_space",
-    "sgla",
-    "graded_rep",
-    "differential",
-    "homotopy_operator",
-    "prelie_infinity",
-    "sym_family",
-)
-
 
 # Python's default limit on int <-> decimal string conversion.  Fraction
 # expands an exponent into an integer, at a cost that grows faster than the
@@ -422,12 +406,31 @@ def prelie_inf_to_obj(p: PreLieInfinity) -> dict:
 
 # -- workspace ----------------------------------------------------------------
 
+# The reader of each kind, called with the payload and its context.
+READERS = {
+    "lie_algebra": lie_from_obj,
+    "representation": rep_from_obj,
+    "operator": operator_from_obj,
+    "altmap": altmap_from_obj,
+    "prelie": prelie_from_obj,
+    "hooked_map": hooked_from_obj,
+    "graded_space": gvs_from_obj,
+    "sgla": sgla_from_obj,
+    "graded_rep": grep_from_obj,
+    "differential": differential_from_obj,
+    "homotopy_operator": hop_from_obj,
+    "prelie_infinity": prelie_inf_from_obj,
+    "sym_family": sym_family_from_obj,
+}
+KINDS = tuple(READERS)
+
+
 class Workspace:
     """Named raw entities collected from one or more JSON files.
 
-    Typed objects are built on demand by the commands, which supply the
-    contextual entities (an algebra for a representation, spaces for a
-    homotopy operator, and so on).
+    Typed objects are built on demand by :meth:`read`, from the contextual
+    entities the caller supplies (an algebra for a representation, spaces
+    for a homotopy operator, and so on).
     """
 
     def __init__(self):
@@ -464,6 +467,37 @@ class Workspace:
                     "single-entry object naming one"
                 )
         return self
+
+    def scope(self, ref: str):
+        """The workspace a FILE, FILE:KEY or bare KEY reads from, and the key
+        it names (None for a whole FILE).  Each file is read into its own
+        scope, so two files may both use the plain kind name for their single
+        entity; this workspace keeps the first entity under each name for
+        bare-key lookups."""
+        path, key = ref, None
+        if not os.path.exists(path) and ":" in ref:
+            path, key = ref.rsplit(":", 1)
+        if not os.path.exists(path):
+            if ref not in self.raw:
+                raise UnresolvedReferenceError(f"{ref!r} is neither a file nor a loaded entity")
+            return self, ref
+        local = Workspace().load_file(path)
+        for name, item in local.raw.items():
+            self.raw.setdefault(name, item)
+        return local, key
+
+    def read(self, ref: str, kind: str, *context):
+        """The entity of ``kind`` that ``ref`` names, built by its reader."""
+        scope, key = self.scope(ref)
+        return READERS[kind](scope.find(kind, key), *context)
+
+    def kind(self, key: str | None, kinds: tuple[str, ...]) -> str:
+        """The kind of the entity ``key`` names, or with no key the first of
+        ``kinds`` held here; else ``kinds[0]``, which :meth:`find` reports."""
+        if key is not None:
+            return self.raw[key][0] if key in self.raw else kinds[0]
+        held = {k for k, _ in self.raw.values()}
+        return next((k for k in kinds if k in held), kinds[0])
 
     def find(self, kind: str, key: str | None = None):
         if key is not None:

@@ -126,3 +126,16 @@ def test_a_table_above_the_work_cap_is_refused_before_it_is_built():
         with pytest.raises(SearchSpaceError, match=f"a table on {n} basis elements has "
                                                     f"{n ** 3} entries, above the cap"):
             linalg.table_from_pairs(n, {})
+
+
+def test_every_unlisted_pair_of_a_table_shares_one_zero_row():
+    # a file of 240 names and no brackets is 240^2 references to one row, not
+    # 240^3 zeros, so its check is refused in O(file) memory
+    t = linalg.table_from_pairs(240, {})
+    assert len(t) == 240 and all(len(plane) == 240 for plane in t)
+    rows = {id(row) for plane in t for row in plane}
+    assert len(rows) == 1 and t[0][0] == (Fraction(0),) * 240
+    # a listed pair and its completed mirror get rows of their own
+    t = linalg.table_from_pairs(3, {(0, 1): {2: 1}}, degrees=(-1, -1, -1))
+    assert t[0][1] == (0, 0, 1) and t[1][0] == (0, 0, -1) and t[2][2] == (0, 0, 0)
+    assert len({id(row) for plane in t for row in plane}) == 3

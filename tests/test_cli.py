@@ -1382,3 +1382,95 @@ def test_a_graded_walked_fail_is_the_least_word_of_its_whole_residual(
                                                       galg.space.basis)}
         words = [w for p in range(weight + 1) for w in canonical_words(rep.space, p)]
         assert calls == words.index(word) + 1
+
+
+# -- one reader for a map T: V -> g -------------------------------------------
+
+# rho(e1) = diag(1, 0, 0) and rho(e2) = E_12 satisfy [rho(e1), rho(e2)] = rho(e2),
+# so T: V -> g is a 2 x 3 matrix and no transposition goes unseen
+WIDE_REP = Representation(("v1", "v2", "v3"), (matrix([[1, 0, 0], [0, 0, 0], [0, 0, 0]]),
+                                               matrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])))
+
+
+def _map_files(tmp_path, name, rows):
+    """The operator T of ``rows`` in a file of its own, and as the 1-ary altmap."""
+    t = operator(rows)
+    f = AltMap.from_operator(t)
+    return (write(tmp_path, f"{name}.op.json",
+                  {"operator": {"rows": [[str(x) for x in row] for row in t.matrix]}}),
+            write(tmp_path, f"{name}.alt.json",
+                  {"altmap": altmap_to_obj(f, AFFINE["lie_algebra"]["basis"])}))
+
+
+def test_operator_commands_read_a_1_ary_altmap_as_the_equal_operator(runner, tmp_path):
+    # check-rbo, check-oop and induce-prelie took only operator files; an
+    # O-operator is the same thing as a Maurer-Cartan 1-cochain, so the altmap
+    # of T must give the verdict, witness and product that T gives
+    alg = write(tmp_path, "L.json", AFFINE)
+    rep = write(tmp_path, "V.json", {"representation": rep_to_obj(WIDE_REP, affine_line())})
+    assert runner.invoke(main, ["check-rep", "--algebra", alg, "--rep", rep]).exit_code == 0
+    rng = random.Random(29)
+    square = [RBO["operator"]["rows"], IDENT["operator"]["rows"], [["1", "-1"], ["0", "1/2"]]]
+    wide = [[[rng.choice([0, 1, -1, "1/2"]) for _ in range(3)] for _ in range(2)]
+            for _ in range(6)] + [[[0, 0, 0], [0, 0, 1]]]
+    commands = [(["check-rbo", "--algebra", alg], square),
+                (["check-oop", "--algebra", alg, "--rep", "adjoint"], square),
+                (["check-oop", "--algebra", alg, "--rep", rep], wide),
+                (["induce-prelie", "--algebra", alg, "--rep", "adjoint", "--force"], square),
+                (["induce-prelie", "--algebra", alg, "--rep", rep, "--force"], wide)]
+    exits = set()
+    for k, (command, cases) in enumerate(commands):
+        for i, rows in enumerate(cases):
+            op_file, alt_file = _map_files(tmp_path, f"{k}-{i}", rows)
+            by_op, by_alt = (runner.invoke(main, ["--json-report", "-", *command, "--op", f])
+                             for f in (op_file, alt_file))
+            assert by_op.stdout and by_op.stderr == "", (command, rows, by_op.output)
+            assert (by_alt.exit_code, by_alt.stdout, by_alt.stderr) == \
+                (by_op.exit_code, by_op.stdout, by_op.stderr), (command, rows)
+            exits.add((command[0], by_op.exit_code))
+    assert {("check-rbo", 0), ("check-rbo", 1), ("check-oop", 0), ("check-oop", 1),
+            ("induce-prelie", 0)} <= exits
+
+
+def test_an_altmap_in_a_bundle_is_read_by_key_for_every_map_option(runner, tmp_path):
+    basis = AFFINE["lie_algebra"]["basis"]
+    rbo = altmap_to_obj(AltMap.from_operator(operator(RBO["operator"]["rows"])), basis)
+    bundle = write(tmp_path, "bundle.json", {**AFFINE, "P": {"altmap": rbo}, **IDENT})
+    common = ["--algebra", bundle, "--rep", "adjoint"]
+    for command in (["check-rbo", "--algebra", bundle, "--op"], ["check-oop", *common, "--op"],
+                    ["mc-check", *common, "--op"], ["deform", *common, "--delta", f"{bundle}:P",
+                                                    "--base"]):
+        res = runner.invoke(main, [*command, f"{bundle}:P"])
+        assert (res.exit_code, res.stderr) == (0, ""), (command, res.output)
+        assert res.stdout.endswith(": PASS\n")
+    # the whole bundle holds an operator, which is read before its altmap
+    res = runner.invoke(main, ["check-oop", *common, "--op", bundle])
+    assert res.exit_code == 1 and '"residual": {"e2": "-1"}' in res.stdout
+
+
+@pytest.mark.parametrize("command", ["check-rbo", "check-oop", "induce-prelie"])
+def test_an_altmap_of_another_arity_is_no_operator(runner, tmp_path, command):
+    alg = write(tmp_path, "L.json", AFFINE)
+    pair = write(tmp_path, "f.json", {"altmap": {"arity": 2, "entries": [
+        {"args": [1, 2], "value": {"e2": "1"}}]}})
+    args = [command, "--algebra", alg, "--op", pair]
+    if command != "check-rbo":
+        args[3:3] = ["--rep", "adjoint"]
+    res = runner.invoke(main, args)
+    assert (res.exit_code, res.stdout) == (1, "")
+    assert res.stderr == "Error: only 1-ary maps correspond to operators\n"
+
+
+def test_the_map_options_still_take_altmaps_of_any_arity(runner, tmp_path):
+    # bracket, phi and check-phi-hom read maps of the whole complex, not only T
+    alg = write(tmp_path, "L.json", AFFINE)
+    pair = write(tmp_path, "f.json", {"altmap": {"arity": 2, "entries": [
+        {"args": [1, 2], "value": {"e2": "1"}}]}})
+    op = write(tmp_path, "P.json", RBO)
+    common = ["--algebra", alg, "--rep", "adjoint"]
+    res = runner.invoke(main, ["bracket", *common, "--left", pair, "--right", op])
+    assert res.exit_code == 0 and json.loads(res.stdout)["altmap"]["arity"] == 3
+    res = runner.invoke(main, ["phi", *common, "--map", pair])
+    assert res.exit_code == 0 and json.loads(res.stdout)["hooked_map"]["arity"] == 2
+    res = runner.invoke(main, ["check-phi-hom", *common, "--left", pair, "--right", op])
+    assert (res.exit_code, res.stdout) == (0, "check-phi-hom: PASS\n")

@@ -397,3 +397,35 @@ def test_unreadable_paths_are_schema_errors(tmp_path):
     deep.write_text('{"lie_algebra": ' + "[" * 100_000 + "]" * 100_000 + "}")
     with pytest.raises(SchemaError):
         Workspace().load_file(str(deep))
+
+
+def test_workspace_reads_a_file_a_bundle_key_and_a_bare_key(tmp_path):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    first.write_text(json.dumps({"lie_algebra": {"basis": ["e1"], "brackets": []},
+                                 "P": {"operator": {"rows": [["1"]]}}}))
+    second.write_text(json.dumps({"P": {"operator": {"rows": [["2"]]}},
+                                  "rho": {"representation": {"basis": ["v"]}}}))
+    ws = Workspace()
+    alg = ws.read(str(first), "lie_algebra")
+    assert alg.basis == ("e1",)
+    assert ws.read(f"{second}:P", "operator").matrix == ((2,),)
+    # a bare key reads the first file that registered it; the context goes to the reader
+    assert ws.read("P", "operator", 1, 1).matrix == ((1,),)
+    assert ws.read("rho", "representation", alg).basis == ("v",)
+    scope, key = ws.scope(str(second))
+    assert key is None and sorted(scope.raw) == ["P", "rho"]
+    assert (scope.kind("rho", ("operator",)), scope.kind(None, ("altmap", "operator"))) == \
+        ("representation", "operator")
+    assert scope.kind(None, ("altmap", "prelie")) == "altmap"
+    with pytest.raises(UnresolvedReferenceError) as exc:
+        ws.read(f"{first}:Q", "operator")
+    assert str(exc.value) == "no entity named 'Q'"
+    with pytest.raises(UnresolvedReferenceError) as exc:
+        ws.read("Q", "operator")
+    assert str(exc.value) == "'Q' is neither a file nor a loaded entity"
+
+
+def test_each_kind_is_read_by_its_own_reader():
+    assert ser.KINDS == tuple(ser.READERS)
+    for kind, reader in ser.READERS.items():
+        assert reader.__module__ == ser.__name__ and reader.__name__.endswith("_from_obj"), kind
