@@ -85,23 +85,36 @@ def courant_on_word(f: AltMap, g: AltMap, alg, rep, word) -> Vector:
     """The bracket [[f, g]] of :func:`courant_bracket` on an explicit word of
     arity(f) + arity(g) arguments: its three sums over unshuffles.
 
-    The unshuffle tables are the unmerged ones: the canonical words of the
-    ungraded complex never repeat a letter, so no two unshuffles rearrange
-    one into the same word.  When g is f, the two insertion sums are one sum
-    over one table with the coefficients -1 and (-1)^(nm), so it is summed
-    once with the coefficient (-1)^(nm) - 1, and not at all when that is 0;
-    this uses no axiom of the algebra or the action."""
+    The bracket is alternating, so the word is sorted once into an
+    increasing word, with the permutation sign of the sort, and a word
+    repeating a letter gives zero.  The inversions are counted here, not by
+    the graded kernels' Koszul sort, so this sum stays independent of
+    :func:`~rotabaxter.homotopy.bracket_on_word`.  Every block of an
+    unshuffle of an increasing word is increasing, so each value of f and g
+    on a block is read straight from its entries; only the words with an
+    inserted letter are sorted again.  The unshuffle tables are the
+    unmerged ones: an increasing word never repeats a letter, so no two
+    unshuffles rearrange it into the same word.  When g is f, the two
+    insertion sums are one sum over one table with the coefficients -1 and
+    (-1)^(nm), so it is summed once with the coefficient (-1)^(nm) - 1, and
+    not at all when that is 0; this uses no axiom of the algebra or the
+    action."""
     n, m = f.weight, g.weight  # the arities
-    mn = parity_sign(m * n)
     dim = f.target.dim
+    if len(set(word)) < len(word):
+        return (0,) * dim
+    sgn = parity_sign(sum(a > b for i, a in enumerate(word) for b in word[i + 1:]))
+    word = tuple(sorted(word))
+    mn = parity_sign(m * n)
     val = [0] * dim
     # g inserted into f and f into g; a self-bracket sums the one table once
     for inner, outer, coef in ((f, f, mn - 1),) if g is f else ((g, f, -1), (f, g, mn)):
         a, b = inner.weight, outer.weight
+        coef *= sgn
         for s, sg in signed_unshuffles((a, 1, b - 1)) if b and coef else ():
             u = tuple(word[i] for i in s)
-            ival = inner.eval(u[:a])
-            if vec_is_zero(ival):
+            ival = inner.entries.get(u[:a])
+            if ival is None:
                 continue
             inserted = rep.act_basis(ival, u[a])
             if vec_is_zero(inserted):
@@ -110,13 +123,14 @@ def courant_on_word(f: AltMap, g: AltMap, alg, rep, word) -> Vector:
             sg *= coef
             for k in range(dim):
                 val[k] += sg * term[k]
+    mn *= sgn  # the bracket of values carries the sort's sign too
     for s, sg in signed_unshuffles((n, m)):
         u = tuple(word[i] for i in s)
-        x = f.eval(u[:n])
-        if vec_is_zero(x):
+        x = f.entries.get(u[:n])
+        if x is None:
             continue
-        y = g.eval(u[n:])
-        if vec_is_zero(y):
+        y = g.entries.get(u[n:])
+        if y is None:
             continue
         br = alg.bracket(x, y)
         sg *= mn

@@ -84,20 +84,23 @@ def ungraded_space(dim: int) -> GradedVectorSpace:
     return concentrated((f"e{i + 1}" for i in range(dim)), -1)
 
 
-def canonical_words(space: GradedVectorSpace, weight: int):
-    """Weakly increasing index words with no odd-degree index repeated, in
-    sorted order.
+@lru_cache(maxsize=256)
+def canonical_words(space: GradedVectorSpace, weight: int) -> tuple:
+    """The weakly increasing index words with no odd-degree index repeated,
+    as a tuple in sorted order.
 
-    On a space of odd letters only (every ungraded one) these are the
-    strictly increasing words, ``itertools.combinations``.  It allocates a
-    buffer of the weight up front, so a weight above the letters, which has
-    no words, gets an empty iterator before it is called.  Other spaces
-    take :func:`_walk_words`.
+    Each (space, weight) is listed once and kept, like :func:`_walk_steps`,
+    so every walk over the same space reads one word list.  Every caller
+    counts its walk against CANONICAL_WORD_CAP before it asks for words, so
+    each kept list is bounded.  On a space of odd letters only (every
+    ungraded one) these are the strictly increasing words,
+    ``itertools.combinations``, and a weight above the letters has none.
+    Other spaces take :func:`_walk_words`.
     """
     dim = space.dim
     if all(d % 2 for d in space.degrees):
-        return itertools.combinations(range(dim), weight) if weight <= dim else iter(())
-    return _walk_words(space, weight)
+        return tuple(itertools.combinations(range(dim), weight)) if weight <= dim else ()
+    return tuple(_walk_words(space, weight))
 
 
 def _walk_words(space: GradedVectorSpace, weight: int):
@@ -273,6 +276,8 @@ def koszul_sorted(degrees, args):
     into it negates): the Koszul sign of the sort, for letters of the given
     degrees.  The word is None when an odd-degree letter repeats, where
     every graded-symmetric map vanishes."""
+    if len(args) < 2:
+        return tuple(args), False
     odd = [a for a in args if degrees[a] % 2]
     if len(set(odd)) < len(odd):
         return None, False
@@ -386,7 +391,7 @@ class SparseMap:
         if n != self.weight or self.free == (last is None):
             raise ShapeMismatchError(f"expected {self.weight} arguments"
                                      f"{' and a last one' if self.free else ''}")
-        word, negate = koszul_sorted(self.space.degrees, args) if n > 1 else (tuple(args), False)
+        word, negate = koszul_sorted(self.space.degrees, args)
         val = self.entries.get((word, last) if self.free else word)
         if val is None:
             return (ZERO,) * self.target.dim
@@ -400,14 +405,17 @@ class SparseMap:
         if n != self.weight or not self.free:
             raise ShapeMismatchError(f"expected {self.weight} arguments of a map "
                                      "with a free slot")
-        word, negate = koszul_sorted(self.space.degrees, args) if n > 1 else (tuple(args), False)
-        vals = {}
+        word, negate = koszul_sorted(self.space.degrees, args)
+        vals = self.stored_lasts(word)
+        return {last: tuple(-x for x in val) for last, val in vals.items()} if negate else vals
+
+    def stored_lasts(self, word) -> dict[int, Vector]:
+        """{last: the stored value at (word, last)} for every last argument
+        where one is stored, for a map with a free slot: ``eval_lasts`` on a
+        canonical word, read straight from the entries."""
         get = self.entries.get
-        for last in range(self.space.dim):
-            val = get((word, last))
-            if val is not None:
-                vals[last] = tuple(-x for x in val) if negate else val
-        return vals
+        return {last: val for last in range(self.space.dim)
+                if (val := get((word, last))) is not None}
 
     def _expand(self, coeffs, term_at) -> Vector:
         out = [0] * self.target.dim

@@ -129,18 +129,29 @@ def bracket_on_word(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
     When g is f, the two insertion sums are one sum with the coefficients -1
     and (-1)^((m+1)(m+1)), so it is summed once with their sum, and not at
     all at odd m, where that is 0; this uses no axiom of the structure.
+
+    The bracket is graded symmetric, so the word is sorted once into a
+    canonical word, with its Koszul sign, and a word repeating an odd-degree
+    letter gives zero.  Every block of an unshuffle of a canonical word is
+    canonical too, so each value of f and g on a block is read straight from
+    its entries; only the words with an inserted letter are sorted again.
     """
+    dim_g = alg.dim
+    word, negate = koszul_sorted(f.space.degrees, word)
+    if word is None:
+        return (0,) * dim_g
+    sgn = -1 if negate else 1
     degs = tuple(f.space.degrees[i] for i in word)
     par = tuple(d % 2 for d in degs)
     pat = tuple(map(word.index, word))
     p = len(word)
     m, n = f.degree, g.degree
     fc, gc = f.components, g.components
-    dim_g = alg.dim
     out = [0] * dim_g
     # g inserted into an argument slot of f, and f into an argument slot of g
     s2 = parity_sign((m + 1) * (n + 1))
     for inner, outer, coef in ((fc, fc, s2 - 1),) if g is f else ((gc, fc, -1), (fc, gc, s2)):
+        coef *= sgn
         for l in range(p):
             il = inner.get(l)
             ol = outer.get(p - l)
@@ -148,8 +159,8 @@ def bracket_on_word(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
                 continue
             for s, eps in signed_unshuffles((l, 1, p - l - 1), par, pat) if coef else ():
                 u = tuple(word[i] for i in s)
-                val = il.eval(u[:l])
-                if vec_is_zero(val):
+                val = il.entries.get(u[:l])
+                if val is None:
                     continue
                 inserted = rep.act_basis(val, u[l])
                 if vec_is_zero(inserted):
@@ -167,14 +178,14 @@ def bracket_on_word(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
             continue
         for s, eps in signed_unshuffles((a, p - a), par, pat):
             u = tuple(word[i] for i in s)
-            x = fa.eval(u[:a])
-            if vec_is_zero(x):
+            x = fa.entries.get(u[:a])
+            if x is None:
                 continue
-            y = gb.eval(u[a:])
-            if vec_is_zero(y):
+            y = gb.entries.get(u[a:])
+            if y is None:
                 continue
             d1 = sum(degs[s[t]] for t in range(a))
-            factor = -parity_sign(n * d1 + m + 1) * eps
+            factor = -sgn * parity_sign(n * d1 + m + 1) * eps
             br = alg.bracket(x, y)
             for k in range(dim_g):
                 if br[k]:
@@ -292,8 +303,7 @@ def residual_on_word(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
     is graded symmetric, so the word is sorted once into a canonical word,
     with its Koszul sign, and a word repeating an odd-degree letter gives
     zero; :func:`_twice_residual` sums it there and it is halved once."""
-    canonical, negate = (koszul_sorted(t.space.degrees, word) if len(word) > 1
-                         else (tuple(word), False))
+    canonical, negate = koszul_sorted(t.space.degrees, word)
     if canonical is None:
         return (ZERO,) * alg.dim
     val = _twice_residual(t, alg, rep, canonical)
@@ -666,7 +676,8 @@ def search_homotopy_operators(alg: SGLA, rep: GradedRepresentation, grid,
     if not grid:
         raise BoundError("search grid must be nonempty")
     space, target = rep.space, alg.space
-    _require_walk(space, p_max)
+    # the slots are read from the words up to max_weight, the residuals up to p_max
+    _require_walk(space, max(p_max, max_weight))
     slots = []
     for w in range(max_weight + 1):
         for word in canonical_words(space, w):

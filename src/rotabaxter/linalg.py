@@ -250,8 +250,30 @@ def bilinear(self, x: Vector, y: Vector) -> Vector:
 
 
 def adjoint_matrices(t) -> tuple[Matrix, ...]:
-    """ad(e_i) for each i: the matrix with (k, j) entry t[i][j][k]."""
-    return tuple(tuple(zip(*plane)) for plane in t)
+    """ad(e_i) for each i: the matrix with (k, j) entry t[i][j][k].
+
+    As in :func:`table_from_pairs`, every all-zero row of the result is one
+    shared tuple: a plane of zero rows is one zero row repeated, and each
+    row object of the table is tested once, so the adjoint of a sparse
+    table costs n^2 references, not n^3 zeros."""
+    zero_rows: dict = {}  # id of a row of t: whether it is all zero
+    shared: dict = {}  # length: the one zero row of that length
+
+    def is_zero(row) -> bool:
+        got = zero_rows.get(id(row))
+        if got is None:
+            got = zero_rows[id(row)] = not any(row)
+        return got
+
+    out = []
+    for plane in t:
+        if all(map(is_zero, plane)):
+            row = shared.setdefault(len(plane), (ZERO,) * len(plane))
+            out.append((row,) * min(map(len, plane), default=0))
+        else:
+            out.append(tuple(col if any(col) else shared.setdefault(len(col), col)
+                             for col in zip(*plane)))
+    return tuple(out)
 
 
 def act_basis(self, x: Vector, j: int) -> Vector:

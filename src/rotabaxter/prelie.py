@@ -20,7 +20,15 @@ from fractions import Fraction
 from .combinatorics import parity_sign, signed_unshuffles
 from .deformation import AltMap, _check_spaces, courant_bracket, courant_on_word
 from .errors import NotMaurerCartanError, ShapeMismatchError
-from .graded import CellWalk, SparseFamily, SparseMap, Walk, require_cells, ungraded_space
+from .graded import (
+    CellWalk,
+    SparseFamily,
+    SparseMap,
+    Walk,
+    koszul_sorted,
+    require_cells,
+    ungraded_space,
+)
 from .lie import _oop_walk
 from .linalg import (
     Clearable,
@@ -31,7 +39,6 @@ from .linalg import (
     require_table,
     signed_sum,
     table_from_pairs,
-    vec_is_zero,
 )
 from .reports import Report, cell_witness
 
@@ -54,13 +61,23 @@ def hook_compose_lasts(a: SparseFamily, b: SparseFamily, word) -> list[Vector]:
     which each term's sign carries, so no value is rescaled afterwards.
     The unshuffles, the inner values of the first sum and the a-values of
     the second do not depend on the last argument, so each is computed once
-    per word, and every map is read through ``eval_lasts``.  Unshuffles that
-    rearrange the word into the same word are summed once.  On hooked maps
-    (one-weight families on V in degree -1) the factor is (-1)^(nm) and the
-    tables are unmerged.
+    per word.  Unshuffles that rearrange the word into the same word are
+    summed once.  On hooked maps (one-weight families on V in degree -1) the
+    factor is (-1)^(nm) and the tables are unmerged.
+
+    The compose is graded symmetric in the word, so the word is sorted once
+    into a canonical word, with its Koszul sign, which each term's sign
+    carries too, and a word repeating an odd-degree letter gives zero.  Every
+    block of an unshuffle of a canonical word is canonical, so each value on
+    a block is read straight from the entries; only the words with an
+    inserted letter go through ``eval_lasts``.
     """
     space = a.space
     dim = space.dim
+    word, negate = koszul_sorted(space.degrees, word)
+    if word is None:
+        return [(0,) * dim] * dim
+    norm = -COMPOSE_NORMALIZATION if negate else COMPOSE_NORMALIZATION
     degs = tuple(space.degrees[i] for i in word)
     par = tuple(d % 2 for d in degs)
     pat = tuple(map(word.index, word))
@@ -75,11 +92,11 @@ def hook_compose_lasts(a: SparseFamily, b: SparseFamily, word) -> list[Vector]:
             continue
         for s, eps in signed_unshuffles((wb, 1, p - wb - 1), par, pat):
             u = tuple(word[i] for i in s)
-            inner = bb.eval(u[:wb], u[wb])
-            if vec_is_zero(inner):
+            inner = bb.entries.get((u[:wb], u[wb]))
+            if inner is None:
                 continue
             rest = u[wb + 1:]
-            sign = COMPOSE_NORMALIZATION * eps
+            sign = norm * eps
             for j, cj in enumerate(inner):
                 if not cj:
                     continue
@@ -96,14 +113,14 @@ def hook_compose_lasts(a: SparseFamily, b: SparseFamily, word) -> list[Vector]:
             continue
         for s, eps in signed_unshuffles((wa, p - wa), par, pat):
             u = tuple(word[i] for i in s)
-            inners = bb.eval_lasts(u[wa:])
+            inners = bb.stored_lasts(u[wa:])
             if not inners:
                 continue
-            avals = aa.eval_lasts(u[:wa])
+            avals = aa.stored_lasts(u[:wa])
             if not avals:
                 continue
             d1 = sum(degs[s[t]] for t in range(wa))
-            factor = COMPOSE_NORMALIZATION * parity_sign(nbar * d1) * eps
+            factor = norm * parity_sign(nbar * d1) * eps
             for last, inner in inners.items():
                 acc = out[last]
                 for j, val in avals.items():

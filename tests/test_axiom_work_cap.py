@@ -135,7 +135,18 @@ def test_every_unlisted_pair_of_a_table_shares_one_zero_row():
     assert len(t) == 240 and all(len(plane) == 240 for plane in t)
     rows = {id(row) for plane in t for row in plane}
     assert len(rows) == 1 and t[0][0] == (Fraction(0),) * 240
+    # so does its adjoint, whose matrices transpose the table's planes
+    ad = linalg.adjoint_matrices(t)
+    assert len(ad) == 240 and all(len(m) == 240 for m in ad)
+    assert len({id(row) for m in ad for row in m}) == 1 and ad[0][0] == (Fraction(0),) * 240
     # a listed pair and its completed mirror get rows of their own
     t = linalg.table_from_pairs(3, {(0, 1): {2: 1}}, degrees=(-1, -1, -1))
     assert t[0][1] == (0, 0, 1) and t[1][0] == (0, 0, -1) and t[2][2] == (0, 0, 0)
     assert len({id(row) for plane in t for row in plane}) == 3
+    # ad(e_i) has (k, j) entry t[i][j][k]: only the rows k = 2 of ad(e_1)
+    # and ad(e_2) are nonzero, and every other row is the one zero row
+    ad = linalg.adjoint_matrices(t)
+    assert ad[0][2] == (0, 1, 0) and ad[1][2] == (-1, 0, 0)
+    assert all(not any(row) for i, m in enumerate(ad) for k, row in enumerate(m)
+               if (i, k) not in ((0, 2), (1, 2)))
+    assert len({id(row) for m in ad for row in m}) == 3

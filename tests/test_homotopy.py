@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from rotabaxter import graded, homotopy
+from rotabaxter import graded, homotopy, prelie
 from rotabaxter.catalog import (
     affine_line,
     graded_instances,
@@ -14,8 +14,8 @@ from rotabaxter.catalog import (
     two_level_rep,
     two_level_sgla,
 )
-from rotabaxter.combinatorics import koszul_sign, parity_sign
-from rotabaxter.deformation import AltMap, courant_bracket, mc_residual
+from rotabaxter.combinatorics import koszul_sign, parity_sign, sign
+from rotabaxter.deformation import AltMap, courant_bracket, courant_on_word, mc_residual
 from rotabaxter.embed import homotopy_operator_from_linear
 from rotabaxter.errors import (
     BoundError,
@@ -48,6 +48,7 @@ from rotabaxter.homotopy import (
     graded_bracket,
     homotopy_oop_residual,
     hook_bracket,
+    hook_compose_lasts,
     hook_compose_on_word,
     induce_prelie_infinity,
     is_homotopy_oop,
@@ -88,7 +89,13 @@ from helpers import (
     random_sym_family,
     shifted_bracket,
 )
-from test_integer_kernels import POOL, raw_hook_compose, raw_prelie_residual
+from test_integer_kernels import (
+    POOL,
+    raw_bracket,
+    raw_courant,
+    raw_hook_compose,
+    raw_prelie_residual,
+)
 
 
 def test_eval_sym_signs():
@@ -253,9 +260,11 @@ def test_prelie_infinity_work_is_counted_before_enumerating():
     lambda t, a, r, p: hook_bracket(psi(t, r), psi(t, r), p),
     lambda t, a, r, p: induce_prelie_infinity(t, a, r, p),
     lambda t, a, r, p: search_homotopy_operators(a, r, (0,), max_weight=0, p_max=p),
+    # the slots are listed from the words up to max_weight
+    lambda t, a, r, p: search_homotopy_operators(a, r, (0,), max_weight=p, p_max=0),
 ], ids=["is_homotopy_oop", "mc_check_homotopy", "homotopy_oop_residual", "is_homotopy_rbo",
         "graded_bracket", "check_psi_homomorphism", "hook_bracket", "induce_prelie_infinity",
-        "search_homotopy_operators"])
+        "search_homotopy_operators", "search_homotopy_operators_slots"])
 def test_canonical_word_walks_are_counted_before_enumerating(call):
     t, alg, rep = _failing_mixed_operator()
     for p_max in (graded.CANONICAL_WORD_CAP, 10 ** 9):
@@ -349,26 +358,108 @@ def _random_hooked_family(rng, space, max_weight, density=0.6):
 
 
 def test_prelie_infinity_residual_is_koszul_symmetric():
-    # so check_prelie_infinity need only evaluate canonical words
-    checked = nonzero = 0
-    for _, _, rep in graded_instances():
+    # so check_prelie_infinity need only evaluate canonical words; the
+    # compose of two psi families of different degrees, as the psi check
+    # runs it, is Koszul symmetric too, and both agree with their raw sums
+    # on every word, sorted or not
+    checked = nonzero = composed = 0
+    for _, alg, rep in graded_instances():
         space = rep.space
         for seed in range(6):
-            p = _random_hooked_family(random.Random(seed), space, 3)
+            rng = random.Random(seed)
+            p = _random_hooked_family(rng, space, 3)
+            a = psi(random_sym_family(rng, space, alg.space, 0, 2), rep)
+            b = psi(random_sym_family(rng, space, alg.space, 1, 2), rep)
             for n in range(1, 5):
                 for word in itertools.product(range(space.dim), repeat=n - 1):
+                    canon = _koszul_sorted(space, word)
+                    ab = hook_compose_lasts(a, b, word)
+                    if canon is None:
+                        assert not any(map(any, ab))
+                    else:
+                        sgn, sorted_word = canon
+                        assert ab == [tuple(sgn * x for x in val)
+                                      for val in hook_compose_lasts(a, b, sorted_word)]
+                    composed += any(map(any, ab))
                     for last in range(space.dim):
+                        assert ab[last] == raw_hook_compose(a, b, word, last)
                         got = prelie_infinity_residual(p, word, last)
-                        canon = _koszul_sorted(space, word)
+                        assert got == raw_prelie_residual(p, word, last)
                         if canon is None:
                             assert not any(got)
                         else:
-                            sgn, sorted_word = canon
                             want = prelie_infinity_residual(p, sorted_word, last)
                             assert got == tuple(sgn * x for x in want)
                         checked += 1
                         nonzero += any(got)
-    assert checked == 1620 and nonzero > 100
+    assert checked == 1620 and nonzero > 100 and composed > 20
+
+
+def _zero_matrices(d, n):
+    return (((Fraction(0),) * d,) * d,) * n
+
+
+def test_each_kernel_sorts_its_word_once_and_reads_its_blocks_from_the_entries(monkeypatch):
+    # With a zero action no letter is inserted, so on a canonical word each
+    # per-word kernel reads every value straight from the entries: at most
+    # one Koszul sort of the word (none in the ungraded bracket, which
+    # counts its own permutation sign), and no eval or eval_lasts.
+    sorts, evals = [], []
+    kernel = graded.koszul_sorted
+    for module in (graded, homotopy, prelie):
+        monkeypatch.setattr(module, "koszul_sorted",
+                            lambda *args: sorts.append(args) or kernel(*args), raising=False)
+    for cls, name in ((graded.SparseMap, "eval"), (graded.SparseMap, "eval_lasts"),
+                      (GradedSymMap, "eval"), (AltMap, "eval")):
+        method = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda *args, _m=method: evals.append(args) or _m(*args))
+
+    def once(run):
+        sorts.clear()
+        evals.clear()
+        got = run()
+        assert len(sorts) <= 1 and not evals
+        return got
+
+    rng = random.Random(5)
+    nonzero = {"bracket": 0, "compose": 0, "courant": 0}
+    for _, alg, rep in graded_instances():
+        space = rep.space
+        zero = GradedRepresentation(space, _zero_matrices(space.dim, alg.dim))
+        f = random_sym_family(rng, space, alg.space, 0, 2)
+        g = random_sym_family(rng, space, alg.space, 1, 2)
+        hooks = _random_hooked_family(rng, space, 3)
+        a = GradedHookFamily(space, 1, {0: hooks.component(0)})
+        for p in range(4):
+            b = GradedHookFamily(space, 1, {p: hooks.component(p)})
+            for word in canonical_words(space, p):
+                got = once(lambda: bracket_on_word(f, g, alg, zero, word))
+                assert got == raw_bracket(f, g, alg, zero, word)
+                nonzero["bracket"] += any(got)
+                got = once(lambda: hook_compose_lasts(a, b, word))
+                assert got == [raw_hook_compose(a, b, word, last) for last in range(space.dim)]
+                nonzero["compose"] += any(map(any, got))
+    for _, alg, rep in lie_pairs():
+        zero = Representation(rep.basis, _zero_matrices(rep.space_dim, alg.dim))
+        for n, m in ((1, 1), (1, 2)):
+            f = random_altmap(rng, n, rep.space_dim, alg.dim)
+            g = random_altmap(rng, m, rep.space_dim, alg.dim)
+            for word in canonical_words(f.space, n + m):
+                got = once(lambda: courant_on_word(f, g, alg, zero, word))
+                assert got == raw_courant(f, g, alg, zero, word)
+                nonzero["courant"] += any(got)
+    assert all(nonzero.values()), nonzero
+
+
+def test_canonical_words_are_listed_once_per_space_and_weight():
+    # every walk on a space, the two walks of a psi check among them, reads
+    # the one tuple, and it is the letter-by-letter enumeration
+    for _, alg, rep in graded_instances():
+        for space in (rep.space, alg.space):
+            for w in range(5):
+                words = canonical_words(space, w)
+                assert type(words) is tuple and canonical_words(space, w) is words
+                assert words == tuple(graded._walk_words(space, w))
 
 
 def _count_calls(monkeypatch, name):
@@ -511,6 +602,26 @@ def test_bracket_word_expression_is_graded_symmetric():
                 lhs = bracket_on_word(f, g, alg, rep, word)
                 rhs = tuple(eps * x for x in bracket_on_word(f, g, alg, rep, sorted_word))
                 assert lhs == rhs
+    # the ungraded bracket is alternating: a permuted word gives the
+    # permutation-signed value, a repeated letter zero, and both the raw sum
+    nonzero = 0
+    for name, alg, rep in lie_pairs():
+        dim = rep.space_dim
+        for n, m in ((0, 2), (1, 1), (1, 2), (2, 1)):
+            f = random_altmap(rng, n, dim, alg.dim)
+            for g in (f, random_altmap(rng, m, dim, alg.dim)) if n == m else (
+                    random_altmap(rng, m, dim, alg.dim),):
+                for word in itertools.product(range(dim), repeat=n + m):
+                    got = courant_on_word(f, g, alg, rep, word)
+                    assert got == raw_courant(f, g, alg, rep, word)
+                    if len(set(word)) < len(word):
+                        assert not any(got)
+                        continue
+                    order = tuple(sorted(range(n + m), key=word.__getitem__))
+                    want = courant_on_word(f, g, alg, rep, tuple(sorted(word)))
+                    assert got == tuple(sign(order) * x for x in want)
+                    nonzero += any(got)
+    assert nonzero > 20
 
 
 def test_residual_zero_operator():

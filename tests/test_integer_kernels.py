@@ -598,6 +598,22 @@ def raw_residual(t, alg, rep, word):
     return tuple(Fraction(r) / 2 - x for r, x in zip(rhs, lhs))
 
 
+def raw_courant(f, g, alg, rep, word):
+    n, m = f.arity, g.arity
+    mn = parity_sign(m * n)
+    out = [0] * alg.dim
+    for inner, outer, coef in ((g, f, -1), (f, g, mn)):
+        a, b = inner.arity, outer.arity
+        for s, eps in signed_unshuffles((a, 1, b - 1)) if b else ():
+            u = [word[i] for i in s]
+            ins = rep.act_basis(inner.eval(u[:a]), u[a])
+            add_into(out, coef * eps, outer.eval_insert(ins, u[a + 1:]))
+    for s, eps in signed_unshuffles((n, m)):
+        u = [word[i] for i in s]
+        add_into(out, -mn * eps, alg.bracket(f.eval(u[:n]), g.eval(u[n:])))
+    return tuple(out)
+
+
 def raw_hook_compose(a, b, word, last):
     space = a.space
     degs = [space.degrees[i] for i in word]
