@@ -104,36 +104,60 @@ def unshuffles(shape) -> list[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=1024)
-def signed_unshuffles(shape: tuple[int, ...], parities: tuple[int, ...] | None = None,
-                      pattern: tuple[int, ...] | None = None):
+def signed_unshuffles(shape: tuple[int, ...], parities: tuple[int, ...] | None = None):
     """The unshuffles of ``shape``, each paired with its sign, as a tuple.
 
     With ``parities`` None the sign is the permutation parity :func:`sign`
     (the ungraded calculus); otherwise ``parities[i]`` is the degree parity
     of the letter at position i and the sign is :func:`koszul_sign`.  Both
-    depend only on the shape and the parity pattern, so the per-word kernels
-    share one table per key instead of recomputing signs per word and term.
-
-    ``pattern[i]`` names the letter at position i (equal names for equal
-    letters, e.g. ``tuple(map(word.index, word))``).  With a pattern, the
-    unshuffles that rearrange the word into the same word are merged: one
-    representative is kept, paired with the sum of their signs, and a group
-    whose signs cancel (only possible when an odd letter repeats) is dropped.
-    A kernel whose term is the sign times a function of the rearranged word
-    alone sums the same total over the merged table.
+    depend only on the shape and the parity pattern, so one table serves
+    every word of that pattern (see :func:`split_table`).
     """
-    if pattern is None:
-        if parities is None:
-            return tuple((s, sign(s)) for s in unshuffles(shape))
-        return tuple((s, koszul_sign(s, parities)) for s in unshuffles(shape))
-    merged: dict = {}
-    for s, eps in signed_unshuffles(shape, parities):
-        key = tuple(pattern[i] for i in s)
-        if key in merged:
-            merged[key][1] += eps
-        else:
-            merged[key] = [s, eps]
-    return tuple((s, c) for s, c in merged.values() if c)
+    if parities is None:
+        return tuple((s, sign(s)) for s in unshuffles(shape))
+    return tuple((s, koszul_sign(s, parities)) for s in unshuffles(shape))
+
+
+@lru_cache(maxsize=2048)
+def split_table(word: tuple[int, ...], parities: tuple[int, ...] | None,
+                shape: tuple[int, ...]):
+    """The unshuffles of ``shape`` applied to ``word``, split into blocks of
+    letters, as a tuple: one entry per distinct rearranged word.
+
+    ``parities[x]`` is the degree parity of the letter x; with ``parities``
+    None every letter counts as odd and the sign is the permutation parity
+    :func:`sign`, as in :func:`signed_unshuffles`.  The unshuffles that
+    rearrange the word into the same word are merged into one entry with the
+    sum of their signs, and a group whose signs cancel (only possible when
+    an odd letter repeats) is dropped: a kernel whose term is the sign times
+    a function of the rearranged word sums the same total over this table
+    as over the raw one.  An insertion shape (l, 1, p - l - 1) gives entries
+    ``(head, letter, rest, sign)``; a two-block shape (a, p - a) gives
+    ``(left, right, sign, parity)``, the parity of the left block's summed
+    degrees.  The per-word kernels read one table per (word, shape) from
+    this cache instead of rearranging the word term by term.
+    """
+    insertion = len(shape) == 3 and shape[1] == 1
+    if not insertion and len(shape) != 2:
+        raise ShapeMismatchError(f"split tables have shape (a, b) or (a, 1, b), not {shape}")
+    table = signed_unshuffles(shape, None if parities is None else
+                              tuple(parities[x] for x in word))
+    letter = word.__getitem__
+    if len(set(word)) == len(word):  # distinct letters: nothing merges
+        rows = [(tuple(map(letter, s)), eps) for s, eps in table]
+    else:
+        merged: dict = {}
+        for s, eps in table:
+            u = tuple(map(letter, s))
+            merged[u] = merged.get(u, 0) + eps
+        rows = [(u, c) for u, c in merged.items() if c]
+    a = shape[0]
+    if insertion:
+        return tuple((u[:a], u[a], u[a + 1:], c) for u, c in rows)
+    if parities is None:
+        return tuple((u[:a], u[a:], c, a % 2) for u, c in rows)
+    parity = parities.__getitem__
+    return tuple((u[:a], u[a:], c, sum(map(parity, u[:a])) % 2) for u, c in rows)
 
 
 def multinomial(shape) -> int:

@@ -15,7 +15,7 @@ are pinned by exhaustive tests.
 
 from __future__ import annotations
 
-from .combinatorics import parity_sign, signed_unshuffles
+from .combinatorics import parity_sign, split_table
 from .errors import NotMaurerCartanError, ShapeMismatchError
 from .graded import SparseMap, Walk, ungraded_space
 from .linalg import (
@@ -88,17 +88,17 @@ def courant_on_word(f: AltMap, g: AltMap, alg, rep, word) -> Vector:
     The bracket is alternating, so the word is sorted once into an
     increasing word, with the permutation sign of the sort, and a word
     repeating a letter gives zero.  The inversions are counted here, not by
-    the graded kernels' Koszul sort, so this sum stays independent of
-    :func:`~rotabaxter.homotopy.bracket_on_word`.  Every block of an
-    unshuffle of an increasing word is increasing, so each value of f and g
-    on a block is read straight from its entries; only the words with an
-    inserted letter are sorted again.  The unshuffle tables are the
-    unmerged ones: an increasing word never repeats a letter, so no two
-    unshuffles rearrange it into the same word.  When g is f, the two
-    insertion sums are one sum over one table with the coefficients -1 and
-    (-1)^(nm), so it is summed once with the coefficient (-1)^(nm) - 1, and
-    not at all when that is 0; this uses no axiom of the algebra or the
-    action."""
+    the graded kernels' Koszul sort, and the word's :func:`split_table`
+    entries are read with parities None, so their signs are the permutation
+    signs of :func:`~rotabaxter.combinatorics.sign`: this sum stays
+    independent of :func:`~rotabaxter.homotopy.bracket_on_word`.  Every
+    block of an unshuffle of an increasing word is increasing, so each value
+    of f and g on a block is read straight from its entries; an inserted
+    letter is placed into its increasing rest by bisection.  When g is f,
+    the two insertion sums are one sum over one table with the coefficients
+    -1 and (-1)^(nm), so it is summed once with the coefficient
+    (-1)^(nm) - 1, and not at all when that is 0; this uses no axiom of the
+    algebra or the action."""
     n, m = f.weight, g.weight  # the arities
     dim = f.target.dim
     if len(set(word)) < len(word):
@@ -111,25 +111,19 @@ def courant_on_word(f: AltMap, g: AltMap, alg, rep, word) -> Vector:
     for inner, outer, coef in ((f, f, mn - 1),) if g is f else ((g, f, -1), (f, g, mn)):
         a, b = inner.weight, outer.weight
         coef *= sgn
-        for s, sg in signed_unshuffles((a, 1, b - 1)) if b and coef else ():
-            u = tuple(word[i] for i in s)
-            ival = inner.entries.get(u[:a])
+        for head, x, rest, sg in split_table(word, None, (a, 1, b - 1)) if b and coef else ():
+            ival = inner.entries.get(head)
             if ival is None:
                 continue
-            inserted = rep.act_basis(ival, u[a])
-            if vec_is_zero(inserted):
-                continue
-            term = outer.eval_insert(inserted, u[a + 1:])
-            sg *= coef
-            for k in range(dim):
-                val[k] += sg * term[k]
+            inserted = rep.act_basis(ival, x)
+            if not vec_is_zero(inserted):
+                outer._insert_into(val, coef * sg, inserted, rest)
     mn *= sgn  # the bracket of values carries the sort's sign too
-    for s, sg in signed_unshuffles((n, m)):
-        u = tuple(word[i] for i in s)
-        x = f.entries.get(u[:n])
+    for left, right, sg, _ in split_table(word, None, (n, m)):
+        x = f.entries.get(left)
         if x is None:
             continue
-        y = g.entries.get(u[n:])
+        y = g.entries.get(right)
         if y is None:
             continue
         br = alg.bracket(x, y)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache
@@ -54,9 +55,12 @@ class GradedVectorSpace:
     dim: int = field(init=False, repr=False, compare=False)
     # the one degree of a space concentrated in a single degree, else None
     uniform_degree: int | None = field(init=False, repr=False, compare=False)
+    # the degree parity of each basis element, the key of its split tables
+    parities: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "dim", len(self.basis))
+        object.__setattr__(self, "parities", tuple(d % 2 for d in self.degrees))
         object.__setattr__(self, "uniform_degree",
                            self.degrees[0] if len(set(self.degrees)) == 1 else None)
 
@@ -289,6 +293,22 @@ def koszul_sorted(degrees, args):
     return tuple(sorted(args)), negate
 
 
+def koszul_inserted(degrees, letter, rest):
+    """:func:`koszul_sorted` of ``(letter,) + rest`` for a canonical ``rest``:
+    the letter is placed by bisection, and the word negates when an odd
+    letter passes an odd number of odd letters.  The word is None when an
+    odd letter is already in ``rest``."""
+    at = bisect_left(rest, letter)
+    negate = False
+    if degrees[letter] % 2:
+        if rest[at:at + 1] == (letter,):
+            return None, False
+        for x in rest[:at]:
+            if degrees[x] % 2:
+                negate = not negate
+    return rest[:at] + (letter,) + rest[at:], negate
+
+
 class SparseMap:
     """Weight-w graded map from S^w(V) into a graded target, or from
     S^w(V) (x) V when the class has a free last slot.
@@ -430,6 +450,24 @@ class SparseMap:
         """Evaluate with a vector of V in the first slot, expanded linearly."""
         rest = tuple(rest)
         return self._expand(first, lambda j: self.eval((j,) + rest, last))
+
+    def _insert_into(self, out: list, coeff: int, first: Vector, rest) -> None:
+        """Add coeff times :meth:`eval_insert` on a canonical ``rest`` into
+        ``out``, for a map without a free slot: each letter is placed into
+        ``rest`` by :func:`koszul_inserted`, not sorted with it."""
+        deg = self.space.degrees
+        get = self.entries.get
+        for j, cj in enumerate(first):
+            if not cj:
+                continue
+            word, negate = koszul_inserted(deg, j, rest)
+            val = get(word)  # None too where the word vanishes
+            if val is None:
+                continue
+            c = -coeff * cj if negate else coeff * cj
+            for k, x in enumerate(val):
+                if x:
+                    out[k] += c * x
 
     def is_zero(self) -> bool:
         return not self.entries

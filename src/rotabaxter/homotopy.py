@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 
-from .combinatorics import parity_sign, signed_unshuffles
+from .combinatorics import parity_sign, split_table
 from .errors import (
     BoundError,
     NotMaurerCartanError,
@@ -124,26 +124,27 @@ def bracket_on_word(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
     Three sums over unshuffles: g inserted into f through the action, f
     inserted into g with the factor (-1)^((m+1)(n+1)), and the bracket of
     values with the per-term factor -(-1)^(n(sum of f-block degrees)+m+1),
-    where m, n are the degrees of f and g.  Unshuffles that rearrange the
-    word into the same word are summed once (see :func:`signed_unshuffles`).
-    When g is f, the two insertion sums are one sum with the coefficients -1
-    and (-1)^((m+1)(m+1)), so it is summed once with their sum, and not at
-    all at odd m, where that is 0; this uses no axiom of the structure.
+    where m, n are the degrees of f and g.  When g is f, the two insertion
+    sums are one sum with the coefficients -1 and (-1)^((m+1)(m+1)), so it
+    is summed once with their sum, and not at all at odd m, where that is 0;
+    this uses no axiom of the structure.
 
     The bracket is graded symmetric, so the word is sorted once into a
     canonical word, with its Koszul sign, and a word repeating an odd-degree
-    letter gives zero.  Every block of an unshuffle of a canonical word is
-    canonical too, so each value of f and g on a block is read straight from
-    its entries; only the words with an inserted letter are sorted again.
+    letter gives zero.  The sums run over the word's cached
+    :func:`split_table` entries, each distinct rearranged word once, split
+    into canonical blocks: each value of f and g on a block is read straight
+    from its entries, and the f-block degree enters through the parity the
+    table stores.  An inserted letter is placed into its canonical rest by
+    bisection.  Only the weights f and g have are visited.
     """
     dim_g = alg.dim
-    word, negate = koszul_sorted(f.space.degrees, word)
+    space = f.space
+    word, negate = koszul_sorted(space.degrees, word)
     if word is None:
         return (0,) * dim_g
     sgn = -1 if negate else 1
-    degs = tuple(f.space.degrees[i] for i in word)
-    par = tuple(d % 2 for d in degs)
-    pat = tuple(map(word.index, word))
+    par = space.parities
     p = len(word)
     m, n = f.degree, g.degree
     fc, gc = f.components, g.components
@@ -152,40 +153,31 @@ def bracket_on_word(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
     s2 = parity_sign((m + 1) * (n + 1))
     for inner, outer, coef in ((fc, fc, s2 - 1),) if g is f else ((gc, fc, -1), (fc, gc, s2)):
         coef *= sgn
-        for l in range(p):
-            il = inner.get(l)
+        for l, il in inner.items() if coef else ():
             ol = outer.get(p - l)
-            if il is None or ol is None:
+            if ol is None or l >= p:
                 continue
-            for s, eps in signed_unshuffles((l, 1, p - l - 1), par, pat) if coef else ():
-                u = tuple(word[i] for i in s)
-                val = il.entries.get(u[:l])
+            for head, x, rest, eps in split_table(word, par, (l, 1, p - l - 1)):
+                val = il.entries.get(head)
                 if val is None:
                     continue
-                inserted = rep.act_basis(val, u[l])
-                if vec_is_zero(inserted):
-                    continue
-                term = ol.eval_insert(inserted, u[l + 1:])
-                eps *= coef
-                for k in range(dim_g):
-                    if term[k]:
-                        out[k] += eps * term[k]
-    # bracket of values
-    for a in range(p + 1):
-        fa = fc.get(a)
+                inserted = rep.act_basis(val, x)
+                if not vec_is_zero(inserted):
+                    ol._insert_into(out, coef * eps, inserted, rest)
+    # bracket of values, its factor read by the parity of the f-block degree
+    factors = (-sgn * parity_sign(m + 1), -sgn * parity_sign(n + m + 1))
+    for a, fa in fc.items():
         gb = gc.get(p - a)
-        if fa is None or gb is None:
+        if gb is None:
             continue
-        for s, eps in signed_unshuffles((a, p - a), par, pat):
-            u = tuple(word[i] for i in s)
-            x = fa.entries.get(u[:a])
+        for left, right, eps, odd in split_table(word, par, (a, p - a)):
+            x = fa.entries.get(left)
             if x is None:
                 continue
-            y = gb.entries.get(u[a:])
+            y = gb.entries.get(right)
             if y is None:
                 continue
-            d1 = sum(degs[s[t]] for t in range(a))
-            factor = -sgn * parity_sign(n * d1 + m + 1) * eps
+            factor = factors[odd] * eps
             br = alg.bracket(x, y)
             for k in range(dim_g):
                 if br[k]:
@@ -248,45 +240,36 @@ def _twice_residual(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
     bracket side minus twice the operator side, undivided: ints on int
     inputs.  It is a quadratic form in t.
 
-    Every block of an unshuffle of a canonical word is itself canonical, so
-    each value of t on a block is read straight from its entries; only the
-    words with an inserted letter are sorted again.  Unshuffles that
-    rearrange the word into the same word are summed once."""
-    par = tuple(t.space.degrees[i] % 2 for i in word)
-    pat = tuple(map(word.index, word))
+    The sums run over the word's cached :func:`split_table` entries, each
+    distinct rearranged word once, split into canonical blocks, so each
+    value of t on a block is read straight from its entries; an inserted
+    letter is placed into its canonical rest by bisection."""
+    par = t.space.parities
     p = len(word)
     comps = t.components
     dim_g = alg.dim
     out = [0] * dim_g
-    for l in range(p):
-        tl = comps.get(l)
+    for l, tl in comps.items():
         tk = comps.get(p - l)
-        if tl is None or tk is None:
+        if tk is None or l >= p:
             continue
-        for s, eps in signed_unshuffles((l, 1, p - l - 1), par, pat):
-            u = tuple(word[i] for i in s)
-            tval = tl.entries.get(u[:l])
+        for head, x, rest, eps in split_table(word, par, (l, 1, p - l - 1)):
+            tval = tl.entries.get(head)
             if tval is None:
                 continue
-            inserted = rep.act_basis(tval, u[l])
-            if vec_is_zero(inserted):
-                continue
-            term = tk.eval_insert(inserted, u[l + 1:])
-            eps *= -2  # minus twice the operator side
-            for k in range(dim_g):
-                if term[k]:
-                    out[k] += eps * term[k]
-    for a in range(p + 1):
-        ta = comps.get(a)
+            inserted = rep.act_basis(tval, x)
+            if not vec_is_zero(inserted):
+                # minus twice the operator side
+                tk._insert_into(out, -2 * eps, inserted, rest)
+    for a, ta in comps.items():
         tb = comps.get(p - a)
-        if ta is None or tb is None:
+        if tb is None:
             continue
-        for s, eps in signed_unshuffles((a, p - a), par, pat):
-            u = tuple(word[i] for i in s)
-            x = ta.entries.get(u[:a])
+        for left, right, eps, _ in split_table(word, par, (a, p - a)):
+            x = ta.entries.get(left)
             if x is None:
                 continue
-            y = tb.entries.get(u[a:])
+            y = tb.entries.get(right)
             if y is None:
                 continue
             br = alg.bracket(x, y)

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinatorics import parity_sign, signed_unshuffles
+from .combinatorics import parity_sign, split_table
 from .deformation import AltMap, _check_spaces, courant_bracket, courant_on_word
 from .errors import NotMaurerCartanError, ShapeMismatchError
 from .graded import (
@@ -25,6 +25,7 @@ from .graded import (
     SparseFamily,
     SparseMap,
     Walk,
+    koszul_inserted,
     koszul_sorted,
     require_cells,
     ungraded_space,
@@ -61,66 +62,65 @@ def hook_compose_lasts(a: SparseFamily, b: SparseFamily, word) -> list[Vector]:
     which each term's sign carries, so no value is rescaled afterwards.
     The unshuffles, the inner values of the first sum and the a-values of
     the second do not depend on the last argument, so each is computed once
-    per word.  Unshuffles that rearrange the word into the same word are
-    summed once.  On hooked maps (one-weight families on V in degree -1) the
-    factor is (-1)^(nm) and the tables are unmerged.
+    per word.  On hooked maps (one-weight families on V in degree -1) the
+    factor is (-1)^(nm).
 
     The compose is graded symmetric in the word, so the word is sorted once
     into a canonical word, with its Koszul sign, which each term's sign
-    carries too, and a word repeating an odd-degree letter gives zero.  Every
-    block of an unshuffle of a canonical word is canonical, so each value on
-    a block is read straight from the entries; only the words with an
-    inserted letter go through ``eval_lasts``.
+    carries too, and a word repeating an odd-degree letter gives zero.  The
+    sums run over the word's cached :func:`split_table` entries, each
+    distinct rearranged word once, split into canonical blocks: each value
+    on a block is read straight from the entries, and the a-block degree
+    enters through the parity the table stores.  Each inserted letter is
+    placed into its canonical rest by bisection.  Only the weights b has
+    are visited in the first sum, and those a has in the second.
     """
     space = a.space
     dim = space.dim
-    word, negate = koszul_sorted(space.degrees, word)
+    degrees = space.degrees
+    word, negate = koszul_sorted(degrees, word)
     if word is None:
         return [(0,) * dim] * dim
     norm = -COMPOSE_NORMALIZATION if negate else COMPOSE_NORMALIZATION
-    degs = tuple(space.degrees[i] for i in word)
-    par = tuple(d % 2 for d in degs)
-    pat = tuple(map(word.index, word))
+    par = space.parities
     p = len(word)
-    nbar = b.degree
     ac, bc = a.components, b.components
     out = [[0] * dim for _ in range(dim)]
-    for wb in range(p):
-        bb = bc.get(wb)
+    for wb, bb in bc.items():
         aa = ac.get(p - wb)
-        if bb is None or aa is None:
+        if aa is None or wb >= p:
             continue
-        for s, eps in signed_unshuffles((wb, 1, p - wb - 1), par, pat):
-            u = tuple(word[i] for i in s)
-            inner = bb.entries.get((u[:wb], u[wb]))
+        for head, x, rest, eps in split_table(word, par, (wb, 1, p - wb - 1)):
+            inner = bb.entries.get((head, x))
             if inner is None:
                 continue
-            rest = u[wb + 1:]
             sign = norm * eps
             for j, cj in enumerate(inner):
                 if not cj:
                     continue
-                c = sign * cj
-                for last, val in aa.eval_lasts((j,) + rest).items():
+                inserted, flip = koszul_inserted(degrees, j, rest)
+                if inserted is None:
+                    continue
+                c = -sign * cj if flip else sign * cj
+                for last, val in aa.stored_lasts(inserted).items():
                     acc = out[last]
-                    for k, x in enumerate(val):
-                        if x:
-                            acc[k] += c * x
-    for wa in range(p + 1):
-        aa = ac.get(wa)
+                    for k, y in enumerate(val):
+                        if y:
+                            acc[k] += c * y
+    # the free-slot sum, its factor read by the parity of the a-block degree
+    factors = (norm, norm * parity_sign(b.degree))
+    for wa, aa in ac.items():
         bb = bc.get(p - wa)
-        if aa is None or bb is None:
+        if bb is None:
             continue
-        for s, eps in signed_unshuffles((wa, p - wa), par, pat):
-            u = tuple(word[i] for i in s)
-            inners = bb.stored_lasts(u[wa:])
+        for left, right, eps, odd in split_table(word, par, (wa, p - wa)):
+            inners = bb.stored_lasts(right)
             if not inners:
                 continue
-            avals = aa.stored_lasts(u[:wa])
+            avals = aa.stored_lasts(left)
             if not avals:
                 continue
-            d1 = sum(degs[s[t]] for t in range(wa))
-            factor = norm * parity_sign(nbar * d1) * eps
+            factor = factors[odd] * eps
             for last, inner in inners.items():
                 acc = out[last]
                 for j, val in avals.items():
@@ -128,9 +128,9 @@ def hook_compose_lasts(a: SparseFamily, b: SparseFamily, word) -> list[Vector]:
                     if not cj:
                         continue
                     c = factor * cj
-                    for k, x in enumerate(val):
-                        if x:
-                            acc[k] += c * x
+                    for k, y in enumerate(val):
+                        if y:
+                            acc[k] += c * y
     return [tuple(acc) for acc in out]
 
 

@@ -10,6 +10,7 @@ from rotabaxter.combinatorics import (
     parity_sign,
     sign,
     signed_unshuffles,
+    split_table,
     unshuffles,
 )
 from rotabaxter.errors import ShapeMismatchError
@@ -167,20 +168,27 @@ def test_signed_unshuffles_table_matches_the_sign_functions():
     assert signed_unshuffles.cache_info().maxsize is not None
 
 
+def merged_words(word, parities, shape):
+    """(rearranged word, summed sign) of each :func:`split_table` entry."""
+    if len(shape) == 3:
+        return [(head + (x,) + rest, c) for head, x, rest, c in split_table(word, parities, shape)]
+    return [(left + right, c) for left, right, c, _ in split_table(word, parities, shape)]
+
+
 def raw_and_merged_sums(shape, word, parity, values):
     """The sum of eps * F(rearranged word) over the raw table and over the
     merged one, for the word's letters of the given parities and F the
     ``values`` table."""
     par = tuple(parity[x] for x in word)
-    pattern = tuple(map(word.index, word))
     raw = sum(eps * values[tuple(word[i] for i in s)]
               for s, eps in signed_unshuffles(shape, par))
-    merged = sum(c * values[tuple(word[i] for i in s)]
-                 for s, c in signed_unshuffles(shape, par, pattern))
+    merged = sum(c * values[u] for u, c in merged_words(word, tuple(parity), shape))
     return raw, merged
 
 
-shapes = st.lists(st.integers(0, 3), min_size=1, max_size=3).filter(lambda s: sum(s) <= 6).map(tuple)
+# the shapes a split table has: two blocks, or a letter inserted between two
+shapes = st.one_of(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                   st.tuples(st.integers(0, 3), st.just(1), st.integers(0, 2)))
 
 
 @given(shapes, st.data())
@@ -200,29 +208,73 @@ def test_merged_table_is_a_subset_of_the_raw_table():
         for word in itertools.product(range(2), repeat=sum(shape)):
             for parity in itertools.product((0, 1), repeat=2):
                 par = tuple(parity[x] for x in word)
-                raw = dict(signed_unshuffles(shape, par))
-                merged = signed_unshuffles(shape, par, tuple(map(word.index, word)))
-                assert {s for s, _ in merged} <= set(raw)
+                raw = {tuple(word[i] for i in s) for s, _ in signed_unshuffles(shape, par)}
+                merged = merged_words(word, parity, shape)
+                assert {u for u, _ in merged} <= raw
                 # one representative per distinct rearranged word, none repeated
-                rearranged = [tuple(word[i] for i in s) for s, _ in merged]
+                rearranged = [u for u, _ in merged]
                 assert len(set(rearranged)) == len(rearranged)
                 assert all(c for _, c in merged)
     # (a, a, a, b) with a even and b odd: twelve unshuffles, three rearranged
     # words (b first, b second, or b last in the sorted block of two)
     word, par = (0, 0, 0, 1), (0, 0, 0, 1)
-    merged = signed_unshuffles((1, 1, 2), par, tuple(map(word.index, word)))
+    merged = merged_words(word, (0, 1), (1, 1, 2))
     assert len(signed_unshuffles((1, 1, 2), par)) == 12
     assert sorted(c for _, c in merged) == [3, 3, 6]
     # a repeated odd letter cancels: (c, c) splits into two words of opposite sign
-    assert signed_unshuffles((1, 1), (1, 1), (0, 0)) == ()
+    assert split_table((0, 0), (1,), (1, 1)) == ()
     # distinct letters merge nothing
-    assert signed_unshuffles((1, 2), (1, 0, 1), (0, 1, 2)) == signed_unshuffles((1, 2), (1, 0, 1))
+    word = (0, 1, 2)
+    assert merged_words(word, (1, 0, 1), (1, 2)) == \
+        [(tuple(word[i] for i in s), eps) for s, eps in signed_unshuffles((1, 2), (1, 0, 1))]
 
 
 def test_merged_tables_share_the_one_bounded_cache():
-    before = signed_unshuffles.cache_info()
+    before = split_table.cache_info()
     assert before.maxsize is not None
-    signed_unshuffles((2, 3), (0, 0, 1, 0, 0), (0, 0, 2, 3, 3))
-    after = signed_unshuffles.cache_info()
+    split_table((0, 0, 2, 3, 3), (0, 0, 1, 0), (2, 3))
+    after = split_table.cache_info()
     assert after.maxsize == before.maxsize
     assert after.currsize <= after.maxsize
+
+
+@given(shapes, st.data())
+def test_split_table_splits_each_distinct_rearranged_word_once(shape, data):
+    # words over a three-letter alphabet repeat even and odd letters alike;
+    # parities None sign by the permutation parity, every letter odd
+    n = sum(shape)
+    parity = data.draw(st.none() | st.tuples(*[st.integers(0, 1)] * 3))
+    word = tuple(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    raw_table = signed_unshuffles(shape, None if parity is None else
+                                  tuple(parity[x] for x in word))
+    raw = {}
+    for s, eps in raw_table:
+        u = tuple(word[i] for i in s)
+        raw[u] = raw.get(u, 0) + eps
+    odd = (1, 1, 1) if parity is None else parity
+    got = {}
+    for entry in split_table(word, parity, shape):
+        if len(shape) == 3:
+            head, x, rest, c = entry
+            blocks = (head, (x,), rest)
+        else:
+            left, right, c, left_parity = entry
+            blocks = (left, right)
+            assert left_parity == sum(odd[y] for y in left) % 2
+        # the blocks, of the shape's sizes, are a rearranged word, listed once
+        assert tuple(map(len, blocks)) == shape
+        u = sum(blocks, ())
+        assert u in raw and u not in got
+        got[u] = c
+    # each carries its group's summed sign, and the groups that cancel are dropped
+    assert got == {u: c for u, c in raw.items() if c}
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    values = {u: rng.randrange(-9, 10) for u in raw}
+    assert sum(c * values[u] for u, c in got.items()) == \
+        sum(eps * values[tuple(word[i] for i in s)] for s, eps in raw_table)
+
+
+def test_split_tables_take_two_blocks_or_one_inserted_letter():
+    for shape in [(), (2,), (1, 2, 1), (1, 1, 1, 1)]:
+        with pytest.raises(ShapeMismatchError):
+            split_table((0,) * sum(shape), None, shape)

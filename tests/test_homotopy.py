@@ -14,7 +14,7 @@ from rotabaxter.catalog import (
     two_level_rep,
     two_level_sgla,
 )
-from rotabaxter.combinatorics import koszul_sign, parity_sign, sign
+from rotabaxter.combinatorics import koszul_sign, parity_sign, sign, split_table
 from rotabaxter.deformation import AltMap, courant_bracket, courant_on_word, mc_residual
 from rotabaxter.embed import homotopy_operator_from_linear
 from rotabaxter.errors import (
@@ -460,6 +460,63 @@ def test_canonical_words_are_listed_once_per_space_and_weight():
                 words = canonical_words(space, w)
                 assert type(words) is tuple and canonical_words(space, w) is words
                 assert words == tuple(graded._walk_words(space, w))
+
+
+def test_the_bisection_insert_is_eval_insert_on_every_canonical_rest():
+    # each letter placed into each canonical rest of weight 0-3, on the
+    # bundled graded spaces and an ungraded one, against the full sort
+    rng = random.Random(9)
+    firsts = (0, 0, 1, -1, 2, Fraction(1, 2))
+    pairs = [(rep.space, alg.space, lambda w, s=rep.space, t=alg.space: [
+        random_sym_family(rng, s, t, d, w).component(w) for d in (0, 1)])
+        for _, alg, rep in graded_instances()]
+    pairs.append((graded.ungraded_space(4), graded.ungraded_space(3),
+                  lambda w: [random_altmap(rng, w, 4, 3)]))
+    nonzero = 0
+    for space, target, maps_of in pairs:
+        deg = space.degrees
+        for w in range(4):
+            maps = maps_of(w + 1)
+            for rest in canonical_words(space, w):
+                for j in range(space.dim):
+                    assert graded.koszul_inserted(deg, j, rest) == \
+                        graded.koszul_sorted(deg, (j,) + rest)
+                for m in maps:
+                    first = tuple(rng.choice(firsts) for _ in range(space.dim))
+                    out = [0] * target.dim
+                    m._insert_into(out, -3, first, rest)
+                    want = m.eval_insert(first, rest)
+                    assert tuple(out) == tuple(-3 * x for x in want)
+                    nonzero += any(want)
+    assert nonzero > 50
+
+
+def test_the_split_table_cache_is_bounded_and_reread_by_a_repeated_check():
+    # the bundled graded checks at p_max 4 fill a small part of the cache,
+    # and running them again reads every table from it
+    rng = random.Random(3)
+    inputs = [(alg, rep, random_homotopy_operator(rng, rep.space, alg.space, 2),
+               random_sym_family(rng, rep.space, alg.space, 0, 2),
+               random_sym_family(rng, rep.space, alg.space, -1, 2))
+              for _, alg, rep in graded_instances()]
+
+    def checks():
+        for alg, rep, t, f, g in inputs:
+            mc_check_homotopy(t, alg, rep, 4)
+            homotopy_oop_residual(t, alg, rep, 4)
+            graded_bracket(f, g, alg, rep, 4)
+            check_prelie_infinity(induce_prelie_infinity(t, alg, rep, 4, force=True), 5)
+            check_psi_homomorphism(f, g, alg, rep, 4)
+
+    split_table.cache_clear()
+    checks()
+    first = split_table.cache_info()
+    assert first.maxsize is not None
+    assert 0 < first.currsize <= first.maxsize // 8
+    checks()
+    again = split_table.cache_info()
+    assert again.misses == first.misses and again.hits > first.hits
+    assert again.currsize == first.currsize
 
 
 def _count_calls(monkeypatch, name):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rotabaxter.catalog import graded_instances, lie_pairs, sl2
-from rotabaxter.combinatorics import parity_sign, signed_unshuffles
+from rotabaxter.combinatorics import parity_sign, signed_unshuffles, split_table
 from rotabaxter.deformation import (
     AltMap,
     _mc_walk,
@@ -708,11 +708,10 @@ def test_repeated_letters_merge_terms_on_the_bundled_spaces():
         for p in range(5):
             for word in canonical_words(rep.space, p):
                 par = tuple(rep.space.degrees[i] % 2 for i in word)
-                pattern = tuple(map(word.index, word))
                 for shape in [(a, p - a) for a in range(p + 1)] + \
                         [(a, 1, p - a - 1) for a in range(p)]:
                     raw += len(signed_unshuffles(shape, par))
-                    merged += len(signed_unshuffles(shape, par, pattern))
+                    merged += len(split_table(word, rep.space.parities, shape))
         counts[name] = raw, merged
     assert counts == {"two-level": (159, 67), "mixed/adjoint": (622, 305),
                       "three-level/adjoint": (314, 169)}
