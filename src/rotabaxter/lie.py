@@ -8,6 +8,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .deformation import AltMap, _walked_altmap
 from .errors import BoundError, SearchSpaceError, ShapeMismatchError
@@ -21,7 +22,6 @@ from .linalg import (
     act_basis,
     adjoint_matrices,
     as_integers,
-    basis_vector,
     bilinear,
     cleared_pair,
     common_denominator,
@@ -31,7 +31,6 @@ from .linalg import (
     require_table,
     signed_sum,
     table_from_pairs,
-    vec_add,
     vec_sub,
 )
 from .reports import Report, cell_witness
@@ -53,6 +52,11 @@ class LieAlgebra(Clearable):
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    @cached_property
+    def _table_dim(self) -> int:
+        """The dimension, once ``require_table`` passes, decided once per object."""
+        return require_table(self.dim, self.c, "structure constant array does not match the basis")
 
     bracket = bilinear
 
@@ -97,7 +101,7 @@ def zero_operator(nrows: int, ncols: int, domain: str = "V", codomain: str = "g"
 def check_lie(alg: LieAlgebra) -> Report:
     """Verify antisymmetry and the Jacobi identity on all basis triples, on
     the int image of the constants (den times them)."""
-    n = require_table(alg.dim, alg.c, "structure constant array does not match the basis")
+    n = alg._table_dim
     require_cells("check-lie", n ** 3 + n ** 4)
     den, c = alg.cleared()
     c = c.c
@@ -119,7 +123,7 @@ def check_lie(alg: LieAlgebra) -> Report:
 def check_representation(alg: LieAlgebra, rep: Representation) -> Report:
     """Verify rho([e_i, e_j]) = [rho(e_i), rho(e_j)] on all basis pairs, on
     the int images of both over one den."""
-    n = require_table(alg.dim, alg.c, "structure constant array does not match the basis")
+    n = alg._table_dim
     d = require_action(n, rep)
     require_cells("check-rep", n * (n - 1) // 2 * d * d)
     den, alg, rep = cleared_pair(alg, rep)
@@ -146,8 +150,7 @@ def _oop_walk(alg: LieAlgebra, rep: Representation, t: LinearOperator) -> Walk:
         raise ShapeMismatchError(
             f"operator is {t.rows}x{t.cols}, expected {alg.dim}x{rep.space_dim}"
         )
-    require_table(alg.dim, alg.c, "structure constant array does not match the basis")
-    d = require_action(alg.dim, rep)
+    d = require_action(alg._table_dim, rep)
     dt = common_denominator(x for row in t.matrix for x in row)
     cols = tuple(zip(*as_integers(t.matrix, dt)))
     ds, alg, rep = cleared_pair(alg, rep)
@@ -172,23 +175,31 @@ def oop_defect(alg: LieAlgebra, rep: Representation, t: LinearOperator) -> AltMa
 
 
 def is_rota_baxter(alg: LieAlgebra, p: LinearOperator) -> bool:
-    """Direct check of [Px, Py] = P([Px, y] + [x, Py]) on basis pairs.
+    """Direct check of [Px, Py] = P([Px, y] + [x, Py]) on basis pairs i < j.
 
-    Equivalent to the O-operator defect (with the adjoint action) vanishing;
-    kept as an independent early-exit implementation.
+    inner = sum_a P_ai c[a][j] + sum_b P_bj c[i][b] is read from the table,
+    and P inner is compared with [Pe_i, Pe_j] row by row; zero factors are
+    skipped.  An independent early-exit twin of the adjoint O-operator
+    defect, on Fraction.
     """
-    n = alg.dim
+    n = alg._table_dim
     if p.rows != n or p.cols != n:
         raise ShapeMismatchError(f"operator is {p.rows}x{p.cols}, expected {n}x{n}")
-    cols = [p.column(j) for j in range(n)]
+    c, rows = alg.c, p.matrix
+    cols = tuple(zip(*rows))  # cols[j] is P e_j
+    c_cols = tuple(zip(*c))  # c_cols[j][a] is [e_a, e_j]
     for i in range(n):
-        pi = cols[i]
         for j in range(i + 1, n):
-            pj = cols[j]
-            lhs = alg.bracket(pi, pj)
-            inner = vec_add(alg.bracket(pi, basis_vector(n, j)),
-                            alg.bracket(basis_vector(n, i), pj))
-            if lhs != p.apply(inner):
+            inner = [0] * n
+            for x, brackets in ((cols[i], c_cols[j]), (cols[j], c[i])):
+                for a, xa in enumerate(x):
+                    if xa:
+                        for k, y in enumerate(brackets[a]):
+                            if y:
+                                inner[k] += xa * y
+            inner = [(k, v) for k, v in enumerate(inner) if v]
+            if any(sum(row[k] * v for k, v in inner if row[k]) != b
+                   for row, b in zip(rows, alg.bracket(cols[i], cols[j]))):
                 return False
     return True
 
@@ -214,7 +225,7 @@ def _search_grid(alg: LieAlgebra, grid, cap: int) -> tuple:
     grid = tuple(sorted({fr(x) for x in grid}))
     if not grid:
         raise BoundError("search grid must be nonempty")
-    if not alg.dim:
+    if not alg._table_dim:
         raise ShapeMismatchError("the searched algebra needs a nonempty basis")
     total = len(grid) ** (alg.dim * alg.dim)
     if total > cap:

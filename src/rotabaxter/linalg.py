@@ -46,10 +46,6 @@ def matrix(rows) -> Matrix:
     return m
 
 
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return tuple(sum((row[j] * v[j] for j in range(len(v))), ZERO) for row in a)
-
-
 @dataclasses.dataclass(frozen=True)
 class LinearOperator:
     """Linear map between the tagged spaces, stored as a dense matrix.
@@ -72,9 +68,6 @@ class LinearOperator:
 
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self.matrix)
-
-    def apply(self, v: Vector) -> Vector:
-        return mat_vec(self.matrix, v)
 
     def __add__(self, other: "LinearOperator") -> "LinearOperator":
         if (self.rows, self.cols) != (other.rows, other.cols):

@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rotabaxter import lie
+from rotabaxter import catalog, lie
 from rotabaxter.catalog import (
     abelian,
     affine_line,
@@ -18,6 +19,7 @@ from rotabaxter.catalog import (
 )
 from rotabaxter.errors import BoundError, SearchSpaceError, ShapeMismatchError
 from rotabaxter.lie import (
+    LieAlgebra,
     LinearOperator,
     adjoint,
     check_lie,
@@ -30,7 +32,11 @@ from rotabaxter.lie import (
     search_rbo,
     zero_operator,
 )
-from rotabaxter.linalg import basis_vector, mat_vec, matrix
+from rotabaxter.linalg import ZERO, basis_vector, matrix
+
+
+def mat_vec(a, v):
+    return tuple(sum((row[j] * v[j] for j in range(len(v))), ZERO) for row in a)
 
 
 def direct_rbo_check(alg, p):
@@ -184,6 +190,53 @@ def test_search_rbo_matches_direct_oracle_affine():
     assert len(found) == 15
 
 
+# Rescaled-basis copies: on the basis lam_i e_i the constants read
+# lam_i lam_j / lam_k c_ij^k and an operator P reads lam_j / lam_k P_kj, so the
+# searched operators stay Rota-Baxter while both carry non-unit denominators.
+SCALES = (Fraction(2), Fraction(1, 3), Fraction(-3, 2), Fraction(5, 7), Fraction(-1), Fraction(1))
+ENTRIES = (Fraction(1, 2), Fraction(-2, 3), Fraction(3), Fraction(-1), Fraction(1))
+RESCALED = [name for name, _ in search_algebras()] + ["abelian"]
+
+
+def rescaled(alg, lam):
+    n = alg.dim
+    return LieAlgebra(alg.basis, tuple(
+        tuple(tuple(lam[i] * lam[j] / lam[k] * alg.c[i][j][k] for k in range(n)) for j in range(n))
+        for i in range(n)))
+
+
+# no deadline: the first draw on each algebra runs its full-grid search
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_is_rota_baxter_agrees_with_the_direct_oracle(data):
+    # direct_rbo_check walks every ordered pair (i = j and j < i too) with
+    # mat_vec; the searched oracle walks i < j, reads the table's rows and
+    # stops at the first row that differs.  Drawn operators are rational
+    # with at least a third of their entries zero, searched operators
+    # (rescaled with the basis, then scaled), or those with one entry moved.
+    name = data.draw(st.sampled_from(RESCALED))
+    base = abelian(3) if name == "abelian" else dict(search_algebras())[name]
+    n = base.dim
+    lam = data.draw(st.lists(st.sampled_from(SCALES), min_size=n, max_size=n))
+    alg = rescaled(base, lam)
+    kind = data.draw(st.sampled_from(("drawn", "searched", "moved")))
+    if kind == "drawn" or name == "abelian":
+        flat = data.draw(st.lists(st.sampled_from(ENTRIES), min_size=n * n, max_size=n * n))
+        for at in data.draw(st.sets(st.integers(0, n * n - 1), min_size=-(-n * n // 3))):
+            flat[at] = Fraction(0)
+        mat = [flat[r * n:(r + 1) * n] for r in range(n)]
+    else:
+        found = exhaustive(name, (-1, 0, 1))
+        searched = found[data.draw(st.integers(0, len(found) - 1))]
+        s = data.draw(st.sampled_from(SCALES))
+        mat = [[s * lam[j] / lam[k] * searched[k][j] for j in range(n)] for k in range(n)]
+        if kind == "moved":
+            k, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+            mat[k][j] += data.draw(st.sampled_from(ENTRIES))
+    p = LinearOperator(matrix(mat), "g", "g")
+    assert is_rota_baxter(alg, p) == direct_rbo_check(alg, p)
+
+
 def test_search_rbo_zero_one_grid_contains_spec_examples():
     alg = affine_line()
     found = {op.matrix for op in search_rbo(alg, (0, 1))}
@@ -253,6 +306,24 @@ def test_iter_rbo_refuses_before_deciding_a_candidate(monkeypatch):
     with pytest.raises(ShapeMismatchError, match="nonempty basis"):
         iter_rbo(lie_algebra([], {}), (0, 1))
     assert calls == []
+
+
+def test_the_searches_refuse_a_malformed_table_before_deciding_a_candidate(monkeypatch):
+    # one plane of constants for two basis vectors: the table check runs
+    # once per algebra, before the first candidate
+    z = (Fraction(0), Fraction(0))
+    bad = LieAlgebra(("a", "b"), ((z, z),))
+    calls = count_decided(monkeypatch)
+    with pytest.raises(ShapeMismatchError, match="structure constant"):
+        search_rbo(bad, (0, 1))
+    with pytest.raises(ShapeMismatchError, match="structure constant"):
+        iter_rbo(bad, (0, 1))
+    monkeypatch.setattr(catalog, "search_algebras", lambda: [("bad", bad)])
+    with pytest.raises(ShapeMismatchError, match="structure constant"):
+        rbo_catalog((0, 1))
+    assert calls == []
+    with pytest.raises(ShapeMismatchError, match="structure constant"):
+        is_rota_baxter(bad, zero_operator(2, 2, "g", "g"))
 
 
 @functools.lru_cache(maxsize=None)
