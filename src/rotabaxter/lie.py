@@ -197,8 +197,8 @@ def is_rota_baxter(alg: LieAlgebra, p: LinearOperator) -> bool:
                         for k, y in enumerate(brackets[a]):
                             if y:
                                 inner[k] += xa * y
-            inner = [(k, v) for k, v in enumerate(inner) if v]
-            if any(sum(row[k] * v for k, v in inner if row[k]) != b
+            support = [(k, v) for k, v in enumerate(inner) if v]
+            if any(sum(row[k] * v for k, v in support if row[k]) != b
                    for row, b in zip(rows, alg.bracket(cols[i], cols[j]))):
                 return False
     return True
