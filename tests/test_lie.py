@@ -210,8 +210,8 @@ def rescaled(alg, lam):
 @given(st.data())
 def test_is_rota_baxter_agrees_with_the_direct_oracle(data):
     # direct_rbo_check walks every ordered pair (i = j and j < i too) with
-    # mat_vec; the searched oracle walks i < j, reads the table's rows and
-    # stops at the first row that differs.  Drawn operators are rational
+    # mat_vec; is_rota_baxter walks i < j, reads the table's rows and stops
+    # at the first row that differs.  Drawn operators are rational
     # with at least a third of their entries zero, searched operators
     # (rescaled with the basis, then scaled), or those with one entry moved.
     name = data.draw(st.sampled_from(RESCALED))
