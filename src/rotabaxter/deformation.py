@@ -11,13 +11,16 @@ the arity itself.  The sign laws are stated with arities: graded
 skew-symmetry reads [[f, g]] = -(-1)^(nm) [[g, f]] with n, m the arities of
 f and g, and the graded Jacobi identity uses the same exponents.  Both laws
 are pinned by exhaustive tests.
+
+The bracket is the graded bracket of :mod:`rotabaxter.homotopy` on V and g
+in degree -1, and one kernel, :func:`_bracket_on_canonical`, sums both.
 """
 
 from __future__ import annotations
 
 from .combinatorics import parity_sign, split_table
 from .errors import NotMaurerCartanError, ShapeMismatchError
-from .graded import SparseMap, Walk, ungraded_space
+from .graded import SparseFamily, SparseMap, Walk, ungraded_space
 from .linalg import (
     LinearOperator,
     Vector,
@@ -73,76 +76,100 @@ class AltMap(SparseMap):
         return LinearOperator(rows, "V", "g")
 
 
-def _check_spaces(f: AltMap, g: AltMap, alg, rep):
-    if f.dim_dom != g.dim_dom or f.dim_cod != g.dim_cod:
-        raise ShapeMismatchError("maps live on different spaces")
-    if f.dim_dom != rep.space_dim or f.dim_cod != alg.dim:
-        raise ShapeMismatchError("maps do not match the algebra and module dimensions")
+def _require_matching(alg, rep, *maps) -> None:
+    """Refuse maps or families on another space than the action's module or
+    with values outside the algebra, and an action with other than one square
+    matrix of the module dimension per algebra basis element: every kernel
+    indexes them by those bases."""
+    if any(f.space != rep.space for f in maps):
+        raise ShapeMismatchError("maps do not live on the module of the action")
+    if any(f.target != alg.space for f in maps):
+        raise ShapeMismatchError("maps do not take values in the algebra")
     require_action(alg.dim, rep)
 
 
-def courant_on_word(f: AltMap, g: AltMap, alg, rep, word) -> Vector:
-    """The bracket [[f, g]] of :func:`courant_bracket` on an explicit word of
-    arity(f) + arity(g) arguments: its three sums over unshuffles.
+def _bracket_on_canonical(f: SparseFamily, g: SparseFamily, alg, rep, word) -> Vector:
+    """The graded bracket of f and g on a canonical word, such as every
+    word of a walk: the one bracket kernel of every grading.
 
-    The bracket is alternating, so the word is sorted once into an
-    increasing word, with the permutation sign of the sort, and a word
-    repeating a letter gives zero.  The inversions are counted here, not by
-    the graded kernels' Koszul sort, and the word's :func:`split_table`
-    entries are read with parities None, so their signs are the permutation
-    signs of :func:`~rotabaxter.combinatorics.sign`: this sum stays
-    independent of :func:`~rotabaxter.homotopy.bracket_on_word`.  Every
-    block of an unshuffle of an increasing word is increasing, so each value
-    of f and g on a block is read straight from its entries; an inserted
-    letter is placed into its increasing rest by bisection.  When g is f,
-    the two insertion sums are one sum over one table with the coefficients
-    -1 and (-1)^(nm), so it is summed once with the coefficient
-    (-1)^(nm) - 1, and not at all when that is 0; this uses no axiom of the
-    algebra or the action."""
-    n, m = f.weight, g.weight  # the arities
-    dim = f.target.dim
-    if len(set(word)) < len(word):
-        return (0,) * dim
-    sgn = parity_sign(sum(a > b for i, a in enumerate(word) for b in word[i + 1:]))
-    word = tuple(sorted(word))
-    mn = parity_sign(m * n)
-    val = [0] * dim
-    # g inserted into f and f into g; a self-bracket sums the one table once
-    for inner, outer, coef in ((f, f, mn - 1),) if g is f else ((g, f, -1), (f, g, mn)):
-        a, b = inner.weight, outer.weight
-        coef *= sgn
-        for head, x, rest, sg in split_table(word, None, (a, 1, b - 1)) if b and coef else ():
-            ival = inner.entries.get(head)
-            if ival is None:
+    Three sums over unshuffles: g inserted into f through the action, f
+    inserted into g with the factor (-1)^((m+1)(n+1)), and the bracket of
+    values with the per-term factor -(-1)^(n(sum of f-block degrees)+m+1),
+    where m, n are the degrees of f and g.  When g is f, the two insertion
+    sums are one sum with the coefficients -1 and (-1)^((m+1)(m+1)), so it
+    is summed once with their sum, and not at all at odd m, where that is 0;
+    this uses no axiom of the structure.  On alternating maps of arities n
+    and m, families of degrees n - 1 and m - 1 in degree -1, it is
+    :func:`courant_bracket`.
+
+    The sums run over the word's cached :func:`split_table` entries, each
+    distinct rearranged word once, split into canonical blocks: each value
+    of f and g on a block is read straight from its entries, and the f-block
+    degree enters through the parity the table stores.  An inserted letter
+    is placed into its canonical rest by bisection.  Only the weights f and
+    g have are visited.
+    """
+    dim_g = alg.dim
+    par = f.space.parities
+    p = len(word)
+    m, n = f.degree, g.degree
+    fc, gc = f.components, g.components
+    out = [0] * dim_g
+    # g inserted into an argument slot of f, and f into an argument slot of g
+    s2 = parity_sign((m + 1) * (n + 1))
+    for inner, outer, coef in ((fc, fc, s2 - 1),) if g is f else ((gc, fc, -1), (fc, gc, s2)):
+        for l, il in inner.items() if coef else ():
+            ol = outer.get(p - l)
+            if ol is None or l >= p:
                 continue
-            inserted = rep.act_basis(ival, x)
-            if not vec_is_zero(inserted):
-                outer._insert_into(val, coef * sg, inserted, rest)
-    mn *= sgn  # the bracket of values carries the sort's sign too
-    for left, right, sg, _ in split_table(word, None, (n, m)):
-        x = f.entries.get(left)
-        if x is None:
+            for head, x, rest, eps in split_table(word, par, (l, 1, p - l - 1)):
+                val = il.entries.get(head)
+                if val is None:
+                    continue
+                inserted = rep.act_basis(val, x)
+                if not vec_is_zero(inserted):
+                    ol._insert_into(out, coef * eps, inserted, rest)
+    # bracket of values, its factor read by the parity of the f-block degree
+    factors = (-parity_sign(m + 1), -parity_sign(n + m + 1))
+    for a, fa in fc.items():
+        gb = gc.get(p - a)
+        if gb is None:
             continue
-        y = g.entries.get(right)
-        if y is None:
-            continue
-        br = alg.bracket(x, y)
-        sg *= mn
-        for k in range(dim):
-            val[k] -= sg * br[k]
-    return tuple(val)
+        for left, right, eps, odd in split_table(word, par, (a, p - a)):
+            x = fa.entries.get(left)
+            if x is None:
+                continue
+            y = gb.entries.get(right)
+            if y is None:
+                continue
+            factor = factors[odd] * eps
+            br = alg.bracket(x, y)
+            for k in range(dim_g):
+                if br[k]:
+                    out[k] += factor * br[k]
+    return tuple(out)
+
+
+def _cleared_bracket_inputs(f, g, alg, rep):
+    """(df * dg, ds, f, g, alg, rep) with the inputs of a bracket as int
+    images: f times df, g times dg, and (alg, rep) times one ds.  Each map
+    or family stores its image, so g is still f when it was.  Raises what
+    the bracket raises before it computes a word."""
+    _require_matching(alg, rep, f, g)
+    (df, f), (dg, g) = f.cleared(), g.cleared()
+    ds, alg, rep = cleared_pair(alg, rep)
+    return df * dg, ds, f, g, alg, rep
 
 
 def _courant_walk(f: AltMap, g: AltMap, alg, rep) -> Walk:
-    """The walk of [[f, g]], each value computed by :func:`courant_on_word`
-    on the int images of the inputs."""
-    _check_spaces(f, g, alg, rep)
-    same = g is f
-    df, f = f.cleared()
-    dg, g = (df, f) if same else g.cleared()
-    ds, alg, rep = cleared_pair(alg, rep)
-    return Walk(df * dg * ds, f.space, (f.arity + g.arity,),
-                lambda word: courant_on_word(f, g, alg, rep, word))
+    """The walk of [[f, g]], each value computed by
+    :func:`_bracket_on_canonical` on the int images of the inputs, each read
+    as the one-weight family of its arity (a self-bracket as one family)."""
+    dfg, ds, f, g, alg, rep = _cleared_bracket_inputs(f, g, alg, rep)
+    ff = SparseFamily.of(f)
+    fg = ff if g is f else SparseFamily.of(g)
+    return Walk(dfg * ds, f.space, (f.arity + g.arity,),
+                lambda word: _bracket_on_canonical(ff, fg, alg, rep, word))
 
 
 def _walked_altmap(walk: Walk, dim_cod: int, divisor: int = 1) -> AltMap:
@@ -163,8 +190,9 @@ def courant_bracket(f: AltMap, g: AltMap, alg, rep) -> AltMap:
         - (-1)^(mn) sum over (n,m)-unshuffles of (-1)^s [f(...), g(...)]
 
     Unshuffle shapes with a negative part contribute an empty sum.  Every
-    term is bilinear in (f, g) and linear in the structure, so the sums run on
-    the int images of f, g and (alg, rep) and each value is divided once.
+    term is bilinear in (f, g) and linear in the structure, so the sums,
+    :func:`_bracket_on_canonical` in degree -1, run on the int images of f,
+    g and (alg, rep) and each value is divided once.
     """
     return _walked_altmap(_courant_walk(f, g, alg, rep), f.dim_cod)
 
@@ -206,13 +234,13 @@ def _twisted_walk(t: AltMap, tp: AltMap, alg, rep) -> Walk:
     """
     if t.arity != 1 or tp.arity != 1:
         raise ShapeMismatchError("deformations are 1-ary maps")
-    _check_spaces(t, tp, alg, rep)
+    _require_matching(alg, rep, t, tp)
     den = common_denominator(x for f in (t, tp) for v in f.entries.values() for x in v)
     itp = tp.integral(den)
-    left = t.integral(2 * den) + itp
+    left, right = SparseFamily.of(t.integral(2 * den) + itp), SparseFamily.of(itp)
     ds, alg, rep = cleared_pair(alg, rep)
     return Walk(2 * den * den * ds, t.space, (2,),
-                lambda word: courant_on_word(left, itp, alg, rep, word))
+                lambda word: _bracket_on_canonical(left, right, alg, rep, word))
 
 
 def deformation_check(t: AltMap, tp: AltMap, alg, rep) -> bool:

@@ -549,6 +549,11 @@ class SparseFamily:
         self.components = comps
         self._image = None
 
+    @classmethod
+    def of(cls, m: SparseMap):
+        """The one-weight family of a map, as a kernel on families reads it."""
+        return cls(m.space, m.target, m.degree, {m.weight: m})
+
     def _like(self, components):
         new = copy.copy(self)
         new.components = {w: c for w, c in components.items() if not c.is_zero()}

@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 
 from .combinatorics import parity_sign, split_table
+from .deformation import _bracket_on_canonical, _cleared_bracket_inputs, _require_matching
 from .errors import (
     BoundError,
     NotMaurerCartanError,
@@ -49,7 +50,6 @@ from .linalg import (
     common_denominator,
     divided,
     fr,
-    require_action,
     vec_is_zero,
 )
 from .prelie import (
@@ -119,114 +119,36 @@ class HomotopyOperator(GradedSymFamily):
 
 def bracket_on_word(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
                     rep: GradedRepresentation, word) -> Vector:
-    """The graded bracket of f and g evaluated on an explicit argument word.
-
-    Three sums over unshuffles: g inserted into f through the action, f
-    inserted into g with the factor (-1)^((m+1)(n+1)), and the bracket of
-    values with the per-term factor -(-1)^(n(sum of f-block degrees)+m+1),
-    where m, n are the degrees of f and g.  When g is f, the two insertion
-    sums are one sum with the coefficients -1 and (-1)^((m+1)(m+1)), so it
-    is summed once with their sum, and not at all at odd m, where that is 0;
-    this uses no axiom of the structure.
-
-    The bracket is graded symmetric, so the word is sorted once into a
-    canonical word, with its Koszul sign, and a word repeating an odd-degree
-    letter gives zero.  The sums run over the word's cached
-    :func:`split_table` entries, each distinct rearranged word once, split
-    into canonical blocks: each value of f and g on a block is read straight
-    from its entries, and the f-block degree enters through the parity the
-    table stores.  An inserted letter is placed into its canonical rest by
-    bisection.  Only the weights f and g have are visited.
-    """
-    dim_g = alg.dim
-    space = f.space
-    word, negate = koszul_sorted(space.degrees, word)
-    if word is None:
-        return (0,) * dim_g
-    sgn = -1 if negate else 1
-    par = space.parities
-    p = len(word)
-    m, n = f.degree, g.degree
-    fc, gc = f.components, g.components
-    out = [0] * dim_g
-    # g inserted into an argument slot of f, and f into an argument slot of g
-    s2 = parity_sign((m + 1) * (n + 1))
-    for inner, outer, coef in ((fc, fc, s2 - 1),) if g is f else ((gc, fc, -1), (fc, gc, s2)):
-        coef *= sgn
-        for l, il in inner.items() if coef else ():
-            ol = outer.get(p - l)
-            if ol is None or l >= p:
-                continue
-            for head, x, rest, eps in split_table(word, par, (l, 1, p - l - 1)):
-                val = il.entries.get(head)
-                if val is None:
-                    continue
-                inserted = rep.act_basis(val, x)
-                if not vec_is_zero(inserted):
-                    ol._insert_into(out, coef * eps, inserted, rest)
-    # bracket of values, its factor read by the parity of the f-block degree
-    factors = (-sgn * parity_sign(m + 1), -sgn * parity_sign(n + m + 1))
-    for a, fa in fc.items():
-        gb = gc.get(p - a)
-        if gb is None:
-            continue
-        for left, right, eps, odd in split_table(word, par, (a, p - a)):
-            x = fa.entries.get(left)
-            if x is None:
-                continue
-            y = gb.entries.get(right)
-            if y is None:
-                continue
-            factor = factors[odd] * eps
-            br = alg.bracket(x, y)
-            for k in range(dim_g):
-                if br[k]:
-                    out[k] += factor * br[k]
-    return tuple(out)
-
-
-def _require_matching(alg: SGLA, rep: GradedRepresentation, *families) -> None:
-    """Refuse families on another space than the action's module or with
-    values outside the algebra, and an action with other than one square
-    matrix of the module dimension per algebra basis element: every kernel
-    indexes them by those bases."""
-    if any(f.space != rep.space for f in families):
-        raise ShapeMismatchError("families do not live on the module of the action")
-    if any(f.target != alg.space for f in families):
-        raise ShapeMismatchError("families do not take values in the algebra")
-    require_action(alg.dim, rep)
-
-
-def _cleared_bracket_inputs(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
-                            rep: GradedRepresentation, p_max: int):
-    """(df * dg, ds, f, g, alg, rep) with the inputs of the graded bracket as
-    int images: f times df, g times dg, and (alg, rep) times one ds.  Raises
-    what :func:`graded_bracket` raises before it computes a word."""
-    _require_bound(p_max, 0, "p_max")
-    _require_matching(alg, rep, f, g)
-    same = g is f
-    df, f = f.cleared()
-    dg, g = (df, f) if same else g.cleared()
-    ds, alg, rep = cleared_pair(alg, rep)
-    return df * dg, ds, f, g, alg, rep
+    """The graded bracket of f and g on an explicit argument word: the word
+    sorted once into a canonical word, where the bracket kernel
+    :func:`~rotabaxter.deformation._bracket_on_canonical` sums it, with its
+    Koszul sign; a word repeating an odd-degree letter gives zero."""
+    canonical, negate = koszul_sorted(f.space.degrees, word)
+    if canonical is None:
+        return (0,) * alg.dim
+    val = _bracket_on_canonical(f, g, alg, rep, canonical)
+    return tuple(-x for x in val) if negate else val
 
 
 def _bracket_walk(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
                   rep: GradedRepresentation, p_max: int) -> Walk:
     """The walk of [[f, g]] up to weight p_max, each value computed by
-    :func:`bracket_on_word` on the int images."""
-    dfg, ds, f, g, alg, rep = _cleared_bracket_inputs(f, g, alg, rep, p_max)
+    :func:`~rotabaxter.deformation._bracket_on_canonical` on the int images:
+    the walk's words are canonical already, so none is sorted."""
+    _require_bound(p_max, 0, "p_max")
+    dfg, ds, f, g, alg, rep = _cleared_bracket_inputs(f, g, alg, rep)
     return Walk(dfg * ds, rep.space, range(p_max + 1),
-                lambda word: bracket_on_word(f, g, alg, rep, word))
+                lambda word: _bracket_on_canonical(f, g, alg, rep, word))
 
 
 def graded_bracket(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
                    rep: GradedRepresentation, p_max: int = DEFAULT_P_MAX) -> GradedSymFamily:
     """Degree-1 graded bracket on Hom(S(V), g), computed up to weight p_max.
 
-    Runs :func:`bracket_on_word` on the int images of f, g and (alg, rep)
-    and divides each value once.  The result is validated like any input:
-    an unchecked structure that is not homogeneous can make it inhomogeneous.
+    Walks the bracket kernel (see :func:`_bracket_walk`) on the int images
+    of f, g and (alg, rep) and divides each value once.  The result is
+    validated like any input: an unchecked structure that is not
+    homogeneous can make it inhomogeneous.
     """
     degree = f.degree + g.degree + 1
     comps = {p: GradedSymMap(rep.space, alg.space, p, degree, entries)
@@ -449,7 +371,8 @@ def _psi_witness(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
     nonzero, or None when the two sides agree up to weight p_max.
 
     Word by word on the int images, in two walks.  The first collects the
-    values of :func:`bracket_on_word` and checks each as the bracket's map
+    values of the bracket kernel on the canonical words (see
+    :func:`_bracket_walk`) and checks each as the bracket's map
     checks it, and the action-column rule of psi checks their columns; then
     psi of the int f and of the int g are built.  The second walks
     :func:`_hom_residual`, both sides carrying df * dg * ds^2, and stops at
@@ -459,7 +382,8 @@ def _psi_witness(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
     the weights a + b, for a weight a of f and b of g, are walked: at any
     other weight every term of both sides vanishes.
     """
-    dfg, ds, f, g, alg, rep = _cleared_bracket_inputs(f, g, alg, rep, p_max)
+    _require_bound(p_max, 0, "p_max")
+    dfg, ds, f, g, alg, rep = _cleared_bracket_inputs(f, g, alg, rep)
     # the walks stop at the top weight of f plus g, so the count to p_max is made here
     _require_walk(rep.space, p_max)
     space, dim = rep.space, rep.space.dim
@@ -467,7 +391,8 @@ def _psi_witness(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
     weights = sorted({a + b for a in f.components for b in g.components if a + b <= p_max})
     brackets = {p: GradedSymMap._on(space, alg.space, p, degree, {}) for p in weights}
     # den 1: the values are checked and kept as ints, never divided
-    for p, word, val in Walk(1, space, weights, lambda word: bracket_on_word(f, g, alg, rep, word)):
+    for p, word, val in Walk(1, space, weights,
+                             lambda word: _bracket_on_canonical(f, g, alg, rep, word)):
         brackets[p]._check_value(word, val)
         brackets[p].entries[word] = val
     lhs = _hooked_maps(brackets, degree, rep, GradedHookedMap)

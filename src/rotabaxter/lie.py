@@ -12,7 +12,7 @@ from functools import cached_property
 
 from .deformation import AltMap, _walked_altmap
 from .errors import BoundError, SearchSpaceError, ShapeMismatchError
-from .graded import CellWalk, Walk, require_cells, ungraded_space
+from .graded import CellWalk, GradedVectorSpace, Walk, require_cells, ungraded_space
 from .linalg import (
     Action,
     Clearable,
@@ -54,6 +54,11 @@ class LieAlgebra(Clearable):
         return len(self.basis)
 
     @cached_property
+    def space(self) -> GradedVectorSpace:
+        """The space the values of an alternating map into it live on."""
+        return ungraded_space(self.dim)
+
+    @cached_property
     def _table_dim(self) -> int:
         """The dimension, once ``require_table`` passes, decided once per object."""
         return require_table(self.dim, self.c, "structure constant array does not match the basis")
@@ -86,6 +91,11 @@ class Representation(Action):
     @property
     def space_dim(self) -> int:
         return len(self.basis)
+
+    @cached_property
+    def space(self) -> GradedVectorSpace:
+        """The space an alternating map on the module lives on."""
+        return ungraded_space(self.space_dim)
 
     act_basis = act_basis
 

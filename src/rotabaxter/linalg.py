@@ -78,14 +78,6 @@ class LinearOperator:
             self.codomain,
         )
 
-    def scale(self, c) -> "LinearOperator":
-        c = fr(c)
-        return LinearOperator(
-            tuple(tuple(c * x for x in row) for row in self.matrix),
-            self.domain,
-            self.codomain,
-        )
-
 
 # -- cleared denominators -----------------------------------------------------
 #

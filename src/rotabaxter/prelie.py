@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinatorics import parity_sign, split_table
-from .deformation import AltMap, _check_spaces, courant_bracket, courant_on_word
+from .deformation import AltMap, _bracket_on_canonical, _cleared_bracket_inputs, courant_bracket
 from .errors import NotMaurerCartanError, ShapeMismatchError
 from .graded import (
     CellWalk,
@@ -35,7 +35,6 @@ from .linalg import (
     Clearable,
     Vector,
     bilinear,
-    cleared_pair,
     fr,
     require_table,
     signed_sum,
@@ -221,7 +220,7 @@ def circ(alpha: HookedMap, beta: HookedMap) -> HookedMap:
         raise ShapeMismatchError("hooked maps live on different spaces")
     total = alpha.arity + beta.arity
     (da, a), (db, b) = alpha.cleared(), beta.cleared()
-    a, b = (SparseFamily(h.space, h.space, h.degree, {h.arity: h}) for h in (a, b))
+    a, b = SparseFamily.of(a), SparseFamily.of(b)
     return HookedMap._on(alpha.space, alpha.space, total, total,
                          _compose_by_weight(da, a, db, b, (total,)).get(total, {}))
 
@@ -285,27 +284,27 @@ def _phi_witness(f: AltMap, g: AltMap, alg, rep):
     is nonzero, or None when the two sides agree.
 
     Word by word on the int images: the action applied to
-    :func:`courant_on_word` against :func:`_hom_residual` of the int phi(f)
-    and phi(g), both sides carrying df * dg * ds^2, so only the value
+    :func:`~rotabaxter.deformation._bracket_on_canonical` of f and g, each the
+    one-weight family of its arity, against :func:`_hom_residual` of the int
+    phi(f) and phi(g), both sides carrying df * dg * ds^2, so only the value
     returned is divided.  Maps on other spaces, an action with other than
     one matrix per algebra basis element, and a walk above the work cap
     raise what :func:`phi_homomorphism_defect` raises, in the same order.
     """
-    _check_spaces(f, g, alg, rep)
-    df, f = f.cleared()
-    dg, g = g.cleared()
-    ds, alg, rep = cleared_pair(alg, rep)
+    dfg, ds, f, g, alg, rep = _cleared_bracket_inputs(f, g, alg, rep)
     s = parity_sign(f.arity * g.arity)
     dim = rep.space_dim
     zeros = [(0,) * dim] * dim
+    ff = SparseFamily.of(f)
+    fg = ff if g is f else SparseFamily.of(g)
 
     def residuals_on_word(word):
-        br = courant_on_word(f, g, alg, rep, word)
+        br = _bracket_on_canonical(ff, fg, alg, rep, word)
         lhs = [rep.act_basis(br, last) for last in range(dim)] if any(br) else zeros
         return _hom_residual(lhs, pf, pg, s, word)
 
     # counted before phi(f) and phi(g), which cost dim action columns per entry
-    walk = Walk(df * dg * ds * ds, f.space, (f.arity + g.arity,), residuals_on_word, free=True)
+    walk = Walk(dfg * ds * ds, f.space, (f.arity + g.arity,), residuals_on_word, free=True)
     pf = SparseFamily(f.space, f.space, f.arity,
                       _hooked_maps({f.arity: f}, f.degree, rep, HookedMap))
     pg = SparseFamily(g.space, g.space, g.arity,

@@ -4,6 +4,9 @@
 * :func:`expand_low_identities` is the hand expansion of the generalized
   Rota-Baxter residuals at weights 0, 1 and 2, the oracle that
   ``homotopy_oop_residual`` is compared with; it reads no unshuffle table.
+* :func:`courant_on_word` is the ungraded bracket summed with permutation
+  signs, the oracle that the one graded bracket kernel is compared with on
+  alternating maps.
 * The relabelers copy an ungraded map's entries verbatim onto the degree -1
   spaces of its graded counterpart, so a graded check can be compared with
   the ungraded one verdict for verdict.
@@ -14,7 +17,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from rotabaxter.combinatorics import parity_sign
+from rotabaxter.combinatorics import parity_sign, split_table
 from rotabaxter.deformation import AltMap
 from rotabaxter.errors import ShapeMismatchError
 from rotabaxter.graded import (
@@ -98,6 +101,56 @@ def commutator_algebra(p: PreLieProduct) -> LieAlgebra:
         for i in range(n)
     )
     return LieAlgebra(p.basis, c)
+
+
+def courant_on_word(f: AltMap, g: AltMap, alg, rep, word) -> Vector:
+    """The bracket [[f, g]] of ``courant_bracket`` on an explicit word of
+    arity(f) + arity(g) arguments: its three sums over unshuffles.
+
+    The bracket is alternating, so the word is sorted once into an
+    increasing word, with the permutation sign of the sort, and a word
+    repeating a letter gives zero.  The inversions are counted here, not by
+    the graded kernels' Koszul sort, and the word's ``split_table`` entries
+    are read with parities None, so their signs are the permutation signs of
+    ``combinatorics.sign``: this sum stays independent of the graded bracket
+    kernel.  Every block of an unshuffle of an increasing word is
+    increasing, so each value of f and g on a block is read straight from
+    its entries; an inserted letter is placed into its increasing rest by
+    bisection.  When g is f, the two insertion sums are one sum over one
+    table with the coefficients -1 and (-1)^(nm), so it is summed once with
+    the coefficient (-1)^(nm) - 1, and not at all when that is 0."""
+    n, m = f.weight, g.weight  # the arities
+    dim = f.target.dim
+    if len(set(word)) < len(word):
+        return (0,) * dim
+    sgn = parity_sign(sum(a > b for i, a in enumerate(word) for b in word[i + 1:]))
+    word = tuple(sorted(word))
+    mn = parity_sign(m * n)
+    val = [0] * dim
+    # g inserted into f and f into g; a self-bracket sums the one table once
+    for inner, outer, coef in ((f, f, mn - 1),) if g is f else ((g, f, -1), (f, g, mn)):
+        a, b = inner.weight, outer.weight
+        coef *= sgn
+        for head, x, rest, sg in split_table(word, None, (a, 1, b - 1)) if b and coef else ():
+            ival = inner.entries.get(head)
+            if ival is None:
+                continue
+            inserted = rep.act_basis(ival, x)
+            if not vec_is_zero(inserted):
+                outer._insert_into(val, coef * sg, inserted, rest)
+    mn *= sgn  # the bracket of values carries the sort's sign too
+    for left, right, sg, _ in split_table(word, None, (n, m)):
+        x = f.entries.get(left)
+        if x is None:
+            continue
+        y = g.entries.get(right)
+        if y is None:
+            continue
+        br = alg.bracket(x, y)
+        sg *= mn
+        for k in range(dim):
+            val[k] -= sg * br[k]
+    return tuple(val)
 
 
 # -- random inputs --------------------------------------------------------------

@@ -1336,9 +1336,9 @@ def test_an_ungraded_walked_fail_is_the_least_pair_of_its_whole_map(
                                   ["check-rbo", *given[:2], "--op", _operator_file(
                                       tmp_path, "P.json", p, "g")])
     assert_least(witness, calls, oop(p, adjoint(alg)))
-    # mc-check and deform read courant_on_word once per pair; deform first
+    # mc-check and deform read the bracket kernel once per pair; deform first
     # walks every pair of its base, an O-operator
-    witness, calls = _walked_fail(runner, monkeypatch, deformation, "courant_on_word",
+    witness, calls = _walked_fail(runner, monkeypatch, deformation, "_bracket_on_canonical",
                                   ["mc-check", *given, "--op", op])
     assert_least(witness, calls, mc(t))
     bases = []
@@ -1350,7 +1350,7 @@ def test_an_ungraded_walked_fail_is_the_least_pair_of_its_whole_map(
     base = [[scale * x for x in row] for row in rng.choice(bases)]
     delta = _drawn(rng, d, m, lambda rows: mc(base, rows))
     witness, calls = _walked_fail(
-        runner, monkeypatch, deformation, "courant_on_word",
+        runner, monkeypatch, deformation, "_bracket_on_canonical",
         ["deform", *given, "--base", _operator_file(tmp_path, "B.json", base),
          "--delta", _operator_file(tmp_path, "D.json", delta)])
     assert_least(witness, calls, mc(base, delta), before=m * (m - 1) // 2)

@@ -15,7 +15,7 @@ from rotabaxter.catalog import (
     two_level_sgla,
 )
 from rotabaxter.combinatorics import koszul_sign, parity_sign, sign, split_table
-from rotabaxter.deformation import AltMap, courant_bracket, courant_on_word, mc_residual
+from rotabaxter.deformation import AltMap, courant_bracket, mc_residual
 from rotabaxter.embed import homotopy_operator_from_linear
 from rotabaxter.errors import (
     BoundError,
@@ -77,6 +77,7 @@ from rotabaxter.prelie import (
 
 from helpers import (
     TruncationExceededError,
+    courant_on_word,
     embed_pair,
     expand_low_identities,
     family_from_alt,
@@ -540,7 +541,7 @@ def test_check_prelie_infinity_visits_canonical_words_only(monkeypatch):
 def test_mc_check_homotopy_stops_at_the_first_nonzero_word(monkeypatch):
     t, alg, rep = _failing_mixed_operator()
     weight, word, _ = homotopy._mc_witness(t, alg, rep, 4)
-    calls = _count_calls(monkeypatch, "bracket_on_word")
+    calls = _count_calls(monkeypatch, "_bracket_on_canonical")
     assert not mc_check_homotopy(t, alg, rep, 4)
     before = sum(1 for w in range(weight) for _ in canonical_words(rep.space, w))
     at = list(canonical_words(rep.space, weight)).index(word)
@@ -629,6 +630,10 @@ def test_bracket_reduces_to_ungraded():
             f = random_altmap(rng, n, rep_u.space_dim, alg_u.dim)
             g = random_altmap(rng, m, rep_u.space_dim, alg_u.dim)
             want = courant_bracket(f, g, alg_u, rep_u)
+            # the graded kernel runs on both sides, so the permutation-signed
+            # sum is the independent oracle
+            for word in itertools.combinations(range(rep_u.space_dim), n + m):
+                assert want.eval(word) == courant_on_word(f, g, alg_u, rep_u, word)
             got = graded_bracket(family_from_alt(f, grep.space, galg.space),
                                  family_from_alt(g, grep.space, galg.space),
                                  galg, grep, p_max=6)

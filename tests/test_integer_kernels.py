@@ -22,7 +22,6 @@ from rotabaxter.deformation import (
     _mc_walk,
     _twisted_walk,
     courant_bracket,
-    courant_on_word,
     deformation_check,
     mc_residual,
 )
@@ -81,6 +80,7 @@ from rotabaxter.prelie import (
 from rotabaxter.reports import named_residual
 
 from helpers import (
+    courant_on_word,
     embed_pair,
     eval_last_insert,
     expand_low_identities,
@@ -179,8 +179,11 @@ def test_courant_bracket_matches_the_graded_word_kernel(a, d, rng):
         assert all_fractions(got)
         fam_f = family_from_alt(f, grep.space, galg.space)
         fam_g = family_from_alt(g, grep.space, galg.space)
+        # courant_bracket runs the graded kernel too, so the permutation-signed
+        # sum is the independent oracle
         for word in itertools.combinations(range(module.space_dim), n + m):
             assert got.eval(word) == bracket_on_word(fam_f, fam_g, galg, grep, word)
+            assert got.eval(word) == courant_on_word(f, g, alg, module, word)
 
 
 @settings(max_examples=60, deadline=None)
@@ -508,8 +511,8 @@ def test_the_word_by_word_psi_check_matches_the_family_comparison(
 
 def test_the_psi_check_runs_the_bracket_once_per_canonical_word(monkeypatch):
     calls = []
-    kernel = homotopy.bracket_on_word
-    monkeypatch.setattr(homotopy, "bracket_on_word",
+    kernel = homotopy._bracket_on_canonical
+    monkeypatch.setattr(homotopy, "_bracket_on_canonical",
                         lambda *args: calls.append(args[-1]) or kernel(*args))
     rng = random.Random(7)
     verdicts = []

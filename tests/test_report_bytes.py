@@ -1,11 +1,15 @@
-"""The report bytes of the structure-axiom checks and the O-operator checks on
-failing inputs with rational constants, pinned.
+"""The report bytes of the structure-axiom checks, the O-operator checks and
+the deformation-complex checks on failing inputs with rational constants,
+pinned.
 
 Each case runs one command through ``cli.main`` with ``--json-report -`` and
-compares its whole output with the text the Fraction implementation of the
-checks wrote.  The constants carry different denominators in the algebra,
-the action, the differential and the operator, so a witness divided back by
-the wrong power of a denominator, or by the wrong one, changes the bytes.
+compares its whole output with pinned text: the Fraction implementation of
+the axiom and O-operator checks wrote it, and the ungraded bracket sum wrote
+the mc-check, deform and check-phi-hom cases before those commands ran the
+graded bracket kernel.  The constants carry different denominators in the
+algebra, the action, the differential and the operators or maps, so a
+witness divided back by the wrong power of a denominator, or by the wrong
+one, changes the bytes.
 """
 
 import json
@@ -34,9 +38,15 @@ ACTION = {"e1": [["1/3", "0"], ["0", "0"]], "e2": [["0", "1/5"], ["0", "0"]]}
 # a one-dimensional module: each residual of its action is a 1 x 1 matrix
 UNIT = lie("e1 e2".split(), ("e1", "e2", {"e2": "1"}))
 UNIT_ACTION = {"e2": [["1/2"]]}
+AFFINE_REP = {"representation": {"basis": ["v1", "v2"], "action": ACTION}}
+# a map V -> g with its own denominators, and an O-operator of (AFFINE, ACTION)
+SKEW = {"operator": {"rows": [["1/7", "2/3"], ["0", "1"]]}}
+BASE = {"operator": {"rows": [["0", "3"], ["0", "1/2"]]}}
 
 # name: (command, {option: the JSON object written to the file it names})
 CASES = {
+    "deform":
+        '{"at": [1, 2], "residual": {"e1": "11/63", "e2": "3/28"}}',
     "lie-antisymmetry": ("check-lie", {"--algebra": lie(
         "e1 e2".split(), ("e1", "e2", {"e1": "1/2"}), ("e2", "e1", {"e1": "1/3"}))}),
     "lie-jacobi": ("check-lie", {"--algebra": lie(
@@ -67,9 +77,15 @@ CASES = {
         "--sgla": sgla((("e1", -1), ("e2", -1)), ("e1", "e2", {"e2": "1"})),
         "--grep": {"graded_rep": {"space": {"basis": [{"name": "v", "degree": -1}]},
                                   "action": UNIT_ACTION}}}),
+    "phi-hom":
+        '{"arity": 2, "at": [1, 2], "last": 2, "residual": {"v1": "1/420"}}',
+    "phi-hom-constant":
+        '{"arity": 1, "at": [1], "last": 2, "residual": {"v1": "1/280"}}',
     "prelie": ("check-prelie", {"--prelie": {"prelie": {"basis": ["e1", "e2"], "products": [
         {"left": "e1", "right": "e1", "value": {"e2": "1/2"}},
         {"left": "e2", "right": "e1", "value": {"e1": "1/3"}}]}}}),
+    "mc":
+        '{"at": [1, 2], "residual": {"e1": "2/63", "e2": "1/14"}}',
     "oop": ("check-oop", {
         "--algebra": AFFINE,
         "--rep": {"representation": {"basis": ["v1", "v2"], "action": ACTION}},
@@ -80,6 +96,15 @@ CASES = {
         "--algebra": AFFINE,
         "--op": {"operator": {"rows": [["1/7", "0"], ["2/3", "1"]],
                               "domain": "g", "codomain": "g"}}}),
+    "mc": ("mc-check", {"--algebra": AFFINE, "--rep": AFFINE_REP, "--op": SKEW}),
+    "deform": ("deform", {"--algebra": AFFINE, "--rep": AFFINE_REP, "--base": BASE,
+                          "--delta": SKEW}),
+    "phi-hom": ("check-phi-hom", {"--algebra": AFFINE, "--rep": AFFINE_REP, "--left": SKEW,
+                                  "--right": BASE}),
+    "phi-hom-constant": ("check-phi-hom", {
+        "--algebra": AFFINE, "--rep": AFFINE_REP,
+        "--left": {"altmap": {"arity": 0, "entries": [{"args": [], "value": {"e2": "3/4"}}]}},
+        "--right": SKEW}),
 }
 
 
@@ -100,12 +125,20 @@ WITNESS = {
         '[["0", "0", "0"], ["0", "0", "0"], ["-1/15", "0", "0"]]}',
     "graded-rep-one-coordinate":
         '{"at": [1, 2], "part": "homomorphism", "residual": [["1/2"]]}',
+    "deform":
+        '{"at": [1, 2], "residual": {"e1": "11/63", "e2": "3/28"}}',
     "lie-antisymmetry":
         '{"at": [1, 2, 1], "residual": "5/6"}',
     "lie-jacobi":
         '{"at": [1, 2, 3], "residual": {"e3": "-1/10"}}',
+    "mc":
+        '{"at": [1, 2], "residual": {"e1": "2/63", "e2": "1/14"}}',
     "oop":
         '{"at": [1, 2], "residual": {"e1": "2/63", "e2": "1/14"}}',
+    "phi-hom":
+        '{"arity": 2, "at": [1, 2], "last": 2, "residual": {"v1": "1/420"}}',
+    "phi-hom-constant":
+        '{"arity": 1, "at": [1], "last": 2, "residual": {"v1": "1/280"}}',
     "prelie":
         '{"at": [1, 2, 1], "residual": {"e2": "-1/3"}}',
     "rbo":
