@@ -40,7 +40,7 @@ from .homotopy import (
     induce_prelie_infinity,
 )
 from .lie import SEARCH_CAP, _oop_walk, adjoint, check_lie, check_representation, search_rbo
-from .prelie import _phi_witness, check_prelie, induce_prelie, mn_bracket, phi
+from .prelie import _hom_witness, check_prelie, induce_prelie, mn_bracket, phi
 from .reports import Report, named_residual
 from .serialize import Workspace
 
@@ -365,9 +365,9 @@ def check_phi_hom_cmd(cfg, alg, rep, left, right):
     dim = rep.space_dim
 
     def check(f, g):
-        found = _phi_witness(f, g, alg, rep)
+        found = _hom_witness(f, g, alg, rep, f.arity + g.arity)
         if found is not None:
-            arity, (word, last), value = found
+            arity, word, last, value = found
             return {**_altmap_witness(word, value, rep.basis), "arity": arity, "last": last + 1}
 
     witness = _given_or_sweep(

@@ -13,7 +13,8 @@ f and g, and the graded Jacobi identity uses the same exponents.  Both laws
 are pinned by exhaustive tests.
 
 The bracket is the graded bracket of :mod:`rotabaxter.homotopy` on V and g
-in degree -1, and one kernel, :func:`_bracket_on_canonical`, sums both.
+in degree -1: one kernel, :func:`_bracket_on_canonical`, sums both, and one
+walk, :func:`_bracket_walk`, runs it over the words of both.
 """
 
 from __future__ import annotations
@@ -152,24 +153,25 @@ def _bracket_on_canonical(f: SparseFamily, g: SparseFamily, alg, rep, word) -> V
 
 def _cleared_bracket_inputs(f, g, alg, rep):
     """(df * dg, ds, f, g, alg, rep) with the inputs of a bracket as int
-    images: f times df, g times dg, and (alg, rep) times one ds.  Each map
-    or family stores its image, so g is still f when it was.  Raises what
-    the bracket raises before it computes a word."""
+    images: f times df and g times dg, each map read as the one-weight family
+    of its weight, and (alg, rep) times one ds.  Each map or family stores
+    its image, so g is still f when it was.  Raises what the bracket raises
+    before it computes a word."""
     _require_matching(alg, rep, f, g)
     (df, f), (dg, g) = f.cleared(), g.cleared()
+    if isinstance(f, SparseMap):
+        f, g = (SparseFamily.of(f),) * 2 if g is f else (SparseFamily.of(f), SparseFamily.of(g))
     ds, alg, rep = cleared_pair(alg, rep)
     return df * dg, ds, f, g, alg, rep
 
 
-def _courant_walk(f: AltMap, g: AltMap, alg, rep) -> Walk:
-    """The walk of [[f, g]], each value computed by
-    :func:`_bracket_on_canonical` on the int images of the inputs, each read
-    as the one-weight family of its arity (a self-bracket as one family)."""
+def _bracket_walk(f, g, alg, rep, weights) -> Walk:
+    """The walk of [[f, g]] over the given weights, for two maps or two
+    families of any grading: :func:`_bracket_on_canonical` on the int images
+    (see :func:`_cleared_bracket_inputs`) of each word, canonical already."""
     dfg, ds, f, g, alg, rep = _cleared_bracket_inputs(f, g, alg, rep)
-    ff = SparseFamily.of(f)
-    fg = ff if g is f else SparseFamily.of(g)
-    return Walk(dfg * ds, f.space, (f.arity + g.arity,),
-                lambda word: _bracket_on_canonical(ff, fg, alg, rep, word))
+    return Walk(dfg * ds, f.space, weights,
+                lambda word: _bracket_on_canonical(f, g, alg, rep, word))
 
 
 def _walked_altmap(walk: Walk, dim_cod: int, divisor: int = 1) -> AltMap:
@@ -194,14 +196,14 @@ def courant_bracket(f: AltMap, g: AltMap, alg, rep) -> AltMap:
     :func:`_bracket_on_canonical` in degree -1, run on the int images of f,
     g and (alg, rep) and each value is divided once.
     """
-    return _walked_altmap(_courant_walk(f, g, alg, rep), f.dim_cod)
+    return _walked_altmap(_bracket_walk(f, g, alg, rep, (f.arity + g.arity,)), f.dim_cod)
 
 
 def _mc_walk(t: AltMap, alg, rep) -> Walk:
     """The walk of the self-bracket of a 1-ary map, twice :func:`mc_residual`."""
     if t.arity != 1:
         raise ShapeMismatchError("Maurer-Cartan candidates are 1-ary maps")
-    return _courant_walk(t, t, alg, rep)
+    return _bracket_walk(t, t, alg, rep, (2,))
 
 
 def mc_residual(t: AltMap, alg, rep) -> AltMap:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 
 from .combinatorics import parity_sign, split_table
-from .deformation import _bracket_on_canonical, _cleared_bracket_inputs, _require_matching
+from .deformation import _bracket_on_canonical, _bracket_walk, _require_matching
 from .errors import (
     BoundError,
     NotMaurerCartanError,
@@ -50,12 +50,13 @@ from .linalg import (
     common_denominator,
     divided,
     fr,
+    require_action,
     vec_is_zero,
 )
 from .prelie import (
     COMPOSE_NORMALIZATION,
     _compose_by_weight,
-    _hom_residual,
+    _hom_witness,
     _hooked_maps,
     hook_compose_lasts,
 )
@@ -130,29 +131,20 @@ def bracket_on_word(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
     return tuple(-x for x in val) if negate else val
 
 
-def _bracket_walk(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
-                  rep: GradedRepresentation, p_max: int) -> Walk:
-    """The walk of [[f, g]] up to weight p_max, each value computed by
-    :func:`~rotabaxter.deformation._bracket_on_canonical` on the int images:
-    the walk's words are canonical already, so none is sorted."""
-    _require_bound(p_max, 0, "p_max")
-    dfg, ds, f, g, alg, rep = _cleared_bracket_inputs(f, g, alg, rep)
-    return Walk(dfg * ds, rep.space, range(p_max + 1),
-                lambda word: _bracket_on_canonical(f, g, alg, rep, word))
-
-
 def graded_bracket(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
                    rep: GradedRepresentation, p_max: int = DEFAULT_P_MAX) -> GradedSymFamily:
     """Degree-1 graded bracket on Hom(S(V), g), computed up to weight p_max.
 
-    Walks the bracket kernel (see :func:`_bracket_walk`) on the int images
-    of f, g and (alg, rep) and divides each value once.  The result is
-    validated like any input: an unchecked structure that is not
-    homogeneous can make it inhomogeneous.
+    Walks the bracket kernel (see
+    :func:`~rotabaxter.deformation._bracket_walk`) on the int images of f, g
+    and (alg, rep) and divides each value once.  The result is validated
+    like any input: an unchecked structure that is not homogeneous can make
+    it inhomogeneous.
     """
+    _require_bound(p_max, 0, "p_max")
     degree = f.degree + g.degree + 1
     comps = {p: GradedSymMap(rep.space, alg.space, p, degree, entries)
-             for p, entries in _bracket_walk(f, g, alg, rep, p_max).by_weight().items()}
+             for p, entries in _bracket_walk(f, g, alg, rep, range(p_max + 1)).by_weight().items()}
     return GradedSymFamily(rep.space, alg.space, degree, comps)
 
 
@@ -279,7 +271,8 @@ def _mc_witness(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
     canonical word where it is nonzero, or None when it vanishes up to
     weight p_max.  Raises what :func:`graded_bracket` raises up to that
     word."""
-    return _checked_first(_bracket_walk(t, t, alg, rep, p_max), alg.space,
+    _require_bound(p_max, 0, "p_max")
+    return _checked_first(_bracket_walk(t, t, alg, rep, range(p_max + 1)), alg.space,
                           2 * t.degree + 1, 2)
 
 
@@ -322,6 +315,7 @@ def psi(f: GradedSymFamily, rep: GradedRepresentation) -> GradedHookFamily:
         raise ShapeMismatchError("family and action live on different modules")
     if f.target.dim != len(rep.matrices):
         raise ShapeMismatchError("family values do not match the algebra of the action")
+    require_action(f.target.dim, rep)
     return GradedHookFamily(rep.space, f.degree + 1,
                             _hooked_maps(f.components, f.degree, rep, GradedHookedMap, fr))
 
@@ -367,48 +361,10 @@ def psi_homomorphism_defect(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
 def _psi_witness(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
                  rep: GradedRepresentation, p_max: int = DEFAULT_P_MAX):
     """(weight, word, last, value) of psi([[f, g]]) - [psi(f), psi(g)] at the
-    first canonical (word, last), in weight then sorted order, where it is
-    nonzero, or None when the two sides agree up to weight p_max.
-
-    Word by word on the int images, in two walks.  The first collects the
-    values of the bracket kernel on the canonical words (see
-    :func:`_bracket_walk`) and checks each as the bracket's map
-    checks it, and the action-column rule of psi checks their columns; then
-    psi of the int f and of the int g are built.  The second walks
-    :func:`_hom_residual`, both sides carrying df * dg * ds^2, and stops at
-    its first nonzero value, the only one divided.  So it raises what
-    :func:`psi_homomorphism_defect` raises, in the same order, on every word
-    even past a difference; the int values are checked as they are.  Only
-    the weights a + b, for a weight a of f and b of g, are walked: at any
-    other weight every term of both sides vanishes.
-    """
+    first canonical (word, last) up to weight p_max where it is nonzero, or
+    None: :func:`~rotabaxter.prelie._hom_witness` to the top weight p_max."""
     _require_bound(p_max, 0, "p_max")
-    dfg, ds, f, g, alg, rep = _cleared_bracket_inputs(f, g, alg, rep)
-    # the walks stop at the top weight of f plus g, so the count to p_max is made here
-    _require_walk(rep.space, p_max)
-    space, dim = rep.space, rep.space.dim
-    degree = f.degree + g.degree + 1
-    weights = sorted({a + b for a in f.components for b in g.components if a + b <= p_max})
-    brackets = {p: GradedSymMap._on(space, alg.space, p, degree, {}) for p in weights}
-    # den 1: the values are checked and kept as ints, never divided
-    for p, word, val in Walk(1, space, weights,
-                             lambda word: _bracket_on_canonical(f, g, alg, rep, word)):
-        brackets[p]._check_value(word, val)
-        brackets[p].entries[word] = val
-    lhs = _hooked_maps(brackets, degree, rep, GradedHookedMap)
-    pf = GradedHookFamily(space, f.degree + 1,
-                          _hooked_maps(f.components, f.degree, rep, GradedHookedMap))
-    pg = pf if g is f else GradedHookFamily(
-        space, g.degree + 1, _hooked_maps(g.components, g.degree, rep, GradedHookedMap))
-    s = parity_sign(pf.degree * pg.degree)
-    zero = (0,) * dim
-
-    def residuals_on_word(word):
-        get = lhs[len(word)].entries.get
-        return _hom_residual([get((word, last), zero) for last in range(dim)], pf, pg, s, word)
-
-    found = Walk(dfg * ds * ds, space, weights, residuals_on_word, free=True).first()
-    return found and (found[0], *found[1], found[2])
+    return _hom_witness(f, g, alg, rep, p_max)
 
 
 def check_psi_homomorphism(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,

@@ -25,6 +25,7 @@ from .graded import (
     SparseFamily,
     SparseMap,
     Walk,
+    _require_walk,
     koszul_inserted,
     koszul_sorted,
     require_cells,
@@ -36,6 +37,7 @@ from .linalg import (
     Vector,
     bilinear,
     fr,
+    require_action,
     require_table,
     signed_sum,
     table_from_pairs,
@@ -266,69 +268,82 @@ def phi(f: AltMap, rep) -> HookedMap:
         raise ShapeMismatchError("map and representation live on different modules")
     if f.dim_cod != len(rep.matrices):
         raise ShapeMismatchError("map values do not match the algebra of the representation")
+    require_action(f.dim_cod, rep)
     return _hooked_maps({f.arity: f}, f.degree, rep, HookedMap, fr)[f.arity]
 
 
-def _hom_residual(lhs, pf: SparseFamily, pg: SparseFamily, s: int, word):
-    """lhs - (pf o pg - s pg o pf) on (word; last) for each last argument in
-    turn, lhs its left side's values in that order: the residual of the phi
-    and psi homomorphism checks, where s is (-1)^(deg pf deg pg), computed
-    for a last argument only once the ones before it are read."""
-    for x, y, z in zip(lhs, hook_compose_lasts(pf, pg, word), hook_compose_lasts(pg, pf, word)):
-        yield [xk - yk + s * zk for xk, yk, zk in zip(x, y, z)]
+def _hom_witness(f, g, alg, rep, top: int):
+    """(weight, word, last, value) of psi([[f, g]]) - [psi(f), psi(g)] at the
+    first canonical (word, last), in weight then sorted order, where it is
+    nonzero, or None when the two sides agree up to weight ``top``.  f and g
+    are two maps or two families of any grading; on alternating maps, in
+    degree -1, psi is phi.
 
-
-def _phi_witness(f: AltMap, g: AltMap, alg, rep):
-    """(arity, (word, last), value) of phi([[f, g]]) - [phi(f), phi(g)] at
-    the first increasing word and last argument, in sorted order, where it
-    is nonzero, or None when the two sides agree.
-
-    Word by word on the int images: the action applied to
-    :func:`~rotabaxter.deformation._bracket_on_canonical` of f and g, each the
-    one-weight family of its arity, against :func:`_hom_residual` of the int
-    phi(f) and phi(g), both sides carrying df * dg * ds^2, so only the value
-    returned is divided.  Maps on other spaces, an action with other than
-    one matrix per algebra basis element, and a walk above the work cap
-    raise what :func:`phi_homomorphism_defect` raises, in the same order.
+    Word by word on the int images, in two walks.  The first collects the
+    bracket kernel's values (see :func:`~rotabaxter.deformation._bracket_walk`)
+    and checks each as the bracket's map checks it, and :func:`_hooked_maps`
+    checks their columns; then psi of the int f and g is built.  The second
+    walks the residual, both sides carrying df * dg * ds^2, and divides only
+    its first nonzero value.  So it raises what the whole-map defects
+    (:func:`phi_homomorphism_defect`,
+    :func:`~rotabaxter.homotopy.psi_homomorphism_defect`) raise, in the same
+    order, even past a difference; in degree -1 no check can fail.  Only the
+    weights a + b, for a weight a of f and b of g, are walked: at any other
+    weight every term of both sides vanishes.
     """
     dfg, ds, f, g, alg, rep = _cleared_bracket_inputs(f, g, alg, rep)
-    s = parity_sign(f.arity * g.arity)
-    dim = rep.space_dim
-    zeros = [(0,) * dim] * dim
-    ff = SparseFamily.of(f)
-    fg = ff if g is f else SparseFamily.of(g)
+    space, dim = rep.space, rep.space_dim
+    # the walks stop at the top weight of f plus g, so the count to top is made here
+    _require_walk(space, top)
+    degree = f.degree + g.degree + 1
+    weights = sorted({a + b for a in f.components for b in g.components if a + b <= top})
+    brackets = {p: SparseMap._on(space, alg.space, p, degree, {}) for p in weights}
+    # den 1: the values are checked and kept as ints, never divided
+    for p, word, val in Walk(1, space, weights,
+                             lambda word: _bracket_on_canonical(f, g, alg, rep, word)):
+        brackets[p]._check_value(word, val)
+        brackets[p].entries[word] = val
+    # HookedMap._on skips the degree -1 constructor, so it holds the int hooks of any grading
+    lhs = _hooked_maps(brackets, degree, rep, HookedMap)
+    pf = SparseFamily(space, space, f.degree + 1,
+                      _hooked_maps(f.components, f.degree, rep, HookedMap))
+    pg = pf if g is f else SparseFamily(
+        space, space, g.degree + 1, _hooked_maps(g.components, g.degree, rep, HookedMap))
+    s = parity_sign(pf.degree * pg.degree)
+    zero = (0,) * dim
 
     def residuals_on_word(word):
-        br = _bracket_on_canonical(ff, fg, alg, rep, word)
-        lhs = [rep.act_basis(br, last) for last in range(dim)] if any(br) else zeros
-        return _hom_residual(lhs, pf, pg, s, word)
+        """lhs - (pf o pg - s pg o pf) on (word; last) for each last argument
+        in turn, each computed only once the ones before it are read."""
+        get = lhs[len(word)].entries.get
+        for last, y, z in zip(range(dim), hook_compose_lasts(pf, pg, word),
+                              hook_compose_lasts(pg, pf, word)):
+            yield [xk - yk + s * zk for xk, yk, zk in zip(get((word, last), zero), y, z)]
 
-    # counted before phi(f) and phi(g), which cost dim action columns per entry
-    walk = Walk(dfg * ds * ds, f.space, (f.arity + g.arity,), residuals_on_word, free=True)
-    pf = SparseFamily(f.space, f.space, f.arity,
-                      _hooked_maps({f.arity: f}, f.degree, rep, HookedMap))
-    pg = SparseFamily(g.space, g.space, g.arity,
-                      _hooked_maps({g.arity: g}, g.degree, rep, HookedMap))
-    return walk.first()
+    found = Walk(dfg * ds * ds, space, weights, residuals_on_word, free=True).first()
+    return found and (found[0], *found[1], found[2])
 
 
 def check_phi_homomorphism(f: AltMap, g: AltMap, alg, rep) -> bool:
     """Exact equality of phi([[f, g]]) and [phi(f), phi(g)], decided word by
-    word (see :func:`_phi_witness`)."""
-    return _phi_witness(f, g, alg, rep) is None
+    word (see :func:`_hom_witness`)."""
+    return _hom_witness(f, g, alg, rep, f.arity + g.arity) is None
 
 
 def phi_homomorphism_defect(f: AltMap, g: AltMap, alg, rep) -> HookedMap:
     """phi([[f, g]]) - [phi(f), phi(g)], built as whole maps: zero exactly
     when :func:`check_phi_homomorphism` passes, and a
-    :func:`_phi_witness` replays as its value at the witness key."""
+    :func:`_hom_witness` replays as its value at the witness key."""
     lhs = phi(courant_bracket(f, g, alg, rep), rep)
     return lhs - mn_bracket(phi(f, rep), phi(g, rep))
 
 
 def induce_prelie(t, alg, rep, force: bool = False) -> PreLieProduct:
-    """Pre-Lie product u * v = rho(Tu) v induced by an O-operator T."""
-    if not force and not _oop_walk(alg, rep, t).vanishes():
+    """Pre-Lie product u * v = rho(Tu) v induced by an O-operator T.  The
+    O-operator check's walk is made even with ``force``: making it checks
+    the shapes of T and of the action."""
+    walk = _oop_walk(alg, rep, t)
+    if not force and not walk.vanishes():
         raise NotMaurerCartanError(
             "operator is not an O-operator; pass force=True to build the product anyway"
         )

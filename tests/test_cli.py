@@ -912,8 +912,8 @@ def test_the_phi_sweep_checks_every_ordered_basis_pair(runner, tmp_path, monkeyp
         seen.append((f, g))
         return phi_witness(f, g, *rest)
 
-    phi_witness = cli._phi_witness
-    monkeypatch.setattr(cli, "_phi_witness", counting)
+    phi_witness = cli._hom_witness
+    monkeypatch.setattr(cli, "_hom_witness", counting)
     res = runner.invoke(main, ["check-phi-hom", "--algebra", alg, "--rep", "adjoint"])
     assert res.exit_code == 0
     # 8 maps of arities 0, 1, 2 on a 2-dimensional module: the 44 ordered

@@ -26,7 +26,7 @@ from rotabaxter.deformation import (
     mc_residual,
 )
 from rotabaxter.embed import homotopy_operator_from_linear
-from rotabaxter import homotopy
+from rotabaxter import homotopy, prelie
 from rotabaxter.errors import SearchSpaceError, ShapeMismatchError
 from rotabaxter.graded import (
     GradedRepresentation,
@@ -70,7 +70,7 @@ from rotabaxter.lie import (
     search_rbo,
 )
 from rotabaxter.prelie import (
-    _phi_witness,
+    _hom_witness,
     check_phi_homomorphism,
     circ,
     mn_bracket,
@@ -511,8 +511,9 @@ def test_the_word_by_word_psi_check_matches_the_family_comparison(
 
 def test_the_psi_check_runs_the_bracket_once_per_canonical_word(monkeypatch):
     calls = []
-    kernel = homotopy._bracket_on_canonical
-    monkeypatch.setattr(homotopy, "_bracket_on_canonical",
+    # the psi check runs the kernel in the witness it shares with phi
+    kernel = prelie._bracket_on_canonical
+    monkeypatch.setattr(prelie, "_bracket_on_canonical",
                         lambda *args: calls.append(args[-1]) or kernel(*args))
     rng = random.Random(7)
     verdicts = []
@@ -841,12 +842,12 @@ def test_the_word_by_word_phi_check_matches_the_family_comparison(
     if kind == "work cap":
         assert want[0] is SearchSpaceError
     assert outcome_of(check_phi_homomorphism, f, g, alg, rep) == want
-    found = outcome_of(_phi_witness, f, g, alg, rep)
+    found = outcome_of(_hom_witness, f, g, alg, rep, f.arity + g.arity)
     if want is not False:  # a PASS, or what both raise
         assert found == (None if want is True else want)
         return
     # the witness is the first key of the whole-map defect, and its value
-    _, (word, last), value = found
+    _, word, last, value = found
     defect = phi_homomorphism_defect(f, g, alg, rep)
     assert (word, last) == min(defect.entries)
     assert value == defect.entries[(word, last)]
@@ -866,14 +867,10 @@ def test_the_phi_and_psi_checks_agree_on_embedded_maps(name, a, d, kind, rng):
         for m in range(dim + 1 - n):
             f = random_altmap(rng, n, dim, alg.dim, pool=POOL)
             g = random_altmap(rng, m, dim, alg.dim, pool=POOL)
-            found = _phi_witness(f, g, alg, rep)
+            found = _hom_witness(f, g, alg, rep, n + m)
             got = _psi_witness(family_from_alt(f, grep.space, galg.space),
                                family_from_alt(g, grep.space, galg.space), galg, grep, n + m)
-            if found is None:
-                assert got is None
-            else:
-                arity, (word, last), value = found
-                assert got == (arity, word, last, value)
+            assert got == found
             verdicts.add(found is None)
     if kind == "valid":
         assert verdicts == {True}

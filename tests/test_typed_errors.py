@@ -11,21 +11,23 @@ from rotabaxter.catalog import affine_line, two_level_rep, two_level_sgla
 from rotabaxter.deformation import AltMap
 from rotabaxter.embed import homotopy_operator_from_linear
 from rotabaxter.errors import BoundError, SchemaError, ShapeMismatchError
-from rotabaxter.graded import adjoint_graded, from_lie, graded_space
+from rotabaxter.graded import GradedRepresentation, adjoint_graded, from_lie, graded_space
 from rotabaxter.homotopy import (
     GradedHookFamily,
+    HomotopyOperator,
     GradedHookedMap,
     GradedSymFamily,
     GradedSymMap,
     PreLieInfinity,
     hook_compose,
+    induce_prelie_infinity,
     is_homotopy_oop,
     psi,
     search_homotopy_operators,
 )
-from rotabaxter.lie import adjoint, operator
+from rotabaxter.lie import Representation, adjoint, operator
 from rotabaxter.linalg import LinearOperator, matrix
-from rotabaxter.prelie import phi
+from rotabaxter.prelie import induce_prelie, phi
 from rotabaxter.reports import Report
 from rotabaxter.serialize import Workspace
 
@@ -38,6 +40,14 @@ def _cases():
     galg = from_lie(affine_line())
     grep = adjoint_graded(galg)
     g2, r2 = two_level_sgla(), two_level_rep()
+    # the affine line and its adjoint action with the last row of each matrix
+    # cut off: one 1x2 matrix per basis element on a 2-dimensional module
+    line = affine_line()
+    adj = adjoint(line)
+    cut = Representation(adj.basis, tuple(m[:-1] for m in adj.matrices))
+    gcut = GradedRepresentation(grep.space, tuple(m[:-1] for m in grep.matrices))
+    identity = GradedSymMap(grep.space, galg.space, 1, 0, {(0,): (1, 0), (1,): (0, 1)})
+    not_square = "action matrices must be square of the module dimension"
     return [
         ("embed: operator shape",
          lambda: homotopy_operator_from_linear(operator([[1, 0, 0], [0, 1, 0]]), galg, grep.space),
@@ -75,6 +85,28 @@ def _cases():
         ("phi: values outside the algebra",
          lambda: phi(AltMap(1, 2, 3, {}), adjoint(affine_line())),
          ShapeMismatchError, "map values do not match the algebra of the representation"),
+        ("phi: a non-square action",
+         lambda: phi(AltMap(1, 2, 2, {(0,): (1, 0), (1,): (0, 1)}), cut),
+         ShapeMismatchError, not_square),
+        ("psi: a non-square action",
+         lambda: psi(GradedSymFamily(grep.space, galg.space, 0, {1: identity}), gcut),
+         ShapeMismatchError, not_square),
+        ("induce_prelie_infinity: a non-square action, forced",
+         lambda: induce_prelie_infinity(
+             HomotopyOperator(grep.space, galg.space, {1: identity}), galg, gcut, force=True),
+         ShapeMismatchError, not_square),
+        ("induce_prelie: a 2x3 operator, forced",
+         lambda: induce_prelie(operator([[1, 0, 1], [0, 1, 1]]), line, adj, force=True),
+         ShapeMismatchError, "operator is 2x3, expected 2x2"),
+        ("induce_prelie: a 2x1 operator, forced",
+         lambda: induce_prelie(operator([[1], [0]]), line, adj, force=True),
+         ShapeMismatchError, "operator is 2x1, expected 2x2"),
+        ("induce_prelie: a 3x2 operator, forced",
+         lambda: induce_prelie(operator([[1, 0], [0, 1], [1, 1]]), line, adj, force=True),
+         ShapeMismatchError, "operator is 3x2, expected 2x2"),
+        ("induce_prelie: a non-square action, forced",
+         lambda: induce_prelie(operator([[1, 0], [0, 1]]), line, cut, force=True),
+         ShapeMismatchError, not_square),
         ("hook_compose: across spaces",
          lambda: hook_compose(GradedHookFamily(X, 1), GradedHookFamily(XY, 1)),
          ShapeMismatchError, "families live on different spaces"),
