@@ -89,6 +89,14 @@ def _require_matching(alg, rep, *maps) -> None:
     require_action(alg.dim, rep)
 
 
+# The signs of the bracket by the degree parities m % 2 and n % 2 of f and g:
+# the factor (-1)^((m+1)(n+1)) of f inserted into g, and the factors of a
+# bracket of values by the parity of its f-block degree, read once per word.
+_BRACKET_SIGNS = tuple(tuple((parity_sign((m + 1) * (n + 1)),
+                              (-parity_sign(m + 1), -parity_sign(n + m + 1)))
+                             for n in (0, 1)) for m in (0, 1))
+
+
 def _bracket_on_canonical(f: SparseFamily, g: SparseFamily, alg, rep, word) -> Vector:
     """The graded bracket of f and g on a canonical word, such as every
     word of a walk: the one bracket kernel of every grading.
@@ -113,11 +121,10 @@ def _bracket_on_canonical(f: SparseFamily, g: SparseFamily, alg, rep, word) -> V
     dim_g = alg.dim
     par = f.space.parities
     p = len(word)
-    m, n = f.degree, g.degree
     fc, gc = f.components, g.components
     out = [0] * dim_g
+    s2, factors = _BRACKET_SIGNS[f.degree & 1][g.degree & 1]
     # g inserted into an argument slot of f, and f into an argument slot of g
-    s2 = parity_sign((m + 1) * (n + 1))
     for inner, outer, coef in ((fc, fc, s2 - 1),) if g is f else ((gc, fc, -1), (fc, gc, s2)):
         for l, il in inner.items() if coef else ():
             ol = outer.get(p - l)
@@ -131,7 +138,6 @@ def _bracket_on_canonical(f: SparseFamily, g: SparseFamily, alg, rep, word) -> V
                 if not vec_is_zero(inserted):
                     ol._insert_into(out, coef * eps, inserted, rest)
     # bracket of values, its factor read by the parity of the f-block degree
-    factors = (-parity_sign(m + 1), -parity_sign(n + m + 1))
     for a, fa in fc.items():
         gb = gc.get(p - a)
         if gb is None:
@@ -157,7 +163,7 @@ def _cleared_bracket_inputs(f, g, alg, rep):
     of its weight, and (alg, rep) times one ds.  Each map or family stores
     its image, so g is still f when it was.  Raises what the bracket raises
     before it computes a word."""
-    _require_matching(alg, rep, f, g)
+    _require_matching(alg, rep, *((f,) if g is f else (f, g)))
     (df, f), (dg, g) = f.cleared(), g.cleared()
     if isinstance(f, SparseMap):
         f, g = (SparseFamily.of(f),) * 2 if g is f else (SparseFamily.of(f), SparseFamily.of(g))

@@ -12,8 +12,9 @@ Conventions pinned by tests:
     (weakly increasing index sequences with no odd-degree index repeated);
     values are homogeneous of degree (word degree) + n.
   * The generalized Rota-Baxter residual at weight p is oriented bracket
-    side minus operator side, so the weight-0 residual is [Omega, Omega]/2
-    and agrees with half the self-bracket of T in every weight.
+    side minus operator side, so the weight-0 residual is [Omega, Omega]/2:
+    it is half the self-bracket of T in every weight, and it is computed as
+    that, by the one bracket kernel.
   * The bracket on hooked families is built from the one compose kernel,
     prelie.hook_compose_lasts, which the ungraded compose of hooked maps
     runs too, with its global normalization prelie.COMPOSE_NORMALIZATION.
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 
-from .combinatorics import parity_sign, split_table
+from .combinatorics import parity_sign
 from .deformation import _bracket_on_canonical, _bracket_walk, _require_matching
 from .errors import (
     BoundError,
@@ -51,7 +52,6 @@ from .linalg import (
     divided,
     fr,
     require_action,
-    vec_is_zero,
 )
 from .prelie import (
     COMPOSE_NORMALIZATION,
@@ -148,80 +148,29 @@ def graded_bracket(f: GradedSymFamily, g: GradedSymFamily, alg: SGLA,
     return GradedSymFamily(rep.space, alg.space, degree, comps)
 
 
-def _twice_residual(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
-                    word) -> list:
-    """Twice the generalized Rota-Baxter residual on a canonical word, the
-    bracket side minus twice the operator side, undivided: ints on int
-    inputs.  It is a quadratic form in t.
-
-    The sums run over the word's cached :func:`split_table` entries, each
-    distinct rearranged word once, split into canonical blocks, so each
-    value of t on a block is read straight from its entries; an inserted
-    letter is placed into its canonical rest by bisection."""
-    par = t.space.parities
-    p = len(word)
-    comps = t.components
-    dim_g = alg.dim
-    out = [0] * dim_g
-    for l, tl in comps.items():
-        tk = comps.get(p - l)
-        if tk is None or l >= p:
-            continue
-        for head, x, rest, eps in split_table(word, par, (l, 1, p - l - 1)):
-            tval = tl.entries.get(head)
-            if tval is None:
-                continue
-            inserted = rep.act_basis(tval, x)
-            if not vec_is_zero(inserted):
-                # minus twice the operator side
-                tk._insert_into(out, -2 * eps, inserted, rest)
-    for a, ta in comps.items():
-        tb = comps.get(p - a)
-        if tb is None:
-            continue
-        for left, right, eps, _ in split_table(word, par, (a, p - a)):
-            x = ta.entries.get(left)
-            if x is None:
-                continue
-            y = tb.entries.get(right)
-            if y is None:
-                continue
-            br = alg.bracket(x, y)
-            for k in range(dim_g):
-                if br[k]:
-                    out[k] += eps * br[k]
-    return out
-
-
 def residual_on_word(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
                      word) -> Vector:
     """Generalized Rota-Baxter residual on an explicit word, bracket side
-    minus operator side; at weight 0 this is [Omega, Omega]/2.  The residual
-    is graded symmetric, so the word is sorted once into a canonical word,
-    with its Koszul sign, and a word repeating an odd-degree letter gives
-    zero; :func:`_twice_residual` sums it there and it is halved once."""
-    canonical, negate = koszul_sorted(t.space.degrees, word)
-    if canonical is None:
-        return (ZERO,) * alg.dim
-    val = _twice_residual(t, alg, rep, canonical)
-    return divided([-x for x in val] if negate else val, 2)
+    minus operator side: half of :func:`bracket_on_word` (t, t), so at weight
+    0 it is [Omega, Omega]/2."""
+    return divided(bracket_on_word(t, t, alg, rep, word), 2)
+
+
+def _require_operator(t: GradedSymFamily, p_max: int) -> None:
+    """Refuse a negative p_max, then a family of other than degree 0: what
+    every residual check refuses before it reads its inputs."""
+    _require_bound(p_max, 0, "p_max")
+    if t.degree != 0:
+        raise ShapeMismatchError("homotopy operators are degree-0 families")
 
 
 def _residual_walk(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
                    p_max: int) -> Walk:
-    """The walk of the residual up to weight p_max, each value computed by
-    :func:`_twice_residual` on the int images of the inputs (the residual
-    is quadratic in T and linear in the structure).  The walk's words are
-    canonical already, so none is sorted, and den carries the 2 that
-    :func:`residual_on_word` divides by."""
-    _require_bound(p_max, 0, "p_max")
-    if t.degree != 0:
-        raise ShapeMismatchError("homotopy operators are degree-0 families")
-    _require_matching(alg, rep, t)
-    dt, t = t.cleared()
-    ds, alg, rep = cleared_pair(alg, rep)
-    return Walk(2 * dt * dt * ds, rep.space, range(p_max + 1),
-                lambda word: _twice_residual(t, alg, rep, word))
+    """The walk of the self-bracket [[T, T]] of a degree-0 family up to
+    weight p_max (see :func:`~rotabaxter.deformation._bracket_walk`), twice
+    its residual: its readers divide by 2."""
+    _require_operator(t, p_max)
+    return _bracket_walk(t, t, alg, rep, range(p_max + 1))
 
 
 def homotopy_oop_residual(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
@@ -229,11 +178,11 @@ def homotopy_oop_residual(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentati
     """Per-weight defect of the generalized Rota-Baxter identities.
 
     T is a homotopy O-operator to order p_max exactly when every returned
-    map is zero.  Implemented directly from the identities, independently of
-    :func:`graded_bracket`.  Like it, runs on the int images of the inputs
-    and divides each value once.
+    map is zero.  Each value is half the self-bracket of T, computed on the
+    int images of the inputs and divided once; the tests compare it with
+    the identities summed term by term.
     """
-    by_weight = _residual_walk(t, alg, rep, p_max).by_weight()
+    by_weight = _residual_walk(t, alg, rep, p_max).by_weight(2)
     return {p: GradedSymMap(rep.space, alg.space, p, 1, by_weight.get(p, {}))
             for p in range(p_max + 1)}
 
@@ -245,43 +194,39 @@ def is_homotopy_oop(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
     return _residual_walk(t, alg, rep, p_max).vanishes()
 
 
-def _checked_first(walk: Walk, target: GradedVectorSpace, degree: int, scale: int = 1):
-    """:meth:`~rotabaxter.graded.Walk.first` of the walk of a family of the
-    given degree, its value validated as the family's map of that weight
-    would validate it: an inhomogeneous structure can make an inhomogeneous
-    value.  Values past it are not computed."""
-    found = walk.first(scale)
+def _mc_witness(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
+                p_max: int = DEFAULT_P_MAX):
+    """(weight, word, value) of half the self-bracket of T at the first
+    canonical word where it is nonzero, or None when it vanishes up to
+    weight p_max.  The value is validated as the bracket's map of that
+    weight would validate it, since an inhomogeneous structure can make it
+    inhomogeneous; words past it are not computed.  Raises what
+    :func:`graded_bracket` raises up to that word."""
+    _require_bound(p_max, 0, "p_max")
+    found = _bracket_walk(t, t, alg, rep, range(p_max + 1)).first(2)
     if found is not None:
         p, word, value = found
-        GradedSymMap(walk.space, target, p, degree, {word: value})
+        GradedSymMap(rep.space, alg.space, p, 2 * t.degree + 1, {word: value})
     return found
 
 
 def _residual_witness(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
                       p_max: int = DEFAULT_P_MAX):
-    """(weight, word, value) of :func:`homotopy_oop_residual` at its first
-    nonzero canonical word, or None when it vanishes up to weight p_max.
-    Raises what it raises up to that word."""
-    return _checked_first(_residual_walk(t, alg, rep, p_max), alg.space, 1)
-
-
-def _mc_witness(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
-                p_max: int = DEFAULT_P_MAX):
-    """(weight, word, value) of half the self-bracket of T at the first
-    canonical word where it is nonzero, or None when it vanishes up to
-    weight p_max.  Raises what :func:`graded_bracket` raises up to that
-    word."""
-    _require_bound(p_max, 0, "p_max")
-    return _checked_first(_bracket_walk(t, t, alg, rep, range(p_max + 1)), alg.space,
-                          2 * t.degree + 1, 2)
+    """:func:`_mc_witness` of a degree-0 family: (weight, word, value) of
+    :func:`homotopy_oop_residual` at its first nonzero canonical word, or
+    None."""
+    _require_operator(t, p_max)
+    return _mc_witness(t, alg, rep, p_max)
 
 
 def mc_check_homotopy(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation,
                       p_max: int = DEFAULT_P_MAX) -> bool:
     """Whether half the self-bracket of T vanishes up to weight p_max.
 
-    Must agree with ``homotopy_oop_residual == 0`` on every instance; the
-    two sides are computed independently.  Stops at the first nonzero word.
+    The residual checks read the same walk, so this agrees with
+    ``homotopy_oop_residual == 0`` by construction; the tests compare both
+    with the identities summed term by term.  Stops at the first nonzero
+    word.
     """
     return _mc_witness(t, alg, rep, p_max) is None
 
@@ -518,8 +463,10 @@ def search_homotopy_operators(alg: SGLA, rep: GradedRepresentation, grid,
     with B_a = R(P + E_a) - R(P) - R(E_a), Q_aa = R(E_a) and Q_ab =
     R(E_a + E_b) - R(E_a) - R(E_b).  R(P) and the B_a are read once per
     prefix and word, the Q_ab once per level and word, each only when a
-    candidate reaches the word and each by the one residual kernel
-    (:func:`_twice_residual`); a candidate is then a few int dot products.
+    candidate reaches the word and each by the one bracket kernel, R(X)
+    being the self-bracket [[X, X]] (see
+    :func:`~rotabaxter.deformation._bracket_on_canonical`); a candidate is
+    then a few int dot products.
     On a word of weight p every term pairs components of weights i and
     p - i, and X has weight w while P has none, so the Q_ab vanish unless
     p = 2w, and the B_a unless P has a component of weight p - w, where R(E_a)
@@ -588,12 +535,13 @@ def search_homotopy_operators(alg: SGLA, rep: GradedRepresentation, grid,
 
     def quadratic_part(w, wslots, elementary, word) -> dict:
         """{(a, b): Q_ab on the word} for a <= b."""
-        quad = {(a, a): _twice_residual(family({w: e}), alg, rep, word)
-                for a, e in enumerate(elementary)}
+        singles = [family({w: e}) for e in elementary]
+        quad = {(a, a): _bracket_on_canonical(e, e, alg, rep, word)
+                for a, e in enumerate(singles)}
         for a, b in itertools.combinations(range(len(elementary)), 2):
             both = family({w: level_map(w, [(wslots[a], 1), (wslots[b], 1)])})
             quad[a, b] = [x - y - z for x, y, z in zip(
-                _twice_residual(both, alg, rep, word), quad[a, a], quad[b, b])]
+                _bracket_on_canonical(both, both, alg, rep, word), quad[a, a], quad[b, b])]
         return quad
 
     # the int components of the levels fixed so far
@@ -617,15 +565,15 @@ def search_homotopy_operators(alg: SGLA, rep: GradedRepresentation, grid,
             got = polarized.get(word)
             if got is None:
                 p = len(word)
-                constant = _twice_residual(prefix, alg, rep, word)
+                constant = _bracket_on_canonical(prefix, prefix, alg, rep, word)
                 linear, quad = [], {}
                 if p == 2 * w:
                     quad = quadratic.get(word)
                     if quad is None:
                         quad = quadratic[word] = quadratic_part(w, wslots, elementary, word)
                 elif p - w in prefix.components:
-                    linear = [[x - y for x, y in zip(_twice_residual(t, alg, rep, word),
-                                                     constant)] for t in shifted]
+                    linear = [[x - y for x, y in zip(
+                        _bracket_on_canonical(t, t, alg, rep, word), constant)] for t in shifted]
                 got = polarized[word] = _polarized_rows(constant, linear, quad)
             return got
 

@@ -115,11 +115,17 @@ def _one_based(a) -> int:
 
 
 def _entries_from_obj(items, index, names, free=False) -> dict:
-    """Map entries from their file form; ``index`` reads one argument."""
+    """Map entries from their file form; ``index`` reads one argument.  An
+    argument word, or (word, last), given twice is refused."""
     entries = {}
     for item in items:
-        word = tuple(index(a) for a in _field(item, "args", kind=list))
-        key = (word, index(_field(item, "last"))) if free else word
+        args = _field(item, "args", kind=list)
+        key = tuple(index(a) for a in args)
+        if free:
+            key = (key, index(_field(item, "last")))
+        if key in entries:
+            raise SchemaError(f"entries repeat the args {args!r}"
+                              + (f" with the last {item['last']!r}" if free else ""))
         entries[key] = parse_value(_field(item, "value"), names)
     return entries
 
@@ -151,11 +157,14 @@ def parse_matrix(rows, nrows, ncols) -> Matrix:
 
 
 def _pairs_from_obj(items, names) -> dict:
-    """Sparse table data ``{(i, j): {k: coeff}}``; the builders complete it."""
+    """Sparse table data ``{(i, j): {k: coeff}}``; the builders complete it.
+    A (left, right) pair given twice is refused."""
     pairs = {}
     for item in items:
         i = _index(names, _field(item, "left"))
         j = _index(names, _field(item, "right"))
+        if (i, j) in pairs:
+            raise SchemaError(f"table repeats the pair ({names[i]!r}, {names[j]!r})")
         pairs[(i, j)] = dict(enumerate(parse_value(_field(item, "value"), names)))
     return pairs
 
@@ -322,6 +331,10 @@ def _component_from_obj(item, space: GradedVectorSpace, target: GradedVectorSpac
                         degree: int) -> GradedSymMap:
     weight = _int(_field(item, "weight", None),
                   "component needs a non-negative integer weight", 0)
+    # a weight-0 component is one value, any other a list of entries
+    unread = "entries" if weight == 0 else "value"
+    if unread in item:
+        raise SchemaError(f"a component of weight {weight} takes no {unread!r} field")
     entries = {}
     if weight == 0:
         value = _field(item, "value", None)
@@ -345,6 +358,8 @@ def _components_from_obj(obj, space, target, degree) -> dict:
     comps = {}
     for item in _field(obj, "components", [], list):
         comp = _component_from_obj(item, space, target, degree)
+        if comp.weight in comps:
+            raise SchemaError(f"components repeat the weight {comp.weight}")
         comps[comp.weight] = comp
     return comps
 
@@ -389,6 +404,8 @@ def prelie_inf_from_obj(obj) -> PreLieInfinity:
     ops = {}
     for item in _field(obj, "operations", [], list):
         k = _int(_field(item, "arity", None), "operation needs a positive integer arity", 1)
+        if k in ops:
+            raise SchemaError(f"operations repeat the arity {k}")
         entries = _entries_from_obj(_field(item, "entries", [], list), _space_index(space),
                                     space.basis, free=True)
         ops[k] = GradedHookedMap(space, k - 1, 1, entries)
@@ -425,6 +442,22 @@ READERS = {
 KINDS = tuple(READERS)
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object from its (key, value) pairs, refusing a repeated key,
+    which ``json.load`` would read as its last copy."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        key = next(k for k in keys if keys.count(k) > 1)
+        raise SchemaError(f"object repeats the key {key!r}")
+    return obj
+
+
+# json.load builds a new decoder on every call that passes a hook, so every
+# file is read by this one
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 class Workspace:
     """Named raw entities collected from one or more JSON files.
 
@@ -444,10 +477,13 @@ class Workspace:
     def load_file(self, path: str):
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
+                text = fh.read()
+            if text.startswith("\ufeff"):  # json.load refuses it so; decode() does not
+                raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+            obj = _DECODER.decode(text)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
-        except ValueError as exc:  # an integer literal beyond the int-string limit
+        except ValueError as exc:  # a repeated key, or an int beyond the int-string limit
             raise SchemaError(f"{path}: {exc}") from None
         except OSError as exc:  # a directory, or a file that cannot be read
             raise SchemaError(f"{path}: {exc.strerror}") from None

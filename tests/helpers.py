@@ -2,8 +2,11 @@
 
 * ``random_*`` draw the property tests' inputs, deterministic given the rng.
 * :func:`expand_low_identities` is the hand expansion of the generalized
-  Rota-Baxter residuals at weights 0, 1 and 2, the oracle that
-  ``homotopy_oop_residual`` is compared with; it reads no unshuffle table.
+  Rota-Baxter residuals at weights 0, 1 and 2, and :func:`raw_residual` the
+  identities of any weight summed term by term over raw signed unshuffles:
+  the oracles that the residual checks, which run the one bracket kernel,
+  are compared with.  Neither reads a split table or the kernel, and the
+  hand expansion reads no unshuffle at all.
 * :func:`courant_on_word` is the ungraded bracket summed with permutation
   signs, the oracle that the one graded bracket kernel is compared with on
   alternating maps.
@@ -17,7 +20,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from rotabaxter.combinatorics import parity_sign, split_table
+from rotabaxter.combinatorics import parity_sign, signed_unshuffles, split_table
 from rotabaxter.deformation import AltMap
 from rotabaxter.errors import ShapeMismatchError
 from rotabaxter.graded import (
@@ -255,6 +258,32 @@ def expand_low_identities(t: HomotopyOperator, alg: SGLA, rep: GradedRepresentat
             entries2[(i, j)] = val
     r2 = GradedSymMap(space, target, 2, 1, entries2)
     return r0, r1, r2
+
+
+def add_into(out: list, c, vec) -> None:
+    """out += c vec, coordinate by coordinate."""
+    for k, x in enumerate(vec):
+        out[k] += c * x
+
+
+def raw_residual(t: GradedSymFamily, alg: SGLA, rep: GradedRepresentation, word) -> Vector:
+    """The generalized Rota-Baxter residual of t on any word, bracket side
+    minus operator side: the identities summed term by term over the raw
+    :func:`~rotabaxter.combinatorics.signed_unshuffles` of the word, each
+    value read by ``eval``."""
+    par, p = tuple(t.space.degrees[i] % 2 for i in word), len(word)
+    lhs, rhs = [0] * alg.dim, [0] * alg.dim
+    for l in range(p):
+        for s, eps in signed_unshuffles((l, 1, p - l - 1), par):
+            u = [word[i] for i in s]
+            ins = rep.act_basis(t.component(l).eval(u[:l]), u[l])
+            add_into(lhs, eps, t.component(p - l).eval_insert(ins, u[l + 1:]))
+    for a in range(p + 1):
+        for s, eps in signed_unshuffles((a, p - a), par):
+            u = [word[i] for i in s]
+            add_into(rhs, eps, alg.bracket(t.component(a).eval(u[:a]),
+                                           t.component(p - a).eval(u[a:])))
+    return tuple(Fraction(r) / 2 - x for r, x in zip(rhs, lhs))
 
 
 # -- ungraded maps relabeled onto degree -1 spaces -----------------------------

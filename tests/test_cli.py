@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from rotabaxter import cli, deformation, errors, homotopy, prelie
+from rotabaxter import cli, deformation, errors, prelie
 from rotabaxter.catalog import (
     affine_line,
     graded_instances,
@@ -92,8 +92,9 @@ def runner():
 
 
 def write(tmp_path, name, obj):
+    """A file of obj as JSON, or of obj verbatim when it is text."""
     path = tmp_path / name
-    path.write_text(json.dumps(obj))
+    path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
     return str(path)
 
 
@@ -1200,6 +1201,37 @@ MALFORMED = {
     "value that is a list": ("lie", {"lie_algebra": {
         "basis": ["e1", "e2"], "brackets": [{"left": "e1", "right": "e2", "value": ["e2"]}]}}),
     "repeated basis name": ("lie", {"lie_algebra": {"basis": ["e1", "e1"], "brackets": []}}),
+    # read as its last copy, each repeat below gives the abelian algebra or
+    # a zero map, and the check passes
+    "repeated JSON key": ("lie", '{"lie_algebra": {"basis": ["e1", "e2"], "brackets": '
+                                 '[{"left": "e1", "right": "e2", "value": {"e2": "1"}}], '
+                                 '"brackets": []}}'),
+    "repeated bracket pair": ("lie", {"lie_algebra": {"basis": ["e1", "e2"], "brackets": [
+        {"left": "e1", "right": "e2", "value": {"e2": "1"}},
+        {"left": "e1", "right": "e2", "value": {}}]}}),
+    "repeated component weight": ("hop", {"homotopy_operator": {"components": [
+        {"weight": 1, "entries": [{"args": ["e1"], "value": {"e1": "1"}},
+                                  {"args": ["e2"], "value": {"e2": "1"}}]},
+        {"weight": 1, "entries": []}]}}),
+    "repeated argument word": ("hop", {"homotopy_operator": {"components": [
+        {"weight": 1, "entries": [{"args": ["e1"], "value": {"e1": "1"}},
+                                  {"args": ["e2"], "value": {"e2": "1"}},
+                                  {"args": ["e2"], "value": {}}]}]}}),
+    "repeated word and last": ("pinf", {"prelie_infinity": {
+        "space": {"basis": [{"name": "x", "degree": 0}, {"name": "y", "degree": 1}]},
+        "truncation": 1, "operations": [{"arity": 1, "entries": [
+            {"args": [], "last": "x", "value": {"y": "1"}},
+            {"args": [], "last": "x", "value": {}}]}]}}),
+    "repeated operation arity": ("pinf", {"prelie_infinity": {
+        "space": {"basis": [{"name": "x", "degree": 0}, {"name": "y", "degree": 1}]},
+        "truncation": 1, "operations": [
+            {"arity": 1, "entries": [{"args": [], "last": "x", "value": {"y": "1"}}]},
+            {"arity": 1, "entries": []}]}}),
+    # a weight-0 component is read from "value", any other from "entries"
+    "weight-0 component with entries": ("hop", {"homotopy_operator": {"components": [
+        {"weight": 0, "entries": [{"args": [], "value": {"e1": "1"}}]}]}}),
+    "weight-1 component with a value": ("hop", {"homotopy_operator": {"components": [
+        {"weight": 1, "value": {"e1": "1"}}]}}),
     "degree that is text": ("sgla", {"sgla": {
         "space": {"basis": [{"name": "x", "degree": "a"}]}, "brackets": []}}),
     "altmap args that are text": ("map", {"altmap": {
@@ -1227,7 +1259,8 @@ def test_malformed_input_is_a_schema_error(runner, tmp_path, case):
             "map": ["mc-check", "--algebra", alg, "--rep", "adjoint", "--op", bad],
             "sgla": ["check-sgla", "--sgla", bad],
             "hop": ["check-hoop", "--sgla", sgla_path, "--grep", "adjoint",
-                    "--hop", bad]}[slot]
+                    "--hop", bad],
+            "pinf": ["check-prelie-inf", "--pinf", bad]}[slot]
     res = runner.invoke(main, args)
     assert isinstance(res.exception, SystemExit), res.exception
     assert res.exit_code == 1
@@ -1253,6 +1286,40 @@ def test_a_component_above_the_truncation_is_refused_not_dropped(runner, tmp_pat
         assert res.exit_code == 1, (command, res.output)
         assert res.output == ("Error: homotopy_operator lists a component of weight 1 "
                               "above its truncation 0\n"), (command, res.output)
+
+
+def test_a_weight_0_component_is_read_from_its_value_alone(runner, tmp_path):
+    # Omega = x1 with [x1, x1] = y fails at weight 0; written as entries and
+    # read as zero, it would pass
+    sgla_path = write(tmp_path, "g.json", {"sgla": {
+        "space": {"basis": [{"name": "x1", "degree": 0}, {"name": "x2", "degree": 0},
+                            {"name": "y", "degree": 1}]},
+        "brackets": [{"left": "x1", "right": "x1", "value": {"y": "1"}}]}})
+    as_value = write(tmp_path, "value.json", {"homotopy_operator": {"components": [
+        {"weight": 0, "value": {"x1": "1"}}]}})
+    res = runner.invoke(main, ["check-hrbo", "--sgla", sgla_path, "--hop", as_value])
+    assert res.exit_code == 1
+    assert res.output.endswith('  witness: {"at": [], "residual": {"y": "1/2"}, "weight": 0}\n')
+    as_entries = write(tmp_path, "entries.json", {"homotopy_operator": {"components": [
+        {"weight": 0, "entries": [{"args": [], "value": {"x1": "1"}}]}]}})
+    res = runner.invoke(main, ["check-hrbo", "--sgla", sgla_path, "--hop", as_entries])
+    assert res.exit_code == 1
+    assert res.output == "Error: a component of weight 0 takes no 'entries' field\n"
+
+
+def test_a_repeat_is_named_in_the_error(runner, tmp_path):
+    # the affine line with the identity fails check-rbo at (1, 2); each
+    # repeat, read as its last copy, gives the abelian algebra, where it passes
+    op = write(tmp_path, "P.json", {"operator": {
+        "rows": [["1", "0"], ["0", "1"]], "domain": "g", "codomain": "g"}})
+    for name, text, error in (
+            ("key.json", MALFORMED["repeated JSON key"][1], "object repeats the key 'brackets'"),
+            ("pair.json", json.dumps(MALFORMED["repeated bracket pair"][1]),
+             "table repeats the pair ('e1', 'e2')")):
+        alg = write(tmp_path, name, text)
+        res = runner.invoke(main, ["check-rbo", "--algebra", alg, "--op", op])
+        assert res.exit_code == 1
+        assert res.output.startswith("Error: ") and res.output.endswith(f"{error}\n"), res.output
 
 
 @pytest.mark.parametrize("field, value", [("domain", "W"), ("domain", [1, {"x": None}]),
@@ -1372,8 +1439,8 @@ def test_a_graded_walked_fail_is_the_least_word_of_its_whole_residual(
             if not all(m.is_zero() for m in residual.values()):
                 break
         hop = write(tmp_path, f"{command}.json", {"homotopy_operator": hop_to_obj(t)})
-        # the residual kernel runs on every canonical word up to the witness
-        witness, calls = _walked_fail(runner, monkeypatch, homotopy, "_twice_residual", [
+        # the bracket kernel runs on every canonical word up to the witness
+        witness, calls = _walked_fail(runner, monkeypatch, deformation, "_bracket_on_canonical", [
             "--p-max", "3", command, "--sgla", sgla_path, *action, "--hop", hop])
         weight = min(w for w, m in residual.items() if not m.is_zero())
         word = min(residual[weight].entries)

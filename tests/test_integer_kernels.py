@@ -80,6 +80,7 @@ from rotabaxter.prelie import (
 from rotabaxter.reports import named_residual
 
 from helpers import (
+    add_into,
     courant_on_word,
     embed_pair,
     eval_last_insert,
@@ -90,6 +91,7 @@ from helpers import (
     random_homotopy_operator,
     random_hooked,
     random_sym_family,
+    raw_residual,
     vec_scale,
 )
 
@@ -560,11 +562,6 @@ def test_the_all_lasts_kernel_matches_the_composed_family(name, a, d, df, dg, rn
 # The kernels sum each distinct rearranged word once; these loops are the sums
 # term by term, over every unshuffle, reading every weight through component().
 
-def add_into(out, c, vec):
-    for k, x in enumerate(vec):
-        out[k] += c * x
-
-
 def raw_bracket(f, g, alg, rep, word):
     degs = [f.space.degrees[i] for i in word]
     par, p, m, n = tuple(d % 2 for d in degs), len(word), f.degree, g.degree
@@ -584,22 +581,6 @@ def raw_bracket(f, g, alg, rep, word):
             add_into(out, -parity_sign(n * d1 + m + 1) * eps,
                      alg.bracket(f.component(a).eval(u[:a]), g.component(p - a).eval(u[a:])))
     return tuple(out)
-
-
-def raw_residual(t, alg, rep, word):
-    par, p = tuple(t.space.degrees[i] % 2 for i in word), len(word)
-    lhs, rhs = [0] * alg.dim, [0] * alg.dim
-    for l in range(p):
-        for s, eps in signed_unshuffles((l, 1, p - l - 1), par):
-            u = [word[i] for i in s]
-            ins = rep.act_basis(t.component(l).eval(u[:l]), u[l])
-            add_into(lhs, eps, t.component(p - l).eval_insert(ins, u[l + 1:]))
-    for a in range(p + 1):
-        for s, eps in signed_unshuffles((a, p - a), par):
-            u = [word[i] for i in s]
-            add_into(rhs, eps, alg.bracket(t.component(a).eval(u[:a]),
-                                           t.component(p - a).eval(u[a:])))
-    return tuple(Fraction(r) / 2 - x for r, x in zip(rhs, lhs))
 
 
 def raw_courant(f, g, alg, rep, word):
@@ -701,6 +682,28 @@ def test_the_prelie_infinity_witness_replays_through_the_raw_residual(name, a, d
                   for val in [raw_prelie_residual(pinf, word, last)] if any(val)), None)
     assert report.ok == (first is None)
     assert report.witness == first
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(GRADED), scales, scales, st.sampled_from((0.0, 0.15, 0.7)),
+       st.integers(0, 4), rngs)
+def test_the_homotopy_checks_hold_exactly_where_the_raw_residual_vanishes(
+        name, a, d, density, p_max, rng):
+    # the residual and Maurer-Cartan checks run one walk of the bracket
+    # kernel; the raw sum of the identities reads neither the kernel nor its
+    # split tables, so each check must pass exactly when that sum vanishes on
+    # every canonical word up to p_max, and the witness of check-hoop and
+    # mc-check-homotopy must be the first word where it does not, with its
+    # raw value
+    alg, rep = graded_pair(name, a, d)
+    t = random_homotopy_operator(rng, rep.space, alg.space, 2, pool=POOL, density=density)
+    first = next(((p, word, val) for p in range(p_max + 1)
+                  for word in canonical_words(rep.space, p)
+                  for val in [raw_residual(t, alg, rep, word)] if any(val)), None)
+    assert is_homotopy_oop(t, alg, rep, p_max) == (first is None)
+    assert mc_check_homotopy(t, alg, rep, p_max) == (first is None)
+    assert homotopy._residual_witness(t, alg, rep, p_max) == first
+    assert _mc_witness(t, alg, rep, p_max) == first
 
 
 def test_repeated_letters_merge_terms_on_the_bundled_spaces():
@@ -946,8 +949,9 @@ def test_the_twisted_check_is_one_bracket(name, a, d, kind, rng):
 
 @pytest.mark.parametrize("name", ["two-level", "mixed/adjoint", "three-level/adjoint"])
 def test_the_residual_walk_holds_ints_and_divides_each_value_once(name):
-    # the walk runs the int kernel on canonical words and den carries its
-    # 2, so a value is int until a reader divides it, once
+    # the walk runs the int kernel on canonical words; it is the
+    # self-bracket, twice the residual, so a value is int until a reader
+    # divides it by 2 den, once
     alg, rep = graded_pair(name, SCALES[:3], SCALES[3:6])
     rng = random.Random(5)
     values = []
@@ -957,7 +961,7 @@ def test_the_residual_walk_holds_ints_and_divides_each_value_once(name):
         values = list(walk)
     assert all(type(x) is int for _, _, v in values for x in v)
     for _, word, v in values:
-        assert tuple(Fraction(x, walk.den) for x in v) == residual_on_word(t, alg, rep, word)
+        assert tuple(Fraction(x, 2 * walk.den) for x in v) == residual_on_word(t, alg, rep, word)
 
 
 def test_a_sum_of_int_images_stays_int():

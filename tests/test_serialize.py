@@ -225,6 +225,15 @@ def test_workspace_parse_error_has_location(tmp_path):
     assert "line" in str(err.value) and "column" in str(err.value)
 
 
+def test_workspace_refuses_a_byte_order_mark_as_json_load_does(tmp_path):
+    path = tmp_path / "bom.json"
+    path.write_text("\ufeff" + json.dumps({"lie_algebra": {"basis": ["e1"]}}), encoding="utf-8")
+    with pytest.raises(SchemaError) as err:
+        Workspace().load_file(str(path))
+    assert str(err.value) == (f"{path}: line 1 column 1: "
+                              "Unexpected UTF-8 BOM (decode using utf-8-sig)")
+
+
 # -- exact table writer ---------------------------------------------------------
 
 COEFFS = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2)])
